@@ -38,6 +38,7 @@ METRIC_COLUMNS = (
     "perception_acc",
     "loss",
     "nodes_explored",
+    "solver_truncated",
 )
 
 
@@ -298,10 +299,12 @@ def train(
                     "perception_acc": pacc,
                     "loss": None,
                     "nodes_explored": nodes,
+                    "solver_truncated": None,
                 }
                 if out.induced is not None:
                     solved += 1
                     row["score"] = out.induced.log_score
+                    row["solver_truncated"] = int(out.induced.truncated)
                     row["pseudo_label_acc"] = _pseudo_label_acc(task, batch, spans, out.induced)
                     row["loss"] = m_step(
                         task,

@@ -4,8 +4,21 @@ Constraints are the three shapes the abducibles emit: X+Y#=Z, X*Y#=Z and
 X#=c.  Domains are nonnegative.  Variables carrying a per-value
 log-probability table are the pseudo-labels of perceived items; derived
 intermediates have no table.  solve_best finds the feasible assignment of
-weighted variables with the largest summed log-probability by
-branch-and-bound; solve_all is the exhaustive oracle it is checked against.
+weighted variables with the largest summed log-probability; solve_all is
+the exhaustive oracle it is checked against.
+
+solve_best picks one of two exact paths from the shape of the store:
+
+  * chain stores, the shape the add/mul abducibles build (x0+x1#=v2,
+    v2+x3#=v4, ..., v_last#=y), are solved by one forward max-product pass
+    over the values the running variable can take (bucket elimination
+    along the chain, Dechter 1999) in O(n*|D|*|S|) time;
+  * any other store goes to branch-and-bound, which clones and
+    re-propagates the store at every node and may stop early at a node
+    budget, in which case the result says so (Labeling.truncated).
+
+The satisfiability check used when only feasibility matters takes the same
+two paths.
 """
 
 from __future__ import annotations
@@ -348,24 +361,41 @@ def _pin_and_propagate(store: ConstraintStore, vid: int, value: int) -> Optional
     return s2
 
 
-def _completion_exists(store: ConstraintStore, budget: Optional[Budget]) -> bool:
-    """True iff the unpinned (derived) vars admit a consistent completion."""
+def _search_completion(store: ConstraintStore, budget: Optional[Budget]) -> bool:
+    """True iff the unpinned (derived) vars admit a consistent completion.
+
+    Depth-first over the smallest open domain, re-propagating at each pin.
+    """
     open_vars = [v for v in store.vars if v.dom.pinned() is None]
     if not open_vars:
         return True
     open_vars.sort(key=lambda v: (v.dom.size(), v.id))
     v = open_vars[0]
     if not v.dom.is_explicit and v.dom.size() > EXPLICIT_MAX:
-        # Interval too wide to enumerate: treat bounds-consistent as feasible.
-        # Real task stores always pin derived vars by propagation.
+        # Interval too wide to enumerate: bounds-consistent is taken as
+        # feasible.  _completion_exists sends chain stores to the exact pass.
         return True
     for val in v.dom.values():
         if budget is not None:
             budget.solver_nodes += 1
         s2 = _pin_and_propagate(store, v.id, val)
-        if s2 is not None and _completion_exists(s2, budget):
+        if s2 is not None and _search_completion(s2, budget):
             return True
     return False
+
+
+def _completion_exists(store: ConstraintStore, budget: Optional[Budget]) -> bool:
+    """True iff the store has a solution, weights aside.
+
+    Chain stores take an exact forward pass over reachable values; other
+    stores take the depth-first search.
+    """
+    if store.failed:
+        return False
+    chain = _chain_of(store)
+    if chain is not None:
+        return _chain_feasible(store, *chain, budget)
+    return _search_completion(store, budget)
 
 
 def _labeling_of(store: ConstraintStore, truncated: bool = False) -> Labeling:
@@ -391,10 +421,38 @@ def solve_best(
 ) -> Optional[Labeling]:
     """Max-log-prob feasible assignment of the weighted vars, or None.
 
-    Branch-and-bound: branch on weighted vars in descending max-weight
-    order, values in descending weight; bound is the current sum plus each
-    remaining var's best remaining weight.  Exact ties go to the
-    lexicographically smallest assignment in var-id order.
+    log_prob is the sum of the chosen weights in var-id order.  Exact ties
+    go to the lexicographically smallest assignment in var-id order, and an
+    assignment scoring -inf counts as infeasible.
+
+    The store's shape picks the path, and an untruncated answer is the same
+    on both: a chain store (see _chain_of) takes the max-product pass, which
+    is exact in O(n*|D|*|S|) and ignores max_nodes; any other store takes
+    branch-and-bound, which stops after max_nodes branching nodes or when
+    the budget runs out and then returns its best labeling so far marked
+    truncated.  solver_nodes and solver_leaves on the budget count each
+    path's work as the Budget docstring defines.
+    """
+    if store.failed:
+        return None
+    chain = _chain_of(store)
+    if chain is None:
+        return _branch_and_bound(store, budget, max_nodes)
+    if budget is not None and not budget.ok():
+        return None  # as branch-and-bound does on an exhausted budget
+    return _chain_best(store, *chain, budget)
+
+
+def _branch_and_bound(
+    store: ConstraintStore,
+    budget: Optional[Budget] = None,
+    max_nodes: Optional[int] = None,
+) -> Optional[Labeling]:
+    """solve_best for any store shape.
+
+    Branch on weighted vars in descending max-weight order, values in
+    descending weight; the bound is the current sum plus each remaining
+    var's best remaining weight.
     """
     if store.failed:
         return None
@@ -424,7 +482,7 @@ def solve_best(
         if level == len(order):
             if budget is not None:
                 budget.solver_leaves += 1
-            if not _completion_exists(st, budget):
+            if not _search_completion(st, budget):
                 return
             cand = _labeling_of(st)
             if cand.log_prob > best["score"] or (
@@ -462,6 +520,239 @@ def solve_best(
     return lab
 
 
+# ---------------------------------------------------------------------------
+# Chain stores
+# ---------------------------------------------------------------------------
+
+
+def _chain_of(store: ConstraintStore) -> "Optional[tuple[int, list[tuple[bool, int, int]]]]":
+    """(head, links) if the store is a chain, else None.
+
+    A chain folds its leaves left to right: head (+|*) leaf_1 #= out_1,
+    out_1 (+|*) leaf_2 #= out_2, and so on.  Each link is (is_add, leaf,
+    out).  The store is a chain when every ADD/MUL defines a fresh derived
+    var from the previous link's output plus one leaf (the first link takes
+    two leaves), every leaf is a weighted var or a pinned constant, every
+    var is consumed at most once and belongs to the chain, and the weighted
+    vars are consumed in increasing id order.  EQC may pin any var.
+    """
+    vars_ = store.vars
+    defined: dict = {}  # out var -> its ADD/MUL constraint
+    consumed: set = set()
+    for c in store.constraints:
+        if c.kind == EQC:
+            continue
+        if c.z in defined or vars_[c.z].is_weighted:
+            return None
+        for vid in (c.x, c.y):
+            if vid in consumed:
+                return None
+            consumed.add(vid)
+        defined[c.z] = c
+    if not defined:
+        return (0, []) if len(vars_) == 1 and _is_leaf(vars_[0]) else None
+    if 2 * len(defined) + 1 != len(vars_):
+        return None
+    ends = [z for z in defined if z not in consumed]
+    if len(ends) != 1:
+        return None
+    links = []
+    out = ends[0]
+    for _ in defined:
+        c = defined[out]
+        is_add = c.kind == ADD
+        if c.x in defined and c.y in defined:
+            return None
+        if c.x in defined or c.y in defined:
+            prev, leaf = (c.x, c.y) if c.x in defined else (c.y, c.x)
+            links.append((is_add, leaf, out))
+            out = prev
+            continue
+        head, leaf = c.x, c.y
+        if vars_[head].is_weighted and vars_[leaf].is_weighted and head > leaf:
+            head, leaf = leaf, head
+        links.append((is_add, leaf, out))
+        break
+    else:
+        return None
+    if len(links) != len(defined):
+        return None  # a second, disconnected chain
+    links.reverse()
+    last = -1
+    for vid in [head] + [leaf for _, leaf, _ in links]:
+        var = vars_[vid]
+        if not _is_leaf(var):
+            return None
+        if var.is_weighted:
+            if vid < last:
+                return None
+            last = vid
+    return head, links
+
+
+def _is_leaf(var: FDVar) -> bool:
+    return var.is_weighted or var.dom.pinned() is not None
+
+
+def _chain_doms(store: ConstraintStore) -> "Optional[list[Dom]]":
+    """Current domains with every EQC applied; None if one empties."""
+    doms = [v.dom for v in store.vars]
+    for c in store.constraints:
+        if c.kind == EQC:
+            d = doms[c.x].pin(c.z)
+            if d.is_empty:
+                return None
+            doms[c.x] = d
+    return doms
+
+
+def _chain_feasible(store: ConstraintStore, head: int, links: list, budget: Optional[Budget]) -> bool:
+    """Forward pass over the set of values the running var can take."""
+    doms = _chain_doms(store)
+    if doms is None:
+        return False
+    layer = set(doms[head].values())
+    steps = 0
+    for is_add, leaf, out in links:
+        vals = list(doms[leaf].values())
+        zd = doms[out]
+        zlo, zhi, zbits = zd.lo, zd.hi, zd.bits
+        nxt = set()
+        for s in layer:
+            for d in vals:
+                t = s + d if is_add else s * d
+                if t < zlo or t > zhi or (zbits is not None and not zbits >> (t - zlo) & 1):
+                    continue
+                steps += 1
+                nxt.add(t)
+        layer = nxt
+        if not layer:
+            break
+    if budget is not None:
+        budget.solver_nodes += steps
+    return bool(layer)
+
+
+def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional[Budget]) -> Optional[Labeling]:
+    """Max-product pass along a chain store: solve_best's answer, exactly.
+
+    Each value of the running var keeps its best (score, prefix), where the
+    prefix holds the weighted leaves' values so far and the score sums
+    their weights in var-id order, as _labeling_of does.  Float addition is
+    monotone, so the best prefix at a value stays best after any suffix is
+    added, up to rounding: two prefix scores closer than the rounding the
+    remaining additions can make may end up equal, and then the
+    lexicographic tie-break decides.  So every prefix within that margin of
+    a state's best is kept until the last weight is added.
+    """
+    doms = _chain_doms(store)
+    if doms is None:
+        return None
+    vars_ = store.vars
+    weighted = [vid for vid in [head] + [leaf for _, leaf, _ in links] if vars_[vid].is_weighted]
+    # Bound on |partial sum| along any path; each remaining addition can
+    # move the gap between two prefixes by at most 2**-52 of it.
+    mass = sum(max(abs(w) for w in vars_[vid].weights if w != -math.inf) for vid in weighted)
+    remaining = len(weighted)
+
+    def table(vid: int) -> "list[tuple[int, float]]":
+        var = vars_[vid]
+        out = []
+        for v in doms[vid].values():
+            w = var.weights[v - var.weight_base]
+            if w != -math.inf:
+                out.append((v, w))
+        return out
+
+    hv = vars_[head]
+    layer: dict = {}  # running value -> [(score, prefix)], best first
+    if hv.is_weighted:
+        for v, w in table(head):
+            layer[v] = [(0.0 + w, (v,))]
+        remaining -= 1
+    else:
+        layer[doms[head].lo] = [(0.0, ())]
+    slack = remaining * mass * _SLACK_ULPS
+    steps = 0
+    for is_add, leaf, out in links:
+        zd = doms[out]
+        zlo, zhi, zbits = zd.lo, zd.hi, zd.bits
+        nxt: dict = {}
+        if vars_[leaf].is_weighted:
+            items = table(leaf)
+            remaining -= 1
+            slack = remaining * mass * _SLACK_ULPS
+            for s, entries in layer.items():
+                for d, w in items:
+                    t = s + d if is_add else s * d
+                    if t < zlo or t > zhi or (zbits is not None and not zbits >> (t - zlo) & 1):
+                        continue
+                    steps += 1
+                    for score, prefix in entries:
+                        score += w
+                        cur = nxt.get(t)
+                        if cur is None:
+                            nxt[t] = [(score, prefix + (d,))]
+                        elif score >= cur[0][0] - slack:
+                            _offer(cur, score, prefix + (d,), slack)
+        else:
+            c = doms[leaf].lo
+            for s, entries in layer.items():
+                t = s + c if is_add else s * c
+                if t < zlo or t > zhi or (zbits is not None and not zbits >> (t - zlo) & 1):
+                    continue
+                steps += 1
+                cur = nxt.get(t)
+                if cur is None:
+                    nxt[t] = list(entries)
+                else:
+                    for score, prefix in entries:
+                        _offer(cur, score, prefix, slack)
+        layer = nxt
+        if not layer:
+            break
+    best_score, best_prefix = -math.inf, None
+    for entries in layer.values():
+        for score, prefix in entries:
+            if score > best_score or (score == best_score and best_prefix is not None and prefix < best_prefix):
+                best_score, best_prefix = score, prefix
+    if budget is not None:
+        budget.solver_nodes += steps
+        budget.solver_leaves += len(layer)
+    if best_prefix is None:
+        return None
+    return Labeling(dict(zip(weighted, best_prefix)), best_score)
+
+
+# Per remaining addition and unit of |partial sum|: 4x the 2**-52 a rounding
+# step can close the gap between two prefix scores by.
+_SLACK_ULPS = 2.0**-50
+
+
+def _offer(cur: list, score: float, prefix: tuple, slack: float) -> None:
+    """Merge (score, prefix) into a state's entries, best first.
+
+    Entries more than slack below the best are dropped; equal scores keep
+    the lexicographically smaller prefix.
+    """
+    top = cur[0][0]
+    if score < top - slack:
+        return
+    if score > top + slack:
+        cur[:] = [(score, prefix)]
+        return
+    for i, (s, p) in enumerate(cur):
+        if s == score:
+            if prefix < p:
+                cur[i] = (score, prefix)
+            return
+    cur.append((score, prefix))
+    cur.sort(key=lambda e: -e[0])
+    floor = cur[0][0] - slack
+    while cur[-1][0] < floor:
+        cur.pop()
+
+
 def solve_all(store: ConstraintStore, cap: int = 100000) -> "tuple[list[Labeling], bool]":
     """All feasible labelings sorted by descending log_prob; (list, truncated).
 
@@ -480,7 +771,7 @@ def solve_all(store: ConstraintStore, cap: int = 100000) -> "tuple[list[Labeling
     def descend(st: ConstraintStore, level: int) -> bool:
         nonlocal truncated
         if level == len(order):
-            if _completion_exists(st, None):
+            if _search_completion(st, None):
                 out.append(_labeling_of(st))
                 if len(out) >= cap:
                     truncated = True

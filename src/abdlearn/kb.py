@@ -17,13 +17,12 @@ from .terms import (
     Atom,
     Clause,
     Int,
-    Struct,
     Subst,
-    Term,
     Var,
     mk_list,
     proper_list_items,
     rename_apart,
+    term_vars,
     unify,
     unify_atoms,
 )
@@ -40,10 +39,20 @@ class KBError(ValueError):
 class Budget:
     """Mutable search-resource accounting shared across one query or search.
 
-    nodes counts resolution steps, solver_nodes/solver_leaves count
-    finite-domain branching work.  depth_hits records how often a branch was
-    cut by the depth limit, which is what distinguishes "finitely failed"
-    from "ran out of resources".
+    nodes counts resolution steps.  depth_hits records how often a branch
+    was cut by the depth limit, which is what distinguishes "finitely
+    failed" from "ran out of resources".
+
+    solver_nodes and solver_leaves count finite-domain solver work, and
+    their unit depends on the path the store took (see fd):
+      * chain stores, max-product pass: solver_nodes counts state
+        transitions (a running value combined with a leaf value that lands
+        in the next var's domain), also in the feasibility-only pass;
+        solver_leaves counts the feasible final states scored, 1 for a
+        pinned sum;
+      * other stores, branch-and-bound: solver_nodes counts branching
+        nodes plus the pins of the completion search; solver_leaves counts
+        complete assignments of the weighted vars reached.
     """
 
     __slots__ = (
@@ -232,22 +241,13 @@ def deduce(
     goal_vars: list[str] = []
     for g in goals:
         for t in g.args:
-            _collect_vars(t, goal_vars)
+            term_vars(t, goal_vars)
 
     # generator frames stack with proof depth; long lists need headroom
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
     for s in _solve(goals, Subst(), depth_limit, kb, budget, occurs_check):
         yield _project(s, goal_vars)
-
-
-def _collect_vars(t: Term, acc: "list[str]") -> None:
-    if isinstance(t, Var):
-        if t.name not in acc:
-            acc.append(t.name)
-    elif isinstance(t, Struct):
-        for a in t.args:
-            _collect_vars(a, acc)
 
 
 def _project(s: Subst, names: "list[str]") -> Subst:

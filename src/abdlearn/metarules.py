@@ -37,10 +37,6 @@ class Metarule:
     existentials: "tuple[str, ...]"
     head: MetaAtom
     body: "tuple[MetaAtom, ...]"
-    # Structural termination guard: any self-recursive instantiation must
-    # strictly shrink the first (list) argument at call time.  Enforced
-    # globally by the prover's ancestor check.
-    order_constraint: str = "arg1_descent"
 
     def __post_init__(self):
         if self.head.pred_var not in self.existentials:

@@ -289,7 +289,7 @@ class SearchBudget:
     depth_limit: int = DEFAULT_DEPTH_LIMIT
     max_nodes: Optional[int] = None
     wall_ms: Optional[float] = None
-    solver_max_nodes: Optional[int] = None
+    solver_max_nodes: Optional[int] = None  # binds branch-and-bound only, not chain stores
     pruning: bool = True
     workers: int = 1
 
@@ -333,6 +333,11 @@ class AbductionResult:
     labeling: Optional[Labeling] = None
     item_vars: "tuple[tuple[int, int], ...]" = ()  # (item handle, store var)
 
+    @property
+    def truncated(self) -> bool:
+        """The solver stopped early, so log_prob may be below the optimum."""
+        return self.labeling is not None and self.labeling.truncated
+
     def item_assignment(self) -> "dict[int, int]":
         if self.labeling is None:
             return {}
@@ -351,11 +356,16 @@ class GoalExample:
 
 @dataclass(frozen=True, slots=True)
 class ExampleLabeling:
-    """Most probable pseudo-labels for one example under a fixed program."""
+    """Most probable pseudo-labels for one example under a fixed program.
+
+    truncated: some proof's solver call stopped early, so log_prob and the
+    labels may not be the optimum.
+    """
 
     log_prob: float
     item_labels: "tuple[tuple[int, int], ...]" = ()
     pair_facts: "tuple[tuple[tuple, bool], ...]" = ()
+    truncated: bool = False
 
     def items_dict(self) -> dict:
         return dict(self.item_labels)
@@ -366,9 +376,17 @@ class ExampleLabeling:
 
 @dataclass(frozen=True, slots=True)
 class Induced:
+    """Winning program of an induce call.
+
+    truncated: a solver call stopped early while scoring this program or a
+    rival, so the score, the pseudo-labels or the choice of program may not
+    be the optimum.
+    """
+
     program: Program
     labelings: "tuple[ExampleLabeling, ...]"
     log_score: float
+    truncated: bool = False
 
     @property
     def score(self) -> float:
@@ -687,7 +705,9 @@ def prove(
 
     Every emitted result is complete: its constraint store (if any) has been
     solved to the most probable feasible assignment, and log_prob is the sum
-    of the log probabilities of every assumed fact plus that assignment.
+    of the log probabilities of every assumed fact plus that assignment.  If
+    the solver stopped early (budget.solver_max_nodes, which binds only
+    stores that are not chains), the result's truncated flag says so.
     Pruning (on by default via the budget) abandons partial branches that
     can no longer beat the best completed proof; completed proofs are always
     emitted.  With feasibility_only the solver is replaced by a cheap
@@ -789,6 +809,7 @@ def score_example(
     runtime = runtime if runtime is not None else budget.runtime()
     if ex.positive:
         best: Optional[AbductionResult] = None
+        truncated = False
         for r in prove(
             ex.goal,
             program,
@@ -798,6 +819,7 @@ def score_example(
             runtime=runtime,
             allow_new_clauses=False,
         ):
+            truncated = truncated or r.truncated
             if best is None or r.log_prob > best.log_prob:
                 best = r
         if best is None:
@@ -806,6 +828,7 @@ def score_example(
             best.log_prob,
             item_labels=tuple(sorted(best.item_assignment().items())),
             pair_facts=tuple((a.key, True) for a in best.abduced if a.kind == "fact"),
+            truncated=truncated,
         )
     proof_sets = []
     for r in prove(
@@ -910,6 +933,7 @@ def induce(
     positives = [e for e in examples if e.positive]
 
     best_log, best_prog, best_labs = -math.inf, None, None
+    truncated = False
     tried = 0
     executor = None
     if budget.workers > 1:
@@ -948,6 +972,7 @@ def induce(
                         if lab is None:
                             ok = False
                             break
+                        truncated = truncated or lab.truncated
                         acc += lab.log_prob
                         labs.append(lab)
                         if budget.pruning and acc <= best_log:
@@ -957,8 +982,9 @@ def induce(
                         continue
                 else:
                     results = list(executor.map(lambda ex: score_one(prog, ex), examples))
-                    for _, rt in results:
+                    for lab, rt in results:
                         _fold(runtime, rt)
+                        truncated = truncated or (lab is not None and lab.truncated)
                     if any(lab is None for lab, _ in results):
                         continue
                     labs = [lab for lab, _ in results]
@@ -973,7 +999,7 @@ def induce(
     if best_prog is None:
         return InduceOutcome(None, budget_exhausted=exhausted, candidates_tried=tried)
     return InduceOutcome(
-        Induced(best_prog, best_labs, best_log),
+        Induced(best_prog, best_labs, best_log, truncated),
         budget_exhausted=exhausted,
         candidates_tried=tried,
     )

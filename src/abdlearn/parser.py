@@ -29,6 +29,7 @@ from .terms import (
     Term,
     Var,
     fresh_name,
+    mk_list,
     mk_struct,
     mk_sym,
 )
@@ -182,10 +183,10 @@ class _Parser:
                 self.next()
                 tail = self.term()
                 self.expect("]")
-                return _build_list(items, tail)
+                return mk_list(items, tail)
             elif t.text == "]":
                 self.next()
-                return _build_list(items, NIL)
+                return mk_list(items)
             else:
                 raise self.fail("expected ',', '|' or ']' in list")
 
@@ -225,13 +226,6 @@ class _Parser:
         while self.peek().kind != "eof":
             out.append(self.clause())
         return out
-
-
-def _build_list(items: "list[Term]", tail: Term) -> Term:
-    out = tail
-    for it in reversed(items):
-        out = Struct(".", (it, out))
-    return out
 
 
 def parse_term(src: str) -> Term:

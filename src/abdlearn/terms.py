@@ -12,7 +12,7 @@ import itertools
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Term representation
@@ -353,10 +353,3 @@ def pretty_clause(c: Clause) -> str:
     head = Atom(c.head.pred, tuple(rename_term(t, mapping) for t in c.head.args))
     body = tuple(Atom(b.pred, tuple(rename_term(t, mapping) for t in b.args)) for b in c.body)
     return print_clause(Clause(head, body))
-
-
-def iter_subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, Struct):
-        for a in t.args:
-            yield from iter_subterms(a)

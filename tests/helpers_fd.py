@@ -1,9 +1,10 @@
-"""Shared random-store generator and an independent numpy brute-force oracle.
+"""Shared random-store generators and an independent numpy brute-force oracle.
 
 Stores have the same shape the abducibles produce: each Add/Mul defines a
 fresh derived variable from existing ones, and EqConst pins any variable.
 That keeps the oracle a straight vectorized evaluation over the full grid
-of weighted-variable assignments.
+of weighted-variable assignments.  gen_random_store draws general DAGs;
+gen_chain_store draws the chains the add/mul abducibles build.
 """
 
 from __future__ import annotations
@@ -70,28 +71,141 @@ def gen_random_store(rng: np.random.Generator, max_weighted: int = 5, max_cons: 
     return store, (k, tables, ops, eqcs)
 
 
+def _masked_table(rng: np.random.Generator, n: int = 10) -> np.ndarray:
+    """Log table with some values at probability 0 (-inf), as ExactFacts has."""
+    if rng.random() < 0.5:
+        out = np.full(n, -np.inf)
+        out[int(rng.integers(0, n))] = 0.0
+        return out
+    p = rng.dirichlet(np.ones(n))
+    p[rng.random(n) < 0.5] = 0.0
+    if not p.any():
+        p[int(rng.integers(0, n))] = 1.0
+    p = p / p.sum()
+    out = np.full(n, -np.inf)
+    out[p > 0] = np.log(p[p > 0])
+    return out
+
+
+def gen_chain_store(
+    rng: np.random.Generator,
+    k: int,
+    kind: str = "mixed",
+    p_uniform: float = 0.2,
+    p_masked: float = 0.2,
+    max_consts: int = 2,
+):
+    """A chain store over k weighted vars, and its plan for oracle_best.
+
+    The chain folds its leaves left to right, one Add/Mul per leaf after
+    the first: the weighted vars in id order with up to max_consts pinned
+    constants mixed in.  kind is "add", "mul" or "mixed".  Tables are
+    uniform (ties), partly -inf, or random.  EqConst pins the end var most
+    of the time and now and then an intermediate or a leaf, mostly to the
+    value a planted labeling gives it, otherwise to any value, so some pins
+    are infeasible.  Weighted vars get ids 0..k-1 and each derived var k+t for
+    plan op t, so the plan drives oracle_best unchanged; a constant is the
+    op ("const", c, None).
+    """
+    store = ConstraintStore()
+    tables = []
+    for _ in range(k):
+        r = rng.random()
+        if r < p_uniform:
+            tab = np.full(10, np.log(0.1))
+        elif r < p_uniform + p_masked:
+            tab = _masked_table(rng)
+        else:
+            tab = random_weight_table(rng)
+        tables.append(tab)
+        store.new_weighted_var(tab)
+    ops: list = []
+    eqcs: list = []
+
+    def const(c: int) -> int:
+        ops.append(("const", c, None))
+        return store.new_derived_var(c, c)
+
+    planted = [int(rng.choice(np.flatnonzero(np.isfinite(tab)))) for tab in tables]
+    leaves: list = list(range(k))
+    for _ in range(int(rng.integers(0, max_consts + 1))):
+        leaves.insert(int(rng.integers(0, len(leaves) + 1)), None)
+    value = {}  # chain var -> its value under the planted labels
+
+    def leaf_var(token) -> int:
+        if token is None:
+            c = int(rng.integers(0, 4))
+            vid = const(c)
+            value[vid] = c
+            return vid
+        value[token] = planted[token]
+        return token
+
+    running = leaf_var(leaves[0])
+    chain_vars = [running]
+    for token in leaves[1:]:
+        leaf = leaf_var(token)
+        op = kind if kind != "mixed" else ("add" if rng.random() < 0.6 else "mul")
+        dr, dl = store.dom(running), store.dom(leaf)
+        a, b = (running, leaf) if rng.random() < 0.5 else (leaf, running)
+        if op == "add":
+            z = store.new_derived_var(dr.lo + dl.lo, dr.hi + dl.hi)
+            store.post_add(a, b, z)
+        else:
+            z = store.new_derived_var(dr.lo * dl.lo, dr.hi * dl.hi)
+            store.post_mul(a, b, z)
+        value[z] = value[running] + value[leaf] if op == "add" else value[running] * value[leaf]
+        ops.append((op, a, b))
+        running = z
+        chain_vars += [leaf, z]
+
+    def pin(vid: int) -> None:
+        dom = store.dom(vid)
+        r = rng.random()
+        if r < 0.7:
+            c = value[vid]  # satisfiable by the planted labels
+        elif r < 0.85 and dom.lo <= dom.hi:
+            c = int(rng.integers(dom.lo, min(dom.hi, dom.lo + 10**6) + 1))
+        else:
+            c = int(rng.integers(0, 2 * max(dom.hi, 1) + 2))
+        eqcs.append((vid, c))
+        store.post_eq_const(vid, c)
+
+    if rng.random() < 0.3:
+        pin(chain_vars[int(rng.integers(0, len(chain_vars)))])
+    if rng.random() < 0.85:
+        pin(running)
+    return store, (k, tables, ops, eqcs)
+
+
 def oracle_best(plan):
     """Brute-force argmax over the full 10^k grid; None if infeasible.
 
     Enumerates assignments in lexicographic var-id order, so the first
-    maximum is the lex-smallest tie, matching solve_best's tie-break.
+    maximum is the lex-smallest tie, matching solve_best's tie-break.  A
+    best score of -inf counts as infeasible, as in solve_best.
     """
     k, tables, ops, eqcs = plan
     grids = np.meshgrid(*[np.arange(10)] * k, indexing="ij")
     cols = [g.reshape(-1) for g in grids]  # lexicographic enumeration
     vals = list(cols)
     for kind, i, j in ops:
-        vals.append(vals[i] + vals[j] if kind == "add" else vals[i] * vals[j])
-    feasible = np.ones(vals[0].shape, dtype=bool)
+        if kind == "const":
+            vals.append(np.full(10**k, i))
+        else:
+            vals.append(vals[i] + vals[j] if kind == "add" else vals[i] * vals[j])
+    feasible = np.ones(10**k, dtype=bool)
     for vid, c in eqcs:
         feasible &= vals[vid] == c
     if not feasible.any():
         return None
-    score = np.zeros(vals[0].shape)
+    score = np.zeros(10**k)
     for t in range(k):
         score += np.asarray(tables[t])[cols[t]]
     score = np.where(feasible, score, -np.inf)
     idx = int(np.argmax(score))  # first max = lex smallest assignment
+    if score[idx] == -np.inf:
+        return None
     assignment = {t: int(cols[t][idx]) for t in range(k)}
     # recompute in var-id order with python floats to match Labeling exactly
     log_prob = 0.0

@@ -248,6 +248,9 @@ def test_train_writes_metrics_and_artifacts(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == list(METRIC_COLUMNS)
     assert len(rows) - 1 == len(state.rows) == 3 * 3  # epochs x batches
+    # sum stores are chains, solved exactly: no solved batch is truncated
+    col = METRIC_COLUMNS.index("solver_truncated")
+    assert {r[col] for r in rows[1:] if r[METRIC_COLUMNS.index("score")]} == {"0"}
     assert (tmp_path / "arts" / "program_best.pl").exists()
     assert state.best_program is not None
     assert "f(A,B) :- add(A,C)" in state.best_text()

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
+from abdlearn import fd
 from abdlearn.fd import ConstraintStore, Dom, solve_all, solve_best
-from helpers_fd import gen_random_store, oracle_best, random_weight_table
+from abdlearn.kb import Budget
+from helpers_fd import gen_chain_store, gen_random_store, oracle_best, random_weight_table
 
 
 def digit_table(peak_value: int, peak_prob: float, n: int = 10):
@@ -250,3 +254,270 @@ class TestOracleEquivalence:
             after = solve_best(store)
             if after is not None:
                 assert after.log_prob <= before.log_prob + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Chain stores: the max-product pass against the oracles
+# ---------------------------------------------------------------------------
+
+
+def _same(got, want) -> bool:
+    if got is None or want is None:
+        return got is None and want is None
+    return (got.assignment, got.log_prob, got.truncated) == (want.assignment, want.log_prob, want.truncated)
+
+
+def _has_neg_inf(plan) -> bool:
+    return any(np.isneginf(np.asarray(t)).any() for t in plan[1])
+
+
+class TestChainStores:
+    def test_generated_chains_take_the_chain_path(self):
+        rng = np.random.default_rng(3)
+        for i in range(200):
+            store, _plan = gen_chain_store(rng, int(rng.integers(1, 9)), kind=("add", "mul", "mixed")[i % 3])
+            if not store.failed:
+                assert fd._chain_of(store) is not None, store.dump()
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "mixed"])
+    def test_matches_numpy_bruteforce_up_to_six_vars(self, kind):
+        rng = np.random.default_rng({"add": 21, "mul": 22, "mixed": 23}[kind])
+        feasible = 0
+        for k in (1, 2, 3, 4, 5, 6):
+            for _ in range(40 if k < 6 else 8):
+                store, plan = gen_chain_store(rng, k, kind=kind)
+                want = oracle_best(plan)
+                got = solve_best(store)
+                if want is None:
+                    assert got is None, store.dump()
+                    assert not fd._completion_exists(store, None) or _has_neg_inf(plan)
+                    continue
+                feasible += 1
+                assert got is not None, store.dump()
+                assert (got.assignment, got.log_prob) == want, store.dump()
+                assert not got.truncated
+                assert fd._completion_exists(store, None)
+        assert feasible >= 100
+
+    @pytest.mark.parametrize("kind", ["add", "mul", "mixed"])
+    def test_matches_branch_and_bound_up_to_twelve_vars(self, kind):
+        rng = np.random.default_rng({"add": 31, "mul": 32, "mixed": 33}[kind])
+        compared = 0
+        for k in range(7, 13):
+            for _ in range(2):
+                store, _plan = gen_chain_store(rng, k, kind=kind, p_uniform=0.0)
+                budget = Budget()
+                want = fd._branch_and_bound(store, budget, max_nodes=2000)
+                if budget.solver_nodes > 2000:
+                    continue  # branch-and-bound gave up, maybe before any labeling
+                compared += 1
+                assert _same(solve_best(store), want), store.dump()
+                assert fd._completion_exists(store, None) == fd._search_completion(store, None)
+        assert compared >= 9
+
+    def test_uniform_tables_break_ties_lexicographically(self):
+        # x0+x1+x2 = 20 over uniform digits: lex-smallest is (2, 9, 9)
+        st = ConstraintStore()
+        xs = [st.new_weighted_var(uniform_table()) for _ in range(3)]
+        m = st.new_derived_var(0, 18)
+        n = st.new_derived_var(0, 27)
+        st.post_add(xs[0], xs[1], m)
+        st.post_add(m, xs[2], n)
+        st.post_eq_const(n, 20)
+        lab = solve_best(st)
+        assert lab.assignment == {xs[0]: 2, xs[1]: 9, xs[2]: 9}
+        assert _same(lab, fd._branch_and_bound(st))
+
+    def test_near_tie_resolved_on_the_final_sums(self):
+        # x0+x1+x2 = 1 leaves (1,0,0), (0,1,0) and (0,0,1).  After two vars
+        # prefix (1,0) scores one rounding step above (0,1), yet both round
+        # to the same total once x2=0 is added, so the lex-smaller (0,1,0)
+        # must win, as when whole labelings are summed and compared.
+        rows = [
+            [0.4, 0.35, 0.05, 0.2, 0.35, 0.35, 0.4, 0.2, 0.2, 0.05],
+            [0.4, 0.35, 0.05, 0.1, 0.2, 0.05, 0.4, 0.35, 0.35, 0.2],
+            [0.4, 0.2, 0.05, 0.05, 0.3, 0.15, 0.2, 0.3, 0.4, 0.35],
+        ]
+        tables = [[math.log(v) for v in np.array(r) / np.sum(r)] for r in rows]
+        w0, w1, w2 = tables
+        if not (w0[1] + w1[0] > w0[0] + w1[1] and (w0[1] + w1[0]) + w2[0] == (w0[0] + w1[1]) + w2[0]):
+            pytest.skip("this platform's log rounds the tables differently")
+        st = ConstraintStore()
+        xs = [st.new_weighted_var(t) for t in tables]
+        m = st.new_derived_var(0, 18)
+        n = st.new_derived_var(0, 27)
+        st.post_add(xs[0], xs[1], m)
+        st.post_add(m, xs[2], n)
+        st.post_eq_const(n, 1)
+        want = oracle_best((3, tables, [("add", 0, 1), ("add", 3, 2)], [(4, 1)]))
+        assert want[0] == {0: 0, 1: 1, 2: 0}
+        lab = solve_best(st)
+        assert (lab.assignment, lab.log_prob) == want
+
+    def test_out_of_order_chain_keeps_var_id_tie_break(self):
+        # (x1+x2)+x0 = 1 over uniform digits: every solution ties, and the
+        # lex-smallest in var-id order is x0=0, x1=0, x2=1
+        st = ConstraintStore()
+        x0, x1, x2 = (st.new_weighted_var(uniform_table()) for _ in range(3))
+        m = st.new_derived_var(0, 18)
+        n = st.new_derived_var(0, 27)
+        st.post_add(x1, x2, m)
+        st.post_add(m, x0, n)
+        st.post_eq_const(n, 1)
+        assert solve_best(st).assignment == {x0: 0, x1: 0, x2: 1}
+
+    def test_infeasible_pin_returns_none(self):
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(uniform_table())
+        x1 = st.new_weighted_var(uniform_table())
+        m = st.new_derived_var(0, 18)
+        st.post_add(x0, x1, m)
+        assert not st.post_eq_const(m, 19)
+        assert solve_best(st) is None
+        assert not fd._completion_exists(st, None)
+
+    def test_neg_inf_everywhere_feasible_returns_none(self):
+        # the only sums that fit need a value of probability zero
+        st = ConstraintStore()
+        x0 = st.new_weighted_var([0.0] + [-math.inf] * 9)
+        x1 = st.new_weighted_var([0.0] + [-math.inf] * 9)
+        m = st.new_derived_var(0, 18)
+        st.post_add(x0, x1, m)
+        st.post_eq_const(m, 5)
+        assert solve_best(st) is None
+        assert fd._branch_and_bound(st) is None
+        assert fd._completion_exists(st, None)  # feasibility ignores weights
+
+    def test_counters(self):
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(uniform_table())
+        x1 = st.new_weighted_var(uniform_table())
+        m = st.new_derived_var(0, 18)
+        st.post_add(x0, x1, m)
+        st.post_eq_const(m, 3)
+        budget = Budget()
+        solve_best(st, budget)
+        # x0 in 0..3, x1 in 0..3: four transitions reach the pinned sum
+        assert (budget.solver_nodes, budget.solver_leaves) == (4, 1)
+
+    def test_chain_ignores_node_cap(self):
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(uniform_table())
+        x1 = st.new_weighted_var(uniform_table())
+        m = st.new_derived_var(0, 18)
+        st.post_add(x0, x1, m)
+        lab = solve_best(st, max_nodes=1)
+        assert lab is not None and not lab.truncated
+        assert lab.assignment == {x0: 0, x1: 0}
+
+    def test_non_chain_store_takes_branch_and_bound(self, monkeypatch):
+        calls = []
+        real = fd._branch_and_bound
+
+        def spy(store, budget=None, max_nodes=None):
+            calls.append(store)
+            return real(store, budget, max_nodes)
+
+        monkeypatch.setattr(fd, "_branch_and_bound", spy)
+        # x0 consumed twice: x0+x0 = v1
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(uniform_table())
+        v = st.new_derived_var(0, 18)
+        st.post_add(x0, x0, v)
+        st.post_eq_const(v, 8)
+        assert fd._chain_of(st) is None
+        lab = solve_best(st)
+        assert lab.assignment == {x0: 4} and len(calls) == 1
+        # a chain store does not
+        st2 = ConstraintStore()
+        a = st2.new_weighted_var(uniform_table())
+        b = st2.new_weighted_var(uniform_table())
+        w = st2.new_derived_var(0, 18)
+        st2.post_add(a, b, w)
+        solve_best(st2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # two weighted vars, no constraint
+            lambda st, w: None,
+            # weighted vars consumed out of id order: x1, x2, x0, x3
+            lambda st, w: (
+                st.post_add(w[1], w[2], st.new_derived_var(0, 18)),
+                st.post_add(4, w[0], st.new_derived_var(0, 27)),
+                st.post_add(5, w[3], st.new_derived_var(0, 36)),
+            ),
+            # a chain beside weighted vars it does not consume
+            lambda st, w: st.post_add(w[0], w[1], st.new_derived_var(0, 18)),
+            # two separate chains
+            lambda st, w: (
+                st.post_add(w[0], w[1], st.new_derived_var(0, 18)),
+                st.post_add(w[2], w[3], st.new_derived_var(0, 18)),
+            ),
+            # an intermediate consumed twice
+            lambda st, w: (
+                st.post_add(w[0], w[1], st.new_derived_var(0, 18)),
+                st.post_add(4, w[2], st.new_derived_var(0, 27)),
+                st.post_add(4, w[3], st.new_derived_var(0, 27)),
+            ),
+            # an unpinned free leaf
+            lambda st, w: st.post_add(w[0], st.new_derived_var(0, 5), st.new_derived_var(0, 14)),
+        ],
+    )
+    def test_shapes_that_are_not_chains(self, build):
+        st = ConstraintStore()
+        w = [st.new_weighted_var(uniform_table()) for _ in range(4)]
+        build(st, w)
+        assert fd._chain_of(st) is None
+
+
+def _table_from_counts(counts):
+    total = sum(counts)
+    return [math.log(c / total) if c else -math.inf for c in counts]
+
+
+_counts = st_.lists(st_.integers(0, 3), min_size=10, max_size=10).filter(any)
+_leaf = st_.one_of(
+    st_.tuples(st_.just("w"), _counts),
+    st_.tuples(st_.just("c"), st_.integers(0, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    leaves=st_.lists(_leaf, min_size=1, max_size=5).filter(lambda ls: any(t == "w" for t, _ in ls)),
+    ops=st_.lists(st_.tuples(st_.booleans(), st_.booleans()), min_size=4, max_size=4),
+    pins=st_.lists(st_.tuples(st_.integers(0, 9), st_.integers(0, 60)), max_size=2),
+)
+def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
+    st = ConstraintStore()
+    ws = [st.new_weighted_var(_table_from_counts(arg)) for t, arg in leaves if t == "w"]
+    ids = iter(ws)
+    chain = []
+
+    def leaf(t, arg):
+        if t == "w":
+            return next(ids)
+        return st.new_derived_var(arg, arg)
+
+    running = leaf(*leaves[0])
+    chain.append(running)
+    for (t, arg), (is_add, swap) in zip(leaves[1:], ops):
+        other = leaf(t, arg)
+        dr, dl = st.dom(running), st.dom(other)
+        a, b = (other, running) if swap else (running, other)
+        if is_add:
+            z = st.new_derived_var(dr.lo + dl.lo, dr.hi + dl.hi)
+            st.post_add(a, b, z)
+        else:
+            z = st.new_derived_var(dr.lo * dl.lo, dr.hi * dl.hi)
+            st.post_mul(a, b, z)
+        chain += [other, z]
+        running = z
+    for pos, c in pins:
+        st.post_eq_const(chain[pos % len(chain)], c)
+    if not st.failed:
+        assert fd._chain_of(st) is not None
+    assert _same(solve_best(st), fd._branch_and_bound(st))
+    assert fd._completion_exists(st, None) == (not st.failed and fd._search_completion(st, None))

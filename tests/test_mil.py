@@ -452,6 +452,25 @@ def test_induce_budget_exhaustion_is_reported():
     assert out.budget_exhausted
 
 
+def test_solver_truncation_reaches_labelings_and_induced():
+    # Item 0 occurs twice, so its store x0+x0#=v is not a chain and goes to
+    # branch-and-bound, which a one-node cap stops after its first labeling.
+    facts = TableFacts({0: digit_table(2), 1: digit_table(3)})
+    setting = sum_setting()
+    ex = GoalExample(item_goal([0, 0], 4))
+    capped = SearchBudget(max_clauses=2, solver_max_nodes=1)
+    lab = score_example(ex, SUM_PROG, setting, facts, capped)
+    assert lab.truncated and lab.items_dict() == {0: 2}
+    assert not score_example(ex, SUM_PROG, setting, facts, SearchBudget()).truncated
+    out = induce([ex], setting, facts, capped)
+    assert out.induced is not None and out.induced.truncated
+    assert out.induced.labelings[0].truncated
+    assert not induce([ex], setting, facts, SearchBudget(max_clauses=2)).induced.truncated
+    # a chain store takes the exact pass, which the cap does not bind
+    chain_ex = GoalExample(item_goal([0, 1], 5))
+    assert not score_example(chain_ex, SUM_PROG, setting, facts, capped).truncated
+
+
 def test_induce_sorted_concept_with_invention():
     setting = sorted_setting()
     labels = {0: 1, 1: 3, 2: 5, 10: 2, 11: 4, 20: 7, 30: 2, 31: 1, 40: 1, 41: 6, 42: 2}
