@@ -359,7 +359,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-_METRIC_FIELDS = ("n", "failures", "acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc")
+_METRIC_FIELDS = ("n", "failures", "acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc", "depth_cut")
 
 
 def _metrics_table(per_len: "list[tuple[str, Metrics]]") -> str:

@@ -452,7 +452,10 @@ def _branch_and_bound(
 
     Branch on weighted vars in descending max-weight order, values in
     descending weight; the bound is the current sum plus each remaining
-    var's best remaining weight.
+    var's best remaining weight.  The bound sums in branching order and a
+    labeling's score in var-id order, so the two may round apart: a branch
+    is cut only when its bound is below the incumbent by more than that
+    rounding can span, so an exact tie still reaches the lex tie-break.
     """
     if store.failed:
         return None
@@ -461,6 +464,10 @@ def _branch_and_bound(
         return None
     order = [v.id for v in root.vars if v.is_weighted]
     order.sort(key=lambda vid: (-root.vars[vid].max_weight(), vid))
+    mass = sum(
+        max((abs(w) for w in root.vars[vid].weights if w != -math.inf), default=0.0) for vid in order
+    )
+    slack = len(order) * mass * _SLACK_ULPS
 
     best: dict = {"labeling": None, "score": -math.inf, "nodes": 0, "truncated": False}
 
@@ -507,7 +514,7 @@ def _branch_and_bound(
             s2 = _pin_and_propagate(st, vid, val)
             if s2 is None:
                 continue
-            if here + bound_rest(s2, level + 1) < best["score"]:
+            if here + bound_rest(s2, level + 1) < best["score"] - slack:
                 continue
             descend(s2, level + 1, here)
 
@@ -725,7 +732,8 @@ def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional
 
 
 # Per remaining addition and unit of |partial sum|: 4x the 2**-52 a rounding
-# step can close the gap between two prefix scores by.
+# step can close the gap between two prefix scores (or between a bound and
+# a score summed in another order) by.
 _SLACK_ULPS = 2.0**-50
 
 

@@ -9,6 +9,7 @@ together with the invented predicate symbols it introduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .parser import parse_program
@@ -143,8 +144,14 @@ def metarules_from_text(text: str) -> "list[Metarule]":
     """Load `metarule(Name, Existentials, Head, Body).` entries.
 
     A 3-argument form without the name is also accepted and auto-named
-    mr1, mr2, ... in file order.
+    mr1, mr2, ... in file order.  Each text is read once; later calls get
+    a new list of the same (frozen) metarules.
     """
+    return list(_metarules_once(text))
+
+
+@lru_cache(maxsize=64)
+def _metarules_once(text: str) -> "tuple[Metarule, ...]":
     out: list[Metarule] = []
     for i, clause in enumerate(parse_program(text)):
         if clause.head.pred != "metarule" or clause.body:
@@ -164,7 +171,7 @@ def metarules_from_text(text: str) -> "list[Metarule]":
         head = _meta_atom(head_t)
         body = tuple(_meta_atom(b) for b in _items(body_t))
         out.append(Metarule(name, existentials, head, body))
-    return out
+    return tuple(out)
 
 
 def _items(t):

@@ -46,10 +46,12 @@ from .metarules import (
 )
 from .terms import (
     Atom,
+    Clause,
     Int,
     Struct,
     Subst,
     Term,
+    clause_vars,
     print_term,
     proper_list_items,
     rename_apart,
@@ -259,9 +261,11 @@ class InductionSetting:
     max_invented: int = 1
     invent_base: Optional[str] = None
     library: dict = field(init=False)
+    _clauses: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
+        self._clauses = {}
         kb_names = {n for n, _ in self.kb.predicates()}
         for (name, arity), spec in self.abducibles.items():
             if spec.name != name or spec.arity != arity:
@@ -274,6 +278,14 @@ class InductionSetting:
         for key in self.body_pool:
             if not (self.kb.defines(key) or key in self.abducibles or key == self.target):
                 raise SettingError(f"body pool entry {key[0]}/{key[1]} is undefined")
+
+    def clause_of(self, ms: MetaSub) -> "tuple[Clause, list[str]]":
+        """ms's clause and its variables, materialised once per setting."""
+        out = self._clauses.get(ms)
+        if out is None:
+            c = materialize(ms, self.library)
+            out = self._clauses[ms] = (c, clause_vars(c))
+        return out
 
     def taken_names(self) -> "set[str]":
         names = {n for n, _ in self.kb.predicates()}
@@ -608,7 +620,7 @@ def _inducible(g: Atom, rest, anc, depth, s, prog: Program, ab, dlogp, abduced, 
     arity = len(g.args)
 
     def try_clause(ms: MetaSub, prog2: Program):
-        rc = rename_apart(materialize(ms, ctx.setting.library))
+        rc = rename_apart(*ctx.setting.clause_of(ms))
         s2 = unify_atoms(g, rc.head, s)
         if s2 is None:
             return
@@ -767,7 +779,9 @@ def _best_blocking(proof_fact_sets: "list[frozenset]", facts) -> Optional[Exampl
     """Most probable truth assignment falsifying every proof, if one exists.
 
     A proof that assumed no facts cannot be blocked.  Otherwise setting all
-    facts false blocks everything, so an optimum always exists.
+    facts false blocks everything, so an optimum always exists.  Over
+    _BLOCK_CAP facts the search is skipped and that all-false assignment is
+    returned marked truncated.
     """
     if any(not fs for fs in proof_fact_sets):
         return None
@@ -778,7 +792,7 @@ def _best_blocking(proof_fact_sets: "list[frozenset]", facts) -> Optional[Exampl
     logs_false = {k: _log_not(lp) for k, lp in logs_true.items()}
     if len(keys) > _BLOCK_CAP:
         lp = sum(logs_false.values())
-        return ExampleLabeling(lp, pair_facts=tuple((k, False) for k in keys))
+        return ExampleLabeling(lp, pair_facts=tuple((k, False) for k in keys), truncated=True)
     best_lp, best_assign = -math.inf, None
     for mask in range(1 << len(keys)):
         assign = {k: bool(mask >> i & 1) for i, k in enumerate(keys)}

@@ -17,6 +17,7 @@ There is no operator parsing beyond ``:-`` and the argument comma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .terms import (
@@ -253,4 +254,16 @@ def parse_clause(src: str) -> Clause:
 
 
 def parse_program(src: str) -> "list[Clause]":
-    return _Parser(src).program()
+    """The clauses of src, in order.
+
+    Each text is parsed once: later calls get a new list of the same
+    (immutable) clauses, so a bare ``_`` keeps the fresh name it got the
+    first time.  Clauses are renamed apart before every use in resolution,
+    so sharing those names is safe.
+    """
+    return list(_parse_program_once(src))
+
+
+@lru_cache(maxsize=256)
+def _parse_program_once(src: str) -> "tuple[Clause, ...]":
+    return tuple(_Parser(src).program())

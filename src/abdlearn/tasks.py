@@ -33,9 +33,11 @@ from .mil import (
     Abducible,
     GoalExample,
     InductionSetting,
+    _first_two,
+    _item_id,
     item_term,
 )
-from .terms import Atom, Int, Struct, Term, Var, mk_list, proper_list_items, unify
+from .terms import LIST_CELL, Atom, Int, Struct, Term, Var, mk_list, proper_list_items, unify
 
 
 class TaskError(ValueError):
@@ -463,14 +465,15 @@ def load_idx(images_path: "str | Path", labels_path: "str | Path"):
 
 
 def _ground_arith(op: Callable[[int, int], int]):
+    # Out = [N|T] shares the input's tail T, so a step costs no list copy.
     def fn(args, s):
-        items = proper_list_items(s.apply(args[0]))
-        if items is None or len(items) < 2:
+        split = _first_two(s.apply(args[0]))
+        if split is None:
             return
-        a, b = items[0], items[1]
-        if not (isinstance(a, Int) and isinstance(b, Int)):
+        a, b, tail = split
+        if not (isinstance(a, Int) and isinstance(b, Int)) or proper_list_items(tail) is None:
             return
-        out = mk_list([Int(op(a.value, b.value))] + list(items[2:]))
+        out = Struct(LIST_CELL, (Int(op(a.value, b.value)), tail))
         s2 = unify(args[1], out, s)
         if s2 is not None:
             yield s2
@@ -537,9 +540,10 @@ class Metrics:
     perm_acc: Optional[float] = None
     elem_acc: Optional[float] = None
     cls_acc: Optional[float] = None  # raw per-item classifier accuracy
+    depth_cut: int = 0  # examples whose search the depth limit cut somewhere
 
     def row(self) -> str:
-        parts = [f"n={self.n}", f"failures={self.failures}"]
+        parts = [f"n={self.n}", f"failures={self.failures}", f"depth_cut={self.depth_cut}"]
         for name in ("acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc"):
             v = getattr(self, name)
             if v is not None:
@@ -553,11 +557,14 @@ def _numeric_max(task: Task, length: int) -> int:
     return task.digit_hi * length
 
 
-def _first_solution(goal: Atom, kb: KnowledgeBase, depth_limit: int, max_nodes: int):
+def _first_solution(goal: Atom, kb: KnowledgeBase, depth_limit: int, max_nodes: int, m: Metrics):
+    """First answer to goal, or None; counts a depth-limit cut into m."""
     budget = Budget(max_nodes=max_nodes)
+    sol = None
     for sol in deduce(goal, kb, depth_limit=depth_limit, budget=budget):
-        return sol
-    return None
+        break
+    m.depth_cut += int(budget.depth_hits > 0)
+    return sol
 
 
 def _predicted_digits(task: Task, ex: SeqExample, model, use_truth: bool) -> "list[int]":
@@ -610,7 +617,7 @@ def evaluate(
         for ex in examples:
             digits = _predicted_digits(task, ex, model, use_truth)
             goal = Atom(name, (mk_list([Int(d) for d in digits]), Var("Y")))
-            sol = _first_solution(goal, kb, depth_limit, max_nodes)
+            sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
             yv = sol.apply(Var("Y")) if sol is not None else None
             y_true = int(ex.y)
             if isinstance(yv, Int):
@@ -637,7 +644,7 @@ def evaluate(
         for idx, ex in enumerate(examples):
             kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
             goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]),))
-            pred = _first_solution(goal, kb, depth_limit, max_nodes) is not None
+            pred = _first_solution(goal, kb, depth_limit, max_nodes, m) is not None
             hits += int(pred == bool(ex.y))
         m.acc = hits / m.n
         return m
@@ -648,7 +655,7 @@ def evaluate(
         for idx, ex in enumerate(examples):
             kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
             goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
-            sol = _first_solution(goal, kb, depth_limit, max_nodes)
+            sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
             ranks = None
             if sol is not None:
                 items = proper_list_items(sol.apply(Var("R")))
@@ -673,11 +680,10 @@ def _pair_relation(task: Task, examples, model, use_truth: bool):
 
     def for_example(idx: int, ex: SeqExample):
         def item_id(t: Term) -> int:
-            if isinstance(t, Struct) and t.functor == "item" and len(t.args) == 1:
-                a = t.args[0]
-                if isinstance(a, Int):
-                    return a.value
-            raise TaskError("ordered check reached a non-item term")
+            i = _item_id(t)
+            if i is None:
+                raise TaskError("ordered check reached a non-item term")
+            return i
 
         if use_truth or model is None:
             if ex.truth is None:

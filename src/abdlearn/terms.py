@@ -4,6 +4,14 @@ The term language is deliberately small: variables, signed integers,
 lowercase symbols and compound terms.  Lists are ordinary compounds built
 from the reserved cell functor ``'.'`` and the reserved empty-list functor
 ``'[]'`` so that the rest of the engine never special-cases them.
+
+Terms are immutable, so they may be shared freely.  Every ``Struct``
+records at construction whether it is ground (contains no ``Var``
+anywhere); since its arguments were built first, that costs one look at
+each argument.  On a ground ``Struct`` the walkers here (``occurs``,
+``Subst.apply``, ``term_vars``, ``rename_term``) return at once, and
+``Subst.apply`` returns the very same object, so a long ground list is
+never re-walked or copied while resolution passes it along.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -50,6 +58,15 @@ class Sym:
 class Struct:
     functor: str
     args: "tuple[Term, ...]"
+    ground: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ground = True
+        for a in self.args:
+            if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
+                ground = False
+                break
+        object.__setattr__(self, "ground", ground)
 
     def __repr__(self) -> str:
         return f"Struct({self.functor}/{len(self.args)})"
@@ -167,7 +184,7 @@ class Subst:
 
     def apply(self, t: Term) -> Term:
         t = self.walk(t)
-        if isinstance(t, Struct) and t.args:
+        if isinstance(t, Struct) and not t.ground:
             return Struct(t.functor, tuple(self.apply(a) for a in t.args))
         return t
 
@@ -194,7 +211,7 @@ def occurs(name: str, t: Term, s: Subst) -> bool:
     t = s.walk(t)
     if isinstance(t, Var):
         return t.name == name
-    if isinstance(t, Struct):
+    if isinstance(t, Struct) and not t.ground:
         return any(occurs(name, a, s) for a in t.args)
     return False
 
@@ -271,7 +288,7 @@ def term_vars(t: Term, acc: Optional[list] = None) -> "list[str]":
     if isinstance(t, Var):
         if t.name not in acc:
             acc.append(t.name)
-    elif isinstance(t, Struct):
+    elif isinstance(t, Struct) and not t.ground:
         for a in t.args:
             term_vars(a, acc)
     return acc
@@ -290,14 +307,20 @@ def clause_vars(c: Clause) -> "list[str]":
 def rename_term(t: Term, mapping: Mapping[str, str]) -> Term:
     if isinstance(t, Var):
         return Var(mapping.get(t.name, t.name))
-    if isinstance(t, Struct) and t.args:
+    if isinstance(t, Struct) and not t.ground:
         return Struct(t.functor, tuple(rename_term(a, mapping) for a in t.args))
     return t
 
 
-def rename_apart(c: Clause) -> Clause:
-    """Copy a clause with every variable replaced by a globally fresh one."""
-    mapping = {v: fresh_name() for v in clause_vars(c)}
+def rename_apart(c: Clause, names: "Optional[list[str]]" = None) -> Clause:
+    """Copy a clause with every variable replaced by a globally fresh one.
+
+    names, if given, must be clause_vars(c); callers that rename the same
+    clause many times pass it to skip the walk.
+    """
+    if names is None:
+        names = clause_vars(c)
+    mapping = {v: fresh_name() for v in names}
     head = Atom(c.head.pred, tuple(rename_term(t, mapping) for t in c.head.args))
     body = tuple(Atom(b.pred, tuple(rename_term(t, mapping) for t in b.args)) for b in c.body)
     return Clause(head, body)

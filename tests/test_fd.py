@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from abdlearn import fd
@@ -489,6 +489,19 @@ _leaf = st_.one_of(
     leaves=st_.lists(_leaf, min_size=1, max_size=5).filter(lambda ls: any(t == "w" for t, _ in ls)),
     ops=st_.lists(st_.tuples(st_.booleans(), st_.booleans()), min_size=4, max_size=4),
     pins=st_.lists(st_.tuples(st_.integers(0, 9), st_.integers(0, 60)), max_size=2),
+)
+# Two labelings tie at -5.598421958998374; a bound summed in branching
+# order rounded the lex-smaller one just below the incumbent and cut it.
+@example(
+    leaves=[
+        ("w", [0, 0, 0, 0, 0, 0, 0, 1, 0, 2]),
+        ("w", [0, 1, 2, 0, 0, 0, 0, 1, 3, 3]),
+        ("w", [0, 0, 0, 0, 3, 3, 0, 0, 0, 3]),
+        ("w", [0, 1, 0, 0, 0, 0, 0, 0, 2, 3]),
+        ("w", [0, 0, 0, 0, 0, 0, 0, 0, 1, 0]),
+    ],
+    ops=[(False, False), (True, False), (False, False), (True, False)],
+    pins=[(8, 26)],
 )
 def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
     st = ConstraintStore()

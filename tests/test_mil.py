@@ -15,6 +15,7 @@ from abdlearn.metarules import (
     MetaSub,
     Program,
     default_metarules,
+    materialize,
     metarule_library,
     metarules_from_text,
     program_text,
@@ -38,7 +39,8 @@ from abdlearn.mil import (
     prove,
     score_example,
 )
-from abdlearn.terms import Atom, Int, mk_list, proper_list_items, unify
+from abdlearn import mil
+from abdlearn.terms import Atom, Int, clause_vars, mk_list, proper_list_items, rename_apart, unify
 from abdlearn.parser import parse_atom
 
 BK = """
@@ -146,6 +148,16 @@ def test_default_metarules_shape():
     assert chain.body[1].arg_vars == ("C", "B")
     rec = lib["mono_rec"]
     assert rec.body[1].pred_var == rec.head.pred_var  # self-recursive template
+
+
+def test_default_metarules_parse_once_and_copy_out():
+    first = default_metarules()
+    want = list(first)
+    first.pop()
+    first.insert(0, first[-1])
+    second = default_metarules()
+    assert second == want and second is not first
+    assert all(a is b for a, b in zip(second, default_metarules()))
 
 
 def test_metarule_file_forms():
@@ -331,6 +343,32 @@ def test_score_example_negative_blocks_cheapest_fact():
     want = math.log(0.9) + math.log(0.8)
     assert abs(lab.log_prob - want) < 1e-12
     assert lab.pairs_dict() == {("pair", 0, 1): True, ("pair", 1, 2): False}
+
+
+def test_blocking_over_the_cap_is_flagged_truncated():
+    # 15 single-fact proofs: over _BLOCK_CAP facts, so the 2^k search is
+    # skipped and the all-false answer comes back marked as such.
+    keys = [("pair", i, i + 1) for i in range(15)]
+    assert len(keys) > mil._BLOCK_CAP
+    facts = TableFacts({}, pairs={(a, b): 0.3 for _, a, b in keys})
+    lab = mil._best_blocking([frozenset([k]) for k in keys], facts)
+    assert lab is not None and lab.truncated
+    assert lab.pairs_dict() == {k: False for k in keys}
+    assert lab.log_prob == sum(math.log1p(-0.3) for _ in keys)
+    small = mil._best_blocking([frozenset([k]) for k in keys[:3]], facts)
+    assert small is not None and not small.truncated
+
+
+def test_setting_materialises_each_metasub_once():
+    setting = sum_setting()
+    ms = MetaSub("chain", (("P", "f"), ("Q", "add"), ("R", "f")))
+    clause, names = setting.clause_of(ms)
+    assert clause == materialize(ms, setting.library)
+    assert names == clause_vars(clause)
+    again = setting.clause_of(MetaSub("chain", (("P", "f"), ("Q", "add"), ("R", "f"))))
+    assert again[0] is clause and again[1] is names
+    renamed = rename_apart(clause, names)
+    assert set(clause_vars(renamed)).isdisjoint(names)
 
 
 def test_score_example_negative_unblockable_when_proof_is_fact_free():

@@ -84,3 +84,15 @@ def test_print_parse_is_idempotent_normalization():
     c2 = parse_clause(text)
     assert c1 == c2
     assert print_clause(c2) == text
+
+
+def test_parse_program_hands_out_fresh_lists_of_shared_clauses():
+    src = "head([H|_], H).\ntail([_|T], T).\n"
+    first = parse_program(src)
+    want = list(first)
+    first.append(parse_clause("extra."))
+    first.reverse()
+    second = parse_program(src)
+    assert second == want and second is not first
+    # the text was parsed once: the clauses themselves are shared
+    assert all(a is b for a, b in zip(second, parse_program(src)))

@@ -22,7 +22,10 @@ from abdlearn.tasks import (
     make_task,
     ranks_descending,
     save_dataset,
+    _ground_arith,
 )
+from abdlearn.parser import parse_term
+from abdlearn.terms import Int, Subst, Var, mk_list
 
 SUM_PROG = Program(
     (
@@ -311,6 +314,41 @@ def test_evaluate_failure_counts_maximal_error():
     worst = np.mean([max(e.y, 27 - e.y) for e in exs])
     assert abs(m.mae - worst) < 1e-9
     assert m.log_mae > 0
+
+
+def test_evaluate_counts_depth_cuts_without_changing_answers():
+    t = make_task("sum")
+    exs = gen_sequences(t, 6, lengths=(3, 12), seed=4)
+    full = evaluate(SUM_PROG, t, exs, use_truth=True)
+    assert full.depth_cut == 0 and full.failures == 0
+    # two resolution steps per item: lists longer than 4 items are cut
+    cut = evaluate(SUM_PROG, t, exs, use_truth=True, depth_limit=9)
+    n_long = sum(1 for e in exs if len(e) > 4)
+    assert 0 < n_long < len(exs)
+    assert cut.depth_cut == n_long and cut.failures == n_long
+    assert f"depth_cut={n_long}" in cut.row()
+
+
+def _run_ground_add(lst):
+    fn = _ground_arith(lambda x, y: x + y)
+    return [s.apply(Var("Out")) for s in fn((lst, Var("Out")), Subst())]
+
+
+def test_ground_add_shares_the_input_tail():
+    lst = mk_list([Int(d) for d in (3, 4, 5, 6)])
+    (out,) = _run_ground_add(lst)
+    assert out == mk_list([Int(7), Int(5), Int(6)])
+    assert out.args[1] is lst.args[1].args[1]
+    (last,) = _run_ground_add(mk_list([Int(1), Int(2)]))
+    assert last == mk_list([Int(3)])
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["[1]", "[]", "[1,2|T]", "[1,2,3|T]", "[1,2|x]", "[a,2,3]", "[1,b]", "[X,2]", "foo"],
+)
+def test_ground_add_rejects_what_it_always_rejected(src):
+    assert _run_ground_add(parse_term(src)) == []
 
 
 def test_evaluate_uses_model_argmax():

@@ -18,6 +18,9 @@ from abdlearn.terms import (
     print_term,
     proper_list_items,
     rename_apart,
+    rename_term,
+    occurs,
+    term_vars,
     unify,
 )
 
@@ -69,21 +72,21 @@ class TestUnify:
 
 # random term generator for the symmetry property
 _names = st.sampled_from(["a", "b", "c", "f", "g"])
-_vars = st.sampled_from(["X", "Y", "Z"])
 
 
-def _terms(depth):
+def _terms(depth, var_names=("X", "Y", "Z")):
+    vars_ = st.sampled_from(var_names).map(Var)
     if depth == 0:
         return st.one_of(
             st.integers(-5, 5).map(Int),
             _names.map(Sym),
-            _vars.map(Var),
+            vars_,
         )
-    sub = _terms(depth - 1)
+    sub = _terms(depth - 1, var_names)
     return st.one_of(
         st.integers(-5, 5).map(Int),
         _names.map(Sym),
-        _vars.map(Var),
+        vars_,
         st.tuples(_names, st.lists(sub, min_size=1, max_size=3)).map(
             lambda p: Struct(p[0], tuple(p[1]))
         ),
@@ -181,3 +184,127 @@ class TestSubst:
         out = s.apply(Var("X"))
         assert out == t("g(2)")
         assert s.apply(out) == out
+
+
+# ---------------------------------------------------------------------------
+# Groundness: the cached flag and the walkers that trust it
+# ---------------------------------------------------------------------------
+
+# Plain recursive versions that ignore the ground flag.
+
+
+def _ref_ground(t) -> bool:
+    if isinstance(t, Var):
+        return False
+    if isinstance(t, Struct):
+        return all(_ref_ground(a) for a in t.args)
+    return True
+
+
+def _ref_occurs(name, t, s) -> bool:
+    t = s.walk(t)
+    if isinstance(t, Var):
+        return t.name == name
+    if isinstance(t, Struct):
+        return any(_ref_occurs(name, a, s) for a in t.args)
+    return False
+
+
+def _ref_apply(s, t):
+    t = s.walk(t)
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(_ref_apply(s, a) for a in t.args))
+    return t
+
+
+def _ref_rename(t, mapping):
+    if isinstance(t, Var):
+        return Var(mapping.get(t.name, t.name))
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(_ref_rename(a, mapping) for a in t.args))
+    return t
+
+
+def _ref_vars(t, acc):
+    if isinstance(t, Var):
+        if t.name not in acc:
+            acc.append(t.name)
+    elif isinstance(t, Struct):
+        for a in t.args:
+            _ref_vars(a, acc)
+    return acc
+
+
+def _flags_agree(t) -> bool:
+    """Every Struct inside t carries the ground flag its contents imply."""
+    if isinstance(t, Struct):
+        return t.ground == _ref_ground(t) and all(_flags_agree(a) for a in t.args)
+    return True
+
+
+# Acyclic triangular substitutions: X may mention Y, Z, W; Y may mention Z, W.
+_substs = st.builds(
+    lambda x, y: Subst({k: v for k, v in (("X", x), ("Y", y)) if v is not None}),
+    st.none() | _terms(2, ("Y", "Z", "W")),
+    st.none() | _terms(2, ("Z", "W")),
+)
+
+
+@given(_terms(3), _substs)
+@settings(max_examples=300, deadline=None)
+def test_ground_flag_and_walkers_match_reference(term, s):
+    assert _flags_agree(term)
+    if isinstance(term, Struct):
+        assert term.ground == (term_vars(term) == [])
+    assert term_vars(term) == _ref_vars(term, [])
+    for name in ("X", "Y", "Z", "W"):
+        assert occurs(name, term, s) == _ref_occurs(name, term, s)
+    out = s.apply(term)
+    assert out == _ref_apply(s, term)
+    assert _flags_agree(out)
+    if isinstance(term, Struct) and term.ground:
+        assert out is term
+    mapping = {"X": "A", "Z": "X"}
+    renamed = rename_term(term, mapping)
+    assert renamed == _ref_rename(term, mapping)
+    assert _flags_agree(renamed)
+
+
+class _Untouchable(tuple):
+    def __iter__(self):
+        raise AssertionError("walked into a ground term")
+
+    def __getitem__(self, i):
+        raise AssertionError("walked into a ground term")
+
+
+def _sealed(t: Struct) -> Struct:
+    """t with its arguments made unreadable; its ground flag stays set."""
+    assert t.ground
+    object.__setattr__(t, "args", _Untouchable(t.args))
+    return t
+
+
+def test_walkers_return_at_once_on_ground_structs():
+    s = Subst().bind("X", Int(1))
+    g = _sealed(mk_list([Int(i) for i in range(50)]))
+    assert s.apply(g) is g
+    assert not occurs("X", g, s)
+    assert term_vars(g) == []
+    assert rename_term(g, {"X": "Y"}) is g
+    # as an argument of a term with variables, the ground part is shared
+    h = Struct("f", (Var("X"), g))
+    applied = s.apply(h)
+    assert applied == Struct("f", (Int(1), g)) and applied.args[1] is g
+    assert rename_apart(Clause(Atom("p", (Var("X"), g)), ())).head.args[1] is g
+
+
+def test_apply_of_ground_term_is_identity():
+    s = Subst().bind("X", Int(1)).bind("T", t("[4,5]"))
+    g = t("f([1,2,3],g(a),[])")
+    assert g.ground and s.apply(g) is g
+    assert s.apply(Var("T")) is s.get("T")
+    opened = t("[1,2|T]")
+    assert not opened.ground
+    closed = s.apply(opened)
+    assert closed == t("[1,2,4,5]") and closed.ground
