@@ -21,7 +21,7 @@ import numpy as np
 from .em import ModelFacts, _assemble
 from .metarules import default_metarules
 from .mil import ExactFacts, SearchBudget, induce
-from .tasks import SeqExample, Task, _task_y
+from .tasks import SeqExample, Task
 
 
 @dataclass
@@ -74,7 +74,7 @@ def _tuples_until_feasible(task: Task, ex: SeqExample, logp_rows) -> int:
     for classes, _ in descending_assignments(logp_rows):
         tried += 1
         digits = [c + task.value_base for c in classes]
-        if _task_y(task, digits) == ex.y:
+        if task.y_of(digits) == ex.y:
             return tried
     return tried
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -71,7 +70,6 @@ _SCHEMA = {
         "task": (str, None),
         "out": (str, None),
         "seed": (int, 0),
-        "workers": (int, 1),
     },
     "data": {
         "train": (str, None),
@@ -151,7 +149,7 @@ def write_resolved(cfg: "dict[str, dict]", path: Path) -> None:
         cp.write(fh)
 
 
-def _budget_from(cfg: "dict[str, dict]", task: Task, workers: int) -> SearchBudget:
+def _budget_from(cfg: "dict[str, dict]", task: Task) -> SearchBudget:
     b = cfg["budget"]
     return SearchBudget(
         max_clauses=b["max_clauses"] or task.max_clauses,
@@ -160,7 +158,6 @@ def _budget_from(cfg: "dict[str, dict]", task: Task, workers: int) -> SearchBudg
         wall_ms=b["wall_ms"] or None,
         solver_max_nodes=b["solver_max_nodes"] or None,
         pruning=bool(b["pruning"]),
-        workers=workers,
     )
 
 
@@ -255,7 +252,7 @@ def _load_program(path: Path) -> Program:
         raise CliError(DATA_ERR, f"bad program file {path}: {e}") from e
 
 
-def _em_config(cfg: "dict[str, dict]", task: Task, out: Path, workers: int, *, epochs=None, batch=None) -> EMConfig:
+def _em_config(cfg: "dict[str, dict]", task: Task, out: Path, *, epochs=None, batch=None) -> EMConfig:
     em = cfg["em"]
     return EMConfig(
         epochs=epochs if epochs is not None else em["epochs"],
@@ -264,7 +261,7 @@ def _em_config(cfg: "dict[str, dict]", task: Task, out: Path, workers: int, *, e
         m_batch=em["m_batch"],
         lr_decay=em["lr_decay"],
         seed=cfg["run"]["seed"],
-        budget=_budget_from(cfg, task, workers),
+        budget=_budget_from(cfg, task),
         pretrain=em["pretrain"],
         metrics_path=out / "metrics.csv",
         artifacts_dir=out,
@@ -282,14 +279,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = read_config(Path(args.config))
     if args.seed is not None:
         cfg["run"]["seed"] = args.seed
-    if args.workers is not None:
-        cfg["run"]["workers"] = args.workers
     if args.out:
         cfg["run"]["out"] = args.out
     if not cfg["run"]["out"]:
         raise CliError(CONFIG_ERR, "no output directory (run.out or --out)")
     task = make_task(cfg["run"]["task"])
-    workers = cfg["run"]["workers"] or (os.cpu_count() or 1)
     seed = cfg["run"]["seed"]
 
     examples = _load_examples(cfg["data"]["train"], task.id)
@@ -311,11 +305,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             s1_out = _fresh_out_dir(str(out / "stage1"))
             s2_out = _fresh_out_dir(str(out / "stage2"))
             cfg1 = _em_config(
-                cfg, t1, s1_out, workers,
+                cfg, t1, s1_out,
                 epochs=cfg["curriculum"]["stage1_epochs"],
                 batch=cfg["curriculum"]["stage1_batch_size"] or len(exs1),
             )
-            cfg2 = _em_config(cfg, task, s2_out, workers)
+            cfg2 = _em_config(cfg, task, s2_out)
             pair = PairModel(dim, hidden=cfg["em"]["hidden"], lr=cfg["em"]["lr"], seed=seed)
             st1, st2, merged = run_curriculum((t1, exs1, cfg1), (task, examples, cfg2), pair)
             lib = metarule_library(default_metarules())
@@ -332,7 +326,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             model = MLP(dim, task.n_classes, hidden=cfg["em"]["hidden"], lr=cfg["em"]["lr"], seed=seed)
             seed_data = _few_shot_seed(examples, task) if cfg["em"]["pretrain"] else None
             state = train(
-                task, examples, _em_config(cfg, task, out, workers),
+                task, examples, _em_config(cfg, task, out),
                 model=model, pretrain_data=seed_data,
             )
             _save_program(state.best_program, metarule_library(task.metarules()), out / "program")
@@ -437,8 +431,7 @@ def cmd_bench_abduction(args: argparse.Namespace) -> int:
     batches = [examples[i : i + size] for i in range(0, len(examples), size)]
     if args.batches:
         batches = batches[: args.batches]
-    budget = SearchBudget(max_clauses=task.max_clauses, workers=args.workers or 1)
-    rows = bench_abduction(task, batches, model, budget=budget)
+    rows = bench_abduction(task, batches, model)
     print("batch\tconstraint_first\tenumerate_first\tconstraint_ms\tenumerate_ms\tsolved")
     for r in rows:
         print(f"{r.batch}\t{r.h_to_z}\t{r.z_to_h}\t{r.h_to_z_ms:.2f}\t{r.z_to_h_ms:.2f}\t{int(r.solved)}")
@@ -455,9 +448,8 @@ def cmd_bench_metarules(args: argparse.Namespace) -> int:
     if args.limit:
         examples = examples[: args.limit]
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    budget = SearchBudget(max_clauses=task.max_clauses, workers=args.workers or 1)
     try:
-        rows = bench_metarule_sizes(task, examples, sizes=sizes, budget=budget)
+        rows = bench_metarule_sizes(task, examples, sizes=sizes)
     except ValueError as e:
         raise CliError(CONFIG_ERR, str(e)) from e
     print("n_rules\tnodes\twall_ms\tsolved\tworst_subset")
@@ -493,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True)
     t.add_argument("--out", help="override run.out")
     t.add_argument("--seed", type=int, help="override run.seed")
-    t.add_argument("--workers", type=int, help="override run.workers (1 = deterministic)")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="score a trained program/model on a dataset")
@@ -515,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--model", required=True)
     ba.add_argument("--batch-size", type=int, default=8)
     ba.add_argument("--batches", type=int, default=0, help="cap on batch count, 0 = all")
-    ba.add_argument("--workers", type=int, default=1)
     ba.set_defaults(fn=cmd_bench_abduction)
 
     bm = sub.add_parser("bench-metarules", help="search cost vs metarule-set size (worst case per size)")
@@ -523,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--data", required=True)
     bm.add_argument("--sizes", default="2,3,9")
     bm.add_argument("--limit", type=int, default=0, help="use only the first N examples")
-    bm.add_argument("--workers", type=int, default=1)
     bm.set_defaults(fn=cmd_bench_metarules)
     return ap
 

@@ -129,12 +129,6 @@ class KnowledgeBase:
         return set(self.clauses) | set(self.builtins)
 
 
-def kb_from_text(text: str) -> KnowledgeBase:
-    kb = KnowledgeBase()
-    kb.add_text(text)
-    return kb
-
-
 # ---------------------------------------------------------------------------
 # Builtins
 # ---------------------------------------------------------------------------
@@ -226,7 +220,6 @@ def deduce(
     kb: KnowledgeBase,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     budget: Optional[Budget] = None,
-    occurs_check: bool = True,
 ) -> Iterator[Subst]:
     """Solve goal(s) against kb, yielding solutions projected to goal vars.
 
@@ -246,7 +239,7 @@ def deduce(
     # generator frames stack with proof depth; long lists need headroom
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
-    for s in _solve(goals, Subst(), depth_limit, kb, budget, occurs_check):
+    for s in _solve(goals, Subst(), depth_limit, kb, budget):
         yield _project(s, goal_vars)
 
 
@@ -265,7 +258,6 @@ def _solve(
     depth: int,
     kb: KnowledgeBase,
     budget: Budget,
-    occurs_check: bool,
 ) -> Iterator[Subst]:
     if not goals:
         yield s
@@ -280,11 +272,11 @@ def _solve(
     bi = kb.builtins.get(key)
     if bi is not None:
         for s2 in bi(goal.args, s):
-            yield from _solve(rest, s2, depth - 1, kb, budget, occurs_check)
+            yield from _solve(rest, s2, depth - 1, kb, budget)
         return
     for clause in kb.clauses.get(key, ()):
         c = rename_apart(clause)
-        s2 = unify_atoms(goal, c.head, s, occurs_check)
+        s2 = unify_atoms(goal, c.head, s)
         if s2 is None:
             continue
-        yield from _solve(list(c.body) + rest, s2, depth - 1, kb, budget, occurs_check)
+        yield from _solve(list(c.body) + rest, s2, depth - 1, kb, budget)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
 
@@ -67,7 +66,6 @@ __all__ = [
     "ExactFacts",
     "FactOracle",
     "GoalExample",
-    "Incumbent",
     "Induced",
     "InduceOutcome",
     "InductionSetting",
@@ -303,25 +301,9 @@ class SearchBudget:
     wall_ms: Optional[float] = None
     solver_max_nodes: Optional[int] = None  # binds branch-and-bound only, not chain stores
     pruning: bool = True
-    workers: int = 1
 
     def runtime(self) -> Budget:
         return Budget(self.max_nodes, self.wall_ms)
-
-
-class Incumbent:
-    """Monotone best-so-far score, safe to share across worker threads."""
-
-    __slots__ = ("best", "_lock")
-
-    def __init__(self, best: float = -math.inf):
-        self.best = best
-        self._lock = threading.Lock()
-
-    def update(self, value: float) -> None:
-        with self._lock:
-            if value > self.best:
-                self.best = value
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +389,18 @@ class Induced:
 
 @dataclass(frozen=True, slots=True)
 class InduceOutcome:
+    """Result of an induce call.
+
+    failure says why induced is None: "budget_exhausted" (the search ran out
+    of nodes or time), "no_candidate" (no program proved every positive
+    example, so nothing was scored) or "unscorable" (every candidate scored
+    None or -inf on some example).  It is None when a program was found.
+    """
+
     induced: Optional[Induced]
     budget_exhausted: bool = False
     candidates_tried: int = 0
+    failure: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +430,18 @@ class _Ctx:
         "facts",
         "budget",
         "runtime",
-        "incumbent",
+        "best",
         "prune",
         "allow_new",
         "feasibility_only",
     )
 
-    def __init__(self, setting, facts, budget, runtime, incumbent, prune, allow_new, feasibility_only):
+    def __init__(self, setting, facts, budget, runtime, prune, allow_new, feasibility_only):
         self.setting = setting
         self.facts = facts
         self.budget = budget
         self.runtime = runtime
-        self.incumbent = incumbent
+        self.best = -math.inf  # best completed proof so far, the pruning bound
         self.prune = prune
         self.allow_new = allow_new
         self.feasibility_only = feasibility_only
@@ -561,7 +552,7 @@ def _abduce(spec: Abducible, g: Atom, rest, s, prog, ab, dlogp, abduced, ctx: _C
         if lp == -math.inf:
             return
         nd = dlogp + lp
-        if ctx.prune and ctx.incumbent is not None and nd <= ctx.incumbent.best:
+        if ctx.prune and nd <= ctx.best:
             return
         item = Abduced("fact", f"{spec.name}({print_term(x)},{print_term(y)})", fact_key, lp)
         yield from _solve(rest, s, prog, ab, nd, abduced + (item,), ctx)
@@ -708,7 +699,6 @@ def prove(
     budget: Optional[SearchBudget] = None,
     *,
     runtime: Optional[Budget] = None,
-    incumbent: Optional[Incumbent] = None,
     allow_new_clauses: bool = True,
     prune: Optional[bool] = None,
     feasibility_only: bool = False,
@@ -730,9 +720,7 @@ def prove(
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
     do_prune = budget.pruning if prune is None else prune
-    if do_prune and incumbent is None:
-        incumbent = Incumbent()
-    ctx = _Ctx(setting, facts, budget, runtime, incumbent, do_prune, allow_new_clauses, feasibility_only)
+    ctx = _Ctx(setting, facts, budget, runtime, do_prune, allow_new_clauses, feasibility_only)
     if sys.getrecursionlimit() < 20000:
         sys.setrecursionlimit(20000)
 
@@ -749,8 +737,8 @@ def prove(
                 if labeling is None:
                     continue
                 total += labeling.log_prob
-        if do_prune and incumbent is not None:
-            incumbent.update(total)
+        if total > ctx.best:
+            ctx.best = total
         yield AbductionResult(
             program=prog,
             abduced=abduced,
@@ -935,10 +923,9 @@ def induce(
     least the prior of the next size, no larger program can win and the
     search stops.  Within a size, candidates go in print order and a
     candidate is abandoned mid-batch as soon as its partial product cannot
-    reach the incumbent (single-worker mode only; with several workers every
-    example is scored independently and the reduction is identical).
-    Per-example scoring always runs under a fresh node budget so worker
-    count cannot change any outcome; counters fold back into the shared one.
+    reach the incumbent.  Each example is scored under a fresh runtime
+    budget, so every example gets its own max_nodes cap and wall_ms
+    deadline; its counters fold back into the shared one.
     """
     from dataclasses import replace
 
@@ -949,74 +936,43 @@ def induce(
     best_log, best_prog, best_labs = -math.inf, None, None
     truncated = False
     tried = 0
-    executor = None
-    if budget.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=budget.workers)
-
-    def score_one(prog, ex):
-        rt = budget.runtime()
-        lab = score_example(ex, prog, setting, facts, budget, rt)
-        return lab, rt
-
-    try:
-        for size_cap in range(1, budget.max_clauses + 1):
+    for size_cap in range(1, budget.max_clauses + 1):
+        if not runtime.ok():
+            break
+        if best_prog is not None and log_prior(size_cap) <= best_log:
+            break  # simplicity prior caps every remaining candidate
+        round_budget = replace(budget, max_clauses=size_cap)
+        candidates = [
+            p
+            for p in _candidate_programs(positives, setting, round_budget, facts, runtime)
+            if p.size == size_cap
+        ]
+        for prog in candidates:
             if not runtime.ok():
                 break
-            if best_prog is not None and log_prior(size_cap) <= best_log:
-                break  # simplicity prior caps every remaining candidate
-            round_budget = replace(budget, max_clauses=size_cap)
-            candidates = [
-                p
-                for p in _candidate_programs(positives, setting, round_budget, facts, runtime)
-                if p.size == size_cap
-            ]
-            for prog in candidates:
-                if not runtime.ok():
+            tried += 1
+            labs: "list[ExampleLabeling]" = []
+            acc = log_prior(prog.size)
+            for ex in examples:
+                rt = budget.runtime()
+                lab = score_example(ex, prog, setting, facts, budget, rt)
+                _fold(runtime, rt)
+                if lab is None:
                     break
-                tried += 1
-                labs: "list[ExampleLabeling]" = []
-                acc = log_prior(prog.size)
-                if executor is None:
-                    ok = True
-                    for ex in examples:
-                        lab, rt = score_one(prog, ex)
-                        _fold(runtime, rt)
-                        if lab is None:
-                            ok = False
-                            break
-                        truncated = truncated or lab.truncated
-                        acc += lab.log_prob
-                        labs.append(lab)
-                        if budget.pruning and acc <= best_log:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                else:
-                    results = list(executor.map(lambda ex: score_one(prog, ex), examples))
-                    for lab, rt in results:
-                        _fold(runtime, rt)
-                        truncated = truncated or (lab is not None and lab.truncated)
-                    if any(lab is None for lab, _ in results):
-                        continue
-                    labs = [lab for lab, _ in results]
-                    acc += sum(lab.log_prob for lab in labs)
+                truncated = truncated or lab.truncated
+                acc += lab.log_prob
+                labs.append(lab)
+                if budget.pruning and acc <= best_log:
+                    break
+            else:  # every example scored
                 if acc > best_log:
                     best_log, best_prog, best_labs = acc, prog, tuple(labs)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
 
     exhausted = runtime.exhausted or not runtime.ok()
     if best_prog is None:
-        return InduceOutcome(None, budget_exhausted=exhausted, candidates_tried=tried)
-    return InduceOutcome(
-        Induced(best_prog, best_labs, best_log, truncated),
-        budget_exhausted=exhausted,
-        candidates_tried=tried,
-    )
+        failure = "budget_exhausted" if exhausted else "unscorable" if tried else "no_candidate"
+        return InduceOutcome(None, exhausted, tried, failure)
+    return InduceOutcome(Induced(best_prog, best_labs, best_log, truncated), exhausted, tried)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ class TaskError(ValueError):
     pass
 
 
-TASK_IDS = ("sum", "product", "sorted_concept", "bogosort")
-
 # shared list primitives; permute/3 and geq/2 come in as native builtins
 LIST_BK = """\
 head([H|_], H).
@@ -54,12 +52,28 @@ empty([]).
 """
 
 
+def ranks_descending(digits: Sequence[int]) -> "tuple[int, ...]":
+    """1-based rank of each element when sorting from large to small."""
+    return tuple(1 + sum(1 for d in digits if d > di) for di in digits)
+
+
+def is_descending(digits: Sequence[int]) -> bool:
+    """Whether no element is larger than the one before it."""
+    return all(a >= b for a, b in zip(digits, digits[1:]))
+
+
 @dataclass(frozen=True)
 class Task:
-    """Static description of one learning task."""
+    """Static description of one learning task.
+
+    The target's shape says what kind of task it is: arity 1 is a yes/no
+    concept over the list, arity 2 with a dyadic abducible is a ranking,
+    and any other arity-2 target maps the list to a number.
+    """
 
     id: str
     target: "tuple[str, int]"
+    y_of: "Callable[[Sequence[int]], object]"  # digits -> the example's label y
     bk_text: str
     abducibles: "tuple[Abducible, ...]"
     metarule_names: "tuple[str, ...]"
@@ -114,28 +128,30 @@ class Task:
         name, arity = self.target
         if arity == 1:
             return GoalExample(Atom(name, (items,)), positive=bool(y))
-        if self.id == "bogosort":
+        if self.dyadic:
             out: Term = mk_list([Int(int(r)) for r in y])
         else:
             out = Int(int(y))
         return GoalExample(Atom(name, (items, out)), positive=True)
 
 
-def make_task(task_id: str) -> Task:
-    if task_id == "sum":
-        return Task(
+_TASKS = {
+    t.id: t
+    for t in (
+        Task(
             id="sum",
             target=("f", 2),
+            y_of=sum,
             bk_text=LIST_BK,
             abducibles=(Abducible("add", ABD_ADD), Abducible("eq", ABD_EQC)),
             metarule_names=("chain", "ident"),
             body_pool=(("head", 2), ("tail", 2), ("empty", 1), ("add", 2), ("eq", 2)),
             max_clauses=2,
-        )
-    if task_id == "product":
-        return Task(
+        ),
+        Task(
             id="product",
             target=("f", 2),
+            y_of=math.prod,
             bk_text=LIST_BK,
             abducibles=(Abducible("mult", ABD_MUL), Abducible("eq", ABD_EQC)),
             metarule_names=("chain", "ident"),
@@ -144,11 +160,11 @@ def make_task(task_id: str) -> Task:
             n_classes=9,
             value_base=1,
             digit_lo=1,
-        )
-    if task_id == "sorted_concept":
-        return Task(
+        ),
+        Task(
             id="sorted_concept",
             target=("s", 1),
+            y_of=is_descending,
             bk_text=LIST_BK,
             abducibles=(Abducible("nn", ABD_FACT),),
             metarule_names=("mono_rec", "mono_chain", "precon"),
@@ -159,14 +175,14 @@ def make_task(task_id: str) -> Task:
             n_classes=2,
             dyadic=True,
             distinct_digits=True,
-        )
-    if task_id == "bogosort":
+        ),
         # nn stays abducible but is deliberately NOT in the body pool: the
         # sort rule must go through the interpreted s/1 definition instead
         # of testing a single pair and calling it sorted.
-        return Task(
+        Task(
             id="bogosort",
             target=("f", 2),
+            y_of=ranks_descending,
             bk_text=LIST_BK,
             abducibles=(Abducible("nn", ABD_FACT),),
             metarule_names=("tri_split",),
@@ -175,8 +191,17 @@ def make_task(task_id: str) -> Task:
             n_classes=2,
             dyadic=True,
             distinct_digits=True,
-        )
-    raise TaskError(f"unknown task {task_id!r}; expected one of {', '.join(TASK_IDS)}")
+        ),
+    )
+}
+TASK_IDS = tuple(_TASKS)
+
+
+def make_task(task_id: str) -> Task:
+    task = _TASKS.get(task_id)
+    if task is None:
+        raise TaskError(f"unknown task {task_id!r}; expected one of {', '.join(TASK_IDS)}")
+    return task
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +249,6 @@ class SeqExample:
         return int(self.x.shape[0])
 
 
-def ranks_descending(digits: Sequence[int]) -> "tuple[int, ...]":
-    """1-based rank of each element when sorting from large to small."""
-    return tuple(1 + sum(1 for d in digits if d > di) for di in digits)
-
-
-def _task_y(task: Task, digits: Sequence[int]):
-    if task.id == "sum":
-        return int(sum(digits))
-    if task.id == "product":
-        return int(math.prod(digits))
-    if task.id == "bogosort":
-        return ranks_descending(digits)
-    if task.id == "sorted_concept":
-        return all(a >= b for a, b in zip(digits, digits[1:]))
-    raise TaskError(task.id)
-
-
 def _draw_digits(task: Task, length: int, rng: np.random.Generator) -> "list[int]":
     span = task.digit_hi - task.digit_lo + 1
     if task.distinct_digits:
@@ -284,8 +292,8 @@ def gen_sequences(
 ) -> "list[SeqExample]":
     """Draw n labelled sequences with lengths uniform over the given range.
 
-    sorted_concept alternates positives (already in descending order) with
-    negatives built as near-misses: one adjacent swap of a sorted sequence,
+    A yes/no concept task alternates positives (already in descending order)
+    with negatives built as near-misses: one adjacent swap of a sorted sequence,
     or a reshuffle verified unsorted.
     """
     lo, hi = lengths
@@ -298,7 +306,7 @@ def gen_sequences(
     for i in range(n):
         length = int(rng.integers(lo, hi + 1))
         digits = _draw_digits(task, length, rng)
-        if task.id == "sorted_concept":
+        if task.target[1] == 1:
             digits.sort(reverse=True)
             if i % 2 == 1:  # negative: break sortedness but stay close
                 length = max(length, 2)
@@ -309,9 +317,9 @@ def gen_sequences(
                     j = int(rng.integers(0, length - 1))
                     digits[j], digits[j + 1] = digits[j + 1], digits[j]
                 else:
-                    while all(a >= b for a, b in zip(digits, digits[1:])):
+                    while is_descending(digits):
                         rng.shuffle(digits)
-        y = _task_y(task, digits)
+        y = task.y_of(digits)
         feats = np.stack([gen.sample(d - task.digit_lo, rng) for d in digits])
         out.append(SeqExample(feats, y, tuple(digits)))
     return out
@@ -330,17 +338,17 @@ def _format_y(y) -> str:
     return str(int(y))
 
 
-def _parse_y(task_id: str, text: str):
+def _parse_y(task: Task, text: str):
     try:
-        if task_id == "sorted_concept":
+        if task.target[1] == 1:
             if text not in ("true", "false"):
                 raise ValueError(text)
             return text == "true"
-        if task_id == "bogosort":
+        if task.dyadic:
             return tuple(int(t) for t in text.split(","))
         return int(text)
     except ValueError as e:
-        raise TaskError(f"bad label field {text!r} for task {task_id}") from e
+        raise TaskError(f"bad label field {text!r} for task {task.id}") from e
 
 
 def labels_path_for(path: "str | Path") -> Path:
@@ -377,7 +385,7 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
     sidecar = labels_path_for(path)
     if sidecar.exists():
         truth_lines = sidecar.read_text().splitlines()
-    task_id: Optional[str] = None
+    task: Optional[Task] = None
     examples: "list[SeqExample]" = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         if not raw.strip():
@@ -386,10 +394,13 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
         if len(parts) != 4:
             raise TaskError(f"{path}:{lineno}: expected 4 tab-separated fields")
         tid, n_str, feats_str, y_str = parts
-        if task_id is None:
-            task_id = tid
-        elif tid != task_id:
-            raise TaskError(f"{path}:{lineno}: mixed task ids {task_id!r} and {tid!r}")
+        if task is None:
+            try:
+                task = make_task(tid)
+            except TaskError as e:
+                raise TaskError(f"{path}:{lineno}: {e}") from None
+        elif tid != task.id:
+            raise TaskError(f"{path}:{lineno}: mixed task ids {task.id!r} and {tid!r}")
         try:
             n_items = int(n_str)
             rows = [
@@ -402,16 +413,16 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
             raise TaskError(f"{path}:{lineno}: length field says {n_items}, got {len(rows)} items")
         if len({r.shape[0] for r in rows}) != 1:
             raise TaskError(f"{path}:{lineno}: items have mixed feature widths")
-        y = _parse_y(tid, y_str)
+        y = _parse_y(task, y_str)
         truth = None
         if truth_lines is not None and lineno - 1 < len(truth_lines) and truth_lines[lineno - 1]:
             truth = tuple(int(t) for t in truth_lines[lineno - 1].split(","))
         examples.append(SeqExample(np.stack(rows), y, truth))
-    if task_id is None:
+    if task is None:
         raise TaskError(f"{path}: empty dataset")
-    if expect_task is not None and task_id != expect_task:
-        raise TaskError(f"{path}: holds task {task_id!r}, expected {expect_task!r}")
-    return task_id, examples
+    if expect_task is not None and task.id != expect_task:
+        raise TaskError(f"{path}: holds task {task.id!r}, expected {expect_task!r}")
+    return task.id, examples
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +562,6 @@ class Metrics:
         return " ".join(parts)
 
 
-def _numeric_max(task: Task, length: int) -> int:
-    if task.id == "product":
-        return task.digit_hi**length
-    return task.digit_hi * length
-
-
 def _first_solution(goal: Atom, kb: KnowledgeBase, depth_limit: int, max_nodes: int, m: Metrics):
     """First answer to goal, or None; counts a depth-limit cut into m."""
     budget = Budget(max_nodes=max_nodes)
@@ -609,7 +614,7 @@ def evaluate(
         if cls_total:
             m.cls_acc = cls_hits / cls_total
 
-    if task.id in ("sum", "product"):
+    if task.target[1] == 2 and not task.dyadic:
         kb = ground_kb(task, program, library)
         abs_err: "list[float]" = []
         log_err: "list[float]" = []
@@ -627,7 +632,7 @@ def evaluate(
                 hits += int(pred == y_true)
             else:
                 m.failures += 1
-                top = _numeric_max(task, len(ex))
+                top = task.y_of([task.digit_hi] * len(ex))
                 abs_err.append(float(max(y_true, top - y_true)))
                 log_err.append(
                     max(math.log1p(y_true), math.log1p(top) - math.log1p(y_true))
@@ -639,7 +644,7 @@ def evaluate(
 
     rel = _pair_relation(task, examples, model, use_truth)
 
-    if task.id == "sorted_concept":
+    if task.target[1] == 1:
         hits = 0
         for idx, ex in enumerate(examples):
             kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
@@ -649,30 +654,28 @@ def evaluate(
         m.acc = hits / m.n
         return m
 
-    if task.id == "bogosort":
-        perm_hits = 0
-        elem_sum = 0.0
-        for idx, ex in enumerate(examples):
-            kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
-            goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
-            sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
-            ranks = None
-            if sol is not None:
-                items = proper_list_items(sol.apply(Var("R")))
-                if items is not None and all(isinstance(t, Int) for t in items):
-                    ranks = tuple(t.value for t in items)
-            want = tuple(int(r) for r in ex.y)
-            if ranks is None:
-                m.failures += 1
-                continue
-            perm_hits += int(ranks == want)
-            elem_sum += sum(int(a == b) for a, b in zip(ranks, want)) / len(want)
-        m.perm_acc = perm_hits / m.n
-        m.elem_acc = elem_sum / m.n
-        m.acc = m.perm_acc
-        return m
-
-    raise TaskError(f"no evaluator for task {task.id}")
+    # what is left is a ranking: arity 2 with a dyadic abducible
+    perm_hits = 0
+    elem_sum = 0.0
+    for idx, ex in enumerate(examples):
+        kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
+        goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
+        sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
+        ranks = None
+        if sol is not None:
+            items = proper_list_items(sol.apply(Var("R")))
+            if items is not None and all(isinstance(t, Int) for t in items):
+                ranks = tuple(t.value for t in items)
+        want = tuple(int(r) for r in ex.y)
+        if ranks is None:
+            m.failures += 1
+            continue
+        perm_hits += int(ranks == want)
+        elem_sum += sum(int(a == b) for a, b in zip(ranks, want)) / len(want)
+    m.perm_acc = perm_hits / m.n
+    m.elem_acc = elem_sum / m.n
+    m.acc = m.perm_acc
+    return m
 
 
 def _pair_relation(task: Task, examples, model, use_truth: bool):

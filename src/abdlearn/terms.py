@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -254,11 +253,11 @@ def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST, occurs_check: bool = True)
     return s
 
 
-def unify_atoms(a1: Atom, a2: Atom, s: Subst = EMPTY_SUBST, occurs_check: bool = True) -> Optional[Subst]:
+def unify_atoms(a1: Atom, a2: Atom, s: Subst = EMPTY_SUBST) -> Optional[Subst]:
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
     for x, y in zip(a1.args, a2.args):
-        nxt = unify(x, y, s, occurs_check)
+        nxt = unify(x, y, s)
         if nxt is None:
             return None
         s = nxt
@@ -270,15 +269,12 @@ def unify_atoms(a1: Atom, a2: Atom, s: Subst = EMPTY_SUBST, occurs_check: bool =
 # ---------------------------------------------------------------------------
 
 _fresh_counter = itertools.count(1)
-_fresh_lock = threading.Lock()
 
 
 def fresh_name(hint: str = "G") -> str:
     # The counter is global and never reused, so renamed clauses can never
-    # collide with each other even across threads.
-    with _fresh_lock:
-        n = next(_fresh_counter)
-    return f"_{hint}{n}"
+    # collide with each other.
+    return f"_{hint}{next(_fresh_counter)}"
 
 
 def term_vars(t: Term, acc: Optional[list] = None) -> "list[str]":

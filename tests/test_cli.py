@@ -109,6 +109,15 @@ def test_train_rejects_unknown_key(tmp_path, sum_data):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_rejects_the_removed_workers_setting(tmp_path, sum_data, capsys):
+    cfg = write_cfg(tmp_path / "w.ini", train_path=sum_data / "sum_train.tsv", run={"workers": 2})
+    assert run("train", "--config", cfg) == 2
+    assert "run.workers" in capsys.readouterr().err
+    ok = write_cfg(tmp_path / "ok.ini", train_path=sum_data / "sum_train.tsv")
+    assert run("train", "--config", ok, "--workers", 2) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_unknown_section(tmp_path, sum_data):
     cfg = write_cfg(tmp_path / "d.ini", train_path=sum_data / "sum_train.tsv")
     cfg.write_text(cfg.read_text() + "\n[mystery]\nx = 1\n")

@@ -219,6 +219,7 @@ def test_e_step_contradiction_yields_no_program():
     _, facts = _sum_batch_facts(batch)
     out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
     assert out.induced is None
+    assert out.candidates_tried == 0 and out.failure == "no_candidate"
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ the individual fact probabilities, and program scores add the log prior
 6/(pi*size)^2.
 """
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abdlearn.kb import Budget, deduce, standard_kb
 from abdlearn.metarules import (
@@ -371,6 +374,34 @@ def test_setting_materialises_each_metasub_once():
     assert set(clause_vars(renamed)).isdisjoint(names)
 
 
+_WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(0.001, 1.0)), min_size=10, max_size=10).filter(any)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables=st.lists(_WEIGHTS, min_size=2, max_size=3), y=st.integers(0, 28))
+def test_score_example_matches_brute_force_labels(tables, y):
+    """The sum program's best labeling equals enumerating every label tuple."""
+    facts = TableFacts({i: [w / sum(ws) for w in ws] for i, ws in enumerate(tables)})
+    feasible = []
+    for labels in itertools.product(range(10), repeat=len(tables)):
+        if sum(labels) != y:
+            continue
+        lp = sum(facts.item_logweights(i)[v] for i, v in enumerate(labels))
+        if lp > -math.inf:
+            feasible.append((lp, labels))
+    feasible.sort(reverse=True)
+    ex = GoalExample(item_goal(range(len(tables)), y))
+    for pruning in (True, False):
+        lab = score_example(ex, SUM_PROG, sum_setting(), facts, SearchBudget(pruning=pruning))
+        if not feasible:
+            assert lab is None
+            continue
+        best_lp, best_labels = feasible[0]
+        assert lab is not None and abs(lab.log_prob - best_lp) <= 1e-12
+        if len(feasible) == 1 or feasible[1][0] < best_lp - 1e-9:
+            assert lab.item_labels == tuple(enumerate(best_labels))
+
+
 def test_score_example_negative_unblockable_when_proof_is_fact_free():
     kb = standard_kb(BK)
     rules = [r for r in default_metarules() if r.name == "mono_chain"]
@@ -463,21 +494,6 @@ def test_induce_pruning_toggle_identical_outcome():
     assert on.induced.log_score == off.induced.log_score
 
 
-def test_induce_worker_count_does_not_change_result():
-    tables = {i: digit_table(i + 1, peak=0.8) for i in range(4)}
-    facts = TableFacts(tables)
-    setting = sum_setting()
-    examples = [
-        GoalExample(item_goal([0, 1], 5)),
-        GoalExample(item_goal([2, 3], 7)),
-    ]
-    one = induce(examples, setting, facts, SearchBudget(max_clauses=2, workers=1))
-    two = induce(examples, setting, facts, SearchBudget(max_clauses=2, workers=2))
-    assert one.induced.program.key() == two.induced.program.key()
-    assert one.induced.log_score == two.induced.log_score
-    assert one.induced.labelings == two.induced.labelings
-
-
 def test_induce_budget_exhaustion_is_reported():
     setting = sum_setting()
     out = induce(
@@ -488,6 +504,20 @@ def test_induce_budget_exhaustion_is_reported():
     )
     assert out.induced is None
     assert out.budget_exhausted
+    assert out.failure == "budget_exhausted"
+
+
+def test_induce_reports_unscorable_candidates():
+    # Every program that proves the positive also proves the same goal as a
+    # negative, and a fact-free proof cannot be blocked.
+    goal = int_goal([1, 2, 3], 6)
+    examples = [GoalExample(goal), GoalExample(goal, positive=False)]
+    out = induce(examples, sum_setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    assert out.induced is None and not out.budget_exhausted
+    assert out.candidates_tried > 0
+    assert out.failure == "unscorable"
+    ok = induce(examples[:1], sum_setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    assert ok.induced is not None and ok.failure is None
 
 
 def test_solver_truncation_reaches_labelings_and_induced():

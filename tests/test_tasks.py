@@ -1,5 +1,6 @@
 """Task wiring, generators, file formats, and the evaluator."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -92,6 +93,27 @@ def test_task_goal_shapes():
     assert not neg.positive and len(neg.goal.args) == 1
     ranks = make_task("bogosort").goal([0, 1, 2], (2, 1, 3))
     assert ranks.goal.pred == "f" and len(ranks.goal.args) == 2
+
+
+@pytest.mark.parametrize(
+    "tid, prog",
+    [
+        ("sum", SUM_PROG),
+        ("product", PROD_PROG),
+        ("sorted_concept", SORT_PROG),
+        ("bogosort", merge_programs(BOGO_PROG, SORT_PROG)),
+    ],
+)
+def test_task_behaviour_follows_its_shape_not_its_id(tid, prog):
+    task = make_task(tid)
+    copy = dataclasses.replace(task, id=f"{tid}_copy")
+    exs = gen_sequences(task, 8, lengths=(2, 4), seed=3)
+    copied = gen_sequences(copy, 8, lengths=(2, 4), seed=3)
+    assert [(e.y, e.truth) for e in copied] == [(e.y, e.truth) for e in exs]
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(exs, copied))
+    for e in exs:
+        assert copy.goal(range(len(e)), e.y) == task.goal(range(len(e)), e.y)
+    assert evaluate(prog, copy, exs, use_truth=True) == evaluate(prog, task, exs, use_truth=True)
 
 
 def test_metarule_subset_override():
@@ -227,6 +249,10 @@ def test_dataset_errors(tmp_path):
     short.write_text("sum\t2\t0.1,0.2\t3\n")  # says 2 items, has 1
     with pytest.raises(TaskError):
         load_dataset(short)
+    unknown = tmp_path / "unknown.tsv"
+    unknown.write_text("parity\t1\t0.1,0.2\t3\n")
+    with pytest.raises(TaskError, match="unknown task 'parity'"):
+        load_dataset(unknown)
     wrong = tmp_path / "wrong.tsv"
     wrong.write_text("sum\t1\t0.1,0.2\tnine\n")
     with pytest.raises(TaskError):
