@@ -39,6 +39,7 @@ METRIC_COLUMNS = (
     "loss",
     "nodes_explored",
     "solver_truncated",
+    "failure",  # InduceOutcome.failure, empty on solved batches
 )
 
 
@@ -300,6 +301,7 @@ def train(
                     "loss": None,
                     "nodes_explored": nodes,
                     "solver_truncated": None,
+                    "failure": out.failure,
                 }
                 if out.induced is not None:
                     solved += 1

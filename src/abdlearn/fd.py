@@ -24,7 +24,7 @@ two paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .kb import Budget
@@ -430,8 +430,12 @@ def solve_best(
     is exact in O(n*|D|*|S|) and ignores max_nodes; any other store takes
     branch-and-bound, which stops after max_nodes branching nodes or when
     the budget runs out and then returns its best labeling so far marked
-    truncated.  solver_nodes and solver_leaves on the budget count each
-    path's work as the Budget docstring defines.
+    truncated.  If it stops before its first complete labeling, and when
+    a chain store meets a budget already run out, the labeling has no
+    assignment and log_prob -inf, marked truncated: None always means the
+    store is infeasible, never that the search was cut.  solver_nodes and
+    solver_leaves on the budget count each path's work as the Budget
+    docstring defines.
     """
     if store.failed:
         return None
@@ -439,7 +443,7 @@ def solve_best(
     if chain is None:
         return _branch_and_bound(store, budget, max_nodes)
     if budget is not None and not budget.ok():
-        return None  # as branch-and-bound does on an exhausted budget
+        return Labeling({}, -math.inf, truncated=True)
     return _chain_best(store, *chain, budget)
 
 
@@ -520,11 +524,11 @@ def _branch_and_bound(
 
     descend(root, 0, 0.0)
     lab = best["labeling"]
+    if not best["truncated"]:
+        return lab
     if lab is None:
-        return None
-    if best["truncated"]:
-        return Labeling(lab.assignment, lab.log_prob, truncated=True)
-    return lab
+        return Labeling({}, -math.inf, truncated=True)
+    return Labeling(lab.assignment, lab.log_prob, truncated=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 The deductive engine is a plain depth-first resolution prover over definite
 clauses plus a small table of native builtins (list permutation and integer
 comparison; the clause text format stays free of host conveniences).
+
+solve() is the one resolver: deduce() runs it on the kb alone, and mil runs
+it with a hook for the predicates the kb does not define.  Termination
+rests on the depth limit, which counts resolution steps along a branch
+(each goal costs one, however it is resolved); there is no descent check.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .parser import parse_program
 from .terms import (
@@ -19,6 +24,7 @@ from .terms import (
     Int,
     Subst,
     Var,
+    clause_vars,
     mk_list,
     proper_list_items,
     rename_apart,
@@ -97,7 +103,8 @@ class KnowledgeBase:
     """Clauses indexed by (predicate, arity) plus native builtins."""
 
     def __init__(self):
-        self.clauses: dict[tuple[str, int], list[Clause]] = {}
+        # each clause with its clause_vars, so renaming it apart skips the walk
+        self.clauses: dict[tuple[str, int], list[tuple[Clause, list[str]]]] = {}
         self.builtins: dict[tuple[str, int], BuiltinFn] = {}
 
     def copy(self) -> "KnowledgeBase":
@@ -110,7 +117,7 @@ class KnowledgeBase:
         key = c.head.key()
         if key in self.builtins:
             raise KBError(f"clause for {key[0]}/{key[1]} would override a builtin")
-        self.clauses.setdefault(key, []).append(c)
+        self.clauses.setdefault(key, []).append((c, clause_vars(c)))
 
     def add_text(self, text: str) -> None:
         for c in parse_program(text):
@@ -223,10 +230,11 @@ def deduce(
 ) -> Iterator[Subst]:
     """Solve goal(s) against kb, yielding solutions projected to goal vars.
 
-    Solutions come in depth-first clause order.  When a branch is cut by
-    depth_limit the budget's depth_hits counter is bumped, so an empty
-    stream with depth_hits == 0 means finite failure while depth_hits > 0
-    means the search was truncated.
+    Solutions come in depth-first clause order.  depth_limit bounds the
+    resolution steps along a branch (see solve); when it cuts a branch the
+    budget's depth_hits counter is bumped, so an empty stream with
+    depth_hits == 0 means finite failure while depth_hits > 0 means the
+    search was truncated.
     """
     goals = [goal] if isinstance(goal, Atom) else list(goal)
     if budget is None:
@@ -235,11 +243,7 @@ def deduce(
     for g in goals:
         for t in g.args:
             term_vars(t, goal_vars)
-
-    # generator frames stack with proof depth; long lists need headroom
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-    for s in _solve(goals, Subst(), depth_limit, kb, budget):
+    for s, _ in solve([(g, None) for g in goals], kb, depth_limit, budget):
         yield _project(s, goal_vars)
 
 
@@ -252,31 +256,65 @@ def _project(s: Subst, names: "list[str]") -> Subst:
     return out
 
 
-def _solve(
-    goals: "list[Atom]",
-    s: Subst,
-    depth: int,
+def solve(
+    goals: "Sequence[tuple[Atom, Any]]",
     kb: KnowledgeBase,
+    depth_limit: int,
     budget: Budget,
-) -> Iterator[Subst]:
-    if not goals:
-        yield s
+    state: Any = None,
+    hook: Optional[Callable[[Atom, Any, Subst, Any], Iterable[tuple]]] = None,
+) -> Iterator[tuple[Subst, Any]]:
+    """Depth-first SLD resolution of (atom, scope) goals; yields (subst, state).
+
+    Each goal costs one budget tick and one step of depth_limit.  A goal
+    the kb defines is resolved by its builtin or clauses, a clause body
+    inheriting the goal's scope.  Any other goal, substitution applied, goes
+    to hook(goal, scope, subst, state), which yields the alternatives as
+    (body atoms, body scope, subst, state); without a hook it fails.
+    """
+    # generator frames stack with proof depth; long lists need headroom
+    if sys.getrecursionlimit() < 20000:
+        sys.setrecursionlimit(20000)
+    stack = None
+    for goal, scope in reversed(goals):
+        stack = (goal, scope, stack)
+    return _solve(stack, Subst(), depth_limit, kb, budget, state, hook)
+
+
+def _solve(stack, s: Subst, depth: int, kb: KnowledgeBase, budget: Budget, state, hook):
+    # stack is a linked list of goals: (atom, scope, rest) or None
+    if stack is None:
+        yield s, state
         return
     if not budget.tick():
         return
     if depth <= 0:
         budget.depth_hits += 1
         return
-    goal, rest = goals[0], goals[1:]
+    depth -= 1
+    goal, scope, rest = stack
     key = goal.key()
     bi = kb.builtins.get(key)
     if bi is not None:
         for s2 in bi(goal.args, s):
-            yield from _solve(rest, s2, depth - 1, kb, budget)
+            yield from _solve(rest, s2, depth, kb, budget, state, hook)
         return
-    for clause in kb.clauses.get(key, ()):
-        c = rename_apart(clause)
-        s2 = unify_atoms(goal, c.head, s)
-        if s2 is None:
-            continue
-        yield from _solve(list(c.body) + rest, s2, depth - 1, kb, budget)
+    clauses = kb.clauses.get(key)
+    if clauses is not None:
+        for clause, names in clauses:
+            c = rename_apart(clause, names)
+            s2 = unify_atoms(goal, c.head, s)
+            if s2 is None:
+                continue
+            stack2 = rest
+            for b in reversed(c.body):
+                stack2 = (b, scope, stack2)
+            yield from _solve(stack2, s2, depth, kb, budget, state, hook)
+        return
+    if hook is None:
+        return
+    for body, body_scope, s2, state2 in hook(s.apply_atom(goal), scope, s, state):
+        stack2 = rest
+        for b in reversed(body):
+            stack2 = (b, body_scope, stack2)
+        yield from _solve(stack2, s2, depth, kb, budget, state2, hook)

@@ -6,6 +6,7 @@ alternatives, tried in this order:
   1. empty goal list: succeed, emitting the current program together with
      the assumptions made along the proof and their joint probability;
   2. deductive predicate (background clause or builtin): resolve, recurse;
+     kb.solve does this itself and hands every other goal to prove's hook;
   3. abducible predicate: record the assumption; arithmetic abducibles post
      a finite-domain constraint over the sequence items touched, the dyadic
      fact abducible multiplies the fact's probability into the running
@@ -19,21 +20,23 @@ induce() wraps prove() in an iterative-deepening search over program size
 and scores every surviving candidate on the whole batch, where a program's
 score is a simplicity prior times the per-example abduction probabilities.
 
-Termination does not rely on iterative deepening alone: any call whose
-predicate already occurs among its proper ancestors must strictly shrink
-its first (list) argument, which rules out left recursion and non-reducing
-loops while admitting the structural recursion the templates express.
+Termination does not rely on iterative deepening alone.  An inducible call
+whose predicate already occurs among its inducible ancestors must strictly
+shrink its first (list) argument, which rules out left recursion and
+non-reducing loops while admitting the structural recursion the templates
+express; background clauses are not checked, as in kb.deduce.  Beyond that,
+SearchBudget.depth_limit bounds the resolution steps along a branch, by
+kb.solve's one rule, whatever resolves each goal.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 from .fd import ConstraintStore, Labeling, _completion_exists, solve_best
-from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase
+from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, solve
 from .metarules import (
     MetaSub,
     Metarule,
@@ -197,16 +200,9 @@ def fdv_term(vid: int) -> Struct:
     return Struct(FDV_F, (Int(vid),))
 
 
-def _item_id(t: Term) -> Optional[int]:
-    if isinstance(t, Struct) and t.functor == ITEM_F and len(t.args) == 1:
-        a = t.args[0]
-        if isinstance(a, Int):
-            return a.value
-    return None
-
-
-def _fdv_id(t: Term) -> Optional[int]:
-    if isinstance(t, Struct) and t.functor == FDV_F and len(t.args) == 1:
+def _item_id(t: Term, functor: str = ITEM_F) -> Optional[int]:
+    """i of an item(i) handle, or of an fdv(i) reference with functor FDV_F."""
+    if isinstance(t, Struct) and t.functor == functor and len(t.args) == 1:
         a = t.args[0]
         if isinstance(a, Int):
             return a.value
@@ -295,6 +291,9 @@ class InductionSetting:
 
 @dataclass
 class SearchBudget:
+    """Limits of one search.  depth_limit counts resolution steps along a
+    branch as kb.solve does: one per goal, however it is resolved."""
+
     max_clauses: int = 3
     depth_limit: int = DEFAULT_DEPTH_LIMIT
     max_nodes: Optional[int] = None
@@ -391,10 +390,12 @@ class Induced:
 class InduceOutcome:
     """Result of an induce call.
 
-    failure says why induced is None: "budget_exhausted" (the search ran out
-    of nodes or time), "no_candidate" (no program proved every positive
-    example, so nothing was scored) or "unscorable" (every candidate scored
-    None or -inf on some example).  It is None when a program was found.
+    failure says why induced is None, by the first reason that holds:
+    "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
+    (the depth limit cut some branch, so a program may lie beyond it),
+    "unscorable" (every candidate scored None or -inf on some example) or
+    "no_candidate" (no program proved every positive example, so nothing
+    was scored).  It is None when a program was found.
     """
 
     induced: Optional[Induced]
@@ -424,27 +425,25 @@ class _AbdState:
         )
 
 
+@dataclass(slots=True)
 class _Ctx:
-    __slots__ = (
-        "setting",
-        "facts",
-        "budget",
-        "runtime",
-        "best",
-        "prune",
-        "allow_new",
-        "feasibility_only",
-    )
+    setting: InductionSetting
+    facts: FactOracle
+    budget: SearchBudget
+    prune: bool
+    allow_new: bool
+    best: float = -math.inf  # best completed proof so far, the pruning bound
 
-    def __init__(self, setting, facts, budget, runtime, prune, allow_new, feasibility_only):
-        self.setting = setting
-        self.facts = facts
-        self.budget = budget
-        self.runtime = runtime
-        self.best = -math.inf  # best completed proof so far, the pruning bound
-        self.prune = prune
-        self.allow_new = allow_new
-        self.feasibility_only = feasibility_only
+    def hook(self, g: Atom, anc: tuple, s: Subst, state):
+        """kb.solve hook for goals the kb does not define.  state is (program,
+        abduction state, dyadic log prob, abduced); the scope anc holds the
+        (predicate, first-argument size) of each inducible call above g."""
+        spec = self.setting.abducibles.get(g.key())
+        if spec is not None:
+            return _abduce(spec, g, s, state, self)
+        if g.pred == self.setting.target[0] or any(g.pred == n for n, _ in state[0].invented):
+            return _inducible(g, anc, s, state, self)
+        return ()  # unknown predicate: finite failure
 
 
 def _arg1_size(g: Atom) -> Optional[int]:
@@ -473,7 +472,7 @@ def _var_for(t: Term, ab: _AbdState, facts) -> Optional[int]:
         return vid
     if isinstance(t, Int):
         return ab.store.new_derived_var(t.value, t.value)
-    return _fdv_id(t)
+    return _item_id(t, FDV_F)
 
 
 def _first_two(t: Term):
@@ -487,54 +486,9 @@ def _first_two(t: Term):
     return x, y, t2
 
 
-def _solve(stack, s: Subst, prog: Program, ab: _AbdState, dlogp: float, abduced: tuple, ctx: _Ctx):
-    """Yield (subst, program, abd-state, dyadic log prob, abduced) leaves."""
-    if not stack:
-        yield s, prog, ab, dlogp, abduced
-        return
-    (goal, anc, depth) = stack[0]
-    rest = stack[1:]
-    if not ctx.runtime.tick():
-        return
-    g = s.apply_atom(goal)
-    if depth <= 0:
-        ctx.runtime.depth_hits += 1
-        return
-    key = g.key()
-    kb = ctx.setting.kb
-
-    bi = kb.builtins.get(key)
-    if bi is not None:
-        for s2 in bi(g.args, s):
-            yield from _solve(rest, s2, prog, ab, dlogp, abduced, ctx)
-        return
-
-    clauses = kb.clauses.get(key)
-    if clauses is not None:
-        size = _arg1_size(g)
-        if not _descends(anc, g.pred, size):
-            return
-        anc2 = anc + ((g.pred, size),) if size is not None else anc
-        for c in clauses:
-            rc = rename_apart(c)
-            s2 = unify_atoms(g, rc.head, s)
-            if s2 is None:
-                continue
-            stack2 = tuple((b, anc2, depth - 1) for b in rc.body) + rest
-            yield from _solve(stack2, s2, prog, ab, dlogp, abduced, ctx)
-        return
-
-    spec = ctx.setting.abducibles.get(key)
-    if spec is not None:
-        yield from _abduce(spec, g, rest, s, prog, ab, dlogp, abduced, ctx)
-        return
-
-    if g.pred == ctx.setting.target[0] or any(g.pred == n for n, _ in prog.invented):
-        yield from _inducible(g, rest, anc, depth, s, prog, ab, dlogp, abduced, ctx)
-    # Unknown predicate: finite failure.
-
-
-def _abduce(spec: Abducible, g: Atom, rest, s, prog, ab, dlogp, abduced, ctx: _Ctx):
+def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
+    """The one way to assume g, as a kb.solve alternative with an empty body."""
+    prog, ab, dlogp, abduced = state
     if spec.kind == ABD_FACT:
         split = _first_two(g.args[0])
         if split is None:
@@ -546,7 +500,7 @@ def _abduce(spec: Abducible, g: Atom, rest, s, prog, ab, dlogp, abduced, ctx: _C
         fact_key = ("pair", ka, kb_)
         if any(a.key == fact_key for a in abduced):
             # Already assumed in this proof; consume it again for free.
-            yield from _solve(rest, s, prog, ab, dlogp, abduced, ctx)
+            yield (), None, s, state
             return
         lp = ctx.facts.pair_logprob(ka, kb_)
         if lp == -math.inf:
@@ -555,7 +509,7 @@ def _abduce(spec: Abducible, g: Atom, rest, s, prog, ab, dlogp, abduced, ctx: _C
         if ctx.prune and nd <= ctx.best:
             return
         item = Abduced("fact", f"{spec.name}({print_term(x)},{print_term(y)})", fact_key, lp)
-        yield from _solve(rest, s, prog, ab, nd, abduced + (item,), ctx)
+        yield (), None, s, (prog, ab, nd, abduced + (item,))
         return
 
     term_in, term_out = g.args
@@ -574,7 +528,7 @@ def _abduce(spec: Abducible, g: Atom, rest, s, prog, ab, dlogp, abduced, ctx: _C
         if not ab2.store.post_eq_const(vx, term_out.value):
             return
         item = Abduced("constraint", ab2.store.constraints[-1].text(ab2.store))
-        yield from _solve(rest, s, prog, ab2, dlogp, abduced + (item,), ctx)
+        yield (), None, s, (prog, ab2, dlogp, abduced + (item,))
         return
 
     split = _first_two(term_in)
@@ -600,29 +554,31 @@ def _abduce(spec: Abducible, g: Atom, rest, s, prog, ab, dlogp, abduced, ctx: _C
     if s2 is None:
         return
     item = Abduced("constraint", ab2.store.constraints[-1].text(ab2.store))
-    yield from _solve(rest, s2, prog, ab2, dlogp, abduced + (item,), ctx)
+    yield (), None, s2, (prog, ab2, dlogp, abduced + (item,))
 
 
-def _inducible(g: Atom, rest, anc, depth, s, prog: Program, ab, dlogp, abduced, ctx: _Ctx):
+def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
+    """g resolved by a metarule clause of the program, recorded or new."""
+    prog = state[0]
     size = _arg1_size(g)
     if not _descends(anc, g.pred, size):
         return
     anc2 = anc + ((g.pred, size),) if size is not None else anc
-    arity = len(g.args)
-
-    def try_clause(ms: MetaSub, prog2: Program):
+    for ms, prog2 in _clause_choices(g, prog, ctx):
         rc = rename_apart(*ctx.setting.clause_of(ms))
         s2 = unify_atoms(g, rc.head, s)
-        if s2 is None:
-            return
-        stack2 = tuple((b, anc2, depth - 1) for b in rc.body) + rest
-        yield from _solve(stack2, s2, prog2, ab, dlogp, abduced, ctx)
+        if s2 is not None:
+            yield rc.body, anc2, s2, (prog2, *state[1:])
 
+
+def _clause_choices(g: Atom, prog: Program, ctx: _Ctx):
+    """(metasub, program with it) for each clause that may resolve g."""
+    arity = len(g.args)
     # Recorded instantiations first.
     for ms in prog.metasubs:
         mr = ctx.setting.library[ms.rule]
         if ms.symbol(mr.head.pred_var) == g.pred and mr.head.arity == arity:
-            yield from try_clause(ms, prog)
+            yield ms, prog
 
     # Then new ones, within the clause budget.
     if not (ctx.allow_new and prog.size < ctx.budget.max_clauses):
@@ -633,7 +589,7 @@ def _inducible(g: Atom, rest, anc, depth, s, prog: Program, ab, dlogp, abduced, 
         for ms, prog2 in _new_metasubs(mr, g.pred, prog, ctx):
             if ms in prog.metasubs:
                 continue  # identical clause already recorded; reuse covered it
-            yield from try_clause(ms, prog2.extend(ms))
+            yield ms, prog2.extend(ms)
 
 
 _FRESH = object()
@@ -720,12 +676,10 @@ def prove(
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
     do_prune = budget.pruning if prune is None else prune
-    ctx = _Ctx(setting, facts, budget, runtime, do_prune, allow_new_clauses, feasibility_only)
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
-
-    stack = tuple((goal, (), budget.depth_limit) for goal in goals)
-    for s, prog, ab, dlogp, abduced in _solve(stack, Subst(), program, _AbdState(), 0.0, (), ctx):
+    ctx = _Ctx(setting, facts, budget, do_prune, allow_new_clauses)
+    start = (program, _AbdState(), 0.0, ())
+    leaves = solve([(g, ()) for g in goals], setting.kb, budget.depth_limit, runtime, start, ctx.hook)
+    for _, (prog, ab, dlogp, abduced) in leaves:
         labeling = None
         total = dlogp
         if ab.store is not None and ab.store.vars:
@@ -927,8 +881,6 @@ def induce(
     budget, so every example gets its own max_nodes cap and wall_ms
     deadline; its counters fold back into the shared one.
     """
-    from dataclasses import replace
-
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
     positives = [e for e in examples if e.positive]
@@ -970,7 +922,9 @@ def induce(
 
     exhausted = runtime.exhausted or not runtime.ok()
     if best_prog is None:
-        failure = "budget_exhausted" if exhausted else "unscorable" if tried else "no_candidate"
+        failure = "budget_exhausted" if exhausted else "depth_cut" if runtime.depth_hits else (
+            "unscorable" if tried else "no_candidate"
+        )
         return InduceOutcome(None, exhausted, tried, failure)
     return InduceOutcome(Induced(best_prog, best_labs, best_log, truncated), exhausted, tried)
 
@@ -993,8 +947,6 @@ def entails(
     The kb must evaluate the abducible predicates deterministically (ground
     arithmetic builtins); nothing is assumed here.
     """
-    from .kb import deduce
-
     library = metarule_library(metarules)
     k2 = kb.copy()
     for c in program_clauses(program, library):

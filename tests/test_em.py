@@ -252,9 +252,32 @@ def test_train_writes_metrics_and_artifacts(tmp_path):
     # sum stores are chains, solved exactly: no solved batch is truncated
     col = METRIC_COLUMNS.index("solver_truncated")
     assert {r[col] for r in rows[1:] if r[METRIC_COLUMNS.index("score")]} == {"0"}
+    # failure is empty exactly on solved batches, a reason on the others
+    score, failure = METRIC_COLUMNS.index("score"), METRIC_COLUMNS.index("failure")
+    reasons = {"budget_exhausted", "depth_cut", "unscorable", "no_candidate"}
+    for r in rows[1:]:
+        assert (r[failure] == "") if r[score] else (r[failure] in reasons)
     assert (tmp_path / "arts" / "program_best.pl").exists()
     assert state.best_program is not None
     assert "f(A,B) :- add(A,C)" in state.best_text()
+
+
+def test_depth_cut_batch_records_its_failure(tmp_path):
+    # f -> add -> f -> eq takes four steps: depth_limit=2 proves no sum of two or more items
+    task = make_task("sum")
+    gen = SyntheticDigitGen(seed=0)
+    exs = gen_sequences(task, 4, lengths=(2, 3), gen=gen, seed=0)
+    cfg = EMConfig(
+        epochs=1,
+        batch_size=4,
+        budget=SearchBudget(max_clauses=2, depth_limit=2),
+        metrics_path=tmp_path / "metrics.csv",
+    )
+    with pytest.raises(EMError):
+        train(task, exs, cfg, model=MLP(8, 10, seed=0))
+    with open(tmp_path / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["score"], r["failure"]) for r in rows] == [("", "depth_cut")]
 
 
 def test_train_best_score_never_decreases(tmp_path):

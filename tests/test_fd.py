@@ -165,6 +165,33 @@ class TestSolveBest:
         lab = solve_best(st, max_nodes=5)
         assert lab is not None and lab.truncated
 
+    def test_cap_before_first_labeling_reads_truncated_not_infeasible(self):
+        # x0+x0#=v, v#=8 is not a chain: branch-and-bound tries x0=0 first,
+        # which fails, and a one-node cap stops it before any leaf
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(uniform_table())
+        v = st.new_derived_var(0, 18)
+        st.post_add(x0, x0, v)
+        st.post_eq_const(v, 8)
+        assert fd._chain_of(st) is None
+        assert solve_best(st).assignment == {x0: 4}
+        budget = Budget()
+        lab = solve_best(st, budget, max_nodes=1)
+        assert budget.solver_leaves == 0
+        assert lab is not None and lab.truncated
+        assert lab.assignment == {} and lab.log_prob == -math.inf
+
+    def test_exhausted_budget_reads_truncated_on_a_chain_too(self):
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(uniform_table())
+        x1 = st.new_weighted_var(uniform_table())
+        st.post_add(x0, x1, st.new_derived_var(0, 18))
+        assert fd._chain_of(st) is not None
+        budget = Budget(max_nodes=0)
+        assert not budget.tick()
+        lab = solve_best(st, budget)
+        assert lab is not None and lab.truncated and lab.log_prob == -math.inf
+
 
 class TestSolveAll:
     def test_pairs_summing_to_three(self):

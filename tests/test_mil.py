@@ -186,6 +186,60 @@ def test_program_key_ignores_order_and_invented_names():
     assert p1.key() == p3.key()
 
 
+_PLAIN = ("f", "add", "eq", "tail")  # background and target symbols
+_INVENTED = ("f_1", "f_2", "f_3")
+
+
+@st.composite
+def _programs(draw):
+    symbol = st.sampled_from(_PLAIN + _INVENTED)
+    metasubs = draw(
+        st.lists(
+            st.builds(
+                MetaSub,
+                st.sampled_from(("chain", "ident", "precon")),
+                st.tuples(*(st.tuples(st.just(ev), symbol) for ev in "PQR")),
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    used = {v for ms in metasubs for _, v in ms.bindings}
+    return Program(tuple(metasubs), tuple((n, 2) for n in _INVENTED if n in used))
+
+
+def _rebind(prog: Program, names: dict, at=None) -> Program:
+    """prog with symbols renamed by names, everywhere or only in binding at."""
+    out = []
+    for i, ms in enumerate(prog.metasubs):
+        out.append(MetaSub(ms.rule, tuple(
+            (k, names.get(v, v) if at in (None, (i, j)) else v)
+            for j, (k, v) in enumerate(ms.bindings)
+        )))
+    invented = tuple((names.get(n, n) if at is None else n, a) for n, a in prog.invented)
+    return Program(tuple(out), invented)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prog=_programs(), data=st.data())
+def test_program_key_is_invariant_under_invented_renaming_only(prog, data):
+    fresh = data.draw(st.permutations([f"g_{i}" for i in range(len(prog.invented))]))
+    renamed = _rebind(prog, {n: new for (n, _), new in zip(prog.invented, fresh)})
+    assert renamed.key() == prog.key()
+    plain = [
+        (i, j)
+        for i, ms in enumerate(prog.metasubs)
+        for j, (_, v) in enumerate(ms.bindings)
+        if v in _PLAIN
+    ]
+    if plain:
+        i, j = data.draw(st.sampled_from(plain))
+        old = prog.metasubs[i].bindings[j][1]
+        new = data.draw(st.sampled_from([n for n in _PLAIN if n != old]))
+        assert _rebind(prog, {old: new}, at=(i, j)).key() != prog.key()
+
+
 # ---------------------------------------------------------------------------
 # prove
 # ---------------------------------------------------------------------------
@@ -283,6 +337,47 @@ def test_prove_left_recursion_terminates():
     )
     assert not runtime.exhausted
     assert any(clause_texts(r.program, setting) == {"f(A,B) :- eq(A,B)."} for r in results)
+
+
+_RECURSIVE_BK = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+same(L) :- same(L).
+four :- one, one, one, one.
+one.
+"""
+
+
+@pytest.mark.parametrize(
+    "goal, depth_limit, answers, cut",
+    [
+        ("app(X,Y,[1,2,3])", 512, 4, False),
+        ("app(X,Y,[1,2,3])", 3, 3, True),  # the depth limit cuts the last split
+        ("app([1],[2],[1,2])", 512, 1, False),
+        ("same([1])", 16, 0, True),  # no descent check on background clauses
+        ("four", 5, 1, False),
+        ("four", 4, 0, True),  # the siblings of a goal pay for the steps before them
+    ],
+)
+def test_prove_resolves_background_goals_as_deduce_does(goal, depth_limit, answers, cut):
+    kb = standard_kb(_RECURSIVE_BK)
+    atom = parse_atom(goal)
+    by_kb = Budget()
+    kb_answers = list(deduce(atom, kb, depth_limit=depth_limit, budget=by_kb))
+    setting = InductionSetting(kb, default_metarules(), {}, ("t", 1), [])
+    by_mil = Budget()
+    proofs = prove(
+        atom,
+        Program(),
+        setting,
+        ExactFacts(),
+        SearchBudget(depth_limit=depth_limit),
+        runtime=by_mil,
+        allow_new_clauses=False,
+    )
+    assert sum(1 for _ in proofs) == len(kb_answers) == answers
+    assert (by_mil.nodes, by_mil.depth_hits) == (by_kb.nodes, by_kb.depth_hits)
+    assert (by_kb.depth_hits > 0) == cut
 
 
 def test_prove_pruning_keeps_best_result():
@@ -534,6 +629,10 @@ def test_solver_truncation_reaches_labelings_and_induced():
     assert out.induced is not None and out.induced.truncated
     assert out.induced.labelings[0].truncated
     assert not induce([ex], setting, facts, SearchBudget(max_clauses=2)).induced.truncated
+    # x0=3 is feasible, but the cap stops the search at x0=2, before any
+    # labeling: the example scores -inf marked truncated, not "no proof"
+    cut = score_example(GoalExample(item_goal([0, 0], 6)), SUM_PROG, setting, facts, capped)
+    assert cut is not None and cut.truncated and cut.log_prob == -math.inf
     # a chain store takes the exact pass, which the cap does not bind
     chain_ex = GoalExample(item_goal([0, 1], 5))
     assert not score_example(chain_ex, SUM_PROG, setting, facts, capped).truncated
