@@ -16,9 +16,10 @@ alternatives, tried in this order:
      reuse a recorded template instantiation, or, within the clause budget,
      bind a new one, inventing a fresh auxiliary symbol as a last resort.
 
-induce() wraps prove() in an iterative-deepening search over program size
-and scores every surviving candidate on the whole batch, where a program's
-score is a simplicity prior times the per-example abduction probabilities.
+induce() wraps prove() in an iterative-deepening search over program size,
+grows candidates until they prove every positive or fill the clause budget,
+and scores each on the whole batch, where a program's score is a simplicity
+prior times the per-example abduction probabilities.
 
 Termination does not rely on iterative deepening alone.  An inducible call
 whose predicate already occurs among its inducible ancestors must strictly
@@ -372,8 +373,9 @@ class Induced:
     """Winning program of an induce call.
 
     truncated: a solver call stopped early while scoring this program or a
-    rival, so the score, the pseudo-labels or the choice of program may not
-    be the optimum.
+    rival (even one later rejected for want of a proof: the flag may
+    over-report, never under-report), so the score, the pseudo-labels or the
+    choice of program may not be the optimum.
     """
 
     program: Program
@@ -393,9 +395,10 @@ class InduceOutcome:
     failure says why induced is None, by the first reason that holds:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
     (the depth limit cut some branch, so a program may lie beyond it),
-    "unscorable" (every candidate scored None or -inf on some example) or
-    "no_candidate" (no program proved every positive example, so nothing
-    was scored).  It is None when a program was found.
+    "unscorable" (a candidate proves every positive, weights aside, yet none
+    scored above -inf on every example) or "no_candidate" (no program proves
+    every positive example).  It is None when a program was found.  candidates_tried
+    counts full programs rejected on a positive generation left to scoring.
     """
 
     induced: Optional[Induced]
@@ -816,14 +819,15 @@ def _candidate_programs(
     facts,
     runtime: Budget,
 ) -> "list[Program]":
-    """Programs that prove every positive example, by sequential extension."""
+    """Programs that prove every positive by sequential extension, or that
+    fill budget.max_clauses first and are left to scoring for the rest."""
     seen_prefix: set = set()
     found: dict = {}
 
     def rec(idx: int, prog: Program):
         if not runtime.ok():
             return
-        if idx == len(positives):
+        if idx == len(positives) or prog.size == budget.max_clauses:
             if prog.size > 0:
                 found.setdefault(prog.key(), prog)
             return
@@ -876,10 +880,11 @@ def induce(
     Iterative deepening over program size: once the incumbent's score is at
     least the prior of the next size, no larger program can win and the
     search stops.  Within a size, candidates go in print order and a
-    candidate is abandoned mid-batch as soon as its partial product cannot
-    reach the incumbent.  Each example is scored under a fresh runtime
-    budget, so every example gets its own max_nodes cap and wall_ms
-    deadline; its counters fold back into the shared one.
+    candidate is dropped at its first example in batch order with no proof,
+    or as soon as its partial product cannot reach the incumbent.  Each
+    example is scored under a fresh runtime budget, so every example gets
+    its own max_nodes cap and wall_ms deadline; its counters fold back into
+    the shared one.
     """
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
@@ -888,6 +893,7 @@ def induce(
     best_log, best_prog, best_labs = -math.inf, None, None
     truncated = False
     tried = 0
+    pool: "list[Program]" = []
     for size_cap in range(1, budget.max_clauses + 1):
         if not runtime.ok():
             break
@@ -899,6 +905,7 @@ def induce(
             for p in _candidate_programs(positives, setting, round_budget, facts, runtime)
             if p.size == size_cap
         ]
+        pool += candidates
         for prog in candidates:
             if not runtime.ok():
                 break
@@ -920,10 +927,16 @@ def induce(
                 if acc > best_log:
                     best_log, best_prog, best_labs = acc, prog, tuple(labs)
 
+    # Scoring stops at a candidate's first rejection and a full candidate
+    # left generation early, so to name the cause of a failure prove the
+    # positives under every candidate to their last proofs, as generation does.
+    proven = best_prog is None and any([all(list(prove(
+        e.goal, p, setting, facts, budget, runtime=runtime, allow_new_clauses=False, prune=False,
+        feasibility_only=True)) for e in positives) for p in pool])
     exhausted = runtime.exhausted or not runtime.ok()
     if best_prog is None:
         failure = "budget_exhausted" if exhausted else "depth_cut" if runtime.depth_hits else (
-            "unscorable" if tried else "no_candidate"
+            "unscorable" if proven else "no_candidate"
         )
         return InduceOutcome(None, exhausted, tried, failure)
     return InduceOutcome(Induced(best_prog, best_labs, best_log, truncated), exhausted, tried)

@@ -301,25 +301,33 @@ def clause_vars(c: Clause) -> "list[str]":
 
 
 def rename_term(t: Term, mapping: Mapping[str, str]) -> Term:
+    return _swap_vars(t, {n: Var(m) for n, m in mapping.items()})
+
+
+def _swap_vars(t: Term, vs: Mapping[str, Var]) -> Term:
+    """t with each variable named in vs replaced by that very Var object."""
     if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
+        return vs.get(t.name, t)
     if isinstance(t, Struct) and not t.ground:
-        return Struct(t.functor, tuple(rename_term(a, mapping) for a in t.args))
+        return Struct(t.functor, tuple(_swap_vars(a, vs) for a in t.args))
     return t
 
 
+def _swap_clause_vars(c: Clause, vs: Mapping[str, Var]) -> Clause:
+    head = Atom(c.head.pred, tuple(_swap_vars(t, vs) for t in c.head.args))
+    body = tuple(Atom(b.pred, tuple(_swap_vars(t, vs) for t in b.args)) for b in c.body)
+    return Clause(head, body)
+
+
 def rename_apart(c: Clause, names: "Optional[list[str]]" = None) -> Clause:
-    """Copy a clause with every variable replaced by a globally fresh one.
+    """Copy a clause with each variable replaced by one globally fresh Var.
 
     names, if given, must be clause_vars(c); callers that rename the same
     clause many times pass it to skip the walk.
     """
     if names is None:
         names = clause_vars(c)
-    mapping = {v: fresh_name() for v in names}
-    head = Atom(c.head.pred, tuple(rename_term(t, mapping) for t in c.head.args))
-    body = tuple(Atom(b.pred, tuple(rename_term(t, mapping) for t in b.args)) for b in c.body)
-    return Clause(head, body)
+    return _swap_clause_vars(c, {v: Var(fresh_name()) for v in names})
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +371,5 @@ def print_clause(c: Clause) -> str:
 def pretty_clause(c: Clause) -> str:
     """Clause text with variables normalised to A, B, C, ... per clause."""
     names = clause_vars(c)
-    mapping = {}
-    for i, n in enumerate(names):
-        if i < 26:
-            mapping[n] = chr(ord("A") + i)
-        else:
-            mapping[n] = f"V{i}"
-    head = Atom(c.head.pred, tuple(rename_term(t, mapping) for t in c.head.args))
-    body = tuple(Atom(b.pred, tuple(rename_term(t, mapping) for t in b.args)) for b in c.body)
-    return print_clause(Clause(head, body))
+    mapping = {n: Var(chr(ord("A") + i) if i < 26 else f"V{i}") for i, n in enumerate(names)}
+    return print_clause(_swap_clause_vars(c, mapping))

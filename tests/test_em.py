@@ -222,6 +222,17 @@ def test_e_step_contradiction_yields_no_program():
     assert out.candidates_tried == 0 and out.failure == "no_candidate"
 
 
+def test_e_step_later_contradiction_yields_no_candidate():
+    # The first example admits full programs, which leave generation at once
+    # and are tried; the second refutes each in scoring for want of a proof.
+    task = make_task("sum")
+    batch = [seq([1, 2], 3), seq([4, 5], 200)]
+    _, facts = _sum_batch_facts(batch)
+    out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
+    assert out.induced is None and not out.budget_exhausted
+    assert out.candidates_tried > 0 and out.failure == "no_candidate"
+
+
 # ---------------------------------------------------------------------------
 # train loop
 # ---------------------------------------------------------------------------

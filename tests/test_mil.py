@@ -615,6 +615,85 @@ def test_induce_reports_unscorable_candidates():
     assert ok.induced is not None and ok.failure is None
 
 
+def _full_generation(positives, setting, budget, facts, runtime):
+    """Reference candidate generation: every program must prove every
+    positive in generation, also after it has filled the clause budget."""
+    seen_prefix, found = set(), {}
+
+    def rec(idx, prog):
+        if not runtime.ok():
+            return
+        if idx == len(positives):
+            if prog.size > 0:
+                found.setdefault(prog.key(), prog)
+            return
+        if (prog.key(), idx) in seen_prefix:
+            return
+        seen_prefix.add((prog.key(), idx))
+        local = set()
+        for r in prove(
+            positives[idx].goal, prog, setting, facts, budget,
+            runtime=runtime, prune=False, feasibility_only=True,
+        ):
+            if r.program.key() not in local:
+                local.add(r.program.key())
+                rec(idx + 1, r.program)
+
+    rec(0, Program())
+    return sorted(found.values(), key=lambda p: (p.size, program_text(p, setting.library)))
+
+
+def _outcome(out):
+    ind = out.induced
+    won = None if ind is None else (
+        sorted(ind.program.key()), ind.log_score.hex(), ind.labelings, ind.truncated
+    )
+    return won, out.budget_exhausted, out.failure
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_induce_matches_full_generation_reference(data):
+    """Leaving full programs to scoring changes no outcome of induce."""
+    lengths = data.draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    negative = data.draw(st.booleans())
+    n_items = sum(lengths) + 2 * negative
+    tables = data.draw(st.lists(_WEIGHTS, min_size=n_items, max_size=n_items))
+    facts = TableFacts({i: [w / sum(ws) for w in ws] for i, ws in enumerate(tables)})
+    ids = iter(range(n_items))
+    examples = []
+    for n in lengths:
+        items = [next(ids) for _ in range(n)]
+        # mostly the sum of a label tuple of nonzero weight, else out of reach
+        y = sum(data.draw(st.sampled_from([v for v, w in enumerate(tables[i]) if w])) for i in items)
+        examples.append(GoalExample(item_goal(items, y if data.draw(st.integers(0, 4)) else 9 * n + 1)))
+    if negative:
+        neg = GoalExample(item_goal([next(ids), next(ids)], data.draw(st.integers(0, 18))), positive=False)
+        examples.insert(data.draw(st.integers(0, len(examples))), neg)
+    budget = SearchBudget(max_clauses=2)
+    got = induce(examples, sum_setting(), facts, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "_candidate_programs", _full_generation)
+        want = induce(examples, sum_setting(), facts, budget)
+    assert _outcome(got) == _outcome(want)
+
+
+def test_generation_never_extends_a_full_program(monkeypatch):
+    calls = []
+
+    def spy(goals, program, setting, facts, budget=None, **kw):
+        calls.append((program.size, budget.max_clauses, kw.get("allow_new_clauses", True)))
+        return prove(goals, program, setting, facts, budget, **kw)
+
+    monkeypatch.setattr(mil, "prove", spy)
+    examples = [GoalExample(int_goal([1, 2], 3)), GoalExample(int_goal([4, 5, 6], 15))]
+    out = induce(examples, sum_setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    assert out.induced is not None
+    generation = [(size, cap) for size, cap, new in calls if new]
+    assert generation and all(size < cap for size, cap in generation)
+    assert any(size == 2 for size, _, new in calls if not new)  # full programs reach scoring
+
+
 def test_solver_truncation_reaches_labelings_and_induced():
     # Item 0 occurs twice, so its store x0+x0#=v is not a chain and goes to
     # branch-and-bound, which a one-node cap stops after its first labeling.

@@ -145,6 +145,26 @@ class TestRenameApart:
         hx = r.head.args[0]
         assert r.body[0].args == (hx, hx)
 
+    @pytest.mark.parametrize("text", ["f(A,B) :- add(A,C), f(C,B).", "p([X|T], Y) :- q(T, [Y,X|T])."])
+    def test_one_var_object_per_variable(self, text):
+        # the first is the chain metarule's clause for the sum program
+        r = rename_apart(parse_clause(text))
+        seen = {}
+
+        def walk(t):
+            if isinstance(t, Var):
+                assert seen.setdefault(t.name, t) is t
+            elif isinstance(t, Struct):
+                for a in t.args:
+                    walk(a)
+
+        for a in (r.head, *r.body):
+            for t_ in a.args:
+                walk(t_)
+        # fresh names are numbered in first-occurrence order
+        nums = [int(n[2:]) for n in seen]
+        assert nums == list(range(nums[0], nums[0] + len(nums)))
+
     def test_counter_monotone(self):
         a = fresh_name()
         b = fresh_name()
