@@ -65,6 +65,7 @@ class ModelFacts:
         self.features = features
         self.value_base = value_base
         self._pair = pair_model
+        self._pair_logp: "dict[tuple[int, int], float]" = {}  # each pair read from the net once
         self._logp = None
         if model is not None and len(features):
             self._logp = model.log_probs(features)
@@ -77,8 +78,10 @@ class ModelFacts:
     def pair_logprob(self, a: int, b: int) -> float:
         if self._pair is None:
             raise EMError("no pairwise model attached")
-        p = float(self._pair.predict_pair(self.features[a], self.features[b]))
-        return math.log(min(max(p, _LOG_FLOOR), 1.0 - _LOG_FLOOR))
+        if (a, b) not in self._pair_logp:
+            p = float(self._pair.predict_pair(self.features[a], self.features[b]))
+            self._pair_logp[a, b] = math.log(min(max(p, _LOG_FLOOR), 1.0 - _LOG_FLOOR))
+        return self._pair_logp[a, b]
 
 
 @dataclass

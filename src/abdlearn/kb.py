@@ -8,6 +8,8 @@ solve() is the one resolver: deduce() runs it on the kb alone, and mil runs
 it with a hook for the predicates the kb does not define.  Termination
 rests on the depth limit, which counts resolution steps along a branch
 (each goal costs one, however it is resolved); there is no descent check.
+resolve(), the step both take, never copies a clause: as in structure sharing
+(Boyer & Moore, 1972), the clause's variables live in a per-step frame.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from .terms import (
     Atom,
     Clause,
     Int,
+    Struct,
     Subst,
+    Term,
     Var,
-    clause_vars,
+    fresh_name,
     mk_list,
     proper_list_items,
-    rename_apart,
+    rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
     term_vars,
     unify,
     unify_atoms,
@@ -103,8 +107,8 @@ class KnowledgeBase:
     """Clauses indexed by (predicate, arity) plus native builtins."""
 
     def __init__(self):
-        # each clause with its clause_vars, so renaming it apart skips the walk
-        self.clauses: dict[tuple[str, int], list[tuple[Clause, list[str]]]] = {}
+        # stored as parsed: resolve() matches them without renaming
+        self.clauses: dict[tuple[str, int], list[Clause]] = {}
         self.builtins: dict[tuple[str, int], BuiltinFn] = {}
 
     def copy(self) -> "KnowledgeBase":
@@ -117,7 +121,7 @@ class KnowledgeBase:
         key = c.head.key()
         if key in self.builtins:
             raise KBError(f"clause for {key[0]}/{key[1]} would override a builtin")
-        self.clauses.setdefault(key, []).append((c, clause_vars(c)))
+        self.clauses.setdefault(key, []).append(c)
 
     def add_text(self, text: str) -> None:
         for c in parse_program(text):
@@ -267,10 +271,11 @@ def solve(
     """Depth-first SLD resolution of (atom, scope) goals; yields (subst, state).
 
     Each goal costs one budget tick and one step of depth_limit.  A goal
-    the kb defines is resolved by its builtin or clauses, a clause body
-    inheriting the goal's scope.  Any other goal, substitution applied, goes
-    to hook(goal, scope, subst, state), which yields the alternatives as
-    (body atoms, body scope, subst, state); without a hook it fails.
+    the kb defines is resolved by its builtin or clauses (through
+    resolve(), which builds only the body), a clause body inheriting the
+    goal's scope.  Any other goal, substitution applied, goes to hook(goal,
+    scope, subst, state), which yields the alternatives as (body atoms,
+    body scope, subst, state); without a hook it fails.
     """
     # generator frames stack with proof depth; long lists need headroom
     if sys.getrecursionlimit() < 20000:
@@ -301,15 +306,13 @@ def _solve(stack, s: Subst, depth: int, kb: KnowledgeBase, budget: Budget, state
         return
     clauses = kb.clauses.get(key)
     if clauses is not None:
-        for clause, names in clauses:
-            c = rename_apart(clause, names)
-            s2 = unify_atoms(goal, c.head, s)
-            if s2 is None:
-                continue
-            stack2 = rest
-            for b in reversed(c.body):
-                stack2 = (b, scope, stack2)
-            yield from _solve(stack2, s2, depth, kb, budget, state, hook)
+        for clause in clauses:
+            step = resolve(goal, clause, s)
+            if step is not None:
+                stack2 = rest
+                for b in reversed(step[0]):
+                    stack2 = (b, scope, stack2)
+                yield from _solve(stack2, step[1], depth, kb, budget, state, hook)
         return
     if hook is None:
         return
@@ -318,3 +321,42 @@ def _solve(stack, s: Subst, depth: int, kb: KnowledgeBase, budget: Budget, state
         for b in reversed(body):
             stack2 = (b, body_scope, stack2)
         yield from _solve(stack2, s2, depth, kb, budget, state2, hook)
+
+
+def resolve(goal: Atom, clause: Clause, s: Subst) -> "Optional[tuple[tuple[Atom, ...], Subst]]":
+    """(body, s2) of renaming clause apart and unifying its head with goal, or None.
+
+    Predicate and arity must match.  A frame maps clause variables to terms; none enters s."""
+    frame: dict = {}
+    s2 = _match(clause.head.args, goal.args, frame, s)
+    if s2 is None:
+        return None
+    return tuple(Atom(b.pred, tuple(_build(t, frame) for t in b.args)) for b in clause.body), s2
+
+
+def _match(cs: tuple, gs: tuple, frame: dict, s: Subst) -> Optional[Subst]:
+    """s extended so that clause terms cs, read through frame, equal goal terms gs."""
+    for c, g in zip(cs, gs):
+        if isinstance(c, Var):
+            t = frame.setdefault(c.name, g)  # a first occurrence takes g, binding nothing
+            s = s if t is g else unify(t, g, s)
+        elif not isinstance(c, Struct) or c.ground:
+            s = unify(c, g, s)
+        elif isinstance(g := s.walk(g), Var):
+            s = unify(g, _build(c, frame), s)
+        elif isinstance(g, Struct) and g.functor == c.functor and len(g.args) == len(c.args):
+            s = _match(c.args, g.args, frame, s)
+        else:
+            return None
+        if s is None:
+            return None
+    return s
+
+
+def _build(t: Term, frame: dict) -> Term:
+    """Clause term t read through frame; a variable not yet in it gets a fresh one."""
+    if isinstance(t, Var):
+        return frame[t.name] if t.name in frame else frame.setdefault(t.name, Var(fresh_name()))
+    if isinstance(t, Struct) and not t.ground:
+        return Struct(t.functor, tuple(_build(a, frame) for a in t.args))
+    return t

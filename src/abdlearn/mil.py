@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 from .fd import ConstraintStore, Labeling, _completion_exists, solve_best
-from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, solve
+from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, resolve, solve
 from .metarules import (
     MetaSub,
     Metarule,
@@ -54,10 +54,9 @@ from .terms import (
     Struct,
     Subst,
     Term,
-    clause_vars,
     print_term,
     proper_list_items,
-    rename_apart,
+    rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
     unify,
     unify_atoms,
 )
@@ -274,13 +273,11 @@ class InductionSetting:
             if not (self.kb.defines(key) or key in self.abducibles or key == self.target):
                 raise SettingError(f"body pool entry {key[0]}/{key[1]} is undefined")
 
-    def clause_of(self, ms: MetaSub) -> "tuple[Clause, list[str]]":
-        """ms's clause and its variables, materialised once per setting."""
-        out = self._clauses.get(ms)
-        if out is None:
-            c = materialize(ms, self.library)
-            out = self._clauses[ms] = (c, clause_vars(c))
-        return out
+    def clause_of(self, ms: MetaSub) -> Clause:
+        """ms's clause, materialised once per setting."""
+        if ms not in self._clauses:
+            self._clauses[ms] = materialize(ms, self.library)
+        return self._clauses[ms]
 
     def taken_names(self) -> "set[str]":
         names = {n for n, _ in self.kb.predicates()}
@@ -561,17 +558,16 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
 
 
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
-    """g resolved by a metarule clause of the program, recorded or new."""
+    """g resolved by kb.resolve on a metarule clause of the program, recorded or new."""
     prog = state[0]
     size = _arg1_size(g)
     if not _descends(anc, g.pred, size):
         return
     anc2 = anc + ((g.pred, size),) if size is not None else anc
     for ms, prog2 in _clause_choices(g, prog, ctx):
-        rc = rename_apart(*ctx.setting.clause_of(ms))
-        s2 = unify_atoms(g, rc.head, s)
-        if s2 is not None:
-            yield rc.body, anc2, s2, (prog2, *state[1:])
+        step = resolve(g, ctx.setting.clause_of(ms), s)
+        if step is not None:
+            yield step[0], anc2, step[1], (prog2, *state[1:])
 
 
 def _clause_choices(g: Atom, prog: Program, ctx: _Ctx):

@@ -696,9 +696,13 @@ def _pair_relation(task: Task, examples, model, use_truth: bool):
                 return ex.truth[item_id(a)] >= ex.truth[item_id(b)]
 
         else:
+            seen: "dict[tuple[int, int], bool]" = {}  # each pair read from the net once
 
             def rel(a: Term, b: Term) -> bool:
-                return model.predict_pair(ex.x[item_id(a)], ex.x[item_id(b)]) >= 0.5
+                i, j = item_id(a), item_id(b)
+                if (i, j) not in seen:
+                    seen[i, j] = model.predict_pair(ex.x[i], ex.x[j]) >= 0.5
+                return seen[i, j]
 
         return rel
 

@@ -12,6 +12,9 @@ each argument.  On a ground ``Struct`` the walkers here (``occurs``,
 ``Subst.apply``, ``term_vars``, ``rename_term``) return at once, and
 ``Subst.apply`` returns the very same object, so a long ground list is
 never re-walked or copied while resolution passes it along.
+
+Renaming is not on the resolution path (``kb.resolve`` never copies a
+clause); ``rename_apart`` is a utility for a whole fresh copy of one.
 """
 
 from __future__ import annotations
@@ -190,9 +193,6 @@ class Subst:
     def apply_atom(self, a: Atom) -> Atom:
         return Atom(a.pred, tuple(self.apply(t) for t in a.args))
 
-    def apply_clause(self, c: Clause) -> Clause:
-        return Clause(self.apply_atom(c.head), tuple(self.apply_atom(b) for b in c.body))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={print_term(v)}" for k, v in sorted(self._m.items()))
         return f"Subst({inner})"
@@ -319,15 +319,9 @@ def _swap_clause_vars(c: Clause, vs: Mapping[str, Var]) -> Clause:
     return Clause(head, body)
 
 
-def rename_apart(c: Clause, names: "Optional[list[str]]" = None) -> Clause:
-    """Copy a clause with each variable replaced by one globally fresh Var.
-
-    names, if given, must be clause_vars(c); callers that rename the same
-    clause many times pass it to skip the walk.
-    """
-    if names is None:
-        names = clause_vars(c)
-    return _swap_clause_vars(c, {v: Var(fresh_name()) for v in names})
+def rename_apart(c: Clause) -> Clause:
+    """Copy a clause with each variable replaced by one globally fresh Var."""
+    return _swap_clause_vars(c, {v: Var(fresh_name()) for v in clause_vars(c)})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from abdlearn import em
 from abdlearn.em import (
     EMConfig,
     EMError,
@@ -78,6 +79,30 @@ def test_model_facts_pair_clipped():
     facts = ModelFacts(idx_features(2), pair_model=HardPair())
     assert facts.pair_logprob(1, 0) < 0.0  # never exactly log(1) = 0
     assert math.isfinite(facts.pair_logprob(0, 1))
+
+
+class _CountingPair:
+    """Pair model spy: a fixed pseudo-random order, every call recorded."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict_pair(self, a, b):
+        self.calls.append((float(a[0]), float(b[0])))
+        return 0.5 + 0.4 * math.sin(3.0 * a[0] - 7.0 * b[0])
+
+
+def test_model_facts_reads_each_pair_once_per_batch():
+    task = make_task("sorted_concept")
+    batch = gen_sequences(task, 6, lengths=(2, 4), seed=3)
+    _, features, _ = em._assemble(task, batch)
+    spy = _CountingPair()
+    facts = ModelFacts(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy)
+    e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=3))
+    assert spy.calls and len(spy.calls) == len(set(spy.calls))
+    again = facts.pair_logprob(0, 1)
+    n = len(spy.calls)
+    assert facts.pair_logprob(0, 1) == again and len(spy.calls) == n
 
 
 def test_model_facts_missing_parts_raise():

@@ -408,6 +408,25 @@ class _FirstFeatureOrder:
         return 1.0 if a[0] >= b[0] else 0.0
 
 
+class _CountingOrder(_FirstFeatureOrder):
+    def __init__(self):
+        self.calls = 0
+
+    def predict_pair(self, a, b):
+        self.calls += 1
+        return super().predict_pair(a, b)
+
+
+def test_evaluate_reads_each_pair_at_most_once_per_example():
+    bt = make_task("bogosort")
+    merged = merge_programs(BOGO_PROG, SORT_PROG)
+    spy = _CountingOrder()
+    for ex in gen_sequences(bt, 12, lengths=(3, 5), seed=13):
+        spy.calls = 0
+        evaluate(merged, bt, [ex], model=spy)
+        assert 0 < spy.calls <= len(ex) * (len(ex) - 1)
+
+
 def test_evaluate_perm_acc_bounded_by_elem_acc():
     bt = make_task("bogosort")
     merged = merge_programs(BOGO_PROG, SORT_PROG)
