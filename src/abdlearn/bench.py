@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .em import ModelFacts, _assemble
+from .em import _assemble
 from .metarules import default_metarules
-from .mil import ExactFacts, SearchBudget, induce
+from .mil import SearchBudget, TableFacts, induce
 from .tasks import SeqExample, Task
 
 
@@ -85,12 +85,18 @@ def bench_abduction(
     model,
     budget: Optional[SearchBudget] = None,
 ) -> "list[AbductionBenchRow]":
+    """Both labeling orders on each batch, from one fact oracle per batch.
+
+    The batch's TableFacts.from_model holds the classifier's item tables;
+    induce abduces from it (H then z), and the enumeration ranks label
+    tuples by the same tables (z then H).
+    """
     budget = budget or SearchBudget(max_clauses=task.max_clauses)
     setting = task.setting()
     rows = []
     for bi, batch in enumerate(batches):
         goals, features, spans = _assemble(task, batch)
-        facts = ModelFacts(features, model=model, value_base=task.value_base)
+        facts = TableFacts.from_model(features, model=model, value_base=task.value_base)
         runtime = budget.runtime()
         t0 = time.perf_counter()
         out = induce(goals, setting, facts, budget, runtime=runtime)
@@ -140,7 +146,7 @@ def bench_metarules(
         if ex.truth is None:
             raise ValueError("metarule bench needs ground-truth digits")
         labels.update({i: d for i, d in zip(ids, ex.truth)})
-    facts = ExactFacts(labels, n_values=task.n_classes, value_base=task.value_base)
+    facts = TableFacts.exact(labels, n_values=task.n_classes, value_base=task.value_base)
     rows = []
     for names in subsets or DEFAULT_SUBSETS:
         setting = task.setting(metarule_names=tuple(names))

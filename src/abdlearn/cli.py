@@ -207,10 +207,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         raise CliError(CONFIG_ERR, "--val/--test cannot be negative")
     task = make_task(args.task)
     lengths = _parse_lengths(args.lengths)
+    try:
+        gen = SyntheticDigitGen(
+            n_classes=task.n_classes, dim=args.dim, noise=args.noise, seed=args.seed
+        )
+    except TaskError as e:
+        raise CliError(CONFIG_ERR, f"bad --dim or --noise: {e}") from e
     out = _fresh_out_dir(args.out)
-    gen = SyntheticDigitGen(
-        n_classes=task.n_classes, dim=args.dim, noise=args.noise, seed=args.seed
-    )
     splits = [("train", args.train), ("val", args.val), ("test", args.test)]
     written = []
     for name, n in splits:
@@ -447,8 +450,8 @@ def cmd_bench_metarules(args: argparse.Namespace) -> int:
     examples = _load_examples(args.data, task.id)
     if args.limit:
         examples = examples[: args.limit]
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
         rows = bench_metarule_sizes(task, examples, sizes=sizes)
     except ValueError as e:
         raise CliError(CONFIG_ERR, str(e)) from e

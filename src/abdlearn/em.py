@@ -6,11 +6,17 @@ current perception model; the M-step treats those labels as supervised
 targets and takes a few gradient passes, warm-starting from the current
 weights.  The best-scoring program seen so far is retained across batches
 and epochs.
+
+Perception is read once per batch, through one mil.TableFacts built from
+the current model before the E-step.  The E-step's abduction and the
+perception_acc column read the same tables: one classifier forward per
+batch, and at most one pair-net call per ordered pair of items.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,11 +30,9 @@ from .metarules import (
     metarule_library,
     program_text,
 )
-from .mil import InduceOutcome, Induced, InductionSetting, SearchBudget, induce
+from .mil import InduceOutcome, Induced, InductionSetting, SearchBudget, TableFacts, induce
 from .perception import pretrain_few_shot
 from .tasks import SeqExample, Task
-
-_LOG_FLOOR = 1e-9  # pairwise probabilities are clipped away from {0,1}
 
 METRIC_COLUMNS = (
     "epoch",
@@ -45,43 +49,6 @@ METRIC_COLUMNS = (
 
 class EMError(RuntimeError):
     pass
-
-
-class ModelFacts:
-    """Fact oracle reading probabilities off the current perception model.
-
-    Item ids index rows of the batch feature matrix.  Monadic tasks use the
-    classifier's log-softmax directly; dyadic tasks score an ordered pair
-    through the pairwise net.
-    """
-
-    def __init__(
-        self,
-        features: np.ndarray,
-        model=None,
-        pair_model=None,
-        value_base: int = 0,
-    ):
-        self.features = features
-        self.value_base = value_base
-        self._pair = pair_model
-        self._pair_logp: "dict[tuple[int, int], float]" = {}  # each pair read from the net once
-        self._logp = None
-        if model is not None and len(features):
-            self._logp = model.log_probs(features)
-
-    def item_logweights(self, item: int) -> Sequence[float]:
-        if self._logp is None:
-            raise EMError("no per-item classifier attached")
-        return [float(v) for v in self._logp[item]]
-
-    def pair_logprob(self, a: int, b: int) -> float:
-        if self._pair is None:
-            raise EMError("no pairwise model attached")
-        if (a, b) not in self._pair_logp:
-            p = float(self._pair.predict_pair(self.features[a], self.features[b]))
-            self._pair_logp[a, b] = math.log(min(max(p, _LOG_FLOOR), 1.0 - _LOG_FLOOR))
-        return self._pair_logp[a, b]
 
 
 @dataclass
@@ -134,7 +101,7 @@ def e_step(
     task: Task,
     batch: Sequence[SeqExample],
     setting: InductionSetting,
-    facts: ModelFacts,
+    facts: TableFacts,
     budget: SearchBudget,
     runtime=None,
 ) -> InduceOutcome:
@@ -160,26 +127,25 @@ def _pseudo_label_acc(task: Task, batch, spans, induced: Induced) -> Optional[fl
     return hits / total if total else None
 
 
-def _perception_acc(task: Task, batch, model, pair_model) -> Optional[float]:
+def _perception_acc(task: Task, batch, spans, facts: TableFacts) -> Optional[float]:
+    """Share of the batch's truths that the scored model reads right.
+
+    Read off the batch's fact oracle: each item's most probable digit, or,
+    on a dyadic task, each pair i < j of an example, held at probability
+    0.5 or above.
+    """
     hits = total = 0
-    for ex in batch:
+    for ex, ids in zip(batch, spans):
         if ex.truth is None:
             continue
         if task.dyadic:
-            if pair_model is None:
-                continue
-            n = len(ex)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    pred = pair_model.predict_pair(ex.x[i], ex.x[j]) >= 0.5
-                    hits += int(pred == (ex.truth[i] >= ex.truth[j]))
-                    total += 1
+            for i, j in itertools.combinations(range(len(ids)), 2):
+                pred = facts.pair_prob(ids[i], ids[j]) >= 0.5
+                hits += int(pred == (ex.truth[i] >= ex.truth[j]))
+                total += 1
         else:
-            if model is None:
-                continue
-            labels = model.predict_label(ex.x)
-            for lab, d in zip(np.atleast_1d(labels), ex.truth):
-                hits += int(int(lab) + task.value_base == d)
+            for i, d in zip(ids, ex.truth):
+                hits += int(facts.item_label(i) == d)
                 total += 1
     return hits / total if total else None
 
@@ -238,11 +204,13 @@ def train(
 ) -> EMState:
     """Run hard-EM epochs over shuffled batches.
 
-    Every batch appends one metrics row.  A batch whose E-step finds no
-    program is skipped (no M-step); an epoch in which every batch fails
-    aborts training, since nothing can improve.  With config.pretrain the
-    classifier is first fit on pretrain_data, one labeled item per class,
-    which breaks the cold-start label symmetry.
+    Every batch appends one metrics row.  Its perception_acc is read off the
+    batch's fact oracle before the M-step, so it describes the model the
+    E-step scored.  A batch whose E-step finds no program is skipped (no
+    M-step); an epoch in which every batch fails aborts training, since
+    nothing can improve.  With config.pretrain the classifier is first fit
+    on pretrain_data, one labeled item per class, which breaks the
+    cold-start label symmetry.
     """
     if not examples:
         raise EMError("no training examples")
@@ -285,7 +253,7 @@ def train(
             solved = 0
             for bi, batch in enumerate(batches):
                 goals, features, spans = _assemble(task, batch)
-                facts = ModelFacts(
+                facts = TableFacts.from_model(
                     features,
                     model=None if task.dyadic else model,
                     pair_model=pair_model if task.dyadic else None,
@@ -294,7 +262,7 @@ def train(
                 runtime = config.budget.runtime()
                 out = induce(goals, setting, facts, config.budget, runtime=runtime)
                 nodes = runtime.nodes + runtime.solver_nodes
-                pacc = _perception_acc(task, batch, model, pair_model)
+                pacc = _perception_acc(task, batch, spans, facts)
                 row = {
                     "epoch": epoch,
                     "batch": bi,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .fd import ConstraintStore, Labeling, _completion_exists, solve_best
 from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, resolve, solve
@@ -66,8 +66,6 @@ __all__ = [
     "Abduced",
     "AbductionResult",
     "ExampleLabeling",
-    "ExactFacts",
-    "FactOracle",
     "GoalExample",
     "Induced",
     "InduceOutcome",
@@ -115,70 +113,82 @@ def invent_symbol(base: str, taken: Iterable[str] = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fact oracles
+# Fact oracle
 # ---------------------------------------------------------------------------
 
-
-class FactOracle(Protocol):
-    """Probabilities the perception side assigns to abducible facts.
-
-    Items are referred to by integer handles; what a handle denotes (an
-    image, a feature vector) is the caller's business.
-    """
-
-    value_base: int
-
-    def item_logweights(self, item: int) -> Sequence[float]:
-        """Log-probability table over the item's possible values."""
-        ...
-
-    def pair_logprob(self, a: int, b: int) -> float:
-        """Log-probability that the dyadic relation holds of (a, b)."""
-        ...
-
-
-class ExactFacts:
-    """Oracle with certainty: known labels get probability 1."""
-
-    def __init__(
-        self,
-        labels: Optional[dict] = None,
-        n_values: int = 10,
-        value_base: int = 0,
-        pairs=None,
-    ):
-        self.labels = dict(labels or {})
-        self.n_values = n_values
-        self.value_base = value_base
-        self._pairs = pairs
-
-    def item_logweights(self, item: int) -> Sequence[float]:
-        true = self.labels[item] - self.value_base
-        return tuple(0.0 if v == true else -math.inf for v in range(self.n_values))
-
-    def pair_logprob(self, a: int, b: int) -> float:
-        if self._pairs is None:
-            raise KeyError("no pair relation configured")
-        truth = self._pairs(a, b) if callable(self._pairs) else self._pairs[(a, b)]
-        return 0.0 if truth else -math.inf
+_LOG_FLOOR = 1e-9  # model pair probabilities are clipped away from {0,1}
 
 
 class TableFacts:
-    """Oracle backed by explicit probability tables (handy in tests)."""
+    """The fact oracle: probabilities perception gives the abducible facts.
 
-    def __init__(self, tables: dict, value_base: int = 0, pairs: Optional[dict] = None):
-        self.tables = {
+    Items are integer handles; what a handle denotes (an image, a row of a
+    feature matrix) is the caller's business.  Two tables answer every read:
+
+    - item tables, a log-probability for each value from value_base up,
+      filled when the oracle is built;
+    - pair probabilities, that the dyadic relation holds of an ordered
+      pair, each filled on its first read through the oracle's reader, so a
+      pair costs the reader one call however often it is read.
+
+    The constructor takes explicit probabilities (handy in tests); exact
+    builds the oracle from known labels, from_model from perception.
+    """
+
+    def __init__(self, tables: dict, value_base: int = 0, pairs=None):
+        """tables: item -> value probabilities; pairs: (a, b) -> probability,
+        as a dict or a function.  With no pairs a pair read raises KeyError."""
+        self._items = {
             k: tuple(math.log(p) if p > 0.0 else -math.inf for p in tbl)
             for k, tbl in tables.items()
         }
         self.value_base = value_base
-        self.pairs = pairs or {}
+        given = pairs or {}
+        self._read = pairs if callable(pairs) else lambda a, b: given[a, b]
+        self._pair_p: "dict[tuple[int, int], float]" = {}
+
+    @classmethod
+    def exact(cls, labels=None, n_values: int = 10, value_base: int = 0, pairs=None) -> "TableFacts":
+        """Certainty: each known label, and each pair the relation
+        pairs(a, b) -> bool holds of, gets probability 1; the rest 0."""
+        tables = {i: [float(v == d - value_base) for v in range(n_values)] for i, d in (labels or {}).items()}
+        return cls(tables, value_base, None if pairs is None else lambda a, b: float(bool(pairs(a, b))))
+
+    @classmethod
+    def from_model(cls, features, model=None, pair_model=None, value_base: int = 0) -> "TableFacts":
+        """Perception's reading of the rows of features: item tables are the
+        classifier's log-probabilities from one forward over all rows, a
+        pair's probability is one predict_pair call on its two rows, clipped
+        to [_LOG_FLOOR, 1 - _LOG_FLOOR].  A read of a missing part raises
+        KeyError."""
+
+        def read(a: int, b: int) -> float:
+            p = float(pair_model.predict_pair(features[a], features[b]))
+            return min(max(p, _LOG_FLOOR), 1.0 - _LOG_FLOOR)
+
+        facts = cls({}, value_base, read if pair_model is not None else None)
+        if model is not None and len(features):
+            facts._items = dict(enumerate(map(tuple, model.log_probs(features).tolist())))
+        return facts
 
     def item_logweights(self, item: int) -> Sequence[float]:
-        return self.tables[item]
+        """Log-probability table over the item's possible values."""
+        return self._items[item]
+
+    def item_label(self, item: int) -> int:
+        """The item's most probable value, the first on a tie."""
+        w = self._items[item]
+        return max(range(len(w)), key=w.__getitem__) + self.value_base
+
+    def pair_prob(self, a: int, b: int) -> float:
+        """Probability that the dyadic relation holds of (a, b)."""
+        p = self._pair_p.get((a, b))
+        if p is None:
+            p = self._pair_p[a, b] = self._read(a, b)
+        return p
 
     def pair_logprob(self, a: int, b: int) -> float:
-        p = self.pairs[(a, b)]
+        p = self.pair_prob(a, b)
         return math.log(p) if p > 0.0 else -math.inf
 
 
@@ -428,7 +438,7 @@ class _AbdState:
 @dataclass(slots=True)
 class _Ctx:
     setting: InductionSetting
-    facts: FactOracle
+    facts: TableFacts
     budget: SearchBudget
     prune: bool
     allow_new: bool

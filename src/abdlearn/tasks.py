@@ -33,6 +33,7 @@ from .mil import (
     Abducible,
     GoalExample,
     InductionSetting,
+    TableFacts,
     _first_two,
     _item_id,
     item_term,
@@ -227,6 +228,8 @@ class SyntheticDigitGen:
     def __post_init__(self) -> None:
         if self.n_classes < 2 or self.dim < 1:
             raise TaskError("need at least two classes and one feature")
+        if not self.noise >= 0.0:
+            raise TaskError(f"noise must be non-negative, got {self.noise}")
         rng = np.random.default_rng(self.seed)
         self.prototypes = rng.uniform(0.1, 0.9, size=(self.n_classes, self.dim))
 
@@ -501,12 +504,15 @@ def _ground_eq(args, s):
         yield s2
 
 
-def _ground_nn(rel: Callable[[Term, Term], bool]):
+def _ground_nn(facts: TableFacts):
     def fn(args, s):
         items = proper_list_items(s.apply(args[0]))
         if items is None or len(items) < 2:
             return
-        if rel(items[0], items[1]):
+        i, j = _item_id(items[0]), _item_id(items[1])
+        if i is None or j is None:
+            raise TaskError("ordered check reached a non-item term")
+        if facts.pair_prob(i, j) >= 0.5:
             yield s
 
     return fn
@@ -516,12 +522,12 @@ def ground_kb(
     task: Task,
     program: Program,
     library: Optional[dict] = None,
-    nn_rel: Optional[Callable[[Term, Term], bool]] = None,
+    facts: Optional[TableFacts] = None,
 ) -> KnowledgeBase:
     """Executable kb: background + induced clauses + ground abducibles.
 
-    Numeric abducibles become real arithmetic; the dyadic one is backed by
-    the given relation (model thresholded at 0.5, or true digit order).
+    Numeric abducibles become real arithmetic; the dyadic one holds of a
+    pair of items when the given facts give it probability 0.5 or more.
     """
     kb = standard_kb(task.bk_text)
     lib = library or metarule_library(default_metarules())
@@ -535,9 +541,9 @@ def ground_kb(
         elif a.kind == ABD_EQC:
             kb.add_builtin(a.name, 2, _ground_eq)
         elif a.kind == ABD_FACT:
-            if nn_rel is None:
+            if facts is None:
                 raise TaskError(f"task {task.id} needs a pairwise relation to execute")
-            kb.add_builtin(a.name, 1, _ground_nn(nn_rel))
+            kb.add_builtin(a.name, 1, _ground_nn(facts))
     return kb
 
 
@@ -572,12 +578,18 @@ def _first_solution(goal: Atom, kb: KnowledgeBase, depth_limit: int, max_nodes: 
     return sol
 
 
-def _predicted_digits(task: Task, ex: SeqExample, model, use_truth: bool) -> "list[int]":
+def _truth(ex: SeqExample) -> "tuple[int, ...]":
+    if ex.truth is None:
+        raise TaskError("no ground-truth digits available for this example")
+    return ex.truth
+
+
+def _example_facts(ex: SeqExample, model, use_truth: bool) -> TableFacts:
+    """One eval example's pair facts: its true digit order, or the pair model's."""
     if use_truth or model is None:
-        if ex.truth is None:
-            raise TaskError("no ground-truth digits available for this example")
-        return list(ex.truth)
-    return [int(model.predict_label(row)) + task.value_base for row in ex.x]
+        truth = _truth(ex)
+        return TableFacts.exact(pairs=lambda a, b: truth[a] >= truth[b])
+    return TableFacts.from_model(ex.x, pair_model=model)
 
 
 def evaluate(
@@ -592,35 +604,35 @@ def evaluate(
 ) -> Metrics:
     """Run the program on perception output and score against labels.
 
-    Numeric tasks execute on the argmax digit of each item; an example the
-    program cannot solve counts as the worst possible error for its length.
-    Ranking uses the pairwise model directly (permutations are tried in
-    order until the ordered check passes); a failed ranking scores zero on
-    both whole-permutation and per-position accuracy.
+    Perception is read through one mil.TableFacts per example; with
+    use_truth, or no model, the true digits stand in.  Numeric tasks run on
+    each item's most probable digit, from one classifier forward per
+    example, and cls_acc scores those digits; an example the program
+    cannot solve counts as the worst possible error for its length.  The
+    dyadic relation is the pair probability at 0.5 or above, each ordered
+    pair read from the pairwise model at most once (permutations are tried
+    in order until the ordered check passes); a failed ranking scores zero
+    on both whole-permutation and per-position accuracy.
     """
     if not examples:
         raise TaskError("evaluate needs at least one example")
     m = Metrics(n=len(examples))
     name, _ = task.target
 
-    cls_hits = cls_total = 0
-    if model is not None and not task.dyadic and not use_truth:
-        for ex in examples:
-            if ex.truth is None:
-                continue
-            for row, d in zip(ex.x, ex.truth):
-                cls_hits += int(int(model.predict_label(row)) + task.value_base == d)
-                cls_total += 1
-        if cls_total:
-            m.cls_acc = cls_hits / cls_total
-
     if task.target[1] == 2 and not task.dyadic:
         kb = ground_kb(task, program, library)
         abs_err: "list[float]" = []
         log_err: "list[float]" = []
-        hits = 0
+        hits = cls_hits = cls_total = 0
         for ex in examples:
-            digits = _predicted_digits(task, ex, model, use_truth)
+            if use_truth or model is None:
+                digits = list(_truth(ex))
+            else:
+                facts = TableFacts.from_model(ex.x, model=model, value_base=task.value_base)
+                digits = [facts.item_label(i) for i in range(len(ex))]
+                for d, t in zip(digits, ex.truth or ()):
+                    cls_hits += int(d == t)
+                    cls_total += 1
             goal = Atom(name, (mk_list([Int(d) for d in digits]), Var("Y")))
             sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
             yv = sol.apply(Var("Y")) if sol is not None else None
@@ -640,14 +652,14 @@ def evaluate(
         m.acc = hits / m.n
         m.mae = float(np.mean(abs_err))
         m.log_mae = float(np.mean(log_err))
+        if cls_total:
+            m.cls_acc = cls_hits / cls_total
         return m
-
-    rel = _pair_relation(task, examples, model, use_truth)
 
     if task.target[1] == 1:
         hits = 0
-        for idx, ex in enumerate(examples):
-            kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
+        for ex in examples:
+            kb = ground_kb(task, program, library, facts=_example_facts(ex, model, use_truth))
             goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]),))
             pred = _first_solution(goal, kb, depth_limit, max_nodes, m) is not None
             hits += int(pred == bool(ex.y))
@@ -657,8 +669,8 @@ def evaluate(
     # what is left is a ranking: arity 2 with a dyadic abducible
     perm_hits = 0
     elem_sum = 0.0
-    for idx, ex in enumerate(examples):
-        kb = ground_kb(task, program, library, nn_rel=rel(idx, ex))
+    for ex in examples:
+        kb = ground_kb(task, program, library, facts=_example_facts(ex, model, use_truth))
         goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
         sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
         ranks = None
@@ -676,34 +688,3 @@ def evaluate(
     m.elem_acc = elem_sum / m.n
     m.acc = m.perm_acc
     return m
-
-
-def _pair_relation(task: Task, examples, model, use_truth: bool):
-    """Per-example factory mapping item terms to the dyadic relation."""
-
-    def for_example(idx: int, ex: SeqExample):
-        def item_id(t: Term) -> int:
-            i = _item_id(t)
-            if i is None:
-                raise TaskError("ordered check reached a non-item term")
-            return i
-
-        if use_truth or model is None:
-            if ex.truth is None:
-                raise TaskError("no ground-truth digits available for this example")
-
-            def rel(a: Term, b: Term) -> bool:
-                return ex.truth[item_id(a)] >= ex.truth[item_id(b)]
-
-        else:
-            seen: "dict[tuple[int, int], bool]" = {}  # each pair read from the net once
-
-            def rel(a: Term, b: Term) -> bool:
-                i, j = item_id(a), item_id(b)
-                if (i, j) not in seen:
-                    seen[i, j] = model.predict_pair(ex.x[i], ex.x[j]) >= 0.5
-                return seen[i, j]
-
-        return rel
-
-    return for_example

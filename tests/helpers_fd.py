@@ -72,7 +72,7 @@ def gen_random_store(rng: np.random.Generator, max_weighted: int = 5, max_cons: 
 
 
 def _masked_table(rng: np.random.Generator, n: int = 10) -> np.ndarray:
-    """Log table with some values at probability 0 (-inf), as ExactFacts has."""
+    """Log table with some values at probability 0 (-inf), as TableFacts.exact gives."""
     if rng.random() < 0.5:
         out = np.full(n, -np.inf)
         out[int(rng.integers(0, n))] = 0.0

@@ -21,7 +21,7 @@ from abdlearn.bench import bench_abduction, bench_metarule_sizes
 from abdlearn.em import EMConfig, run_curriculum, train
 from abdlearn.fd import solve_best
 from abdlearn.metarules import MetaSub, Program, default_metarules
-from abdlearn.mil import ExactFacts, GoalExample, SearchBudget, TableFacts, entails, induce
+from abdlearn.mil import GoalExample, SearchBudget, TableFacts, entails, induce
 from abdlearn.perception import MLP, PairModel, grad_check
 from abdlearn.tasks import (
     SyntheticDigitGen,
@@ -155,7 +155,7 @@ def _induced_program(task_id: str):
         y = sum(xs) if task_id == "sum" else int(np.prod(xs))
         examples.append(GoalExample(_int_goal(xs, y)))
     t0 = time.perf_counter()
-    out = induce(examples, task.setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    out = induce(examples, task.setting(), TableFacts.exact(), SearchBudget(max_clauses=2))
     elapsed = time.perf_counter() - t0
     _INDUCED[task_id] = (out.induced, elapsed)
     return _INDUCED[task_id]

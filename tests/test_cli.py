@@ -74,6 +74,14 @@ def test_gen_data_rejects_impossible_distinct_draw(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--dim", 0), ("--noise", -1)])
+def test_gen_data_rejects_bad_generator_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run("gen-data", "--task", "sum", "--out", out, "--train", 5, flag, value) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -255,6 +263,14 @@ def test_bench_metarules_rejects_bad_sizes(sum_data):
         "bench-metarules", "--task", "sum", "--data", sum_data / "sum_train.tsv",
         "--sizes", "1,2",
     ) == 2
+
+
+def test_bench_metarules_rejects_unparsable_sizes(capsys, sum_data):
+    assert run(
+        "bench-metarules", "--task", "sum", "--data", sum_data / "sum_train.tsv",
+        "--sizes", "2,x",
+    ) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_rejects_unknown_subcommand():

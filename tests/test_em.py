@@ -1,4 +1,4 @@
-"""EM loop: fact oracles, E-step optimality, M-step, bookkeeping."""
+"""EM loop: the fact oracle built from perception, E-step optimality, M-step, bookkeeping."""
 
 import csv
 import itertools
@@ -13,12 +13,11 @@ from abdlearn.em import (
     EMError,
     EMState,
     METRIC_COLUMNS,
-    ModelFacts,
     e_step,
     train,
     run_curriculum,
 )
-from abdlearn.mil import SearchBudget, log_prior
+from abdlearn.mil import SearchBudget, TableFacts, log_prior
 from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import SeqExample, SyntheticDigitGen, gen_sequences, make_task
 
@@ -58,17 +57,61 @@ def seq(truth, y):
 
 
 # ---------------------------------------------------------------------------
-# ModelFacts
+# The fact oracle built from perception
 # ---------------------------------------------------------------------------
+
+
+class _RefModelFacts:
+    """Reference: the model oracle as a class of its own, before TableFacts
+    took its place; TableFacts.from_model must read the same bits."""
+
+    def __init__(self, features, model=None, pair_model=None, value_base=0):
+        self.features = features
+        self.value_base = value_base
+        self._pair = pair_model
+        self._logp = model.log_probs(features) if model is not None and len(features) else None
+
+    def item_logweights(self, item):
+        return [float(v) for v in self._logp[item]]
+
+    def pair_logprob(self, a, b):
+        p = float(self._pair.predict_pair(self.features[a], self.features[b]))
+        return math.log(min(max(p, 1e-9), 1.0 - 1e-9))
+
+
+def _ref_perception_acc(task, batch, model, pair_model):
+    """Reference: perception_acc asking the nets again, one example at a time."""
+    hits = total = 0
+    for ex in batch:
+        if ex.truth is None:
+            continue
+        if task.dyadic:
+            n = len(ex)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    pred = pair_model.predict_pair(ex.x[i], ex.x[j]) >= 0.5
+                    hits += int(pred == (ex.truth[i] >= ex.truth[j]))
+                    total += 1
+        else:
+            labels = model.predict_label(ex.x)
+            for lab, d in zip(np.atleast_1d(labels), ex.truth):
+                hits += int(int(lab) + task.value_base == d)
+                total += 1
+    return hits / total if total else None
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
 
 
 def test_model_facts_item_weights_normalized():
     model = TableModel(peaked([3, 7]))
-    facts = ModelFacts(idx_features(2), model=model)
+    facts = TableFacts.from_model(idx_features(2), model=model)
     w = facts.item_logweights(0)
     assert len(w) == 10
     assert abs(sum(math.exp(v) for v in w) - 1.0) < 1e-9
     assert max(range(10), key=lambda i: w[i]) == 3
+    assert (facts.item_label(0), facts.item_label(1)) == (3, 7)
 
 
 def test_model_facts_pair_clipped():
@@ -76,9 +119,33 @@ def test_model_facts_pair_clipped():
         def predict_pair(self, a, b):
             return 1.0 if a[0] >= b[0] else 0.0
 
-    facts = ModelFacts(idx_features(2), pair_model=HardPair())
+    facts = TableFacts.from_model(idx_features(2), pair_model=HardPair())
     assert facts.pair_logprob(1, 0) < 0.0  # never exactly log(1) = 0
     assert math.isfinite(facts.pair_logprob(0, 1))
+    assert facts.pair_prob(1, 0) >= 0.5 > facts.pair_prob(0, 1)  # clipping keeps the side of 0.5
+
+
+def test_model_facts_match_the_reference_bit_for_bit():
+    gen = SyntheticDigitGen(seed=2)
+    task = make_task("sum")
+    batch = gen_sequences(task, 8, lengths=(2, 5), gen=gen, seed=3)
+    _, features, spans = em._assemble(task, batch)
+    model, pair = MLP(8, 10, seed=5), PairModel(8, seed=5)
+    facts = TableFacts.from_model(features, model=model, pair_model=pair)
+    ref = _RefModelFacts(features, model=model, pair_model=pair)
+    for i in range(len(features)):
+        assert _bits(facts.item_logweights(i)) == _bits(ref.item_logweights(i))
+    pairs = [(a, b) for ids in spans for a in ids for b in ids]
+    assert [facts.pair_logprob(a, b).hex() for a, b in pairs] == [ref.pair_logprob(a, b).hex() for a, b in pairs]
+    # the exact constructor: certainty reads 0.0, impossibility -inf
+    labels = {0: 3, 1: 5, 2: 5}
+    exact = TableFacts.exact(labels, value_base=1, pairs=lambda a, b: labels[a] >= labels[b])
+    for i, d in labels.items():
+        assert exact.item_logweights(i) == tuple(0.0 if v == d - 1 else -math.inf for v in range(10))
+        assert exact.item_label(i) == d
+    for a in labels:
+        for b in labels:
+            assert exact.pair_logprob(a, b) == (0.0 if labels[a] >= labels[b] else -math.inf)
 
 
 class _CountingPair:
@@ -88,8 +155,11 @@ class _CountingPair:
         self.calls = []
 
     def predict_pair(self, a, b):
-        self.calls.append((float(a[0]), float(b[0])))
+        self.calls.append((tuple(a), tuple(b)))
         return 0.5 + 0.4 * math.sin(3.0 * a[0] - 7.0 * b[0])
+
+    def fit_pairs(self, pairs, epochs=1, batch_size=None):
+        return 0.0
 
 
 def test_model_facts_reads_each_pair_once_per_batch():
@@ -97,7 +167,7 @@ def test_model_facts_reads_each_pair_once_per_batch():
     batch = gen_sequences(task, 6, lengths=(2, 4), seed=3)
     _, features, _ = em._assemble(task, batch)
     spy = _CountingPair()
-    facts = ModelFacts(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy)
+    facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy)
     e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=3))
     assert spy.calls and len(spy.calls) == len(set(spy.calls))
     again = facts.pair_logprob(0, 1)
@@ -105,12 +175,37 @@ def test_model_facts_reads_each_pair_once_per_batch():
     assert facts.pair_logprob(0, 1) == again and len(spy.calls) == n
 
 
+def test_train_reads_each_pair_once_per_batch():
+    # induce and the perception_acc column read one oracle: no ordered pair
+    # reaches the pair net twice in a batch
+    task = make_task("sorted_concept")
+    exs = gen_sequences(task, 12, lengths=(1, 4), gen=SyntheticDigitGen(seed=4), seed=4)
+    spy = _CountingPair()
+    cfg = EMConfig(epochs=1, batch_size=len(exs), seed=4, budget=SearchBudget(max_clauses=3))
+    state = train(task, exs, cfg, pair_model=spy)
+    assert state.rows[0]["perception_acc"] is not None
+    assert spy.calls and len(spy.calls) == len(set(spy.calls))
+
+
 def test_model_facts_missing_parts_raise():
-    facts = ModelFacts(idx_features(2))
-    with pytest.raises(EMError):
-        facts.item_logweights(0)
-    with pytest.raises(EMError):
-        facts.pair_logprob(0, 1)
+    facts = TableFacts.from_model(idx_features(2))
+    with pytest.raises(KeyError):
+        facts.item_logweights(0)  # no classifier attached
+    with pytest.raises(KeyError):
+        facts.pair_logprob(0, 1)  # no pair model attached
+
+
+@pytest.mark.parametrize("tid", ["sum", "sorted_concept"])
+def test_perception_acc_matches_the_reference(tid):
+    task = make_task(tid)
+    batch = gen_sequences(task, 10, lengths=(2, 5), gen=SyntheticDigitGen(seed=2), seed=6)
+    _, features, spans = em._assemble(task, batch)
+    model, pair = (None, PairModel(8, seed=3)) if task.dyadic else (MLP(8, 10, seed=3), None)
+    if model is not None:  # a little training, so the reading is not all one digit
+        model.fit(features, np.array([d for ex in batch for d in ex.truth]), epochs=2)
+    facts = TableFacts.from_model(features, model=model, pair_model=pair, value_base=task.value_base)
+    got = em._perception_acc(task, batch, spans, facts)
+    assert got is not None and got == _ref_perception_acc(task, batch, model, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +217,7 @@ def _sum_batch_facts(examples, k=10, p=0.9):
     truths = [d for ex in examples for d in ex.truth]
     model = TableModel(peaked(truths, k=k, p=p))
     n = sum(len(ex) for ex in examples)
-    return model, ModelFacts(idx_features(n), model=model)
+    return model, TableFacts.from_model(idx_features(n), model=model)
 
 
 def test_e_step_recovers_truth_under_peaked_model():
@@ -203,7 +298,7 @@ def test_e_step_matches_exhaustive_desk_scale_search():
     table = np.hstack([probs, np.full((n, 6), 1e-300)])
     table /= table.sum(axis=1, keepdims=True)
     model = TableModel(table)
-    facts = ModelFacts(idx_features(n), model=model)
+    facts = TableFacts.from_model(idx_features(n), model=model)
     out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
     assert out.induced is not None
 

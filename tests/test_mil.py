@@ -28,7 +28,6 @@ from abdlearn.mil import (
     ABD_EQC,
     ABD_FACT,
     Abducible,
-    ExactFacts,
     GoalExample,
     InductionSetting,
     SearchBudget,
@@ -247,7 +246,7 @@ def test_program_key_is_invariant_under_invented_renaming_only(prog, data):
 
 def test_prove_empty_goal_list_succeeds_once():
     setting = sum_setting()
-    results = list(prove([], SUM_PROG, setting, ExactFacts(), SearchBudget()))
+    results = list(prove([], SUM_PROG, setting, TableFacts.exact(), SearchBudget()))
     assert len(results) == 1
     assert results[0].program is SUM_PROG
     assert results[0].log_prob == 0.0
@@ -257,7 +256,7 @@ def test_prove_empty_goal_list_succeeds_once():
 def test_prove_induces_sum_program_from_ground_goal():
     setting = sum_setting()
     stream = prove(
-        int_goal([1, 2, 3], 6), Program(), setting, ExactFacts(), SearchBudget(max_clauses=2)
+        int_goal([1, 2, 3], 6), Program(), setting, TableFacts.exact(), SearchBudget(max_clauses=2)
     )
     hits = [r for r in stream if clause_texts(r.program, setting) == SUM_TEXTS]
     assert hits, "expected the two-clause cumulative sum program in the stream"
@@ -267,7 +266,7 @@ def test_prove_induces_sum_program_from_ground_goal():
 def test_prove_ground_goal_infeasible_output():
     setting = sum_setting()
     stream = prove(
-        int_goal([1, 2, 3], 7), SUM_PROG, setting, ExactFacts(), SearchBudget(),
+        int_goal([1, 2, 3], 7), SUM_PROG, setting, TableFacts.exact(), SearchBudget(),
         allow_new_clauses=False,
     )
     assert list(stream) == []
@@ -332,7 +331,7 @@ def test_prove_left_recursion_terminates():
     setting = sum_setting(mrs=("ident",))
     runtime = Budget(max_nodes=50000)
     results = list(
-        prove(int_goal([5], 5), Program(), setting, ExactFacts(), SearchBudget(max_clauses=2),
+        prove(int_goal([5], 5), Program(), setting, TableFacts.exact(), SearchBudget(max_clauses=2),
               runtime=runtime)
     )
     assert not runtime.exhausted
@@ -370,7 +369,7 @@ def test_prove_resolves_background_goals_as_deduce_does(goal, depth_limit, answe
         atom,
         Program(),
         setting,
-        ExactFacts(),
+        TableFacts.exact(),
         SearchBudget(depth_limit=depth_limit),
         runtime=by_mil,
         allow_new_clauses=False,
@@ -500,10 +499,10 @@ def test_score_example_negative_unblockable_when_proof_is_fact_free():
     setting = InductionSetting(kb, rules, {}, ("s", 1), [("tail", 2), ("empty", 1)])
     prog = Program((MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),))
     goal = Atom("s", (mk_list([item_term(0)]),))
-    assert score_example(GoalExample(goal, positive=False), prog, setting, ExactFacts(), SearchBudget()) is None
+    assert score_example(GoalExample(goal, positive=False), prog, setting, TableFacts.exact(), SearchBudget()) is None
     # Unprovable negatives cost nothing.
     goal2 = Atom("s", (mk_list([item_term(0), item_term(1)]),))
-    lab = score_example(GoalExample(goal2, positive=False), prog, setting, ExactFacts(), SearchBudget())
+    lab = score_example(GoalExample(goal2, positive=False), prog, setting, TableFacts.exact(), SearchBudget())
     assert lab is not None and lab.log_prob == 0.0
 
 
@@ -519,7 +518,7 @@ def test_induce_sum_program_from_ground_examples():
         GoalExample(int_goal([2, 2], 4)),
         GoalExample(int_goal([5], 5)),
     ]
-    out = induce(examples, setting, ExactFacts(), SearchBudget(max_clauses=2))
+    out = induce(examples, setting, TableFacts.exact(), SearchBudget(max_clauses=2))
     assert out.induced is not None
     assert clause_texts(out.induced.program, setting) == SUM_TEXTS
     assert abs(out.induced.log_score - log_prior(2)) < 1e-12
@@ -530,7 +529,7 @@ def test_induce_prefers_fewer_clauses():
     # A single example provable by one clause: the prior must pick the
     # one-clause program even though the two-clause one also proves it.
     setting = sum_setting()
-    out = induce([GoalExample(int_goal([5], 5))], setting, ExactFacts(), SearchBudget(max_clauses=2))
+    out = induce([GoalExample(int_goal([5], 5))], setting, TableFacts.exact(), SearchBudget(max_clauses=2))
     assert out.induced is not None
     assert out.induced.program.size == 1
     assert clause_texts(out.induced.program, setting) == {"f(A,B) :- eq(A,B)."}
@@ -591,7 +590,7 @@ def test_induce_budget_exhaustion_is_reported():
     out = induce(
         [GoalExample(int_goal([1, 2, 3], 6))],
         setting,
-        ExactFacts(),
+        TableFacts.exact(),
         SearchBudget(max_clauses=2, max_nodes=5),
     )
     assert out.induced is None
@@ -604,11 +603,11 @@ def test_induce_reports_unscorable_candidates():
     # negative, and a fact-free proof cannot be blocked.
     goal = int_goal([1, 2, 3], 6)
     examples = [GoalExample(goal), GoalExample(goal, positive=False)]
-    out = induce(examples, sum_setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    out = induce(examples, sum_setting(), TableFacts.exact(), SearchBudget(max_clauses=2))
     assert out.induced is None and not out.budget_exhausted
     assert out.candidates_tried > 0
     assert out.failure == "unscorable"
-    ok = induce(examples[:1], sum_setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    ok = induce(examples[:1], sum_setting(), TableFacts.exact(), SearchBudget(max_clauses=2))
     assert ok.induced is not None and ok.failure is None
 
 
@@ -684,7 +683,7 @@ def test_generation_never_extends_a_full_program(monkeypatch):
 
     monkeypatch.setattr(mil, "prove", spy)
     examples = [GoalExample(int_goal([1, 2], 3)), GoalExample(int_goal([4, 5, 6], 15))]
-    out = induce(examples, sum_setting(), ExactFacts(), SearchBudget(max_clauses=2))
+    out = induce(examples, sum_setting(), TableFacts.exact(), SearchBudget(max_clauses=2))
     assert out.induced is not None
     generation = [(size, cap) for size, cap, new in calls if new]
     assert generation and all(size < cap for size, cap in generation)
@@ -717,7 +716,7 @@ def test_solver_truncation_reaches_labelings_and_induced():
 def test_induce_sorted_concept_with_invention():
     setting = sorted_setting()
     labels = {0: 1, 1: 3, 2: 5, 10: 2, 11: 4, 20: 7, 30: 2, 31: 1, 40: 1, 41: 6, 42: 2}
-    facts = ExactFacts(labels, pairs=lambda a, b: labels[a] <= labels[b])
+    facts = TableFacts.exact(labels, pairs=lambda a, b: labels[a] <= labels[b])
 
     def s_goal(ids):
         return Atom("s", (mk_list([item_term(i) for i in ids]),))

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from abdlearn.metarules import MetaSub, Program, merge_programs
-from abdlearn.mil import ExactFacts, SearchBudget, SettingError, induce
-from abdlearn.perception import MLP
+from abdlearn.mil import SearchBudget, SettingError, TableFacts, induce
+from abdlearn import tasks
+from abdlearn.kb import deduce
+from abdlearn.mil import item_term
+from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import (
     Metrics,
     SeqExample,
@@ -17,6 +20,7 @@ from abdlearn.tasks import (
     TaskError,
     evaluate,
     gen_sequences,
+    ground_kb,
     labels_path_for,
     load_dataset,
     load_idx,
@@ -26,7 +30,7 @@ from abdlearn.tasks import (
     _ground_arith,
 )
 from abdlearn.parser import parse_term
-from abdlearn.terms import Int, Subst, Var, mk_list
+from abdlearn.terms import Atom, Int, Subst, Var, mk_list
 
 SUM_PROG = Program(
     (
@@ -196,6 +200,9 @@ def test_digit_gen_bounds():
     assert x.shape == (8,) and x.min() >= 0 and x.max() <= 1
     with pytest.raises(TaskError):
         gen.sample(10, rng)
+    for bad in (dict(dim=0), dict(noise=-0.1), dict(noise=float("nan"))):
+        with pytest.raises(TaskError):
+            SyntheticDigitGen(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +398,29 @@ def test_evaluate_uses_model_argmax():
     assert m.mae is not None and m.mae < 3.0
 
 
+class _CountingMLP(MLP):
+    """Classifier spy: counts its forward passes."""
+
+    forwards = 0
+
+    def _forward(self, X):
+        self.forwards += 1
+        return super()._forward(X)
+
+
+def test_evaluate_reads_the_classifier_once_per_example():
+    t = make_task("sum")
+    exs = gen_sequences(t, 10, lengths=(2, 5), gen=SyntheticDigitGen(seed=12), seed=3)
+    model = _CountingMLP(8, 10, seed=0)
+    model.fit(np.concatenate([ex.x for ex in exs]), np.array([d for ex in exs for d in ex.truth]), epochs=3)
+    model.forwards = 0
+    m = evaluate(SUM_PROG, t, exs, model=model)
+    assert model.forwards == len(exs)
+    # cls_acc is what a per-row argmax gives
+    hits = [int(model.predict_label(row)) == d for ex in exs for row, d in zip(ex.x, ex.truth)]
+    assert m.cls_acc == sum(hits) / len(hits)
+
+
 def test_evaluate_sorted_and_bogosort_truth():
     st = make_task("sorted_concept")
     ms = evaluate(SORT_PROG, st, gen_sequences(st, 30, lengths=(1, 5), seed=11), use_truth=True)
@@ -427,6 +457,45 @@ def test_evaluate_reads_each_pair_at_most_once_per_example():
         assert 0 < spy.calls <= len(ex) * (len(ex) - 1)
 
 
+def _ref_pair_relation(examples, model, use_truth):
+    """Reference: eval's dyadic relation as a closure per example, before
+    eval read it off a fact oracle."""
+
+    def for_example(idx, ex):
+        def item_id(t):
+            return t.args[0].value
+
+        if use_truth or model is None:
+
+            def rel(a, b):
+                return ex.truth[item_id(a)] >= ex.truth[item_id(b)]
+
+        else:
+
+            def rel(a, b):
+                return model.predict_pair(ex.x[item_id(a)], ex.x[item_id(b)]) >= 0.5
+
+        return rel
+
+    return for_example
+
+
+@pytest.mark.parametrize("use_truth", [False, True])
+def test_eval_relation_matches_the_reference(use_truth):
+    bt = make_task("bogosort")
+    exs = gen_sequences(bt, 6, lengths=(2, 5), gen=SyntheticDigitGen(seed=1), seed=8)
+    pair = PairModel(8, seed=2)
+    ref = _ref_pair_relation(exs, pair, use_truth)
+    for idx, ex in enumerate(exs):
+        kb = ground_kb(bt, Program(), facts=tasks._example_facts(ex, pair, use_truth))
+        rel = ref(idx, ex)
+        for i in range(len(ex)):
+            for j in range(len(ex)):
+                goal = Atom("nn", (mk_list([item_term(i), item_term(j)]),))
+                held = next(deduce(goal, kb), None) is not None
+                assert held == rel(item_term(i), item_term(j)), (idx, i, j)
+
+
 def test_evaluate_perm_acc_bounded_by_elem_acc():
     bt = make_task("bogosort")
     merged = merge_programs(BOGO_PROG, SORT_PROG)
@@ -441,7 +510,7 @@ def test_bogosort_stage2_induction_on_truth_facts():
     bt = make_task("bogosort")
     setting = bt.setting(extra_program=SORT_PROG)
     labels = {0: 5, 1: 9, 2: 4, 3: 3, 4: 8}
-    facts = ExactFacts(labels, pairs=lambda a, b: labels[a] >= labels[b])
+    facts = TableFacts.exact(labels, pairs=lambda a, b: labels[a] >= labels[b])
     goal = bt.goal([0, 1, 2, 3, 4], ranks_descending([5, 9, 4, 3, 8]))
     out = induce([goal], setting, facts, SearchBudget(max_clauses=1))
     assert out.induced is not None and out.induced.program.size == 1
