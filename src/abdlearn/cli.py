@@ -134,9 +134,16 @@ def read_config(path: Path) -> "dict[str, dict]":
             raise CliError(CONFIG_ERR, f"em.{key} must be positive")
     if not (0.0 < out["em"]["lr_decay"] <= 1.0):
         raise CliError(CONFIG_ERR, "em.lr_decay must be in (0, 1]")
+    for key, value in out["budget"].items():
+        if value < 0:
+            raise CliError(CONFIG_ERR, f"budget.{key} cannot be negative")
+    if out["budget"]["depth_limit"] < 1:
+        raise CliError(CONFIG_ERR, "budget.depth_limit must be at least 1")
     s1 = out["curriculum"]
     if bool(s1["stage1_task"]) != bool(s1["stage1_train"]):
         raise CliError(CONFIG_ERR, "curriculum needs both stage1_task and stage1_train")
+    if s1["stage1_epochs"] <= 0 or s1["stage1_batch_size"] < 0:
+        raise CliError(CONFIG_ERR, "curriculum.stage1_epochs must be positive, stage1_batch_size not negative")
     return out
 
 
@@ -205,6 +212,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         raise CliError(CONFIG_ERR, "--train must be at least 1")
     if args.val < 0 or args.test < 0:
         raise CliError(CONFIG_ERR, "--val/--test cannot be negative")
+    if args.seed < 0:
+        raise CliError(CONFIG_ERR, "--seed cannot be negative")
     task = make_task(args.task)
     lengths = _parse_lengths(args.lengths)
     try:
@@ -213,23 +222,22 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         )
     except TaskError as e:
         raise CliError(CONFIG_ERR, f"bad --dim or --noise: {e}") from e
-    out = _fresh_out_dir(args.out)
     splits = [("train", args.train), ("val", args.val), ("test", args.test)]
-    written = []
+    drawn = []
     for name, n in splits:
         if n == 0:
             continue
         # distinct seed stream per split so val/test are not train prefixes
         offset = {"train": 0, "val": 7919, "test": 15859}[name]
         try:
-            exs = gen_sequences(task, n, lengths=lengths, gen=gen, seed=args.seed + offset)
+            drawn.append((name, gen_sequences(task, n, lengths=lengths, gen=gen, seed=args.seed + offset)))
         except TaskError as e:
             raise CliError(CONFIG_ERR, str(e)) from e
+    out = _fresh_out_dir(args.out)  # after every draw, so a failed one writes nothing
+    for name, exs in drawn:
         path = out / f"{task.id}_{name}.tsv"
         save_dataset(exs, task.id, path)
-        written.append((name, n, path))
-    for name, n, path in written:
-        print(f"wrote {n} {name} sequences to {path}")
+        print(f"wrote {len(exs)} {name} sequences to {path}")
     return OK
 
 
@@ -282,6 +290,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = read_config(Path(args.config))
     if args.seed is not None:
         cfg["run"]["seed"] = args.seed
+    if cfg["run"]["seed"] < 0:
+        raise CliError(CONFIG_ERR, "run.seed (or --seed) cannot be negative")
     if args.out:
         cfg["run"]["out"] = args.out
     if not cfg["run"]["out"]:
@@ -425,6 +435,8 @@ def cmd_bench_abduction(args: argparse.Namespace) -> int:
     task = make_task(args.task)
     if task.dyadic:
         raise CliError(CONFIG_ERR, "labeling-order bench expects a numeric task")
+    if args.batch_size < 1 or args.batches < 0:
+        raise CliError(CONFIG_ERR, "--batch-size must be at least 1 and --batches cannot be negative")
     examples = _load_examples(args.data, task.id)
     p = Path(args.model)
     if not p.is_file():
@@ -447,6 +459,8 @@ def cmd_bench_abduction(args: argparse.Namespace) -> int:
 
 def cmd_bench_metarules(args: argparse.Namespace) -> int:
     task = make_task(args.task)
+    if args.limit < 0:
+        raise CliError(CONFIG_ERR, "--limit cannot be negative")
     examples = _load_examples(args.data, task.id)
     if args.limit:
         examples = examples[: args.limit]

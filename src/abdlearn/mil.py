@@ -11,7 +11,8 @@ alternatives, tried in this order:
      a finite-domain constraint over the sequence items touched, the dyadic
      fact abducible multiplies the fact's probability into the running
      score and, under pruning, the branch is abandoned as soon as it can no
-     longer beat the best completed proof;
+     longer beat the best completed proof; Abducible.ground is the same
+     predicate's ground reading, which a learned program runs on at eval;
   4. inducible predicate (the induction target or an invented symbol):
      reuse a recorded template instantiation, or, within the clause budget,
      bind a new one, inventing a fresh auxiliary symbol as a last resort.
@@ -33,10 +34,11 @@ kb.solve's one rule, whatever resolves each goal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .fd import ConstraintStore, Labeling, _completion_exists, solve_best
+from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, _completion_exists, solve_best
 from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, resolve, solve
 from .metarules import (
     MetaSub,
@@ -54,6 +56,7 @@ from .terms import (
     Struct,
     Subst,
     Term,
+    is_nil,
     print_term,
     proper_list_items,
     rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
@@ -223,22 +226,25 @@ def _item_id(t: Term, functor: str = ITEM_F) -> Optional[int]:
 # Settings and budgets
 # ---------------------------------------------------------------------------
 
-ABD_ADD = "add"
-ABD_MUL = "mul"
-ABD_EQC = "eqc"
-ABD_FACT = "fact"
+ABD_FACT = "fact"  # the other kinds are fd's constraint kinds ADD, MUL and EQC
+_OPS = {ADD: operator.add, MUL: operator.mul}
 
 
 @dataclass(frozen=True, slots=True)
 class Abducible:
-    """One abducible predicate.
+    """One abducible predicate and both of its readings: assumed while
+    learning (_abduce), and ground(), the builtin a learned program runs on
+    perception's output.  Neither reading walks the list tail T.
 
-    kind "add"/"mul": name(In, Out) where In = [X,Y|T]; posts X op Y = N
-    over the store and binds Out = [N|T].
-    kind "eqc": name(In, C) where In = [X] and C is a ground integer; pins
-    X to C.  These three carry no probability of their own.
-    kind "fact": name(In) where In = [X,Y|_]; assumes the dyadic relation
-    of the first two items, weighted by the fact oracle.
+    kind ADD/MUL: name(In, Out), In = [X,Y|T].  Assumed, it posts X op Y = N
+    over the store and binds Out = [N|T]; ground, X and Y are Ints and
+    Out = [X op Y|T].
+    kind EQC: name(In, C), In = [X].  Assumed, C is a ground integer and X
+    is pinned to it; ground, C is unified with X.  These three carry no
+    probability of their own.
+    kind ABD_FACT: name(In), In = [X,Y|_].  Assumed, the dyadic relation of
+    the first two items, weighted by the fact oracle; ground, it holds when
+    the oracle gives the pair probability 0.5 or more.
     """
 
     name: str
@@ -247,6 +253,42 @@ class Abducible:
     @property
     def arity(self) -> int:
         return 1 if self.kind == ABD_FACT else 2
+
+    def ground(self, facts: Optional[TableFacts] = None):
+        """kb builtin of the ground reading; the fact kind reads facts."""
+        if self.kind == ABD_FACT:
+            def holds(args, s):
+                split = _first_two(s.apply(args[0]))
+                if split is None:
+                    return
+                i, j = _item_id(split[0]), _item_id(split[1])
+                if i is None or j is None:
+                    raise SettingError(f"{self.name} reached a non-item term")
+                if facts.pair_prob(i, j) >= 0.5:
+                    yield s
+
+            return holds
+        if self.kind == EQC:
+            def eq(args, s):
+                x = _single(s.apply(args[0]))
+                s2 = None if x is None else unify(args[1], x, s)
+                if s2 is not None:
+                    yield s2
+
+            return eq
+        op = _OPS[self.kind]
+
+        def arith(args, s):
+            split = _first_two(s.apply(args[0]))
+            if split is None:
+                return
+            x, y, t = split
+            if isinstance(x, Int) and isinstance(y, Int):
+                s2 = unify(args[1], Struct(".", (Int(op(x.value, y.value)), t)), s)
+                if s2 is not None:
+                    yield s2
+
+        return arith
 
 
 class SettingError(ValueError):
@@ -496,6 +538,13 @@ def _first_two(t: Term):
     return x, y, t2
 
 
+def _single(t: Term) -> Optional[Term]:
+    """X of a proper one-item list [X]."""
+    if isinstance(t, Struct) and t.functor == "." and len(t.args) == 2 and is_nil(t.args[1]):
+        return t.args[0]
+    return None
+
+
 def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     """The one way to assume g, as a kb.solve alternative with an empty body."""
     prog, ab, dlogp, abduced = state
@@ -523,19 +572,13 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         return
 
     term_in, term_out = g.args
-    if spec.kind == ABD_EQC:
-        if not (isinstance(term_in, Struct) and term_in.functor == "." and len(term_in.args) == 2):
-            return
-        x, tail = term_in.args
-        if proper_list_items(tail) != []:
-            return
-        if not isinstance(term_out, Int):
+    if spec.kind == EQC:
+        x = _single(term_in)
+        if x is None or not isinstance(term_out, Int):
             return
         ab2 = ab.cloned()
         vx = _var_for(x, ab2, ctx.facts)
-        if vx is None:
-            return
-        if not ab2.store.post_eq_const(vx, term_out.value):
+        if vx is None or not ab2.store.post_eq_const(vx, term_out.value):
             return
         item = Abduced("constraint", ab2.store.constraints[-1].text(ab2.store))
         yield (), None, s, (prog, ab2, dlogp, abduced + (item,))
@@ -551,14 +594,13 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     if vx is None or vy is None:
         return
     dx, dy = ab2.store.dom(vx), ab2.store.dom(vy)
-    if spec.kind == ABD_ADD:
+    if spec.kind == ADD:
         lo, hi = dx.lo + dy.lo, dx.hi + dy.hi
     else:
         corners = (dx.lo * dy.lo, dx.lo * dy.hi, dx.hi * dy.lo, dx.hi * dy.hi)
         lo, hi = min(corners), max(corners)
     vz = ab2.store.new_derived_var(lo, hi)
-    posted = ab2.store.post_add(vx, vy, vz) if spec.kind == ABD_ADD else ab2.store.post_mul(vx, vy, vz)
-    if not posted:
+    if not ab2.store.post(spec.kind, vx, vy, vz):
         return
     s2 = unify(term_out, Struct(".", (fdv_term(vz), t2)), s)
     if s2 is None:
@@ -665,7 +707,6 @@ def prove(
     *,
     runtime: Optional[Budget] = None,
     allow_new_clauses: bool = True,
-    prune: Optional[bool] = None,
     feasibility_only: bool = False,
 ) -> Iterator[AbductionResult]:
     """Stream of abductive proofs of the goals, best-effort order.
@@ -675,17 +716,17 @@ def prove(
     of the log probabilities of every assumed fact plus that assignment.  If
     the solver stopped early (budget.solver_max_nodes, which binds only
     stores that are not chains), the result's truncated flag says so.
-    Pruning (on by default via the budget) abandons partial branches that
-    can no longer beat the best completed proof; completed proofs are always
-    emitted.  With feasibility_only the solver is replaced by a cheap
-    satisfiability check and log_prob covers dyadic facts alone.
+    Pruning (budget.pruning) abandons partial branches that can no longer
+    beat the best completed proof; completed proofs are always emitted.
+    With feasibility_only the solver is replaced by a cheap satisfiability
+    check, log_prob covers dyadic facts alone, and nothing is pruned: the
+    callers (generation and blocking) need every proof, not the best.
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
-    do_prune = budget.pruning if prune is None else prune
-    ctx = _Ctx(setting, facts, budget, do_prune, allow_new_clauses)
+    ctx = _Ctx(setting, facts, budget, budget.pruning and not feasibility_only, allow_new_clauses)
     start = (program, _AbdState(), 0.0, ())
     leaves = solve([(g, ()) for g in goals], setting.kb, budget.depth_limit, runtime, start, ctx.hook)
     for _, (prog, ab, dlogp, abduced) in leaves:
@@ -804,7 +845,6 @@ def score_example(
         budget,
         runtime=runtime,
         allow_new_clauses=False,
-        prune=False,
         feasibility_only=True,
     ):
         proof_sets.append(frozenset(a.key for a in r.abduced if a.kind == "fact"))
@@ -849,7 +889,6 @@ def _candidate_programs(
             facts,
             budget,
             runtime=runtime,
-            prune=False,
             feasibility_only=True,
         ):
             k = r.program.key()
@@ -937,7 +976,7 @@ def induce(
     # left generation early, so to name the cause of a failure prove the
     # positives under every candidate to their last proofs, as generation does.
     proven = best_prog is None and any([all(list(prove(
-        e.goal, p, setting, facts, budget, runtime=runtime, allow_new_clauses=False, prune=False,
+        e.goal, p, setting, facts, budget, runtime=runtime, allow_new_clauses=False,
         feasibility_only=True)) for e in positives) for p in pool])
     exhausted = runtime.exhausted or not runtime.ok()
     if best_prog is None:

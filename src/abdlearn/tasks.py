@@ -3,8 +3,10 @@
 Four built-in tasks over digit sequences: cumulative sum, cumulative
 product, the sorted-list concept, and permutation sort.  Each task bundles
 the background clauses, abducible predicates, metarule subset, and body
-pool that the induction engine needs, plus enough metadata (digit range,
-class count) to size a perception model.
+pool that the induction engine needs, plus its digit range; what else a
+task needs (class count, whether perception is pairwise) is derived from
+those.  The abducibles' meaning lives in mil.Abducible alone: evaluation
+runs a learned program on each abducible's ground reading.
 """
 
 from __future__ import annotations
@@ -25,20 +27,10 @@ from .metarules import (
     metarule_library,
     program_clauses,
 )
-from .mil import (
-    ABD_ADD,
-    ABD_EQC,
-    ABD_FACT,
-    ABD_MUL,
-    Abducible,
-    GoalExample,
-    InductionSetting,
-    TableFacts,
-    _first_two,
-    _item_id,
-    item_term,
-)
-from .terms import LIST_CELL, Atom, Int, Struct, Term, Var, mk_list, proper_list_items, unify
+from .fd import ADD, EQC, MUL
+from .mil import ABD_FACT, Abducible, GoalExample, InductionSetting, TableFacts, item_term
+from .terms import Atom, Int, Term, Var, mk_list, proper_list_items
+from .terms import unify  # unused: perfbench/spans.py wraps it here
 
 
 class TaskError(ValueError):
@@ -70,6 +62,11 @@ class Task:
     The target's shape says what kind of task it is: arity 1 is a yes/no
     concept over the list, arity 2 with a dyadic abducible is a ranking,
     and any other arity-2 target maps the list to a number.
+
+    Derived, not set: dyadic (some abducible is the pair-fact kind, so
+    perception is a pairwise relation and the digits of a sequence are
+    distinct), n_classes (the digit span) and value_base (digit_lo, the
+    digit class 0 encodes).
     """
 
     id: str
@@ -82,12 +79,20 @@ class Task:
     max_clauses: int
     max_invented: int = 0
     invent_base: Optional[str] = None
-    n_classes: int = 10
-    value_base: int = 0  # digit encoded by class 0
     digit_lo: int = 0
     digit_hi: int = 9
-    dyadic: bool = False  # perception is a pairwise relation, not a classifier
-    distinct_digits: bool = False
+
+    @property
+    def dyadic(self) -> bool:
+        return any(a.kind == ABD_FACT for a in self.abducibles)
+
+    @property
+    def n_classes(self) -> int:
+        return self.digit_hi - self.digit_lo + 1
+
+    @property
+    def value_base(self) -> int:
+        return self.digit_lo
 
     def metarules(self, names: Optional[Sequence[str]] = None) -> "list[Metarule]":
         lib = metarule_library(default_metarules())
@@ -144,7 +149,7 @@ _TASKS = {
             target=("f", 2),
             y_of=sum,
             bk_text=LIST_BK,
-            abducibles=(Abducible("add", ABD_ADD), Abducible("eq", ABD_EQC)),
+            abducibles=(Abducible("add", ADD), Abducible("eq", EQC)),
             metarule_names=("chain", "ident"),
             body_pool=(("head", 2), ("tail", 2), ("empty", 1), ("add", 2), ("eq", 2)),
             max_clauses=2,
@@ -154,12 +159,10 @@ _TASKS = {
             target=("f", 2),
             y_of=math.prod,
             bk_text=LIST_BK,
-            abducibles=(Abducible("mult", ABD_MUL), Abducible("eq", ABD_EQC)),
+            abducibles=(Abducible("mult", MUL), Abducible("eq", EQC)),
             metarule_names=("chain", "ident"),
             body_pool=(("head", 2), ("tail", 2), ("empty", 1), ("mult", 2), ("eq", 2)),
             max_clauses=2,
-            n_classes=9,
-            value_base=1,
             digit_lo=1,
         ),
         Task(
@@ -173,9 +176,6 @@ _TASKS = {
             max_clauses=3,
             max_invented=1,
             invent_base="s",
-            n_classes=2,
-            dyadic=True,
-            distinct_digits=True,
         ),
         # nn stays abducible but is deliberately NOT in the body pool: the
         # sort rule must go through the interpreted s/1 definition instead
@@ -189,9 +189,6 @@ _TASKS = {
             metarule_names=("tri_split",),
             body_pool=(("permute", 3), ("s", 1)),
             max_clauses=1,
-            n_classes=2,
-            dyadic=True,
-            distinct_digits=True,
         ),
     )
 }
@@ -253,8 +250,8 @@ class SeqExample:
 
 
 def _draw_digits(task: Task, length: int, rng: np.random.Generator) -> "list[int]":
-    span = task.digit_hi - task.digit_lo + 1
-    if task.distinct_digits:
+    span = task.n_classes
+    if task.dyadic:  # a ranking needs distinct digits
         if length > span:
             raise TaskError(
                 f"cannot draw {length} distinct digits from {task.digit_lo}..{task.digit_hi}"
@@ -303,7 +300,7 @@ def gen_sequences(
     if lo < 1 or hi < lo:
         raise TaskError(f"bad length range {lengths}")
     if gen is None:
-        gen = SyntheticDigitGen(n_classes=task.digit_hi - task.digit_lo + 1, seed=seed)
+        gen = SyntheticDigitGen(n_classes=task.n_classes, seed=seed)
     rng = np.random.default_rng(seed + 1013904223)  # stream distinct from prototype rng
     out: "list[SeqExample]" = []
     for i in range(n):
@@ -478,72 +475,24 @@ def load_idx(images_path: "str | Path", labels_path: "str | Path"):
 # ---------------------------------------------------------------------------
 
 
-def _ground_arith(op: Callable[[int, int], int]):
-    # Out = [N|T] shares the input's tail T, so a step costs no list copy.
-    def fn(args, s):
-        split = _first_two(s.apply(args[0]))
-        if split is None:
-            return
-        a, b, tail = split
-        if not (isinstance(a, Int) and isinstance(b, Int)) or proper_list_items(tail) is None:
-            return
-        out = Struct(LIST_CELL, (Int(op(a.value, b.value)), tail))
-        s2 = unify(args[1], out, s)
-        if s2 is not None:
-            yield s2
-
-    return fn
-
-
-def _ground_eq(args, s):
-    items = proper_list_items(s.apply(args[0]))
-    if items is None or len(items) != 1:
-        return
-    s2 = unify(args[1], items[0], s)
-    if s2 is not None:
-        yield s2
-
-
-def _ground_nn(facts: TableFacts):
-    def fn(args, s):
-        items = proper_list_items(s.apply(args[0]))
-        if items is None or len(items) < 2:
-            return
-        i, j = _item_id(items[0]), _item_id(items[1])
-        if i is None or j is None:
-            raise TaskError("ordered check reached a non-item term")
-        if facts.pair_prob(i, j) >= 0.5:
-            yield s
-
-    return fn
-
-
 def ground_kb(
     task: Task,
     program: Program,
     library: Optional[dict] = None,
     facts: Optional[TableFacts] = None,
 ) -> KnowledgeBase:
-    """Executable kb: background + induced clauses + ground abducibles.
-
-    Numeric abducibles become real arithmetic; the dyadic one holds of a
-    pair of items when the given facts give it probability 0.5 or more.
+    """Executable kb: background + induced clauses + each abducible's
+    ground reading (mil.Abducible.ground), which on a dyadic task reads the
+    pair relation from facts.
     """
+    if task.dyadic and facts is None:
+        raise TaskError(f"task {task.id} needs a pairwise relation to execute")
     kb = standard_kb(task.bk_text)
     lib = library or metarule_library(default_metarules())
     for clause in program_clauses(program, lib):
         kb.add_clause(clause)
     for a in task.abducibles:
-        if a.kind == ABD_ADD:
-            kb.add_builtin(a.name, 2, _ground_arith(lambda x, y: x + y))
-        elif a.kind == ABD_MUL:
-            kb.add_builtin(a.name, 2, _ground_arith(lambda x, y: x * y))
-        elif a.kind == ABD_EQC:
-            kb.add_builtin(a.name, 2, _ground_eq)
-        elif a.kind == ABD_FACT:
-            if facts is None:
-                raise TaskError(f"task {task.id} needs a pairwise relation to execute")
-            kb.add_builtin(a.name, 1, _ground_nn(facts))
+        kb.add_builtin(a.name, a.arity, a.ground(facts))
     return kb
 
 

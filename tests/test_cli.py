@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from abdlearn.cli import main
+from abdlearn.tasks import TASK_IDS
 
 
 def run(*argv):
@@ -69,12 +70,20 @@ def test_gen_data_rejects_bad_lengths(tmp_path):
 def test_gen_data_rejects_impossible_distinct_draw(tmp_path):
     # sorting data uses distinct digits, so lengths above the digit span fail
     assert run(
-        "gen-data", "--task", "sorted_concept", "--out", tmp_path, "--train", 5,
+        "gen-data", "--task", "sorted_concept", "--out", tmp_path / "out", "--train", 5,
         "--lengths", "11,12",
     ) == 2
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--dim", 0), ("--noise", -1)])
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_gen_data_every_task(tmp_path, task_id):
+    assert run("gen-data", "--task", task_id, "--out", tmp_path, "--train", 6, "--test", 3) == 0
+    assert (tmp_path / f"{task_id}_train.tsv").is_file()
+    assert (tmp_path / f"{task_id}_test.tsv").is_file()
+
+
+@pytest.mark.parametrize("flag, value", [("--dim", 0), ("--noise", -1), ("--seed", -1)])
 def test_gen_data_rejects_bad_generator_flags(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert run("gen-data", "--task", "sum", "--out", out, "--train", 5, flag, value) == 2
@@ -135,6 +144,31 @@ def test_train_rejects_unknown_section(tmp_path, sum_data):
 def test_train_missing_dataset_no_partial_artifacts(tmp_path):
     cfg = write_cfg(tmp_path / "e.ini", train_path=tmp_path / "absent.tsv")
     assert run("train", "--config", cfg) == 3
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("budget", "max_nodes", -1),
+        ("budget", "depth_limit", -3),
+        ("budget", "depth_limit", 0),
+        ("budget", "wall_ms", -5),
+        ("run", "seed", -1),
+        ("curriculum", "stage1_epochs", 0),
+    ],
+)
+def test_train_rejects_out_of_range_values(tmp_path, sum_data, capsys, section, key, value):
+    cfg = write_cfg(tmp_path / "r.ini", train_path=sum_data / "sum_train.tsv", **{section: {key: value}})
+    assert run("train", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_a_negative_seed_flag(tmp_path, sum_data, capsys):
+    cfg = write_cfg(tmp_path / "s.ini", train_path=sum_data / "sum_train.tsv")
+    assert run("train", "--config", cfg, "--seed", -1) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "run").exists()
 
 
@@ -258,6 +292,25 @@ def test_bench_metarules_cli(capsys, sum_data):
     assert n2 < n3
 
 
+@pytest.mark.parametrize("flag, value", [("--batch-size", 0), ("--batches", -1)])
+def test_bench_abduction_rejects_out_of_range_flags(capsys, trained_run, sum_data, flag, value):
+    assert run(
+        "bench-abduction", "--task", "sum", "--data", sum_data / "sum_train.tsv",
+        "--model", trained_run / "model.ckpt", flag, value,
+    ) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and out.out == ""
+
+
+def test_bench_metarules_rejects_a_negative_limit(capsys, sum_data):
+    assert run(
+        "bench-metarules", "--task", "sum", "--data", sum_data / "sum_train.tsv",
+        "--limit", -3, "--sizes", "2,3",
+    ) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and out.out == ""
+
+
 def test_bench_metarules_rejects_bad_sizes(sum_data):
     assert run(
         "bench-metarules", "--task", "sum", "--data", sum_data / "sum_train.tsv",
@@ -275,3 +328,34 @@ def test_bench_metarules_rejects_unparsable_sizes(capsys, sum_data):
 
 def test_cli_rejects_unknown_subcommand():
     assert run("frobnicate") == 2
+
+
+# ---------------------------------------------------------------------------
+# the sorting curriculum, end to end
+
+
+def test_sorting_curriculum_from_the_cli(tmp_path, capsys):
+    d = tmp_path / "data"
+    assert run(
+        "gen-data", "--task", "sorted_concept", "--out", d, "--train", 18,
+        "--lengths", "1,4", "--noise", 0.04, "--seed", 3,
+    ) == 0
+    assert run(
+        "gen-data", "--task", "bogosort", "--out", d, "--train", 96, "--test", 40,
+        "--lengths", "2,5", "--noise", 0.04, "--seed", 3,
+    ) == 0
+    cfg = write_cfg(
+        tmp_path / "sort.ini",
+        train_path=d / "bogosort_train.tsv",
+        run={"task": "bogosort"},
+        curriculum={"stage1_task": "sorted_concept", "stage1_train": d / "sorted_concept_train.tsv"},
+    )
+    assert run("train", "--config", cfg) == 0
+    out = tmp_path / "run"
+    assert "s(" in (out / "program.pl").read_text()
+    capsys.readouterr()
+    assert run(
+        "eval", "--task", "bogosort", "--program", out / "program.json",
+        "--model", out / "model.ckpt", "--data", d / "bogosort_test.tsv",
+    ) == 0
+    assert capsys.readouterr().out.startswith("split\tn\tfailures")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abdlearn.fd import ADD, EQC
 from abdlearn.kb import Budget, deduce, standard_kb
 from abdlearn.metarules import (
     MetaruleError,
@@ -24,8 +25,6 @@ from abdlearn.metarules import (
     program_text,
 )
 from abdlearn.mil import (
-    ABD_ADD,
-    ABD_EQC,
     ABD_FACT,
     Abducible,
     GoalExample,
@@ -63,8 +62,8 @@ def sum_setting(mrs=("chain", "ident")):
     kb = standard_kb(BK)
     rules = [r for r in default_metarules() if r.name in mrs]
     abd = {
-        ("add", 2): Abducible("add", ABD_ADD),
-        ("eq", 2): Abducible("eq", ABD_EQC),
+        ("add", 2): Abducible("add", ADD),
+        ("eq", 2): Abducible("eq", EQC),
     }
     return InductionSetting(kb, rules, abd, ("f", 2), [("add", 2), ("eq", 2)])
 
@@ -416,6 +415,37 @@ def test_prove_dyadic_fact_probability():
     assert {a.key for a in best.abduced} == {("pair", 0, 1), ("pair", 1, 2)}
 
 
+def test_feasibility_proofs_are_never_pruned():
+    """Blocking a negative needs every proof: a feasibility-only stream is
+    the same under budget.pruning on and off."""
+    rules = [r for r in default_metarules() if r.name in ("mono_ident", "mono_chain")]
+    abd = {("nn", 1): Abducible("nn", ABD_FACT)}
+    setting = InductionSetting(standard_kb(BK), rules, abd, ("s", 1), [("tail", 2), ("nn", 1)])
+    prog = Program(
+        (
+            MetaSub("mono_ident", (("P", "s"), ("Q", "nn"))),
+            MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "s"))),
+        )
+    )
+    facts = TableFacts({}, pairs={(0, 1): 0.9, (1, 2): 0.5, (2, 3): 0.3})
+    goal = Atom("s", (mk_list([item_term(i) for i in range(4)]),))
+
+    def fact_sets(pruning):
+        return [
+            frozenset(a.key for a in r.abduced)
+            for r in prove(goal, prog, setting, facts, SearchBudget(pruning=pruning),
+                           allow_new_clauses=False, feasibility_only=True)
+        ]
+
+    assert fact_sets(True) == fact_sets(False) == [
+        frozenset({("pair", 0, 1)}), frozenset({("pair", 1, 2)}), frozenset({("pair", 2, 3)})
+    ]
+    neg = GoalExample(goal, positive=False)
+    on = score_example(neg, prog, setting, facts, SearchBudget(pruning=True))
+    assert on == score_example(neg, prog, setting, facts, SearchBudget(pruning=False))
+    assert on.pairs_dict() == {("pair", 0, 1): False, ("pair", 1, 2): False, ("pair", 2, 3): False}
+
+
 # ---------------------------------------------------------------------------
 # score_example (positives and negatives)
 # ---------------------------------------------------------------------------
@@ -629,7 +659,7 @@ def _full_generation(positives, setting, budget, facts, runtime):
         local = set()
         for r in prove(
             positives[idx].goal, prog, setting, facts, budget,
-            runtime=runtime, prune=False, feasibility_only=True,
+            runtime=runtime, feasibility_only=True,
         ):
             if r.program.key() not in local:
                 local.add(r.program.key())

@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from abdlearn.fd import ADD, EQC, MUL, solve_best
 from abdlearn.metarules import MetaSub, Program, merge_programs
-from abdlearn.mil import SearchBudget, SettingError, TableFacts, induce
-from abdlearn import tasks
+from abdlearn.mil import ABD_FACT, Abducible, SearchBudget, SettingError, TableFacts, induce
+from abdlearn import mil, tasks
 from abdlearn.kb import deduce
 from abdlearn.mil import item_term
 from abdlearn.perception import MLP, PairModel
@@ -27,7 +28,6 @@ from abdlearn.tasks import (
     make_task,
     ranks_descending,
     save_dataset,
-    _ground_arith,
 )
 from abdlearn.parser import parse_term
 from abdlearn.terms import Atom, Int, Subst, Var, mk_list
@@ -363,7 +363,7 @@ def test_evaluate_counts_depth_cuts_without_changing_answers():
 
 
 def _run_ground_add(lst):
-    fn = _ground_arith(lambda x, y: x + y)
+    fn = Abducible("add", ADD).ground()
     return [s.apply(Var("Out")) for s in fn((lst, Var("Out")), Subst())]
 
 
@@ -376,12 +376,60 @@ def test_ground_add_shares_the_input_tail():
     assert last == mk_list([Int(3)])
 
 
-@pytest.mark.parametrize(
-    "src",
-    ["[1]", "[]", "[1,2|T]", "[1,2,3|T]", "[1,2|x]", "[a,2,3]", "[1,b]", "[X,2]", "foo"],
-)
+@pytest.mark.parametrize("src", ["[1]", "[]", "[a,2,3]", "[1,b]", "[X,2]", "foo"])
 def test_ground_add_rejects_what_it_always_rejected(src):
     assert _run_ground_add(parse_term(src)) == []
+
+
+def _abduced(spec, goal, facts):
+    """(substitution, abduction state) of each alternative mil._abduce gives."""
+    ctx = mil._Ctx(None, facts, SearchBudget(), False, False)
+    state = (Program(), mil._AbdState(), 0.0, ())
+    return [(s2, st[1]) for _, _, s2, st in mil._abduce(spec, goal, Subst(), state, ctx)]
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["[1]", "[]", "[1,2|T]", "[1,2,3|T]", "[1,2|x]", "[a,2,3]", "[1,b]", "[X,2]", "foo",
+     "[5]", "[3,4]", "[3,4,5,6]"],
+)
+@pytest.mark.parametrize("kind", [ADD, MUL, EQC])
+def test_ground_and_abduced_readings_agree(kind, src):
+    """Abducible.ground succeeds exactly when _abduce yields an alternative,
+    and on Ints its output head is the one value the abduced output can take
+    in the store solve_best labels."""
+    spec, lst = Abducible("p", kind), parse_term(src)
+    for out in (Int(1), Int(5)) if kind == EQC else (Var("Out"),):
+        ground = [s.apply(out) for s in spec.ground()((lst, out), Subst())]
+        abduced = _abduced(spec, Atom("p", (lst, out)), TableFacts({}))
+        assert len(ground) == len(abduced) <= 1
+        if abduced and kind != EQC:
+            s2, ab = abduced[0]
+            head, tail = s2.apply(out).args
+            assert solve_best(ab.store) is not None
+            (value,) = ab.store.dom(mil._item_id(head, mil.FDV_F)).values()
+            assert ground[0].args == (Int(value), tail)
+
+
+@pytest.mark.parametrize(
+    "src", ["[item(0),item(1)]", "[item(1),item(0)]", "[item(0),item(1),item(2)]",
+            "[item(0),item(1)|T]", "[item(0),item(1)|x]", "[item(0)]", "[]", "foo"],
+)
+def test_ground_and_abduced_fact_readings_agree(src):
+    facts = TableFacts.exact(pairs=lambda a, b: a < b)
+    spec, lst = Abducible("nn", ABD_FACT), parse_term(src)
+    ground = list(spec.ground(facts)((lst,), Subst()))
+    assert len(ground) == len(_abduced(spec, Atom("nn", (lst,)), facts)) <= 1
+
+
+def test_ground_fact_rejects_a_non_item_term():
+    facts = TableFacts.exact(pairs=lambda a, b: True)
+    spec, lst = Abducible("nn", ABD_FACT), parse_term("[1,2]")
+    assert _abduced(spec, Atom("nn", (lst,)), facts) == []
+    with pytest.raises(SettingError, match="nn reached a non-item term"):
+        list(spec.ground(facts)((lst,), Subst()))
+    with pytest.raises(TaskError, match="needs a pairwise relation"):
+        ground_kb(make_task("sorted_concept"), Program())
 
 
 def test_evaluate_uses_model_argmax():
