@@ -307,6 +307,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not t1.dyadic or not task.dyadic:
             raise CliError(CONFIG_ERR, "curriculum stages must both be pairwise tasks")
         stage1 = (t1, _load_examples(cfg["curriculum"]["stage1_train"], t1.id))
+    elif task.dyadic:
+        raise CliError(CONFIG_ERR, f"{task.id} needs a [curriculum] section")
+    val_exs = _load_examples(cfg["data"]["val"], task.id) if cfg["data"]["val"] else None
 
     out = _fresh_out_dir(cfg["run"]["out"])
     write_resolved(cfg, out / "resolved.ini")
@@ -333,8 +336,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             best = merged
             trained_model = pair
             text = program_text(best, lib)
-        elif task.dyadic:
-            raise CliError(CONFIG_ERR, f"{task.id} needs a [curriculum] section")
         else:
             model = MLP(dim, task.n_classes, hidden=cfg["em"]["hidden"], lr=cfg["em"]["lr"], seed=seed)
             seed_data = _few_shot_seed(examples, task) if cfg["em"]["pretrain"] else None
@@ -353,8 +354,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"trained {task.id} in {wall:.1f}s; program ({best.size} clauses):")
     print(text)
     print(f"artifacts in {out}")
-    if cfg["data"]["val"]:
-        val_exs = _load_examples(cfg["data"]["val"], task.id)
+    if val_exs is not None:
         table = _per_length_table(task, best, val_exs, trained_model)
         (out / "metrics_val.tsv").write_text(table + "\n")
         print("validation metrics:")

@@ -10,7 +10,8 @@ and epochs.
 Perception is read once per batch, through one mil.TableFacts built from
 the current model before the E-step.  The E-step's abduction and the
 perception_acc column read the same tables: one classifier forward per
-batch, and at most one pair-net call per ordered pair of items.
+batch or, on a dyadic task, one pair-net forward over every ordered pair
+inside each example of the batch.
 """
 
 from __future__ import annotations
@@ -258,6 +259,7 @@ def train(
                     model=None if task.dyadic else model,
                     pair_model=pair_model if task.dyadic else None,
                     value_base=task.value_base,
+                    groups=spans,
                 )
                 runtime = config.budget.runtime()
                 out = induce(goals, setting, facts, config.budget, runtime=runtime)

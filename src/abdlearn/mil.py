@@ -122,33 +122,36 @@ def invent_symbol(base: str, taken: Iterable[str] = ()) -> str:
 _LOG_FLOOR = 1e-9  # model pair probabilities are clipped away from {0,1}
 
 
+def _no_pair(a: int, b: int) -> float:
+    raise KeyError((a, b))
+
+
 class TableFacts:
     """The fact oracle: probabilities perception gives the abducible facts.
 
     Items are integer handles; what a handle denotes (an image, a row of a
     feature matrix) is the caller's business.  Two tables answer every read:
 
-    - item tables, a log-probability for each value from value_base up,
-      filled when the oracle is built;
+    - item tables, a log-probability for each value from value_base up;
     - pair probabilities, that the dyadic relation holds of an ordered
-      pair, each filled on its first read through the oracle's reader, so a
-      pair costs the reader one call however often it is read.
+      pair.
 
-    The constructor takes explicit probabilities (handy in tests); exact
-    builds the oracle from known labels, from_model from perception.
+    Both are filled when the oracle is built, except pairs given as a
+    function, which fill on first read: one call per pair however often it
+    is read.  The constructor takes explicit probabilities (handy in tests);
+    exact builds the oracle from known labels, from_model from perception.
     """
 
     def __init__(self, tables: dict, value_base: int = 0, pairs=None):
         """tables: item -> value probabilities; pairs: (a, b) -> probability,
-        as a dict or a function.  With no pairs a pair read raises KeyError."""
+        as a dict or a function.  A read of a pair not given raises KeyError."""
         self._items = {
             k: tuple(math.log(p) if p > 0.0 else -math.inf for p in tbl)
             for k, tbl in tables.items()
         }
         self.value_base = value_base
-        given = pairs or {}
-        self._read = pairs if callable(pairs) else lambda a, b: given[a, b]
-        self._pair_p: "dict[tuple[int, int], float]" = {}
+        self._read = pairs if callable(pairs) else _no_pair
+        self._pair_p: "dict[tuple[int, int], float]" = {} if callable(pairs) else dict(pairs or {})
 
     @classmethod
     def exact(cls, labels=None, n_values: int = 10, value_base: int = 0, pairs=None) -> "TableFacts":
@@ -158,18 +161,23 @@ class TableFacts:
         return cls(tables, value_base, None if pairs is None else lambda a, b: float(bool(pairs(a, b))))
 
     @classmethod
-    def from_model(cls, features, model=None, pair_model=None, value_base: int = 0) -> "TableFacts":
-        """Perception's reading of the rows of features: item tables are the
-        classifier's log-probabilities from one forward over all rows, a
-        pair's probability is one predict_pair call on its two rows, clipped
-        to [_LOG_FLOOR, 1 - _LOG_FLOOR].  A read of a missing part raises
-        KeyError."""
-
-        def read(a: int, b: int) -> float:
-            p = float(pair_model.predict_pair(features[a], features[b]))
-            return min(max(p, _LOG_FLOOR), 1.0 - _LOG_FLOOR)
-
-        facts = cls({}, value_base, read if pair_model is not None else None)
+    def from_model(
+        cls, features, model=None, pair_model=None, value_base: int = 0, groups=None
+    ) -> "TableFacts":
+        """Perception's reading of the rows of features.  Item tables are the
+        classifier's log-probabilities from one forward over all rows.  Pair
+        probabilities come from one predict_pairs call over every ordered
+        pair of rows inside each group (the row ids of one example; by
+        default all rows are one example), clipped to
+        [_LOG_FLOOR, 1 - _LOG_FLOOR].  A read of a missing part, or of a
+        pair outside the groups, raises KeyError."""
+        pairs = None
+        if pair_model is not None:
+            ids = [range(len(features))] if groups is None else groups
+            keys = [(a, b) for g in ids for a in g for b in g]
+            probs = pair_model.predict_pairs(features, keys)
+            pairs = {k: min(max(float(p), _LOG_FLOOR), 1.0 - _LOG_FLOOR) for k, p in zip(keys, probs)}
+        facts = cls({}, value_base, pairs)
         if model is not None and len(features):
             facts._items = dict(enumerate(map(tuple, model.log_probs(features).tolist())))
         return facts

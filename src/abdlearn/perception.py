@@ -238,6 +238,8 @@ class PairModel:
     Only the canonically ordered pair (smaller content bytes first) is ever
     shown to the network; the other orientation is the complement, so
     p(a,b) + p(b,a) = 1 holds exactly and a self-pair scores 0.5.
+    predict_pairs reads many pairs from one forward; predict_pair is its
+    one-pair case.
     """
 
     def __init__(self, n_in: int, hidden: int = 64, seed: int = 0, lr: float = 0.05, momentum: float = 0.9):
@@ -253,13 +255,31 @@ class PairModel:
         return (a, b, False) if self._key(a) <= self._key(b) else (b, a, True)
 
     def predict_pair(self, a, b) -> float:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if self._key(a) == self._key(b):
-            return 0.5
-        x, y, swapped = self._canonical(a, b)
-        p = float(self.net.predict(np.concatenate([x, y]))[1])
-        return 1.0 - p if swapped else p
+        return self.predict_pairs((a, b), ((0, 1),))[0]
+
+    def predict_pairs(self, features, pairs) -> "list[float]":
+        """p(a, b) for each index pair (a, b) into the rows of features.
+
+        Each unordered pair of distinct contents is one row of a single
+        forward, in canonical order; that orientation reads p and the other
+        1 - p.  Equal contents read 0.5 and add no row.
+        """
+        X = np.asarray(features, dtype=float)
+        keys = [self._key(x) for x in X]
+        rows: "dict[tuple[int, int], int]" = {}  # canonical (first, second) -> row
+        plan = []  # per pair: (row, swapped), or None for equal contents
+        for a, b in pairs:
+            if keys[a] == keys[b]:
+                plan.append(None)
+            elif keys[a] < keys[b]:
+                plan.append((rows.setdefault((a, b), len(rows)), False))
+            else:
+                plan.append((rows.setdefault((b, a), len(rows)), True))
+        p = []
+        if rows:
+            first, second = zip(*rows)
+            p = self.net.predict(np.concatenate([X[list(first)], X[list(second)]], axis=1))[:, 1].tolist()
+        return [0.5 if q is None else 1.0 - p[q[0]] if q[1] else p[q[0]] for q in plan]
 
     def fit_pairs(self, pairs: Iterable[tuple], epochs: int = 1, batch_size: Optional[int] = None) -> float:
         """pairs: (a, b, truth) triples; orientation is normalized here."""

@@ -558,10 +558,11 @@ def evaluate(
     each item's most probable digit, from one classifier forward per
     example, and cls_acc scores those digits; an example the program
     cannot solve counts as the worst possible error for its length.  The
-    dyadic relation is the pair probability at 0.5 or above, each ordered
-    pair read from the pairwise model at most once (permutations are tried
-    in order until the ordered check passes); a failed ranking scores zero
-    on both whole-permutation and per-position accuracy.
+    dyadic relation is the pair probability at 0.5 or above, read off a
+    table of every ordered pair of the example that one pair-net forward
+    fills (permutations are tried in order until the ordered check passes);
+    a failed ranking scores zero on both whole-permutation and per-position
+    accuracy.
     """
     if not examples:
         raise TaskError("evaluate needs at least one example")

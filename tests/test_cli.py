@@ -147,6 +147,22 @@ def test_train_missing_dataset_no_partial_artifacts(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_missing_val_dataset_before_training(tmp_path, sum_data):
+    cfg = write_cfg(
+        tmp_path / "v.ini", train_path=sum_data / "sum_train.tsv", data={"val": tmp_path / "absent.tsv"}
+    )
+    assert run("train", "--config", cfg) == 3
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_pairwise_task_without_curriculum_writes_nothing(tmp_path):
+    d = tmp_path / "data"
+    assert run("gen-data", "--task", "bogosort", "--out", d, "--train", 6, "--test", 3) == 0
+    cfg = write_cfg(tmp_path / "b.ini", train_path=d / "bogosort_train.tsv", run={"task": "bogosort"})
+    assert run("train", "--config", cfg) == 2
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

@@ -119,6 +119,9 @@ def test_model_facts_pair_clipped():
         def predict_pair(self, a, b):
             return 1.0 if a[0] >= b[0] else 0.0
 
+        def predict_pairs(self, features, pairs):
+            return [self.predict_pair(features[a], features[b]) for a, b in pairs]
+
     facts = TableFacts.from_model(idx_features(2), pair_model=HardPair())
     assert facts.pair_logprob(1, 0) < 0.0  # never exactly log(1) = 0
     assert math.isfinite(facts.pair_logprob(0, 1))
@@ -131,12 +134,17 @@ def test_model_facts_match_the_reference_bit_for_bit():
     batch = gen_sequences(task, 8, lengths=(2, 5), gen=gen, seed=3)
     _, features, spans = em._assemble(task, batch)
     model, pair = MLP(8, 10, seed=5), PairModel(8, seed=5)
-    facts = TableFacts.from_model(features, model=model, pair_model=pair)
+    facts = TableFacts.from_model(features, model=model, pair_model=pair, groups=spans)
     ref = _RefModelFacts(features, model=model, pair_model=pair)
     for i in range(len(features)):
         assert _bits(facts.item_logweights(i)) == _bits(ref.item_logweights(i))
+    # pairs: bit for bit what one predict_pairs call over the groups reads,
+    # and within rounding of one single-row forward per pair
     pairs = [(a, b) for ids in spans for a in ids for b in ids]
-    assert [facts.pair_logprob(a, b).hex() for a, b in pairs] == [ref.pair_logprob(a, b).hex() for a, b in pairs]
+    batched = [math.log(min(max(p, 1e-9), 1.0 - 1e-9)) for p in pair.predict_pairs(features, pairs)]
+    got = [facts.pair_logprob(a, b) for a, b in pairs]
+    assert [v.hex() for v in got] == [v.hex() for v in batched]
+    assert max(abs(v - ref.pair_logprob(a, b)) for v, (a, b) in zip(got, pairs)) <= 1e-12
     # the exact constructor: certainty reads 0.0, impossibility -inf
     labels = {0: 3, 1: 5, 2: 5}
     exact = TableFacts.exact(labels, value_base=1, pairs=lambda a, b: labels[a] >= labels[b])
@@ -149,14 +157,18 @@ def test_model_facts_match_the_reference_bit_for_bit():
 
 
 class _CountingPair:
-    """Pair model spy: a fixed pseudo-random order, every call recorded."""
+    """Pair model spy: a fixed pseudo-random order, the ordered pairs of
+    every predict_pairs call recorded."""
 
     def __init__(self):
         self.calls = []
 
     def predict_pair(self, a, b):
-        self.calls.append((tuple(a), tuple(b)))
         return 0.5 + 0.4 * math.sin(3.0 * a[0] - 7.0 * b[0])
+
+    def predict_pairs(self, features, pairs):
+        self.calls.append(list(pairs))
+        return [self.predict_pair(features[a], features[b]) for a, b in self.calls[-1]]
 
     def fit_pairs(self, pairs, epochs=1, batch_size=None):
         return 0.0
@@ -165,26 +177,29 @@ class _CountingPair:
 def test_model_facts_reads_each_pair_once_per_batch():
     task = make_task("sorted_concept")
     batch = gen_sequences(task, 6, lengths=(2, 4), seed=3)
-    _, features, _ = em._assemble(task, batch)
+    _, features, spans = em._assemble(task, batch)
     spy = _CountingPair()
-    facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy)
+    facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy, groups=spans)
     e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=3))
-    assert spy.calls and len(spy.calls) == len(set(spy.calls))
-    again = facts.pair_logprob(0, 1)
-    n = len(spy.calls)
-    assert facts.pair_logprob(0, 1) == again and len(spy.calls) == n
+    assert len(spy.calls) == 1 and len(spy.calls[0]) == len(set(spy.calls[0]))
+    assert set(spy.calls[0]) == {(a, b) for ids in spans for a in ids for b in ids}
+    facts.pair_logprob(0, 1)
+    assert len(spy.calls) == 1
+    with pytest.raises(KeyError):
+        facts.pair_prob(spans[0][0], spans[1][0])  # across examples: outside the groups
 
 
 def test_train_reads_each_pair_once_per_batch():
-    # induce and the perception_acc column read one oracle: no ordered pair
-    # reaches the pair net twice in a batch
+    # induce and the perception_acc column read one oracle: one predict_pairs
+    # call per batch, and no ordered pair twice in it
     task = make_task("sorted_concept")
     exs = gen_sequences(task, 12, lengths=(1, 4), gen=SyntheticDigitGen(seed=4), seed=4)
     spy = _CountingPair()
-    cfg = EMConfig(epochs=1, batch_size=len(exs), seed=4, budget=SearchBudget(max_clauses=3))
+    cfg = EMConfig(epochs=1, batch_size=6, seed=4, budget=SearchBudget(max_clauses=3))
     state = train(task, exs, cfg, pair_model=spy)
     assert state.rows[0]["perception_acc"] is not None
-    assert spy.calls and len(spy.calls) == len(set(spy.calls))
+    assert len(spy.calls) == len(state.rows) == 2
+    assert all(len(c) == len(set(c)) for c in spy.calls)
 
 
 def test_model_facts_missing_parts_raise():

@@ -164,6 +164,83 @@ def test_pair_self_is_half():
     assert pm.predict_pair(a, a.copy()) == 0.5
 
 
+def _ref_predict_pair(pm, a, b):
+    """Reference: predict_pair's body before predict_pairs, one pair, one row."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if pm._key(a) == pm._key(b):
+        return 0.5
+    x, y, swapped = pm._canonical(a, b)
+    p = float(pm.net.predict(np.concatenate([x, y]))[1])
+    return 1.0 - p if swapped else p
+
+
+def _fitted_pair_model(seed=7):
+    rng = np.random.default_rng(seed)
+    X, y, _ = toy_digits(rng, k=10, d=8, n_per=6)
+    pm = PairModel(8, seed=seed)
+    pairs = [(X[i], X[j], y[i] >= y[j]) for i, j in rng.integers(0, len(X), size=(300, 2))]
+    pm.fit_pairs(pairs, epochs=3, batch_size=32)
+    return pm, X
+
+
+class _CountingNet:
+    """Wraps a net and counts its forwards."""
+
+    def __init__(self, net):
+        self.net, self.calls = net, 0
+
+    def predict(self, x):
+        self.calls += 1
+        return self.net.predict(x)
+
+
+def test_predict_pairs_is_one_forward():
+    pm, X = _fitted_pair_model()
+    spy = pm.net = _CountingNet(pm.net)
+    pairs = [(a, b) for a in range(6) for b in range(6)]
+    assert len(pm.predict_pairs(X[:6], pairs)) == len(pairs)
+    assert spy.calls == 1
+    # every pair of equal contents: no rows, so no forward
+    same = np.stack([X[0], X[1], X[0].copy()])
+    assert pm.predict_pairs(same, [(0, 0), (0, 2), (2, 0), (1, 1)]) == [0.5] * 4
+    assert pm.predict_pairs(X, []) == []
+    assert spy.calls == 1
+
+
+def test_predict_pairs_orientations_complement_bitwise():
+    pm, X = _fitted_pair_model()
+    pairs = [(a, b) for a in range(12) for b in range(12) if a != b]
+    got = dict(zip(pairs, pm.predict_pairs(X[:12], pairs)))
+    for a, b in pairs:
+        if pm._key(X[a]) < pm._key(X[b]):  # (a, b) is the canonical orientation
+            assert got[b, a] == 1.0 - got[a, b]
+
+
+def test_predict_pairs_equal_contents_read_half():
+    pm, X = _fitted_pair_model()
+    feats = np.stack([X[3], X[5], X[3].copy()])
+    assert pm.predict_pairs(feats, [(0, 0), (1, 1), (0, 2), (2, 0)]) == [0.5] * 4
+    assert pm.predict_pairs(feats, [(0, 1)])[0] != 0.5
+
+
+def test_predict_pairs_within_rounding_of_single_rows():
+    pm, X = _fitted_pair_model()
+    rng = np.random.default_rng(11)
+    pairs = [tuple(map(int, ab)) for ab in rng.integers(0, len(X), size=(200, 2))]
+    batched = pm.predict_pairs(X, pairs)
+    for (a, b), p in zip(pairs, batched):
+        assert abs(p - pm.predict_pair(X[a], X[b])) <= 1e-12
+
+
+def test_predict_pair_matches_the_reference_bit_for_bit():
+    pm, X = _fitted_pair_model()
+    rng = np.random.default_rng(12)
+    for a, b in rng.integers(0, len(X), size=(100, 2)):
+        assert pm.predict_pair(X[a], X[b]).hex() == _ref_predict_pair(pm, X[a], X[b]).hex()
+    assert pm.predict_pair(X[4], X[4].copy()) == _ref_predict_pair(pm, X[4], X[4]) == 0.5
+
+
 def test_pair_training_learns_order():
     rng = np.random.default_rng(23)
     X, y, protos = toy_digits(rng, k=10, d=8, n_per=24, noise=0.03)
