@@ -366,7 +366,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-_METRIC_FIELDS = ("n", "failures", "acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc", "depth_cut")
+_METRIC_FIELDS = (
+    "n", "failures", "acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc", "depth_cut", "budget_exhausted",
+)
 
 
 def _metrics_table(per_len: "list[tuple[str, Metrics]]") -> str:

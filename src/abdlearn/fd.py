@@ -186,10 +186,6 @@ class Labeling:
     truncated: bool = False
 
 
-class Infeasible(Exception):
-    pass
-
-
 class ConstraintStore:
     """Single-owner store of FD variables and posted constraints."""
 
@@ -228,9 +224,6 @@ class ConstraintStore:
 
     def dom(self, vid: int) -> Dom:
         return self.vars[vid].dom
-
-    def weighted_ids(self) -> "list[int]":
-        return [v.id for v in self.vars if v.is_weighted]
 
     # -- posting and propagation ---------------------------------------------
 

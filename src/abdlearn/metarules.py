@@ -82,9 +82,6 @@ class Program:
     def with_invented(self, name: str, arity: int) -> "Program":
         return Program(self.metasubs, self.invented + ((name, arity),))
 
-    def invented_names(self) -> "set[str]":
-        return {n for n, _ in self.invented}
-
     def key(self) -> frozenset:
         """Canonical identity: clause set with invented symbols renumbered
         by first appearance, so search-order artifacts do not split

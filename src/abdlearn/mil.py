@@ -29,6 +29,18 @@ non-reducing loops while admitting the structural recursion the templates
 express; background clauses are not checked, as in kb.deduce.  Beyond that,
 SearchBudget.depth_limit bounds the resolution steps along a branch, by
 kb.solve's one rule, whatever resolves each goal.
+
+One prune cuts whole subtrees that hold no proof.  A program is closed
+when it can gain no clause: new clauses are not allowed, or it fills the
+clause budget.  Under a closed program an inducible predicate is productive
+when one of its clauses has only productive inducible predicates in its
+body (background predicates and abducibles count as productive); the
+productive set is that rule's least fixpoint, computed once per program and
+prove call.  Every finite proof of a goal bottoms out in such clauses, so a
+goal on an unproductive predicate fails at once, and the prune changes
+neither the proofs found nor their order.  Without it, a full program whose
+clauses all recurse tries every mix of its clauses down the list, 2^L
+branches for a list of L items, before it fails.
 """
 
 from __future__ import annotations
@@ -451,7 +463,9 @@ class InduceOutcome:
 
     failure says why induced is None, by the first reason that holds:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
-    (the depth limit cut some branch, so a program may lie beyond it),
+    (the depth limit cut some branch, so a program may lie beyond it; a
+    branch on a goal that a closed program can never prove is not searched,
+    so a cut it would have met is not counted: it could hold no program),
     "unscorable" (a candidate proves every positive, weights aside, yet none
     scored above -inf on every example) or "no_candidate" (no program proves
     every positive example).  It is None when a program was found.  candidates_tried
@@ -493,6 +507,11 @@ class _Ctx:
     prune: bool
     allow_new: bool
     best: float = -math.inf  # best completed proof so far, the pruning bound
+    productive: dict = field(default_factory=dict)  # closed program -> _productive of it
+
+    def closed(self, prog: Program) -> bool:
+        """prog can gain no clause in this search."""
+        return not (self.allow_new and prog.size < self.budget.max_clauses)
 
     def hook(self, g: Atom, anc: tuple, s: Subst, state):
         """kb.solve hook for goals the kb does not define.  state is (program,
@@ -617,9 +636,34 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     yield (), None, s2, (prog, ab2, dlogp, abduced + (item,))
 
 
+def _productive(prog: Program, setting: InductionSetting) -> "set[tuple[str, int]]":
+    """Keys of the inducible predicates that prog's own clauses can prove
+    anything of: the least fixpoint of "has a clause whose inducible body
+    predicates are all productive", background predicates and abducibles
+    counting as productive (useless symbols, Hopcroft & Ullman)."""
+    inducible = {setting.target[0], *(n for n, _ in prog.invented)}
+    clauses = [setting.clause_of(ms) for ms in prog.metasubs]
+    done: set = set()
+    while True:
+        new = {
+            c.head.key()
+            for c in clauses
+            if c.head.key() not in done and all(b.pred not in inducible or b.key() in done for b in c.body)
+        }
+        if not new:
+            return done
+        done |= new
+
+
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
     """g resolved by kb.resolve on a metarule clause of the program, recorded or new."""
     prog = state[0]
+    if ctx.closed(prog):
+        done = ctx.productive.get(prog)
+        if done is None:
+            done = ctx.productive[prog] = _productive(prog, ctx.setting)
+        if g.key() not in done:
+            return  # every finite proof of g needs a clause prog lacks and cannot gain
     size = _arg1_size(g)
     if not _descends(anc, g.pred, size):
         return
@@ -640,7 +684,7 @@ def _clause_choices(g: Atom, prog: Program, ctx: _Ctx):
             yield ms, prog
 
     # Then new ones, within the clause budget.
-    if not (ctx.allow_new and prog.size < ctx.budget.max_clauses):
+    if ctx.closed(prog):
         return
     for mr in ctx.setting.metarules:
         if mr.head.arity != arity:
@@ -727,8 +771,10 @@ def prove(
     Pruning (budget.pruning) abandons partial branches that can no longer
     beat the best completed proof; completed proofs are always emitted.
     With feasibility_only the solver is replaced by a cheap satisfiability
-    check, log_prob covers dyadic facts alone, and nothing is pruned: the
-    callers (generation and blocking) need every proof, not the best.
+    check, log_prob covers dyadic facts alone, and nothing is pruned by
+    score: the callers (generation and blocking) need every proof, not the
+    best.  A goal that a closed program can never prove fails at once (see
+    the module docstring); that prune holds no proof, so it always applies.
     """
     if isinstance(goals, Atom):
         goals = [goals]
@@ -874,7 +920,12 @@ def _candidate_programs(
     runtime: Budget,
 ) -> "list[Program]":
     """Programs that prove every positive by sequential extension, or that
-    fill budget.max_clauses first and are left to scoring for the rest."""
+    fill budget.max_clauses first and are left to scoring for the rest.
+
+    Once a proof fills the budget, the program is closed for the rest of
+    that proof, and prove fails its unproductive goals at once: a full
+    program whose clauses all recurse is given up in one step, not after
+    2^L branches down a list of L items."""
     seen_prefix: set = set()
     found: dict = {}
 

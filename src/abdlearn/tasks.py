@@ -507,9 +507,11 @@ class Metrics:
     elem_acc: Optional[float] = None
     cls_acc: Optional[float] = None  # raw per-item classifier accuracy
     depth_cut: int = 0  # examples whose search the depth limit cut somewhere
+    budget_exhausted: int = 0  # examples whose search ran out of nodes (max_nodes)
 
     def row(self) -> str:
-        parts = [f"n={self.n}", f"failures={self.failures}", f"depth_cut={self.depth_cut}"]
+        parts = [f"n={self.n}", f"failures={self.failures}", f"depth_cut={self.depth_cut}",
+                 f"budget_exhausted={self.budget_exhausted}"]
         for name in ("acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc"):
             v = getattr(self, name)
             if v is not None:
@@ -518,12 +520,14 @@ class Metrics:
 
 
 def _first_solution(goal: Atom, kb: KnowledgeBase, depth_limit: int, max_nodes: int, m: Metrics):
-    """First answer to goal, or None; counts a depth-limit cut into m."""
+    """First answer to goal, or None; counts a depth-limit cut and a
+    search the node cap stopped into m."""
     budget = Budget(max_nodes=max_nodes)
     sol = None
     for sol in deduce(goal, kb, depth_limit=depth_limit, budget=budget):
         break
     m.depth_cut += int(budget.depth_hits > 0)
+    m.budget_exhausted += int(budget.exhausted)
     return sol
 
 
@@ -562,7 +566,9 @@ def evaluate(
     table of every ordered pair of the example that one pair-net forward
     fills (permutations are tried in order until the ordered check passes);
     a failed ranking scores zero on both whole-permutation and per-position
-    accuracy.
+    accuracy.  Each example's search gets max_nodes resolution steps;
+    m.depth_cut and m.budget_exhausted count the examples whose search the
+    depth limit cut or the node cap stopped, answered or not.
     """
     if not examples:
         raise TaskError("evaluate needs at least one example")

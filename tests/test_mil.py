@@ -58,14 +58,17 @@ SUM_PROG = Program(
 )
 
 
-def sum_setting(mrs=("chain", "ident")):
+LIST_POOL = (("head", 2), ("tail", 2), ("empty", 1), ("add", 2), ("eq", 2))  # the sum task's
+
+
+def sum_setting(mrs=("chain", "ident"), pool=(("add", 2), ("eq", 2))):
     kb = standard_kb(BK)
     rules = [r for r in default_metarules() if r.name in mrs]
     abd = {
         ("add", 2): Abducible("add", ADD),
         ("eq", 2): Abducible("eq", EQC),
     }
-    return InductionSetting(kb, rules, abd, ("f", 2), [("add", 2), ("eq", 2)])
+    return InductionSetting(kb, rules, abd, ("f", 2), list(pool))
 
 
 def sorted_setting():
@@ -444,6 +447,109 @@ def test_feasibility_proofs_are_never_pruned():
     on = score_example(neg, prog, setting, facts, SearchBudget(pruning=True))
     assert on == score_example(neg, prog, setting, facts, SearchBudget(pruning=False))
     assert on.pairs_dict() == {("pair", 0, 1): False, ("pair", 1, 2): False, ("pair", 2, 3): False}
+
+
+# ---------------------------------------------------------------------------
+# closed programs: goals no clause chain can prove
+# ---------------------------------------------------------------------------
+
+
+def _chain(q, r="f"):
+    return MetaSub("chain", (("P", "f"), ("Q", q), ("R", r)))
+
+
+def _sum_feasibility(prog, n):
+    """Clause texts of each feasibility proof of one sum positive of n
+    items at clause budget 2, and the nodes searched."""
+    setting = sum_setting(pool=LIST_POOL)
+    facts = TableFacts({i: digit_table(3) for i in range(n)})
+    runtime = Budget()
+    proofs = prove(
+        item_goal(range(n), 3 * n), prog, setting, facts, SearchBudget(max_clauses=2),
+        runtime=runtime, feasibility_only=True,
+    )
+    return [clause_texts(r.program, setting) for r in proofs], runtime.nodes
+
+
+def test_closed_program_without_a_base_case_fails_at_once():
+    """Both clauses recurse and the budget is full, so no proof can ever
+    bottom out: prove fails the first goal, where a search down the list
+    tries every mix of tail and add steps (69 / 285 / 1149 / 4605 nodes at
+    L = 4 / 6 / 8 / 10)."""
+    closed = Program((_chain("tail"), _chain("add")))
+    one_clause = Program((_chain("add"),))
+    grown = []
+    for n in (4, 6, 8, 10):
+        texts, nodes = _sum_feasibility(closed, n)
+        assert texts == [] and nodes == 1
+        texts, nodes = _sum_feasibility(one_clause, n)
+        assert texts == [SUM_TEXTS, {"f(A,B) :- add(A,C), f(C,B).", "f(A,B) :- add(A,C), eq(C,B)."}]
+        grown.append(nodes)
+    # every second clause closes the program, so the search is linear in L
+    assert len({b - a for a, b in zip(grown, grown[1:])}) == 1, grown
+
+
+class _AllProductive:
+    def __contains__(self, key):
+        return True
+
+
+@st.composite
+def _prove_cases(draw):
+    """A goal, a program (possibly with an invented symbol), a setting and
+    the prove options: sum lists up to clause budget 2, and the
+    sorted_concept setting, with invention, at budget 3."""
+    if draw(st.booleans()):
+        setting, cap = sum_setting(pool=LIST_POOL), draw(st.integers(1, 2))
+        n = draw(st.integers(1, 4))
+        tables = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+        facts = TableFacts({i: [w / sum(ws) for w in ws] for i, ws in enumerate(tables)})
+        goal = item_goal(range(n), draw(st.integers(0, 9 * n)))
+    else:
+        setting, cap = sorted_setting(), 3
+        n = draw(st.integers(1, 3))
+        probs = draw(st.lists(st.floats(0.05, 0.95), min_size=n * n, max_size=n * n))
+        facts = TableFacts({}, pairs={(a, b): probs[a * n + b] for a in range(n) for b in range(n)})
+        goal = Atom("s", (mk_list([item_term(i) for i in range(n)]),))
+    invented = ((setting.target[0] + "_1", 2),) if draw(st.booleans()) else ()
+    heads = [setting.target, *invented]
+    symbols = [*heads, *setting.body_pool]
+    metasubs = []
+    for _ in range(draw(st.integers(0, cap))):
+        mr = draw(st.sampled_from([m for m in setting.metarules if m.head.arity in {a for _, a in heads}]))
+        bindings = []
+        for ev in mr.existentials:
+            arity = mr.head.arity if ev == mr.head.pred_var else mr.body_slot_arity(ev)
+            pool = heads if ev == mr.head.pred_var else symbols
+            bindings.append((ev, draw(st.sampled_from([name for name, a in pool if a == arity]))))
+        metasubs.append(MetaSub(mr.name, tuple(bindings)))
+    budget = SearchBudget(max_clauses=cap, pruning=draw(st.booleans()))
+    options = dict(allow_new_clauses=draw(st.booleans()), feasibility_only=draw(st.booleans()))
+    return goal, Program(tuple(metasubs), invented), setting, facts, budget, options
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_prove_cases())
+def test_productivity_prune_changes_no_proof(case):
+    """The prune removes only branches that hold no proof: with every
+    predicate taken as productive, prove yields the same stream, in no
+    fewer nodes than with the prune."""
+    goal, prog, setting, facts, budget, options = case
+
+    def stream():
+        runtime = Budget()
+        proofs = [
+            (r.program, r.log_prob.hex(), r.abduced, r.item_assignment())
+            for r in prove(goal, prog, setting, facts, budget, runtime=runtime, **options)
+        ]
+        return proofs, runtime.nodes
+
+    on, nodes_on = stream()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "_productive", lambda prog, setting: _AllProductive())
+        off, nodes_off = stream()
+    assert on == off
+    assert nodes_on <= nodes_off
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from abdlearn.fd import ADD, EQC, MUL, solve_best
 from abdlearn.metarules import MetaSub, Program, merge_programs
 from abdlearn.mil import ABD_FACT, Abducible, SearchBudget, SettingError, TableFacts, induce
 from abdlearn import mil, tasks
+from abdlearn.cli import _metrics_table
 from abdlearn.kb import deduce
 from abdlearn.mil import item_term
 from abdlearn.perception import MLP, PairModel
@@ -360,6 +361,18 @@ def test_evaluate_counts_depth_cuts_without_changing_answers():
     assert 0 < n_long < len(exs)
     assert cut.depth_cut == n_long and cut.failures == n_long
     assert f"depth_cut={n_long}" in cut.row()
+
+
+def test_evaluate_counts_searches_the_node_cap_stops():
+    t = make_task("sum")
+    (ex,) = gen_sequences(t, 1, lengths=(40, 40), seed=5)
+    capped = evaluate(SUM_PROG, t, [ex], use_truth=True, max_nodes=50)
+    assert (capped.budget_exhausted, capped.failures, capped.depth_cut) == (1, 1, 0)
+    assert "budget_exhausted=1" in capped.row()
+    full = evaluate(SUM_PROG, t, [ex], use_truth=True)
+    assert (full.budget_exhausted, full.failures, full.acc) == (0, 0, 1.0)
+    header, row = _metrics_table([("all", capped)]).splitlines()
+    assert dict(zip(header.split("\t"), row.split("\t")))["budget_exhausted"] == "1"
 
 
 def _run_ground_add(lst):
