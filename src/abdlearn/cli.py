@@ -19,6 +19,7 @@ import numpy as np
 
 from .bench import bench_abduction, bench_metarule_sizes
 from .em import EMConfig, EMError, run_curriculum, train
+from .kb import DEFAULT_DEPTH_LIMIT
 from .metarules import (
     Program,
     default_metarules,
@@ -87,7 +88,7 @@ _SCHEMA = {
     },
     "budget": {
         "max_clauses": (int, 0),  # 0 = task default
-        "depth_limit": (int, 512),
+        "depth_limit": (int, DEFAULT_DEPTH_LIMIT),
         "max_nodes": (int, 0),  # 0 = unlimited
         "wall_ms": (int, 0),
         "solver_max_nodes": (int, 0),
@@ -257,10 +258,19 @@ def _load_program(path: Path) -> Program:
             path = sib
     if not path.is_file():
         raise CliError(DATA_ERR, f"program file not found: {path}")
+    lib = metarule_library(default_metarules())
     try:
-        return program_from_json(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        program = program_from_json(json.loads(path.read_text()))
+        for ms in program.metasubs:
+            if ms.rule not in lib:
+                raise ValueError(f"unknown metarule {ms.rule!r}")
+            want = lib[ms.rule].existentials
+            named = all(isinstance(v, str) for _, v in ms.bindings)
+            if tuple(e for e, _ in ms.bindings) != want or not named:
+                raise ValueError(f"{ms.rule} must bind exactly {', '.join(want)}, each to a name")
+    except (KeyError, TypeError, ValueError) as e:
         raise CliError(DATA_ERR, f"bad program file {path}: {e}") from e
+    return program
 
 
 def _em_config(cfg: "dict[str, dict]", task: Task, out: Path, *, epochs=None, batch=None) -> EMConfig:

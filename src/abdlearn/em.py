@@ -31,7 +31,7 @@ from .metarules import (
     metarule_library,
     program_text,
 )
-from .mil import InduceOutcome, Induced, InductionSetting, SearchBudget, TableFacts, induce
+from .mil import Induced, InductionSetting, SearchBudget, TableFacts, induce
 from .perception import pretrain_few_shot
 from .tasks import SeqExample, Task
 
@@ -96,19 +96,6 @@ def _assemble(task: Task, batch: Sequence[SeqExample]):
         goals.append(task.goal(ids, ex.y))
     features = np.concatenate(rows, axis=0) if rows else np.zeros((0, 1))
     return goals, features, spans
-
-
-def e_step(
-    task: Task,
-    batch: Sequence[SeqExample],
-    setting: InductionSetting,
-    facts: TableFacts,
-    budget: SearchBudget,
-    runtime=None,
-) -> InduceOutcome:
-    """Best (program, labelling) pair for the batch, or absent."""
-    goals, _, _ = _assemble(task, batch)
-    return induce(goals, setting, facts, budget, runtime=runtime)
 
 
 def _pseudo_label_acc(task: Task, batch, spans, induced: Induced) -> Optional[float]:

@@ -244,12 +244,6 @@ class ConstraintStore:
             self._watch.setdefault(vid, []).append(idx)
         return self.propagate([idx])
 
-    def post_add(self, x: int, y: int, z: int) -> bool:
-        return self.post(ADD, x, y, z)
-
-    def post_mul(self, x: int, y: int, z: int) -> bool:
-        return self.post(MUL, x, y, z)
-
     def post_eq_const(self, x: int, c: int) -> bool:
         return self.post(EQC, x, -1, c)
 
@@ -334,9 +328,6 @@ class ConstraintStore:
         lo = max(dz.lo, a * dy.lo)
         hi = min(dz.hi, a * dy.hi)
         return lo <= hi and hi // a >= -(-lo // a)
-
-    def dump(self) -> str:
-        return "\n".join(c.text(self) for c in self.constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Knowledge base and depth-limited SLD resolution.
 
 The deductive engine is a plain depth-first resolution prover over definite
-clauses plus a small table of native builtins (list permutation and integer
-comparison; the clause text format stays free of host conveniences).
+clauses plus a small table of native builtins (permute/3, which places a
+list's items by a ranking, and the integer comparison geq/2; the clause
+text format stays free of host conveniences).
 
 solve() is the one resolver: deduce() runs it on the kb alone, and mil runs
 it with a hook for the predicates the kb does not define.  Termination
@@ -145,17 +146,6 @@ class KnowledgeBase:
 # ---------------------------------------------------------------------------
 
 
-def _bi_permutation(args: tuple, s: Subst) -> Iterator[Subst]:
-    """permutation(L, P): P ranges over permutations of the proper list L."""
-    items = proper_list_items(s.apply(args[0]))
-    if items is None:
-        return
-    for perm in itertools.permutations(items):
-        s2 = unify(args[1], mk_list(perm), s)
-        if s2 is not None:
-            yield s2
-
-
 def _bi_permute(args: tuple, s: Subst) -> Iterator[Subst]:
     """permute(L, Order, Out): Out[Order[i]] = L[i], Order a 1-based ranking.
 
@@ -206,7 +196,6 @@ def _bi_geq(args: tuple, s: Subst) -> Iterator[Subst]:
 
 def standard_builtins() -> "dict[tuple[str, int], BuiltinFn]":
     return {
-        ("permutation", 2): _bi_permutation,
         ("permute", 3): _bi_permute,
         ("geq", 2): _bi_geq,
     }

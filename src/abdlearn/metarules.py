@@ -8,7 +8,7 @@ together with the invented predicate symbols it introduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 

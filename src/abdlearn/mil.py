@@ -51,14 +51,13 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, _completion_exists, solve_best
-from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, resolve, solve
+from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, resolve, solve
 from .metarules import (
     MetaSub,
     Metarule,
     Program,
     materialize,
     metarule_library,
-    program_clauses,
     program_text,
 )
 from .terms import (
@@ -87,7 +86,6 @@ __all__ = [
     "InductionSetting",
     "SearchBudget",
     "TableFacts",
-    "entails",
     "fdv_term",
     "induce",
     "invent_symbol",
@@ -429,12 +427,6 @@ class ExampleLabeling:
     item_labels: "tuple[tuple[int, int], ...]" = ()
     pair_facts: "tuple[tuple[tuple, bool], ...]" = ()
     truncated: bool = False
-
-    def items_dict(self) -> dict:
-        return dict(self.item_labels)
-
-    def pairs_dict(self) -> dict:
-        return dict(self.pair_facts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1045,29 +1037,3 @@ def induce(
         return InduceOutcome(None, exhausted, tried, failure)
     return InduceOutcome(Induced(best_prog, best_labs, best_log, truncated), exhausted, tried)
 
-
-# ---------------------------------------------------------------------------
-# entails
-# ---------------------------------------------------------------------------
-
-
-def entails(
-    program: Program,
-    kb: KnowledgeBase,
-    goal: Union[Atom, Sequence[Atom]],
-    metarules: "list[Metarule]",
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    budget: Optional[Budget] = None,
-) -> bool:
-    """Ground entailment of the goal from kb plus the program's clauses.
-
-    The kb must evaluate the abducible predicates deterministically (ground
-    arithmetic builtins); nothing is assumed here.
-    """
-    library = metarule_library(metarules)
-    k2 = kb.copy()
-    for c in program_clauses(program, library):
-        k2.add_clause(c)
-    for _ in deduce(goal, k2, depth_limit=depth_limit, budget=budget):
-        return True
-    return False

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .terms import (
     NIL,
@@ -258,8 +257,9 @@ def parse_program(src: str) -> "list[Clause]":
 
     Each text is parsed once: later calls get a new list of the same
     (immutable) clauses, so a bare ``_`` keeps the fresh name it got the
-    first time.  Clauses are renamed apart before every use in resolution,
-    so sharing those names is safe.
+    first time.  Sharing those names is safe: kb.resolve never binds a
+    stored clause's variables, it reads each clause through a fresh
+    per-step frame.
     """
     return list(_parse_program_once(src))
 

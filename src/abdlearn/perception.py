@@ -99,32 +99,21 @@ class MLP:
 
     # -- loss and gradients ----------------------------------------------------
 
-    @staticmethod
-    def _weights(n: int, sample_weight) -> np.ndarray:
-        if sample_weight is None:
-            return np.ones(n)
-        w = np.asarray(sample_weight, dtype=float)
-        if w.shape != (n,) or (w < 0).any() or w.sum() <= 0:
-            raise PerceptionError("bad sample weights")
-        return w
-
-    def loss(self, X, y, sample_weight=None) -> float:
+    def loss(self, X, y) -> float:
         X = self._check(X)
         y = np.asarray(y, dtype=int)
-        w = self._weights(len(X), sample_weight)
         lp = _log_softmax(self._forward(X)[1])
-        return float(-(w * lp[np.arange(len(X)), y]).sum() / w.sum())
+        return float(-lp[np.arange(len(X)), y].sum() / len(X))
 
-    def grads(self, X, y, sample_weight=None):
+    def grads(self, X, y):
         X = self._check(X)
         y = np.asarray(y, dtype=int)
         if (y < 0).any() or (y >= self.n_classes).any():
             raise PerceptionError("label out of range")
-        w = self._weights(len(X), sample_weight)
         h, logits = self._forward(X)
         delta = _softmax(logits)
         delta[np.arange(len(X)), y] -= 1.0
-        delta *= (w / w.sum())[:, None]
+        delta *= 1.0 / len(X)
         gW2 = h.T @ delta
         gb2 = delta.sum(axis=0)
         dh = (delta @ self.W2.T) * (h > 0)
@@ -144,21 +133,19 @@ class MLP:
         y,
         epochs: int = 1,
         batch_size: Optional[int] = None,
-        sample_weight=None,
     ) -> float:
-        """Mini-batch SGD on weighted cross-entropy; returns the final loss."""
+        """Mini-batch SGD on mean cross-entropy; returns the final loss."""
         X = self._check(X)
         y = np.asarray(y, dtype=int)
         if len(X) == 0:
             raise PerceptionError("empty batch")
-        w = self._weights(len(X), sample_weight)
         bs = len(X) if batch_size is None else max(1, batch_size)
         for _ in range(epochs):
             order = self._rng.permutation(len(X))
             for start in range(0, len(X), bs):
                 idx = order[start : start + bs]
-                self._step(self.grads(X[idx], y[idx], w[idx]))
-        final = self.loss(X, y, w)
+                self._step(self.grads(X[idx], y[idx]))
+        final = self.loss(X, y)
         if not np.isfinite(final) or not all(np.isfinite(p).all() for p in self.params()):
             raise PerceptionError(
                 f"training diverged: loss={final}, lr={self.lr}; reduce the step size"

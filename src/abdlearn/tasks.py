@@ -12,14 +12,13 @@ runs a learned program on each abducible's ground reading.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kb import Budget, KnowledgeBase, deduce, standard_kb
+from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, standard_kb
 from .metarules import (
     Metarule,
     Program,
@@ -106,9 +105,9 @@ class Task:
         self,
         metarule_names: Optional[Sequence[str]] = None,
         extra_program: Optional[Program] = None,
-        library: Optional[dict] = None,
     ) -> InductionSetting:
-        """Fresh induction setting; extra_program installs interpreted clauses.
+        """Fresh induction setting; extra_program installs interpreted
+        clauses, its metasubs read through the default metarule library.
 
         The curriculum uses extra_program to make an earlier stage's
         definitions callable (and steppable by the meta-interpreter) while
@@ -116,8 +115,7 @@ class Task:
         """
         kb = standard_kb(self.bk_text)
         if extra_program is not None:
-            lib = library or metarule_library(default_metarules())
-            for clause in program_clauses(extra_program, lib):
+            for clause in program_clauses(extra_program, metarule_library(default_metarules())):
                 kb.add_clause(clause)
         return InductionSetting(
             kb=kb,
@@ -376,7 +374,8 @@ def save_dataset(examples: Sequence[SeqExample], task_id: str, path: "str | Path
 def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
     """Read a dataset file back; returns (task_id, examples).
 
-    Ground-truth digits are attached when the sidecar file is present.
+    Ground-truth digits are attached when the sidecar file is present;
+    a sidecar line must give one digit in the task's range per item.
     """
     path = Path(path)
     if not path.exists():
@@ -416,58 +415,21 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
         y = _parse_y(task, y_str)
         truth = None
         if truth_lines is not None and lineno - 1 < len(truth_lines) and truth_lines[lineno - 1]:
-            truth = tuple(int(t) for t in truth_lines[lineno - 1].split(","))
+            where = f"{sidecar}:{lineno}"
+            try:
+                truth = tuple(int(t) for t in truth_lines[lineno - 1].split(","))
+            except ValueError as e:
+                raise TaskError(f"{where}: bad digit field") from e
+            if len(truth) != n_items:
+                raise TaskError(f"{where}: {len(truth)} digits for {n_items} items")
+            if not all(task.digit_lo <= d <= task.digit_hi for d in truth):
+                raise TaskError(f"{where}: digit outside {task.digit_lo}..{task.digit_hi}")
         examples.append(SeqExample(np.stack(rows), y, truth))
     if task is None:
         raise TaskError(f"{path}: empty dataset")
     if expect_task is not None and task.id != expect_task:
         raise TaskError(f"{path}: holds task {task.id!r}, expected {expect_task!r}")
     return task.id, examples
-
-
-# ---------------------------------------------------------------------------
-# IDX image files
-# ---------------------------------------------------------------------------
-
-_IDX_IMAGES = 0x00000803
-_IDX_LABELS = 0x00000801
-
-
-def _read_exact(data: bytes, offset: int, n: int, what: str, path) -> bytes:
-    if offset + n > len(data):
-        raise TaskError(f"{path}: truncated {what}")
-    return data[offset : offset + n]
-
-
-def load_idx(images_path: "str | Path", labels_path: "str | Path"):
-    """Load an IDX image/label pair as (features in [0,1], labels).
-
-    Features come back row-major as (n, rows*cols) float64; labels must
-    stay within 0..9.
-    """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    img = images_path.read_bytes()
-    (magic, n, rows, cols) = struct.unpack(">IIII", _read_exact(img, 0, 16, "header", images_path))
-    if magic != _IDX_IMAGES:
-        raise TaskError(f"{images_path}: bad image magic 0x{magic:08x}")
-    payload = _read_exact(img, 16, n * rows * cols, "pixel data", images_path)
-    if len(img) != 16 + n * rows * cols:
-        raise TaskError(f"{images_path}: trailing bytes after pixel data")
-    X = np.frombuffer(payload, dtype=np.uint8).astype(np.float64).reshape(n, rows * cols) / 255.0
-
-    lab = labels_path.read_bytes()
-    (lmagic, ln) = struct.unpack(">II", _read_exact(lab, 0, 8, "header", labels_path))
-    if lmagic != _IDX_LABELS:
-        raise TaskError(f"{labels_path}: bad label magic 0x{lmagic:08x}")
-    if ln != n:
-        raise TaskError(f"{labels_path}: {ln} labels for {n} images")
-    body = _read_exact(lab, 8, ln, "label data", labels_path)
-    if len(lab) != 8 + ln:
-        raise TaskError(f"{labels_path}: trailing bytes after label data")
-    y = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    if y.size and (y.min() < 0 or y.max() > 9):
-        raise TaskError(f"{labels_path}: label outside 0..9")
-    return X, y
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +514,7 @@ def evaluate(
     model=None,
     use_truth: bool = False,
     library: Optional[dict] = None,
-    depth_limit: int = 512,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
     max_nodes: int = 500_000,
 ) -> Metrics:
     """Run the program on perception output and score against labels.

@@ -215,11 +215,11 @@ def occurs(name: str, t: Term, s: Subst) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST, occurs_check: bool = True) -> Optional[Subst]:
+def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST) -> Optional[Subst]:
     """Most general unifier of t1 and t2 under s, or None.
 
-    The occurs check is on by default; callers that have already renamed
-    apart and want the speed can disable it explicitly.
+    Always with the occurs check: a variable never binds to a term that
+    contains it.
     """
     stack = [(t1, t2)]
     while stack:
@@ -231,11 +231,11 @@ def unify(t1: Term, t2: Term, s: Subst = EMPTY_SUBST, occurs_check: bool = True)
         if isinstance(a, Var):
             if isinstance(b, Var) and b.name == a.name:
                 continue
-            if occurs_check and occurs(a.name, b, s):
+            if occurs(a.name, b, s):
                 return None
             s = s.bind(a.name, b)
         elif isinstance(b, Var):
-            if occurs_check and occurs(b.name, a, s):
+            if occurs(b.name, a, s):
                 return None
             s = s.bind(b.name, a)
         elif isinstance(a, Int) and isinstance(b, Int):

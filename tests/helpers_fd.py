@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from abdlearn.fd import ConstraintStore
+from abdlearn.fd import ADD, MUL, ConstraintStore
+
+
+def dump(store: ConstraintStore) -> str:
+    """The store's constraints, one per line, for assertion messages."""
+    return "\n".join(c.text(store) for c in store.constraints)
 
 
 def random_weight_table(rng: np.random.Generator, n: int = 10) -> np.ndarray:
@@ -54,10 +59,10 @@ def gen_random_store(rng: np.random.Generator, max_weighted: int = 5, max_cons: 
             di, dj = store.dom(i), store.dom(j)
             if kind == "add":
                 z = store.new_derived_var(di.lo + dj.lo, di.hi + dj.hi)
-                store.post_add(i, j, z)
+                store.post(ADD, i, j, z)
             else:
                 z = store.new_derived_var(di.lo * dj.lo, di.hi * dj.hi)
-                store.post_mul(i, j, z)
+                store.post(MUL, i, j, z)
             ops.append((kind, i, j))
             n_vars += 1
     # ensure at least one anchor so solving is not vacuous
@@ -150,10 +155,10 @@ def gen_chain_store(
         a, b = (running, leaf) if rng.random() < 0.5 else (leaf, running)
         if op == "add":
             z = store.new_derived_var(dr.lo + dl.lo, dr.hi + dl.hi)
-            store.post_add(a, b, z)
+            store.post(ADD, a, b, z)
         else:
             z = store.new_derived_var(dr.lo * dl.lo, dr.hi * dl.hi)
-            store.post_mul(a, b, z)
+            store.post(MUL, a, b, z)
         value[z] = value[running] + value[leaf] if op == "add" else value[running] * value[leaf]
         ops.append((op, a, b))
         running = z

@@ -274,6 +274,34 @@ def test_show_program_missing(tmp_path):
     assert run("show-program", tmp_path / "nothing.json") == 3
 
 
+@pytest.mark.parametrize(
+    "metasub, invented",
+    [
+        ({"rule": "ident", "bindings": [["P", "f", "x"], ["Q", "eq"]]}, []),  # a three-part binding
+        ({"rule": "ident", "bindings": [["P", "f"], ["Q", "f_1"]]}, [["f_1", "x"]]),  # arity not a number
+        ({"rule": "nope", "bindings": [["P", "f"], ["Q", "eq"]]}, []),  # no such metarule
+        ({"rule": "chain", "bindings": [["P", "f"], ["Q", "add"]]}, []),  # R left unbound
+        ({"rule": "ident", "bindings": [["P", "f"], ["Q", ["eq"]]]}, []),  # a symbol that is not a name
+    ],
+)
+def test_malformed_program_file_exits_3(capsys, tmp_path, sum_data, metasub, invented):
+    bad = tmp_path / "program.json"
+    bad.write_text(json.dumps({"metasubs": [metasub], "invented": invented}))
+    assert run("show-program", bad) == 3
+    assert "bad program file" in capsys.readouterr().err
+    assert run("eval", "--task", "sum", "--program", bad, "--data", sum_data / "sum_test.tsv", "--use-truth") == 3
+
+
+def test_eval_rejects_a_truth_sidecar_that_does_not_fit(capsys, tmp_path, trained_run, sum_data):
+    data = tmp_path / "sum_test.tsv"
+    data.write_text((sum_data / "sum_test.tsv").read_text())
+    truths = (sum_data / "sum_test.tsv.labels").read_text().splitlines()
+    (tmp_path / "sum_test.tsv.labels").write_text("\n".join([truths[0] + ",1"] + truths[1:]) + "\n")
+    code = run("eval", "--task", "sum", "--program", trained_run / "program.json", "--data", data, "--use-truth")
+    assert code == 3
+    assert ".labels:1:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # benches
 

@@ -13,11 +13,10 @@ from abdlearn.em import (
     EMError,
     EMState,
     METRIC_COLUMNS,
-    e_step,
     train,
     run_curriculum,
 )
-from abdlearn.mil import SearchBudget, TableFacts, log_prior
+from abdlearn.mil import SearchBudget, TableFacts, induce, log_prior
 from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import SeqExample, SyntheticDigitGen, gen_sequences, make_task
 
@@ -174,13 +173,19 @@ class _CountingPair:
         return 0.0
 
 
+def _induce_batch(task, batch, facts, max_clauses):
+    """The E-step as train runs it: one induce call on the batch's goals."""
+    goals, _, _ = em._assemble(task, batch)  # task.goal per example, items numbered in order
+    return induce(goals, task.setting(), facts, SearchBudget(max_clauses=max_clauses))
+
+
 def test_model_facts_reads_each_pair_once_per_batch():
     task = make_task("sorted_concept")
     batch = gen_sequences(task, 6, lengths=(2, 4), seed=3)
     _, features, spans = em._assemble(task, batch)
     spy = _CountingPair()
     facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy, groups=spans)
-    e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=3))
+    _induce_batch(task, batch, facts, 3)
     assert len(spy.calls) == 1 and len(spy.calls[0]) == len(set(spy.calls[0]))
     assert set(spy.calls[0]) == {(a, b) for ids in spans for a in ids for b in ids}
     facts.pair_logprob(0, 1)
@@ -239,11 +244,11 @@ def test_e_step_recovers_truth_under_peaked_model():
     task = make_task("sum")
     batch = [seq([1, 2, 3], 6), seq([4, 5], 9), seq([9, 9, 9, 9], 36)]
     _, facts = _sum_batch_facts(batch)
-    out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
+    out = _induce_batch(task, batch, facts, 2)
     assert out.induced is not None
     flat = {}
     for lab in out.induced.labelings:
-        flat.update(lab.items_dict())
+        flat.update(lab.item_labels)
     want = {i: d for i, d in enumerate(d for ex in batch for d in ex.truth)}
     assert flat == want
     n_items = len(want)
@@ -314,7 +319,7 @@ def test_e_step_matches_exhaustive_desk_scale_search():
     table /= table.sum(axis=1, keepdims=True)
     model = TableModel(table)
     facts = TableFacts.from_model(idx_features(n), model=model)
-    out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
+    out = _induce_batch(task, batch, facts, 2)
     assert out.induced is not None
 
     logp = np.log(table)
@@ -340,7 +345,7 @@ def test_e_step_matches_exhaustive_desk_scale_search():
 
     # the chosen labelling is itself the per-example argmax
     for ex, (lo, hi), lab in zip(batch, spans, out.induced.labelings):
-        got = [lab.items_dict()[i] for i in range(lo, hi)]
+        got = [dict(lab.item_labels)[i] for i in range(lo, hi)]
         assert sum(got) == ex.y
     assert abs(
         out.induced.log_score
@@ -352,7 +357,7 @@ def test_e_step_contradiction_yields_no_program():
     task = make_task("sum")
     batch = [seq([1, 2], 200)]  # max attainable sum for two digits is 18
     _, facts = _sum_batch_facts(batch)
-    out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
+    out = _induce_batch(task, batch, facts, 2)
     assert out.induced is None
     assert out.candidates_tried == 0 and out.failure == "no_candidate"
 
@@ -363,7 +368,7 @@ def test_e_step_later_contradiction_yields_no_candidate():
     task = make_task("sum")
     batch = [seq([1, 2], 3), seq([4, 5], 200)]
     _, facts = _sum_batch_facts(batch)
-    out = e_step(task, batch, task.setting(), facts, SearchBudget(max_clauses=2))
+    out = _induce_batch(task, batch, facts, 2)
     assert out.induced is None and not out.budget_exhausted
     assert out.candidates_tried > 0 and out.failure == "no_candidate"
 

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from abdlearn import fd
-from abdlearn.fd import ConstraintStore, Dom, solve_all, solve_best
+from abdlearn.fd import ADD, MUL, ConstraintStore, Dom, solve_all, solve_best
 from abdlearn.kb import Budget
-from helpers_fd import gen_chain_store, gen_random_store, oracle_best, random_weight_table
+from helpers_fd import dump, gen_chain_store, gen_random_store, oracle_best, random_weight_table
 
 
 def digit_table(peak_value: int, peak_prob: float, n: int = 10):
@@ -51,7 +51,7 @@ class TestPostPropagate:
         x = st.new_weighted_var(uniform_table())
         y = st.new_weighted_var(uniform_table())
         n = st.new_derived_var(0, 100)
-        assert st.post_add(x, y, n)
+        assert st.post(ADD, x, y, n)
         assert (st.dom(n).lo, st.dom(n).hi) == (0, 18)
 
     def test_eq_const_narrows_operands(self):
@@ -61,7 +61,7 @@ class TestPostPropagate:
         x = st.new_weighted_var(uniform_table())
         y = st.new_weighted_var(uniform_table())
         n = st.new_derived_var(0, 100)
-        assert st.post_add(x, y, n)
+        assert st.post(ADD, x, y, n)
         assert st.post_eq_const(n, 15)
         assert st.dom(n).pinned() == 15
         assert list(st.dom(x).values()) == expected
@@ -72,7 +72,7 @@ class TestPostPropagate:
         x = st.new_weighted_var(uniform_table())
         y = st.new_weighted_var(uniform_table())
         n = st.new_derived_var(0, 18)
-        assert st.post_add(x, y, n)
+        assert st.post(ADD, x, y, n)
         assert not st.post_eq_const(n, 100)
         assert st.failed
 
@@ -85,7 +85,7 @@ class TestPostPropagate:
         x = st.new_weighted_var(random_weight_table(np.random.default_rng(0), 9), base=1)
         y = st.new_weighted_var(random_weight_table(np.random.default_rng(1), 9), base=1)
         z = st.new_derived_var(1, 81)
-        assert st.post_mul(x, y, z)
+        assert st.post(MUL, x, y, z)
         assert st.post_eq_const(z, 12)
         assert list(st.dom(x).values()) == expected
         assert list(st.dom(y).values()) == expected
@@ -97,8 +97,8 @@ class TestPostPropagate:
         c = st.new_weighted_var(uniform_table())
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
-        assert st.post_add(a, b, m)
-        assert st.post_add(m, c, n)
+        assert st.post(ADD, a, b, m)
+        assert st.post(ADD, m, c, n)
         assert st.post_eq_const(n, 0)
         assert st.dom(a).pinned() == 0
         assert st.dom(b).pinned() == 0
@@ -115,9 +115,9 @@ class TestPostPropagate:
         x0 = st.new_weighted_var(uniform_table())
         x1 = st.new_weighted_var(uniform_table())
         v2 = st.new_derived_var(0, 18)
-        st.post_add(x0, x1, v2)
+        st.post(ADD, x0, x1, v2)
         st.post_eq_const(v2, 15)
-        assert st.dump() == "x0+x1#=v2\nv2#=15"
+        assert dump(st) == "x0+x1#=v2\nv2#=15"
 
 
 class TestSolveBest:
@@ -127,7 +127,7 @@ class TestSolveBest:
         a = st.new_weighted_var(digit_table(1, 0.8))
         b = st.new_weighted_var(digit_table(2, 0.7))
         n = st.new_derived_var(0, 18)
-        st.post_add(a, b, n)
+        st.post(ADD, a, b, n)
         st.post_eq_const(n, 3)
         lab = solve_best(st)
         assert lab is not None
@@ -153,7 +153,7 @@ class TestSolveBest:
         a = st.new_weighted_var(uniform_table())
         b = st.new_weighted_var(uniform_table())
         n = st.new_derived_var(0, 18)
-        st.post_add(a, b, n)
+        st.post(ADD, a, b, n)
         st.post_eq_const(n, 3)
         lab = solve_best(st)
         assert lab.assignment == {a: 0, b: 3}
@@ -171,7 +171,7 @@ class TestSolveBest:
         st = ConstraintStore()
         x0 = st.new_weighted_var(uniform_table())
         v = st.new_derived_var(0, 18)
-        st.post_add(x0, x0, v)
+        st.post(ADD, x0, x0, v)
         st.post_eq_const(v, 8)
         assert fd._chain_of(st) is None
         assert solve_best(st).assignment == {x0: 4}
@@ -185,7 +185,7 @@ class TestSolveBest:
         st = ConstraintStore()
         x0 = st.new_weighted_var(uniform_table())
         x1 = st.new_weighted_var(uniform_table())
-        st.post_add(x0, x1, st.new_derived_var(0, 18))
+        st.post(ADD, x0, x1, st.new_derived_var(0, 18))
         assert fd._chain_of(st) is not None
         budget = Budget(max_nodes=0)
         assert not budget.tick()
@@ -199,7 +199,7 @@ class TestSolveAll:
         a = st.new_weighted_var(uniform_table())
         b = st.new_weighted_var(uniform_table())
         n = st.new_derived_var(0, 18)
-        st.post_add(a, b, n)
+        st.post(ADD, a, b, n)
         st.post_eq_const(n, 3)
         labs, truncated = solve_all(st)
         assert not truncated
@@ -304,7 +304,7 @@ class TestChainStores:
         for i in range(200):
             store, _plan = gen_chain_store(rng, int(rng.integers(1, 9)), kind=("add", "mul", "mixed")[i % 3])
             if not store.failed:
-                assert fd._chain_of(store) is not None, store.dump()
+                assert fd._chain_of(store) is not None, dump(store)
 
     @pytest.mark.parametrize("kind", ["add", "mul", "mixed"])
     def test_matches_numpy_bruteforce_up_to_six_vars(self, kind):
@@ -316,12 +316,12 @@ class TestChainStores:
                 want = oracle_best(plan)
                 got = solve_best(store)
                 if want is None:
-                    assert got is None, store.dump()
+                    assert got is None, dump(store)
                     assert not fd._completion_exists(store, None) or _has_neg_inf(plan)
                     continue
                 feasible += 1
-                assert got is not None, store.dump()
-                assert (got.assignment, got.log_prob) == want, store.dump()
+                assert got is not None, dump(store)
+                assert (got.assignment, got.log_prob) == want, dump(store)
                 assert not got.truncated
                 assert fd._completion_exists(store, None)
         assert feasible >= 100
@@ -338,7 +338,7 @@ class TestChainStores:
                 if budget.solver_nodes > 2000:
                     continue  # branch-and-bound gave up, maybe before any labeling
                 compared += 1
-                assert _same(solve_best(store), want), store.dump()
+                assert _same(solve_best(store), want), dump(store)
                 assert fd._completion_exists(store, None) == fd._search_completion(store, None)
         assert compared >= 9
 
@@ -348,8 +348,8 @@ class TestChainStores:
         xs = [st.new_weighted_var(uniform_table()) for _ in range(3)]
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
-        st.post_add(xs[0], xs[1], m)
-        st.post_add(m, xs[2], n)
+        st.post(ADD, xs[0], xs[1], m)
+        st.post(ADD, m, xs[2], n)
         st.post_eq_const(n, 20)
         lab = solve_best(st)
         assert lab.assignment == {xs[0]: 2, xs[1]: 9, xs[2]: 9}
@@ -373,8 +373,8 @@ class TestChainStores:
         xs = [st.new_weighted_var(t) for t in tables]
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
-        st.post_add(xs[0], xs[1], m)
-        st.post_add(m, xs[2], n)
+        st.post(ADD, xs[0], xs[1], m)
+        st.post(ADD, m, xs[2], n)
         st.post_eq_const(n, 1)
         want = oracle_best((3, tables, [("add", 0, 1), ("add", 3, 2)], [(4, 1)]))
         assert want[0] == {0: 0, 1: 1, 2: 0}
@@ -388,8 +388,8 @@ class TestChainStores:
         x0, x1, x2 = (st.new_weighted_var(uniform_table()) for _ in range(3))
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
-        st.post_add(x1, x2, m)
-        st.post_add(m, x0, n)
+        st.post(ADD, x1, x2, m)
+        st.post(ADD, m, x0, n)
         st.post_eq_const(n, 1)
         assert solve_best(st).assignment == {x0: 0, x1: 0, x2: 1}
 
@@ -398,7 +398,7 @@ class TestChainStores:
         x0 = st.new_weighted_var(uniform_table())
         x1 = st.new_weighted_var(uniform_table())
         m = st.new_derived_var(0, 18)
-        st.post_add(x0, x1, m)
+        st.post(ADD, x0, x1, m)
         assert not st.post_eq_const(m, 19)
         assert solve_best(st) is None
         assert not fd._completion_exists(st, None)
@@ -409,7 +409,7 @@ class TestChainStores:
         x0 = st.new_weighted_var([0.0] + [-math.inf] * 9)
         x1 = st.new_weighted_var([0.0] + [-math.inf] * 9)
         m = st.new_derived_var(0, 18)
-        st.post_add(x0, x1, m)
+        st.post(ADD, x0, x1, m)
         st.post_eq_const(m, 5)
         assert solve_best(st) is None
         assert fd._branch_and_bound(st) is None
@@ -420,7 +420,7 @@ class TestChainStores:
         x0 = st.new_weighted_var(uniform_table())
         x1 = st.new_weighted_var(uniform_table())
         m = st.new_derived_var(0, 18)
-        st.post_add(x0, x1, m)
+        st.post(ADD, x0, x1, m)
         st.post_eq_const(m, 3)
         budget = Budget()
         solve_best(st, budget)
@@ -432,7 +432,7 @@ class TestChainStores:
         x0 = st.new_weighted_var(uniform_table())
         x1 = st.new_weighted_var(uniform_table())
         m = st.new_derived_var(0, 18)
-        st.post_add(x0, x1, m)
+        st.post(ADD, x0, x1, m)
         lab = solve_best(st, max_nodes=1)
         assert lab is not None and not lab.truncated
         assert lab.assignment == {x0: 0, x1: 0}
@@ -450,7 +450,7 @@ class TestChainStores:
         st = ConstraintStore()
         x0 = st.new_weighted_var(uniform_table())
         v = st.new_derived_var(0, 18)
-        st.post_add(x0, x0, v)
+        st.post(ADD, x0, x0, v)
         st.post_eq_const(v, 8)
         assert fd._chain_of(st) is None
         lab = solve_best(st)
@@ -460,7 +460,7 @@ class TestChainStores:
         a = st2.new_weighted_var(uniform_table())
         b = st2.new_weighted_var(uniform_table())
         w = st2.new_derived_var(0, 18)
-        st2.post_add(a, b, w)
+        st2.post(ADD, a, b, w)
         solve_best(st2)
         assert len(calls) == 1
 
@@ -471,25 +471,25 @@ class TestChainStores:
             lambda st, w: None,
             # weighted vars consumed out of id order: x1, x2, x0, x3
             lambda st, w: (
-                st.post_add(w[1], w[2], st.new_derived_var(0, 18)),
-                st.post_add(4, w[0], st.new_derived_var(0, 27)),
-                st.post_add(5, w[3], st.new_derived_var(0, 36)),
+                st.post(ADD, w[1], w[2], st.new_derived_var(0, 18)),
+                st.post(ADD, 4, w[0], st.new_derived_var(0, 27)),
+                st.post(ADD, 5, w[3], st.new_derived_var(0, 36)),
             ),
             # a chain beside weighted vars it does not consume
-            lambda st, w: st.post_add(w[0], w[1], st.new_derived_var(0, 18)),
+            lambda st, w: st.post(ADD, w[0], w[1], st.new_derived_var(0, 18)),
             # two separate chains
             lambda st, w: (
-                st.post_add(w[0], w[1], st.new_derived_var(0, 18)),
-                st.post_add(w[2], w[3], st.new_derived_var(0, 18)),
+                st.post(ADD, w[0], w[1], st.new_derived_var(0, 18)),
+                st.post(ADD, w[2], w[3], st.new_derived_var(0, 18)),
             ),
             # an intermediate consumed twice
             lambda st, w: (
-                st.post_add(w[0], w[1], st.new_derived_var(0, 18)),
-                st.post_add(4, w[2], st.new_derived_var(0, 27)),
-                st.post_add(4, w[3], st.new_derived_var(0, 27)),
+                st.post(ADD, w[0], w[1], st.new_derived_var(0, 18)),
+                st.post(ADD, 4, w[2], st.new_derived_var(0, 27)),
+                st.post(ADD, 4, w[3], st.new_derived_var(0, 27)),
             ),
             # an unpinned free leaf
-            lambda st, w: st.post_add(w[0], st.new_derived_var(0, 5), st.new_derived_var(0, 14)),
+            lambda st, w: st.post(ADD, w[0], st.new_derived_var(0, 5), st.new_derived_var(0, 14)),
         ],
     )
     def test_shapes_that_are_not_chains(self, build):
@@ -549,10 +549,10 @@ def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
         a, b = (other, running) if swap else (running, other)
         if is_add:
             z = st.new_derived_var(dr.lo + dl.lo, dr.hi + dl.hi)
-            st.post_add(a, b, z)
+            st.post(ADD, a, b, z)
         else:
             z = st.new_derived_var(dr.lo * dl.lo, dr.hi * dl.hi)
-            st.post_mul(a, b, z)
+            st.post(MUL, a, b, z)
         chain += [other, z]
         running = z
     for pos, c in pins:

@@ -31,7 +31,6 @@ from abdlearn.mil import (
     InductionSetting,
     SearchBudget,
     TableFacts,
-    entails,
     induce,
     invent_symbol,
     item_term,
@@ -40,8 +39,8 @@ from abdlearn.mil import (
     prove,
     score_example,
 )
-from abdlearn import mil
-from abdlearn.terms import Atom, Int, mk_list, proper_list_items, unify
+from abdlearn import mil, tasks
+from abdlearn.terms import Atom, Int, mk_list
 from abdlearn.parser import parse_atom
 
 BK = """
@@ -446,7 +445,7 @@ def test_feasibility_proofs_are_never_pruned():
     neg = GoalExample(goal, positive=False)
     on = score_example(neg, prog, setting, facts, SearchBudget(pruning=True))
     assert on == score_example(neg, prog, setting, facts, SearchBudget(pruning=False))
-    assert on.pairs_dict() == {("pair", 0, 1): False, ("pair", 1, 2): False, ("pair", 2, 3): False}
+    assert dict(on.pair_facts) == {("pair", 0, 1): False, ("pair", 1, 2): False, ("pair", 2, 3): False}
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +574,7 @@ def test_score_example_negative_blocks_cheapest_fact():
     assert lab is not None
     want = math.log(0.9) + math.log(0.8)
     assert abs(lab.log_prob - want) < 1e-12
-    assert lab.pairs_dict() == {("pair", 0, 1): True, ("pair", 1, 2): False}
+    assert dict(lab.pair_facts) == {("pair", 0, 1): True, ("pair", 1, 2): False}
 
 
 def test_blocking_over_the_cap_is_flagged_truncated():
@@ -586,7 +585,7 @@ def test_blocking_over_the_cap_is_flagged_truncated():
     facts = TableFacts({}, pairs={(a, b): 0.3 for _, a, b in keys})
     lab = mil._best_blocking([frozenset([k]) for k in keys], facts)
     assert lab is not None and lab.truncated
-    assert lab.pairs_dict() == {k: False for k in keys}
+    assert dict(lab.pair_facts) == {k: False for k in keys}
     assert lab.log_prob == sum(math.log1p(-0.3) for _ in keys)
     small = mil._best_blocking([frozenset([k]) for k in keys[:3]], facts)
     assert small is not None and not small.truncated
@@ -699,10 +698,10 @@ def test_induce_noisy_items_scores_products():
     assert clause_texts(out.induced.program, setting) == SUM_TEXTS
     want = log_prior(2) + 8 * math.log(0.9)
     assert abs(out.induced.log_score - want) < 1e-9
-    assert out.induced.labelings[0].items_dict() == {0: 3, 1: 4}
-    assert out.induced.labelings[1].items_dict() == {2: 1, 3: 5}
-    assert out.induced.labelings[2].items_dict() == {4: 1, 5: 2, 6: 3}
-    assert out.induced.labelings[3].items_dict() == {7: 4}
+    assert dict(out.induced.labelings[0].item_labels) == {0: 3, 1: 4}
+    assert dict(out.induced.labelings[1].item_labels) == {2: 1, 3: 5}
+    assert dict(out.induced.labelings[2].item_labels) == {4: 1, 5: 2, 6: 3}
+    assert dict(out.induced.labelings[3].item_labels) == {7: 4}
 
 
 def test_induce_pruning_toggle_identical_outcome():
@@ -834,7 +833,7 @@ def test_solver_truncation_reaches_labelings_and_induced():
     ex = GoalExample(item_goal([0, 0], 4))
     capped = SearchBudget(max_clauses=2, solver_max_nodes=1)
     lab = score_example(ex, SUM_PROG, setting, facts, capped)
-    assert lab.truncated and lab.items_dict() == {0: 2}
+    assert lab.truncated and dict(lab.item_labels) == {0: 2}
     assert not score_example(ex, SUM_PROG, setting, facts, SearchBudget()).truncated
     out = induce([ex], setting, facts, capped)
     assert out.induced is not None and out.induced.truncated
@@ -875,52 +874,20 @@ def test_induce_sorted_concept_with_invention():
 
 
 # ---------------------------------------------------------------------------
-# entails (ground abducibles as arithmetic)
+# entailment under each abducible's ground reading, as eval runs a program
 # ---------------------------------------------------------------------------
 
 
-def ground_kb():
-    kb = standard_kb(BK)
-
-    def ground_add(args, s):
-        items = proper_list_items(s.apply(args[0]))
-        if items and len(items) >= 2 and all(isinstance(t, Int) for t in items[:2]):
-            out = mk_list([Int(items[0].value + items[1].value)] + items[2:])
-            s2 = unify(args[1], out, s)
-            if s2 is not None:
-                yield s2
-
-    def ground_eq(args, s):
-        items = proper_list_items(s.apply(args[0]))
-        if items is not None and len(items) == 1:
-            s2 = unify(args[1], items[0], s)
-            if s2 is not None:
-                yield s2
-
-    def ground_nn(args, s):
-        items = proper_list_items(s.apply(args[0]))
-        if (
-            items
-            and len(items) >= 2
-            and isinstance(items[0], Int)
-            and isinstance(items[1], Int)
-            and items[0].value <= items[1].value
-        ):
-            yield s
-
-    kb.add_builtin("add", 2, ground_add)
-    kb.add_builtin("eq", 2, ground_eq)
-    kb.add_builtin("nn", 1, ground_nn)
-    return kb
+def entails(task_id, program, goal, facts=None) -> bool:
+    kb = tasks.ground_kb(tasks.make_task(task_id), program, facts=facts)
+    return next(deduce(goal, kb), None) is not None
 
 
 def test_entails_ground_sum():
-    kb = ground_kb()
-    rules = default_metarules()
-    assert entails(SUM_PROG, kb, parse_atom("f([1,2,3], 6)"), rules)
-    assert not entails(SUM_PROG, kb, parse_atom("f([1,2,3], 7)"), rules)
-    assert entails(SUM_PROG, kb, parse_atom("f([5], 5)"), rules)
-    assert not entails(SUM_PROG, kb, parse_atom("f([], 0)"), rules)
+    assert entails("sum", SUM_PROG, parse_atom("f([1,2,3], 6)"))
+    assert not entails("sum", SUM_PROG, parse_atom("f([1,2,3], 7)"))
+    assert entails("sum", SUM_PROG, parse_atom("f([5], 5)"))
+    assert not entails("sum", SUM_PROG, parse_atom("f([], 0)"))
 
 
 def test_entails_ground_sorted_with_invented_symbol():
@@ -932,11 +899,16 @@ def test_entails_ground_sorted_with_invented_symbol():
         ),
         (("s_1", 2),),
     )
-    kb = ground_kb()
-    rules = default_metarules()
-    assert entails(prog, kb, parse_atom("s([1,2,3])"), rules)
-    assert entails(prog, kb, parse_atom("s([4])"), rules)
-    assert not entails(prog, kb, parse_atom("s([2,1,3])"), rules)
+    digits = [3, 2, 1, 4, 2, 3, 1]  # the items 0..6, read by the pair relation nn
+
+    def sorted_(*ids):
+        goal = Atom("s", (mk_list([item_term(i) for i in ids]),))
+        facts = TableFacts.exact(pairs=lambda a, b: digits[a] >= digits[b])
+        return entails("sorted_concept", prog, goal, facts)
+
+    assert sorted_(0, 1, 2)
+    assert sorted_(3)
+    assert not sorted_(4, 5, 6)
 
 
 def test_abduction_entails_round_trip():
@@ -947,6 +919,6 @@ def test_abduction_entails_round_trip():
     setting = sum_setting()
     out = induce([GoalExample(item_goal([0, 1], 7))], setting, facts, SearchBudget(max_clauses=2))
     assert out.induced is not None
-    lab = out.induced.labelings[0].items_dict()
+    lab = dict(out.induced.labelings[0].item_labels)
     ground_goal = Atom("f", (mk_list([Int(lab[0]), Int(lab[1])]), Int(7)))
-    assert entails(out.induced.program, ground_kb(), ground_goal, default_metarules())
+    assert entails("sum", out.induced.program, ground_goal)

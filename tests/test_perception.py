@@ -10,6 +10,8 @@ from abdlearn.perception import (
     MLP,
     PairModel,
     PerceptionError,
+    _log_softmax,
+    _softmax,
     grad_check,
     pretrain_few_shot,
 )
@@ -75,16 +77,49 @@ def test_full_batch_descent():
     assert model.loss(X, y) <= before
 
 
-def test_zero_weights_match_subset_gradients():
-    rng = np.random.default_rng(9)
-    X = rng.uniform(size=(10, 5))
-    y = rng.integers(0, 3, size=10)
-    model = MLP(5, 3, seed=9)
-    w = np.array([1.0] * 5 + [0.0] * 5)
-    full = model.grads(X, y, w)
-    half = model.grads(X[:5], y[:5])
-    for a, b in zip(full, half):
-        assert np.abs(a - b).max() < 1e-12
+def _unit_weight_loss(model, X, y):
+    """Reference: cross-entropy under per-sample weights, all one, divided by their sum."""
+    w = np.ones(len(X))
+    lp = _log_softmax(model._forward(X)[1])
+    return float(-(w * lp[np.arange(len(X)), y]).sum() / w.sum())
+
+
+def _unit_weight_grads(model, X, y):
+    """Reference backward pass: the output error scaled row by row by w / w.sum()."""
+    w = np.ones(len(X))
+    h, logits = model._forward(X)
+    delta = _softmax(logits)
+    delta[np.arange(len(X)), y] -= 1.0
+    delta *= (w / w.sum())[:, None]
+    dh = (delta @ model.W2.T) * (h > 0)
+    return [X.T @ dh, dh.sum(axis=0), h.T @ delta, delta.sum(axis=0)]
+
+
+def test_mean_loss_and_grads_match_unit_weights_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for case in range(150):
+        n_in, k, hidden, n = (int(v) for v in rng.integers((1, 2, 1, 1), (13, 11, 17, 41)))
+        model = MLP(n_in, k, hidden=hidden, seed=case)
+        X = rng.normal(size=(n, n_in))
+        y = rng.integers(0, k, size=n)
+        assert model.loss(X, y) == _unit_weight_loss(model, X, y)
+        for got, want in zip(model.grads(X, y), _unit_weight_grads(model, X, y)):
+            assert np.array_equal(got, want)
+
+
+def test_fit_steps_match_unit_weight_reference():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(23, 6))
+    y = rng.integers(0, 4, size=23)
+    fitted, stepped = MLP(6, 4, seed=3), MLP(6, 4, seed=3)
+    fitted.fit(X, y, epochs=4, batch_size=5)
+    for _ in range(4):  # fit's own loop, on the reference gradients
+        order = stepped._rng.permutation(len(X))
+        for start in range(0, len(X), 5):
+            idx = order[start : start + 5]
+            stepped._step(_unit_weight_grads(stepped, X[idx], y[idx]))
+    for a, b in zip(fitted.params(), stepped.params()):
+        assert np.array_equal(a, b)
 
 
 def test_grad_check_deployed_shapes():

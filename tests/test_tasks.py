@@ -1,7 +1,6 @@
 """Task wiring, generators, file formats, and the evaluator."""
 
 import dataclasses
-import struct
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from abdlearn.tasks import (
     ground_kb,
     labels_path_for,
     load_dataset,
-    load_idx,
     make_task,
     ranks_descending,
     save_dataset,
@@ -271,50 +269,23 @@ def test_dataset_errors(tmp_path):
         load_dataset(ok, expect_task="product")
 
 
-# ---------------------------------------------------------------------------
-# IDX files
-# ---------------------------------------------------------------------------
-
-
-def _write_idx(tmp_path, pixels=b"\x00\x10\x20\x30\xff\xee\xdd\xcc", labels=b"\x03\x09"):
-    img = tmp_path / "img.idx"
-    lab = tmp_path / "lab.idx"
-    img.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + pixels)
-    lab.write_bytes(struct.pack(">II", 0x00000801, 2) + labels)
-    return img, lab
-
-
-def test_idx_golden_roundtrip(tmp_path):
-    img, lab = _write_idx(tmp_path)
-    X, y = load_idx(img, lab)
-    assert X.shape == (2, 4) and X.dtype == np.float64
-    assert X[0, 0] == 0.0 and X[1, 0] == 1.0
-    assert abs(X[0, 1] - 16 / 255) < 1e-12
-    assert list(y) == [3, 9]
-
-
-def test_idx_errors(tmp_path):
-    img, lab = _write_idx(tmp_path)
-    bad_magic = tmp_path / "bm.idx"
-    bad_magic.write_bytes(struct.pack(">IIII", 0x00000804, 2, 2, 2) + b"\x00" * 8)
-    with pytest.raises(TaskError):
-        load_idx(bad_magic, lab)
-    trunc = tmp_path / "tr.idx"
-    trunc.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 7)
-    with pytest.raises(TaskError):
-        load_idx(trunc, lab)
-    short_lab = tmp_path / "sl.idx"
-    short_lab.write_bytes(struct.pack(">II", 0x00000801, 1) + b"\x03")
-    with pytest.raises(TaskError):
-        load_idx(img, short_lab)
-    big_lab = tmp_path / "bl.idx"
-    big_lab.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x03\x0b")
-    with pytest.raises(TaskError):
-        load_idx(img, big_lab)
-    trailing = tmp_path / "trail.idx"
-    trailing.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 9)
-    with pytest.raises(TaskError):
-        load_idx(trailing, lab)
+@pytest.mark.parametrize(
+    "task_id, lengths, line, match",
+    [
+        ("sum", (5, 5), "1,2,3,4,5,6", r"\.labels:1: 6 digits for 5 items"),
+        ("sum", (4, 4), "7", r"\.labels:1: 1 digits for 4 items"),
+        ("sum", (3, 3), "1,12,3", r"\.labels:1: digit outside 0\.\.9"),
+        ("product", (3, 3), "1,0,3", r"\.labels:1: digit outside 1\.\.9"),
+        ("sum", (2, 2), "1,x", r"\.labels:1: bad digit field"),
+    ],
+)
+def test_dataset_sidecar_checked_against_its_sequence(tmp_path, task_id, lengths, line, match):
+    p = tmp_path / "d.tsv"
+    save_dataset(gen_sequences(make_task(task_id), 2, lengths=lengths, seed=1), task_id, p)
+    sidecar = labels_path_for(p)
+    sidecar.write_text(line + "\n" + sidecar.read_text().splitlines()[1] + "\n")
+    with pytest.raises(TaskError, match=match):
+        load_dataset(p)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,6 @@ class TestUnify:
     def test_occurs_check_rejects(self):
         assert unify(Var("X"), t("f(X)")) is None
 
-    def test_occurs_check_can_be_disabled(self):
-        assert unify(Var("X"), t("f(X)"), occurs_check=False) is not None
-
     def test_lists(self):
         s = unify(t("[1,2|T]"), t("[1,2,3]"))
         assert s is not None
