@@ -21,9 +21,8 @@ from .bench import bench_abduction, bench_metarule_sizes
 from .em import EMConfig, EMError, run_curriculum, train
 from .kb import DEFAULT_DEPTH_LIMIT
 from .metarules import (
+    DEFAULT_LIBRARY,
     Program,
-    default_metarules,
-    metarule_library,
     program_from_json,
     program_text,
     program_to_json,
@@ -246,8 +245,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # train
 
 
-def _save_program(p: Program, library, stem: Path) -> None:
-    stem.with_suffix(".pl").write_text(program_text(p, library) + "\n")
+def _save_program(p: Program, stem: Path) -> None:
+    stem.with_suffix(".pl").write_text(program_text(p, DEFAULT_LIBRARY) + "\n")
     stem.with_suffix(".json").write_text(json.dumps(program_to_json(p), indent=2) + "\n")
 
 
@@ -258,13 +257,12 @@ def _load_program(path: Path) -> Program:
             path = sib
     if not path.is_file():
         raise CliError(DATA_ERR, f"program file not found: {path}")
-    lib = metarule_library(default_metarules())
     try:
         program = program_from_json(json.loads(path.read_text()))
         for ms in program.metasubs:
-            if ms.rule not in lib:
+            if ms.rule not in DEFAULT_LIBRARY:
                 raise ValueError(f"unknown metarule {ms.rule!r}")
-            want = lib[ms.rule].existentials
+            want = DEFAULT_LIBRARY[ms.rule].existentials
             named = all(isinstance(v, str) for _, v in ms.bindings)
             if tuple(e for e, _ in ms.bindings) != want or not named:
                 raise ValueError(f"{ms.rule} must bind exactly {', '.join(want)}, each to a name")
@@ -338,14 +336,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             cfg2 = _em_config(cfg, task, s2_out)
             pair = PairModel(dim, hidden=cfg["em"]["hidden"], lr=cfg["em"]["lr"], seed=seed)
             st1, st2, merged = run_curriculum((t1, exs1, cfg1), (task, examples, cfg2), pair)
-            lib = metarule_library(default_metarules())
-            _save_program(st1.best_program, lib, s1_out / "program")
-            _save_program(st2.best_program, lib, s2_out / "program")
-            _save_program(merged, lib, out / "program")
+            _save_program(st1.best_program, s1_out / "program")
+            _save_program(st2.best_program, s2_out / "program")
+            _save_program(merged, out / "program")
             pair.save(out / "model.ckpt")
             best = merged
             trained_model = pair
-            text = program_text(best, lib)
+            text = program_text(best, DEFAULT_LIBRARY)
         else:
             model = MLP(dim, task.n_classes, hidden=cfg["em"]["hidden"], lr=cfg["em"]["lr"], seed=seed)
             seed_data = _few_shot_seed(examples, task) if cfg["em"]["pretrain"] else None
@@ -353,7 +350,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 task, examples, _em_config(cfg, task, out),
                 model=model, pretrain_data=seed_data,
             )
-            _save_program(state.best_program, metarule_library(task.metarules()), out / "program")
+            _save_program(state.best_program, out / "program")
             model.save(out / "model.ckpt")
             best = state.best_program
             trained_model = model
@@ -393,16 +390,14 @@ def _metrics_table(per_len: "list[tuple[str, Metrics]]") -> str:
 
 
 def _per_length_table(task: Task, program: Program, examples, model, use_truth: bool = False) -> str:
-    # full rule library so merged curriculum programs always resolve
-    lib = metarule_library(default_metarules())
     by_len: "dict[int, list]" = {}
     for ex in examples:
         by_len.setdefault(len(ex), []).append(ex)
     rows = []
     for ln in sorted(by_len):
-        m = evaluate(program, task, by_len[ln], model=model, use_truth=use_truth, library=lib)
+        m = evaluate(program, task, by_len[ln], model=model, use_truth=use_truth)
         rows.append((f"len={ln}", m))
-    overall = evaluate(program, task, examples, model=model, use_truth=use_truth, library=lib)
+    overall = evaluate(program, task, examples, model=model, use_truth=use_truth)
     rows.append(("all", overall))
     return _metrics_table(rows)
 
@@ -433,8 +428,7 @@ def cmd_show_program(args: argparse.Namespace) -> int:
     if path.is_dir():
         path = path / "program.json"
     program = _load_program(path)
-    lib = metarule_library(default_metarules())
-    print(program_text(program, lib))
+    print(program_text(program, DEFAULT_LIBRARY))
     print(f"# {program.size} clauses, {len(program.invented)} invented predicates")
     return OK
 

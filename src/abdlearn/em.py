@@ -25,12 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metarules import (
-    Program,
-    default_metarules,
-    metarule_library,
-    program_text,
-)
+from .metarules import DEFAULT_LIBRARY, Program, program_text
 from .mil import Induced, InductionSetting, SearchBudget, TableFacts, induce
 from .perception import pretrain_few_shot
 from .tasks import SeqExample, Task
@@ -75,11 +70,10 @@ class EMState:
     best_score: float = -math.inf
     rows: "list[dict]" = field(default_factory=list)
 
-    def best_text(self, library=None) -> str:
+    def best_text(self) -> str:
         if self.best_program is None:
             return ""
-        lib = library or metarule_library(default_metarules())
-        return program_text(self.best_program, lib)
+        return program_text(self.best_program, DEFAULT_LIBRARY)
 
 
 def _assemble(task: Task, batch: Sequence[SeqExample]):
@@ -212,7 +206,6 @@ def train(
         pretrain_few_shot(model, pretrain_data[0], pretrain_data[1])
     setting = setting or task.setting()
     state = state or EMState(model=pair_model if task.dyadic else model)
-    lib = metarule_library(default_metarules())
     rng = np.random.default_rng(config.seed)
 
     writer = None
@@ -282,7 +275,7 @@ def train(
                         state.best_score = out.induced.log_score
                         state.best_program = out.induced.program
                         if config.artifacts_dir is not None:
-                            text = program_text(out.induced.program, lib)
+                            text = program_text(out.induced.program, DEFAULT_LIBRARY)
                             best = Path(config.artifacts_dir) / "program_best.pl"
                             best.write_text(text + "\n")
                 state.rows.append(row)

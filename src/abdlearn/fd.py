@@ -7,6 +7,14 @@ intermediates have no table.  solve_best finds the feasible assignment of
 weighted variables with the largest summed log-probability; solve_all is
 the exhaustive oracle it is checked against.
 
+A table is checked to sum to 1 once, where it enters: building a
+WeightTable checks it, and new_weighted_var builds one only from a table
+that is not one already, so the tables a fact oracle hands every proof are
+not checked again.  A clone shares its parent's var records and watch
+lists: neither is ever changed in place, a domain change puts a new record
+in the store's own list and a post a new watch tuple in its own dict, so a
+clone costs a copy of three containers, not of every record.
+
 solve_best picks one of two exact paths from the shape of the store:
 
   * chain stores, the shape the add/mul abducibles build (x0+x1#=v2,
@@ -114,6 +122,8 @@ class Dom:
         return None
 
     def intersect_interval(self, lo: int, hi: int) -> "Dom":
+        if lo <= self.lo and self.hi <= hi:
+            return self
         nlo, nhi = max(self.lo, lo), min(self.hi, hi)
         if nlo > nhi:
             return EMPTY_DOM
@@ -145,11 +155,26 @@ def _normalize(lo: int, bits: int) -> Dom:
 EMPTY_DOM = Dom(0, -1, 0)
 
 
+class WeightTable(tuple):
+    """Per-value log-probabilities, checked to sum to 1 in probability space."""
+
+    __slots__ = ()
+
+    def __new__(cls, log_weights: Iterable[float]) -> "WeightTable":
+        ws = super().__new__(cls, (float(w) for w in log_weights))
+        total = sum(math.exp(w) for w in ws)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weight table must sum to 1 in probability space, got {total}")
+        return ws
+
+
 @dataclass(slots=True)
 class FDVar:
+    """A store's record of one var, shared by clones and never changed in place."""
+
     id: int
     dom: Dom
-    weights: Optional[tuple] = None  # log-probs aligned with the initial domain
+    weights: Optional[WeightTable] = None  # log-probs aligned with the initial domain
     weight_base: int = 0  # value of the first weight entry
 
     @property
@@ -192,24 +217,30 @@ class ConstraintStore:
     def __init__(self):
         self.vars: list[FDVar] = []
         self.constraints: list[FDConstraint] = []
-        self._watch: dict[int, list[int]] = {}
+        self._watch: dict[int, tuple[int, ...]] = {}  # var id -> constraints on it
         self.failed = False
 
     def clone(self) -> "ConstraintStore":
         out = ConstraintStore()
-        out.vars = [FDVar(v.id, v.dom, v.weights, v.weight_base) for v in self.vars]
-        out.constraints = list(self.constraints)
-        out._watch = {k: list(v) for k, v in self._watch.items()}
+        out.vars = self.vars.copy()
+        out.constraints = self.constraints.copy()
+        out._watch = self._watch.copy()
         out.failed = self.failed
         return out
+
+    def content(self) -> tuple:
+        """All of the store that solve_best reads, as one hashable value."""
+        return (
+            self.failed,
+            tuple(self.constraints),
+            tuple([(v.dom, v.weights, v.weight_base) for v in self.vars]),
+        )
 
     # -- variables ----------------------------------------------------------
 
     def new_weighted_var(self, log_weights, base: int = 0) -> int:
-        ws = tuple(float(w) for w in log_weights)
-        total = sum(math.exp(w) for w in ws)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weight table must sum to 1 in probability space, got {total}")
+        """A var over log_weights; a table that is not a WeightTable is checked."""
+        ws = log_weights if type(log_weights) is WeightTable else WeightTable(log_weights)
         v = FDVar(len(self.vars), Dom.range(base, base + len(ws) - 1), ws, base)
         self.vars.append(v)
         return v.id
@@ -240,21 +271,23 @@ class ConstraintStore:
             raise ValueError(f"constraint references unknown var {c.z}")
         self.constraints.append(c)
         touched = (c.x,) if kind == EQC else (c.x, c.y, c.z)
+        watch = self._watch
         for vid in touched:
-            self._watch.setdefault(vid, []).append(idx)
+            watch[vid] = watch.get(vid, ()) + (idx,)
         return self.propagate([idx])
 
     def post_eq_const(self, x: int, c: int) -> bool:
         return self.post(EQC, x, -1, c)
 
     def set_dom(self, vid: int, dom: Dom, queue: "list[int]") -> bool:
-        old = self.vars[vid].dom
-        if dom.lo == old.lo and dom.hi == old.hi and dom.bits == old.bits:
+        var = self.vars[vid]
+        old = var.dom
+        if dom is old or (dom.lo == old.lo and dom.hi == old.hi and dom.bits == old.bits):
             return True
         if dom.is_empty:
             self.failed = True
             return False
-        self.vars[vid].dom = dom
+        self.vars[vid] = FDVar(vid, dom, var.weights, var.weight_base)
         for ci in self._watch.get(vid, ()):
             if ci not in queue:
                 queue.append(ci)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .parser import parse_program
 from .terms import Atom, Clause, Sym, Var, pretty_clause, proper_list_items
@@ -232,3 +233,8 @@ def metarule_library(rules: Iterable[Metarule]) -> "dict[str, Metarule]":
             raise MetaruleError(f"duplicate metarule name {r.name}")
         lib[r.name] = r
     return lib
+
+
+# Every default metarule by name, read-only: what a program written under
+# any subset of the defaults (a merged curriculum program too) reads through.
+DEFAULT_LIBRARY: "Mapping[str, Metarule]" = MappingProxyType(metarule_library(default_metarules()))

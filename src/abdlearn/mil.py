@@ -35,12 +35,23 @@ when it can gain no clause: new clauses are not allowed, or it fills the
 clause budget.  Under a closed program an inducible predicate is productive
 when one of its clauses has only productive inducible predicates in its
 body (background predicates and abducibles count as productive); the
-productive set is that rule's least fixpoint, computed once per program and
-prove call.  Every finite proof of a goal bottoms out in such clauses, so a
-goal on an unproductive predicate fails at once, and the prune changes
+productive set is that rule's least fixpoint, computed once per setting
+and program.  Every finite proof of a goal bottoms out in such clauses, so
+a goal on an unproductive predicate fails at once, and the prune changes
 neither the proofs found nor their order.  Without it, a full program whose
 clauses all recurse tries every mix of its clauses down the list, 2^L
 branches for a list of L items, before it fails.
+
+Generation adds a second prune of the same kind: under a closed program
+that it has already recorded, every goal fails at once, since the branch
+could only yield that program again.
+
+Scoring solves each distinct constraint store once per induce call: the
+two base cases of a recursive program, say, build the same chain store on
+every example.  The answer and the solver work it cost are kept in a map
+that lives for that call, and a store equal to one solved before takes the
+answer and adds the same counts to the budget, so the counters read as if
+it had been solved again.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, _completion_exists, solve_best
+from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, WeightTable, _completion_exists, solve_best
 from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, resolve, solve
 from .metarules import (
     MetaSub,
@@ -148,8 +159,11 @@ class TableFacts:
 
     Both are filled when the oracle is built, except pairs given as a
     function, which fill on first read: one call per pair however often it
-    is read.  The constructor takes explicit probabilities (handy in tests);
-    exact builds the oracle from known labels, from_model from perception.
+    is read.  An item table is checked to sum to 1 on its first read as a
+    weight table, and only then: it is kept as the fd.WeightTable the check
+    builds, which the store does not check again.  The constructor takes
+    explicit probabilities (handy in tests); exact builds the oracle from
+    known labels, from_model from perception.
     """
 
     def __init__(self, tables: dict, value_base: int = 0, pairs=None):
@@ -192,9 +206,13 @@ class TableFacts:
             facts._items = dict(enumerate(map(tuple, model.log_probs(features).tolist())))
         return facts
 
-    def item_logweights(self, item: int) -> Sequence[float]:
-        """Log-probability table over the item's possible values."""
-        return self._items[item]
+    def item_logweights(self, item: int) -> WeightTable:
+        """Log-probability table over the item's possible values; ValueError
+        if it does not sum to 1."""
+        w = self._items[item]
+        if type(w) is not WeightTable:
+            w = self._items[item] = WeightTable(w)
+        return w
 
     def item_label(self, item: int) -> int:
         """The item's most probable value, the first on a tie."""
@@ -326,10 +344,12 @@ class InductionSetting:
     invent_base: Optional[str] = None
     library: dict = field(init=False)
     _clauses: dict = field(init=False, repr=False)
+    _productive: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
         self._clauses = {}
+        self._productive = {}
         kb_names = {n for n, _ in self.kb.predicates()}
         for (name, arity), spec in self.abducibles.items():
             if spec.name != name or spec.arity != arity:
@@ -348,6 +368,13 @@ class InductionSetting:
         if ms not in self._clauses:
             self._clauses[ms] = materialize(ms, self.library)
         return self._clauses[ms]
+
+    def productive(self, prog: Program) -> "set[tuple[str, int]]":
+        """_productive of prog, computed once per setting."""
+        done = self._productive.get(prog)
+        if done is None:
+            done = self._productive[prog] = _productive(prog, self)
+        return done
 
     def taken_names(self) -> "set[str]":
         names = {n for n, _ in self.kb.predicates()}
@@ -456,8 +483,9 @@ class InduceOutcome:
     failure says why induced is None, by the first reason that holds:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
     (the depth limit cut some branch, so a program may lie beyond it; a
-    branch on a goal that a closed program can never prove is not searched,
-    so a cut it would have met is not counted: it could hold no program),
+    branch on a goal that a closed program can never prove, or under a
+    closed program generation has recorded, is not searched, so a cut it
+    would have met is not counted: it could hold no new program),
     "unscorable" (a candidate proves every positive, weights aside, yet none
     scored above -inf on every example) or "no_candidate" (no program proves
     every positive example).  It is None when a program was found.  candidates_tried
@@ -499,7 +527,7 @@ class _Ctx:
     prune: bool
     allow_new: bool
     best: float = -math.inf  # best completed proof so far, the pruning bound
-    productive: dict = field(default_factory=dict)  # closed program -> _productive of it
+    found: Optional[dict] = None  # generation's programs by key; a closed one here is done
 
     def closed(self, prog: Program) -> bool:
         """prog can gain no clause in this search."""
@@ -509,6 +537,8 @@ class _Ctx:
         """kb.solve hook for goals the kb does not define.  state is (program,
         abduction state, dyadic log prob, abduced); the scope anc holds the
         (predicate, first-argument size) of each inducible call above g."""
+        if self.found is not None and self.closed(state[0]) and state[0].key() in self.found:
+            return ()  # the branch can only yield a program generation has recorded
         spec = self.setting.abducibles.get(g.key())
         if spec is not None:
             return _abduce(spec, g, s, state, self)
@@ -650,12 +680,8 @@ def _productive(prog: Program, setting: InductionSetting) -> "set[tuple[str, int
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
     """g resolved by kb.resolve on a metarule clause of the program, recorded or new."""
     prog = state[0]
-    if ctx.closed(prog):
-        done = ctx.productive.get(prog)
-        if done is None:
-            done = ctx.productive[prog] = _productive(prog, ctx.setting)
-        if g.key() not in done:
-            return  # every finite proof of g needs a clause prog lacks and cannot gain
+    if ctx.closed(prog) and g.key() not in ctx.setting.productive(prog):
+        return  # every finite proof of g needs a clause prog lacks and cannot gain
     size = _arg1_size(g)
     if not _descends(anc, g.pred, size):
         return
@@ -752,6 +778,8 @@ def prove(
     runtime: Optional[Budget] = None,
     allow_new_clauses: bool = True,
     feasibility_only: bool = False,
+    solved: Optional[dict] = None,
+    found: Optional[dict] = None,
 ) -> Iterator[AbductionResult]:
     """Stream of abductive proofs of the goals, best-effort order.
 
@@ -767,12 +795,18 @@ def prove(
     score: the callers (generation and blocking) need every proof, not the
     best.  A goal that a closed program can never prove fails at once (see
     the module docstring); that prune holds no proof, so it always applies.
+
+    solved, induce's per-call map from store content to solve_best's
+    untruncated answer and its solver_nodes and solver_leaves, gives the
+    answer of a store solved before and adds those counts to runtime.
+    found, generation's map of the programs it has recorded by key, fails
+    every goal under a closed program already in it.
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
-    ctx = _Ctx(setting, facts, budget, budget.pruning and not feasibility_only, allow_new_clauses)
+    ctx = _Ctx(setting, facts, budget, budget.pruning and not feasibility_only, allow_new_clauses, found=found)
     start = (program, _AbdState(), 0.0, ())
     leaves = solve([(g, ()) for g in goals], setting.kb, budget.depth_limit, runtime, start, ctx.hook)
     for _, (prog, ab, dlogp, abduced) in leaves:
@@ -783,7 +817,7 @@ def prove(
                 if not _completion_exists(ab.store, runtime):
                     continue
             else:
-                labeling = solve_best(ab.store, runtime, budget.solver_max_nodes)
+                labeling = _solve_once(ab.store, runtime, budget.solver_max_nodes, solved)
                 if labeling is None:
                     continue
                 total += labeling.log_prob
@@ -796,6 +830,32 @@ def prove(
             labeling=labeling,
             item_vars=tuple(sorted(ab.item_vars.items())),
         )
+
+
+def _solve_once(
+    store: ConstraintStore, runtime: Budget, max_nodes: Optional[int], solved: Optional[dict]
+) -> Optional[Labeling]:
+    """solve_best(store, runtime, max_nodes), solving each content in solved once.
+
+    Only an untruncated answer is kept: solve_best reads the budget only to
+    stop early, so such an answer, and the work it cost, is the same on any
+    budget that has not run out.  A budget that has run out takes
+    solve_best's own path.
+    """
+    if solved is None or not runtime.ok():
+        return solve_best(store, runtime, max_nodes)
+    key = store.content()
+    hit = solved.get(key)
+    if hit is not None:
+        labeling, nodes, leaves = hit
+        runtime.solver_nodes += nodes
+        runtime.solver_leaves += leaves
+        return labeling
+    nodes, leaves = runtime.solver_nodes, runtime.solver_leaves
+    labeling = solve_best(store, runtime, max_nodes)
+    if labeling is None or not labeling.truncated:
+        solved[key] = (labeling, runtime.solver_nodes - nodes, runtime.solver_leaves - leaves)
+    return labeling
 
 
 # ---------------------------------------------------------------------------
@@ -851,12 +911,16 @@ def score_example(
     facts,
     budget: SearchBudget,
     runtime: Optional[Budget] = None,
+    solved: Optional[dict] = None,
 ) -> Optional[ExampleLabeling]:
     """Best log P(example | program) with its pseudo-labels, or None.
 
     Positive examples take the most probable proof.  Negative examples take
     the most probable fact assignment under which no proof survives; a
-    fact-free proof makes that impossible.
+    fact-free proof makes that impossible.  solved is induce's per-call map
+    of solved stores (see prove): a positive's store solved before, under
+    another program, is not solved again, and its solver counts are
+    replayed onto runtime.
     """
     runtime = runtime if runtime is not None else budget.runtime()
     if ex.positive:
@@ -870,6 +934,7 @@ def score_example(
             budget,
             runtime=runtime,
             allow_new_clauses=False,
+            solved=solved,
         ):
             truncated = truncated or r.truncated
             if best is None or r.log_prob > best.log_prob:
@@ -917,7 +982,8 @@ def _candidate_programs(
     Once a proof fills the budget, the program is closed for the rest of
     that proof, and prove fails its unproductive goals at once: a full
     program whose clauses all recurse is given up in one step, not after
-    2^L branches down a list of L items."""
+    2^L branches down a list of L items.  Under a full program found
+    already, prove fails every goal: the branch could only find it again."""
     seen_prefix: set = set()
     found: dict = {}
 
@@ -941,6 +1007,7 @@ def _candidate_programs(
             budget,
             runtime=runtime,
             feasibility_only=True,
+            found=found,
         ):
             k = r.program.key()
             if k in local:
@@ -980,7 +1047,10 @@ def induce(
     or as soon as its partial product cannot reach the incumbent.  Each
     example is scored under a fresh runtime budget, so every example gets
     its own max_nodes cap and wall_ms deadline; its counters fold back into
-    the shared one.
+    the shared one.  The call keeps one map of solved stores for all its
+    scoring (see prove): each distinct store is solved once, and a store met
+    again replays the solver counts it cost, so every counter reads as if
+    it had been solved each time.
     """
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
@@ -990,6 +1060,7 @@ def induce(
     truncated = False
     tried = 0
     pool: "list[Program]" = []
+    solved: dict = {}
     for size_cap in range(1, budget.max_clauses + 1):
         if not runtime.ok():
             break
@@ -1010,7 +1081,7 @@ def induce(
             acc = log_prior(prog.size)
             for ex in examples:
                 rt = budget.runtime()
-                lab = score_example(ex, prog, setting, facts, budget, rt)
+                lab = score_example(ex, prog, setting, facts, budget, rt, solved=solved)
                 _fold(runtime, rt)
                 if lab is None:
                     break

@@ -19,13 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, standard_kb
-from .metarules import (
-    Metarule,
-    Program,
-    default_metarules,
-    metarule_library,
-    program_clauses,
-)
+from .metarules import DEFAULT_LIBRARY, Metarule, Program, program_clauses
 from .fd import ADD, EQC, MUL
 from .mil import ABD_FACT, Abducible, GoalExample, InductionSetting, TableFacts, item_term
 from .terms import Atom, Int, Term, Var, mk_list, proper_list_items
@@ -94,12 +88,11 @@ class Task:
         return self.digit_lo
 
     def metarules(self, names: Optional[Sequence[str]] = None) -> "list[Metarule]":
-        lib = metarule_library(default_metarules())
         chosen = tuple(names) if names is not None else self.metarule_names
-        missing = [n for n in chosen if n not in lib]
+        missing = [n for n in chosen if n not in DEFAULT_LIBRARY]
         if missing:
             raise TaskError(f"unknown metarules: {', '.join(missing)}")
-        return [lib[n] for n in chosen]
+        return [DEFAULT_LIBRARY[n] for n in chosen]
 
     def setting(
         self,
@@ -115,7 +108,7 @@ class Task:
         """
         kb = standard_kb(self.bk_text)
         if extra_program is not None:
-            for clause in program_clauses(extra_program, metarule_library(default_metarules())):
+            for clause in program_clauses(extra_program, DEFAULT_LIBRARY):
                 kb.add_clause(clause)
         return InductionSetting(
             kb=kb,
@@ -437,21 +430,16 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
 # ---------------------------------------------------------------------------
 
 
-def ground_kb(
-    task: Task,
-    program: Program,
-    library: Optional[dict] = None,
-    facts: Optional[TableFacts] = None,
-) -> KnowledgeBase:
-    """Executable kb: background + induced clauses + each abducible's
-    ground reading (mil.Abducible.ground), which on a dyadic task reads the
-    pair relation from facts.
+def ground_kb(task: Task, program: Program, facts: Optional[TableFacts] = None) -> KnowledgeBase:
+    """Executable kb: background + induced clauses, read through the
+    default metarule library, + each abducible's ground reading
+    (mil.Abducible.ground), which on a dyadic task reads the pair relation
+    from facts.
     """
     if task.dyadic and facts is None:
         raise TaskError(f"task {task.id} needs a pairwise relation to execute")
     kb = standard_kb(task.bk_text)
-    lib = library or metarule_library(default_metarules())
-    for clause in program_clauses(program, lib):
+    for clause in program_clauses(program, DEFAULT_LIBRARY):
         kb.add_clause(clause)
     for a in task.abducibles:
         kb.add_builtin(a.name, a.arity, a.ground(facts))
@@ -513,7 +501,6 @@ def evaluate(
     examples: Sequence[SeqExample],
     model=None,
     use_truth: bool = False,
-    library: Optional[dict] = None,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     max_nodes: int = 500_000,
 ) -> Metrics:
@@ -538,7 +525,7 @@ def evaluate(
     name, _ = task.target
 
     if task.target[1] == 2 and not task.dyadic:
-        kb = ground_kb(task, program, library)
+        kb = ground_kb(task, program)
         abs_err: "list[float]" = []
         log_err: "list[float]" = []
         hits = cls_hits = cls_total = 0
@@ -577,7 +564,7 @@ def evaluate(
     if task.target[1] == 1:
         hits = 0
         for ex in examples:
-            kb = ground_kb(task, program, library, facts=_example_facts(ex, model, use_truth))
+            kb = ground_kb(task, program, facts=_example_facts(ex, model, use_truth))
             goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]),))
             pred = _first_solution(goal, kb, depth_limit, max_nodes, m) is not None
             hits += int(pred == bool(ex.y))
@@ -588,7 +575,7 @@ def evaluate(
     perm_hits = 0
     elem_sum = 0.0
     for ex in examples:
-        kb = ground_kb(task, program, library, facts=_example_facts(ex, model, use_truth))
+        kb = ground_kb(task, program, facts=_example_facts(ex, model, use_truth))
         goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
         sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
         ranks = None

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record
 from helpers_fd import gen_random_store, oracle_best

@@ -4,7 +4,6 @@ import configparser
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from abdlearn.cli import main

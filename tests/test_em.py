@@ -11,7 +11,6 @@ from abdlearn import em
 from abdlearn.em import (
     EMConfig,
     EMError,
-    EMState,
     METRIC_COLUMNS,
     train,
     run_curriculum,

@@ -8,6 +8,7 @@ the individual fact probabilities, and program scores add the log prior
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -545,7 +546,8 @@ def test_productivity_prune_changes_no_proof(case):
 
     on, nodes_on = stream()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mil, "_productive", lambda prog, setting: _AllProductive())
+        # the setting keeps each program's productive set, so patch its reader
+        mp.setattr(InductionSetting, "productive", lambda self, prog: _AllProductive())
         off, nodes_off = stream()
     assert on == off
     assert nodes_on <= nodes_off
@@ -871,6 +873,127 @@ def test_induce_sorted_concept_with_invention():
     assert "s_1(A,B) :- nn(A), tail(A,B)." in texts
     assert out.induced.program.size == 3
     assert abs(out.induced.log_score - log_prior(3)) < 1e-12
+
+
+@st.composite
+def _arith_batches(draw):
+    """A random sum or product batch as acceptance criterion 10 draws them:
+    up to 3 examples of up to 3 items, tables biased toward the drawn
+    digits, now and then an unprovable target.  With repeat, an example
+    of two or more items ends on its first item again, so its store is no
+    chain and takes branch-and-bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    task = tasks.make_task(draw(st.sampled_from(["sum", "product"])))
+    repeat = draw(st.booleans())
+    examples, tables, next_item = [], {}, 0
+    for _ in range(int(rng.integers(1, 4))):
+        length = int(rng.integers(1, 4))
+        digits = [int(d) for d in rng.integers(task.digit_lo, task.digit_hi + 1, size=length)]
+        ids = list(range(next_item, next_item + length))
+        next_item += length
+        for i, d in zip(ids, digits):
+            p = rng.dirichlet(np.ones(task.n_classes))
+            p[d - task.value_base] += 0.5
+            tables[i] = (p / p.sum()).tolist()
+        if repeat and length > 1:
+            ids[-1], digits[-1] = ids[0], digits[0]
+        y = sum(digits) if task.id == "sum" else int(np.prod(digits))
+        if rng.random() < 0.15:
+            y += task.digit_hi * length + 1
+        examples.append(task.goal(ids, y))
+    return examples, task, TableFacts(tables, value_base=task.value_base)
+
+
+def _induced_with_counters(examples, setting, facts, budget):
+    runtime = budget.runtime()
+    out = induce(examples, setting, facts, budget, runtime=runtime)
+    ind = out.induced
+    won = None if ind is None else (sorted(ind.program.key()), ind.log_score.hex(), ind.labelings, ind.truncated)
+    counters = (runtime.nodes, runtime.depth_hits, runtime.solver_nodes, runtime.solver_leaves)
+    return won, out.candidates_tried, out.failure, out.budget_exhausted, counters
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=_arith_batches(), solver_cap=st.sampled_from([None, 1, 3]))
+def test_solve_map_changes_no_outcome_or_counter(batch, solver_cap):
+    """Solving each distinct store once per induce call changes nothing:
+    outcome, labelings, log_score bits and all four counters match a run
+    that solves every store it meets."""
+    examples, task, facts = batch
+    budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
+    got = _induced_with_counters(examples, task.setting(), facts, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        plain = mil.score_example
+        mp.setattr(mil, "score_example", lambda *a, solved=None, **kw: plain(*a, **kw))
+        want = _induced_with_counters(examples, task.setting(), facts, budget)
+    assert got == want
+
+
+def test_solve_map_solves_a_shared_store_once():
+    """Both base cases of the sum program build the same chain store on
+    each example: with the map each store is solved once, without it some
+    are solved twice."""
+    facts = TableFacts({i: digit_table(d) for i, d in enumerate([1, 2, 3, 4, 5])})
+    examples = [GoalExample(item_goal([0, 1], 3)), GoalExample(item_goal([2, 3, 4], 12))]
+
+    def solved_stores(mp):
+        seen = []
+        plain = mil.solve_best
+
+        def spy(store, *a, **kw):
+            seen.append(store.content())
+            return plain(store, *a, **kw)
+
+        mp.setattr(mil, "solve_best", spy)
+        assert induce(examples, sum_setting(), facts, SearchBudget(max_clauses=2)).induced is not None
+        return seen
+
+    with pytest.MonkeyPatch.context() as mp:
+        once = solved_stores(mp)
+    with pytest.MonkeyPatch.context() as mp:
+        plain_score = mil.score_example
+        mp.setattr(mil, "score_example", lambda *a, solved=None, **kw: plain_score(*a, **kw))
+        every = solved_stores(mp)
+    assert len(once) == len(set(once)) < len(every)
+    assert set(once) == set(every)
+
+
+@st.composite
+def _generation_cases(draw):
+    """Positives, setting and budget for candidate generation: arithmetic
+    batches at clause budgets 2 and 3, and sorted_concept batches with
+    invention at budget 3."""
+    if draw(st.booleans()):
+        examples, task, facts = draw(_arith_batches())
+        return examples, task.setting(), facts, SearchBudget(max_clauses=draw(st.integers(2, 3)))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(lengths)
+    probs = draw(st.lists(st.floats(0.05, 0.95), min_size=n * n, max_size=n * n))
+    facts = TableFacts({}, pairs={(a, b): probs[a * n + b] for a in range(n) for b in range(n)})
+    ids = iter(range(n))
+    examples = [GoalExample(Atom("s", (mk_list([item_term(next(ids)) for _ in range(k)]),))) for k in lengths]
+    return examples, sorted_setting(), facts, SearchBudget(max_clauses=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_generation_cases())
+def test_generation_prune_changes_no_candidate(case):
+    """Failing every goal under a full program generation has recorded
+    leaves the candidate list as it is, in the same order, in no more
+    nodes than a search that proves it again."""
+    examples, setting, facts, budget = case
+
+    def generate():
+        runtime = Budget()
+        return mil._candidate_programs(examples, setting, budget, facts, runtime), runtime.nodes
+
+    on, nodes_on = generate()
+    with pytest.MonkeyPatch.context() as mp:
+        plain = mil.prove
+        mp.setattr(mil, "prove", lambda *a, found=None, **kw: plain(*a, **kw))
+        off, nodes_off = generate()
+    assert on == off
+    assert nodes_on <= nodes_off
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from abdlearn.parser import ParseError, parse_clause, parse_program, parse_term
-from abdlearn.terms import Atom, Int, Sym, Var, print_clause, print_term
+from abdlearn.terms import Atom, Int, Var, print_clause
 
 LIST_BK = """
 % list primitives

@@ -1,8 +1,6 @@
 """Perception model tests: forward pass, backprop vs finite differences,
 antisymmetric pair wrapper, checkpoint format."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -15,9 +15,7 @@ from abdlearn.mil import item_term
 from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import (
     Metrics,
-    SeqExample,
     SyntheticDigitGen,
-    Task,
     TaskError,
     evaluate,
     gen_sequences,
