@@ -120,17 +120,10 @@ def bench_abduction(
     return rows
 
 
-DEFAULT_SUBSETS = (
-    ("chain", "ident"),
-    ("chain", "ident", "postcon"),
-    tuple(r.name for r in default_metarules()),
-)
-
-
 def bench_metarules(
     task: Task,
     examples: "Sequence[SeqExample]",
-    subsets: "Sequence[Sequence[str]] | None" = None,
+    subsets: "Sequence[Sequence[str]]",
     budget: Optional[SearchBudget] = None,
 ) -> "list[MetaruleBenchRow]":
     """Induce from ground-truth facts under each metarule subset.
@@ -148,7 +141,7 @@ def bench_metarules(
         labels.update({i: d for i, d in zip(ids, ex.truth)})
     facts = TableFacts.exact(labels, n_values=task.n_classes, value_base=task.value_base)
     rows = []
-    for names in subsets or DEFAULT_SUBSETS:
+    for names in subsets:
         setting = task.setting(metarule_names=tuple(names))
         runtime = budget.runtime()
         t0 = time.perf_counter()

@@ -1,7 +1,11 @@
 """Finite-domain constraint store and maximum-probability labeling search.
 
 Constraints are the three shapes the abducibles emit: X+Y#=Z, X*Y#=Z and
-X#=c.  Domains are nonnegative.  Variables carrying a per-value
+X#=c.  A domain is a nonnegative interval [lo, hi] and propagation keeps
+bounds only, for X+Y#=Z and X*Y#=Z alike: it never removes a value with
+support, and the two solver paths below test exact values, so a hole
+propagation leaves in (a non-divisor of a pinned product) costs work, never
+a wrong answer.  Variables carrying a per-value
 log-probability table are the pseudo-labels of perceived items; derived
 intermediates have no table.  solve_best finds the feasible assignment of
 weighted variables with the largest summed log-probability; solve_all is
@@ -33,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .kb import Budget
 
-# Width above which a domain is tracked as a bare interval without holes.
-# Digit vars and sum intermediates stay explicit; product intermediates
-# (bounded by 9^L) degrade to intervals until a constant pins them down.
+# Widest interval _search_completion enumerates; a wider open domain (a
+# product intermediate no constant has pinned) is taken as feasible there.
 EXPLICIT_MAX = 4096
 
 ADD = "add"
@@ -49,110 +52,43 @@ EQC = "eqc"
 
 @dataclass(frozen=True, slots=True)
 class Dom:
-    """Immutable nonnegative integer domain: interval [lo,hi] plus holes.
-
-    bits is a mask relative to lo (bit i set ⇔ lo+i present) when the width
-    is at most EXPLICIT_MAX, else None meaning the full interval.
-    Empty is represented by lo > hi.
-    """
+    """Immutable nonnegative integer interval [lo, hi]; empty when lo > hi."""
 
     lo: int
     hi: int
-    bits: Optional[int]
 
     @staticmethod
     def range(lo: int, hi: int) -> "Dom":
-        if lo > hi:
-            return EMPTY_DOM
-        width = hi - lo + 1
-        if width <= EXPLICIT_MAX:
-            return Dom(lo, hi, (1 << width) - 1)
-        return Dom(lo, hi, None)
-
-    @staticmethod
-    def of_values(vals: Iterable[int]) -> "Dom":
-        vs = sorted(set(vals))
-        if not vs:
-            return EMPTY_DOM
-        lo, hi = vs[0], vs[-1]
-        if hi - lo + 1 <= EXPLICIT_MAX:
-            bits = 0
-            for v in vs:
-                bits |= 1 << (v - lo)
-            return Dom(lo, hi, bits)
-        return Dom(lo, hi, None)
+        return Dom(lo, hi) if lo <= hi else EMPTY_DOM
 
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    @property
-    def is_explicit(self) -> bool:
-        return self.bits is not None
-
     def size(self) -> int:
-        if self.is_empty:
-            return 0
-        if self.bits is not None:
-            return self.bits.bit_count()
-        return self.hi - self.lo + 1
+        return max(0, self.hi - self.lo + 1)
 
     def contains(self, v: int) -> bool:
-        if self.is_empty or v < self.lo or v > self.hi:
-            return False
-        if self.bits is None:
-            return True
-        return bool(self.bits >> (v - self.lo) & 1)
+        return self.lo <= v <= self.hi
 
-    def values(self) -> Iterator[int]:
-        if self.is_empty:
-            return
-        if self.bits is None:
-            yield from range(self.lo, self.hi + 1)
-            return
-        bits, base = self.bits, self.lo
-        while bits:
-            low = bits & -bits
-            yield base + low.bit_length() - 1
-            bits ^= low
+    def values(self) -> range:
+        return range(self.lo, self.hi + 1)
 
     def pinned(self) -> Optional[int]:
-        if not self.is_empty and self.lo == self.hi:
+        if self.lo == self.hi:
             return self.lo
         return None
 
     def intersect_interval(self, lo: int, hi: int) -> "Dom":
         if lo <= self.lo and self.hi <= hi:
             return self
-        nlo, nhi = max(self.lo, lo), min(self.hi, hi)
-        if nlo > nhi:
-            return EMPTY_DOM
-        if self.bits is None:
-            return Dom.range(nlo, nhi)
-        bits = self.bits >> (nlo - self.lo)
-        bits &= (1 << (nhi - nlo + 1)) - 1
-        return _normalize(nlo, bits)
+        return Dom.range(max(self.lo, lo), min(self.hi, hi))
 
     def pin(self, v: int) -> "Dom":
-        if not self.contains(v):
-            return EMPTY_DOM
-        return Dom(v, v, 1)
-
-    def restrict_to(self, vals: Iterable[int]) -> "Dom":
-        return Dom.of_values(v for v in vals if self.contains(v))
+        return Dom(v, v) if self.contains(v) else EMPTY_DOM
 
 
-def _normalize(lo: int, bits: int) -> Dom:
-    if bits == 0:
-        return EMPTY_DOM
-    shift = (bits & -bits).bit_length() - 1
-    bits >>= shift
-    lo += shift
-    hi = lo + bits.bit_length() - 1
-    return Dom(lo, hi, bits)
-
-
-EMPTY_DOM = Dom(0, -1, 0)
+EMPTY_DOM = Dom(0, -1)
 
 
 class WeightTable(tuple):
@@ -163,7 +99,7 @@ class WeightTable(tuple):
     def __new__(cls, log_weights: Iterable[float]) -> "WeightTable":
         ws = super().__new__(cls, (float(w) for w in log_weights))
         total = sum(math.exp(w) for w in ws)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN total fails this too
             raise ValueError(f"weight table must sum to 1 in probability space, got {total}")
         return ws
 
@@ -196,12 +132,6 @@ class FDConstraint:
     x: int
     y: int  # unused for EQC
     z: int  # the constant for EQC
-
-    def text(self, store: "ConstraintStore") -> str:
-        if self.kind == EQC:
-            return f"{store.var_name(self.x)}#={self.z}"
-        op = "+" if self.kind == ADD else "*"
-        return f"{store.var_name(self.x)}{op}{store.var_name(self.y)}#={store.var_name(self.z)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,9 +180,6 @@ class ConstraintStore:
         self.vars.append(v)
         return v.id
 
-    def var_name(self, vid: int) -> str:
-        return ("x" if self.vars[vid].is_weighted else "v") + str(vid)
-
     def dom(self, vid: int) -> Dom:
         return self.vars[vid].dom
 
@@ -282,7 +209,7 @@ class ConstraintStore:
     def set_dom(self, vid: int, dom: Dom, queue: "list[int]") -> bool:
         var = self.vars[vid]
         old = var.dom
-        if dom is old or (dom.lo == old.lo and dom.hi == old.hi and dom.bits == old.bits):
+        if dom is old or (dom.lo == old.lo and dom.hi == old.hi):
             return True
         if dom.is_empty:
             self.failed = True
@@ -322,45 +249,29 @@ class ConstraintStore:
                 return False
             dx = self.dom(c.x)
             return self.set_dom(c.y, dy.intersect_interval(dz.lo - dx.hi, dz.hi - dx.lo), queue)
-        # MUL: bounds plus exact divisor filtering on explicit domains
-        if not self.set_dom(c.z, self._mul_up(dx, dy, dz), queue):
+        # MUL: the same on x*y=z over nonnegative intervals.  A non-divisor
+        # of a pinned product may stay in; the chain pass and the completion
+        # search test exact values, and once the weighted vars are pinned the
+        # forward bound pins every derived var.
+        if not self.set_dom(c.z, dz.intersect_interval(dx.lo * dy.lo, dx.hi * dy.hi), queue):
             return False
         dz = self.dom(c.z)
-        if not self.set_dom(c.x, self._mul_down(dx, dy, dz), queue):
+        if not self.set_dom(c.x, _factor_bounds(dx, dy, dz), queue):
             return False
         dx = self.dom(c.x)
-        return self.set_dom(c.y, self._mul_down(dy, dx, dz), queue)
+        return self.set_dom(c.y, _factor_bounds(dy, dx, dz), queue)
 
-    def _mul_up(self, dx: Dom, dy: Dom, dz: Dom) -> Dom:
-        if dx.is_explicit and dy.is_explicit and dx.size() * dy.size() <= 4096:
-            vals = {a * b for a in dx.values() for b in dy.values()}
-            return dz.restrict_to(vals)
-        return dz.intersect_interval(dx.lo * dy.lo, dx.hi * dy.hi)
 
-    def _mul_down(self, dx: Dom, dy: Dom, dz: Dom) -> Dom:
-        """Filter dx against x*y=z given the current dy, dz."""
-        if dx.is_explicit and dx.size() <= 64:
-            kept = [a for a in dx.values() if self._mul_supported(a, dy, dz)]
-            return dx.restrict_to(kept)
-        # interval reasoning only
-        lo, hi = dx.lo, dx.hi
-        if dz.lo > 0:
-            if dy.hi <= 0:
-                return EMPTY_DOM
-            lo = max(lo, -(-dz.lo // dy.hi))  # ceil division
-            hi = min(hi, dz.hi // max(dy.lo, 1))
-        return dx.intersect_interval(lo, hi)
-
-    def _mul_supported(self, a: int, dy: Dom, dz: Dom) -> bool:
-        if a == 0:
-            return dz.contains(0)
-        if dy.is_explicit and dy.size() <= 64:
-            return any(dz.contains(a * b) for b in dy.values())
-        if dz.is_explicit and dz.size() <= 4096:
-            return any(z % a == 0 and dy.contains(z // a) for z in dz.values())
-        lo = max(dz.lo, a * dy.lo)
-        hi = min(dz.hi, a * dy.hi)
-        return lo <= hi and hi // a >= -(-lo // a)
+def _factor_bounds(dx: Dom, dy: Dom, dz: Dom) -> Dom:
+    """dx narrowed by x*y=z on nonnegative dy, dz: x >= ceil(z.lo/y.hi), x <= z.hi//y.lo."""
+    lo, hi = dx.lo, dx.hi
+    if dz.lo > 0:
+        if dy.hi == 0:
+            return EMPTY_DOM
+        lo = max(lo, -(-dz.lo // dy.hi))
+    if dy.lo > 0:
+        hi = min(hi, dz.hi // dy.lo)
+    return dx.intersect_interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +299,9 @@ def _search_completion(store: ConstraintStore, budget: Optional[Budget]) -> bool
         return True
     open_vars.sort(key=lambda v: (v.dom.size(), v.id))
     v = open_vars[0]
-    if not v.dom.is_explicit and v.dom.size() > EXPLICIT_MAX:
-        # Interval too wide to enumerate: bounds-consistent is taken as
+    if v.dom.size() > EXPLICIT_MAX:
+        # Every open interval is too wide to enumerate (a product
+        # intermediate no constant pins): within bounds is taken as
         # feasible.  _completion_exists sends chain stores to the exact pass.
         return True
     for val in v.dom.values():
@@ -642,14 +554,13 @@ def _chain_feasible(store: ConstraintStore, head: int, links: list, budget: Opti
     layer = set(doms[head].values())
     steps = 0
     for is_add, leaf, out in links:
-        vals = list(doms[leaf].values())
-        zd = doms[out]
-        zlo, zhi, zbits = zd.lo, zd.hi, zd.bits
+        vals = doms[leaf].values()
+        zlo, zhi = doms[out].lo, doms[out].hi
         nxt = set()
         for s in layer:
             for d in vals:
                 t = s + d if is_add else s * d
-                if t < zlo or t > zhi or (zbits is not None and not zbits >> (t - zlo) & 1):
+                if t < zlo or t > zhi:
                     continue
                 steps += 1
                 nxt.add(t)
@@ -703,8 +614,7 @@ def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional
     slack = remaining * mass * _SLACK_ULPS
     steps = 0
     for is_add, leaf, out in links:
-        zd = doms[out]
-        zlo, zhi, zbits = zd.lo, zd.hi, zd.bits
+        zlo, zhi = doms[out].lo, doms[out].hi
         nxt: dict = {}
         if vars_[leaf].is_weighted:
             items = table(leaf)
@@ -713,7 +623,7 @@ def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional
             for s, entries in layer.items():
                 for d, w in items:
                     t = s + d if is_add else s * d
-                    if t < zlo or t > zhi or (zbits is not None and not zbits >> (t - zlo) & 1):
+                    if t < zlo or t > zhi:
                         continue
                     steps += 1
                     for score, prefix in entries:
@@ -727,7 +637,7 @@ def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional
             c = doms[leaf].lo
             for s, entries in layer.items():
                 t = s + c if is_add else s * c
-                if t < zlo or t > zhi or (zbits is not None and not zbits >> (t - zlo) & 1):
+                if t < zlo or t > zhi:
                     continue
                 steps += 1
                 cur = nxt.get(t)

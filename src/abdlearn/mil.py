@@ -79,7 +79,6 @@ from .terms import (
     Subst,
     Term,
     is_nil,
-    print_term,
     proper_list_items,
     rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
     unify,
@@ -407,10 +406,10 @@ class SearchBudget:
 
 @dataclass(frozen=True, slots=True)
 class Abduced:
-    kind: str  # "constraint" | "fact"
-    text: str
-    key: tuple = ()
-    log_prob: float = 0.0
+    """A dyadic fact a proof assumed: ("pair", i, j) and its log-probability."""
+
+    key: tuple
+    log_prob: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -616,8 +615,7 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         nd = dlogp + lp
         if ctx.prune and nd <= ctx.best:
             return
-        item = Abduced("fact", f"{spec.name}({print_term(x)},{print_term(y)})", fact_key, lp)
-        yield (), None, s, (prog, ab, nd, abduced + (item,))
+        yield (), None, s, (prog, ab, nd, abduced + (Abduced(fact_key, lp),))
         return
 
     term_in, term_out = g.args
@@ -629,8 +627,7 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         vx = _var_for(x, ab2, ctx.facts)
         if vx is None or not ab2.store.post_eq_const(vx, term_out.value):
             return
-        item = Abduced("constraint", ab2.store.constraints[-1].text(ab2.store))
-        yield (), None, s, (prog, ab2, dlogp, abduced + (item,))
+        yield (), None, s, (prog, ab2, dlogp, abduced)
         return
 
     split = _first_two(term_in)
@@ -654,8 +651,7 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     s2 = unify(term_out, Struct(".", (fdv_term(vz), t2)), s)
     if s2 is None:
         return
-    item = Abduced("constraint", ab2.store.constraints[-1].text(ab2.store))
-    yield (), None, s2, (prog, ab2, dlogp, abduced + (item,))
+    yield (), None, s2, (prog, ab2, dlogp, abduced)
 
 
 def _productive(prog: Program, setting: InductionSetting) -> "set[tuple[str, int]]":
@@ -944,7 +940,7 @@ def score_example(
         return ExampleLabeling(
             best.log_prob,
             item_labels=tuple(sorted(best.item_assignment().items())),
-            pair_facts=tuple((a.key, True) for a in best.abduced if a.kind == "fact"),
+            pair_facts=tuple((a.key, True) for a in best.abduced),
             truncated=truncated,
         )
     proof_sets = []
@@ -958,7 +954,7 @@ def score_example(
         allow_new_clauses=False,
         feasibility_only=True,
     ):
-        proof_sets.append(frozenset(a.key for a in r.abduced if a.kind == "fact"))
+        proof_sets.append(frozenset(a.key for a in r.abduced))
     if not proof_sets:
         return ExampleLabeling(0.0)
     return _best_blocking(proof_sets, facts)

@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from abdlearn.fd import ADD, MUL, ConstraintStore
+from abdlearn.fd import ADD, EQC, MUL, ConstraintStore
 
 
 def dump(store: ConstraintStore) -> str:
-    """The store's constraints, one per line, for assertion messages."""
-    return "\n".join(c.text(store) for c in store.constraints)
+    """The store's constraints, one per line, for assertion messages:
+    weighted vars read x<id>, derived ones v<id>."""
+
+    def name(vid: int) -> str:
+        return ("x" if store.vars[vid].is_weighted else "v") + str(vid)
+
+    def text(c) -> str:
+        if c.kind == EQC:
+            return f"{name(c.x)}#={c.z}"
+        return f"{name(c.x)}{'+' if c.kind == ADD else '*'}{name(c.y)}#={name(c.z)}"
+
+    return "\n".join(text(c) for c in store.constraints)
 
 
 def random_weight_table(rng: np.random.Generator, n: int = 10) -> np.ndarray:
@@ -183,17 +193,12 @@ def gen_chain_store(
     return store, (k, tables, ops, eqcs)
 
 
-def oracle_best(plan):
-    """Brute-force argmax over the full 10^k grid; None if infeasible.
-
-    Enumerates assignments in lexicographic var-id order, so the first
-    maximum is the lex-smallest tie, matching solve_best's tie-break.  A
-    best score of -inf counts as infeasible, as in solve_best.
-    """
-    k, tables, ops, eqcs = plan
+def _grid(plan):
+    """Every var's value over the full 10^k grid of weighted-var
+    assignments, in lexicographic var-id order, and which rows are feasible."""
+    k, _, ops, eqcs = plan
     grids = np.meshgrid(*[np.arange(10)] * k, indexing="ij")
-    cols = [g.reshape(-1) for g in grids]  # lexicographic enumeration
-    vals = list(cols)
+    vals = [g.reshape(-1) for g in grids]  # lexicographic enumeration
     for kind, i, j in ops:
         if kind == "const":
             vals.append(np.full(10**k, i))
@@ -202,8 +207,27 @@ def oracle_best(plan):
     feasible = np.ones(10**k, dtype=bool)
     for vid, c in eqcs:
         feasible &= vals[vid] == c
+    return vals, feasible
+
+
+def oracle_values(plan) -> "list[np.ndarray]":
+    """Per var id, the values it takes over all solutions, weights aside."""
+    vals, feasible = _grid(plan)
+    return [v[feasible] for v in vals]
+
+
+def oracle_best(plan):
+    """Brute-force argmax over the full 10^k grid; None if infeasible.
+
+    Enumerates assignments in lexicographic var-id order, so the first
+    maximum is the lex-smallest tie, matching solve_best's tie-break.  A
+    best score of -inf counts as infeasible, as in solve_best.
+    """
+    k, tables, _, _ = plan
+    vals, feasible = _grid(plan)
     if not feasible.any():
         return None
+    cols = vals[:k]
     score = np.zeros(10**k)
     for t in range(k):
         score += np.asarray(tables[t])[cols[t]]

@@ -11,6 +11,7 @@ from abdlearn.bench import (
     bench_metarules,
     descending_assignments,
 )
+from abdlearn.metarules import default_metarules
 from abdlearn.mil import SearchBudget
 from abdlearn.tasks import SeqExample, SyntheticDigitGen, gen_sequences, make_task
 from abdlearn.perception import MLP
@@ -132,7 +133,8 @@ def sum_exact_examples():
 
 def test_bench_metarules_node_ordering(sum_exact_examples):
     task, exs = sum_exact_examples
-    rows = bench_metarules(task, exs, budget=SearchBudget(max_clauses=2))
+    subsets = [("chain", "ident"), ("chain", "ident", "postcon"), [r.name for r in default_metarules()]]
+    rows = bench_metarules(task, exs, subsets, budget=SearchBudget(max_clauses=2))
     assert [r.n_rules for r in rows] == [2, 3, 9]
     assert all(r.solved for r in rows)
     assert rows[0].nodes < rows[1].nodes <= rows[2].nodes

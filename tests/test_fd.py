@@ -8,7 +8,7 @@ from hypothesis import strategies as st_
 from abdlearn import fd
 from abdlearn.fd import ADD, MUL, ConstraintStore, Dom, solve_all, solve_best
 from abdlearn.kb import Budget
-from helpers_fd import dump, gen_chain_store, gen_random_store, oracle_best, random_weight_table
+from helpers_fd import dump, gen_chain_store, gen_random_store, oracle_best, oracle_values, random_weight_table
 
 
 def digit_table(peak_value: int, peak_prob: float, n: int = 10):
@@ -27,16 +27,6 @@ class TestDom:
         d = Dom.range(0, 9)
         assert list(d.values()) == list(range(10))
         assert d.size() == 10
-
-    def test_intersect_keeps_holes(self):
-        d = Dom.of_values([1, 3, 5, 7]).intersect_interval(2, 6)
-        assert list(d.values()) == [3, 5]
-        assert (d.lo, d.hi) == (3, 5)
-
-    def test_large_interval_degrades(self):
-        d = Dom.range(0, 9**15)
-        assert not d.is_explicit
-        assert d.contains(123456789)
 
     def test_pin(self):
         d = Dom.range(0, 9).pin(4)
@@ -76,19 +66,24 @@ class TestPostPropagate:
         assert not st.post_eq_const(n, 100)
         assert st.failed
 
-    def test_mul_divisor_filtering(self):
-        # oracle: enumerate all pairs in 1..9 with product 12
-        pairs = [(a, b) for a in range(1, 10) for b in range(1, 10) if a * b == 12]
-        expected = sorted({a for a, _ in pairs})
-        assert expected == [2, 3, 4, 6]
+    def test_mul_keeps_bounds_and_solves_exactly(self):
+        # x*y=12 over 1..9: the values with support are the divisors
+        # [2, 3, 4, 6]; propagation keeps their bounds, 5 stays in, and
+        # solve_best still equals the numpy brute force
+        tx = random_weight_table(np.random.default_rng(0), 9)
+        ty = random_weight_table(np.random.default_rng(1), 9)
         st = ConstraintStore()
-        x = st.new_weighted_var(random_weight_table(np.random.default_rng(0), 9), base=1)
-        y = st.new_weighted_var(random_weight_table(np.random.default_rng(1), 9), base=1)
+        x = st.new_weighted_var(tx, base=1)
+        y = st.new_weighted_var(ty, base=1)
         z = st.new_derived_var(1, 81)
         assert st.post(MUL, x, y, z)
         assert st.post_eq_const(z, 12)
-        assert list(st.dom(x).values()) == expected
-        assert list(st.dom(y).values()) == expected
+        assert st.dom(x) == st.dom(y) == Dom.range(2, 6)
+        # value 0 is in the oracle's grid at probability 0, and 0*y is not 12
+        tables = [np.r_[-np.inf, tx], np.r_[-np.inf, ty]]
+        want = oracle_best((2, tables, [("mul", 0, 1)], [(2, 12)]))
+        lab = solve_best(st)
+        assert (lab.assignment, lab.log_prob) == want
 
     def test_zero_sum_chain_pins_all(self):
         st = ConstraintStore()
@@ -561,3 +556,24 @@ def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
         assert fd._chain_of(st) is not None
     assert _same(solve_best(st), fd._branch_and_bound(st))
     assert fd._completion_exists(st, None) == (not st.failed and fd._search_completion(st, None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st_.integers(0, 2**32 - 1), chain=st_.booleans())
+def test_property_propagation_keeps_every_solution(seed, chain):
+    """Bounds propagation over ADD, MUL and EQC removes no value a
+    brute-force solution takes, on any var, and a store post marked failed
+    has no solution."""
+    rng = np.random.default_rng(seed)
+    if chain:
+        store, plan = gen_chain_store(rng, int(rng.integers(1, 5)))
+    else:
+        store, plan = gen_random_store(rng, max_weighted=3, max_cons=5)
+    taken = oracle_values(plan)
+    if store.failed:
+        assert all(len(vs) == 0 for vs in taken), dump(store)
+        return
+    for vid, vs in enumerate(taken):
+        if len(vs):
+            dom = store.dom(vid)
+            assert dom.lo <= vs.min() and vs.max() <= dom.hi, (vid, dump(store))

@@ -308,25 +308,6 @@ def test_prove_log_prob_matches_consumed_facts():
         assert abs(r.log_prob - manual) <= 1e-12
 
 
-def test_prove_records_constraint_texts():
-    setting = sum_setting()
-    best = None
-    for r in prove(
-        item_goal([0, 1], 6),
-        SUM_PROG,
-        setting,
-        TableFacts({0: digit_table(4), 1: digit_table(2)}),
-        SearchBudget(),
-        allow_new_clauses=False,
-    ):
-        if best is None or r.log_prob > best.log_prob:
-            best = r
-    kinds = [a.kind for a in best.abduced]
-    assert kinds == ["constraint"] * len(kinds)
-    assert any("+" in a.text for a in best.abduced)
-    assert any("#=6" in a.text for a in best.abduced)
-
-
 def test_prove_left_recursion_terminates():
     # ident can bind the target to itself; the descent guard on the first
     # argument must cut that branch.
