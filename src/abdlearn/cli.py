@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 import time
@@ -19,7 +20,6 @@ import numpy as np
 
 from .bench import bench_abduction, bench_metarule_sizes
 from .em import EMConfig, EMError, run_curriculum, train
-from .kb import DEFAULT_DEPTH_LIMIT
 from .metarules import (
     DEFAULT_LIBRARY,
     Program,
@@ -87,7 +87,6 @@ _SCHEMA = {
     },
     "budget": {
         "max_clauses": (int, 0),  # 0 = task default
-        "depth_limit": (int, DEFAULT_DEPTH_LIMIT),
         "max_nodes": (int, 0),  # 0 = unlimited
         "wall_ms": (int, 0),
         "solver_max_nodes": (int, 0),
@@ -137,8 +136,6 @@ def read_config(path: Path) -> "dict[str, dict]":
     for key, value in out["budget"].items():
         if value < 0:
             raise CliError(CONFIG_ERR, f"budget.{key} cannot be negative")
-    if out["budget"]["depth_limit"] < 1:
-        raise CliError(CONFIG_ERR, "budget.depth_limit must be at least 1")
     s1 = out["curriculum"]
     if bool(s1["stage1_task"]) != bool(s1["stage1_train"]):
         raise CliError(CONFIG_ERR, "curriculum needs both stage1_task and stage1_train")
@@ -160,7 +157,6 @@ def _budget_from(cfg: "dict[str, dict]", task: Task) -> SearchBudget:
     b = cfg["budget"]
     return SearchBudget(
         max_clauses=b["max_clauses"] or task.max_clauses,
-        depth_limit=b["depth_limit"],
         max_nodes=b["max_nodes"] or None,
         wall_ms=b["wall_ms"] or None,
         solver_max_nodes=b["solver_max_nodes"] or None,
@@ -373,9 +369,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-_METRIC_FIELDS = (
-    "n", "failures", "acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc", "depth_cut", "budget_exhausted",
-)
+_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(Metrics))
 
 
 def _metrics_table(per_len: "list[tuple[str, Metrics]]") -> str:

@@ -181,7 +181,6 @@ def train(
     model=None,
     pair_model=None,
     setting: Optional[InductionSetting] = None,
-    state: Optional[EMState] = None,
     pretrain_data=None,
 ) -> EMState:
     """Run hard-EM epochs over shuffled batches.
@@ -205,7 +204,7 @@ def train(
             raise EMError("pretraining needs a classifier and (X, y) seed data")
         pretrain_few_shot(model, pretrain_data[0], pretrain_data[1])
     setting = setting or task.setting()
-    state = state or EMState(model=pair_model if task.dyadic else model)
+    state = EMState(model=pair_model if task.dyadic else model)
     rng = np.random.default_rng(config.seed)
 
     writer = None

@@ -1,4 +1,4 @@
-"""Knowledge base and depth-limited SLD resolution.
+"""Knowledge base and depth-bounded SLD resolution.
 
 The deductive engine is a plain depth-first resolution prover over definite
 clauses plus a small table of native builtins (permute/3, which places a
@@ -7,8 +7,11 @@ text format stays free of host conveniences).
 
 solve() is the one resolver: deduce() runs it on the kb alone, and mil runs
 it with a hook for the predicates the kb does not define.  Termination
-rests on the depth limit, which counts resolution steps along a branch
+rests on the depth bound, which counts resolution steps along a branch
 (each goal costs one, however it is resolved); there is no descent check.
+The bound comes from the goals: DEPTH_PER_ITEM steps per list item in their
+arguments plus DEPTH_BASE, room on a list of any length for the tasks'
+programs, which take at most four steps per item.
 resolve(), the step both take, never copies a clause: as in structure sharing
 (Boyer & Moore, 1972), the clause's variables live in a per-step frame.
 """
@@ -16,7 +19,6 @@ resolve(), the step both take, never copies a clause: as in structure sharing
 from __future__ import annotations
 
 import itertools
-import sys
 import time
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -30,6 +32,7 @@ from .terms import (
     Term,
     Var,
     fresh_name,
+    list_parts,
     mk_list,
     proper_list_items,
     rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
@@ -38,7 +41,8 @@ from .terms import (
     unify_atoms,
 )
 
-DEFAULT_DEPTH_LIMIT = 512
+DEPTH_BASE = 64
+DEPTH_PER_ITEM = 8
 
 BuiltinFn = Callable[[tuple, Subst], Iterable[Subst]]
 
@@ -51,7 +55,7 @@ class Budget:
     """Mutable search-resource accounting shared across one query or search.
 
     nodes counts resolution steps.  depth_hits records how often a branch
-    was cut by the depth limit, which is what distinguishes "finitely
+    was cut by the depth bound, which is what distinguishes "finitely
     failed" from "ran out of resources".
 
     solver_nodes and solver_leaves count finite-domain solver work, and
@@ -218,16 +222,14 @@ def standard_kb(text: str = "") -> KnowledgeBase:
 def deduce(
     goal: "Atom | list[Atom]",
     kb: KnowledgeBase,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
     budget: Optional[Budget] = None,
 ) -> Iterator[Subst]:
     """Solve goal(s) against kb, yielding solutions projected to goal vars.
 
-    Solutions come in depth-first clause order.  depth_limit bounds the
-    resolution steps along a branch (see solve); when it cuts a branch the
-    budget's depth_hits counter is bumped, so an empty stream with
-    depth_hits == 0 means finite failure while depth_hits > 0 means the
-    search was truncated.
+    Solutions come in depth-first clause order.  The depth bound comes from
+    the goals (see solve); when it cuts a branch the budget's depth_hits
+    counter is bumped, so an empty stream with depth_hits == 0 means finite
+    failure while depth_hits > 0 means the search was truncated.
     """
     goals = [goal] if isinstance(goal, Atom) else list(goal)
     if budget is None:
@@ -236,7 +238,7 @@ def deduce(
     for g in goals:
         for t in g.args:
             term_vars(t, goal_vars)
-    for s, _ in solve([(g, None) for g in goals], kb, depth_limit, budget):
+    for s, _ in solve([(g, None) for g in goals], kb, budget):
         yield _project(s, goal_vars)
 
 
@@ -252,46 +254,52 @@ def _project(s: Subst, names: "list[str]") -> Subst:
 def solve(
     goals: "Sequence[tuple[Atom, Any]]",
     kb: KnowledgeBase,
-    depth_limit: int,
     budget: Budget,
     state: Any = None,
     hook: Optional[Callable[[Atom, Any, Subst, Any], Iterable[tuple]]] = None,
 ) -> Iterator[tuple[Subst, Any]]:
     """Depth-first SLD resolution of (atom, scope) goals; yields (subst, state).
 
-    Each goal costs one budget tick and one step of depth_limit.  A goal
-    the kb defines is resolved by its builtin or clauses (through
-    resolve(), which builds only the body), a clause body inheriting the
-    goal's scope.  Any other goal, substitution applied, goes to hook(goal,
-    scope, subst, state), which yields the alternatives as (body atoms,
-    body scope, subst, state); without a hook it fails.
+    Each goal costs one budget tick and one step of the depth bound,
+    DEPTH_PER_ITEM per list item in the goals plus DEPTH_BASE.  A goal the
+    kb defines is resolved by its builtin or clauses (through resolve(),
+    which builds only the body), a clause body inheriting the goal's scope.
+    Any other goal, substitution applied, goes to hook(goal, scope, subst,
+    state), which yields the alternatives as (body atoms, body scope,
+    subst, state); without a hook it fails.  The open goals' alternative
+    iterators sit on an explicit stack, innermost last (Ait-Kaci, 1991), so
+    the interpreter's recursion limit bounds no proof.
     """
-    # generator frames stack with proof depth; long lists need headroom
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
     stack = None
     for goal, scope in reversed(goals):
         stack = (goal, scope, stack)
-    return _solve(stack, Subst(), depth_limit, kb, budget, state, hook)
+    # a node drawn from open_[i] lies i steps down its branch
+    limit = DEPTH_BASE + DEPTH_PER_ITEM * sum(len(list_parts(t)[0]) for g, _ in goals for t in g.args)
+    tick = budget.tick
+    open_ = [iter(((stack, Subst(), state),))]
+    push, pop = open_.append, open_.pop
+    while open_:
+        for stack, s, state in open_[-1]:
+            if stack is None:
+                yield s, state
+            elif tick():
+                if len(open_) <= limit:
+                    push(_alternatives(stack, s, state, kb, hook))
+                    break
+                budget.depth_hits += 1
+        else:
+            pop()
 
 
-def _solve(stack, s: Subst, depth: int, kb: KnowledgeBase, budget: Budget, state, hook):
+def _alternatives(stack, s: Subst, state, kb: KnowledgeBase, hook):
+    """The child nodes (goal stack, subst, state) of resolving stack's first goal."""
     # stack is a linked list of goals: (atom, scope, rest) or None
-    if stack is None:
-        yield s, state
-        return
-    if not budget.tick():
-        return
-    if depth <= 0:
-        budget.depth_hits += 1
-        return
-    depth -= 1
     goal, scope, rest = stack
     key = goal.key()
     bi = kb.builtins.get(key)
     if bi is not None:
         for s2 in bi(goal.args, s):
-            yield from _solve(rest, s2, depth, kb, budget, state, hook)
+            yield rest, s2, state
         return
     clauses = kb.clauses.get(key)
     if clauses is not None:
@@ -301,7 +309,7 @@ def _solve(stack, s: Subst, depth: int, kb: KnowledgeBase, budget: Budget, state
                 stack2 = rest
                 for b in reversed(step[0]):
                     stack2 = (b, scope, stack2)
-                yield from _solve(stack2, step[1], depth, kb, budget, state, hook)
+                yield stack2, step[1], state
         return
     if hook is None:
         return
@@ -309,7 +317,7 @@ def _solve(stack, s: Subst, depth: int, kb: KnowledgeBase, budget: Budget, state
         stack2 = rest
         for b in reversed(body):
             stack2 = (b, body_scope, stack2)
-        yield from _solve(stack2, s2, depth, kb, budget, state2, hook)
+        yield stack2, s2, state2
 
 
 def resolve(goal: Atom, clause: Clause, s: Subst) -> "Optional[tuple[tuple[Atom, ...], Subst]]":

@@ -27,8 +27,8 @@ whose predicate already occurs among its inducible ancestors must strictly
 shrink its first (list) argument, which rules out left recursion and
 non-reducing loops while admitting the structural recursion the templates
 express; background clauses are not checked, as in kb.deduce.  Beyond that,
-SearchBudget.depth_limit bounds the resolution steps along a branch, by
-kb.solve's one rule, whatever resolves each goal.
+kb.solve bounds the resolution steps along a branch, whatever resolves
+each goal, by a bound that grows with the goals' list items.
 
 One prune cuts whole subtrees that hold no proof.  A program is closed
 when it can gain no clause: new clauses are not allowed, or it fills the
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, WeightTable, _completion_exists, solve_best
-from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, resolve, solve
+from .kb import Budget, KnowledgeBase, resolve, solve
 from .metarules import (
     MetaSub,
     Metarule,
@@ -340,7 +340,6 @@ class InductionSetting:
     target: "tuple[str, int]"
     body_pool: "list[tuple[str, int]]"
     max_invented: int = 1
-    invent_base: Optional[str] = None
     library: dict = field(init=False)
     _clauses: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
@@ -385,11 +384,9 @@ class InductionSetting:
 
 @dataclass
 class SearchBudget:
-    """Limits of one search.  depth_limit counts resolution steps along a
-    branch as kb.solve does: one per goal, however it is resolved."""
+    """Limits of one search; kb.solve derives the depth bound from the goals."""
 
     max_clauses: int = 3
-    depth_limit: int = DEFAULT_DEPTH_LIMIT
     max_nodes: Optional[int] = None
     wall_ms: Optional[float] = None
     solver_max_nodes: Optional[int] = None  # binds branch-and-bound only, not chain stores
@@ -481,7 +478,7 @@ class InduceOutcome:
 
     failure says why induced is None, by the first reason that holds:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
-    (the depth limit cut some branch, so a program may lie beyond it; a
+    (the depth bound cut some branch, so a program may lie beyond it; a
     branch on a goal that a closed program can never prove, or under a
     closed program generation has recorded, is not searched, so a cut it
     would have met is not counted: it could hold no new program),
@@ -751,7 +748,7 @@ def _new_metasubs(mr: Metarule, head_pred: str, prog: Program, ctx: _Ctx):
             if cand is _FRESH:
                 taken = setting.taken_names() | {n for n, _ in prog2.invented}
                 taken.update(bound.values())
-                name = invent_symbol(setting.invent_base or setting.target[0], taken)
+                name = invent_symbol(setting.target[0], taken)
                 yield from rec(i + 1, {**bound, ev: name}, prog2.with_invented(name, arity))
             else:
                 yield from rec(i + 1, {**bound, ev: cand}, prog2)
@@ -804,7 +801,7 @@ def prove(
     runtime = runtime if runtime is not None else budget.runtime()
     ctx = _Ctx(setting, facts, budget, budget.pruning and not feasibility_only, allow_new_clauses, found=found)
     start = (program, _AbdState(), 0.0, ())
-    leaves = solve([(g, ()) for g in goals], setting.kb, budget.depth_limit, runtime, start, ctx.hook)
+    leaves = solve([(g, ()) for g in goals], setting.kb, runtime, start, ctx.hook)
     for _, (prog, ab, dlogp, abduced) in leaves:
         labeling = None
         total = dlogp

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kb import DEFAULT_DEPTH_LIMIT, Budget, KnowledgeBase, deduce, standard_kb
+from .kb import Budget, KnowledgeBase, deduce, standard_kb
 from .metarules import DEFAULT_LIBRARY, Metarule, Program, program_clauses
 from .fd import ADD, EQC, MUL
 from .mil import ABD_FACT, Abducible, GoalExample, InductionSetting, TableFacts, item_term
@@ -71,7 +71,6 @@ class Task:
     body_pool: "tuple[tuple[str, int], ...]"
     max_clauses: int
     max_invented: int = 0
-    invent_base: Optional[str] = None
     digit_lo: int = 0
     digit_hi: int = 9
 
@@ -117,7 +116,6 @@ class Task:
             target=self.target,
             body_pool=list(self.body_pool),
             max_invented=self.max_invented,
-            invent_base=self.invent_base,
         )
 
     def goal(self, item_ids: Sequence[int], y) -> GoalExample:
@@ -166,7 +164,6 @@ _TASKS = {
             body_pool=(("tail", 2), ("empty", 1), ("nn", 1)),
             max_clauses=3,
             max_invented=1,
-            invent_base="s",
         ),
         # nn stays abducible but is deliberately NOT in the body pool: the
         # sort rule must go through the interpreted s/1 definition instead
@@ -456,7 +453,7 @@ class Metrics:
     perm_acc: Optional[float] = None
     elem_acc: Optional[float] = None
     cls_acc: Optional[float] = None  # raw per-item classifier accuracy
-    depth_cut: int = 0  # examples whose search the depth limit cut somewhere
+    depth_cut: int = 0  # examples whose search the depth bound cut somewhere
     budget_exhausted: int = 0  # examples whose search ran out of nodes (max_nodes)
 
     def row(self) -> str:
@@ -469,12 +466,12 @@ class Metrics:
         return " ".join(parts)
 
 
-def _first_solution(goal: Atom, kb: KnowledgeBase, depth_limit: int, max_nodes: int, m: Metrics):
-    """First answer to goal, or None; counts a depth-limit cut and a
+def _first_solution(goal: Atom, kb: KnowledgeBase, max_nodes: int, m: Metrics):
+    """First answer to goal, or None; counts a depth-bound cut and a
     search the node cap stopped into m."""
     budget = Budget(max_nodes=max_nodes)
     sol = None
-    for sol in deduce(goal, kb, depth_limit=depth_limit, budget=budget):
+    for sol in deduce(goal, kb, budget=budget):
         break
     m.depth_cut += int(budget.depth_hits > 0)
     m.budget_exhausted += int(budget.exhausted)
@@ -501,7 +498,6 @@ def evaluate(
     examples: Sequence[SeqExample],
     model=None,
     use_truth: bool = False,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
     max_nodes: int = 500_000,
 ) -> Metrics:
     """Run the program on perception output and score against labels.
@@ -515,9 +511,10 @@ def evaluate(
     table of every ordered pair of the example that one pair-net forward
     fills (permutations are tried in order until the ordered check passes);
     a failed ranking scores zero on both whole-permutation and per-position
-    accuracy.  Each example's search gets max_nodes resolution steps;
-    m.depth_cut and m.budget_exhausted count the examples whose search the
-    depth limit cut or the node cap stopped, answered or not.
+    accuracy.  Each example's search gets max_nodes resolution steps and a
+    depth bound that grows with the list (see kb); m.depth_cut and
+    m.budget_exhausted count the examples whose search the depth bound cut
+    or the node cap stopped, answered or not.
     """
     if not examples:
         raise TaskError("evaluate needs at least one example")
@@ -539,7 +536,7 @@ def evaluate(
                     cls_hits += int(d == t)
                     cls_total += 1
             goal = Atom(name, (mk_list([Int(d) for d in digits]), Var("Y")))
-            sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
+            sol = _first_solution(goal, kb, max_nodes, m)
             yv = sol.apply(Var("Y")) if sol is not None else None
             y_true = int(ex.y)
             if isinstance(yv, Int):
@@ -566,7 +563,7 @@ def evaluate(
         for ex in examples:
             kb = ground_kb(task, program, facts=_example_facts(ex, model, use_truth))
             goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]),))
-            pred = _first_solution(goal, kb, depth_limit, max_nodes, m) is not None
+            pred = _first_solution(goal, kb, max_nodes, m) is not None
             hits += int(pred == bool(ex.y))
         m.acc = hits / m.n
         return m
@@ -577,7 +574,7 @@ def evaluate(
     for ex in examples:
         kb = ground_kb(task, program, facts=_example_facts(ex, model, use_truth))
         goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
-        sol = _first_solution(goal, kb, depth_limit, max_nodes, m)
+        sol = _first_solution(goal, kb, max_nodes, m)
         ranks = None
         if sol is not None:
             items = proper_list_items(sol.apply(Var("R")))

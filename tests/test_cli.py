@@ -134,6 +134,14 @@ def test_train_rejects_the_removed_workers_setting(tmp_path, sum_data, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_rejects_the_removed_depth_limit_setting(tmp_path, sum_data, capsys):
+    # the depth bound comes from each goal's list items: there is no key for it
+    cfg = write_cfg(tmp_path / "l.ini", train_path=sum_data / "sum_train.tsv", budget={"depth_limit": 512})
+    assert run("train", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key budget.depth_limit")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_unknown_section(tmp_path, sum_data):
     cfg = write_cfg(tmp_path / "d.ini", train_path=sum_data / "sum_train.tsv")
     cfg.write_text(cfg.read_text() + "\n[mystery]\nx = 1\n")
@@ -166,8 +174,6 @@ def test_train_pairwise_task_without_curriculum_writes_nothing(tmp_path):
     "section, key, value",
     [
         ("budget", "max_nodes", -1),
-        ("budget", "depth_limit", -3),
-        ("budget", "depth_limit", 0),
         ("budget", "wall_ms", -5),
         ("run", "seed", -1),
         ("curriculum", "stage1_epochs", 0),

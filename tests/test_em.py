@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from abdlearn import em
+from abdlearn import em, kb as kb_module
 from abdlearn.em import (
     EMConfig,
     EMError,
@@ -412,15 +412,17 @@ def test_train_writes_metrics_and_artifacts(tmp_path):
     assert "f(A,B) :- add(A,C)" in state.best_text()
 
 
-def test_depth_cut_batch_records_its_failure(tmp_path):
-    # f -> add -> f -> eq takes four steps: depth_limit=2 proves no sum of two or more items
+def test_depth_cut_batch_records_its_failure(tmp_path, monkeypatch):
+    # f -> add -> f -> eq takes four steps: a bound of 2 proves no sum of two or more items
+    monkeypatch.setattr(kb_module, "DEPTH_BASE", 2)
+    monkeypatch.setattr(kb_module, "DEPTH_PER_ITEM", 0)
     task = make_task("sum")
     gen = SyntheticDigitGen(seed=0)
     exs = gen_sequences(task, 4, lengths=(2, 3), gen=gen, seed=0)
     cfg = EMConfig(
         epochs=1,
         batch_size=4,
-        budget=SearchBudget(max_clauses=2, depth_limit=2),
+        budget=SearchBudget(max_clauses=2),
         metrics_path=tmp_path / "metrics.csv",
     )
     with pytest.raises(EMError):

@@ -1,4 +1,6 @@
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,12 +81,34 @@ def test_recursive_clauses(kb):
 
 
 def test_depth_limit_sets_resource_marker():
+    # a goal with no list items gets DEPTH_BASE steps; the node past them is cut
     kb = KnowledgeBase()
     kb.add_text("loop(X) :- loop(X).")
     b = Budget()
-    sols = list(deduce(parse_atom("loop(1)"), kb, depth_limit=32, budget=b))
+    sols = list(deduce(parse_atom("loop(1)"), kb, budget=b))
     assert sols == []
-    assert b.depth_hits > 0
+    assert (b.depth_hits, b.nodes) == (1, kb_module.DEPTH_BASE + 1)
+
+
+def test_depth_bound_grows_with_the_goals_list_items(monkeypatch):
+    monkeypatch.setattr(kb_module, "DEPTH_BASE", 3)
+    monkeypatch.setattr(kb_module, "DEPTH_PER_ITEM", 2)
+    kb = KnowledgeBase()
+    kb.add_text("loop(X, Y) :- loop(X, Y).")
+    b = Budget()
+    assert list(deduce(parse_atom("loop([a,b,c], [d])"), kb, budget=b)) == []
+    assert (b.depth_hits, b.nodes) == (1, 3 + 2 * 4 + 1)
+
+
+def test_deep_proof_leaves_the_recursion_limit_alone():
+    kb = KnowledgeBase()
+    kb.add_text("last([X], X). last([_|T], X) :- last(T, X).")
+    before = sys.getrecursionlimit()
+    b = Budget()
+    (sol,) = deduce(Atom("last", (mk_list([Int(i) for i in range(2000)]), Var("X"))), kb, budget=b)
+    assert sol.apply(Var("X")) == Int(1999)
+    assert sys.getrecursionlimit() == before
+    assert (b.depth_hits, b.nodes) == (0, 2001)  # one step per item, one on the empty tail
 
 
 def test_finite_failure_has_no_marker(kb):

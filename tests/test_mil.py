@@ -40,7 +40,7 @@ from abdlearn.mil import (
     prove,
     score_example,
 )
-from abdlearn import mil, tasks
+from abdlearn import kb as kb_module, mil, tasks
 from abdlearn.terms import Atom, Int, mk_list
 from abdlearn.parser import parse_atom
 
@@ -331,21 +331,24 @@ one.
 
 
 @pytest.mark.parametrize(
-    "goal, depth_limit, answers, cut",
+    "goal, bound, answers, cut",
     [
         ("app(X,Y,[1,2,3])", 512, 4, False),
-        ("app(X,Y,[1,2,3])", 3, 3, True),  # the depth limit cuts the last split
+        ("app(X,Y,[1,2,3])", 3, 3, True),  # the depth bound cuts the last split
         ("app([1],[2],[1,2])", 512, 1, False),
         ("same([1])", 16, 0, True),  # no descent check on background clauses
         ("four", 5, 1, False),
         ("four", 4, 0, True),  # the siblings of a goal pay for the steps before them
     ],
 )
-def test_prove_resolves_background_goals_as_deduce_does(goal, depth_limit, answers, cut):
+def test_prove_resolves_background_goals_as_deduce_does(monkeypatch, goal, bound, answers, cut):
+    # the same fixed bound for both, whatever the goal's list items
+    monkeypatch.setattr(kb_module, "DEPTH_BASE", bound)
+    monkeypatch.setattr(kb_module, "DEPTH_PER_ITEM", 0)
     kb = standard_kb(_RECURSIVE_BK)
     atom = parse_atom(goal)
     by_kb = Budget()
-    kb_answers = list(deduce(atom, kb, depth_limit=depth_limit, budget=by_kb))
+    kb_answers = list(deduce(atom, kb, budget=by_kb))
     setting = InductionSetting(kb, default_metarules(), {}, ("t", 1), [])
     by_mil = Budget()
     proofs = prove(
@@ -353,7 +356,7 @@ def test_prove_resolves_background_goals_as_deduce_does(goal, depth_limit, answe
         Program(),
         setting,
         TableFacts.exact(),
-        SearchBudget(depth_limit=depth_limit),
+        SearchBudget(),
         runtime=by_mil,
         allow_new_clauses=False,
     )

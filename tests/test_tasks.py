@@ -8,7 +8,7 @@ import pytest
 from abdlearn.fd import ADD, EQC, MUL, solve_best
 from abdlearn.metarules import MetaSub, Program, merge_programs
 from abdlearn.mil import ABD_FACT, Abducible, SearchBudget, SettingError, TableFacts, induce
-from abdlearn import mil, tasks
+from abdlearn import kb as kb_module, mil, tasks
 from abdlearn.cli import _metrics_table
 from abdlearn.kb import deduce
 from abdlearn.mil import item_term
@@ -319,17 +319,36 @@ def test_evaluate_failure_counts_maximal_error():
     assert m.log_mae > 0
 
 
-def test_evaluate_counts_depth_cuts_without_changing_answers():
+def test_evaluate_counts_depth_cuts_without_changing_answers(monkeypatch):
     t = make_task("sum")
     exs = gen_sequences(t, 6, lengths=(3, 12), seed=4)
     full = evaluate(SUM_PROG, t, exs, use_truth=True)
     assert full.depth_cut == 0 and full.failures == 0
-    # two resolution steps per item: lists longer than 4 items are cut
-    cut = evaluate(SUM_PROG, t, exs, use_truth=True, depth_limit=9)
+    # two resolution steps per item against a bound of 4 + 1 per item: lists
+    # longer than 4 items are cut
+    monkeypatch.setattr(kb_module, "DEPTH_BASE", 4)
+    monkeypatch.setattr(kb_module, "DEPTH_PER_ITEM", 1)
+    cut = evaluate(SUM_PROG, t, exs, use_truth=True)
     n_long = sum(1 for e in exs if len(e) > 4)
     assert 0 < n_long < len(exs)
     assert cut.depth_cut == n_long and cut.failures == n_long
     assert f"depth_cut={n_long}" in cut.row()
+
+
+@pytest.mark.parametrize("length", [300, 5000])
+def test_evaluate_answers_long_sums_without_a_depth_cut(length):
+    t = make_task("sum")
+    exs = gen_sequences(t, 1, lengths=(length, length), seed=6)
+    m = evaluate(SUM_PROG, t, exs, use_truth=True)
+    assert (m.depth_cut, m.failures, m.acc) == (0, 0, 1.0)
+
+
+def test_evaluate_cuts_a_left_recursive_program_on_a_long_list():
+    t = make_task("sum")
+    exs = gen_sequences(t, 1, lengths=(10_000, 10_000), seed=6)
+    loop = Program((MetaSub("ident", (("P", "f"), ("Q", "f"))),))
+    m = evaluate(loop, t, exs, use_truth=True)
+    assert (m.depth_cut, m.failures, m.budget_exhausted) == (1, 1, 0)
 
 
 def test_evaluate_counts_searches_the_node_cap_stops():
