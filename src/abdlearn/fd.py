@@ -8,8 +8,7 @@ propagation leaves in (a non-divisor of a pinned product) costs work, never
 a wrong answer.  Variables carrying a per-value
 log-probability table are the pseudo-labels of perceived items; derived
 intermediates have no table.  solve_best finds the feasible assignment of
-weighted variables with the largest summed log-probability; solve_all is
-the exhaustive oracle it is checked against.
+weighted variables with the largest summed log-probability.
 
 A table is checked to sum to 1 once, where it enters: building a
 WeightTable checks it, and new_weighted_var builds one only from a table
@@ -690,39 +689,3 @@ def _offer(cur: list, score: float, prefix: tuple, slack: float) -> None:
     floor = cur[0][0] - slack
     while cur[-1][0] < floor:
         cur.pop()
-
-
-def solve_all(store: ConstraintStore, cap: int = 100000) -> "tuple[list[Labeling], bool]":
-    """All feasible labelings sorted by descending log_prob; (list, truncated).
-
-    Ties in log_prob are ordered by lexicographically smaller assignment, so
-    the head always equals solve_best's answer.
-    """
-    if store.failed:
-        return [], False
-    root = store.clone()
-    if not root.propagate():
-        return [], False
-    order = sorted(v.id for v in root.vars if v.is_weighted)
-    out: list[Labeling] = []
-    truncated = False
-
-    def descend(st: ConstraintStore, level: int) -> bool:
-        nonlocal truncated
-        if level == len(order):
-            if _search_completion(st, None):
-                out.append(_labeling_of(st))
-                if len(out) >= cap:
-                    truncated = True
-                    return False
-            return True
-        vid = order[level]
-        for val in st.vars[vid].dom.values():
-            s2 = _pin_and_propagate(st, vid, val)
-            if s2 is not None and not descend(s2, level + 1):
-                return False
-        return True
-
-    descend(root, 0)
-    out.sort(key=lambda lab: (-lab.log_prob, _lex_key(lab.assignment)))
-    return out, truncated

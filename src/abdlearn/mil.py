@@ -46,22 +46,46 @@ Generation adds a second prune of the same kind: under a closed program
 that it has already recorded, every goal fails at once, since the branch
 could only yield that program again.
 
-Scoring solves each distinct constraint store once per induce call: the
-two base cases of a recursive program, say, build the same chain store on
-every example.  The answer and the solver work it cost are kept in a map
-that lives for that call, and a store equal to one solved before takes the
-answer and adds the same counts to the budget, so the counters read as if
-it had been solved again.
+Scoring proves each goal shape once per setting (query packs, Blockeel et
+al., JAIR 2002; tabling is the memo form of the same idea).  The setting
+keeps the weight-free proof of each positive it scores under a closed
+program, run on placeholder tables of the items' table lengths: the leaf
+constraint stores in proof order, each with its map from item positions to
+store vars, the items whose tables the proof read, and the proof's nodes
+and depth hits.  The key is the program; the goal with each item(i) handle
+replaced by the position of i's first occurrence, so y, the list length
+and any repeated item stay in it; value_base; and each item's table
+length.  It is exact because with no fact abducible nothing prunes by
+score: the proof tree and every store's domains depend on the item tables
+only through the initial domains, which value_base and the table lengths
+set, and the background knowledge names no item handle.  A positive whose
+key is stored adds the proof's nodes and depth hits to the budget, reads
+every table the proof read (a missing or malformed one raises as before),
+and solves each leaf store with its own item tables in place of the
+placeholders, as a proof run for it does: that store equals the one a
+proof on its own tables builds, so labeling, log_prob bits and solver
+counts are the same.  The memo is bypassed in a setting with a fact
+abducible, in generation and feasibility-only proofs, and whenever the
+budget could not run the whole proof (max_nodes below its nodes, or the
+budget already out); a proof that ran the budget out is not stored.
+
+Scoring solves each distinct constraint store once per induce call, be its
+proof run or replayed: the two base cases of a recursive program, say,
+build the same chain store on every example.  The answer and the solver
+work it cost are kept in a map that lives for that call, and a store equal
+to one solved before takes the answer and adds the same counts to the
+budget, so the counters read as if it had been solved again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, WeightTable, _completion_exists, solve_best
+from .fd import ADD, EQC, MUL, ConstraintStore, FDVar, Labeling, WeightTable, _completion_exists, solve_best
 from .kb import Budget, KnowledgeBase, resolve, solve
 from .metarules import (
     MetaSub,
@@ -343,11 +367,15 @@ class InductionSetting:
     library: dict = field(init=False)
     _clauses: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
+    _proofs: Optional[dict] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
         self._clauses = {}
         self._productive = {}
+        # Weight-free proofs by goal shape (see the module docstring); a
+        # fact abducible prunes by score, so its setting keeps none.
+        self._proofs = None if any(a.kind == ABD_FACT for a in self.abducibles.values()) else {}
         kb_names = {n for n, _ in self.kb.predicates()}
         for (name, arity), spec in self.abducibles.items():
             if spec.name != name or spec.arity != arity:
@@ -793,16 +821,37 @@ def prove(
     untruncated answer and its solver_nodes and solver_leaves, gives the
     answer of a store solved before and adds those counts to runtime.
     found, generation's map of the programs it has recorded by key, fails
-    every goal under a closed program already in it.
+    every goal under a closed program already in it.  Under a closed
+    program, without feasibility_only or found, the proof is the setting's
+    stored proof of the goals' shape when it has one (see the module
+    docstring).
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
     ctx = _Ctx(setting, facts, budget, budget.pruning and not feasibility_only, allow_new_clauses, found=found)
+    if setting._proofs is None or allow_new_clauses or feasibility_only or found is not None:
+        leaves = _leaves(goals, program, ctx, runtime)
+    else:
+        leaves = _shared_leaves(goals, program, ctx, runtime)
+    yield from _results(leaves, ctx, runtime, feasibility_only, solved)
+
+
+def _leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
+    """The SLD successes of the goals: each leaf's state (program,
+    abduction state, dyadic log prob, abduced), in proof order."""
     start = (program, _AbdState(), 0.0, ())
-    leaves = solve([(g, ()) for g in goals], setting.kb, runtime, start, ctx.hook)
-    for _, (prog, ab, dlogp, abduced) in leaves:
+    for _, state in solve([(g, ()) for g in goals], ctx.setting.kb, runtime, start, ctx.hook):
+        yield state
+
+
+def _results(
+    leaves: Iterable[tuple], ctx: _Ctx, runtime: Budget, feasibility_only: bool, solved: Optional[dict]
+) -> Iterator[AbductionResult]:
+    """prove's results: each leaf's store solved, or only checked for a
+    solution with feasibility_only; a leaf with no solution is dropped."""
+    for prog, ab, dlogp, abduced in leaves:
         labeling = None
         total = dlogp
         if ab.store is not None and ab.store.vars:
@@ -810,7 +859,7 @@ def prove(
                 if not _completion_exists(ab.store, runtime):
                     continue
             else:
-                labeling = _solve_once(ab.store, runtime, budget.solver_max_nodes, solved)
+                labeling = _solve_once(ab.store, runtime, ctx.budget.solver_max_nodes, solved)
                 if labeling is None:
                     continue
                 total += labeling.log_prob
@@ -849,6 +898,115 @@ def _solve_once(
     if labeling is None or not labeling.truncated:
         solved[key] = (labeling, runtime.solver_nodes - nodes, runtime.solver_leaves - leaves)
     return labeling
+
+
+# ---------------------------------------------------------------------------
+# Weight-free proofs, one per goal shape
+# ---------------------------------------------------------------------------
+
+
+def _proof_key(goals: "Sequence[Atom]", program: Program, facts: TableFacts) -> "tuple[tuple, list[int]]":
+    """The key of the goals' stored proof under program, and the goals' item
+    ids by position.  The key is one flat tuple: program, value_base, the
+    goals in preorder (a predicate or functor, then its arity, then its
+    arguments) with each item(i) handle given as the position of i's first
+    occurrence, and each item's table length, None if it has none."""
+    ids: dict = {}
+    out = [program, facts.value_base]
+    for g in goals:
+        out += (g.pred, len(g.args))
+        todo = list(reversed(g.args))
+        while todo:
+            t = todo.pop()
+            iid = _item_id(t)
+            if iid is not None:
+                out.append(ids.setdefault(iid, len(ids)))
+            elif isinstance(t, Struct):
+                out += (t.functor, len(t.args))
+                todo.extend(reversed(t.args))
+            else:
+                out.append(t)
+    tables = facts._items
+    out += [len(tables[i]) if i in tables else None for i in ids]
+    return tuple(out), list(ids)
+
+
+@functools.cache
+def _placeholder(n: int) -> WeightTable:
+    return WeightTable([-math.log(n)] * n)
+
+
+class _Reads:
+    """A fact oracle that checks each item table it is asked for, as facts
+    does, notes the item and hands out a placeholder table of its length."""
+
+    __slots__ = ("facts", "value_base", "items")
+
+    def __init__(self, facts: TableFacts):
+        self.facts = facts
+        self.value_base = facts.value_base
+        self.items: dict = {}  # item -> None, in first-read order
+
+    def item_logweights(self, item: int) -> WeightTable:
+        n = len(self.facts.item_logweights(item))
+        self.items[item] = None
+        return _placeholder(n)
+
+
+def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
+    """_leaves, through the setting's stored proofs.
+
+    A proof is run on placeholder tables, and each leaf store takes the
+    goals' own tables before it is solved.  The stored proof of the goals'
+    key is replayed when runtime could run it whole: its nodes and depth
+    hits go onto runtime, every item table it read is read again (so a
+    missing or malformed one raises as before), and its leaves take the
+    goals' tables as a proof's do.  Otherwise the goals are proved, and the
+    proof is stored if runtime did not run out."""
+    facts = ctx.facts
+    key, ids = _proof_key(goals, program, facts)
+    proofs = ctx.setting._proofs
+    proof = proofs.get(key)
+    if (
+        proof is not None
+        and runtime.ok()
+        and (runtime.max_nodes is None or runtime.nodes + proof[2] <= runtime.max_nodes)
+    ):
+        leaves, read, nodes, depth_hits = proof
+        for p in read:
+            facts.item_logweights(ids[p])
+        runtime.nodes += nodes
+        runtime.depth_hits += depth_hits
+        for store, vids in leaves:
+            yield _with_tables(program, store, vids, ids, facts)
+        return
+    reads = _Reads(facts)
+    pos = {iid: p for p, iid in enumerate(ids)}
+    nodes, depth_hits = runtime.nodes, runtime.depth_hits
+    leaves = []
+    for _, ab, _, _ in _leaves(goals, program, replace(ctx, facts=reads), runtime):
+        vids = [None] * len(ids)
+        for iid, vid in ab.item_vars.items():
+            vids[pos[iid]] = vid
+        leaves.append((ab.store, tuple(vids)))
+        yield _with_tables(program, *leaves[-1], ids, facts)
+    if not runtime.exhausted:
+        read = tuple(pos[i] for i in reads.items)
+        proofs[key] = (tuple(leaves), read, runtime.nodes - nodes, runtime.depth_hits - depth_hits)
+
+
+def _with_tables(program: Program, store: Optional[ConstraintStore], vids: tuple, ids: "list[int]", facts) -> tuple:
+    """The leaf state of a store whose weighted vars, vids[p] for the item at
+    position p, carry placeholder tables: a clone with facts' tables in."""
+    item_vars = {}
+    if store is not None:
+        store = store.clone()
+        for iid, vid in zip(ids, vids):
+            if vid is not None:
+                var = store.vars[vid]
+                store.vars[vid] = FDVar(vid, var.dom, facts.item_logweights(iid), var.weight_base)
+                item_vars[iid] = vid
+    return program, _AbdState(store, item_vars), 0.0, ()
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ class _Tok:
     col: int
 
 
-_PUNCT2 = (":-",)
 _PUNCT1 = "()[]|,."
 
 

@@ -11,7 +11,10 @@ anywhere); since its arguments were built first, that costs one look at
 each argument.  On a ground ``Struct`` the walkers here (``occurs``,
 ``Subst.apply``, ``term_vars``, ``rename_term``) return at once, and
 ``Subst.apply`` returns the very same object, so a long ground list is
-never re-walked or copied while resolution passes it along.
+never re-walked or copied while resolution passes it along.  ``occurs``,
+``Subst.apply`` and ``term_vars`` keep their own stack, so a term nested
+deeper than the interpreter's recursion limit (the s(s(...)) count of a
+long list, say) is walked like any other.
 
 Renaming is not on the resolution path (``kb.resolve`` never copies a
 clause); ``rename_apart`` is a utility for a whole fresh copy of one.
@@ -187,8 +190,27 @@ class Subst:
     def apply(self, t: Term) -> Term:
         t = self.walk(t)
         if isinstance(t, Struct) and not t.ground:
-            return Struct(t.functor, tuple(self.apply(a) for a in t.args))
+            return self._apply_struct(t)
         return t
+
+    def _apply_struct(self, t: Struct) -> Struct:
+        # Depth-first with an explicit stack of (struct, its args built so
+        # far), so a term of any depth is rebuilt without recursion.
+        stack = [(t, [])]
+        while True:
+            t, done = stack[-1]
+            if len(done) < len(t.args):
+                a = self.walk(t.args[len(done)])
+                if isinstance(a, Struct) and not a.ground:
+                    stack.append((a, []))
+                else:
+                    done.append(a)
+                continue
+            stack.pop()
+            built = Struct(t.functor, tuple(done))
+            if not stack:
+                return built
+            stack[-1][1].append(built)
 
     def apply_atom(self, a: Atom) -> Atom:
         return Atom(a.pred, tuple(self.apply(t) for t in a.args))
@@ -210,8 +232,16 @@ def occurs(name: str, t: Term, s: Subst) -> bool:
     t = s.walk(t)
     if isinstance(t, Var):
         return t.name == name
-    if isinstance(t, Struct) and not t.ground:
-        return any(occurs(name, a, s) for a in t.args)
+    if not isinstance(t, Struct) or t.ground:
+        return False
+    todo = list(t.args)
+    while todo:
+        t = s.walk(todo.pop())
+        if isinstance(t, Var):
+            if t.name == name:
+                return True
+        elif isinstance(t, Struct) and not t.ground:
+            todo.extend(t.args)
     return False
 
 
@@ -281,12 +311,14 @@ def term_vars(t: Term, acc: Optional[list] = None) -> "list[str]":
     """Variable names in t, in first-occurrence order."""
     if acc is None:
         acc = []
-    if isinstance(t, Var):
-        if t.name not in acc:
-            acc.append(t.name)
-    elif isinstance(t, Struct) and not t.ground:
-        for a in t.args:
-            term_vars(a, acc)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if t.name not in acc:
+                acc.append(t.name)
+        elif isinstance(t, Struct) and not t.ground:
+            todo.extend(reversed(t.args))
     return acc
 
 

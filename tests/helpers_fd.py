@@ -1,4 +1,5 @@
-"""Shared random-store generators and an independent numpy brute-force oracle.
+"""Shared random-store generators, an independent numpy brute-force oracle
+and solve_all, the exhaustive search solve_best is checked against.
 
 Stores have the same shape the abducibles produce: each Add/Mul defines a
 fresh derived variable from existing ones, and EqConst pins any variable.
@@ -11,7 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from abdlearn.fd import ADD, EQC, MUL, ConstraintStore
+from abdlearn.fd import (
+    ADD,
+    EQC,
+    MUL,
+    ConstraintStore,
+    Labeling,
+    _labeling_of,
+    _lex_key,
+    _pin_and_propagate,
+    _search_completion,
+)
 
 
 def dump(store: ConstraintStore) -> str:
@@ -241,3 +252,39 @@ def oracle_best(plan):
     for t in range(k):
         log_prob += float(tables[t][assignment[t]])
     return assignment, log_prob
+
+
+def solve_all(store: ConstraintStore, cap: int = 100000) -> "tuple[list[Labeling], bool]":
+    """All feasible labelings sorted by descending log_prob; (list, truncated).
+
+    Ties in log_prob are ordered by lexicographically smaller assignment, so
+    the head always equals solve_best's answer.
+    """
+    if store.failed:
+        return [], False
+    root = store.clone()
+    if not root.propagate():
+        return [], False
+    order = sorted(v.id for v in root.vars if v.is_weighted)
+    out: list[Labeling] = []
+    truncated = False
+
+    def descend(st: ConstraintStore, level: int) -> bool:
+        nonlocal truncated
+        if level == len(order):
+            if _search_completion(st, None):
+                out.append(_labeling_of(st))
+                if len(out) >= cap:
+                    truncated = True
+                    return False
+            return True
+        vid = order[level]
+        for val in st.vars[vid].dom.values():
+            s2 = _pin_and_propagate(st, vid, val)
+            if s2 is not None and not descend(s2, level + 1):
+                return False
+        return True
+
+    descend(root, 0)
+    out.sort(key=lambda lab: (-lab.log_prob, _lex_key(lab.assignment)))
+    return out, truncated

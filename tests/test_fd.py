@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from abdlearn import fd
-from abdlearn.fd import ADD, MUL, ConstraintStore, Dom, solve_all, solve_best
+from abdlearn.fd import ADD, MUL, ConstraintStore, Dom, solve_best
 from abdlearn.kb import Budget
-from helpers_fd import dump, gen_chain_store, gen_random_store, oracle_best, oracle_values, random_weight_table
+from helpers_fd import dump, gen_chain_store, gen_random_store, oracle_best, oracle_values, random_weight_table, solve_all
 
 
 def digit_table(peak_value: int, peak_prob: float, n: int = 10):

@@ -111,6 +111,16 @@ def test_deep_proof_leaves_the_recursion_limit_alone():
     assert (b.depth_hits, b.nodes) == (0, 2001)  # one step per item, one on the empty tail
 
 
+def test_deep_answer_projects():
+    # the answer s(s(...z)) nests one level per item; == on it would recurse
+    kb = standard_kb("len([], z). len([_|T], s(N)) :- len(T, N).")
+    (sol,) = deduce(Atom("len", (mk_list([Int(i) for i in range(2000)]), Var("N"))), kb)
+    t, depth = sol.get("N"), 0
+    while isinstance(t, Struct) and t.functor == "s":
+        t, depth = t.args[0], depth + 1
+    assert depth == 2000 and t == parse_term("z")
+
+
 def test_finite_failure_has_no_marker(kb):
     b = Budget()
     assert list(deduce(parse_atom("empty([1])"), kb, budget=b)) == []

@@ -942,6 +942,187 @@ def test_solve_map_solves_a_shared_store_once():
     assert set(once) == set(every)
 
 
+def _programs_over(op):
+    """Closed programs the memo tests prove under: the task's, its other
+    base case, and one that skips to the last item."""
+    step = MetaSub("chain", (("P", "f"), ("Q", op), ("R", "f")))
+    ident = MetaSub("ident", (("P", "f"), ("Q", "eq")))
+    skip = MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "f")))
+    return [
+        Program((step, ident)),
+        Program((step, MetaSub("chain", (("P", "f"), ("Q", op), ("R", "eq"))))),
+        Program((skip, ident)),
+    ]
+
+
+def _unshared(setting):
+    """setting with no proof memo: every positive is proved from scratch."""
+    setting._proofs = None
+    return setting
+
+
+def _scored(setting, goal, prog, facts, budget):
+    rt = budget.runtime()
+    lab = score_example(GoalExample(goal), prog, setting, facts, budget, rt)
+    got = None if lab is None else (lab.log_prob.hex(), lab.item_labels, lab.truncated)
+    return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves), rt.exhausted
+
+
+def _best_proved(setting, goal, prog, facts, budget):
+    """The best of prove's stream, as score_example takes it."""
+    rt = budget.runtime()
+    best, truncated = None, False
+    for r in prove(goal, prog, setting, facts, budget, runtime=rt, allow_new_clauses=False):
+        truncated = truncated or r.truncated
+        if best is None or r.log_prob > best.log_prob:
+            best = r
+    got = None if best is None else (best.log_prob.hex(), tuple(sorted(best.item_assignment().items())), truncated)
+    return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves), rt.exhausted
+
+
+def _tables(n):
+    return st.lists(st.one_of(st.just(0.0), st.floats(0.001, 1.0)), min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def _shape_cases(draw):
+    """Five sum or product goals over one list of 1-6 items, some of them
+    repeated handles or integers, each with its own fact oracle: the second
+    has the first one's shape under other item ids and tables, the third
+    another y, feasible or not, the fourth a fresh handle in each item slot
+    and the fifth the first one's items in reverse order."""
+    task = tasks.make_task(draw(st.sampled_from(["sum", "product"])))
+    n = draw(st.integers(1, 6))
+    item = st.integers(0, n - 1).map(lambda k: ("item", k))
+    literal = st.integers(task.digit_lo, task.digit_hi).map(lambda v: ("int", v))
+    slots = draw(st.lists(st.one_of(item, literal), min_size=n, max_size=n))
+    goals, oracles = [], []
+    ys = []
+    for _ in range(2):
+        digits = [draw(literal)[1] if kind == "item" else v for kind, v in slots]
+        ys.append(task.y_of(digits) if draw(st.booleans()) else draw(st.integers(0, 9**6)))
+    distinct = [("item", i) if kind == "item" else (kind, v) for i, (kind, v) in enumerate(slots)]
+    variants = [(0, ys[0], slots), (100, ys[0], slots), (100, ys[1], slots)]
+    variants += [(200, ys[0], distinct), (300, ys[0], slots[::-1])]
+    for offset, y, slots in variants:
+        tables = {}
+        for k in sorted({v for kind, v in slots if kind == "item"}):
+            ws = draw(_tables(task.n_classes))
+            tables[k + offset] = [w / sum(ws) for w in ws]
+        oracles.append(TableFacts(tables, value_base=task.value_base))
+        items = [item_term(v + offset) if kind == "item" else Int(v) for kind, v in slots]
+        goals.append(Atom("f", (mk_list(items), Int(y))))
+    return task, "add" if task.id == "sum" else "mult", goals, oracles
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_shape_cases(), solver_cap=st.sampled_from([None, 1, 3]))
+def test_shared_proofs_match_proving_each_goal(case, solver_cap):
+    """A positive scored through the setting's stored proof of its shape
+    matches the best of prove's stream on a setting that proves it from
+    scratch: log_prob bits, labels, truncated flag and all four counters.
+    The second goal has the first one's key under other ids and tables, so
+    it reuses each stored proof and stores none; each later one stores its
+    own unless its key is the first one's."""
+    task, op, goals, oracles = case
+    budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
+    shared, fresh = task.setting(), _unshared(task.setting())
+    for prog in _programs_over(op):
+        for k, (goal, facts) in enumerate(zip(goals, oracles)):
+            stored = len(shared._proofs)
+            got = _scored(shared, goal, prog, facts, budget)
+            assert got == _best_proved(fresh, goal, prog, facts, budget)
+            assert not got[2]
+            new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
+            assert len(shared._proofs) == stored + (k == 0 or (k > 1 and new_key))
+    assert fresh._proofs is None
+
+
+def test_shared_proof_counters_and_node_cap():
+    """A replayed proof adds its nodes and depth hits (every call to f here
+    tries loop/2 down to the depth bound).  One longer than an example's
+    max_nodes is not replayed: the example is proved on its budget, runs
+    out and scores as with no memo, and that cut proof is not stored."""
+
+    def setting():
+        kb = standard_kb(BK + "loop(X, Y) :- loop(X, Y).")
+        rules = [r for r in default_metarules() if r.name in ("chain", "ident")]
+        abd = {("add", 2): Abducible("add", ADD), ("eq", 2): Abducible("eq", EQC)}
+        return InductionSetting(kb, rules, abd, ("f", 2), [("add", 2), ("eq", 2), ("loop", 2)])
+
+    prog = Program(SUM_PROG.metasubs + (MetaSub("chain", (("P", "f"), ("Q", "loop"), ("R", "eq"))),))
+    shared, fresh = setting(), _unshared(setting())
+    first = TableFacts({i: digit_table(d) for i, d in enumerate([3, 1, 4])})
+    whole = _scored(shared, item_goal([0, 1, 2], 8), prog, first, SearchBudget())
+    assert whole[0] is not None and whole[1][1] > 0 and len(shared._proofs) == 1
+    facts = TableFacts({i: digit_table(d) for i, d in zip([7, 8, 9], [2, 2, 4])})
+    goal = item_goal([7, 8, 9], 8)
+    for cap in (None, whole[1][0], whole[1][0] // 2):
+        budget = SearchBudget(max_nodes=cap)
+        got = _scored(shared, goal, prog, facts, budget)
+        assert got == _best_proved(fresh, goal, prog, facts, budget)
+        assert got[2] == (cap == whole[1][0] // 2)
+    assert len(shared._proofs) == 1
+    assert _scored(shared, goal, prog, facts, SearchBudget()) == _best_proved(fresh, goal, prog, facts, SearchBudget())
+
+
+def test_shared_proof_reads_every_table_it_read():
+    """Replaying a stored proof reads each item table the proof read, in
+    a branch that failed too, so a malformed one raises ValueError and a
+    missing one KeyError, as without the memo; a table the proof never
+    reads is not checked."""
+    setting = sum_setting()
+    skip_to_last = _programs_over("add")[2]
+    first = TableFacts({0: digit_table(1), 1: digit_table(2)})
+    for prog, y in ((skip_to_last, 2), (SUM_PROG, 99)):  # the second proof has no leaf
+        assert len(list(prove(item_goal([0, 1], y), prog, setting, first, allow_new_clauses=False))) == (y == 2)
+    assert len(setting._proofs) == 2
+    for prog, y in ((skip_to_last, 2), (SUM_PROG, 99)):
+        ex = GoalExample(item_goal([5, 6], y))
+        with pytest.raises(ValueError):
+            score_example(ex, prog, setting, TableFacts({5: digit_table(1), 6: [0.5] * 10}), SearchBudget())
+        with pytest.raises(KeyError):
+            score_example(ex, prog, setting, TableFacts({5: digit_table(1)}), SearchBudget())
+    ex = GoalExample(item_goal([5, 6], 2))
+    lab = score_example(ex, skip_to_last, setting, TableFacts({5: [0.5] * 10, 6: digit_table(2)}), SearchBudget())
+    assert lab is not None and lab.item_labels == ((6, 2),)
+    assert len(setting._proofs) == 2
+
+
+def test_shared_proofs_are_keyed_by_table_length_and_value_base():
+    """Tables of another length, or values from another base, give the
+    weighted vars other domains: each is proved and stored on its own."""
+    shared, fresh = sum_setting(), _unshared(sum_setting())
+    goal = item_goal([0, 1], 5)
+    for n, base in ((10, 0), (4, 0), (10, 1)):
+        facts = TableFacts({0: digit_table(3, n=n), 1: digit_table(2, n=n)}, value_base=base)
+        assert _scored(shared, goal, SUM_PROG, facts, SearchBudget()) == _best_proved(
+            fresh, goal, SUM_PROG, facts, SearchBudget()
+        )
+    assert len(shared._proofs) == 3
+
+
+def test_shared_proofs_tell_repeat_patterns_apart():
+    """[a,a,b] and [b,a,a] have one length, one y and two distinct items,
+    but which item counts twice differs: each is proved on its own."""
+    shared, fresh = sum_setting(), _unshared(sum_setting())
+    facts = TableFacts({0: digit_table(1), 1: digit_table(5), 2: digit_table(1), 3: digit_table(5)})
+    for goal in (item_goal([0, 0, 1], 7), item_goal([3, 2, 2], 7)):
+        assert _scored(shared, goal, SUM_PROG, facts, SearchBudget()) == _best_proved(
+            fresh, goal, SUM_PROG, facts, SearchBudget()
+        )
+    assert len(shared._proofs) == 2
+
+
+def test_dyadic_setting_keeps_no_proofs():
+    setting = sorted_setting()
+    prog = Program((MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),))
+    facts = TableFacts({}, pairs={(0, 1): 0.9})
+    goal = Atom("s", (mk_list([item_term(0)]),))
+    assert score_example(GoalExample(goal), prog, setting, facts, SearchBudget()) is not None
+    assert setting._proofs is None
+
+
 @st.composite
 def _generation_cases(draw):
     """Positives, setting and budget for candidate generation: arithmetic

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -314,6 +316,18 @@ def test_walkers_return_at_once_on_ground_structs():
     applied = s.apply(h)
     assert applied == Struct("f", (Int(1), g)) and applied.args[1] is g
     assert rename_apart(Clause(Atom("p", (Var("X"), g)), ())).head.args[1] is g
+
+
+def test_walkers_take_terms_deeper_than_the_recursion_limit():
+    deep = Var("X")
+    for _ in range(3 * sys.getrecursionlimit()):
+        deep = Struct("s", (deep,))
+    assert occurs("X", deep, Subst()) and not occurs("Y", deep, Subst())
+    assert term_vars(deep) == ["X"]
+    out, depth = Subst().bind("X", Int(7)).apply(deep), 0
+    while isinstance(out, Struct) and out.ground and out.functor == "s":
+        out, depth = out.args[0], depth + 1
+    assert depth == 3 * sys.getrecursionlimit() and out == Int(7)
 
 
 def test_apply_of_ground_term_is_identity():
