@@ -14,6 +14,11 @@ arguments plus DEPTH_BASE, room on a list of any length for the tasks'
 programs, which take at most four steps per item.
 resolve(), the step both take, never copies a clause: as in structure sharing
 (Boyer & Moore, 1972), the clause's variables live in a per-step frame.
+Each clause is compiled once, when it is built, to a slot form in which
+every variable is a frame index and every ground subterm is kept as it is
+(terms.Clause; compiled clauses with slot frames, Ait-Kaci 1991, without
+the binding trail), so the frame is a list indexed by slot and a step
+matches the head and builds the body without looking up a name.
 """
 
 from __future__ import annotations
@@ -116,12 +121,6 @@ class KnowledgeBase:
         self.clauses: dict[tuple[str, int], list[Clause]] = {}
         self.builtins: dict[tuple[str, int], BuiltinFn] = {}
 
-    def copy(self) -> "KnowledgeBase":
-        out = KnowledgeBase()
-        out.clauses = {k: list(v) for k, v in self.clauses.items()}
-        out.builtins = dict(self.builtins)
-        return out
-
     def add_clause(self, c: Clause) -> None:
         key = c.head.key()
         if key in self.builtins:
@@ -162,29 +161,25 @@ def _bi_permute(args: tuple, s: Subst) -> Iterator[Subst]:
     n = len(items)
     order_t = s.apply(args[1])
     order_items = proper_list_items(order_t)
-
-    def place(order: "list[int]") -> Optional[list]:
-        out: list = [None] * n
-        for item, pos in zip(items, order):
-            if not 1 <= pos <= n or out[pos - 1] is not None:
-                return None
-            out[pos - 1] = item
-        return out
-
     if order_items is not None and all(isinstance(t, Int) for t in order_items):
         if len(order_items) != n:
             return
-        out = place([t.value for t in order_items])
-        if out is None:
-            return
+        out: list = [None] * n
+        for item, t in zip(items, order_items):
+            if not 1 <= t.value <= n or out[t.value - 1] is not None:
+                return
+            out[t.value - 1] = item
         s2 = unify(args[2], mk_list(out), s)
         if s2 is not None:
             yield s2
         return
-    for perm in itertools.permutations(range(1, n + 1)):
-        out = place(list(perm))
-        assert out is not None
-        s2 = unify(args[1], mk_list([Int(p) for p in perm]), s)
+    # every ranking is a permutation of 1..n, so each places all n items
+    ranks = [Int(p) for p in range(1, n + 1)]
+    for perm in itertools.permutations(range(n)):
+        out = [None] * n
+        for item, p in zip(items, perm):
+            out[p] = item
+        s2 = unify(args[1], mk_list([ranks[p] for p in perm]), s)
         if s2 is None:
             continue
         s3 = unify(args[2], mk_list(out), s2)
@@ -323,37 +318,53 @@ def _alternatives(stack, s: Subst, state, kb: KnowledgeBase, hook):
 def resolve(goal: Atom, clause: Clause, s: Subst) -> "Optional[tuple[tuple[Atom, ...], Subst]]":
     """(body, s2) of renaming clause apart and unifying its head with goal, or None.
 
-    Predicate and arity must match.  A frame maps clause variables to terms; none enters s."""
-    frame: dict = {}
-    s2 = _match(clause.head.args, goal.args, frame, s)
+    Predicate and arity must match.  The step reads the clause's slot form
+    (see terms.Clause): its variables live in a list frame, indexed by
+    slot, and none enters s.  A variable's first occurrence in the head
+    takes the goal's term and binds nothing; one the head leaves unset gets
+    a fresh Var when the step first builds it."""
+    frame = [None] * clause.frame_size
+    s2 = _match_plans(clause.head_plan, goal.args, frame, s)
     if s2 is None:
         return None
-    return tuple(Atom(b.pred, tuple(_build(t, frame) for t in b.args)) for b in clause.body), s2
+    return tuple([Atom(p, tuple([_build_plan(t, frame) for t in args])) for p, args in clause.body_plan]), s2
 
 
-def _match(cs: tuple, gs: tuple, frame: dict, s: Subst) -> Optional[Subst]:
-    """s extended so that clause terms cs, read through frame, equal goal terms gs."""
-    for c, g in zip(cs, gs):
-        if isinstance(c, Var):
-            t = frame.setdefault(c.name, g)  # a first occurrence takes g, binding nothing
-            s = s if t is g else unify(t, g, s)
-        elif not isinstance(c, Struct) or c.ground:
-            s = unify(c, g, s)
-        elif isinstance(g := s.walk(g), Var):
-            s = unify(g, _build(c, frame), s)
-        elif isinstance(g, Struct) and g.functor == c.functor and len(g.args) == len(c.args):
-            s = _match(c.args, g.args, frame, s)
+def _match_plans(plans: tuple, gs: tuple, frame: list, s: Subst) -> Optional[Subst]:
+    """s extended so that the plans, read through frame, equal goal terms gs."""
+    for c, g in zip(plans, gs):
+        cls = c.__class__
+        if cls is int:
+            t = frame[c]
+            if t is None:  # a first occurrence takes g, binding nothing
+                frame[c] = g
+                continue
+            if t is g:
+                continue
+            s = unify(t, g, s)
+        elif cls is tuple:
+            g = s.walk(g)
+            if g.__class__ is Var:
+                s = unify(g, _build_plan(c, frame), s)
+            elif g.__class__ is Struct and g.functor == c[0] and len(g.args) == len(c[1]):
+                s = _match_plans(c[1], g.args, frame, s)
+            else:
+                return None
         else:
-            return None
+            s = unify(c, g, s)
         if s is None:
             return None
     return s
 
 
-def _build(t: Term, frame: dict) -> Term:
-    """Clause term t read through frame; a variable not yet in it gets a fresh one."""
-    if isinstance(t, Var):
-        return frame[t.name] if t.name in frame else frame.setdefault(t.name, Var(fresh_name()))
-    if isinstance(t, Struct) and not t.ground:
-        return Struct(t.functor, tuple(_build(a, frame) for a in t.args))
-    return t
+def _build_plan(c, frame: list) -> Term:
+    """The term of plan c read through frame; a slot not yet set gets a fresh Var."""
+    cls = c.__class__
+    if cls is int:
+        t = frame[c]
+        if t is None:
+            t = frame[c] = Var(fresh_name())
+        return t
+    if cls is tuple:
+        return Struct(c[0], tuple([_build_plan(a, frame) for a in c[1]]))
+    return c

@@ -8,7 +8,7 @@ together with the invented predicate symbols it introduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -72,6 +72,7 @@ class Program:
 
     metasubs: "tuple[MetaSub, ...]" = ()
     invented: "tuple[tuple[str, int], ...]" = ()  # (symbol, arity) in creation order
+    _key: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -86,7 +87,9 @@ class Program:
     def key(self) -> frozenset:
         """Canonical identity: clause set with invented symbols renumbered
         by first appearance, so search-order artifacts do not split
-        semantically identical programs."""
+        semantically identical programs.  Computed on the first call."""
+        if self._key is not None:
+            return self._key
         rename: dict[str, str] = {}
         inv = {n for n, _ in self.invented}
         rows = []
@@ -100,7 +103,9 @@ class Program:
                 else:
                     canon.append((k, v))
             rows.append((ms.rule, tuple(canon)))
-        return frozenset(rows)
+        key = frozenset(rows)
+        object.__setattr__(self, "_key", key)
+        return key
 
 
 def materialize(ms: MetaSub, library: "dict[str, Metarule]") -> Clause:

@@ -46,6 +46,14 @@ Generation adds a second prune of the same kind: under a closed program
 that it has already recorded, every goal fails at once, since the branch
 could only yield that program again.
 
+The clauses that may resolve an inducible goal are listed once per
+setting: _clause_choices enumerates them, recorded ones first and then the
+new ones within the clause budget, and the setting keeps each list, as
+(clause, program with it) pairs, keyed by program, predicate, arity,
+whether new clauses are allowed and the clause budget, which is all the
+enumeration reads.  Each inducible call then resolves its goal by
+kb.resolve against the listed clauses, in the listed order.
+
 Scoring proves each goal shape once per setting (query packs, Blockeel et
 al., JAIR 2002; tabling is the memo form of the same idea).  The setting
 keeps the weight-free proof of each positive it scores under a closed
@@ -366,12 +374,14 @@ class InductionSetting:
     max_invented: int = 1
     library: dict = field(init=False)
     _clauses: dict = field(init=False, repr=False)
+    _choices: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
     _proofs: Optional[dict] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
         self._clauses = {}
+        self._choices = {}
         self._productive = {}
         # Weight-free proofs by goal shape (see the module docstring); a
         # fact abducible prunes by score, so its setting keeps none.
@@ -557,6 +567,17 @@ class _Ctx:
         """prog can gain no clause in this search."""
         return not (self.allow_new and prog.size < self.budget.max_clauses)
 
+    def choices(self, prog: Program, pred: str, arity: int) -> "list[tuple[Clause, Program]]":
+        """(clause, program with it) for each clause _clause_choices offers a
+        goal on pred/arity under prog, listed once per setting."""
+        key = (prog, pred, arity, self.allow_new, self.budget.max_clauses)
+        out = self.setting._choices.get(key)
+        if out is None:
+            clause_of = self.setting.clause_of
+            out = [(clause_of(ms), prog2) for ms, prog2 in _clause_choices(pred, arity, prog, self)]
+            self.setting._choices[key] = out
+        return out
+
     def hook(self, g: Atom, anc: tuple, s: Subst, state):
         """kb.solve hook for goals the kb does not define.  state is (program,
         abduction state, dyadic log prob, abduced); the scope anc holds the
@@ -707,19 +728,18 @@ def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
     if not _descends(anc, g.pred, size):
         return
     anc2 = anc + ((g.pred, size),) if size is not None else anc
-    for ms, prog2 in _clause_choices(g, prog, ctx):
-        step = resolve(g, ctx.setting.clause_of(ms), s)
+    for clause, prog2 in ctx.choices(prog, g.pred, len(g.args)):
+        step = resolve(g, clause, s)
         if step is not None:
             yield step[0], anc2, step[1], (prog2, *state[1:])
 
 
-def _clause_choices(g: Atom, prog: Program, ctx: _Ctx):
-    """(metasub, program with it) for each clause that may resolve g."""
-    arity = len(g.args)
+def _clause_choices(pred: str, arity: int, prog: Program, ctx: _Ctx):
+    """(metasub, program with it) for each clause that may resolve a goal on pred/arity."""
     # Recorded instantiations first.
     for ms in prog.metasubs:
         mr = ctx.setting.library[ms.rule]
-        if ms.symbol(mr.head.pred_var) == g.pred and mr.head.arity == arity:
+        if ms.symbol(mr.head.pred_var) == pred and mr.head.arity == arity:
             yield ms, prog
 
     # Then new ones, within the clause budget.
@@ -728,7 +748,7 @@ def _clause_choices(g: Atom, prog: Program, ctx: _Ctx):
     for mr in ctx.setting.metarules:
         if mr.head.arity != arity:
             continue
-        for ms, prog2 in _new_metasubs(mr, g.pred, prog, ctx):
+        for ms, prog2 in _new_metasubs(mr, pred, prog, ctx):
             if ms in prog.metasubs:
                 continue  # identical clause already recorded; reuse covered it
             yield ms, prog2.extend(ms)

@@ -257,8 +257,9 @@ def parse_program(src: str) -> "list[Clause]":
     Each text is parsed once: later calls get a new list of the same
     (immutable) clauses, so a bare ``_`` keeps the fresh name it got the
     first time.  Sharing those names is safe: kb.resolve never binds a
-    stored clause's variables, it reads each clause through a fresh
-    per-step frame.
+    stored clause's variables.  It reads each clause through its slot form
+    (terms.Clause), in which every variable, each ``_`` included, is an
+    index into a list frame that is fresh for each step.
     """
     return list(_parse_program_once(src))
 

@@ -5,7 +5,12 @@ lowercase symbols and compound terms.  Lists are ordinary compounds built
 from the reserved cell functor ``'.'`` and the reserved empty-list functor
 ``'[]'`` so that the rest of the engine never special-cases them.
 
-Terms are immutable, so they may be shared freely.  Every ``Struct``
+Terms are immutable, so they may be shared freely.  ``Var``, ``Int``,
+``Sym``, ``Struct``, ``Atom`` and ``Clause`` are plain ``__slots__``
+classes: each sets its fields once, in ``__init__``, through the slot
+descriptors, and its ``__setattr__`` and ``__delattr__`` raise
+``AttributeError``.  They compare by value, a term only ever equal to a
+term of its own class, and hash as the tuple of their compared fields.  Every ``Struct``
 records at construction whether it is ground (contains no ``Var``
 anywhere); since its arguments were built first, that costs one look at
 each argument.  On a ground ``Struct`` the walkers here (``occurs``,
@@ -16,15 +21,17 @@ never re-walked or copied while resolution passes it along.  ``occurs``,
 deeper than the interpreter's recursion limit (the s(s(...)) count of a
 long list, say) is walked like any other.
 
-Renaming is not on the resolution path (``kb.resolve`` never copies a
-clause); ``rename_apart`` is a utility for a whole fresh copy of one.
+A ``Clause`` compiles its slot form when it is built: each variable
+becomes an index into a per-step frame, each ground subterm is kept as it
+is, and ``kb.resolve`` reads the clause through that form alone.  Renaming
+is not on the resolution path; ``rename_apart`` is a utility for a whole
+fresh copy of a clause.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -35,57 +42,129 @@ LIST_CELL = "."
 LIST_NIL = "[]"
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class _Frozen:
+    """Base of the term classes: __slots__ fields, set once in __init__
+    through the slot descriptors, and no assignment or deletion after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name}")
+
+
+class Var(_Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_var_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class Int:
-    value: int
+class Int(_Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set_int_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is Int:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __repr__(self) -> str:
         return f"Int({self.value})"
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
-    name: str
+class Sym(_Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_sym_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is Sym:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"Sym({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class Struct:
-    functor: str
-    args: "tuple[Term, ...]"
-    ground: bool = field(init=False, repr=False, compare=False)
+class Struct(_Frozen):
+    """functor(args...); ground is computed here and takes no part in equality."""
 
-    def __post_init__(self):
-        ground = True
-        for a in self.args:
-            if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
-                ground = False
-                break
-        object.__setattr__(self, "ground", ground)
+    __slots__ = ("functor", "args", "ground")
+
+    def __init__(self, functor: str, args: "tuple[Term, ...]"):
+        _set_functor(self, functor)
+        _set_args(self, args)
+        for a in args:
+            c = a.__class__
+            if c is Var or (c is Struct and not a.ground):
+                _set_ground(self, False)
+                return
+        _set_ground(self, True)
+
+    def __eq__(self, other):
+        if other.__class__ is Struct:
+            return self.functor == other.functor and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.functor, self.args))
 
     def __repr__(self) -> str:
         return f"Struct({self.functor}/{len(self.args)})"
 
 
+_set_var_name = Var.name.__set__
+_set_int_value = Int.value.__set__
+_set_sym_name = Sym.name.__set__
+_set_functor = Struct.functor.__set__
+_set_args = Struct.args.__set__
+_set_ground = Struct.ground.__set__
+
 Term = Union[Var, Int, Sym, Struct]
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(_Frozen):
     """A predicate applied to arguments.  0-ary predicates have args == ()."""
 
-    pred: str
-    args: "tuple[Term, ...]"
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: "tuple[Term, ...]"):
+        _set_pred(self, pred)
+        _set_atom_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return self.pred == other.pred and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pred, self.args))
+
+    def __repr__(self) -> str:
+        return f"Atom(pred={self.pred!r}, args={self.args!r})"
 
     @property
     def arity(self) -> int:
@@ -95,10 +174,58 @@ class Atom:
         return (self.pred, len(self.args))
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    head: Atom
-    body: "tuple[Atom, ...]"
+_set_pred = Atom.pred.__set__
+_set_atom_args = Atom.args.__set__
+
+
+class Clause(_Frozen):
+    """head :- body, with its slot form compiled once, here.
+
+    The slot form numbers the clause's variables 0, 1, ... in first
+    occurrence order, head first; a resolution step keeps their values in
+    a list frame of frame_size entries.  head_plan holds the plan of each
+    head argument and body_plan a (predicate, argument plans) pair per body
+    atom.  A plan is a frame index (a Python int) for a variable, the term
+    itself for a ground term or a constant, and (functor, argument plans)
+    for any other compound.  Equality and hash read head and body only.
+    """
+
+    __slots__ = ("head", "body", "frame_size", "head_plan", "body_plan")
+
+    def __init__(self, head: Atom, body: "tuple[Atom, ...]"):
+        slots: dict = {}
+        _set_head(self, head)
+        _set_body(self, body)
+        _set_head_plan(self, tuple(_plan(t, slots) for t in head.args))
+        _set_body_plan(self, tuple((b.pred, tuple(_plan(t, slots) for t in b.args)) for b in body))
+        _set_frame_size(self, len(slots))
+
+    def __eq__(self, other):
+        if other.__class__ is Clause:
+            return self.head == other.head and self.body == other.body
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body))
+
+    def __repr__(self) -> str:
+        return f"Clause(head={self.head!r}, body={self.body!r})"
+
+
+_set_head = Clause.head.__set__
+_set_body = Clause.body.__set__
+_set_frame_size = Clause.frame_size.__set__
+_set_head_plan = Clause.head_plan.__set__
+_set_body_plan = Clause.body_plan.__set__
+
+
+def _plan(t: Term, slots: dict):
+    """The slot-form plan of clause term t, numbering new variables in slots."""
+    if t.__class__ is Var:
+        return slots.setdefault(t.name, len(slots))
+    if t.__class__ is Struct and not t.ground:
+        return (t.functor, tuple(_plan(a, slots) for a in t.args))
+    return t
 
 
 def intern_name(name: str) -> str:

@@ -586,6 +586,62 @@ def test_setting_materialises_each_metasub_once():
     assert again is clause
 
 
+_SORTED_BK = Program(
+    (
+        MetaSub("mono_rec", (("P", "s"), ("Q", "s_1"))),
+        MetaSub("precon", (("P", "s_1"), ("Q", "nn"), ("R", "tail"))),
+        MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),
+    ),
+    (("s_1", 2),),
+)
+
+
+def _choice_case(task_id):
+    """A setting, its positives and their facts, from true digits."""
+    task = tasks.make_task(task_id)
+    digits = [[3, 1, 2], [2, 4], [5]] if task.target[1] == 2 else [[5, 3, 1], [4, 2], [7]]
+    labels, ids, positives = {}, iter(range(100)), []
+    for ds in digits:
+        items = [next(ids) for _ in ds]
+        labels.update(zip(items, ds))
+        positives.append(task.goal(items, task.y_of(ds)))
+    facts = TableFacts.exact(labels, n_values=task.n_classes, value_base=task.value_base,
+                             pairs=lambda a, b: labels[a] >= labels[b])
+    setting = task.setting(extra_program=_SORTED_BK if task_id == "bogosort" else None)
+    return setting, positives, facts
+
+
+@pytest.mark.parametrize("task_id", ["sum", "product", "sorted_concept", "bogosort"])
+def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, task_id):
+    """The setting's list of clause choices equals a fresh _clause_choices
+    enumeration for every (program, predicate, arity) that generation and
+    closed-program proofs meet, at clause budgets 1 to 3 with new clauses
+    allowed and not, all through one setting."""
+    setting, positives, facts = _choice_case(task_id)
+    met = []
+    listed = mil._Ctx.choices
+
+    def spy(ctx, prog, pred, arity):
+        met.append((prog, pred, arity, ctx.allow_new, ctx.budget.max_clauses))
+        return listed(ctx, prog, pred, arity)
+
+    monkeypatch.setattr(mil._Ctx, "choices", spy)
+    for max_clauses in (1, 2, 3):
+        budget = SearchBudget(max_clauses=max_clauses)
+        for prog in mil._candidate_programs(positives, setting, budget, facts, Budget()):
+            for ex in positives:
+                list(prove(ex.goal, prog, setting, facts, budget, allow_new_clauses=False, feasibility_only=True))
+    monkeypatch.undo()
+    assert {m[3] for m in met} == {True, False}
+    assert {m[4] for m in met} == {1, 2, 3}
+    if task_id == "sorted_concept":
+        assert any(p.invented for p, *_ in met)
+    for prog, pred, arity, allow_new, max_clauses in dict.fromkeys(met):
+        ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), False, allow_new)
+        fresh = [(setting.clause_of(ms), p2) for ms, p2 in mil._clause_choices(pred, arity, prog, ctx)]
+        assert ctx.choices(prog, pred, arity) == fresh
+
+
 _WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(0.001, 1.0)), min_size=10, max_size=10).filter(any)
 
 

@@ -339,3 +339,74 @@ def test_apply_of_ground_term_is_identity():
     assert not opened.ground
     closed = s.apply(opened)
     assert closed == t("[1,2,4,5]") and closed.ground
+
+
+# ---------------------------------------------------------------------------
+# Value semantics and immutability of the term classes
+# ---------------------------------------------------------------------------
+
+_TWINS = [
+    lambda: Var("a"),
+    lambda: Int(3),
+    lambda: Sym("a"),
+    lambda: Struct("f", (Int(1), Var("X"))),
+    lambda: Atom("p", (Sym("a"), Var("X"))),
+    lambda: Clause(Atom("p", (Var("X"),)), (Atom("q", (Var("X"), Var("Y"))),)),
+]
+
+
+@pytest.mark.parametrize("make", _TWINS)
+def test_equal_and_hash_by_value(make):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_unequal_values_and_classes():
+    assert Var("a") != Sym("a") and Sym("a") != Var("a")
+    assert Int(1) != Int(2) and Var("a") != Var("b")
+    assert Struct("f", (Int(1),)) != Struct("g", (Int(1),)) != Struct("g", (Int(2),))
+    assert Atom("p", ()) != Struct("p", ())
+    assert Int(1) != 1 and Sym("a") != "a"
+
+
+def test_struct_equality_ignores_ground():
+    a, b = Struct("f", (Int(1),)), Struct("f", (Int(1),))
+    object.__setattr__(b, "ground", False)
+    assert a.ground and not b.ground
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "term, field",
+    [
+        (Var("a"), "name"),
+        (Int(3), "value"),
+        (Sym("a"), "name"),
+        (Struct("f", (Int(1),)), "args"),
+        (Struct("f", (Int(1),)), "ground"),
+        (Atom("p", ()), "pred"),
+        (Clause(Atom("p", ()), ()), "head"),
+        (Clause(Atom("p", ()), ()), "head_plan"),
+    ],
+)
+def test_fields_cannot_be_assigned_or_deleted(term, field):
+    before = getattr(term, field)
+    with pytest.raises(AttributeError):
+        setattr(term, field, None)
+    with pytest.raises(AttributeError):
+        delattr(term, field)
+    with pytest.raises(AttributeError):
+        term.extra = 1
+    assert getattr(term, field) is before
+
+
+def test_clause_slot_form():
+    # variables are numbered head first; ground subterms are kept whole
+    c = parse_clause("p([X|T], f(a, [1,2]), Y) :- q(T, [Y,X|T], Z), r.")
+    ground = t("f(a, [1,2])")
+    assert c.frame_size == 4
+    assert c.head_plan == ((".", (0, 1)), ground, 2)
+    assert c.head_plan[1] is c.head.args[1]
+    assert c.body_plan == (("q", (1, (".", (2, (".", (0, 1)))), 3)), ("r", ()))
