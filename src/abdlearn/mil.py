@@ -37,10 +37,15 @@ when one of its clauses has only productive inducible predicates in its
 body (background predicates and abducibles count as productive); the
 productive set is that rule's least fixpoint, computed once per setting
 and program.  Every finite proof of a goal bottoms out in such clauses, so
-a goal on an unproductive predicate fails at once, and the prune changes
-neither the proofs found nor their order.  Without it, a full program whose
-clauses all recurse tries every mix of its clauses down the list, 2^L
-branches for a list of L items, before it fails.
+a clause that leaves a closed program with an unproductive inducible body
+predicate starts a branch that can only fail, and the clause lists never
+offer it: the branch goes before any of its body goals runs, where an add
+abduction would clone and propagate a store.  That subsumes failing a goal
+on an unproductive predicate: each of its clauses has such a body, so the
+goal gets an empty list and fails in one node.  The prune changes neither
+the proofs found nor their order.  Without it, a full program whose clauses
+all recurse tries every mix of its clauses down the list, 2^L branches for
+a list of L items, before it fails.
 
 Generation adds a second prune of the same kind: under a closed program
 that it has already recorded, every goal fails at once, since the branch
@@ -51,8 +56,9 @@ setting: _clause_choices enumerates them, recorded ones first and then the
 new ones within the clause budget, and the setting keeps each list, as
 (clause, program with it) pairs, keyed by program, predicate, arity,
 whether new clauses are allowed and the clause budget, which is all the
-enumeration reads.  Each inducible call then resolves its goal by
-kb.resolve against the listed clauses, in the listed order.
+enumeration and its productivity prune read.  Each inducible call then
+resolves its goal by kb.resolve against the listed clauses, in the listed
+order.
 
 Scoring proves each goal shape once per setting (query packs, Blockeel et
 al., JAIR 2002; tabling is the memo form of the same idea).  The setting
@@ -110,6 +116,7 @@ from .terms import (
     Struct,
     Subst,
     Term,
+    Var,
     is_nil,
     proper_list_items,
     rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
@@ -517,9 +524,9 @@ class InduceOutcome:
     failure says why induced is None, by the first reason that holds:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
     (the depth bound cut some branch, so a program may lie beyond it; a
-    branch on a goal that a closed program can never prove, or under a
-    closed program generation has recorded, is not searched, so a cut it
-    would have met is not counted: it could hold no new program),
+    branch through a clause that would close an unproductive program, or
+    under a closed program generation has recorded, is not searched, so a
+    cut it would have met is not counted: it could hold no new program),
     "unscorable" (a candidate proves every positive, weights aside, yet none
     scored above -inf on every example) or "no_candidate" (no program proves
     every positive example).  It is None when a program was found.  candidates_tried
@@ -679,6 +686,13 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     split = _first_two(term_in)
     if split is None:
         return
+    if not isinstance(term_out, Var) and not (
+        isinstance(term_out, Struct) and term_out.functor == "." and len(term_out.args) == 2
+    ):
+        # Out (an Int, say, where a clause pins the output) can never be
+        # [N|T], so the unify at the end would fail: fail before the store
+        # is cloned and the constraint posted.
+        return
     x, y, t2 = split
     ab2 = ab.cloned()
     vx = _var_for(x, ab2, ctx.facts)
@@ -709,21 +723,20 @@ def _productive(prog: Program, setting: InductionSetting) -> "set[tuple[str, int
     clauses = [setting.clause_of(ms) for ms in prog.metasubs]
     done: set = set()
     while True:
-        new = {
-            c.head.key()
-            for c in clauses
-            if c.head.key() not in done and all(b.pred not in inducible or b.key() in done for b in c.body)
-        }
+        new = {c.head.key() for c in clauses if c.head.key() not in done and _body_in(c, inducible, done)}
         if not new:
             return done
         done |= new
 
 
+def _body_in(c: Clause, inducible: set, productive: set) -> bool:
+    """Every body predicate of c named in inducible has its key in productive."""
+    return all(b.pred not in inducible or b.key() in productive for b in c.body)
+
+
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
     """g resolved by kb.resolve on a metarule clause of the program, recorded or new."""
     prog = state[0]
-    if ctx.closed(prog) and g.key() not in ctx.setting.productive(prog):
-        return  # every finite proof of g needs a clause prog lacks and cannot gain
     size = _arg1_size(g)
     if not _descends(anc, g.pred, size):
         return
@@ -735,23 +748,35 @@ def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
 
 
 def _clause_choices(pred: str, arity: int, prog: Program, ctx: _Ctx):
-    """(metasub, program with it) for each clause that may resolve a goal on pred/arity."""
+    """(metasub, program with it) for each clause that may resolve a goal on
+    pred/arity, but for a clause that leaves a closed program unable to
+    prove one of its inducible body predicates: no proof runs through it."""
+    setting = ctx.setting
+
+    def live(ms: MetaSub, prog2: Program) -> bool:
+        if not ctx.closed(prog2):
+            return True
+        inducible = {setting.target[0], *(n for n, _ in prog2.invented)}
+        return _body_in(setting.clause_of(ms), inducible, setting.productive(prog2))
+
     # Recorded instantiations first.
     for ms in prog.metasubs:
-        mr = ctx.setting.library[ms.rule]
-        if ms.symbol(mr.head.pred_var) == pred and mr.head.arity == arity:
+        mr = setting.library[ms.rule]
+        if ms.symbol(mr.head.pred_var) == pred and mr.head.arity == arity and live(ms, prog):
             yield ms, prog
 
     # Then new ones, within the clause budget.
     if ctx.closed(prog):
         return
-    for mr in ctx.setting.metarules:
+    for mr in setting.metarules:
         if mr.head.arity != arity:
             continue
         for ms, prog2 in _new_metasubs(mr, pred, prog, ctx):
             if ms in prog.metasubs:
                 continue  # identical clause already recorded; reuse covered it
-            yield ms, prog2.extend(ms)
+            prog2 = prog2.extend(ms)
+            if live(ms, prog2):
+                yield ms, prog2
 
 
 _FRESH = object()
@@ -834,8 +859,9 @@ def prove(
     With feasibility_only the solver is replaced by a cheap satisfiability
     check, log_prob covers dyadic facts alone, and nothing is pruned by
     score: the callers (generation and blocking) need every proof, not the
-    best.  A goal that a closed program can never prove fails at once (see
-    the module docstring); that prune holds no proof, so it always applies.
+    best.  A clause that would leave a closed program unable to prove an
+    inducible predicate of its body is never tried (see the module
+    docstring); that prune holds no proof, so it always applies.
 
     solved, induce's per-call map from store content to solve_best's
     untruncated answer and its solver_nodes and solver_leaves, gives the
@@ -1150,11 +1176,12 @@ def _candidate_programs(
     """Programs that prove every positive by sequential extension, or that
     fill budget.max_clauses first and are left to scoring for the rest.
 
-    Once a proof fills the budget, the program is closed for the rest of
-    that proof, and prove fails its unproductive goals at once: a full
-    program whose clauses all recurse is given up in one step, not after
-    2^L branches down a list of L items.  Under a full program found
-    already, prove fails every goal: the branch could only find it again."""
+    A clause that fills the budget closes the program for the rest of that
+    proof, and prove offers it only if the full program can prove every
+    inducible predicate of its body: a full program whose clauses all
+    recurse is never entered, where a search of it would take 2^L branches
+    down a list of L items.  Under a full program found already, prove
+    fails every goal: the branch could only find it again."""
     seen_prefix: set = set()
     found: dict = {}
 

@@ -512,13 +512,9 @@ def _prove_cases(draw):
     return goal, Program(tuple(metasubs), invented), setting, facts, budget, options
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=_prove_cases())
-def test_productivity_prune_changes_no_proof(case):
-    """The prune removes only branches that hold no proof: with every
-    predicate taken as productive, prove yields the same stream, in no
-    fewer nodes than with the prune."""
-    goal, prog, setting, facts, budget, options = case
+def _streams(goal, prog, setting, facts, budget, **options):
+    """prove's stream and nodes with the productivity prune, then with
+    every predicate taken as productive."""
 
     def stream():
         runtime = Budget()
@@ -528,13 +524,59 @@ def test_productivity_prune_changes_no_proof(case):
         ]
         return proofs, runtime.nodes
 
-    on, nodes_on = stream()
+    on = stream()
     with pytest.MonkeyPatch.context() as mp:
-        # the setting keeps each program's productive set, so patch its reader
+        # the setting keeps each program's productive set, so patch its
+        # reader, and the choice lists and proofs built on it, so drop those
         mp.setattr(InductionSetting, "productive", lambda self, prog: _AllProductive())
-        off, nodes_off = stream()
+        mp.setattr(setting, "_choices", {})
+        mp.setattr(setting, "_proofs", None if setting._proofs is None else {})
+        return on, stream()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_prove_cases())
+def test_productivity_prune_changes_no_proof(case):
+    """The prune removes only branches that hold no proof: with every
+    predicate taken as productive, prove yields the same stream, in no
+    fewer nodes than with the prune."""
+    goal, prog, setting, facts, budget, options = case
+    (on, nodes_on), (off, nodes_off) = _streams(goal, prog, setting, facts, budget, **options)
     assert on == off
     assert nodes_on <= nodes_off
+
+
+def test_productivity_prune_cuts_closing_choices_in_generation():
+    """Generation from the empty program at budget 2: a second clause that
+    closes the program with both clauses recursive is never tried, so the
+    same proofs come in fewer nodes."""
+    setting = sum_setting(pool=LIST_POOL)
+    facts = TableFacts({i: digit_table(d) for i, d in enumerate((3, 1, 4, 1))})
+    budget = SearchBudget(max_clauses=2)
+    (on, nodes_on), (off, nodes_off) = _streams(
+        item_goal(range(4), 9), Program(), setting, facts, budget, feasibility_only=True
+    )
+    assert on and on == off
+    assert nodes_on < nodes_off, (nodes_on, nodes_off)
+
+
+def test_dead_arithmetic_abduction_builds_no_store(monkeypatch):
+    """add(In, Out) with an integer Out can never bind Out = [N|T]: it fails
+    before any constraint store is built, cloned or posted to."""
+    from abdlearn.fd import ConstraintStore
+
+    calls = []
+    for name in ("__init__", "clone", "post"):
+        def spy(*args, _name=name, _orig=getattr(ConstraintStore, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(ConstraintStore, name, spy)
+    setting = sum_setting()
+    prog = Program((MetaSub("ident", (("P", "f"), ("Q", "add"))),))
+    facts = TableFacts({i: digit_table(1) for i in range(2)})
+    assert list(prove(item_goal([0, 1], 3), prog, setting, facts, allow_new_clauses=False)) == []
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +653,10 @@ def _choice_case(task_id):
     return setting, positives, facts
 
 
-@pytest.mark.parametrize("task_id", ["sum", "product", "sorted_concept", "bogosort"])
-def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, task_id):
-    """The setting's list of clause choices equals a fresh _clause_choices
-    enumeration for every (program, predicate, arity) that generation and
-    closed-program proofs meet, at clause budgets 1 to 3 with new clauses
-    allowed and not, all through one setting."""
-    setting, positives, facts = _choice_case(task_id)
+def _choices_met(monkeypatch, setting, positives, facts) -> list:
+    """(program, predicate, arity, allow_new, max_clauses) of every clause
+    choice list that generation and closed-program proofs of the positives
+    read, at clause budgets 1 to 3 with new clauses allowed and not."""
     met = []
     listed = mil._Ctx.choices
 
@@ -632,6 +671,17 @@ def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, t
             for ex in positives:
                 list(prove(ex.goal, prog, setting, facts, budget, allow_new_clauses=False, feasibility_only=True))
     monkeypatch.undo()
+    return met
+
+
+@pytest.mark.parametrize("task_id", ["sum", "product", "sorted_concept", "bogosort"])
+def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, task_id):
+    """The setting's list of clause choices equals a fresh _clause_choices
+    enumeration for every (program, predicate, arity) that generation and
+    closed-program proofs meet, at clause budgets 1 to 3 with new clauses
+    allowed and not, all through one setting."""
+    setting, positives, facts = _choice_case(task_id)
+    met = _choices_met(monkeypatch, setting, positives, facts)
     assert {m[3] for m in met} == {True, False}
     assert {m[4] for m in met} == {1, 2, 3}
     if task_id == "sorted_concept":
@@ -640,6 +690,40 @@ def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, t
         ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), False, allow_new)
         fresh = [(setting.clause_of(ms), p2) for ms, p2 in mil._clause_choices(pred, arity, prog, ctx)]
         assert ctx.choices(prog, pred, arity) == fresh
+
+
+@pytest.mark.parametrize("task_id", ["sum", "product", "sorted_concept", "bogosort"])
+def test_closing_clause_choices_have_productive_bodies(monkeypatch, task_id):
+    """Every listed choice that leaves a closed program has only inducible
+    body predicates that program can prove: a clause that would close an
+    unproductive program is never listed.  On sum and on sorted_concept,
+    which invents, the rule drops some choice that would be listed
+    otherwise."""
+    setting, positives, facts = _choice_case(task_id)
+    closing = dropped = 0
+    invented = False
+    for prog, pred, arity, allow_new, max_clauses in dict.fromkeys(
+        _choices_met(monkeypatch, setting, positives, facts)
+    ):
+        ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), False, allow_new)
+        for clause, prog2 in ctx.choices(prog, pred, arity):
+            if ctx.closed(prog2):
+                closing += 1
+                invented = invented or bool(prog2.invented)
+                inducible = {setting.target[0], *(n for n, _ in prog2.invented)}
+                productive = mil._productive(prog2, setting)
+                assert all(b.key() in productive for b in clause.body if b.pred in inducible), (
+                    program_text(prog2, setting.library)
+                )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(InductionSetting, "productive", lambda self, prog: _AllProductive())
+            every = [p2 for _, p2 in mil._clause_choices(pred, arity, prog, ctx) if ctx.closed(p2)]
+        dropped += len(every) - sum(1 for _, p2 in ctx.choices(prog, pred, arity) if ctx.closed(p2))
+    assert closing > 0
+    if task_id in ("sum", "sorted_concept"):
+        assert dropped > 0
+    if task_id == "sorted_concept":
+        assert invented
 
 
 _WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(0.001, 1.0)), min_size=10, max_size=10).filter(any)
