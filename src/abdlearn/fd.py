@@ -533,23 +533,13 @@ def _is_leaf(var: FDVar) -> bool:
     return var.is_weighted or var.dom.pinned() is not None
 
 
-def _chain_doms(store: ConstraintStore) -> "Optional[list[Dom]]":
-    """Current domains with every EQC applied; None if one empties."""
-    doms = [v.dom for v in store.vars]
-    for c in store.constraints:
-        if c.kind == EQC:
-            d = doms[c.x].pin(c.z)
-            if d.is_empty:
-                return None
-            doms[c.x] = d
-    return doms
-
-
 def _chain_feasible(store: ConstraintStore, head: int, links: list, budget: Optional[Budget]) -> bool:
-    """Forward pass over the set of values the running var can take."""
-    doms = _chain_doms(store)
-    if doms is None:
-        return False
+    """Forward pass over the set of values the running var can take.
+
+    The domains already carry every EQC pin: post applied each one, and a
+    pin that empties a domain fails the store, which callers check first.
+    """
+    doms = [v.dom for v in store.vars]
     layer = set(doms[head].values())
     steps = 0
     for is_add, leaf, out in links:
@@ -583,10 +573,8 @@ def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional
     lexicographic tie-break decides.  So every prefix within that margin of
     a state's best is kept until the last weight is added.
     """
-    doms = _chain_doms(store)
-    if doms is None:
-        return None
     vars_ = store.vars
+    doms = [v.dom for v in vars_]  # every EQC pinned, as in _chain_feasible
     weighted = [vid for vid in [head] + [leaf for _, leaf, _ in links] if vars_[vid].is_weighted]
     # Bound on |partial sum| along any path; each remaining addition can
     # move the gap between two prefixes by at most 2**-52 of it.

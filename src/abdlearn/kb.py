@@ -1,9 +1,8 @@
 """Knowledge base and depth-bounded SLD resolution.
 
 The deductive engine is a plain depth-first resolution prover over definite
-clauses plus a small table of native builtins (permute/3, which places a
-list's items by a ranking, and the integer comparison geq/2; the clause
-text format stays free of host conveniences).
+clauses plus one native builtin, permute/3, which places a list's items by
+a ranking (the clause text format stays free of host conveniences).
 
 solve() is the one resolver: deduce() runs it on the kb alone, and mil runs
 it with a hook for the predicates the kb does not define.  Termination
@@ -187,16 +186,9 @@ def _bi_permute(args: tuple, s: Subst) -> Iterator[Subst]:
             yield s3
 
 
-def _bi_geq(args: tuple, s: Subst) -> Iterator[Subst]:
-    a, b = s.apply(args[0]), s.apply(args[1])
-    if isinstance(a, Int) and isinstance(b, Int) and a.value >= b.value:
-        yield s
-
-
 def standard_builtins() -> "dict[tuple[str, int], BuiltinFn]":
     return {
         ("permute", 3): _bi_permute,
-        ("geq", 2): _bi_geq,
     }
 
 

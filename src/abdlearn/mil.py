@@ -10,25 +10,29 @@ alternatives, tried in this order:
   3. abducible predicate: record the assumption; arithmetic abducibles post
      a finite-domain constraint over the sequence items touched, the dyadic
      fact abducible multiplies the fact's probability into the running
-     score and, under pruning, the branch is abandoned as soon as it can no
-     longer beat the best completed proof; Abducible.ground is the same
-     predicate's ground reading, which a learned program runs on at eval;
+     score, and a fact of probability 0 ends the branch; Abducible.ground
+     is the same predicate's ground reading, which a learned program runs
+     on at eval;
   4. inducible predicate (the induction target or an invented symbol):
      reuse a recorded template instantiation, or, within the clause budget,
      bind a new one, inventing a fresh auxiliary symbol as a last resort.
 
-induce() wraps prove() in an iterative-deepening search over program size,
-grows candidates until they prove every positive or fill the clause budget,
-and scores each on the whole batch, where a program's score is a simplicity
-prior times the per-example abduction probabilities.
+induce() generates candidates once, at the caller's clause budget: prove()
+extends a program positive by positive until it proves every positive or
+fills the budget.  It then scores each candidate on the whole batch, smallest
+first, where a program's score is a simplicity prior times the per-example
+abduction probabilities, and stops at the first candidate whose prior alone
+cannot beat the best score so far.  Prove's stream does not depend on what
+its consumer has seen: nothing feeds a score back into the search.
 
-Termination does not rely on iterative deepening alone.  An inducible call
-whose predicate already occurs among its inducible ancestors must strictly
-shrink its first (list) argument, which rules out left recursion and
-non-reducing loops while admitting the structural recursion the templates
-express; background clauses are not checked, as in kb.deduce.  Beyond that,
-kb.solve bounds the resolution steps along a branch, whatever resolves
-each goal, by a bound that grows with the goals' list items.
+The clause budget bounds the programs generation can build, and two rules
+bound each proof.  An inducible call whose predicate already occurs among
+its inducible ancestors must strictly shrink its first (list) argument,
+which rules out left recursion and non-reducing loops while admitting the
+structural recursion the templates express; background clauses are not
+checked, as in kb.deduce.  Beyond that, kb.solve bounds the resolution
+steps along a branch, whatever resolves each goal, by a bound that grows
+with the goals' list items.
 
 One prune cuts whole subtrees that hold no proof.  A program is closed
 when it can gain no clause: new clauses are not allowed, or it fills the
@@ -69,19 +73,21 @@ store vars, the items whose tables the proof read, and the proof's nodes
 and depth hits.  The key is the program; the goal with each item(i) handle
 replaced by the position of i's first occurrence, so y, the list length
 and any repeated item stay in it; value_base; and each item's table
-length.  It is exact because with no fact abducible nothing prunes by
-score: the proof tree and every store's domains depend on the item tables
-only through the initial domains, which value_base and the table lengths
-set, and the background knowledge names no item handle.  A positive whose
-key is stored adds the proof's nodes and depth hits to the budget, reads
-every table the proof read (a missing or malformed one raises as before),
-and solves each leaf store with its own item tables in place of the
+length.  It is exact in a setting with no fact abducible: the proof tree
+and every store's domains depend on the item tables only through the
+initial domains, which value_base and the table lengths set, and the
+background knowledge names no item handle.  A positive whose key is
+stored adds the proof's nodes and depth hits to the budget, reads every
+table the proof read (a missing or malformed one raises as before), and
+solves each leaf store with its own item tables in place of the
 placeholders, as a proof run for it does: that store equals the one a
 proof on its own tables builds, so labeling, log_prob bits and solver
 counts are the same.  The memo is bypassed in a setting with a fact
-abducible, in generation and feasibility-only proofs, and whenever the
-budget could not run the whole proof (max_nodes below its nodes, or the
-budget already out); a proof that ran the budget out is not stored.
+abducible (a dyadic leaf carries pair log-probabilities and abduced facts,
+and a zero-probability pair ends its branch), in generation and
+feasibility-only proofs, and whenever the budget could not run the whole
+proof (max_nodes below its nodes, or the budget already out); a proof that
+ran the budget out is not stored.
 
 Scoring solves each distinct constraint store once per induce call, be its
 proof run or replayed: the two base cases of a recursive program, say,
@@ -391,7 +397,8 @@ class InductionSetting:
         self._choices = {}
         self._productive = {}
         # Weight-free proofs by goal shape (see the module docstring); a
-        # fact abducible prunes by score, so its setting keeps none.
+        # dyadic leaf carries pair log-probabilities and abduced facts, and
+        # a zero-probability pair ends its branch, so such a setting keeps none.
         self._proofs = None if any(a.kind == ABD_FACT for a in self.abducibles.values()) else {}
         kb_names = {n for n, _ in self.kb.predicates()}
         for (name, arity), spec in self.abducibles.items():
@@ -435,7 +442,7 @@ class SearchBudget:
     max_nodes: Optional[int] = None
     wall_ms: Optional[float] = None
     solver_max_nodes: Optional[int] = None  # binds branch-and-bound only, not chain stores
-    pruning: bool = True
+    pruning: bool = True  # induce stops scoring a candidate once its partial score cannot win
 
     def runtime(self) -> Budget:
         return Budget(self.max_nodes, self.wall_ms)
@@ -529,8 +536,8 @@ class InduceOutcome:
     cut it would have met is not counted: it could hold no new program),
     "unscorable" (a candidate proves every positive, weights aside, yet none
     scored above -inf on every example) or "no_candidate" (no program proves
-    every positive example).  It is None when a program was found.  candidates_tried
-    counts full programs rejected on a positive generation left to scoring.
+    every positive example).  It is None when a program was found.
+    candidates_tried counts the candidates scoring began on.
     """
 
     induced: Optional[Induced]
@@ -565,9 +572,7 @@ class _Ctx:
     setting: InductionSetting
     facts: TableFacts
     budget: SearchBudget
-    prune: bool
     allow_new: bool
-    best: float = -math.inf  # best completed proof so far, the pruning bound
     found: Optional[dict] = None  # generation's programs by key; a closed one here is done
 
     def closed(self, prog: Program) -> bool:
@@ -665,10 +670,7 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         lp = ctx.facts.pair_logprob(ka, kb_)
         if lp == -math.inf:
             return
-        nd = dlogp + lp
-        if ctx.prune and nd <= ctx.best:
-            return
-        yield (), None, s, (prog, ab, nd, abduced + (Abduced(fact_key, lp),))
+        yield (), None, s, (prog, ab, dlogp + lp, abduced + (Abduced(fact_key, lp),))
         return
 
     term_in, term_out = g.args
@@ -854,14 +856,13 @@ def prove(
     of the log probabilities of every assumed fact plus that assignment.  If
     the solver stopped early (budget.solver_max_nodes, which binds only
     stores that are not chains), the result's truncated flag says so.
-    Pruning (budget.pruning) abandons partial branches that can no longer
-    beat the best completed proof; completed proofs are always emitted.
+    The stream does not depend on how it is consumed: nothing is pruned by
+    score, so a caller after the best proof takes the maximum itself.
     With feasibility_only the solver is replaced by a cheap satisfiability
-    check, log_prob covers dyadic facts alone, and nothing is pruned by
-    score: the callers (generation and blocking) need every proof, not the
-    best.  A clause that would leave a closed program unable to prove an
-    inducible predicate of its body is never tried (see the module
-    docstring); that prune holds no proof, so it always applies.
+    check and log_prob covers dyadic facts alone.  A clause that would
+    leave a closed program unable to prove an inducible predicate of its
+    body is never tried (see the module docstring); that prune holds no
+    proof, so it always applies.
 
     solved, induce's per-call map from store content to solve_best's
     untruncated answer and its solver_nodes and solver_leaves, gives the
@@ -876,7 +877,7 @@ def prove(
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
-    ctx = _Ctx(setting, facts, budget, budget.pruning and not feasibility_only, allow_new_clauses, found=found)
+    ctx = _Ctx(setting, facts, budget, allow_new_clauses, found=found)
     if setting._proofs is None or allow_new_clauses or feasibility_only or found is not None:
         leaves = _leaves(goals, program, ctx, runtime)
     else:
@@ -909,8 +910,6 @@ def _results(
                 if labeling is None:
                     continue
                 total += labeling.log_prob
-        if total > ctx.best:
-            ctx.best = total
         yield AbductionResult(
             program=prog,
             abduced=abduced,
@@ -1174,7 +1173,9 @@ def _candidate_programs(
     runtime: Budget,
 ) -> "list[Program]":
     """Programs that prove every positive by sequential extension, or that
-    fill budget.max_clauses first and are left to scoring for the rest.
+    fill budget.max_clauses first and are left to scoring for the rest, by
+    size and then print text.  Every program within the budget that proves
+    every positive is among them.
 
     A clause that fills the budget closes the program for the rest of that
     proof, and prove offers it only if the full program can prove every
@@ -1196,7 +1197,6 @@ def _candidate_programs(
         if state in seen_prefix:
             return
         seen_prefix.add(state)
-        local: set = set()
         for r in prove(
             positives[idx].goal,
             prog,
@@ -1207,10 +1207,6 @@ def _candidate_programs(
             feasibility_only=True,
             found=found,
         ):
-            k = r.program.key()
-            if k in local:
-                continue
-            local.add(k)
             rec(idx + 1, r.program)
 
     rec(0, Program())
@@ -1238,17 +1234,17 @@ def induce(
     """Highest-scoring program entailing the batch, with its pseudo-labels.
 
     score = prior(size) * prod over examples of best P(example | program).
-    Iterative deepening over program size: once the incumbent's score is at
-    least the prior of the next size, no larger program can win and the
-    search stops.  Within a size, candidates go in print order and a
-    candidate is dropped at its first example in batch order with no proof,
-    or as soon as its partial product cannot reach the incumbent.  Each
-    example is scored under a fresh runtime budget, so every example gets
-    its own max_nodes cap and wall_ms deadline; its counters fold back into
-    the shared one.  The call keeps one map of solved stores for all its
-    scoring (see prove): each distinct store is solved once, and a store met
-    again replays the solver counts it cost, so every counter reads as if
-    it had been solved each time.
+    Candidates are generated once, at budget.max_clauses, and scored by size
+    and then print order.  Scoring stops at the first candidate whose prior
+    is at or below the incumbent's score: neither it nor any larger program
+    can win.  A candidate is dropped at its first example in batch order
+    with no proof, or, with budget.pruning, as soon as its partial product
+    cannot beat the incumbent.  Each example is scored under a fresh runtime
+    budget, so every example gets its own max_nodes cap and wall_ms
+    deadline; its counters fold back into the shared one.  The call keeps
+    one map of solved stores for all its scoring (see prove): each distinct
+    store is solved once, and a store met again replays the solver counts it
+    cost, so every counter reads as if it had been solved each time.
     """
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
@@ -1257,40 +1253,28 @@ def induce(
     best_log, best_prog, best_labs = -math.inf, None, None
     truncated = False
     tried = 0
-    pool: "list[Program]" = []
     solved: dict = {}
-    for size_cap in range(1, budget.max_clauses + 1):
-        if not runtime.ok():
-            break
-        if best_prog is not None and log_prior(size_cap) <= best_log:
-            break  # simplicity prior caps every remaining candidate
-        round_budget = replace(budget, max_clauses=size_cap)
-        candidates = [
-            p
-            for p in _candidate_programs(positives, setting, round_budget, facts, runtime)
-            if p.size == size_cap
-        ]
-        pool += candidates
-        for prog in candidates:
-            if not runtime.ok():
+    pool = _candidate_programs(positives, setting, budget, facts, runtime)
+    for prog in pool:
+        if not runtime.ok() or log_prior(prog.size) <= best_log:
+            break  # the pool goes by size: the prior caps every candidate left
+        tried += 1
+        labs: "list[ExampleLabeling]" = []
+        acc = log_prior(prog.size)
+        for ex in examples:
+            rt = budget.runtime()
+            lab = score_example(ex, prog, setting, facts, budget, rt, solved=solved)
+            _fold(runtime, rt)
+            if lab is None:
                 break
-            tried += 1
-            labs: "list[ExampleLabeling]" = []
-            acc = log_prior(prog.size)
-            for ex in examples:
-                rt = budget.runtime()
-                lab = score_example(ex, prog, setting, facts, budget, rt, solved=solved)
-                _fold(runtime, rt)
-                if lab is None:
-                    break
-                truncated = truncated or lab.truncated
-                acc += lab.log_prob
-                labs.append(lab)
-                if budget.pruning and acc <= best_log:
-                    break
-            else:  # every example scored
-                if acc > best_log:
-                    best_log, best_prog, best_labs = acc, prog, tuple(labs)
+            truncated = truncated or lab.truncated
+            acc += lab.log_prob
+            labs.append(lab)
+            if budget.pruning and acc <= best_log:
+                break
+        else:  # every example scored
+            if acc > best_log:
+                best_log, best_prog, best_labs = acc, prog, tuple(labs)
 
     # Scoring stops at a candidate's first rejection and a full candidate
     # left generation early, so to name the cause of a failure prove the

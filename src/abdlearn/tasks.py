@@ -30,7 +30,7 @@ class TaskError(ValueError):
     pass
 
 
-# shared list primitives; permute/3 and geq/2 come in as native builtins
+# shared list primitives; permute/3 comes in as a native builtin
 LIST_BK = """\
 head([H|_], H).
 tail([_|T], T).

@@ -7,6 +7,7 @@ the individual fact probabilities, and program scores add the log prior
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from abdlearn.mil import (
     score_example,
 )
 from abdlearn import kb as kb_module, mil, tasks
-from abdlearn.terms import Atom, Int, mk_list
+from abdlearn.terms import Atom, Int, Var, mk_list
 from abdlearn.parser import parse_atom
 
 BK = """
@@ -366,19 +367,37 @@ def test_prove_resolves_background_goals_as_deduce_does(monkeypatch, goal, bound
 
 
 def test_prove_pruning_keeps_best_result():
-    facts = TableFacts({0: digit_table(2, peak=0.6), 1: digit_table(3, peak=0.6)})
-    setting = sum_setting()
-    goal = item_goal([0, 1], 5)
-    kw = dict(allow_new_clauses=False)
-    best_on = max(
-        r.log_prob
-        for r in prove(goal, SUM_PROG, setting, facts, SearchBudget(pruning=True), **kw)
-    )
-    best_off = max(
-        r.log_prob
-        for r in prove(goal, SUM_PROG, setting, facts, SearchBudget(pruning=False), **kw)
-    )
-    assert best_on == best_off
+    """budget.pruning leaves prove's whole stream as it is, so its best too:
+    on a sum goal, and on a bogosort goal with an unbound ranking, where
+    permute enumerates all six rankings and each one's sorted check abduces
+    pair facts of other probabilities."""
+    sum_facts = TableFacts({0: digit_table(2, peak=0.6), 1: digit_table(3, peak=0.6)})
+    digits = (1, 3, 2)
+    sort_facts = TableFacts({}, pairs={
+        (a, b): (0.9 if digits[a] >= digits[b] else 0.2) - 0.01 * (a + b) for a in range(3) for b in range(3)
+    })
+    sort_prog = Program((MetaSub("tri_split", (("P", "f"), ("Q", "permute"), ("R", "s"))),))
+    cases = [
+        (item_goal([0, 1], 5), SUM_PROG, sum_setting(), sum_facts),
+        (
+            Atom("f", (mk_list([item_term(i) for i in range(3)]), Var("R"))),
+            sort_prog,
+            tasks.make_task("bogosort").setting(extra_program=_SORTED_BK),
+            sort_facts,
+        ),
+    ]
+    for goal, prog, setting, facts in cases:
+        on, off = (
+            [
+                (r.log_prob.hex(), r.abduced, r.item_assignment())
+                for r in prove(goal, prog, setting, facts, SearchBudget(pruning=pruning), allow_new_clauses=False)
+            ]
+            for pruning in (True, False)
+        )
+        assert on == off
+    assert len(on) == 6
+    best = max(on, key=lambda r: float.fromhex(r[0]))
+    assert {a.key for a in best[1]} == {("pair", 1, 2), ("pair", 2, 0)}
 
 
 def test_prove_dyadic_fact_probability():
@@ -687,7 +706,7 @@ def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, t
     if task_id == "sorted_concept":
         assert any(p.invented for p, *_ in met)
     for prog, pred, arity, allow_new, max_clauses in dict.fromkeys(met):
-        ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), False, allow_new)
+        ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), allow_new)
         fresh = [(setting.clause_of(ms), p2) for ms, p2 in mil._clause_choices(pred, arity, prog, ctx)]
         assert ctx.choices(prog, pred, arity) == fresh
 
@@ -705,7 +724,7 @@ def test_closing_clause_choices_have_productive_bodies(monkeypatch, task_id):
     for prog, pred, arity, allow_new, max_clauses in dict.fromkeys(
         _choices_met(monkeypatch, setting, positives, facts)
     ):
-        ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), False, allow_new)
+        ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), allow_new)
         for clause, prog2 in ctx.choices(prog, pred, arity):
             if ctx.closed(prog2):
                 closing += 1
@@ -1080,6 +1099,107 @@ def test_solve_map_solves_a_shared_store_once():
         every = solved_stores(mp)
     assert len(once) == len(set(once)) < len(every)
     assert set(once) == set(every)
+
+
+def test_induce_generates_candidates_once_at_the_callers_budget(monkeypatch):
+    """One generation per induce call, at the caller's clause budget, also
+    where the winner is smaller than the budget or needs all of it."""
+    budgets = []
+    plain = mil._candidate_programs
+
+    def spy(positives, setting, budget, facts, runtime):
+        budgets.append(budget.max_clauses)
+        return plain(positives, setting, budget, facts, runtime)
+
+    monkeypatch.setattr(mil, "_candidate_programs", spy)
+    for examples, size in (([int_goal([5], 5)], 1), ([int_goal([1, 2, 3], 6), int_goal([2, 2], 4)], 2)):
+        budgets.clear()
+        out = induce([GoalExample(g) for g in examples], sum_setting(), TableFacts.exact(), SearchBudget(max_clauses=2))
+        assert out.induced.program.size == size
+        assert budgets == [2]
+    setting, examples, facts = _sorted_batches()[2]
+    budgets.clear()
+    assert induce(examples, setting, facts, SearchBudget(max_clauses=3)).induced.program.size == 3
+    assert budgets == [3]
+
+
+def _sorted_batches():
+    """sorted_concept batches with noisy pair facts, whose winners at
+    clause budget 3 have 2, 1 and 3 clauses: positives alone take the
+    program that holds of every list, singletons the one-clause check, and
+    with negatives the sorted check with an invented symbol wins."""
+    rng = np.random.default_rng(5)
+    out = []
+    for pos, neg in (
+        ([[5, 3, 1], [4, 2], [7]], []),
+        ([[7], [2]], []),
+        ([[5, 3, 1], [4, 2], [7]], [[2, 4], [1, 6, 2]]),
+    ):
+        digits, examples = [], []
+        for ds, positive in [(ds, True) for ds in pos] + [(ds, False) for ds in neg]:
+            items = list(range(len(digits), len(digits) + len(ds)))
+            digits += ds
+            examples.append(GoalExample(Atom("s", (mk_list([item_term(i) for i in items]),)), positive))
+        n = len(digits)
+        pairs = {
+            (a, b): float(rng.uniform(0.7, 0.95) if digits[a] >= digits[b] else rng.uniform(0.05, 0.3))
+            for a in range(n) for b in range(n)
+        }
+        out.append((sorted_setting(), examples, TableFacts({}, pairs=pairs)))
+    return out
+
+
+def _per_size_winner(examples, setting, facts, budget):
+    """The search induce ran before it generated once: for each program
+    size k, a generation at clause budget k whose size-k programs are
+    scored in print order, stopping before size k once the prior of k is
+    at or below the best score."""
+    positives = [e for e in examples if e.positive]
+    best_log, best = -math.inf, None
+    for k in range(1, budget.max_clauses + 1):
+        if best is not None and log_prior(k) <= best_log:
+            break
+        for prog in mil._candidate_programs(positives, setting, replace(budget, max_clauses=k), facts, Budget()):
+            if prog.size != k:
+                continue
+            acc, labs = log_prior(k), []
+            for ex in examples:
+                lab = score_example(ex, prog, setting, facts, budget)
+                if lab is None:
+                    break
+                acc += lab.log_prob
+                labs.append(lab)
+            else:
+                if acc > best_log:
+                    best_log, best = acc, (sorted(prog.key()), acc.hex(), tuple(labs))
+    return best
+
+
+def _winner(out):
+    ind = out.induced
+    return None if ind is None else (sorted(ind.program.key()), ind.log_score.hex(), ind.labelings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=_arith_batches(), max_clauses=st.integers(1, 3), pruning=st.booleans())
+def test_one_generation_matches_per_size_search(batch, max_clauses, pruning):
+    """Scoring one generation at the clause budget by size, with the prior
+    stop before each candidate, wins with the program, log_score bits and
+    labelings of a generation per size."""
+    examples, task, facts = batch
+    budget = SearchBudget(max_clauses=max_clauses, pruning=pruning)
+    got = _winner(induce(examples, task.setting(), facts, budget))
+    assert got == _per_size_winner(examples, task.setting(), facts, budget)
+
+
+def test_one_generation_matches_per_size_search_on_sorted_concept():
+    sizes = []
+    for setting, examples, facts in _sorted_batches():
+        budget = SearchBudget(max_clauses=3)
+        out = induce(examples, setting, facts, budget)
+        assert _winner(out) == _per_size_winner(examples, sorted_setting(), facts, budget)
+        sizes.append(out.induced.program.size)
+    assert sizes == [2, 1, 3]
 
 
 def _programs_over(op):
