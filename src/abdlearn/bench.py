@@ -128,9 +128,10 @@ def bench_metarules(
 ) -> "list[MetaruleBenchRow]":
     """Induce from ground-truth facts under each metarule subset.
 
-    Perception is taken out of the picture (one-hot facts from the digit
-    sidecar) so the rows isolate pure search cost.  A subset that cannot
-    express the target program comes back unsolved rather than erroring.
+    Perception is taken out of the picture (one-hot facts and the true
+    pair order from the digit sidecar) so the rows isolate pure search
+    cost.  A subset that cannot express the target program comes back
+    unsolved rather than erroring.
     """
     budget = budget or SearchBudget(max_clauses=task.max_clauses)
     goals, _, spans = _assemble(task, examples)
@@ -139,7 +140,9 @@ def bench_metarules(
         if ex.truth is None:
             raise ValueError("metarule bench needs ground-truth digits")
         labels.update({i: d for i, d in zip(ids, ex.truth)})
-    facts = TableFacts.exact(labels, n_values=task.n_classes, value_base=task.value_base)
+    facts = TableFacts.exact(
+        labels, n_values=task.n_classes, value_base=task.value_base, pairs=lambda a, b: labels[a] >= labels[b]
+    )
     rows = []
     for names in subsets:
         setting = task.setting(metarule_names=tuple(names))

@@ -28,7 +28,7 @@ from .metarules import (
     program_to_json,
 )
 from .mil import SearchBudget
-from .perception import MLP, PairModel
+from .perception import MLP, PairModel, PerceptionError
 from .tasks import (
     Metrics,
     SyntheticDigitGen,
@@ -396,6 +396,20 @@ def _per_length_table(task: Task, program: Program, examples, model, use_truth: 
     return _metrics_table(rows)
 
 
+def _load_model(path: Path, task: Task, dim: int):
+    """The task's kind of checkpoint, checked against the data's feature
+    width and the task's class count; one that does not fit is a data error."""
+    if not path.is_file():
+        raise CliError(DATA_ERR, f"model checkpoint not found: {path}")
+    try:
+        model = PairModel.load(path) if task.dyadic else MLP.load(path)
+    except (PerceptionError, OSError) as e:
+        raise CliError(DATA_ERR, f"bad model checkpoint {path}: {e}") from e
+    if model.n_in != dim or (not task.dyadic and model.n_classes != task.n_classes):
+        raise CliError(DATA_ERR, f"model checkpoint {path} does not fit {task.id} data with {dim} features")
+    return model
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     task = make_task(args.task)
     examples = _load_examples(args.data, task.id)
@@ -404,10 +418,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.use_truth:
         if not args.model:
             raise CliError(CONFIG_ERR, "need --model or --use-truth")
-        p = Path(args.model)
-        if not p.is_file():
-            raise CliError(DATA_ERR, f"model checkpoint not found: {p}")
-        model = PairModel.load(p) if task.dyadic else MLP.load(p)
+        model = _load_model(Path(args.model), task, _feature_dim(examples))
     table = _per_length_table(task, program, examples, model, use_truth=args.use_truth)
     print(table)
     if args.out:
@@ -438,10 +449,7 @@ def cmd_bench_abduction(args: argparse.Namespace) -> int:
     if args.batch_size < 1 or args.batches < 0:
         raise CliError(CONFIG_ERR, "--batch-size must be at least 1 and --batches cannot be negative")
     examples = _load_examples(args.data, task.id)
-    p = Path(args.model)
-    if not p.is_file():
-        raise CliError(DATA_ERR, f"model checkpoint not found: {p}")
-    model = MLP.load(p)
+    model = _load_model(Path(args.model), task, _feature_dim(examples))
     size = args.batch_size
     batches = [examples[i : i + size] for i in range(0, len(examples), size)]
     if args.batches:

@@ -5,18 +5,21 @@ X#=c.  A domain is a nonnegative interval [lo, hi] and propagation keeps
 bounds only, for X+Y#=Z and X*Y#=Z alike: it never removes a value with
 support, and the two solver paths below test exact values, so a hole
 propagation leaves in (a non-divisor of a pinned product) costs work, never
-a wrong answer.  Variables carrying a per-value
-log-probability table are the pseudo-labels of perceived items; derived
-intermediates have no table.  solve_best finds the feasible assignment of
-weighted variables with the largest summed log-probability.
+a wrong answer.  Weighted variables are the pseudo-labels of perceived
+items; derived intermediates are not weighted.  solve_best finds the
+feasible assignment of weighted variables with the largest summed
+log-probability.
 
-A table is checked to sum to 1 once, where it enters: building a
-WeightTable checks it, and new_weighted_var builds one only from a table
-that is not one already, so the tables a fact oracle hands every proof are
-not checked again.  A clone shares its parent's var records and watch
-lists: neither is ever changed in place, a domain change puts a new record
-in the store's own list and a post a new watch tuple in its own dict, so a
-clone costs a copy of three containers, not of every record.
+The store holds no weights.  A weighted var records only the value its
+table starts at, and solve_best reads the tables, a {var id: log-weight
+table} map, from its caller: the constraints come from the logic and the
+weights from perception, so two stores built over different tables have
+equal content, and one store can be solved under many tables.  solve_best
+takes a table as given: the fact oracle (mil.TableFacts) checks each item
+table once, where it enters.  A clone shares its parent's var records
+and watch lists: neither is ever changed in place, a domain change puts a
+new record in the store's own list and a post a new watch tuple in its own
+dict, so a clone costs a copy of three containers, not of every record.
 
 solve_best picks one of two exact paths from the shape of the store:
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .kb import Budget
 
@@ -90,39 +93,17 @@ class Dom:
 EMPTY_DOM = Dom(0, -1)
 
 
-class WeightTable(tuple):
-    """Per-value log-probabilities, checked to sum to 1 in probability space."""
-
-    __slots__ = ()
-
-    def __new__(cls, log_weights: Iterable[float]) -> "WeightTable":
-        ws = super().__new__(cls, (float(w) for w in log_weights))
-        total = sum(math.exp(w) for w in ws)
-        if not abs(total - 1.0) <= 1e-9:  # a NaN total fails this too
-            raise ValueError(f"weight table must sum to 1 in probability space, got {total}")
-        return ws
-
-
 @dataclass(slots=True)
 class FDVar:
     """A store's record of one var, shared by clones and never changed in place."""
 
     id: int
     dom: Dom
-    weights: Optional[WeightTable] = None  # log-probs aligned with the initial domain
-    weight_base: int = 0  # value of the first weight entry
+    base: Optional[int] = None  # value of a weighted var's first table entry; None if derived
 
     @property
     def is_weighted(self) -> bool:
-        return self.weights is not None
-
-    def weight_of(self, v: int) -> float:
-        assert self.weights is not None
-        return self.weights[v - self.weight_base]
-
-    def max_weight(self) -> float:
-        assert self.weights is not None
-        return max(self.weights[v - self.weight_base] for v in self.dom.values())
+        return self.base is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,15 +143,14 @@ class ConstraintStore:
         return (
             self.failed,
             tuple(self.constraints),
-            tuple([(v.dom, v.weights, v.weight_base) for v in self.vars]),
+            tuple([(v.dom, v.base) for v in self.vars]),
         )
 
     # -- variables ----------------------------------------------------------
 
-    def new_weighted_var(self, log_weights, base: int = 0) -> int:
-        """A var over log_weights; a table that is not a WeightTable is checked."""
-        ws = log_weights if type(log_weights) is WeightTable else WeightTable(log_weights)
-        v = FDVar(len(self.vars), Dom.range(base, base + len(ws) - 1), ws, base)
+    def new_weighted_var(self, n_values: int, base: int = 0) -> int:
+        """A var over base..base+n_values-1, weighted by a table of n_values."""
+        v = FDVar(len(self.vars), Dom.range(base, base + n_values - 1), base)
         self.vars.append(v)
         return v.id
 
@@ -213,7 +193,7 @@ class ConstraintStore:
         if dom.is_empty:
             self.failed = True
             return False
-        self.vars[vid] = FDVar(vid, dom, var.weights, var.weight_base)
+        self.vars[vid] = FDVar(vid, dom, var.base)
         for ci in self._watch.get(vid, ()):
             if ci not in queue:
                 queue.append(ci)
@@ -326,7 +306,7 @@ def _completion_exists(store: ConstraintStore, budget: Optional[Budget]) -> bool
     return _search_completion(store, budget)
 
 
-def _labeling_of(store: ConstraintStore, truncated: bool = False) -> Labeling:
+def _labeling_of(store: ConstraintStore, tables: dict, truncated: bool = False) -> Labeling:
     assignment = {}
     log_prob = 0.0
     for v in store.vars:
@@ -334,7 +314,7 @@ def _labeling_of(store: ConstraintStore, truncated: bool = False) -> Labeling:
             val = v.dom.pinned()
             assert val is not None
             assignment[v.id] = val
-            log_prob += v.weight_of(val)
+            log_prob += tables[v.id][val - v.base]
     return Labeling(assignment, log_prob, truncated)
 
 
@@ -344,14 +324,17 @@ def _lex_key(assignment: dict) -> tuple:
 
 def solve_best(
     store: ConstraintStore,
+    tables: dict,
     budget: Optional[Budget] = None,
     max_nodes: Optional[int] = None,
 ) -> Optional[Labeling]:
     """Max-log-prob feasible assignment of the weighted vars, or None.
 
-    log_prob is the sum of the chosen weights in var-id order.  Exact ties
-    go to the lexicographically smallest assignment in var-id order, and an
-    assignment scoring -inf counts as infeasible.
+    tables maps each weighted var's id to its log-weight table, whose entry
+    i weighs the value base + i.  log_prob is the sum of the chosen weights
+    in var-id order.  Exact ties go to the lexicographically smallest
+    assignment in var-id order, and an assignment scoring -inf counts as
+    infeasible.
 
     The store's shape picks the path, and an untruncated answer is the same
     on both: a chain store (see _chain_of) takes the max-product pass, which
@@ -369,14 +352,15 @@ def solve_best(
         return None
     chain = _chain_of(store)
     if chain is None:
-        return _branch_and_bound(store, budget, max_nodes)
+        return _branch_and_bound(store, tables, budget, max_nodes)
     if budget is not None and not budget.ok():
         return Labeling({}, -math.inf, truncated=True)
-    return _chain_best(store, *chain, budget)
+    return _chain_best(store, tables, *chain, budget)
 
 
 def _branch_and_bound(
     store: ConstraintStore,
+    tables: dict,
     budget: Optional[Budget] = None,
     max_nodes: Optional[int] = None,
 ) -> Optional[Labeling]:
@@ -394,11 +378,14 @@ def _branch_and_bound(
     root = store.clone()
     if not root.propagate():
         return None
+
+    def max_weight(var: FDVar) -> float:
+        tab = tables[var.id]
+        return max(tab[v - var.base] for v in var.dom.values())
+
     order = [v.id for v in root.vars if v.is_weighted]
-    order.sort(key=lambda vid: (-root.vars[vid].max_weight(), vid))
-    mass = sum(
-        max((abs(w) for w in root.vars[vid].weights if w != -math.inf), default=0.0) for vid in order
-    )
+    order.sort(key=lambda vid: (-max_weight(root.vars[vid]), vid))
+    mass = sum(max((abs(w) for w in tables[vid] if w != -math.inf), default=0.0) for vid in order)
     slack = len(order) * mass * _SLACK_ULPS
 
     best: dict = {"labeling": None, "score": -math.inf, "nodes": 0, "truncated": False}
@@ -409,7 +396,7 @@ def _branch_and_bound(
             var = st.vars[vid]
             if var.dom.is_empty:
                 return -math.inf
-            total += var.max_weight()
+            total += max_weight(var)
         return total
 
     def descend(st: ConstraintStore, level: int, acc: float) -> None:
@@ -423,7 +410,7 @@ def _branch_and_bound(
                 budget.solver_leaves += 1
             if not _search_completion(st, budget):
                 return
-            cand = _labeling_of(st)
+            cand = _labeling_of(st, tables)
             if cand.log_prob > best["score"] or (
                 cand.log_prob == best["score"]
                 and best["labeling"] is not None
@@ -434,7 +421,8 @@ def _branch_and_bound(
             return
         vid = order[level]
         var = st.vars[vid]
-        vals = sorted(var.dom.values(), key=lambda v: (-var.weight_of(v), v))
+        tab, base = tables[vid], var.base
+        vals = sorted(var.dom.values(), key=lambda v: (-tab[v - base], v))
         for val in vals:
             best["nodes"] += 1
             if budget is not None:
@@ -442,7 +430,7 @@ def _branch_and_bound(
             if max_nodes is not None and best["nodes"] > max_nodes:
                 best["truncated"] = True
                 return
-            here = acc + var.weight_of(val)
+            here = acc + tab[val - base]
             s2 = _pin_and_propagate(st, vid, val)
             if s2 is None:
                 continue
@@ -561,7 +549,9 @@ def _chain_feasible(store: ConstraintStore, head: int, links: list, budget: Opti
     return bool(layer)
 
 
-def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional[Budget]) -> Optional[Labeling]:
+def _chain_best(
+    store: ConstraintStore, tables: dict, head: int, links: list, budget: Optional[Budget]
+) -> Optional[Labeling]:
     """Max-product pass along a chain store: solve_best's answer, exactly.
 
     Each value of the running var keeps its best (score, prefix), where the
@@ -578,14 +568,14 @@ def _chain_best(store: ConstraintStore, head: int, links: list, budget: Optional
     weighted = [vid for vid in [head] + [leaf for _, leaf, _ in links] if vars_[vid].is_weighted]
     # Bound on |partial sum| along any path; each remaining addition can
     # move the gap between two prefixes by at most 2**-52 of it.
-    mass = sum(max(abs(w) for w in vars_[vid].weights if w != -math.inf) for vid in weighted)
+    mass = sum(max(abs(w) for w in tables[vid] if w != -math.inf) for vid in weighted)
     remaining = len(weighted)
 
     def table(vid: int) -> "list[tuple[int, float]]":
-        var = vars_[vid]
+        tab, base = tables[vid], vars_[vid].base
         out = []
         for v in doms[vid].values():
-            w = var.weights[v - var.weight_base]
+            w = tab[v - base]
             if w != -math.inf:
                 out.append((v, w))
         return out

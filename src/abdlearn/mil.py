@@ -65,47 +65,46 @@ resolves its goal by kb.resolve against the listed clauses, in the listed
 order.
 
 Scoring proves each goal shape once per setting (query packs, Blockeel et
-al., JAIR 2002; tabling is the memo form of the same idea).  The setting
-keeps the weight-free proof of each positive it scores under a closed
-program, run on placeholder tables of the items' table lengths: the leaf
-constraint stores in proof order, each with its map from item positions to
-store vars, the items whose tables the proof read, and the proof's nodes
-and depth hits.  The key is the program; the goal with each item(i) handle
-replaced by the position of i's first occurrence, so y, the list length
-and any repeated item stay in it; value_base; and each item's table
-length.  It is exact in a setting with no fact abducible: the proof tree
-and every store's domains depend on the item tables only through the
-initial domains, which value_base and the table lengths set, and the
-background knowledge names no item handle.  A positive whose key is
-stored adds the proof's nodes and depth hits to the budget, reads every
+al., JAIR 2002; tabling is the memo form of the same idea).  A store holds
+no weights, as solve_best reads the item tables from its caller, so the
+setting keeps the proof of each positive it scores under a closed program
+as it ran: the leaf constraint stores in proof order, each with its map
+from item positions to store vars, the items whose tables the proof read,
+and the proof's nodes and depth hits.  The key is the program; the goal
+with each item(i) handle replaced by the position of i's first occurrence,
+so y, the list length and any repeated item stay in it; value_base; and
+each item's table length.  It is exact in a setting with no fact
+abducible: the proof tree and every store depend on the item tables only
+through the initial domains, which value_base and the table lengths set,
+and the background knowledge names no item handle.  A positive whose key
+is stored adds the proof's nodes and depth hits to the budget, reads every
 table the proof read (a missing or malformed one raises as before), and
-solves each leaf store with its own item tables in place of the
-placeholders, as a proof run for it does: that store equals the one a
-proof on its own tables builds, so labeling, log_prob bits and solver
-counts are the same.  The memo is bypassed in a setting with a fact
-abducible (a dyadic leaf carries pair log-probabilities and abduced facts,
-and a zero-probability pair ends its branch), in generation and
+hands each stored leaf store, as it is, to the solver with its own tables:
+that store equals the one its own proof builds, so labeling, log_prob bits
+and solver counts are the same.  The memo is bypassed in a setting with a
+fact abducible (a dyadic leaf carries pair log-probabilities and abduced
+facts, and a zero-probability pair ends its branch), in generation and
 feasibility-only proofs, and whenever the budget could not run the whole
 proof (max_nodes below its nodes, or the budget already out); a proof that
 ran the budget out is not stored.
 
-Scoring solves each distinct constraint store once per induce call, be its
-proof run or replayed: the two base cases of a recursive program, say,
-build the same chain store on every example.  The answer and the solver
-work it cost are kept in a map that lives for that call, and a store equal
-to one solved before takes the answer and adds the same counts to the
-budget, so the counters read as if it had been solved again.
+Scoring solves each distinct constraint store under the same tables once
+per induce call, be its proof run or replayed: the two base cases of a
+recursive program, say, build the same chain store on every example.  The
+answer and the solver work it cost are kept in a map, keyed by store
+content and tables, that lives for that call; a store met again takes the
+answer and adds the same counts to the budget, so the counters read as if
+it had been solved again.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .fd import ADD, EQC, MUL, ConstraintStore, FDVar, Labeling, WeightTable, _completion_exists, solve_best
+from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, _completion_exists, solve_best
 from .kb import Budget, KnowledgeBase, resolve, solve
 from .metarules import (
     MetaSub,
@@ -191,6 +190,19 @@ def _no_pair(a: int, b: int) -> float:
     raise KeyError((a, b))
 
 
+class WeightTable(tuple):
+    """Per-value log-probabilities, checked to sum to 1 in probability space."""
+
+    __slots__ = ()
+
+    def __new__(cls, log_weights: Iterable[float]) -> "WeightTable":
+        ws = super().__new__(cls, (float(w) for w in log_weights))
+        total = sum(math.exp(w) for w in ws)
+        if not abs(total - 1.0) <= 1e-9:  # a NaN total fails this too
+            raise ValueError(f"weight table must sum to 1 in probability space, got {total}")
+        return ws
+
+
 class TableFacts:
     """The fact oracle: probabilities perception gives the abducible facts.
 
@@ -204,8 +216,8 @@ class TableFacts:
     Both are filled when the oracle is built, except pairs given as a
     function, which fill on first read: one call per pair however often it
     is read.  An item table is checked to sum to 1 on its first read as a
-    weight table, and only then: it is kept as the fd.WeightTable the check
-    builds, which the store does not check again.  The constructor takes
+    weight table, and only then: it is kept as the WeightTable the check
+    builds, and every later read returns that.  The constructor takes
     explicit probabilities (handy in tests); exact builds the oracle from
     known labels, from_model from perception.
     """
@@ -625,7 +637,7 @@ def _var_for(t: Term, ab: _AbdState, facts) -> Optional[int]:
     if iid is not None:
         vid = ab.item_vars.get(iid)
         if vid is None:
-            vid = ab.store.new_weighted_var(facts.item_logweights(iid), facts.value_base)
+            vid = ab.store.new_weighted_var(len(facts.item_logweights(iid)), facts.value_base)
             ab.item_vars[iid] = vid
         return vid
     if isinstance(t, Int):
@@ -864,9 +876,10 @@ def prove(
     body is never tried (see the module docstring); that prune holds no
     proof, so it always applies.
 
-    solved, induce's per-call map from store content to solve_best's
-    untruncated answer and its solver_nodes and solver_leaves, gives the
-    answer of a store solved before and adds those counts to runtime.
+    solved, induce's per-call map from store content and tables to
+    solve_best's untruncated answer and its solver_nodes and solver_leaves,
+    gives the answer of a store solved before under the same tables and
+    adds those counts to runtime.
     found, generation's map of the programs it has recorded by key, fails
     every goal under a closed program already in it.  Under a closed
     program, without feasibility_only or found, the proof is the setting's
@@ -906,7 +919,8 @@ def _results(
                 if not _completion_exists(ab.store, runtime):
                     continue
             else:
-                labeling = _solve_once(ab.store, runtime, ctx.budget.solver_max_nodes, solved)
+                tables = {vid: ctx.facts.item_logweights(iid) for iid, vid in ab.item_vars.items()}
+                labeling = _solve_once(ab.store, tables, runtime, ctx.budget.solver_max_nodes, solved)
                 if labeling is None:
                     continue
                 total += labeling.log_prob
@@ -920,9 +934,10 @@ def _results(
 
 
 def _solve_once(
-    store: ConstraintStore, runtime: Budget, max_nodes: Optional[int], solved: Optional[dict]
+    store: ConstraintStore, tables: dict, runtime: Budget, max_nodes: Optional[int], solved: Optional[dict]
 ) -> Optional[Labeling]:
-    """solve_best(store, runtime, max_nodes), solving each content in solved once.
+    """solve_best(store, tables, runtime, max_nodes), solving each store
+    content under the same tables, in var-id order, once in solved.
 
     Only an untruncated answer is kept: solve_best reads the budget only to
     stop early, so such an answer, and the work it cost, is the same on any
@@ -930,8 +945,8 @@ def _solve_once(
     solve_best's own path.
     """
     if solved is None or not runtime.ok():
-        return solve_best(store, runtime, max_nodes)
-    key = store.content()
+        return solve_best(store, tables, runtime, max_nodes)
+    key = (store.content(), tuple([tables[vid] for vid in sorted(tables)]))
     hit = solved.get(key)
     if hit is not None:
         labeling, nodes, leaves = hit
@@ -939,7 +954,7 @@ def _solve_once(
         runtime.solver_leaves += leaves
         return labeling
     nodes, leaves = runtime.solver_nodes, runtime.solver_leaves
-    labeling = solve_best(store, runtime, max_nodes)
+    labeling = solve_best(store, tables, runtime, max_nodes)
     if labeling is None or not labeling.truncated:
         solved[key] = (labeling, runtime.solver_nodes - nodes, runtime.solver_leaves - leaves)
     return labeling
@@ -976,14 +991,9 @@ def _proof_key(goals: "Sequence[Atom]", program: Program, facts: TableFacts) -> 
     return tuple(out), list(ids)
 
 
-@functools.cache
-def _placeholder(n: int) -> WeightTable:
-    return WeightTable([-math.log(n)] * n)
-
-
 class _Reads:
-    """A fact oracle that checks each item table it is asked for, as facts
-    does, notes the item and hands out a placeholder table of its length."""
+    """A fact oracle that hands out facts' item tables and notes each item
+    it was asked for."""
 
     __slots__ = ("facts", "value_base", "items")
 
@@ -993,21 +1003,20 @@ class _Reads:
         self.items: dict = {}  # item -> None, in first-read order
 
     def item_logweights(self, item: int) -> WeightTable:
-        n = len(self.facts.item_logweights(item))
+        w = self.facts.item_logweights(item)
         self.items[item] = None
-        return _placeholder(n)
+        return w
 
 
 def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
     """_leaves, through the setting's stored proofs.
 
-    A proof is run on placeholder tables, and each leaf store takes the
-    goals' own tables before it is solved.  The stored proof of the goals'
-    key is replayed when runtime could run it whole: its nodes and depth
-    hits go onto runtime, every item table it read is read again (so a
-    missing or malformed one raises as before), and its leaves take the
-    goals' tables as a proof's do.  Otherwise the goals are proved, and the
-    proof is stored if runtime did not run out."""
+    The stored proof of the goals' key is replayed when runtime could run
+    it whole: its nodes and depth hits go onto runtime, every item table it
+    read is read again (so a missing or malformed one raises as before),
+    and each leaf hands over its stored store as it is, with the goals'
+    items mapped onto the store's vars.  Otherwise the goals are proved,
+    and the proof is stored if runtime did not run out."""
     facts = ctx.facts
     key, ids = _proof_key(goals, program, facts)
     proofs = ctx.setting._proofs
@@ -1023,35 +1032,19 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
         runtime.nodes += nodes
         runtime.depth_hits += depth_hits
         for store, vids in leaves:
-            yield _with_tables(program, store, vids, ids, facts)
+            yield program, _AbdState(store, {ids[p]: vid for p, vid in vids}), 0.0, ()
         return
     reads = _Reads(facts)
     pos = {iid: p for p, iid in enumerate(ids)}
     nodes, depth_hits = runtime.nodes, runtime.depth_hits
     leaves = []
-    for _, ab, _, _ in _leaves(goals, program, replace(ctx, facts=reads), runtime):
-        vids = [None] * len(ids)
-        for iid, vid in ab.item_vars.items():
-            vids[pos[iid]] = vid
-        leaves.append((ab.store, tuple(vids)))
-        yield _with_tables(program, *leaves[-1], ids, facts)
+    for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
+        ab = state[1]
+        leaves.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()])))
+        yield state
     if not runtime.exhausted:
         read = tuple(pos[i] for i in reads.items)
         proofs[key] = (tuple(leaves), read, runtime.nodes - nodes, runtime.depth_hits - depth_hits)
-
-
-def _with_tables(program: Program, store: Optional[ConstraintStore], vids: tuple, ids: "list[int]", facts) -> tuple:
-    """The leaf state of a store whose weighted vars, vids[p] for the item at
-    position p, carry placeholder tables: a clone with facts' tables in."""
-    item_vars = {}
-    if store is not None:
-        store = store.clone()
-        for iid, vid in zip(ids, vids):
-            if vid is not None:
-                var = store.vars[vid]
-                store.vars[vid] = FDVar(vid, var.dom, facts.item_logweights(iid), var.weight_base)
-                item_vars[iid] = vid
-    return program, _AbdState(store, item_vars), 0.0, ()
 
 
 # ---------------------------------------------------------------------------

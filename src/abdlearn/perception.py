@@ -168,21 +168,22 @@ class MLP:
             raw = f.read()
         if raw[:4] != _MAGIC:
             raise PerceptionError(f"{path}: not a model checkpoint (bad magic)")
+        if len(raw) < 36:
+            raise PerceptionError(f"{path}: truncated checkpoint")
         version, n_in, hidden, k = struct.unpack(">IIII", raw[4:20])
         if version != _VERSION:
             raise PerceptionError(f"{path}: unsupported checkpoint version {version}")
+        # the header's sizes are checked against the file before any layer is built
+        size = 36 + 8 * (n_in * hidden + hidden + hidden * k + k)
+        if len(raw) != size:
+            raise PerceptionError(f"{path}: {'truncated' if len(raw) < size else 'trailing bytes in'} checkpoint")
         lr, momentum = struct.unpack(">dd", raw[20:36])
         model = cls(n_in, k, hidden=hidden, lr=lr, momentum=momentum)
         off = 36
-        for i, p in enumerate(model.params()):
+        for p in model.params():
             n = p.size * 8
-            if off + n > len(raw):
-                raise PerceptionError(f"{path}: truncated checkpoint")
-            arr = np.frombuffer(raw[off : off + n], dtype=">f8").astype(float)
-            model.params()[i][...] = arr.reshape(p.shape)
+            p[...] = np.frombuffer(raw[off : off + n], dtype=">f8").reshape(p.shape)
             off += n
-        if off != len(raw):
-            raise PerceptionError(f"{path}: trailing bytes in checkpoint")
         return model
 
 
@@ -289,8 +290,8 @@ class PairModel:
     @classmethod
     def load(cls, path) -> "PairModel":
         net = MLP.load(path)
-        if net.n_in % 2:
-            raise PerceptionError(f"{path}: not a pair model (odd input dim)")
+        if net.n_in % 2 or net.n_classes != 2:
+            raise PerceptionError(f"{path}: not a pair model (odd input dim or not 2 outputs)")
         out = cls.__new__(cls)
         out.n_in = net.n_in // 2
         out.net = net

@@ -1,5 +1,6 @@
 """Shared random-store generators, an independent numpy brute-force oracle
-and solve_all, the exhaustive search solve_best is checked against.
+and solve_all, the exhaustive search solve_best is checked against.  A
+generated store's tables are in its plan; tables_of gives solve_best's map.
 
 Stores have the same shape the abducibles produce: each Add/Mul defines a
 fresh derived variable from existing ones, and EqConst pins any variable.
@@ -57,7 +58,7 @@ def gen_random_store(rng: np.random.Generator, max_weighted: int = 5, max_cons: 
     k = int(rng.integers(1, max_weighted + 1))
     tables = [random_weight_table(rng) for _ in range(k)]
     for tab in tables:
-        store.new_weighted_var(tab)
+        store.new_weighted_var(len(tab))
     ops: list = []
     eqcs: list = []
     n_vars = k
@@ -144,7 +145,7 @@ def gen_chain_store(
         else:
             tab = random_weight_table(rng)
         tables.append(tab)
-        store.new_weighted_var(tab)
+        store.new_weighted_var(len(tab))
     ops: list = []
     eqcs: list = []
 
@@ -204,6 +205,12 @@ def gen_chain_store(
     return store, (k, tables, ops, eqcs)
 
 
+def tables_of(plan) -> dict:
+    """solve_best's table map for a generated store: weighted var t reads
+    plan table t, as Python floats."""
+    return {t: tuple(map(float, tab)) for t, tab in enumerate(plan[1])}
+
+
 def _grid(plan):
     """Every var's value over the full 10^k grid of weighted-var
     assignments, in lexicographic var-id order, and which rows are feasible."""
@@ -254,7 +261,7 @@ def oracle_best(plan):
     return assignment, log_prob
 
 
-def solve_all(store: ConstraintStore, cap: int = 100000) -> "tuple[list[Labeling], bool]":
+def solve_all(store: ConstraintStore, tables: dict, cap: int = 100000) -> "tuple[list[Labeling], bool]":
     """All feasible labelings sorted by descending log_prob; (list, truncated).
 
     Ties in log_prob are ordered by lexicographically smaller assignment, so
@@ -273,7 +280,7 @@ def solve_all(store: ConstraintStore, cap: int = 100000) -> "tuple[list[Labeling
         nonlocal truncated
         if level == len(order):
             if _search_completion(st, None):
-                out.append(_labeling_of(st))
+                out.append(_labeling_of(st, tables))
                 if len(out) >= cap:
                     truncated = True
                     return False

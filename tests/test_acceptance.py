@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from conftest import record
-from helpers_fd import gen_random_store, oracle_best
+from helpers_fd import gen_random_store, oracle_best, tables_of
 
 from abdlearn.bench import bench_abduction, bench_metarule_sizes
 from abdlearn.em import EMConfig, run_curriculum, train
@@ -67,7 +67,7 @@ def test_criterion_01_solver_matches_bruteforce_oracle():
     t0 = time.perf_counter()
     for i in range(n_stores):
         store, plan = gen_random_store(rng, max_weighted=5, max_cons=6)
-        got = solve_best(store)
+        got = solve_best(store, tables_of(plan))
         want = oracle_best(plan)
         if want is None:
             if got is not None:

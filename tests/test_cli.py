@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from abdlearn.cli import main
+from abdlearn.perception import PairModel
 from abdlearn.tasks import TASK_IDS
 
 
@@ -307,6 +308,40 @@ def test_eval_rejects_a_truth_sidecar_that_does_not_fit(capsys, tmp_path, traine
     assert ".labels:1:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory, trained_run):
+    """Datasets for every task kind, the trained 10-class sum model
+    ("digits"), a pair model ("pair") and a file with a bad magic number."""
+    d = tmp_path_factory.mktemp("checkpoints")
+    for task in ("sum", "product", "bogosort"):
+        assert run("gen-data", "--task", task, "--out", d, "--train", 4, "--test", 4, "--lengths", "2,3") == 0
+    (d / "digits.ckpt").write_bytes((trained_run / "model.ckpt").read_bytes())
+    (d / "magic.ckpt").write_bytes(b"NOPE" + (trained_run / "model.ckpt").read_bytes()[4:])
+    PairModel(8).save(d / "pair.ckpt")
+    return d
+
+
+@pytest.mark.parametrize(
+    "task, ckpt, commands",
+    [
+        ("sum", "magic", ("eval", "bench-abduction")),
+        ("bogosort", "digits", ("eval",)),  # bench-abduction refuses a pairwise task before any model
+        ("sum", "pair", ("eval", "bench-abduction")),
+        ("product", "digits", ("eval", "bench-abduction")),  # 10 classes where product has 9
+    ],
+)
+def test_a_checkpoint_that_does_not_fit_the_task_exits_3(capsys, trained_run, checkpoints, task, ckpt, commands):
+    d = checkpoints
+    capsys.readouterr()
+    for cmd in commands:
+        args = ["--task", task, "--data", d / f"{task}_test.tsv", "--model", d / f"{ckpt}.ckpt"]
+        if cmd == "eval":
+            args += ["--program", trained_run / "program.json"]
+        assert run(cmd, *args) == 3, cmd
+        out = capsys.readouterr()
+        assert "model checkpoint" in out.err and out.out == ""
+
+
 # ---------------------------------------------------------------------------
 # benches
 
@@ -339,6 +374,20 @@ def test_bench_metarules_cli(capsys, sum_data):
     n2 = int(lines[1].split("\t")[1])
     n3 = int(lines[2].split("\t")[1])
     assert n2 < n3
+
+
+def test_bench_metarules_on_a_pairwise_task(capsys, tmp_path):
+    """The sidecar digits give the true pair order as well as the labels."""
+    d = tmp_path / "d"
+    assert run(
+        "gen-data", "--task", "sorted_concept", "--out", d, "--train", 12, "--lengths", "1,4",
+        "--noise", 0.04, "--seed", 3,
+    ) == 0
+    capsys.readouterr()
+    assert run("bench-metarules", "--task", "sorted_concept", "--data", d / "sorted_concept_train.tsv", "--sizes", 3) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("n_rules\tnodes") and lines[1].split("\t")[:1] == ["3"]
+    assert lines[1].split("\t")[3] == "1"
 
 
 @pytest.mark.parametrize("flag, value", [("--batch-size", 0), ("--batches", -1)])

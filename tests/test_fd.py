@@ -8,7 +8,16 @@ from hypothesis import strategies as st_
 from abdlearn import fd
 from abdlearn.fd import ADD, MUL, ConstraintStore, Dom, solve_best
 from abdlearn.kb import Budget
-from helpers_fd import dump, gen_chain_store, gen_random_store, oracle_best, oracle_values, random_weight_table, solve_all
+from helpers_fd import (
+    dump,
+    gen_chain_store,
+    gen_random_store,
+    oracle_best,
+    oracle_values,
+    random_weight_table,
+    solve_all,
+    tables_of,
+)
 
 
 def digit_table(peak_value: int, peak_prob: float, n: int = 10):
@@ -20,6 +29,11 @@ def digit_table(peak_value: int, peak_prob: float, n: int = 10):
 
 def uniform_table(n: int = 10):
     return [math.log(1.0 / n)] * n
+
+
+def uniform(st: ConstraintStore) -> dict:
+    """solve_best's table map with a uniform table for each weighted var of st."""
+    return {v.id: uniform_table() for v in st.vars if v.is_weighted}
 
 
 class TestDom:
@@ -38,8 +52,8 @@ class TestPostPropagate:
     def test_add_interval_oracle(self):
         # oracle: interval arithmetic [0+0, 9+9]
         st = ConstraintStore()
-        x = st.new_weighted_var(uniform_table())
-        y = st.new_weighted_var(uniform_table())
+        x = st.new_weighted_var(10)
+        y = st.new_weighted_var(10)
         n = st.new_derived_var(0, 100)
         assert st.post(ADD, x, y, n)
         assert (st.dom(n).lo, st.dom(n).hi) == (0, 18)
@@ -48,8 +62,8 @@ class TestPostPropagate:
         # oracle: brute-force filter, {v : exists w in 0..9, v+w=15} = 6..9
         expected = sorted({v for v in range(10) if any(v + w == 15 for w in range(10))})
         st = ConstraintStore()
-        x = st.new_weighted_var(uniform_table())
-        y = st.new_weighted_var(uniform_table())
+        x = st.new_weighted_var(10)
+        y = st.new_weighted_var(10)
         n = st.new_derived_var(0, 100)
         assert st.post(ADD, x, y, n)
         assert st.post_eq_const(n, 15)
@@ -59,8 +73,8 @@ class TestPostPropagate:
 
     def test_infeasible_constant(self):
         st = ConstraintStore()
-        x = st.new_weighted_var(uniform_table())
-        y = st.new_weighted_var(uniform_table())
+        x = st.new_weighted_var(10)
+        y = st.new_weighted_var(10)
         n = st.new_derived_var(0, 18)
         assert st.post(ADD, x, y, n)
         assert not st.post_eq_const(n, 100)
@@ -73,8 +87,8 @@ class TestPostPropagate:
         tx = random_weight_table(np.random.default_rng(0), 9)
         ty = random_weight_table(np.random.default_rng(1), 9)
         st = ConstraintStore()
-        x = st.new_weighted_var(tx, base=1)
-        y = st.new_weighted_var(ty, base=1)
+        x = st.new_weighted_var(9, base=1)
+        y = st.new_weighted_var(9, base=1)
         z = st.new_derived_var(1, 81)
         assert st.post(MUL, x, y, z)
         assert st.post_eq_const(z, 12)
@@ -82,14 +96,14 @@ class TestPostPropagate:
         # value 0 is in the oracle's grid at probability 0, and 0*y is not 12
         tables = [np.r_[-np.inf, tx], np.r_[-np.inf, ty]]
         want = oracle_best((2, tables, [("mul", 0, 1)], [(2, 12)]))
-        lab = solve_best(st)
+        lab = solve_best(st, {x: tuple(map(float, tx)), y: tuple(map(float, ty))})
         assert (lab.assignment, lab.log_prob) == want
 
     def test_zero_sum_chain_pins_all(self):
         st = ConstraintStore()
-        a = st.new_weighted_var(uniform_table())
-        b = st.new_weighted_var(uniform_table())
-        c = st.new_weighted_var(uniform_table())
+        a = st.new_weighted_var(10)
+        b = st.new_weighted_var(10)
+        c = st.new_weighted_var(10)
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
         assert st.post(ADD, a, b, m)
@@ -101,14 +115,14 @@ class TestPostPropagate:
 
     def test_no_constraints_store_unchanged(self):
         st = ConstraintStore()
-        x = st.new_weighted_var(uniform_table())
+        x = st.new_weighted_var(10)
         assert st.propagate()
         assert list(st.dom(x).values()) == list(range(10))
 
     def test_dump_notation(self):
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
-        x1 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
         v2 = st.new_derived_var(0, 18)
         st.post(ADD, x0, x1, v2)
         st.post_eq_const(v2, 15)
@@ -119,100 +133,117 @@ class TestSolveBest:
     def test_two_digit_sum_example(self):
         # x=[a,b], y=3; 0.8 on a=1 and 0.7 on b=2 → {a=1,b=2}, ln(0.56)
         st = ConstraintStore()
-        a = st.new_weighted_var(digit_table(1, 0.8))
-        b = st.new_weighted_var(digit_table(2, 0.7))
+        a = st.new_weighted_var(10)
+        b = st.new_weighted_var(10)
         n = st.new_derived_var(0, 18)
         st.post(ADD, a, b, n)
         st.post_eq_const(n, 3)
-        lab = solve_best(st)
+        lab = solve_best(st, {a: digit_table(1, 0.8), b: digit_table(2, 0.7)})
         assert lab is not None
         assert lab.assignment == {a: 1, b: 2}
         assert lab.log_prob == pytest.approx(math.log(0.56), abs=1e-12)
 
+    def test_stores_over_different_tables_have_equal_content(self):
+        # the store holds no weights: x=[a,b], y=3 built for two examples
+        # is one content, and each example's tables pick its own labeling
+        def build(tables):
+            st = ConstraintStore()
+            xs = [st.new_weighted_var(len(t)) for t in tables]
+            n = st.new_derived_var(0, 18)
+            st.post(ADD, xs[0], xs[1], n)
+            st.post_eq_const(n, 3)
+            return st, dict(zip(xs, tables))
+
+        first, t1 = build([digit_table(1, 0.8), digit_table(2, 0.7)])
+        second, t2 = build([digit_table(3, 0.9), digit_table(0, 0.6)])
+        assert first.content() == second.content()
+        assert solve_best(first, t1).assignment == {0: 1, 1: 2}
+        assert solve_best(first, t2).assignment == solve_best(second, t2).assignment == {0: 3, 1: 0}
+
     def test_forced_single_var(self):
         st = ConstraintStore()
-        v = st.new_weighted_var(digit_table(3, 0.9))
+        v = st.new_weighted_var(10)
         st.post_eq_const(v, 7)
-        lab = solve_best(st)
+        lab = solve_best(st, {v: digit_table(3, 0.9)})
         assert lab is not None and lab.assignment == {v: 7}
 
     def test_infeasible_returns_none(self):
         st = ConstraintStore()
-        v = st.new_weighted_var(uniform_table())
+        v = st.new_weighted_var(10)
         assert not st.post_eq_const(v, 42)
-        assert solve_best(st) is None
+        assert solve_best(st, uniform(st)) is None
 
     def test_tie_breaks_lexicographically(self):
         # uniform weights: every feasible pair for x+y=3 ties; lex smallest wins
         st = ConstraintStore()
-        a = st.new_weighted_var(uniform_table())
-        b = st.new_weighted_var(uniform_table())
+        a = st.new_weighted_var(10)
+        b = st.new_weighted_var(10)
         n = st.new_derived_var(0, 18)
         st.post(ADD, a, b, n)
         st.post_eq_const(n, 3)
-        lab = solve_best(st)
+        lab = solve_best(st, uniform(st))
         assert lab.assignment == {a: 0, b: 3}
 
     def test_node_budget_truncates(self):
         st = ConstraintStore()
         for _ in range(4):
-            st.new_weighted_var(uniform_table())
-        lab = solve_best(st, max_nodes=5)
+            st.new_weighted_var(10)
+        lab = solve_best(st, uniform(st), max_nodes=5)
         assert lab is not None and lab.truncated
 
     def test_cap_before_first_labeling_reads_truncated_not_infeasible(self):
         # x0+x0#=v, v#=8 is not a chain: branch-and-bound tries x0=0 first,
         # which fails, and a one-node cap stops it before any leaf
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
         v = st.new_derived_var(0, 18)
         st.post(ADD, x0, x0, v)
         st.post_eq_const(v, 8)
         assert fd._chain_of(st) is None
-        assert solve_best(st).assignment == {x0: 4}
+        assert solve_best(st, uniform(st)).assignment == {x0: 4}
         budget = Budget()
-        lab = solve_best(st, budget, max_nodes=1)
+        lab = solve_best(st, uniform(st), budget, max_nodes=1)
         assert budget.solver_leaves == 0
         assert lab is not None and lab.truncated
         assert lab.assignment == {} and lab.log_prob == -math.inf
 
     def test_exhausted_budget_reads_truncated_on_a_chain_too(self):
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
-        x1 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
         st.post(ADD, x0, x1, st.new_derived_var(0, 18))
         assert fd._chain_of(st) is not None
         budget = Budget(max_nodes=0)
         assert not budget.tick()
-        lab = solve_best(st, budget)
+        lab = solve_best(st, uniform(st), budget)
         assert lab is not None and lab.truncated and lab.log_prob == -math.inf
 
 
 class TestSolveAll:
     def test_pairs_summing_to_three(self):
         st = ConstraintStore()
-        a = st.new_weighted_var(uniform_table())
-        b = st.new_weighted_var(uniform_table())
+        a = st.new_weighted_var(10)
+        b = st.new_weighted_var(10)
         n = st.new_derived_var(0, 18)
         st.post(ADD, a, b, n)
         st.post_eq_const(n, 3)
-        labs, truncated = solve_all(st)
+        labs, truncated = solve_all(st, uniform(st))
         assert not truncated
         got = {(lab.assignment[a], lab.assignment[b]) for lab in labs}
         assert got == {(0, 3), (1, 2), (2, 1), (3, 0)}
 
     def test_eq_only_single(self):
         st = ConstraintStore()
-        v = st.new_weighted_var(uniform_table())
+        v = st.new_weighted_var(10)
         st.post_eq_const(v, 7)
-        labs, _ = solve_all(st)
+        labs, _ = solve_all(st, uniform(st))
         assert len(labs) == 1 and labs[0].assignment == {v: 7}
 
     def test_cap_sets_truncated(self):
         st = ConstraintStore()
-        st.new_weighted_var(uniform_table())
-        st.new_weighted_var(uniform_table())
-        labs, truncated = solve_all(st, cap=5)
+        st.new_weighted_var(10)
+        st.new_weighted_var(10)
+        labs, truncated = solve_all(st, uniform(st), cap=5)
         assert truncated and len(labs) == 5
 
 
@@ -220,9 +251,9 @@ class TestOracleEquivalence:
     def test_head_of_solve_all_equals_solve_best(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            store, _plan = gen_random_store(rng, max_weighted=3, max_cons=4)
-            best = solve_best(store)
-            labs, _ = solve_all(store)
+            store, plan = gen_random_store(rng, max_weighted=3, max_cons=4)
+            best = solve_best(store, tables_of(plan))
+            labs, _ = solve_all(store, tables_of(plan))
             if best is None:
                 assert labs == []
             else:
@@ -235,7 +266,7 @@ class TestOracleEquivalence:
         for _ in range(60):
             store, plan = gen_random_store(rng, max_weighted=3, max_cons=4)
             expected = oracle_best(plan)
-            got = solve_best(store)
+            got = solve_best(store, tables_of(plan))
             if expected is None:
                 assert got is None
             else:
@@ -250,7 +281,7 @@ class TestOracleEquivalence:
         for _ in range(30):
             store, plan = gen_random_store(rng, max_weighted=3, max_cons=4)
             k, tables, ops, eqcs = plan
-            labs, _ = solve_all(store.clone())
+            labs, _ = solve_all(store.clone(), tables_of(plan))
             surviving = {t: set() for t in range(k)}
             for lab in labs:
                 for t in range(k):
@@ -266,14 +297,14 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(17)
         for _ in range(20):
             store, plan = gen_random_store(rng, max_weighted=3, max_cons=3)
-            before = solve_best(store.clone())
+            before = solve_best(store.clone(), tables_of(plan))
             if before is None:
                 continue
             vid = int(rng.integers(0, len(store.vars)))
             dom = store.dom(vid)
             c = int(rng.integers(dom.lo, dom.hi + 1)) if dom.lo <= dom.hi else 0
             store.post_eq_const(vid, c)
-            after = solve_best(store)
+            after = solve_best(store, tables_of(plan))
             if after is not None:
                 assert after.log_prob <= before.log_prob + 1e-12
 
@@ -309,7 +340,7 @@ class TestChainStores:
             for _ in range(40 if k < 6 else 8):
                 store, plan = gen_chain_store(rng, k, kind=kind)
                 want = oracle_best(plan)
-                got = solve_best(store)
+                got = solve_best(store, tables_of(plan))
                 if want is None:
                     assert got is None, dump(store)
                     assert not fd._completion_exists(store, None) or _has_neg_inf(plan)
@@ -327,28 +358,28 @@ class TestChainStores:
         compared = 0
         for k in range(7, 13):
             for _ in range(2):
-                store, _plan = gen_chain_store(rng, k, kind=kind, p_uniform=0.0)
+                store, plan = gen_chain_store(rng, k, kind=kind, p_uniform=0.0)
                 budget = Budget()
-                want = fd._branch_and_bound(store, budget, max_nodes=2000)
+                want = fd._branch_and_bound(store, tables_of(plan), budget, max_nodes=2000)
                 if budget.solver_nodes > 2000:
                     continue  # branch-and-bound gave up, maybe before any labeling
                 compared += 1
-                assert _same(solve_best(store), want), dump(store)
+                assert _same(solve_best(store, tables_of(plan)), want), dump(store)
                 assert fd._completion_exists(store, None) == fd._search_completion(store, None)
         assert compared >= 9
 
     def test_uniform_tables_break_ties_lexicographically(self):
         # x0+x1+x2 = 20 over uniform digits: lex-smallest is (2, 9, 9)
         st = ConstraintStore()
-        xs = [st.new_weighted_var(uniform_table()) for _ in range(3)]
+        xs = [st.new_weighted_var(10) for _ in range(3)]
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
         st.post(ADD, xs[0], xs[1], m)
         st.post(ADD, m, xs[2], n)
         st.post_eq_const(n, 20)
-        lab = solve_best(st)
+        lab = solve_best(st, uniform(st))
         assert lab.assignment == {xs[0]: 2, xs[1]: 9, xs[2]: 9}
-        assert _same(lab, fd._branch_and_bound(st))
+        assert _same(lab, fd._branch_and_bound(st, uniform(st)))
 
     def test_near_tie_resolved_on_the_final_sums(self):
         # x0+x1+x2 = 1 leaves (1,0,0), (0,1,0) and (0,0,1).  After two vars
@@ -365,7 +396,7 @@ class TestChainStores:
         if not (w0[1] + w1[0] > w0[0] + w1[1] and (w0[1] + w1[0]) + w2[0] == (w0[0] + w1[1]) + w2[0]):
             pytest.skip("this platform's log rounds the tables differently")
         st = ConstraintStore()
-        xs = [st.new_weighted_var(t) for t in tables]
+        xs = [st.new_weighted_var(len(t)) for t in tables]
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
         st.post(ADD, xs[0], xs[1], m)
@@ -373,62 +404,63 @@ class TestChainStores:
         st.post_eq_const(n, 1)
         want = oracle_best((3, tables, [("add", 0, 1), ("add", 3, 2)], [(4, 1)]))
         assert want[0] == {0: 0, 1: 1, 2: 0}
-        lab = solve_best(st)
+        lab = solve_best(st, dict(zip(xs, tables)))
         assert (lab.assignment, lab.log_prob) == want
 
     def test_out_of_order_chain_keeps_var_id_tie_break(self):
         # (x1+x2)+x0 = 1 over uniform digits: every solution ties, and the
         # lex-smallest in var-id order is x0=0, x1=0, x2=1
         st = ConstraintStore()
-        x0, x1, x2 = (st.new_weighted_var(uniform_table()) for _ in range(3))
+        x0, x1, x2 = (st.new_weighted_var(10) for _ in range(3))
         m = st.new_derived_var(0, 18)
         n = st.new_derived_var(0, 27)
         st.post(ADD, x1, x2, m)
         st.post(ADD, m, x0, n)
         st.post_eq_const(n, 1)
-        assert solve_best(st).assignment == {x0: 0, x1: 0, x2: 1}
+        assert solve_best(st, uniform(st)).assignment == {x0: 0, x1: 0, x2: 1}
 
     def test_infeasible_pin_returns_none(self):
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
-        x1 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
         m = st.new_derived_var(0, 18)
         st.post(ADD, x0, x1, m)
         assert not st.post_eq_const(m, 19)
-        assert solve_best(st) is None
+        assert solve_best(st, uniform(st)) is None
         assert not fd._completion_exists(st, None)
 
     def test_neg_inf_everywhere_feasible_returns_none(self):
         # the only sums that fit need a value of probability zero
         st = ConstraintStore()
-        x0 = st.new_weighted_var([0.0] + [-math.inf] * 9)
-        x1 = st.new_weighted_var([0.0] + [-math.inf] * 9)
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
         m = st.new_derived_var(0, 18)
         st.post(ADD, x0, x1, m)
         st.post_eq_const(m, 5)
-        assert solve_best(st) is None
-        assert fd._branch_and_bound(st) is None
+        tables = {x0: [0.0] + [-math.inf] * 9, x1: [0.0] + [-math.inf] * 9}
+        assert solve_best(st, tables) is None
+        assert fd._branch_and_bound(st, tables) is None
         assert fd._completion_exists(st, None)  # feasibility ignores weights
 
     def test_counters(self):
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
-        x1 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
         m = st.new_derived_var(0, 18)
         st.post(ADD, x0, x1, m)
         st.post_eq_const(m, 3)
         budget = Budget()
-        solve_best(st, budget)
+        solve_best(st, uniform(st), budget)
         # x0 in 0..3, x1 in 0..3: four transitions reach the pinned sum
         assert (budget.solver_nodes, budget.solver_leaves) == (4, 1)
 
     def test_chain_ignores_node_cap(self):
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
-        x1 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
         m = st.new_derived_var(0, 18)
         st.post(ADD, x0, x1, m)
-        lab = solve_best(st, max_nodes=1)
+        lab = solve_best(st, uniform(st), max_nodes=1)
         assert lab is not None and not lab.truncated
         assert lab.assignment == {x0: 0, x1: 0}
 
@@ -436,27 +468,27 @@ class TestChainStores:
         calls = []
         real = fd._branch_and_bound
 
-        def spy(store, budget=None, max_nodes=None):
+        def spy(store, tables, budget=None, max_nodes=None):
             calls.append(store)
-            return real(store, budget, max_nodes)
+            return real(store, tables, budget, max_nodes)
 
         monkeypatch.setattr(fd, "_branch_and_bound", spy)
         # x0 consumed twice: x0+x0 = v1
         st = ConstraintStore()
-        x0 = st.new_weighted_var(uniform_table())
+        x0 = st.new_weighted_var(10)
         v = st.new_derived_var(0, 18)
         st.post(ADD, x0, x0, v)
         st.post_eq_const(v, 8)
         assert fd._chain_of(st) is None
-        lab = solve_best(st)
+        lab = solve_best(st, uniform(st))
         assert lab.assignment == {x0: 4} and len(calls) == 1
         # a chain store does not
         st2 = ConstraintStore()
-        a = st2.new_weighted_var(uniform_table())
-        b = st2.new_weighted_var(uniform_table())
+        a = st2.new_weighted_var(10)
+        b = st2.new_weighted_var(10)
         w = st2.new_derived_var(0, 18)
         st2.post(ADD, a, b, w)
-        solve_best(st2)
+        solve_best(st2, uniform(st2))
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -489,7 +521,7 @@ class TestChainStores:
     )
     def test_shapes_that_are_not_chains(self, build):
         st = ConstraintStore()
-        w = [st.new_weighted_var(uniform_table()) for _ in range(4)]
+        w = [st.new_weighted_var(10) for _ in range(4)]
         build(st, w)
         assert fd._chain_of(st) is None
 
@@ -527,7 +559,8 @@ _leaf = st_.one_of(
 )
 def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
     st = ConstraintStore()
-    ws = [st.new_weighted_var(_table_from_counts(arg)) for t, arg in leaves if t == "w"]
+    tables = [_table_from_counts(arg) for t, arg in leaves if t == "w"]
+    ws = [st.new_weighted_var(len(tab)) for tab in tables]
     ids = iter(ws)
     chain = []
 
@@ -554,7 +587,8 @@ def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
         st.post_eq_const(chain[pos % len(chain)], c)
     if not st.failed:
         assert fd._chain_of(st) is not None
-    assert _same(solve_best(st), fd._branch_and_bound(st))
+    by_var = dict(zip(ws, tables))
+    assert _same(solve_best(st, by_var), fd._branch_and_bound(st, by_var))
     assert fd._completion_exists(st, None) == (not st.failed and fd._search_completion(st, None))
 
 

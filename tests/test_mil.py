@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abdlearn.fd import ADD, EQC
+from abdlearn.fd import ADD, EQC, ConstraintStore
 from abdlearn.kb import Budget, deduce, standard_kb
 from abdlearn.metarules import (
     MetaruleError,
@@ -1074,8 +1074,8 @@ def test_solve_map_changes_no_outcome_or_counter(batch, solver_cap):
 
 def test_solve_map_solves_a_shared_store_once():
     """Both base cases of the sum program build the same chain store on
-    each example: with the map each store is solved once, without it some
-    are solved twice."""
+    each example: with the map each store is solved once under its tables,
+    without it some are solved twice."""
     facts = TableFacts({i: digit_table(d) for i, d in enumerate([1, 2, 3, 4, 5])})
     examples = [GoalExample(item_goal([0, 1], 3)), GoalExample(item_goal([2, 3, 4], 12))]
 
@@ -1083,9 +1083,9 @@ def test_solve_map_solves_a_shared_store_once():
         seen = []
         plain = mil.solve_best
 
-        def spy(store, *a, **kw):
-            seen.append(store.content())
-            return plain(store, *a, **kw)
+        def spy(store, tables, *a, **kw):
+            seen.append((store.content(), tuple(sorted(tables.items()))))
+            return plain(store, tables, *a, **kw)
 
         mp.setattr(mil, "solve_best", spy)
         assert induce(examples, sum_setting(), facts, SearchBudget(max_clauses=2)).induced is not None
@@ -1347,6 +1347,36 @@ def test_shared_proof_reads_every_table_it_read():
     lab = score_example(ex, skip_to_last, setting, TableFacts({5: [0.5] * 10, 6: digit_table(2)}), SearchBudget())
     assert lab is not None and lab.item_labels == ((6, 2),)
     assert len(setting._proofs) == 2
+
+
+def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
+    """A second sum example of the first one's shape, with other items and
+    tables, replays the stored proof: the solver gets the stored leaf
+    stores themselves, no store is cloned, and each result matches a proof
+    run with the memo off, log_prob bits, labeling and item map alike."""
+    shared, fresh = sum_setting(), _unshared(sum_setting())
+    first = TableFacts({i: digit_table(d) for i, d in enumerate([3, 1, 4])})
+    second = TableFacts({i: digit_table(d) for i, d in zip([7, 8, 9], [2, 2, 4])})
+
+    def stream(setting, goal, facts):
+        return [
+            (r.log_prob.hex(), r.labeling.assignment, r.item_vars)
+            for r in prove(goal, SUM_PROG, setting, facts, allow_new_clauses=False)
+        ]
+
+    want_first = stream(fresh, item_goal([0, 1, 2], 8), first)
+    assert stream(shared, item_goal([0, 1, 2], 8), first) == want_first
+    ((leaves, *_),) = shared._proofs.values()
+    solved, clones = [], []
+    plain_solve, plain_clone = mil.solve_best, ConstraintStore.clone
+    monkeypatch.setattr(mil, "solve_best", lambda store, *a: solved.append(store) or plain_solve(store, *a))
+    monkeypatch.setattr(ConstraintStore, "clone", lambda store: clones.append(store) or plain_clone(store))
+    got = stream(shared, item_goal([7, 8, 9], 8), second)
+    monkeypatch.undo()
+    assert clones == [] and len(shared._proofs) == 1
+    assert len(solved) == len(leaves) > 0 and all(a is b for a, (b, _) in zip(solved, leaves))
+    assert got == stream(fresh, item_goal([7, 8, 9], 8), second)
+    assert [lab for _, lab, _ in got] != [lab for _, lab, _ in want_first]
 
 
 def test_shared_proofs_are_keyed_by_table_length_and_value_base():

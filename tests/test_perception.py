@@ -1,6 +1,8 @@
 """Perception model tests: forward pass, backprop vs finite differences,
 antisymmetric pair wrapper, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -322,9 +324,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
     model = MLP(4, 3)
     path = tmp_path / "trunc.bin"
     model.save(path)
-    path.write_bytes(path.read_bytes()[:-9])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-9])
     with pytest.raises(PerceptionError):
         MLP.load(path)
+    # a cut header, trailing bytes, and a header whose sizes the file cannot
+    # hold (8 TiB of weights): each is refused before any layer is built
+    huge = raw[:8] + struct.pack(">III", 2**20, 2**20, 3) + raw[20:]
+    for cut in (raw[:10], raw + b"\x00" * 8, huge):
+        path.write_bytes(cut)
+        with pytest.raises(PerceptionError):
+            MLP.load(path)
 
 
 def test_pair_checkpoint_roundtrip(tmp_path):
