@@ -27,7 +27,7 @@ from .metarules import (
     program_text,
     program_to_json,
 )
-from .mil import SearchBudget
+from .mil import SearchBudget, SettingError
 from .perception import MLP, PairModel, PerceptionError
 from .tasks import (
     Metrics,
@@ -465,6 +465,17 @@ def cmd_bench_abduction(args: argparse.Namespace) -> int:
     return OK
 
 
+def _builds_alone(task: Task) -> bool:
+    """Whether task's setting builds from its own background knowledge: a
+    body pool may name a predicate that only a curriculum's first stage
+    defines."""
+    try:
+        task.setting()
+    except SettingError:
+        return False
+    return True
+
+
 def cmd_bench_metarules(args: argparse.Namespace) -> int:
     task = make_task(args.task)
     if args.limit < 0:
@@ -534,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     ba.set_defaults(fn=cmd_bench_abduction)
 
     bm = sub.add_parser("bench-metarules", help="search cost vs metarule-set size (worst case per size)")
-    bm.add_argument("--task", required=True, choices=sorted(TASK_IDS))
+    bm.add_argument("--task", required=True, choices=sorted(t for t in TASK_IDS if _builds_alone(make_task(t))))
     bm.add_argument("--data", required=True)
     bm.add_argument("--sizes", default="2,3,9")
     bm.add_argument("--limit", type=int, default=0, help="use only the first N examples")

@@ -55,14 +55,57 @@ Generation adds a second prune of the same kind: under a closed program
 that it has already recorded, every goal fails at once, since the branch
 could only yield that program again.
 
+Generation lists a new clause only if it type-checks against the call
+(typed MIL: Morel, Cropper & Ong, JELIA 2019), with every type derived,
+none declared.  A type is int, item, list(T) or a type variable, and
+comes from one of four places:
+  - the call's own argument terms: an Int is int, an item(i) handle item,
+    a proper list list(T) when its items' types all agree with T, and
+    anything else a wildcard (a fresh type variable): an fdv(v) reference,
+    an unbound variable, a list whose items' types clash;
+  - a background predicate of one clause, its head: [H|T] is list(X) with
+    H : X and T : list(X), [] is list(X), an Int is int, a head variable
+    its own type variable, and any other term a wildcard;
+  - an abducible, its kind: add and mult are list(X) -> list(X), eq is
+    list(X) -> int, and a fact is list(X);
+  - nowhere: builtins (permute/3), predicates of several clauses and the
+    inducible ones, target and invented, are untyped.
+A new clause is dropped when its variables cannot take types that agree
+with the call's and with a renamed-apart instance of each typed body
+predicate's signature, that is when terms.unify (which occurs-checks)
+fails on them.  Closed programs list no new clause, so scoring and eval
+read the lists unfiltered and never compute a call's types.
+
+Why no proof is lost.  A type states a shape: int an Int, item an item
+handle, list(X) a list cell or [] whose items have type X.  A call's types
+hold of its arguments at the call and of every instance of them, since
+bindings only refine a term.  A signature's types hold of every success of
+its predicate: a success of a one-clause predicate is an instance of its
+head, and an abducible checks the shape it needs before it succeeds (eq's
+output must already be an Int).  A clash asks one term to have two shapes,
+an Int and a list cell, say, or to be a list that contains itself, which
+no unifier gives; so the clause is in no proof, and generation, which
+records only the clauses of successful proofs, builds the same programs in
+fewer nodes.  Two kinds of position stay wildcards at the call because
+their shape is not written in the term: an unbound variable can still
+become anything, and an fdv(v) reference names a value the store computes.
+Whatever type the position of an fdv(v) takes, the reference unifies with
+no Int, handle or list cell, so a use that needs one of those fails at run
+time too.  The argument takes each typed list's items to share one type,
+an fdv(v) fitting any.  So do the goals' lists (a list of clashing items
+is a wildcard), and so do their sublists, add and mult outputs and
+permutations.
+
 The clauses that may resolve an inducible goal are listed once per
 setting: _clause_choices enumerates them, recorded ones first and then the
 new ones within the clause budget, and the setting keeps each list, as
 (clause, program with it) pairs, keyed by program, predicate, arity,
-whether new clauses are allowed and the clause budget, which is all the
-enumeration and its productivity prune read.  Each inducible call then
-resolves its goal by kb.resolve against the listed clauses, in the listed
-order.
+whether new clauses are allowed, the clause budget and, under a program
+that can still grow, the call's types, which is all the enumeration, its
+type check and its productivity prune read; the type check of each new
+clause against each call's types is decided once per setting too.  Each
+inducible call then resolves its goal by kb.resolve against the listed
+clauses, in the listed order.
 
 Scoring proves each goal shape once per setting (query packs, Blockeel et
 al., JAIR 2002; tabling is the memo form of the same idea).  A store holds
@@ -99,6 +142,7 @@ it had been solved again.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -120,11 +164,14 @@ from .terms import (
     Int,
     Struct,
     Subst,
+    Sym,
     Term,
     Var,
     is_nil,
     proper_list_items,
     rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
+    rename_term,
+    term_vars,
     unify,
     unify_atoms,
 )
@@ -402,12 +449,16 @@ class InductionSetting:
     _choices: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
     _proofs: Optional[dict] = field(init=False, repr=False)
+    _signatures: dict = field(init=False, repr=False)
+    _typed: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
         self._clauses = {}
         self._choices = {}
         self._productive = {}
+        self._signatures = _signatures(self.kb, self.abducibles)
+        self._typed = {}
         # Weight-free proofs by goal shape (see the module docstring); a
         # dyadic leaf carries pair log-probabilities and abduced facts, and
         # a zero-probability pair ends its branch, so such a setting keeps none.
@@ -437,6 +488,15 @@ class InductionSetting:
         if done is None:
             done = self._productive[prog] = _productive(prog, self)
         return done
+
+    def well_typed(self, ms: MetaSub, types: tuple) -> bool:
+        """_well_typed of ms's clause against a call of the given types,
+        decided once per setting."""
+        key = (ms, types)
+        ok = self._typed.get(key)
+        if ok is None:
+            ok = self._typed[key] = _well_typed(self.clause_of(ms), types, self._signatures)
+        return ok
 
     def taken_names(self) -> "set[str]":
         names = {n for n, _ in self.kb.predicates()}
@@ -543,7 +603,8 @@ class InduceOutcome:
     failure says why induced is None, by the first reason that holds:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
     (the depth bound cut some branch, so a program may lie beyond it; a
-    branch through a clause that would close an unproductive program, or
+    branch through a clause that would close an unproductive program or
+    through a new clause that does not type-check against its call, or
     under a closed program generation has recorded, is not searched, so a
     cut it would have met is not counted: it could hold no new program),
     "unscorable" (a candidate proves every positive, weights aside, yet none
@@ -591,14 +652,17 @@ class _Ctx:
         """prog can gain no clause in this search."""
         return not (self.allow_new and prog.size < self.budget.max_clauses)
 
-    def choices(self, prog: Program, pred: str, arity: int) -> "list[tuple[Clause, Program]]":
+    def choices(
+        self, prog: Program, pred: str, arity: int, types: Optional[tuple] = None
+    ) -> "list[tuple[Clause, Program]]":
         """(clause, program with it) for each clause _clause_choices offers a
-        goal on pred/arity under prog, listed once per setting."""
-        key = (prog, pred, arity, self.allow_new, self.budget.max_clauses)
+        goal on pred/arity of the given call types under prog, listed once
+        per setting."""
+        key = (prog, pred, arity, self.allow_new, self.budget.max_clauses, types)
         out = self.setting._choices.get(key)
         if out is None:
             clause_of = self.setting.clause_of
-            out = [(clause_of(ms), prog2) for ms, prog2 in _clause_choices(pred, arity, prog, self)]
+            out = [(clause_of(ms), prog2) for ms, prog2 in _clause_choices(pred, arity, prog, self, types)]
             self.setting._choices[key] = out
         return out
 
@@ -749,22 +813,28 @@ def _body_in(c: Clause, inducible: set, productive: set) -> bool:
 
 
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
-    """g resolved by kb.resolve on a metarule clause of the program, recorded or new."""
+    """g resolved by kb.resolve on a metarule clause of the program, recorded
+    or new; only a program that can gain a clause reads g's types."""
     prog = state[0]
-    size = _arg1_size(g)
+    if ctx.closed(prog):
+        size, types = _arg1_size(g), None
+    else:
+        size, types = _call_types(g)
     if not _descends(anc, g.pred, size):
         return
     anc2 = anc + ((g.pred, size),) if size is not None else anc
-    for clause, prog2 in ctx.choices(prog, g.pred, len(g.args)):
+    for clause, prog2 in ctx.choices(prog, g.pred, len(g.args), types):
         step = resolve(g, clause, s)
         if step is not None:
             yield step[0], anc2, step[1], (prog2, *state[1:])
 
 
-def _clause_choices(pred: str, arity: int, prog: Program, ctx: _Ctx):
+def _clause_choices(pred: str, arity: int, prog: Program, ctx: _Ctx, types: Optional[tuple] = None):
     """(metasub, program with it) for each clause that may resolve a goal on
     pred/arity, but for a clause that leaves a closed program unable to
-    prove one of its inducible body predicates: no proof runs through it."""
+    prove one of its inducible body predicates, and, given the call's
+    types, a new clause that does not type-check against them: no proof
+    runs through either."""
     setting = ctx.setting
 
     def live(ms: MetaSub, prog2: Program) -> bool:
@@ -788,6 +858,8 @@ def _clause_choices(pred: str, arity: int, prog: Program, ctx: _Ctx):
         for ms, prog2 in _new_metasubs(mr, pred, prog, ctx):
             if ms in prog.metasubs:
                 continue  # identical clause already recorded; reuse covered it
+            if types is not None and not setting.well_typed(ms, types):
+                continue
             prog2 = prog2.extend(ms)
             if live(ms, prog2):
                 yield ms, prog2
@@ -841,6 +913,144 @@ def _new_metasubs(mr: Metarule, head_pred: str, prog: Program, ctx: _Ctx):
                 yield from rec(i + 1, {**bound, ev: cand}, prog2)
 
     yield from rec(0, {}, prog)
+
+
+# ---------------------------------------------------------------------------
+# Types of clause variables (see the module docstring)
+# ---------------------------------------------------------------------------
+
+_INT, _ITEM = Sym("int"), Sym("item")  # type terms; list(T) is Struct("list", (T,))
+
+
+def _list_of(t: Term) -> Struct:
+    return Struct("list", (t,))
+
+
+_ANY_LIST = _list_of(Var("#T"))
+_KIND_TYPES = {
+    ADD: (_ANY_LIST, _ANY_LIST),
+    MUL: (_ANY_LIST, _ANY_LIST),
+    EQC: (_ANY_LIST, _INT),
+    ABD_FACT: (_ANY_LIST,),
+}
+_MIXED = "mixed"  # what _meet gives two types that clash
+
+
+def _meet(a, b):
+    """The common instance of call types a and b, _MIXED if they clash.  A
+    call type is "int", "item", ("list", item type) or None, a wildcard."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    if a.__class__ is tuple and b.__class__ is tuple:
+        e = _meet(a[1], b[1])
+        return _MIXED if e is _MIXED else ("list", e)
+    return _MIXED
+
+
+def _call_type(t: Term):
+    """(type, length) of term t at the call: "int" for an Int, "item" for
+    an item(i) handle, ("list", T) for a proper list whose items' types
+    meet in T, else None; length counts a proper list's items, and is None
+    for any other term."""
+    cls = t.__class__
+    if cls is Int:
+        return "int", None
+    if cls is not Struct:
+        return None, None
+    if t.functor == "." and len(t.args) == 2:
+        n, elem = 0, None
+        while t.__class__ is Struct and t.functor == "." and len(t.args) == 2:
+            if elem is not _MIXED:
+                elem = _meet(elem, _call_type(t.args[0])[0])
+            n += 1
+            t = t.args[1]
+        if not is_nil(t):
+            return None, None
+        return (None if elem is _MIXED else ("list", elem)), n
+    if is_nil(t):
+        return ("list", None), 0
+    return ("item" if _item_id(t) is not None else None), None
+
+
+def _call_types(g: Atom) -> "tuple[Optional[int], tuple]":
+    """_arg1_size of g and the call type of each of its arguments, from
+    one walk of each."""
+    typed = [_call_type(t) for t in g.args]
+    return (typed[0][1] if typed else None), tuple([ty for ty, _ in typed])
+
+
+def _type_term(ty, wildcard: str) -> Term:
+    """The type term of call type ty, its wildcard a variable so named."""
+    if ty is None:
+        return Var(wildcard)
+    if ty.__class__ is tuple:
+        return _list_of(_type_term(ty[1], wildcard))
+    return _INT if ty == "int" else _ITEM
+
+
+def _head_types(head: Atom) -> "Optional[tuple[Term, ...]]":
+    """The types of head's arguments, or None if its lists clash: [H|T] is
+    list(X) with H : X and T : list(X), [] is list(X), an Int is int, a
+    variable V the type variable #V, and any other term a wildcard."""
+    eqs = []
+    fresh = itertools.count()
+
+    def ty(t: Term) -> Term:
+        if t.__class__ is Var:
+            return Var("#" + t.name)
+        if t.__class__ is Int:
+            return _INT
+        if t.__class__ is Struct and t.functor == "." and len(t.args) == 2:
+            out = _list_of(ty(t.args[0]))
+            eqs.append((ty(t.args[1]), out))
+            return out
+        wild = Var(f"#{next(fresh)}")
+        return _list_of(wild) if is_nil(t) else wild
+
+    types = [ty(t) for t in head.args]
+    s = _unify_pairs(eqs)
+    return None if s is None else tuple([s.apply(t) for t in types])
+
+
+def _signatures(kb: KnowledgeBase, abducibles: dict) -> dict:
+    """(name, arity) -> argument types, for each background predicate of
+    one clause, read off its head, and each abducible, by its kind.  Every
+    other predicate (a builtin, one of several clauses, an inducible one)
+    is untyped."""
+    out = {}
+    for key, clauses in kb.clauses.items():
+        if len(clauses) == 1:
+            sig = _head_types(clauses[0].head)
+            if sig is not None:
+                out[key] = sig
+    for key, spec in abducibles.items():
+        out[key] = _KIND_TYPES[spec.kind]
+    return out
+
+
+def _well_typed(clause: Clause, types: tuple, signatures: dict) -> bool:
+    """Whether clause's variables can take types that agree with a call of
+    these argument types and with an instance, renamed apart, of the
+    signature of each typed body predicate."""
+    eqs = [(t, _type_term(ty, f"?{i}")) for i, (t, ty) in enumerate(zip(clause.head.args, types)) if ty is not None]
+    for i, b in enumerate(clause.body):
+        sig = signatures.get(b.key())
+        if sig is not None:
+            for t, ty in zip(b.args, sig):
+                eqs.append((t, rename_term(ty, {v: f"{v}.{i}" for v in term_vars(ty)})))
+    return _unify_pairs(eqs) is not None
+
+
+def _unify_pairs(pairs) -> Optional[Subst]:
+    """The most general unifier of every (a, b) in pairs, or None."""
+    s = Subst()
+    for a, b in pairs:
+        s = unify(a, b, s)
+        if s is None:
+            return None
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -1174,8 +1384,11 @@ def _candidate_programs(
     proof, and prove offers it only if the full program can prove every
     inducible predicate of its body: a full program whose clauses all
     recurse is never entered, where a search of it would take 2^L branches
-    down a list of L items.  Under a full program found already, prove
-    fails every goal: the branch could only find it again."""
+    down a list of L items.  A new clause that does not type-check against
+    its call is never offered either: it is in no proof.  So a depth cut
+    that a branch through either would have met is not counted.  Under a
+    full program found already, prove fails every goal: the branch could
+    only find it again."""
     seen_prefix: set = set()
     found: dict = {}
 

@@ -133,14 +133,27 @@ def sum_exact_examples():
 
 def test_bench_metarules_node_ordering(sum_exact_examples):
     task, exs = sum_exact_examples
-    subsets = [("chain", "ident"), ("chain", "ident", "postcon"), [r.name for r in default_metarules()]]
+    subsets = [
+        ("chain", "ident"),
+        ("chain", "ident", "postcon"),
+        ("chain", "ident", "conj"),
+        [r.name for r in default_metarules()],
+    ]
     rows = bench_metarules(task, exs, subsets, budget=SearchBudget(max_clauses=2))
-    assert [r.n_rules for r in rows] == [2, 3, 9]
+    assert [r.n_rules for r in rows] == [2, 3, 3, 9]
     assert all(r.solved for r in rows)
-    assert rows[0].nodes < rows[1].nodes <= rows[2].nodes
+    core, postcon, conj, every = (r.nodes for r in rows)
+    # Generation lists only clauses that type-check against the call, so
+    # postcon, P(A,B) :- Q(A,B), R(B), adds no search: on f(list, int) every
+    # instance needs B to be an int (the call's) and a list (R is empty/1,
+    # the only arity-1 body predicate), and none is listed.
+    assert postcon == core
+    # conj, P(A,B) :- Q(A,B), R(A,B), has instances that type-check, such as
+    # f(A,B) :- eq(A,B), f(A,B), so it adds search.
+    assert core < conj <= every
+    assert postcon <= every
     # same program wins under every complete subset
-    assert rows[0].score == pytest.approx(rows[1].score)
-    assert rows[0].score == pytest.approx(rows[2].score)
+    assert all(r.score == pytest.approx(rows[0].score) for r in rows)
 
 
 def test_bench_metarules_incomplete_subset_reports_unsolved(sum_exact_examples):

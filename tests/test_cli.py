@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from abdlearn.cli import main
+from abdlearn.mil import SettingError
 from abdlearn.perception import PairModel
-from abdlearn.tasks import TASK_IDS
+from abdlearn.tasks import TASK_IDS, make_task
 
 
 def run(*argv):
@@ -388,6 +389,27 @@ def test_bench_metarules_on_a_pairwise_task(capsys, tmp_path):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("n_rules\tnodes") and lines[1].split("\t")[:1] == ["3"]
     assert lines[1].split("\t")[3] == "1"
+
+
+def test_bench_metarules_offers_only_tasks_whose_setting_builds_alone(capsys, tmp_path):
+    """A task whose setting builds on its own gets as far as reading its
+    data (missing here: exit 3); any other, bogosort, whose body pool names
+    the s/1 of a curriculum's first stage, is no choice at all (exit 2)."""
+    alone = []
+    for t in TASK_IDS:
+        try:
+            make_task(t).setting()
+            alone.append(t)
+        except SettingError:
+            pass
+    assert "bogosort" not in alone and "sum" in alone
+    for t in TASK_IDS:
+        code = run("bench-metarules", "--task", t, "--data", tmp_path / "missing.tsv")
+        err = capsys.readouterr().err
+        if t in alone:
+            assert code == 3 and "dataset not found" in err
+        else:
+            assert code == 2 and "invalid choice" in err and "body pool" not in err
 
 
 @pytest.mark.parametrize("flag, value", [("--batch-size", 0), ("--batches", -1)])

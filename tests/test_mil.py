@@ -42,7 +42,7 @@ from abdlearn.mil import (
     score_example,
 )
 from abdlearn import kb as kb_module, mil, tasks
-from abdlearn.terms import Atom, Int, Var, mk_list
+from abdlearn.terms import Atom, Int, Var, mk_list, proper_list_items
 from abdlearn.parser import parse_atom
 
 BK = """
@@ -673,15 +673,16 @@ def _choice_case(task_id):
 
 
 def _choices_met(monkeypatch, setting, positives, facts) -> list:
-    """(program, predicate, arity, allow_new, max_clauses) of every clause
-    choice list that generation and closed-program proofs of the positives
-    read, at clause budgets 1 to 3 with new clauses allowed and not."""
+    """(program, predicate, arity, allow_new, max_clauses, call types) of
+    every clause choice list that generation and closed-program proofs of
+    the positives read, at clause budgets 1 to 3 with new clauses allowed
+    and not."""
     met = []
     listed = mil._Ctx.choices
 
-    def spy(ctx, prog, pred, arity):
-        met.append((prog, pred, arity, ctx.allow_new, ctx.budget.max_clauses))
-        return listed(ctx, prog, pred, arity)
+    def spy(ctx, prog, pred, arity, types=None):
+        met.append((prog, pred, arity, ctx.allow_new, ctx.budget.max_clauses, types))
+        return listed(ctx, prog, pred, arity, types)
 
     monkeypatch.setattr(mil._Ctx, "choices", spy)
     for max_clauses in (1, 2, 3):
@@ -703,12 +704,15 @@ def test_clause_choices_are_listed_once_per_setting_as_enumerated(monkeypatch, t
     met = _choices_met(monkeypatch, setting, positives, facts)
     assert {m[3] for m in met} == {True, False}
     assert {m[4] for m in met} == {1, 2, 3}
+    # call types key exactly the lists a program that can still grow reads
+    assert all((m[5] is None) == mil._Ctx(setting, facts, SearchBudget(max_clauses=m[4]), m[3]).closed(m[0])
+               for m in met)
     if task_id == "sorted_concept":
         assert any(p.invented for p, *_ in met)
-    for prog, pred, arity, allow_new, max_clauses in dict.fromkeys(met):
+    for prog, pred, arity, allow_new, max_clauses, types in dict.fromkeys(met):
         ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), allow_new)
-        fresh = [(setting.clause_of(ms), p2) for ms, p2 in mil._clause_choices(pred, arity, prog, ctx)]
-        assert ctx.choices(prog, pred, arity) == fresh
+        fresh = [(setting.clause_of(ms), p2) for ms, p2 in mil._clause_choices(pred, arity, prog, ctx, types)]
+        assert ctx.choices(prog, pred, arity, types) == fresh
 
 
 @pytest.mark.parametrize("task_id", ["sum", "product", "sorted_concept", "bogosort"])
@@ -721,11 +725,11 @@ def test_closing_clause_choices_have_productive_bodies(monkeypatch, task_id):
     setting, positives, facts = _choice_case(task_id)
     closing = dropped = 0
     invented = False
-    for prog, pred, arity, allow_new, max_clauses in dict.fromkeys(
+    for prog, pred, arity, allow_new, max_clauses, types in dict.fromkeys(
         _choices_met(monkeypatch, setting, positives, facts)
     ):
         ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=max_clauses), allow_new)
-        for clause, prog2 in ctx.choices(prog, pred, arity):
+        for clause, prog2 in ctx.choices(prog, pred, arity, types):
             if ctx.closed(prog2):
                 closing += 1
                 invented = invented or bool(prog2.invented)
@@ -736,8 +740,8 @@ def test_closing_clause_choices_have_productive_bodies(monkeypatch, task_id):
                 )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(InductionSetting, "productive", lambda self, prog: _AllProductive())
-            every = [p2 for _, p2 in mil._clause_choices(pred, arity, prog, ctx) if ctx.closed(p2)]
-        dropped += len(every) - sum(1 for _, p2 in ctx.choices(prog, pred, arity) if ctx.closed(p2))
+            every = [p2 for _, p2 in mil._clause_choices(pred, arity, prog, ctx, types) if ctx.closed(p2)]
+        dropped += len(every) - sum(1 for _, p2 in ctx.choices(prog, pred, arity, types) if ctx.closed(p2))
     assert closing > 0
     if task_id in ("sum", "sorted_concept"):
         assert dropped > 0
@@ -1045,6 +1049,113 @@ def _arith_batches(draw):
             y += task.digit_hi * length + 1
         examples.append(task.goal(ids, y))
     return examples, task, TableFacts(tables, value_base=task.value_base)
+
+
+def _pool_and_nodes(positives, setting, facts, max_clauses):
+    """Generation's pool, as program texts in pool order, and its nodes."""
+    runtime = Budget()
+    pool = mil._candidate_programs(positives, setting, SearchBudget(max_clauses=max_clauses), facts, runtime)
+    return [program_text(p, setting.library) for p in pool], runtime.nodes
+
+
+def _unfiltered_pool_and_nodes(positives, setting, facts, max_clauses):
+    """_pool_and_nodes with the type check passing every clause."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "_well_typed", lambda *a: True)
+        return _pool_and_nodes(positives, setting, facts, max_clauses)
+
+
+def _typed_case(task_id):
+    """A task and eight positives of lengths 1 to 4, twice: as item goals
+    with tables that put 0.9 on the true digit, and as ground Int goals
+    with exact (empty) tables."""
+    task = tasks.make_task(task_id)
+    rng = np.random.default_rng(3)
+    tables, items, ground, ids = {}, [], [], iter(range(100))
+    for length in (1, 2, 3, 4, 1, 2, 3, 4):
+        ds = [int(d) for d in rng.integers(task.digit_lo, task.digit_hi + 1, size=length)]
+        handles = [next(ids) for _ in ds]
+        tables.update((i, digit_table(d - task.value_base, n=task.n_classes)) for i, d in zip(handles, ds))
+        items.append(task.goal(handles, task.y_of(ds)))
+        ground.append(GoalExample(int_goal(ds, task.y_of(ds))))
+    return task, {"item": (items, TableFacts(tables, task.value_base)), "int": (ground, TableFacts.exact())}
+
+
+@pytest.mark.parametrize("task_id", ["sum", "product"])
+@pytest.mark.parametrize("kind", ["item", "int"])
+def test_typed_generation_keeps_every_program_in_fewer_nodes(task_id, kind):
+    """At clause budgets 1 to 4, generation's pool equals the unfiltered
+    enumeration's, in the same order, and the type check drops nodes at
+    every budget."""
+    task, cases = _typed_case(task_id)
+    positives, facts = cases[kind]
+    for max_clauses in (1, 2, 3, 4):
+        typed = _pool_and_nodes(positives, task.setting(), facts, max_clauses)
+        every = _unfiltered_pool_and_nodes(positives, task.setting(), facts, max_clauses)
+        assert typed[0] == every[0]
+        assert typed[1] < every[1]
+    assert typed[0]  # the pool at budget 4 is not empty
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=_arith_batches(), ground=st.booleans())
+def test_typed_generation_keeps_the_unfiltered_pool(batch, ground):
+    """On random sum and product batches, as item goals under noisy tables
+    or as ground Int goals (each item replaced by its most probable digit)
+    under exact tables, generation's pool at clause budgets 1 to 4 equals
+    the unfiltered enumeration's, and its nodes are never more."""
+    examples, task, facts = batch
+    positives = [e for e in examples if e.positive]
+    if ground:
+        positives = [
+            GoalExample(int_goal([facts.item_label(mil._item_id(t)) for t in proper_list_items(e.goal.args[0])],
+                                 e.goal.args[1].value))
+            for e in positives
+        ]
+        facts = TableFacts.exact()
+    for max_clauses in (1, 2, 3, 4):
+        typed = _pool_and_nodes(positives, task.setting(), facts, max_clauses)
+        every = _unfiltered_pool_and_nodes(positives, task.setting(), facts, max_clauses)
+        assert typed[0] == every[0]
+        assert typed[1] <= every[1]
+
+
+@pytest.mark.parametrize("task_id", ["sum", "product"])
+def test_one_setting_serves_int_and_item_goals_alike(task_id):
+    """Choice lists are keyed by the call's types: one setting used first
+    with ground Int goals and then with item goals, or the other way
+    round, gives each the pool and nodes a fresh setting gives.  (Under
+    f(list(int), int), f(A,B) :- head(A,B) type-checks; under
+    f(list(item), int) it does not.)"""
+    task, cases = _typed_case(task_id)
+    budgets = (1, 2, 3)
+    fresh = {k: [_pool_and_nodes(goals, task.setting(), facts, mc) for mc in budgets] for k, (goals, facts) in cases.items()}
+    assert any("f(A,B) :- head(A,B)." in text for texts, _ in fresh["int"] for text in texts)
+    for order in (("int", "item"), ("item", "int")):
+        shared = task.setting()
+        for kind in order:
+            positives, facts = cases[kind]
+            assert [_pool_and_nodes(positives, shared, facts, mc) for mc in budgets] == fresh[kind]
+
+
+def test_generation_abduces_no_add_with_an_int_output(monkeypatch):
+    """No clause that hands an integer to add's list output, such as
+    f(A,B) :- add(A,B), is listed for f(list, int), so no such add goal
+    reaches _abduce while generation runs on a sum batch."""
+    task, cases = _typed_case("sum")
+    positives, facts = cases["item"]
+    adds = []
+    abduce = mil._abduce
+
+    def spy(spec, g, s, state, ctx):
+        if g.pred == "add":
+            adds.append(g)
+        return abduce(spec, g, s, state, ctx)
+
+    monkeypatch.setattr(mil, "_abduce", spy)
+    assert mil._candidate_programs(positives, task.setting(), SearchBudget(max_clauses=3), facts, Budget())
+    assert adds
+    assert not [g for g in adds if isinstance(g.args[1], Int)]
 
 
 def _induced_with_counters(examples, setting, facts, budget):
