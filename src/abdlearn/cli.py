@@ -128,9 +128,11 @@ def read_config(path: Path) -> "dict[str, dict]":
         raise CliError(CONFIG_ERR, f"unknown task {out['run']['task']!r}")
     if not out["data"]["train"]:
         raise CliError(CONFIG_ERR, "config is missing data.train")
-    for key in ("epochs", "batch_size", "m_epochs", "m_batch"):
+    for key in ("epochs", "batch_size", "m_epochs", "m_batch", "hidden"):
         if out["em"][key] <= 0:
             raise CliError(CONFIG_ERR, f"em.{key} must be positive")
+    if not (0.0 < out["em"]["lr"] < float("inf")):  # a NaN fails this too
+        raise CliError(CONFIG_ERR, "em.lr must be positive and finite")
     if not (0.0 < out["em"]["lr_decay"] <= 1.0):
         raise CliError(CONFIG_ERR, "em.lr_decay must be in (0, 1]")
     for key, value in out["budget"].items():
@@ -139,6 +141,8 @@ def read_config(path: Path) -> "dict[str, dict]":
     s1 = out["curriculum"]
     if bool(s1["stage1_task"]) != bool(s1["stage1_train"]):
         raise CliError(CONFIG_ERR, "curriculum needs both stage1_task and stage1_train")
+    if s1["stage1_task"] and out["em"]["pretrain"]:
+        raise CliError(CONFIG_ERR, "em.pretrain warm-starts a digit classifier; a curriculum trains a pair model")
     if s1["stage1_epochs"] <= 0 or s1["stage1_batch_size"] < 0:
         raise CliError(CONFIG_ERR, "curriculum.stage1_epochs must be positive, stage1_batch_size not negative")
     return out

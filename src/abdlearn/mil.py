@@ -107,29 +107,33 @@ clause against each call's types is decided once per setting too.  Each
 inducible call then resolves its goal by kb.resolve against the listed
 clauses, in the listed order.
 
-Scoring proves each goal shape once per setting (query packs, Blockeel et
-al., JAIR 2002; tabling is the memo form of the same idea).  A store holds
-no weights, as solve_best reads the item tables from its caller, so the
-setting keeps the proof of each positive it scores under a closed program
-as it ran: the leaf constraint stores in proof order, each with its map
-from item positions to store vars, the items whose tables the proof read,
-and the proof's nodes and depth hits.  The key is the program; the goal
-with each item(i) handle replaced by the position of i's first occurrence,
-so y, the list length and any repeated item stay in it; value_base; and
-each item's table length.  It is exact in a setting with no fact
-abducible: the proof tree and every store depend on the item tables only
-through the initial domains, which value_base and the table lengths set,
-and the background knowledge names no item handle.  A positive whose key
-is stored adds the proof's nodes and depth hits to the budget, reads every
-table the proof read (a missing or malformed one raises as before), and
-hands each stored leaf store, as it is, to the solver with its own tables:
-that store equals the one its own proof builds, so labeling, log_prob bits
-and solver counts are the same.  The memo is bypassed in a setting with a
-fact abducible (a dyadic leaf carries pair log-probabilities and abduced
-facts, and a zero-probability pair ends its branch), in generation and
-feasibility-only proofs, and whenever the budget could not run the whole
-proof (max_nodes below its nodes, or the budget already out); a proof that
-ran the budget out is not stored.
+Every proof under a closed program proves each goal shape once per setting
+(query packs, Blockeel et al., JAIR 2002; ground once, re-weight per
+example, Fierens et al., TPLP 2015): scored positives, the feasibility
+checks of negatives and induce's failure diagnosis alike, fact abducibles
+included.  The setting keeps each such proof as it ran: per leaf, its
+constraint store, its map from item positions to store vars and its
+abduced pairs as item positions in path order; the item tables and pairs
+the proof read, by position in first-read order; its nodes and depth hits.
+The key is the program; the goal with each item(i) handle replaced by the
+position of i's first occurrence (so y, the length and repeats stay in
+it); value_base; and each item's table length.  It is exact: a store holds
+no weights (solve_best takes the tables from its caller), the tree reads
+the item tables only through the initial domains, which the key sets, the
+background knowledge names no item handle, and a pair read adds its log
+or, at probability 0, ends the branch.  TableFacts.from_model clips pairs
+to [1e-9, 1 - 1e-9], so no branch ends, and the tree, each leaf's store and
+its facts are the same for every goal of the key.  A proof that read a
+pair of probability 0 (TableFacts.exact builds those) is not stored, nor
+replayed when a pair it read has one now.  A replay adds the proof's nodes
+and depth hits to the budget, re-reads its log in order (a missing pair or
+table raises as before), sums each leaf's pair log-probabilities as
+0.0 + lp1 + lp2 + ... in path order, as _abduce does, and hands each
+stored store, as it is, to the solver with its own tables or to the
+feasibility check: labelings, log_prob bits and counters are those of the
+goal's own proof.  Generation proves from scratch, and so does a goal whose
+budget could not run the whole proof (max_nodes below its nodes, or the
+budget out); a proof that ran the budget out is not stored.
 
 Scoring solves each distinct constraint store under the same tables once
 per induce call, be its proof run or replayed: the two base cases of a
@@ -448,7 +452,7 @@ class InductionSetting:
     _clauses: dict = field(init=False, repr=False)
     _choices: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
-    _proofs: Optional[dict] = field(init=False, repr=False)
+    _proofs: dict = field(init=False, repr=False)
     _signatures: dict = field(init=False, repr=False)
     _typed: dict = field(init=False, repr=False)
 
@@ -459,10 +463,7 @@ class InductionSetting:
         self._productive = {}
         self._signatures = _signatures(self.kb, self.abducibles)
         self._typed = {}
-        # Weight-free proofs by goal shape (see the module docstring); a
-        # dyadic leaf carries pair log-probabilities and abduced facts, and
-        # a zero-probability pair ends its branch, so such a setting keeps none.
-        self._proofs = None if any(a.kind == ABD_FACT for a in self.abducibles.values()) else {}
+        self._proofs = {}  # weight-free proofs by goal shape (see the module docstring)
         kb_names = {n for n, _ in self.kb.predicates()}
         for (name, arity), spec in self.abducibles.items():
             if spec.name != name or spec.arity != arity:
@@ -1091,20 +1092,16 @@ def prove(
     gives the answer of a store solved before under the same tables and
     adds those counts to runtime.
     found, generation's map of the programs it has recorded by key, fails
-    every goal under a closed program already in it.  Under a closed
-    program, without feasibility_only or found, the proof is the setting's
-    stored proof of the goals' shape when it has one (see the module
-    docstring).
+    every goal under a closed program already in it.  Without
+    allow_new_clauses the proof is the setting's stored proof of the goals'
+    shape when it has one (see the module docstring).
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
     ctx = _Ctx(setting, facts, budget, allow_new_clauses, found=found)
-    if setting._proofs is None or allow_new_clauses or feasibility_only or found is not None:
-        leaves = _leaves(goals, program, ctx, runtime)
-    else:
-        leaves = _shared_leaves(goals, program, ctx, runtime)
+    leaves = (_leaves if allow_new_clauses else _shared_leaves)(goals, program, ctx, runtime)
     yield from _results(leaves, ctx, runtime, feasibility_only, solved)
 
 
@@ -1202,59 +1199,80 @@ def _proof_key(goals: "Sequence[Atom]", program: Program, facts: TableFacts) -> 
 
 
 class _Reads:
-    """A fact oracle that hands out facts' item tables and notes each item
-    it was asked for."""
+    """A fact oracle that hands out facts' item tables and pair
+    log-probabilities and logs, by goal position, each item and pair it was
+    asked for."""
 
-    __slots__ = ("facts", "value_base", "items")
+    __slots__ = ("facts", "value_base", "pos", "log", "zero")
 
-    def __init__(self, facts: TableFacts):
+    def __init__(self, facts: TableFacts, pos: dict):
         self.facts = facts
         self.value_base = facts.value_base
-        self.items: dict = {}  # item -> None, in first-read order
+        self.pos = pos  # item -> its goal position
+        self.log: dict = {}  # item position, or pair of them -> None, in first-read order
+        self.zero = False  # some pair read has probability 0
 
     def item_logweights(self, item: int) -> WeightTable:
         w = self.facts.item_logweights(item)
-        self.items[item] = None
+        self.log[self.pos[item]] = None
         return w
+
+    def pair_logprob(self, a: int, b: int) -> float:
+        lp = self.facts.pair_logprob(a, b)
+        self.log[self.pos[a], self.pos[b]] = None
+        self.zero = self.zero or lp == -math.inf
+        return lp
+
+
+def _reread(read: tuple, ids: "list[int]", facts: TableFacts) -> Optional[dict]:
+    """Read every item table and pair in a stored proof's log, in its order,
+    so a missing or malformed one raises as before: the Abduced of each pair
+    by its goal positions, or None at the first pair of probability 0."""
+    pairs = {}
+    for r in read:
+        if r.__class__ is int:
+            facts.item_logweights(ids[r])
+        elif (lp := facts.pair_logprob(ids[r[0]], ids[r[1]])) == -math.inf:
+            return None
+        else:
+            pairs[r] = Abduced(("pair", ids[r[0]], ids[r[1]]), lp)
+    return pairs
 
 
 def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
-    """_leaves, through the setting's stored proofs.
-
-    The stored proof of the goals' key is replayed when runtime could run
-    it whole: its nodes and depth hits go onto runtime, every item table it
-    read is read again (so a missing or malformed one raises as before),
-    and each leaf hands over its stored store as it is, with the goals'
-    items mapped onto the store's vars.  Otherwise the goals are proved,
-    and the proof is stored if runtime did not run out."""
+    """_leaves, through the setting's stored proofs (see the module
+    docstring): the goals' stored proof is replayed when runtime could run
+    it whole and no pair it read now has probability 0; otherwise the goals
+    are proved, and the proof is stored unless runtime ran out or it read a
+    pair of probability 0."""
     facts = ctx.facts
     key, ids = _proof_key(goals, program, facts)
     proofs = ctx.setting._proofs
     proof = proofs.get(key)
-    if (
-        proof is not None
-        and runtime.ok()
-        and (runtime.max_nodes is None or runtime.nodes + proof[2] <= runtime.max_nodes)
-    ):
-        leaves, read, nodes, depth_hits = proof
-        for p in read:
-            facts.item_logweights(ids[p])
+    cap = runtime.max_nodes
+    whole = proof is not None and runtime.ok() and (cap is None or runtime.nodes + proof[2] <= cap)
+    pairs = _reread(proof[1], ids, facts) if whole else None
+    if pairs is not None:
+        leaves, _, nodes, depth_hits = proof
         runtime.nodes += nodes
         runtime.depth_hits += depth_hits
-        for store, vids in leaves:
-            yield program, _AbdState(store, {ids[p]: vid for p, vid in vids}), 0.0, ()
+        for store, vids, path in leaves:
+            dlogp = 0.0
+            for p in path:
+                dlogp += pairs[p].log_prob
+            yield program, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, tuple([pairs[p] for p in path])
         return
-    reads = _Reads(facts)
     pos = {iid: p for p, iid in enumerate(ids)}
+    reads = _Reads(facts, pos)
     nodes, depth_hits = runtime.nodes, runtime.depth_hits
     leaves = []
     for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
         ab = state[1]
-        leaves.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()])))
+        path = tuple([(pos[a.key[1]], pos[a.key[2]]) for a in state[3]])
+        leaves.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path))
         yield state
-    if not runtime.exhausted:
-        read = tuple(pos[i] for i in reads.items)
-        proofs[key] = (tuple(leaves), read, runtime.nodes - nodes, runtime.depth_hits - depth_hits)
+    if not (runtime.exhausted or reads.zero):
+        proofs[key] = (tuple(leaves), tuple(reads.log), runtime.nodes - nodes, runtime.depth_hits - depth_hits)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,24 @@ def test_train_pairwise_task_without_curriculum_writes_nothing(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_curriculum_with_pretrain_writes_nothing(tmp_path, capsys):
+    """The few-shot warm start is for a digit classifier; a curriculum
+    trains a pair model, so the config is refused before any output."""
+    d = tmp_path / "data"
+    for task in ("sorted_concept", "bogosort"):
+        assert run("gen-data", "--task", task, "--out", d, "--train", 6, "--test", 3) == 0
+    capsys.readouterr()
+    cfg = write_cfg(
+        tmp_path / "c.ini", train_path=d / "bogosort_train.tsv", run={"task": "bogosort"},
+        em={"pretrain": "true"},
+        curriculum={"stage1_task": "sorted_concept", "stage1_train": d / "sorted_concept_train.tsv"},
+    )
+    assert run("train", "--config", cfg) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: em.pretrain")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -179,6 +197,10 @@ def test_train_pairwise_task_without_curriculum_writes_nothing(tmp_path):
         ("budget", "wall_ms", -5),
         ("run", "seed", -1),
         ("curriculum", "stage1_epochs", 0),
+        ("em", "hidden", 0),
+        ("em", "lr", 0),
+        ("em", "lr", -1),
+        ("em", "lr", "nan"),
     ],
 )
 def test_train_rejects_out_of_range_values(tmp_path, sum_data, capsys, section, key, value):

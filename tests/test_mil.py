@@ -549,7 +549,7 @@ def _streams(goal, prog, setting, facts, budget, **options):
         # reader, and the choice lists and proofs built on it, so drop those
         mp.setattr(InductionSetting, "productive", lambda self, prog: _AllProductive())
         mp.setattr(setting, "_choices", {})
-        mp.setattr(setting, "_proofs", None if setting._proofs is None else {})
+        mp.setattr(setting, "_proofs", {})
         return on, stream()
 
 
@@ -1326,12 +1326,6 @@ def _programs_over(op):
     ]
 
 
-def _unshared(setting):
-    """setting with no proof memo: every positive is proved from scratch."""
-    setting._proofs = None
-    return setting
-
-
 def _scored(setting, goal, prog, facts, budget):
     rt = budget.runtime()
     lab = score_example(GoalExample(goal), prog, setting, facts, budget, rt)
@@ -1390,23 +1384,22 @@ def _shape_cases(draw):
 @given(case=_shape_cases(), solver_cap=st.sampled_from([None, 1, 3]))
 def test_shared_proofs_match_proving_each_goal(case, solver_cap):
     """A positive scored through the setting's stored proof of its shape
-    matches the best of prove's stream on a setting that proves it from
-    scratch: log_prob bits, labels, truncated flag and all four counters.
+    matches the best of prove's stream on a fresh setting, which proves it
+    from scratch: log_prob bits, labels, truncated flag and all four counters.
     The second goal has the first one's key under other ids and tables, so
     it reuses each stored proof and stores none; each later one stores its
     own unless its key is the first one's."""
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
-    shared, fresh = task.setting(), _unshared(task.setting())
+    shared = task.setting()
     for prog in _programs_over(op):
         for k, (goal, facts) in enumerate(zip(goals, oracles)):
             stored = len(shared._proofs)
             got = _scored(shared, goal, prog, facts, budget)
-            assert got == _best_proved(fresh, goal, prog, facts, budget)
+            assert got == _best_proved(task.setting(), goal, prog, facts, budget)
             assert not got[2]
             new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
             assert len(shared._proofs) == stored + (k == 0 or (k > 1 and new_key))
-    assert fresh._proofs is None
 
 
 def test_shared_proof_counters_and_node_cap():
@@ -1422,7 +1415,7 @@ def test_shared_proof_counters_and_node_cap():
         return InductionSetting(kb, rules, abd, ("f", 2), [("add", 2), ("eq", 2), ("loop", 2)])
 
     prog = Program(SUM_PROG.metasubs + (MetaSub("chain", (("P", "f"), ("Q", "loop"), ("R", "eq"))),))
-    shared, fresh = setting(), _unshared(setting())
+    shared = setting()
     first = TableFacts({i: digit_table(d) for i, d in enumerate([3, 1, 4])})
     whole = _scored(shared, item_goal([0, 1, 2], 8), prog, first, SearchBudget())
     assert whole[0] is not None and whole[1][1] > 0 and len(shared._proofs) == 1
@@ -1431,10 +1424,10 @@ def test_shared_proof_counters_and_node_cap():
     for cap in (None, whole[1][0], whole[1][0] // 2):
         budget = SearchBudget(max_nodes=cap)
         got = _scored(shared, goal, prog, facts, budget)
-        assert got == _best_proved(fresh, goal, prog, facts, budget)
+        assert got == _best_proved(setting(), goal, prog, facts, budget)
         assert got[2] == (cap == whole[1][0] // 2)
     assert len(shared._proofs) == 1
-    assert _scored(shared, goal, prog, facts, SearchBudget()) == _best_proved(fresh, goal, prog, facts, SearchBudget())
+    assert _scored(shared, goal, prog, facts, SearchBudget()) == _best_proved(setting(), goal, prog, facts, SearchBudget())
 
 
 def test_shared_proof_reads_every_table_it_read():
@@ -1464,8 +1457,8 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     """A second sum example of the first one's shape, with other items and
     tables, replays the stored proof: the solver gets the stored leaf
     stores themselves, no store is cloned, and each result matches a proof
-    run with the memo off, log_prob bits, labeling and item map alike."""
-    shared, fresh = sum_setting(), _unshared(sum_setting())
+    run on a fresh setting, log_prob bits, labeling and item map alike."""
+    shared = sum_setting()
     first = TableFacts({i: digit_table(d) for i, d in enumerate([3, 1, 4])})
     second = TableFacts({i: digit_table(d) for i, d in zip([7, 8, 9], [2, 2, 4])})
 
@@ -1475,7 +1468,7 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
             for r in prove(goal, SUM_PROG, setting, facts, allow_new_clauses=False)
         ]
 
-    want_first = stream(fresh, item_goal([0, 1, 2], 8), first)
+    want_first = stream(sum_setting(), item_goal([0, 1, 2], 8), first)
     assert stream(shared, item_goal([0, 1, 2], 8), first) == want_first
     ((leaves, *_),) = shared._proofs.values()
     solved, clones = [], []
@@ -1485,20 +1478,21 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     got = stream(shared, item_goal([7, 8, 9], 8), second)
     monkeypatch.undo()
     assert clones == [] and len(shared._proofs) == 1
-    assert len(solved) == len(leaves) > 0 and all(a is b for a, (b, _) in zip(solved, leaves))
-    assert got == stream(fresh, item_goal([7, 8, 9], 8), second)
+    assert len(solved) == len(leaves) > 0 and all(a is b for a, (b, _, _) in zip(solved, leaves))
+    assert all(pairs == () for _, _, pairs in leaves)  # a sum proof abduces no pair
+    assert got == stream(sum_setting(), item_goal([7, 8, 9], 8), second)
     assert [lab for _, lab, _ in got] != [lab for _, lab, _ in want_first]
 
 
 def test_shared_proofs_are_keyed_by_table_length_and_value_base():
     """Tables of another length, or values from another base, give the
     weighted vars other domains: each is proved and stored on its own."""
-    shared, fresh = sum_setting(), _unshared(sum_setting())
+    shared = sum_setting()
     goal = item_goal([0, 1], 5)
     for n, base in ((10, 0), (4, 0), (10, 1)):
         facts = TableFacts({0: digit_table(3, n=n), 1: digit_table(2, n=n)}, value_base=base)
         assert _scored(shared, goal, SUM_PROG, facts, SearchBudget()) == _best_proved(
-            fresh, goal, SUM_PROG, facts, SearchBudget()
+            sum_setting(), goal, SUM_PROG, facts, SearchBudget()
         )
     assert len(shared._proofs) == 3
 
@@ -1506,22 +1500,104 @@ def test_shared_proofs_are_keyed_by_table_length_and_value_base():
 def test_shared_proofs_tell_repeat_patterns_apart():
     """[a,a,b] and [b,a,a] have one length, one y and two distinct items,
     but which item counts twice differs: each is proved on its own."""
-    shared, fresh = sum_setting(), _unshared(sum_setting())
+    shared = sum_setting()
     facts = TableFacts({0: digit_table(1), 1: digit_table(5), 2: digit_table(1), 3: digit_table(5)})
     for goal in (item_goal([0, 0, 1], 7), item_goal([3, 2, 2], 7)):
         assert _scored(shared, goal, SUM_PROG, facts, SearchBudget()) == _best_proved(
-            fresh, goal, SUM_PROG, facts, SearchBudget()
+            sum_setting(), goal, SUM_PROG, facts, SearchBudget()
         )
     assert len(shared._proofs) == 2
 
 
-def test_dyadic_setting_keeps_no_proofs():
-    setting = sorted_setting()
-    prog = Program((MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),))
-    facts = TableFacts({}, pairs={(0, 1): 0.9})
-    goal = Atom("s", (mk_list([item_term(0)]),))
-    assert score_example(GoalExample(goal), prog, setting, facts, SearchBudget()) is not None
-    assert setting._proofs is None
+SORTED_PROG = Program(
+    (
+        MetaSub("mono_rec", (("P", "s"), ("Q", "s_1"))),
+        MetaSub("precon", (("P", "s_1"), ("Q", "nn"), ("R", "tail"))),
+        MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),
+    ),
+    (("s_1", 2),),
+)
+SORT_PROG = Program((MetaSub("tri_split", (("P", "f"), ("Q", "permute"), ("R", "s"))),))
+
+
+def _dyadic_setting(task_id):
+    """The sorting curriculum's settings: sorted_concept, and bogosort with
+    stage 1's program as background knowledge."""
+    task = tasks.make_task(task_id)
+    return task.setting() if task_id == "sorted_concept" else task.setting(extra_program=SORTED_PROG)
+
+
+@st.composite
+def _dyadic_cases(draw):
+    """sorted_concept examples, positive or negative, or bogosort positives:
+    four examples, each with the pairs of its own fact oracle, over a list
+    of 1-4 items (bogosort: 2-4, distinct).  The second and third have the
+    first one's shape under other item ids; the fourth a list of its own.
+    An oracle gives each ordered pair of its items a probability in
+    [1e-9, 1 - 1e-9], as TableFacts.from_model clips them, or is
+    TableFacts.exact's reading of drawn digits, pairs of probability 0
+    included; the first one is never exact."""
+    task = tasks.make_task(draw(st.sampled_from(["sorted_concept", "bogosort"])))
+    concept = task.id == "sorted_concept"
+    examples = []
+    for k, offset in enumerate((0, 100, 200, 300)):
+        if k in (0, 3):
+            n = draw(st.integers(1 if concept else 2, 4))
+            slots = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) if concept else list(range(n))
+            y = draw(st.permutations(range(1, n + 1)))
+        items = sorted({i + offset for i in slots})
+        pairs = [(a, b) for a in items for b in items]
+        if k > 0 and draw(st.booleans()):
+            digits = dict(zip(items, draw(st.lists(st.integers(0, 9), min_size=len(items), max_size=len(items)))))
+            probs = {(a, b): float(digits[a] >= digits[b]) for a, b in pairs}
+        else:
+            ps = draw(st.lists(st.floats(1e-9, 1 - 1e-9), min_size=len(pairs), max_size=len(pairs)))
+            probs = dict(zip(pairs, ps))
+        ex = task.goal([i + offset for i in slots], draw(st.booleans()) if concept else y)
+        examples.append((ex, probs))
+    return task.id, examples
+
+
+def _example_scored(setting, ex, prog, facts):
+    rt = SearchBudget().runtime()
+    lab = score_example(ex, prog, setting, facts, SearchBudget(), rt)
+    got = None if lab is None else (lab.log_prob.hex(), lab.pair_facts, lab.truncated)
+    return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_dyadic_cases())
+def test_dyadic_shared_proofs_match_proving_each_goal(case):
+    """A dyadic example scored through the setting's stored proof of its
+    shape matches it scored on a fresh setting: log_prob bits, pair facts,
+    truncated flag and all four counters, negatives included.  A proof that
+    read a pair of probability 0 is not stored, and a stored proof that
+    would read one is not replayed: the example is proved afresh.  A pair
+    missing at replay raises KeyError, as it does without the memo."""
+    task_id, examples = case
+    prog = SORTED_PROG if task_id == "sorted_concept" else SORT_PROG
+    shared = _dyadic_setting(task_id)
+    proved, reads = [], []
+    plain = mil._leaves
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "_leaves", lambda *a: proved.append(1) or plain(*a))
+        for ex, probs in examples:
+            # a pair function fills the oracle's cache in the order pairs are read
+            facts = TableFacts({}, pairs=lambda a, b, probs=probs: probs[a, b])
+            key = mil._proof_key([ex.goal], prog, facts)[0]
+            had, n_proved = key in shared._proofs, len(proved)
+            got = _example_scored(shared, ex, prog, facts)
+            zero = 0.0 in facts._pair_p.values()
+            assert len(proved) == n_proved + (not had or zero)
+            assert (key in shared._proofs) == (had or not zero)
+            assert got == _example_scored(_dyadic_setting(task_id), ex, prog, TableFacts({}, pairs=probs))
+            reads.append(list(facts._pair_p))
+    ex, probs = examples[0]
+    for missing in reads[0][:1]:  # a one-item list reads no pair
+        cut = {k: p for k, p in probs.items() if k != missing}
+        for setting in (shared, _dyadic_setting(task_id)):
+            with pytest.raises(KeyError):
+                score_example(ex, prog, setting, TableFacts({}, pairs=cut), SearchBudget())
 
 
 @st.composite
