@@ -38,6 +38,8 @@ METRIC_COLUMNS = (
     "perception_acc",
     "loss",
     "nodes_explored",
+    "proofs_run",  # closed-program proofs run from scratch (see mil)
+    "proofs_replayed",  # and replayed from a stored proof of their shape
     "solver_truncated",
     "failure",  # InduceOutcome.failure, empty on solved batches
 )
@@ -252,6 +254,8 @@ def train(
                     "perception_acc": pacc,
                     "loss": None,
                     "nodes_explored": nodes,
+                    "proofs_run": runtime.proofs_run,
+                    "proofs_replayed": runtime.proofs_replayed,
                     "solver_truncated": None,
                     "failure": out.failure,
                 }

@@ -72,6 +72,9 @@ class Budget:
       * other stores, branch-and-bound: solver_nodes counts branching
         nodes plus the pins of the completion search; solver_leaves counts
         complete assignments of the weighted vars reached.
+
+    proofs_run and proofs_replayed count mil's closed-program proofs, run
+    from scratch or replayed from the setting's stored proof of their shape.
     """
 
     __slots__ = (
@@ -81,6 +84,8 @@ class Budget:
         "depth_hits",
         "solver_nodes",
         "solver_leaves",
+        "proofs_run",
+        "proofs_replayed",
         "exhausted",
     )
 
@@ -91,6 +96,8 @@ class Budget:
         self.depth_hits = 0
         self.solver_nodes = 0
         self.solver_leaves = 0
+        self.proofs_run = 0
+        self.proofs_replayed = 0
         self.exhausted = False
 
     def tick(self) -> bool:

@@ -112,12 +112,13 @@ Every proof under a closed program proves each goal shape once per setting
 example, Fierens et al., TPLP 2015): scored positives, the feasibility
 checks of negatives and induce's failure diagnosis alike, fact abducibles
 included.  The setting keeps each such proof as it ran: per leaf, its
-constraint store, its map from item positions to store vars and its
-abduced pairs as item positions in path order; the item tables and pairs
-the proof read, by position in first-read order; its nodes and depth hits.
-The key is the program; the goal with each item(i) handle replaced by the
-position of i's first occurrence (so y, the length and repeats stay in
-it); value_base; and each item's table length.  It is exact: a store holds
+constraint store, its map from item positions to store vars, its abduced
+pairs as item positions in path order and its pins (below); the item
+tables and pairs the proof read, by position in first-read order; its nodes
+and depth hits.  The key is the program; the goal with each item(i) handle
+replaced by the position of i's first occurrence (so the length and
+repeats stay in it) and each parameter by its slot; value_base; and each
+item's table length.  It is exact: a store holds
 no weights (solve_best takes the tables from its caller), the tree reads
 the item tables only through the initial domains, which the key sets, the
 background knowledge names no item handle, and a pair read adds its log
@@ -135,6 +136,39 @@ goal's own proof.  Generation proves from scratch, and so does a goal whose
 budget could not run the whole proof (max_nodes below its nodes, or the
 budget out); a proof that ran the budget out is not stored.
 
+A sum or product goal f(items, y) is proved once per program and length,
+not once per y: y is a parameter.  A parameter is an Int argument of a
+single goal at a parameter position of the program's inducible predicates:
+a position at which every clause of the program for the predicate has a
+head variable that occurs once in the head and once in the body, as an
+argument of the last body atom, at the output of an eq abducible or at a
+parameter position.  The positions are the largest set closed under that
+rule, derived once per setting and program; a background predicate, a
+builtin, an add or mult output or a nested occurrence drops a position,
+and a goal with no parameter keeps its Int arguments, y too, in its key.
+The proof runs on the goal with each parameter replaced by its slot
+$param(k); an eq whose output is a slot records (store var, slot) as a pin
+and posts nothing.  The proof that stores an entry, and each replay, posts
+every pin as var = value on a clone of its leaf store and drops a leaf
+whose pin fails.  The stored proof keeps the leaves under each tuple of
+parameter values it has met, so a (shape, y) met again costs no clone.
+Why this is exact.  Resolution starts from one goal, and the rule keeps
+the parameter in the last goal of the goal list: a clause head takes it in
+a variable that binds nothing (its only occurrence) and the body hands it
+on only in its last atom.  No other goal holds it; the depth bound counts
+no Int; an inducible call reads only its first argument's list length,
+which an Int and a slot both lack; the clause lists never read arguments.
+So the proof with the slot and the proof with the value take the same
+steps: the same nodes ticked, branches cut and tables read, in the same
+order.  The pin is the last step of its branch, since an eq that is the
+last goal succeeds into a leaf: the goal's own proof clones the store,
+adds x's var and posts var = y; the stored proof clones and adds the same
+var, and the pin later appends the same EQC to a clone and propagates it
+from the same queue.  So the leaves, in order, each store's content and
+watch lists, the solved-store key, the labelings and all four counters are
+those of the goal's own proof, and a leaf whose pin fails is its branch
+that failed at the eq.
+
 Scoring solves each distinct constraint store under the same tables once
 per induce call, be its proof run or replayed: the two base cases of a
 recursive program, say, build the same chain store on every example.  The
@@ -150,7 +184,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .fd import ADD, EQC, MUL, ConstraintStore, Labeling, _completion_exists, solve_best
 from .kb import Budget, KnowledgeBase, resolve, solve
@@ -344,6 +378,7 @@ class TableFacts:
 
 ITEM_F = "item"
 FDV_F = "fdv"
+PARAM_F = "$param"  # a parameter's slot in a stored proof's goal; no name the parser reads
 
 
 def item_term(i: int) -> Struct:
@@ -357,7 +392,8 @@ def fdv_term(vid: int) -> Struct:
 
 
 def _item_id(t: Term, functor: str = ITEM_F) -> Optional[int]:
-    """i of an item(i) handle, or of an fdv(i) reference with functor FDV_F."""
+    """i of an item(i) handle, or, given its functor, of an fdv(i) reference
+    or a $param(i) slot."""
     if isinstance(t, Struct) and t.functor == functor and len(t.args) == 1:
         a = t.args[0]
         if isinstance(a, Int):
@@ -452,6 +488,7 @@ class InductionSetting:
     _clauses: dict = field(init=False, repr=False)
     _choices: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
+    _parameters: dict = field(init=False, repr=False)
     _proofs: dict = field(init=False, repr=False)
     _signatures: dict = field(init=False, repr=False)
     _typed: dict = field(init=False, repr=False)
@@ -461,6 +498,7 @@ class InductionSetting:
         self._clauses = {}
         self._choices = {}
         self._productive = {}
+        self._parameters = {}
         self._signatures = _signatures(self.kb, self.abducibles)
         self._typed = {}
         self._proofs = {}  # weight-free proofs by goal shape (see the module docstring)
@@ -488,6 +526,13 @@ class InductionSetting:
         done = self._productive.get(prog)
         if done is None:
             done = self._productive[prog] = _productive(prog, self)
+        return done
+
+    def parameters(self, prog: Program) -> "frozenset[tuple[str, int, int]]":
+        """_parameters of prog, computed once per setting."""
+        done = self._parameters.get(prog)
+        if done is None:
+            done = self._parameters[prog] = _parameters(prog, self)
         return done
 
     def well_typed(self, ms: MetaSub, types: tuple) -> bool:
@@ -626,18 +671,21 @@ class InduceOutcome:
 
 
 class _AbdState:
-    """Constraint store plus the item -> store-variable map, copy-on-write."""
+    """Constraint store, the item -> store-variable map and the pins that
+    wait for a parameter's value, copy-on-write."""
 
-    __slots__ = ("store", "item_vars")
+    __slots__ = ("store", "item_vars", "pins")
 
-    def __init__(self, store: Optional[ConstraintStore] = None, item_vars: Optional[dict] = None):
+    def __init__(self, store: Optional[ConstraintStore] = None, item_vars: Optional[dict] = None, pins: tuple = ()):
         self.store = store
         self.item_vars = item_vars if item_vars is not None else {}
+        self.pins = pins  # (store var, parameter slot) of each eq on a slot
 
     def cloned(self) -> "_AbdState":
         return _AbdState(
             self.store.clone() if self.store is not None else ConstraintStore(),
             dict(self.item_vars),
+            self.pins,
         )
 
 
@@ -753,11 +801,16 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     term_in, term_out = g.args
     if spec.kind == EQC:
         x = _single(term_in)
-        if x is None or not isinstance(term_out, Int):
+        slot = _item_id(term_out, PARAM_F)
+        if x is None or (slot is None and not isinstance(term_out, Int)):
             return
         ab2 = ab.cloned()
         vx = _var_for(x, ab2, ctx.facts)
-        if vx is None or not ab2.store.post_eq_const(vx, term_out.value):
+        if vx is None:
+            return
+        if slot is not None:
+            ab2.pins += ((vx, slot),)  # _shared_leaves posts it, per value
+        elif not ab2.store.post_eq_const(vx, term_out.value):
             return
         yield (), None, s, (prog, ab2, dlogp, abduced)
         return
@@ -811,6 +864,53 @@ def _productive(prog: Program, setting: InductionSetting) -> "set[tuple[str, int
 def _body_in(c: Clause, inducible: set, productive: set) -> bool:
     """Every body predicate of c named in inducible has its key in productive."""
     return all(b.pred not in inducible or b.key() in productive for b in c.body)
+
+
+def _parameters(prog: Program, setting: InductionSetting) -> "frozenset[tuple[str, int, int]]":
+    """(name, arity, position) of each parameter position of prog's
+    inducible predicates (see the module docstring): the largest set of
+    positions that every clause of prog for the predicate hands on, by
+    _hands_on, to the output of an eq abducible or to a position in the
+    set.  It starts from every position and drops, until none drops, each
+    that some clause does not hand on (the least fixpoint of that drop)."""
+    clauses = [setting.clause_of(ms) for ms in prog.metasubs]
+    out = {(n, a, i) for n, a in (setting.target, *prog.invented) for i in range(a)}
+    while True:
+        bad = {p for p in out if not all(_hands_on(c, p[2], out, setting) for c in clauses if c.head.key() == p[:2])}
+        if not bad:
+            return frozenset(out)
+        out -= bad
+
+
+def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting) -> bool:
+    """Whether c's head holds a variable at position i that occurs once in
+    the head and once in the body, as an argument of the last body atom,
+    at the output of an eq abducible or at a position in params."""
+    v = c.head.args[i]
+    if v.__class__ is not Var or not c.body or _occurrences(v, c.head.args) != 1:
+        return False
+    if sum([_occurrences(v, b.args) for b in c.body]) != 1:
+        return False
+    last = c.body[-1]
+    if v not in last.args:
+        return False
+    q = last.args.index(v)
+    spec = setting.abducibles.get(last.key())
+    if spec is not None:
+        return spec.kind == EQC and q == 1
+    return (last.pred, len(last.args), q) in params
+
+
+def _occurrences(v: Var, terms: "Iterable[Term]") -> int:
+    """How often variable v occurs in terms."""
+    n, todo = 0, list(terms)
+    while todo:
+        t = todo.pop()
+        if t == v:
+            n += 1
+        elif t.__class__ is Struct:
+            todo.extend(t.args)
+    return n
 
 
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
@@ -1094,7 +1194,8 @@ def prove(
     found, generation's map of the programs it has recorded by key, fails
     every goal under a closed program already in it.  Without
     allow_new_clauses the proof is the setting's stored proof of the goals'
-    shape when it has one (see the module docstring).
+    shape when it has one, a single goal's parameters (y of a sum or
+    product goal) pinned to the goal's values (see the module docstring).
     """
     if isinstance(goals, Atom):
         goals = [goals]
@@ -1174,10 +1275,12 @@ def _solve_once(
 
 def _proof_key(goals: "Sequence[Atom]", program: Program, facts: TableFacts) -> "tuple[tuple, list[int]]":
     """The key of the goals' stored proof under program, and the goals' item
-    ids by position.  The key is one flat tuple: program, value_base, the
+    ids by position.  The goals come from _parametrized, each parameter a
+    $param(k) slot.  The key is one flat tuple: program, value_base, the
     goals in preorder (a predicate or functor, then its arity, then its
-    arguments) with each item(i) handle given as the position of i's first
-    occurrence, and each item's table length, None if it has none."""
+    arguments, so a slot gives "$param", 1, Int(k)) with each item(i)
+    handle given as the position of i's first occurrence, and each item's
+    table length, None if it has none."""
     ids: dict = {}
     out = [program, facts.value_base]
     for g in goals:
@@ -1239,40 +1342,106 @@ def _reread(read: tuple, ids: "list[int]", facts: TableFacts) -> Optional[dict]:
     return pairs
 
 
+class _Proof(NamedTuple):
+    """A stored proof (see the module docstring).  A leaf is (store, item
+    position -> var map, abduced pairs as positions in path order); a
+    pending leaf adds its pins, (store var, parameter slot) pairs."""
+
+    leaves: tuple  # the leaves under the parameter values that stored the proof
+    read: tuple  # item positions and pairs of them, in first-read order
+    nodes: int
+    depth_hits: int
+    pending: tuple  # the leaves with their pins unposted; () without parameters
+    by_values: Optional[dict]  # parameter values -> the leaves under them; None without parameters
+
+
+def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting):
+    """The goals with each parameter, an Int argument of a single goal at
+    one of program's parameter positions, replaced by its slot $param(k),
+    and the parameters' values by slot."""
+    params = setting.parameters(program)
+    if len(goals) != 1 or not params:
+        return goals, ()
+    g = goals[0]
+    args, values = list(g.args), []
+    for i, t in enumerate(args):
+        if t.__class__ is Int and (g.pred, len(args), i) in params:
+            args[i] = Struct(PARAM_F, (Int(len(values)),))
+            values.append(t.value)
+    return ([Atom(g.pred, tuple(args))], tuple(values)) if values else (goals, ())
+
+
+def _pinned(pending: "Iterable[tuple]", values: tuple) -> "list[tuple]":
+    """The pending leaves under the parameter values: a leaf with pins gets
+    a clone of its store with each pin posted as var = its parameter's
+    value, and is dropped if one fails."""
+    out = []
+    for store, vids, path, pins in pending:
+        if pins:
+            store = store.clone()
+            if not all(store.post_eq_const(vid, values[k]) for vid, k in pins):
+                continue
+        out.append((store, vids, path))
+    return out
+
+
 def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
     """_leaves, through the setting's stored proofs (see the module
-    docstring): the goals' stored proof is replayed when runtime could run
-    it whole and no pair it read now has probability 0; otherwise the goals
-    are proved, and the proof is stored unless runtime ran out or it read a
-    pair of probability 0."""
+    docstring): the stored proof of the goals' shape, parameters slotted,
+    is replayed when runtime could run it whole and no pair it read now has
+    probability 0, its leaves under the goals' parameter values taken from
+    the proof or pinned once and kept there; otherwise the goals are
+    proved, their pins posted, and the proof is stored unless runtime ran
+    out or it read a pair of probability 0.  runtime counts either in
+    proofs_replayed or proofs_run."""
     facts = ctx.facts
+    goals, values = _parametrized(goals, program, ctx.setting)
     key, ids = _proof_key(goals, program, facts)
     proofs = ctx.setting._proofs
     proof = proofs.get(key)
     cap = runtime.max_nodes
-    whole = proof is not None and runtime.ok() and (cap is None or runtime.nodes + proof[2] <= cap)
-    pairs = _reread(proof[1], ids, facts) if whole else None
+    whole = proof is not None and runtime.ok() and (cap is None or runtime.nodes + proof.nodes <= cap)
+    pairs = _reread(proof.read, ids, facts) if whole else None
     if pairs is not None:
-        leaves, _, nodes, depth_hits = proof
-        runtime.nodes += nodes
-        runtime.depth_hits += depth_hits
+        leaves = proof.by_values.get(values) if values else proof.leaves
+        if leaves is None:
+            leaves = proof.by_values[values] = tuple(_pinned(proof.pending, values))
+        runtime.proofs_replayed += 1
+        runtime.nodes += proof.nodes
+        runtime.depth_hits += proof.depth_hits
         for store, vids, path in leaves:
             dlogp = 0.0
             for p in path:
                 dlogp += pairs[p].log_prob
             yield program, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, tuple([pairs[p] for p in path])
         return
+    runtime.proofs_run += 1
     pos = {iid: p for p, iid in enumerate(ids)}
     reads = _Reads(facts, pos)
     nodes, depth_hits = runtime.nodes, runtime.depth_hits
-    leaves = []
+    pending, leaves = [], []
     for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
         ab = state[1]
         path = tuple([(pos[a.key[1]], pos[a.key[2]]) for a in state[3]])
-        leaves.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path))
+        leaf = (ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path)
+        if values:
+            pending.append(leaf + (ab.pins,))
+            pinned = _pinned(pending[-1:], values)
+            if not pinned:
+                continue
+            leaf = pinned[0]
+            state = (state[0], _AbdState(leaf[0], ab.item_vars), state[2], state[3])
+        leaves.append(leaf)
         yield state
     if not (runtime.exhausted or reads.zero):
-        proofs[key] = (tuple(leaves), tuple(reads.log), runtime.nodes - nodes, runtime.depth_hits - depth_hits)
+        leaves = tuple(leaves)
+        proofs[key] = _Proof(
+            leaves,
+            tuple(reads.log),
+            runtime.nodes - nodes,
+            runtime.depth_hits - depth_hits,
+            *((tuple(pending), {values: leaves}) if values else ((), None)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1444,6 +1613,8 @@ def _fold(into: Budget, part: Budget) -> None:
     into.depth_hits += part.depth_hits
     into.solver_nodes += part.solver_nodes
     into.solver_leaves += part.solver_leaves
+    into.proofs_run += part.proofs_run
+    into.proofs_replayed += part.proofs_replayed
     into.exhausted = into.exhausted or part.exhausted
 
 

@@ -1,12 +1,14 @@
 """End-to-end command line behavior: artifacts, determinism, exit codes."""
 
 import configparser
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
 from abdlearn.cli import main
+from abdlearn.em import METRIC_COLUMNS
 from abdlearn.mil import SettingError
 from abdlearn.perception import PairModel
 from abdlearn.tasks import TASK_IDS, make_task
@@ -108,6 +110,10 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path, sum_data):
     assert resolved["em"]["m_batch"] == "32"  # default materialized
     prog = json.loads((out / "program.json").read_text())
     assert 1 <= len(prog["metasubs"]) <= 2
+    with open(out / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == list(METRIC_COLUMNS)
+    assert all(int(r["proofs_run"]) >= 0 and int(r["proofs_replayed"]) >= 0 for r in rows)
 
     again = tmp_path / "run2"
     assert run("train", "--config", cfg, "--out", again) == 0

@@ -402,6 +402,9 @@ def test_train_writes_metrics_and_artifacts(tmp_path):
     # sum stores are chains, solved exactly: no solved batch is truncated
     col = METRIC_COLUMNS.index("solver_truncated")
     assert {r[col] for r in rows[1:] if r[METRIC_COLUMNS.index("score")]} == {"0"}
+    # scoring replays stored proofs: one per (program, length) serves every y
+    run, replayed = (sum(int(r[METRIC_COLUMNS.index(c)]) for r in rows[1:]) for c in ("proofs_run", "proofs_replayed"))
+    assert 0 < run < replayed
     # failure is empty exactly on solved batches, a reason on the others
     score, failure = METRIC_COLUMNS.index("score"), METRIC_COLUMNS.index("failure")
     reasons = {"budget_exhausted", "depth_cut", "unscorable", "no_candidate"}

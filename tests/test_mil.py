@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abdlearn.fd import ADD, EQC, ConstraintStore
+from abdlearn.fd import ADD, EQC, ConstraintStore, FDConstraint
 from abdlearn.kb import Budget, deduce, standard_kb
 from abdlearn.metarules import (
     MetaruleError,
@@ -1336,8 +1336,20 @@ def _scored(setting, goal, prog, facts, budget):
 def _best_proved(setting, goal, prog, facts, budget):
     """The best of prove's stream, as score_example takes it."""
     rt = budget.runtime()
+    return _best_of(prove(goal, prog, setting, facts, budget, runtime=rt, allow_new_clauses=False), rt)
+
+
+def _concrete(setting, goal, prog, facts, budget):
+    """_best_proved of the goal's own proof, y in the goal and no stored
+    proof: the leaves of _leaves, solved as prove solves them."""
+    rt = budget.runtime()
+    ctx = mil._Ctx(setting, facts, budget, False)
+    return _best_of(mil._results(mil._leaves([goal], prog, ctx, rt), ctx, rt, False, None), rt)
+
+
+def _best_of(results, rt):
     best, truncated = None, False
-    for r in prove(goal, prog, setting, facts, budget, runtime=rt, allow_new_clauses=False):
+    for r in results:
         truncated = truncated or r.truncated
         if best is None or r.log_prob > best.log_prob:
             best = r
@@ -1386,20 +1398,90 @@ def test_shared_proofs_match_proving_each_goal(case, solver_cap):
     """A positive scored through the setting's stored proof of its shape
     matches the best of prove's stream on a fresh setting, which proves it
     from scratch: log_prob bits, labels, truncated flag and all four counters.
-    The second goal has the first one's key under other ids and tables, so
-    it reuses each stored proof and stores none; each later one stores its
-    own unless its key is the first one's."""
+    Every program here takes y as a parameter, so the second goal (the
+    first one's shape under other ids and tables) and the third (another y)
+    reuse each stored proof and store none; each later one, with the first
+    one's y, stores its own unless its key is the first one's."""
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
     shared = task.setting()
     for prog in _programs_over(op):
+        assert shared.parameters(prog) == {("f", 2, 1)}
         for k, (goal, facts) in enumerate(zip(goals, oracles)):
             stored = len(shared._proofs)
             got = _scored(shared, goal, prog, facts, budget)
             assert got == _best_proved(task.setting(), goal, prog, facts, budget)
             assert not got[2]
             new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
-            assert len(shared._proofs) == stored + (k == 0 or (k > 1 and new_key))
+            assert len(shared._proofs) == stored + (k == 0 or (k > 2 and new_key))
+
+
+@st.composite
+def _param_cases(draw):
+    """Sum or product goals over one list shape of 1-6 items, some of them
+    repeated handles or integers, each with its own item ids and tables
+    (zeros included), and 2-6 values of y in any order, repeats included:
+    reachable ones, 0, one above the largest reachable value, and any."""
+    task = tasks.make_task(draw(st.sampled_from(["sum", "product"])))
+    n = draw(st.integers(1, 6))
+    item = st.integers(0, n - 1).map(lambda k: ("item", k))
+    literal = st.integers(task.digit_lo, task.digit_hi).map(lambda v: ("int", v))
+    slots = draw(st.lists(st.one_of(item, literal), min_size=n, max_size=n))
+    reachable = st.lists(literal, min_size=n, max_size=n).map(
+        lambda ds: task.y_of([d if kind == "item" else v for (kind, v), (_, d) in zip(slots, ds)])
+    )
+    top = task.y_of([task.digit_hi] * n) + 1
+    ys = draw(st.lists(st.one_of(reachable, st.sampled_from([0, top]), st.integers(0, 9**6)), min_size=2, max_size=6))
+    goals, oracles = [], []
+    for k, y in enumerate(ys):
+        offset = 100 * draw(st.integers(0, k))  # an earlier goal's ids or new ones
+        tables = {}
+        for i in sorted({v for kind, v in slots if kind == "item"}):
+            ws = draw(_tables(task.n_classes))
+            tables[i + offset] = [w / sum(ws) for w in ws]
+        oracles.append(TableFacts(tables, value_base=task.value_base))
+        items = [item_term(v + offset) if kind == "item" else Int(v) for kind, v in slots]
+        goals.append(Atom("f", (mk_list(items), Int(y))))
+    return task, "add" if task.id == "sum" else "mult", goals, oracles
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_param_cases(), solver_cap=st.sampled_from([None, 1, 3]))
+def test_one_stored_proof_serves_every_y_of_a_shape(case, solver_cap):
+    """One shared setting scores goals of one shape under every y, in any
+    order, each as the goal's own proof with y in it scores it on a fresh
+    setting (_leaves, no stored proof): log_prob bits, labels, truncated
+    flag and all four counters, a y no labeling reaches included.  Each
+    program stores one proof for them all."""
+    task, op, goals, oracles = case
+    budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
+    shared = task.setting()
+    for prog in _programs_over(op):
+        stored = len(shared._proofs)
+        for goal, facts in zip(goals, oracles):
+            assert _scored(shared, goal, prog, facts, budget) == _concrete(task.setting(), goal, prog, facts, budget)
+        assert len(shared._proofs) == stored + 1
+
+
+def test_y_stays_in_the_key_where_it_reaches_a_background_predicate_or_an_add_output():
+    """A program with a clause that hands the head's output to a background
+    predicate (head/2: f([3,4], 4) holds by tail, then head) or to an add
+    output takes no parameter: it keeps one stored proof per y, each the
+    goal's own proof.  The sum program, in the same setting, keeps one for
+    every y."""
+    shared = sum_setting()
+    facts = TableFacts.exact()
+    to_background = Program(SUM_PROG.metasubs + (MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "head"))),))
+    to_add = Program(SUM_PROG.metasubs + (MetaSub("ident", (("P", "f"), ("Q", "add"))),))
+    ys = (4, 7, 5, 7)
+    for prog, stores in ((to_background, 3), (to_add, 3), (SUM_PROG, 1)):
+        assert shared.parameters(prog) == (frozenset() if stores > 1 else {("f", 2, 1)})
+        stored = len(shared._proofs)
+        for y in ys:
+            got = _scored(shared, int_goal([3, 4], y), prog, facts, SearchBudget())
+            assert got == _concrete(sum_setting(), int_goal([3, 4], y), prog, facts, SearchBudget())
+            assert (got[0] is not None) == (y == 7 or (y == 4 and prog is to_background))
+        assert len(shared._proofs) == stored + stores
 
 
 def test_shared_proof_counters_and_node_cap():
@@ -1482,6 +1564,46 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     assert all(pairs == () for _, _, pairs in leaves)  # a sum proof abduces no pair
     assert got == stream(sum_setting(), item_goal([7, 8, 9], 8), second)
     assert [lab for _, lab, _ in got] != [lab for _, lab, _ in want_first]
+
+
+def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
+    """An example of the stored proof's shape under another y replays it:
+    each stored leaf store that waits for y is cloned once and gets one EQC
+    appended, y = 6 on the var eq reached, and the results match a fresh
+    setting's.  The stores pinned to 6 are kept, so a third example with
+    y = 6 clones nothing and hands them to the solver as they are."""
+    shared = sum_setting()
+    first = TableFacts({i: digit_table(d) for i, d in enumerate([3, 1, 4])})
+    second = TableFacts({i: digit_table(d) for i, d in zip([7, 8, 9], [2, 2, 4])})
+
+    def stream(setting, goal, facts, runtime=None):
+        return [
+            (r.log_prob.hex(), r.labeling.assignment, r.item_vars)
+            for r in prove(goal, SUM_PROG, setting, facts, runtime=runtime, allow_new_clauses=False)
+        ]
+
+    stream(shared, item_goal([0, 1, 2], 8), first)
+    (proof,) = shared._proofs.values()
+    solved, clones = [], []
+    plain_solve, plain_clone = mil.solve_best, ConstraintStore.clone
+    monkeypatch.setattr(mil, "solve_best", lambda store, *a: solved.append(store) or plain_solve(store, *a))
+    monkeypatch.setattr(ConstraintStore, "clone", lambda store: clones.append(store) or plain_clone(store))
+    rt = Budget()
+    got = stream(shared, item_goal([7, 8, 9], 6), second, rt)
+    assert (rt.proofs_run, rt.proofs_replayed) == (0, 1)
+    assert len(clones) == len(proof.pending) == len(solved) > 0
+    for clone, store, (base, _, _, pins) in zip(clones, solved, proof.pending):
+        (vid, _), = pins
+        assert clone is base and len(store.vars) == len(base.vars)
+        assert store.constraints == base.constraints + [FDConstraint(EQC, vid, -1, 6)]
+    assert got == stream(sum_setting(), item_goal([7, 8, 9], 6), second)
+    del solved[:], clones[:]
+    third = TableFacts({i: digit_table(d) for i, d in zip([4, 5, 6], [1, 1, 4])})
+    got = stream(shared, item_goal([4, 5, 6], 6), third)
+    monkeypatch.undo()
+    assert got == stream(sum_setting(), item_goal([4, 5, 6], 6), third)
+    assert clones == [] and len(shared._proofs) == 1
+    assert [leaf[0] for leaf in proof.by_values[(6,)]] == solved
 
 
 def test_shared_proofs_are_keyed_by_table_length_and_value_base():
