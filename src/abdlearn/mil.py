@@ -1351,8 +1351,8 @@ class _Proof(NamedTuple):
     read: tuple  # item positions and pairs of them, in first-read order
     nodes: int
     depth_hits: int
-    pending: tuple  # the leaves with their pins unposted; () without parameters
-    by_values: Optional[dict]  # parameter values -> the leaves under them; None without parameters
+    pending: tuple  # the leaves with their pins unposted
+    by_values: dict  # parameter values, () without parameters -> the leaves under them
 
 
 def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting):
@@ -1403,7 +1403,7 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
     whole = proof is not None and runtime.ok() and (cap is None or runtime.nodes + proof.nodes <= cap)
     pairs = _reread(proof.read, ids, facts) if whole else None
     if pairs is not None:
-        leaves = proof.by_values.get(values) if values else proof.leaves
+        leaves = proof.by_values.get(values)
         if leaves is None:
             leaves = proof.by_values[values] = tuple(_pinned(proof.pending, values))
         runtime.proofs_replayed += 1
@@ -1423,16 +1423,12 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
     for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
         ab = state[1]
         path = tuple([(pos[a.key[1]], pos[a.key[2]]) for a in state[3]])
-        leaf = (ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path)
-        if values:
-            pending.append(leaf + (ab.pins,))
-            pinned = _pinned(pending[-1:], values)
-            if not pinned:
-                continue
-            leaf = pinned[0]
-            state = (state[0], _AbdState(leaf[0], ab.item_vars), state[2], state[3])
-        leaves.append(leaf)
-        yield state
+        pending.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path, ab.pins))
+        pinned = _pinned(pending[-1:], values)
+        if not pinned:
+            continue
+        leaves.append(pinned[0])
+        yield state[0], _AbdState(pinned[0][0], ab.item_vars), state[2], state[3]
     if not (runtime.exhausted or reads.zero):
         leaves = tuple(leaves)
         proofs[key] = _Proof(
@@ -1440,7 +1436,8 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
             tuple(reads.log),
             runtime.nodes - nodes,
             runtime.depth_hits - depth_hits,
-            *((tuple(pending), {values: leaves}) if values else ((), None)),
+            tuple(pending),
+            {values: leaves},
         )
 
 

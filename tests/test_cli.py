@@ -113,7 +113,6 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path, sum_data):
     with open(out / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == list(METRIC_COLUMNS)
-    assert all(int(r["proofs_run"]) >= 0 and int(r["proofs_replayed"]) >= 0 for r in rows)
 
     again = tmp_path / "run2"
     assert run("train", "--config", cfg, "--out", again) == 0

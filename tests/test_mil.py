@@ -1396,12 +1396,13 @@ def _shape_cases(draw):
 @given(case=_shape_cases(), solver_cap=st.sampled_from([None, 1, 3]))
 def test_shared_proofs_match_proving_each_goal(case, solver_cap):
     """A positive scored through the setting's stored proof of its shape
-    matches the best of prove's stream on a fresh setting, which proves it
-    from scratch: log_prob bits, labels, truncated flag and all four counters.
-    Every program here takes y as a parameter, so the second goal (the
-    first one's shape under other ids and tables) and the third (another y)
-    reuse each stored proof and store none; each later one, with the first
-    one's y, stores its own unless its key is the first one's."""
+    matches the goal's own proof with y in it on a fresh setting (_leaves,
+    no stored proof): log_prob bits, labels, truncated flag and all four
+    counters.  Every program here takes y as a parameter, so the second
+    goal (the first one's shape under other ids and tables) and the third
+    (another y) reuse each stored proof and store none; each later one,
+    with the first one's y, stores its own unless its key is the first
+    one's."""
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
     shared = task.setting()
@@ -1410,7 +1411,7 @@ def test_shared_proofs_match_proving_each_goal(case, solver_cap):
         for k, (goal, facts) in enumerate(zip(goals, oracles)):
             stored = len(shared._proofs)
             got = _scored(shared, goal, prog, facts, budget)
-            assert got == _best_proved(task.setting(), goal, prog, facts, budget)
+            assert got == _concrete(task.setting(), goal, prog, facts, budget)
             assert not got[2]
             new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
             assert len(shared._proofs) == stored + (k == 0 or (k > 2 and new_key))
