@@ -3,8 +3,10 @@
 Maps raw fixed-length feature vectors to distributions over symbolic values
 and is trained by SGD on pseudo-labels coming out of abduction.  Backprop is
 hand-rolled on numpy; grad_check verifies it against central finite
-differences.  PairModel wraps a 2-class net into an antisymmetric scorer for
-the dyadic ordering relation.
+differences.  fit runs each mini-batch as one fused step over flat parameter,
+velocity and gradient buffers; grads() followed by _step() is its reference,
+and the tests hold fit to it bit for bit.  PairModel wraps a 2-class net into
+an antisymmetric scorer for the dyadic ordering relation.
 """
 
 from __future__ import annotations
@@ -50,17 +52,46 @@ class MLP:
         self.n_in, self.n_classes, self.hidden = n_in, n_classes, hidden
         self.lr, self.momentum = lr, momentum
         rng = np.random.default_rng(seed)
-        self.W1 = self._glorot(rng, n_in, hidden)
-        self.b1 = np.zeros(hidden)
-        self.W2 = self._glorot(rng, hidden, n_classes)
-        self.b2 = np.zeros(n_classes)
-        self._vel = [np.zeros_like(p) for p in self.params()]
+        W1 = self._glorot(rng, n_in, hidden)
+        W2 = self._glorot(rng, hidden, n_classes)
+        # one flat buffer each for the parameters and their velocities, in the
+        # order of params(); W1, b1, W2, b2 and _vel are views of them
+        self._theta = np.concatenate([W1.ravel(), np.zeros(hidden), W2.ravel(), np.zeros(n_classes)])
+        self._velocity = np.zeros_like(self._theta)
+        self._bind()
         self._rng = np.random.default_rng(seed + 0x5EED)
 
     @staticmethod
     def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    def _views(self, flat: np.ndarray) -> "list[np.ndarray]":
+        """W1, b1, W2, b2 shapes laid over one flat buffer."""
+        a = self.n_in * self.hidden
+        b = a + self.hidden
+        c = b + self.hidden * self.n_classes
+        return [
+            flat[:a].reshape(self.n_in, self.hidden),
+            flat[a:b],
+            flat[b:c].reshape(self.hidden, self.n_classes),
+            flat[c:],
+        ]
+
+    def _bind(self) -> None:
+        self.W1, self.b1, self.W2, self.b2 = self._views(self._theta)
+        self._vel = self._views(self._velocity)
+
+    # a copy or an unpickled model rebuilds its views over its own buffers
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        for name in ("W1", "b1", "W2", "b2", "_vel"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def params(self) -> "list[np.ndarray]":
         return [self.W1, self.b1, self.W2, self.b2]
@@ -134,19 +165,77 @@ class MLP:
         epochs: int = 1,
         batch_size: Optional[int] = None,
     ) -> float:
-        """Mini-batch SGD on mean cross-entropy; returns the final loss."""
+        """Mini-batch SGD on mean cross-entropy; returns the final loss.
+
+        Each step is grads() then _step(), fused: the passes write into
+        buffers made once per fit, the gradients into one flat buffer laid
+        out as the parameters, and the momentum update is four whole-buffer
+        operations.  Every float operation is one those two calls make, in
+        their order, so the weights come out bit for bit as theirs.  Labels
+        are checked before the first step: a rejected fit changes nothing.
+        """
         X = self._check(X)
         y = np.asarray(y, dtype=int)
-        if len(X) == 0:
+        n, k = len(X), self.n_classes
+        if n == 0:
             raise PerceptionError("empty batch")
-        bs = len(X) if batch_size is None else max(1, batch_size)
+        if y.shape != (n,):
+            raise PerceptionError(f"{y.size} labels for {n} rows")
+        if (y < 0).any() or (y >= k).any():
+            raise PerceptionError("label out of range")
+        bs = n if batch_size is None else min(max(1, batch_size), n)
+        # grads() subtracts 1.0 at each row's label; subtracting the one-hot
+        # row also subtracts 0.0 elsewhere, which leaves every entry's bits
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), y] = 1.0
+
+        def buffers(m: int):  # x, target, h, dh, live (h > 0 as 1.0 or 0.0), out, row stat, 1 / m
+            hid = (m, self.hidden)
+            return (np.empty((m, self.n_in)), np.empty((m, k)), np.empty(hid), np.empty(hid),
+                    np.empty(hid), np.empty((m, k)), np.empty((m, 1)), 1.0 / m)
+
+        full = buffers(bs)
+        last = buffers(n % bs) if n % bs else full
+        grad = np.empty_like(self._theta)
+        gW1, gb1, gW2, gb2 = self._views(grad)
+        W1, b1, W2, b2 = self.params()
+        W2T = W2.T
+        theta, vel, lr, momentum = self._theta, self._velocity, self.lr, self.momentum
         for _ in range(epochs):
-            order = self._rng.permutation(len(X))
-            for start in range(0, len(X), bs):
+            order = self._rng.permutation(n)
+            for start in range(0, n, bs):
                 idx = order[start : start + bs]
-                self._step(self.grads(X[idx], y[idx]))
+                x, t, h, dh, live, d, top, scale = full if len(idx) == bs else last
+                np.take(X, idx, axis=0, out=x)
+                np.take(onehot, idx, axis=0, out=t)
+                # forward: h = relu(x W1 + b1), d = softmax(h W2 + b2)
+                np.matmul(x, W1, out=h)
+                np.add(h, b1, out=h)
+                np.maximum(h, 0.0, out=h)
+                np.matmul(h, W2, out=d)
+                np.add(d, b2, out=d)
+                np.maximum.reduce(d, axis=1, keepdims=True, out=top)
+                np.subtract(d, top, out=d)
+                np.exp(d, out=d)
+                np.add.reduce(d, axis=1, keepdims=True, out=top)
+                np.divide(d, top, out=d)
+                # backward: d becomes the output error over the batch mean
+                np.subtract(d, t, out=d)
+                np.multiply(d, scale, out=d)
+                np.matmul(h.T, d, out=gW2)
+                np.add.reduce(d, axis=0, out=gb2)
+                np.matmul(d, W2T, out=dh)
+                np.greater(h, 0, out=live)
+                np.multiply(dh, live, out=dh)
+                np.matmul(x.T, dh, out=gW1)
+                np.add.reduce(dh, axis=0, out=gb1)
+                # _step over all four parameters at once
+                np.multiply(vel, momentum, out=vel)
+                np.multiply(grad, lr, out=grad)
+                np.subtract(vel, grad, out=vel)
+                np.add(theta, vel, out=theta)
         final = self.loss(X, y)
-        if not np.isfinite(final) or not all(np.isfinite(p).all() for p in self.params()):
+        if not np.isfinite(final) or not np.isfinite(theta).all():
             raise PerceptionError(
                 f"training diverged: loss={final}, lr={self.lr}; reduce the step size"
             )
@@ -159,8 +248,7 @@ class MLP:
             f.write(_MAGIC)
             f.write(struct.pack(">IIII", _VERSION, self.n_in, self.hidden, self.n_classes))
             f.write(struct.pack(">dd", self.lr, self.momentum))
-            for p in self.params():
-                f.write(np.ascontiguousarray(p, dtype=">f8").tobytes())
+            f.write(self._theta.astype(">f8").tobytes())  # W1, b1, W2, b2 in order
 
     @classmethod
     def load(cls, path) -> "MLP":
@@ -179,11 +267,7 @@ class MLP:
             raise PerceptionError(f"{path}: {'truncated' if len(raw) < size else 'trailing bytes in'} checkpoint")
         lr, momentum = struct.unpack(">dd", raw[20:36])
         model = cls(n_in, k, hidden=hidden, lr=lr, momentum=momentum)
-        off = 36
-        for p in model.params():
-            n = p.size * 8
-            p[...] = np.frombuffer(raw[off : off + n], dtype=">f8").reshape(p.shape)
-            off += n
+        model._theta[...] = np.frombuffer(raw, dtype=">f8", offset=36)
         return model
 
 
@@ -272,17 +356,20 @@ class PairModel:
     def fit_pairs(self, pairs: Iterable[tuple], epochs: int = 1, batch_size: Optional[int] = None) -> float:
         """pairs: (a, b, truth) triples; orientation is normalized here."""
         rows, labels = [], []
+        size = 8 * self.n_in  # bytes of one side's float64 features
         for a, b, truth in pairs:
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if self._key(a) == self._key(b):
+            ka, kb = self._key(a), self._key(b)
+            if len(ka) != size or len(kb) != size:
+                raise PerceptionError(f"pair features must have {self.n_in} values a side")
+            if ka == kb:
                 continue  # a self-pair carries no orientation signal
-            x, y, swapped = self._canonical(a, b)
-            rows.append(np.concatenate([x, y]))
-            labels.append(int(truth) ^ int(swapped))
+            swapped = kb < ka  # as _canonical orients the pair
+            rows.append(kb + ka if swapped else ka + kb)
+            labels.append(int(truth) ^ swapped)
         if not rows:
             return float("nan")
-        return self.net.fit(np.stack(rows), np.array(labels), epochs=epochs, batch_size=batch_size)
+        X = np.frombuffer(b"".join(rows), dtype=float).reshape(len(rows), -1)
+        return self.net.fit(X, np.array(labels), epochs=epochs, batch_size=batch_size)
 
     def save(self, path) -> None:
         self.net.save(path)

@@ -1,10 +1,14 @@
 """Perception model tests: forward pass, backprop vs finite differences,
 antisymmetric pair wrapper, checkpoint format."""
 
+import copy
+import pickle
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abdlearn.perception import (
     MLP,
@@ -120,6 +124,103 @@ def test_fit_steps_match_unit_weight_reference():
             stepped._step(_unit_weight_grads(stepped, X[idx], y[idx]))
     for a, b in zip(fitted.params(), stepped.params()):
         assert np.array_equal(a, b)
+
+
+def _reference_fit(model, X, y, epochs, batch_size):
+    """fit's loop, on the reference gradients and _step."""
+    bs = len(X) if batch_size is None else batch_size
+    for _ in range(epochs):
+        order = model._rng.permutation(len(X))
+        for start in range(0, len(X), bs):
+            idx = order[start : start + bs]
+            model._step(_unit_weight_grads(model, X[idx], y[idx]))
+    return model.loss(X, y)
+
+
+def _state(model):
+    return [p.copy() for p in model.params() + model._vel]
+
+
+def _equal(xs, ys):
+    return all(np.array_equal(p, q) for p, q in zip(xs, ys))
+
+
+def _same_state(a, b):
+    return _equal(_state(a), _state(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fit_matches_reference_steps_over_shapes(data):
+    n_in, k = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 10))
+    hidden, n = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 40))
+    batch_size = data.draw(
+        st.one_of(
+            st.none(),
+            st.just(1),
+            st.integers(n + 1, n + 8),  # larger than n: one batch
+            st.integers(1, n).filter(lambda b: n % b),  # a short last batch
+            st.integers(1, n),
+        )
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, n_in)) * data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    y = rng.integers(0, k, size=n)
+    seed = data.draw(st.integers(0, 1000))
+    fitted, stepped = MLP(n_in, k, hidden=hidden, seed=seed), MLP(n_in, k, hidden=hidden, seed=seed)
+    for _ in range(2):  # the second fit starts from the first's velocities
+        epochs = data.draw(st.integers(1, 3))
+        got = fitted.fit(X, y, epochs=epochs, batch_size=batch_size)
+        assert got == _reference_fit(stepped, X, y, epochs, batch_size)
+        assert _same_state(fitted, stepped)
+        fitted.lr *= 0.9
+        stepped.lr *= 0.9
+
+
+def test_out_of_range_label_leaves_the_model_untouched():
+    rng = np.random.default_rng(19)
+    X = rng.uniform(size=(40, 6))
+    y = rng.integers(0, 10, size=40)
+    model = MLP(6, 10, seed=19)
+    model.fit(X, y, epochs=1, batch_size=4)  # velocities are nonzero
+    before = _state(model)
+    for bad in (10, -1):
+        y[-1] = bad  # the last mini-batch, or any other, holds it
+        with pytest.raises(PerceptionError):
+            model.fit(X, y, epochs=2, batch_size=4)
+        assert _equal(before, _state(model))
+
+
+def _copies(obj):
+    return [copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+
+
+def test_copied_model_fits_as_the_original_and_apart_from_it():
+    rng = np.random.default_rng(31)
+    X = rng.uniform(size=(30, 8))
+    y = rng.integers(0, 10, size=30)
+    original = MLP(8, 10, seed=31)
+    original.fit(X, y, epochs=2, batch_size=7)  # velocities are nonzero
+    before = _state(original)
+    twins = _copies(original)
+    losses = [twin.fit(X, y, epochs=3, batch_size=7) for twin in twins]
+    assert _equal(before, _state(original))
+    assert losses == [original.fit(X, y, epochs=3, batch_size=7)] * 2
+    assert all(_same_state(twin, original) for twin in twins)
+
+
+def test_copied_pair_model_fits_as_the_original_and_apart_from_it():
+    rng = np.random.default_rng(37)
+    X, labels, _ = toy_digits(rng, k=10, d=8, n_per=4)
+    triples = [(X[i], X[j], labels[i] >= labels[j]) for i, j in rng.integers(0, len(X), size=(60, 2))]
+    original = PairModel(8, seed=37)
+    original.fit_pairs(triples, epochs=2, batch_size=16)
+    before = _state(original.net)
+    twins = _copies(original)
+    losses = [twin.fit_pairs(triples, epochs=2, batch_size=16) for twin in twins]
+    assert _equal(before, _state(original.net))
+    assert losses == [original.fit_pairs(triples, epochs=2, batch_size=16)] * 2
+    assert all(_same_state(twin.net, original.net) for twin in twins)
 
 
 def test_grad_check_deployed_shapes():
@@ -274,6 +375,65 @@ def test_predict_pair_matches_the_reference_bit_for_bit():
     for a, b in rng.integers(0, len(X), size=(100, 2)):
         assert pm.predict_pair(X[a], X[b]).hex() == _ref_predict_pair(pm, X[a], X[b]).hex()
     assert pm.predict_pair(X[4], X[4].copy()) == _ref_predict_pair(pm, X[4], X[4]) == 0.5
+
+
+def _reference_pair_rows(pm, pairs):
+    """fit_pairs' rows and labels as _canonical orients each pair."""
+    rows, labels = [], []
+    for a, b, truth in pairs:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if pm._key(a) == pm._key(b):
+            continue
+        x, y, swapped = pm._canonical(a, b)
+        rows.append(np.concatenate([x, y]))
+        labels.append(int(truth) ^ int(swapped))
+    return rows, labels
+
+
+def _last_byte_twin(v, flip):
+    """The same float64 bytes but the last (the last value's sign and top exponent bits)."""
+    raw = bytearray(np.asarray(v, dtype=float).tobytes())
+    raw[-1] ^= flip
+    return np.frombuffer(bytes(raw))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fit_pairs_rows_match_canonical_reference(data):
+    n_in = data.draw(st.integers(1, 4))
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324]) | st.floats(-2, 2)
+    pool = [np.zeros(n_in), -np.zeros(n_in)]
+    vectors = st.lists(st.lists(value, min_size=n_in, max_size=n_in), max_size=5)
+    pool += [np.array(v) for v in data.draw(vectors)]
+    pool += [_last_byte_twin(v, data.draw(st.sampled_from([0x80, 0x01]))) for v in pool[1:4]]
+    pool += [v.copy() for v in pool]  # equal contents in other arrays
+    index = st.integers(0, len(pool) - 1)
+    picks = data.draw(st.lists(st.tuples(index, index, st.booleans()), min_size=1, max_size=30))
+    pairs = [(pool[i], pool[j], truth) for i, j, truth in picks]
+    seed, batch_size = data.draw(st.integers(0, 1000)), data.draw(st.sampled_from([None, 1, 4]))
+    pm, ref = PairModel(n_in, hidden=4, seed=seed), PairModel(n_in, hidden=4, seed=seed)
+    seen = []
+    pm.net.fit = lambda X, y, **kw: seen.append((X, y)) or MLP.fit(pm.net, X, y, **kw)
+    got = pm.fit_pairs(pairs, batch_size=batch_size)
+    rows, labels = _reference_pair_rows(ref, pairs)
+    if not rows:
+        assert np.isnan(got) and not seen
+        return
+    (X, y), = seen
+    assert X.tobytes() == np.stack(rows).tobytes()  # -0.0 and 0.0 apart
+    assert y.tolist() == labels
+    assert got == ref.net.fit(np.stack(rows), np.array(labels), batch_size=batch_size)
+    assert _same_state(pm.net, ref.net)
+
+
+def test_fit_pairs_rejects_sides_of_another_width():
+    pm = PairModel(4, seed=0)
+    before = _state(pm.net)
+    for a, b in ((np.ones(3), np.zeros(5)), (np.ones(4), np.zeros(3))):
+        with pytest.raises(PerceptionError):
+            pm.fit_pairs([(np.zeros(4), np.ones(4), True), (a, b, True)])
+    assert _equal(before, _state(pm.net))
 
 
 def test_pair_training_learns_order():
