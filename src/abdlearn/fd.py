@@ -26,13 +26,35 @@ solve_best picks one of two exact paths from the shape of the store:
   * chain stores, the shape the add/mul abducibles build (x0+x1#=v2,
     v2+x3#=v4, ..., v_last#=y), are solved by one forward max-product pass
     over the values the running variable can take (bucket elimination
-    along the chain, Dechter 1999) in O(n*|D|*|S|) time;
+    along the chain, Dechter 1999), O(n*|D|*|S|) time in the worst case;
   * any other store goes to branch-and-bound, which clones and
     re-propagates the store at every node and may stop early at a node
     budget, in which case the result says so (Labeling.truncated).
 
+The chain pass is bounded as A* bounds a search (Hart, Nilsson & Raphael
+1968).  A greedy depth-first search from the head first takes, at each
+link, the leaf's heaviest finite in-domain value (the smallest on a tie)
+that keeps the running value in the next var's domain, and backs up from a
+dead end, expanding each (link, value) state at most once.  The score of
+the first labeling it completes, summed in the pass's own order, is the
+incumbent I; if it completes none, no labeling scores above -inf and
+solve_best returns None.  The pass then drops a transition when its
+state's best score plus the leaf's weight plus the best finite weights of
+the weighted leaves still to come falls below I - 2*n*mass*_SLACK_ULPS (n
+weighted vars, mass the sum of their largest finite |weight|).  That is exact.  Take a labeling through a
+transition, with prefix score p at its state, so p <= the state's best.
+Float addition is monotone, so the bound is at least the one computed from
+p.  Every partial sum in that bound and in the labeling's own score is at
+most mass in size, so each float addition is within mass*2**-53 of the real
+one: the bound and the score are each within n+1 such steps of the real sum
+of their terms, and the real sum of the labeling's weights is at most the
+bound's.  So a labeling through a dropped transition scores below I, which
+is no more than the optimum: it can neither beat nor tie it, and the
+assignment, its log_prob bits and the lexicographic tie-break are those of
+the unbounded pass.  Uniform tables drop nothing.
+
 The satisfiability check used when only feasibility matters takes the same
-two paths.
+two paths; on a chain it is the same depth-first search, weights aside.
 """
 
 from __future__ import annotations
@@ -295,8 +317,8 @@ def _search_completion(store: ConstraintStore, budget: Optional[Budget]) -> bool
 def _completion_exists(store: ConstraintStore, budget: Optional[Budget]) -> bool:
     """True iff the store has a solution, weights aside.
 
-    Chain stores take an exact forward pass over reachable values; other
-    stores take the depth-first search.
+    Chain stores take _chain_first's search over (link, value) states;
+    other stores take the depth-first search over derived vars.
     """
     if store.failed:
         return False
@@ -337,16 +359,17 @@ def solve_best(
     infeasible.
 
     The store's shape picks the path, and an untruncated answer is the same
-    on both: a chain store (see _chain_of) takes the max-product pass, which
-    is exact in O(n*|D|*|S|) and ignores max_nodes; any other store takes
-    branch-and-bound, which stops after max_nodes branching nodes or when
-    the budget runs out and then returns its best labeling so far marked
-    truncated.  If it stops before its first complete labeling, and when
+    on both: a chain store (see _chain_of) takes the bounded max-product
+    pass, which is exact, O(n*|D|*|S|) at worst, and ignores max_nodes; any
+    other store takes branch-and-bound, which stops after max_nodes
+    branching nodes or when the budget runs out and then returns its best
+    labeling so far marked truncated.  If it stops before its first complete labeling, and when
     a chain store meets a budget already run out, the labeling has no
     assignment and log_prob -inf, marked truncated: None always means the
     store is infeasible, never that the search was cut.  solver_nodes and
     solver_leaves on the budget count each path's work as the Budget
-    docstring defines.
+    docstring defines: on a chain, the transitions the bounded pass kept
+    and the final states it scored, so a tighter bound shows as fewer.
     """
     if store.failed:
         return None
@@ -522,31 +545,61 @@ def _is_leaf(var: FDVar) -> bool:
 
 
 def _chain_feasible(store: ConstraintStore, head: int, links: list, budget: Optional[Budget]) -> bool:
-    """Forward pass over the set of values the running var can take.
+    """True iff the chain has a completion, weights aside (_chain_first).
 
     The domains already carry every EQC pin: post applied each one, and a
     pin that empties a domain fails the store, which callers check first.
     """
     doms = [v.dom for v in store.vars]
-    layer = set(doms[head].values())
-    steps = 0
-    for is_add, leaf, out in links:
-        vals = doms[leaf].values()
-        zlo, zhi = doms[out].lo, doms[out].hi
-        nxt = set()
-        for s in layer:
-            for d in vals:
-                t = s + d if is_add else s * d
-                if t < zlo or t > zhi:
-                    continue
-                steps += 1
-                nxt.add(t)
-        layer = nxt
-        if not layer:
-            break
+    choices = {vid: [(v, None) for v in doms[vid].values()] for vid in [head] + [leaf for _, leaf, _ in links]}
+    score, steps = _chain_first(doms, choices, head, links)
     if budget is not None:
         budget.solver_nodes += steps
-    return bool(layer)
+    return score is not None
+
+
+def _chain_first(doms: list, choices: dict, head: int, links: list) -> "tuple[Optional[float], int]":
+    """Depth-first search for the first completion of a chain.
+
+    choices maps the head and each leaf to its (value, weight) pairs, tried
+    in that order; a weight of None adds nothing.  A state is a link and a
+    value of the running var before it, and each is expanded at most once.
+    Returns the completion's score, its weights summed in _chain_best's
+    order (None if there is no completion), and the transitions tried that
+    land in the next var's domain.
+    """
+    n = len(links)
+    steps = 0
+    seen: set = set()
+    # frames of [link index, running value, score so far, next choice]
+    stack = [[0, v, 0.0 if w is None else 0.0 + w, 0] for v, w in reversed(choices[head])]
+    if n == 0:
+        return (stack[-1][2] if stack else None), 0
+    while stack:
+        frame = stack[-1]
+        k, s, score, i = frame
+        is_add, leaf, out = links[k]
+        opts = choices[leaf]
+        zlo, zhi = doms[out].lo, doms[out].hi
+        while i < len(opts):
+            d, w = opts[i]
+            i += 1
+            t = s + d if is_add else s * d
+            if zlo <= t <= zhi:
+                steps += 1
+                if (k, t) not in seen:
+                    seen.add((k, t))
+                    break
+        else:
+            stack.pop()
+            continue
+        frame[3] = i
+        if w is not None:
+            score += w
+        if k + 1 == n:
+            return score, steps
+        stack.append([k + 1, t, score, 0])
+    return None, steps
 
 
 def _chain_best(
@@ -562,43 +615,63 @@ def _chain_best(
     remaining additions can make may end up equal, and then the
     lexicographic tie-break decides.  So every prefix within that margin of
     a state's best is kept until the last weight is added.
+
+    A greedy depth-first search first gives an incumbent, or shows there is
+    no labeling, and the pass drops every transition that provably cannot
+    reach the incumbent (see the module docstring).
     """
     vars_ = store.vars
     doms = [v.dom for v in vars_]  # every EQC pinned, as in _chain_feasible
-    weighted = [vid for vid in [head] + [leaf for _, leaf, _ in links] if vars_[vid].is_weighted]
+    leaves = [head] + [leaf for _, leaf, _ in links]
+    weighted = [vid for vid in leaves if vars_[vid].is_weighted]
+    # each leaf's finite in-domain (value, weight), heaviest first and the
+    # smallest value first on a tie; a constant's weight is None
+    choices: dict = {}
+    for vid in leaves:
+        if not vars_[vid].is_weighted:
+            choices[vid] = [(doms[vid].lo, None)]
+            continue
+        tab, base = tables[vid], vars_[vid].base
+        finite = [(v, tab[v - base]) for v in doms[vid].values() if tab[v - base] != -math.inf]
+        finite.sort(key=lambda e: (-e[1], e[0]))
+        choices[vid] = finite
+    incumbent, _ = _chain_first(doms, choices, head, links)
+    if incumbent is None:
+        return None
     # Bound on |partial sum| along any path; each remaining addition can
     # move the gap between two prefixes by at most 2**-52 of it.
     mass = sum(max(abs(w) for w in tables[vid] if w != -math.inf) for vid in weighted)
+    floor = incumbent - 2 * len(weighted) * mass * _SLACK_ULPS
+    rest = []  # per link: the best weights of the weighted leaves after its own
+    ahead = 0.0
+    for _, leaf, _ in reversed(links):
+        rest.append(ahead)
+        if vars_[leaf].is_weighted:
+            ahead += choices[leaf][0][1]
+    rest.reverse()
+
     remaining = len(weighted)
-
-    def table(vid: int) -> "list[tuple[int, float]]":
-        tab, base = tables[vid], vars_[vid].base
-        out = []
-        for v in doms[vid].values():
-            w = tab[v - base]
-            if w != -math.inf:
-                out.append((v, w))
-        return out
-
-    hv = vars_[head]
     layer: dict = {}  # running value -> [(score, prefix)], best first
-    if hv.is_weighted:
-        for v, w in table(head):
+    if vars_[head].is_weighted:
+        for v, w in choices[head]:
             layer[v] = [(0.0 + w, (v,))]
         remaining -= 1
     else:
         layer[doms[head].lo] = [(0.0, ())]
     slack = remaining * mass * _SLACK_ULPS
     steps = 0
-    for is_add, leaf, out in links:
+    for (is_add, leaf, out), ahead in zip(links, rest):
         zlo, zhi = doms[out].lo, doms[out].hi
         nxt: dict = {}
         if vars_[leaf].is_weighted:
-            items = table(leaf)
+            leaf_choices = choices[leaf]
             remaining -= 1
             slack = remaining * mass * _SLACK_ULPS
             for s, entries in layer.items():
-                for d, w in items:
+                top = entries[0][0]
+                for d, w in leaf_choices:
+                    if top + w + ahead < floor:
+                        break  # and so does every lighter value
                     t = s + d if is_add else s * d
                     if t < zlo or t > zhi:
                         continue
@@ -613,6 +686,8 @@ def _chain_best(
         else:
             c = doms[leaf].lo
             for s, entries in layer.items():
+                if entries[0][0] + ahead < floor:
+                    continue
                 t = s + c if is_add else s * c
                 if t < zlo or t > zhi:
                     continue
@@ -624,8 +699,6 @@ def _chain_best(
                     for score, prefix in entries:
                         _offer(cur, score, prefix, slack)
         layer = nxt
-        if not layer:
-            break
     best_score, best_prefix = -math.inf, None
     for entries in layer.values():
         for score, prefix in entries:
@@ -634,8 +707,6 @@ def _chain_best(
     if budget is not None:
         budget.solver_nodes += steps
         budget.solver_leaves += len(layer)
-    if best_prefix is None:
-        return None
     return Labeling(dict(zip(weighted, best_prefix)), best_score)
 
 

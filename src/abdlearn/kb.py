@@ -64,11 +64,13 @@ class Budget:
 
     solver_nodes and solver_leaves count finite-domain solver work, and
     their unit depends on the path the store took (see fd):
-      * chain stores, max-product pass: solver_nodes counts state
-        transitions (a running value combined with a leaf value that lands
-        in the next var's domain), also in the feasibility-only pass;
-        solver_leaves counts the feasible final states scored, 1 for a
-        pinned sum;
+      * chain stores: solver_nodes counts state transitions (a running
+        value combined with a leaf value that lands in the next var's
+        domain), those the bounded max-product pass kept and those the
+        feasibility-only search tried before its first completion; so a
+        search that prunes more shows as fewer, never more, than a sweep
+        of every transition.  solver_leaves counts the final states the
+        max-product pass scored, 1 for a pinned sum;
       * other stores, branch-and-bound: solver_nodes counts branching
         nodes plus the pins of the completion search; solver_leaves counts
         complete assignments of the weighted vars reached.

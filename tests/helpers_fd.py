@@ -121,13 +121,15 @@ def gen_chain_store(
     p_uniform: float = 0.2,
     p_masked: float = 0.2,
     max_consts: int = 2,
+    p_peaked: float = 0.0,
 ):
     """A chain store over k weighted vars, and its plan for oracle_best.
 
     The chain folds its leaves left to right, one Add/Mul per leaf after
     the first: the weighted vars in id order with up to max_consts pinned
     constants mixed in.  kind is "add", "mul" or "mixed".  Tables are
-    uniform (ties), partly -inf, or random.  EqConst pins the end var most
+    uniform (ties), partly -inf, peaked (0.9 on one value, the rest
+    split evenly) or random.  EqConst pins the end var most
     of the time and now and then an intermediate or a leaf, mostly to the
     value a planted labeling gives it, otherwise to any value, so some pins
     are infeasible.  Weighted vars get ids 0..k-1 and each derived var k+t for
@@ -142,6 +144,9 @@ def gen_chain_store(
             tab = np.full(10, np.log(0.1))
         elif r < p_uniform + p_masked:
             tab = _masked_table(rng)
+        elif r < p_uniform + p_masked + p_peaked:
+            tab = np.full(10, np.log(0.1 / 9))
+            tab[int(rng.integers(0, 10))] = np.log(0.9)
         else:
             tab = random_weight_table(rng)
         tables.append(tab)

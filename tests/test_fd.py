@@ -320,6 +320,32 @@ def _same(got, want) -> bool:
     return (got.assignment, got.log_prob, got.truncated) == (want.assignment, want.log_prob, want.truncated)
 
 
+def _sweep_transitions(store: ConstraintStore, tables=None) -> int:
+    """Transitions a full forward sweep of a chain store makes: every
+    running value reachable from the head, combined with every value of the
+    next leaf (with tables, every finite-weight one) that lands in the next
+    var's domain."""
+    head, links = fd._chain_of(store)
+
+    def values(vid: int) -> list:
+        var = store.vars[vid]
+        if tables is None or not var.is_weighted:
+            return list(var.dom.values())
+        return [v for v in var.dom.values() if tables[vid][v - var.base] != -math.inf]
+
+    layer, count = set(values(head)), 0
+    for is_add, leaf, out in links:
+        nxt = set()
+        for s in layer:
+            for d in values(leaf):
+                t = s + d if is_add else s * d
+                if store.dom(out).contains(t):
+                    count += 1
+                    nxt.add(t)
+        layer = nxt
+    return count
+
+
 def _has_neg_inf(plan) -> bool:
     return any(np.isneginf(np.asarray(t)).any() for t in plan[1])
 
@@ -441,6 +467,58 @@ class TestChainStores:
         assert solve_best(st, tables) is None
         assert fd._branch_and_bound(st, tables) is None
         assert fd._completion_exists(st, None)  # feasibility ignores weights
+
+    def test_weighted_var_without_a_finite_weight_returns_none(self):
+        # x1's table is all -inf: no labeling scores above -inf
+        st = ConstraintStore()
+        x0 = st.new_weighted_var(10)
+        x1 = st.new_weighted_var(10)
+        m = st.new_derived_var(0, 18)
+        st.post(ADD, x0, x1, m)
+        tables = {x0: uniform_table(), x1: [-math.inf] * 10}
+        assert fd._chain_of(st) is not None
+        assert solve_best(st, tables) is None
+        assert fd._branch_and_bound(st, tables) is None
+
+    @pytest.mark.parametrize("holed", [False, True])
+    @pytest.mark.parametrize("untied", [False, True])
+    def test_long_sum_solves_in_transitions_linear_in_length(self, untied, holed):
+        # A 128-item sum whose tables put 0.9 on a drawn digit and split the
+        # rest evenly (peak) or by a Dirichlet(0.5) draw (untied): the
+        # answer is the drawn digits, and the bound keeps about one
+        # transition per link where a sweep makes some 360,000.  When the
+        # last drawn digit has probability zero (holed), the greedy path
+        # dead-ends at the last link and the search backs up to an
+        # incumbent.
+        n = 128
+        rng = np.random.default_rng(5)
+        digits = [int(d) for d in rng.integers(0, 10, size=n)]
+        st = ConstraintStore()
+        xs = [st.new_weighted_var(10) for _ in range(n)]
+        tables = {}
+        for x, d in zip(xs, digits):
+            p = np.full(10, 0.1 / 9)
+            if untied:
+                p[np.arange(10) != d] = 0.1 * rng.dirichlet(np.full(9, 0.5))
+            p[d] = 0.9
+            tables[x] = [math.log(v) if v > 0 else -math.inf for v in p]
+        running = xs[0]
+        for x in xs[1:]:
+            z = st.new_derived_var(0, st.dom(running).hi + 9)
+            st.post(ADD, running, x, z)
+            running = z
+        st.post_eq_const(running, sum(digits))
+        if holed:
+            tables[xs[-1]][digits[-1]] = -math.inf
+        budget = Budget()
+        lab = solve_best(st, tables, budget)
+        if holed:
+            assert sum(lab.assignment.values()) == sum(digits) and lab.assignment[xs[-1]] != digits[-1]
+            assert sum(v != d for v, d in zip(lab.assignment.values(), digits)) == 2
+            assert budget.solver_nodes <= 100 * n
+        else:
+            assert lab.assignment == dict(zip(xs, digits))
+            assert budget.solver_nodes <= 10 * n
 
     def test_counters(self):
         st = ConstraintStore()
@@ -590,6 +668,86 @@ def test_property_chain_pass_equals_branch_and_bound(leaves, ops, pins):
     by_var = dict(zip(ws, tables))
     assert _same(solve_best(st, by_var), fd._branch_and_bound(st, by_var))
     assert fd._completion_exists(st, None) == (not st.failed and fd._search_completion(st, None))
+
+
+_TABLE_MIXES = {  # (p_uniform, p_masked, p_peaked) for gen_chain_store
+    "peaked": (0.0, 0.0, 1.0),
+    "uniform": (1.0, 0.0, 0.0),
+    "holed": (0.0, 1.0, 0.0),
+    "mixed": (0.25, 0.25, 0.25),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st_.integers(0, 2**32 - 1),
+    k=st_.integers(1, 5),
+    kind=st_.sampled_from(["add", "mul", "mixed"]),
+    mix=st_.sampled_from(sorted(_TABLE_MIXES)),
+)
+def test_property_bounded_chain_pass_is_exact(seed, k, kind, mix):
+    """The bounded chain pass gives the brute-force answer, bit for bit,
+    with no more transitions than a full sweep (exactly a sweep's on
+    uniform tables), and the feasibility search agrees with the general
+    completion search on no more transitions than a sweep."""
+    rng = np.random.default_rng(seed)
+    p_uniform, p_masked, p_peaked = _TABLE_MIXES[mix]
+    store, plan = gen_chain_store(rng, k, kind=kind, p_uniform=p_uniform, p_masked=p_masked, p_peaked=p_peaked)
+    if store.failed:
+        return
+    tables = tables_of(plan)
+    budget = Budget()
+    got = solve_best(store, tables, budget)
+    want = oracle_best(plan)
+    if want is None:
+        assert got is None, dump(store)
+    else:
+        assert got is not None and (got.assignment, got.log_prob.hex()) == (want[0], want[1].hex()), dump(store)
+    sweep = _sweep_transitions(store, tables)
+    assert budget.solver_nodes <= sweep, dump(store)
+    if mix == "uniform" and want is not None:
+        assert budget.solver_nodes == sweep, dump(store)
+    budget = Budget()
+    assert fd._completion_exists(store, budget) == fd._search_completion(store, None), dump(store)
+    assert budget.solver_nodes <= _sweep_transitions(store), dump(store)
+
+
+def _greedy_path_dead_ends(store: ConstraintStore, tables: dict) -> bool:
+    """Whether always taking the leaf's heaviest finite value (the smallest
+    on a tie) that keeps the running var in its domain gets stuck before
+    the end of the chain."""
+    head, links = fd._chain_of(store)
+
+    def ranked(vid: int) -> list:
+        var = store.vars[vid]
+        if not var.is_weighted:
+            return [var.dom.lo]
+        finite = [v for v in var.dom.values() if tables[vid][v - var.base] != -math.inf]
+        return sorted(finite, key=lambda v: (-tables[vid][v - var.base], v))
+
+    path = ranked(head)[:1]
+    for is_add, leaf, out in links:
+        if not path:
+            break
+        path = [t for t in (path[0] + d if is_add else path[0] * d for d in ranked(leaf)) if store.dom(out).contains(t)][:1]
+    return not path
+
+
+def test_holes_off_the_greedy_path_keep_the_pass_exact():
+    rng = np.random.default_rng(41)
+    backed_up = 0
+    for i in range(300):
+        store, plan = gen_chain_store(rng, int(rng.integers(2, 6)), kind=("add", "mul", "mixed")[i % 3], p_masked=0.7)
+        if store.failed:
+            continue
+        tables = tables_of(plan)
+        budget = Budget()
+        got = solve_best(store, tables, budget)
+        want = oracle_best(plan)
+        assert (None if got is None else (got.assignment, got.log_prob)) == want, dump(store)
+        assert budget.solver_nodes <= _sweep_transitions(store, tables), dump(store)
+        backed_up += want is not None and _greedy_path_dead_ends(store, tables)
+    assert backed_up >= 5
 
 
 @settings(max_examples=200, deadline=None)
