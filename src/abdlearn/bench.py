@@ -2,8 +2,10 @@
 
 Two measurements. The first compares inducing a program and then abducing
 labels through the constraint solver (H then z) against enumerating label
-tuples by descending probability until one fits the arithmetic (z then H);
-both report how many complete assignments they visited.  The second sweeps
+tuples by descending probability until one fits the arithmetic (z then H).
+The two columns do not count the same work: h_to_z is solver_leaves summed
+over every candidate program induce scores, while z_to_h counts the label
+tuples tried under the task's true y_of only.  The second sweeps
 metarule subsets of growing size and reports the search cost of inducing
 the same program under each.
 """
@@ -27,8 +29,8 @@ from .tasks import SeqExample, Task
 @dataclass
 class AbductionBenchRow:
     batch: int
-    h_to_z: int  # complete assignments the constraint search visited
-    z_to_h: int  # label tuples enumerated before all examples fit
+    h_to_z: int  # solver_leaves summed over every candidate program induce scored
+    z_to_h: int  # label tuples tried, under the true y_of only, until each example fit
     solved: bool
     h_to_z_ms: float = 0.0
     z_to_h_ms: float = 0.0

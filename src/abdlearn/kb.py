@@ -75,8 +75,10 @@ class Budget:
         nodes plus the pins of the completion search; solver_leaves counts
         complete assignments of the weighted vars reached.
 
-    proofs_run and proofs_replayed count mil's closed-program proofs, run
-    from scratch or replayed from the setting's stored proof of their shape.
+    proofs_run and proofs_replayed count mil's stored-proof lookups, run
+    from scratch or replayed from the setting's stored proof of their
+    shape: every closed-program proof, and each generation proof of a
+    positive whose y is a generation parameter.
     """
 
     __slots__ = (

@@ -51,9 +51,10 @@ the proofs found nor their order.  Without it, a full program whose clauses
 all recurse tries every mix of its clauses down the list, 2^L branches for
 a list of L items, before it fails.
 
-Generation adds a second prune of the same kind: under a closed program
-that it has already recorded, every goal fails at once, since the branch
-could only yield that program again.
+Generation drops what could only give it a program again: a leaf whose
+closed program it has already recorded goes before its feasibility check.
+A goal that keeps y (below) is also cut as it is proved: under a closed
+program generation has recorded, every goal fails at once.
 
 Generation lists a new clause only if it type-checks against the call
 (typed MIL: Morel, Cropper & Ong, JELIA 2019), with every type derived,
@@ -132,9 +133,9 @@ table raises as before), sums each leaf's pair log-probabilities as
 0.0 + lp1 + lp2 + ... in path order, as _abduce does, and hands each
 stored store, as it is, to the solver with its own tables or to the
 feasibility check: labelings, log_prob bits and counters are those of the
-goal's own proof.  Generation proves from scratch, and so does a goal whose
-budget could not run the whole proof (max_nodes below its nodes, or the
-budget out); a proof that ran the budget out is not stored.
+goal's own proof.  A goal whose budget could not run the whole proof
+(max_nodes below its nodes, or the budget out) is proved from scratch; a
+proof that ran the budget out is not stored.
 
 A sum or product goal f(items, y) is proved once per program and length,
 not once per y: y is a parameter.  A parameter is an Int argument of a
@@ -168,6 +169,51 @@ from the same queue.  So the leaves, in order, each store's content and
 watch lists, the solved-store key, the labelings and all four counters are
 those of the goal's own proof, and a leaf whose pin fails is its branch
 that failed at the eq.
+
+Generation proves a sum or product positive once per program, length and
+clause budget too, y in its slot, when y is a generation parameter (the
+key adds the clause budget, which bounds the clauses a proof may add).
+The rule must hold for every clause generation can add as well as for the
+program's own, so it is derived over both, once per setting and program.
+The clauses it can add are, per metarule and head predicate, one for each
+predicate it may put in the last body atom: a body pool entry, the target,
+an invented predicate or one the setting may still invent.  In each, the
+head holds at the position a variable that occurs once in the head and
+once in the body, in the last body atom, which must take it: an
+abducible, a background predicate of facts only, or an inducible one at a
+generation parameter position.  The positions are again the largest such
+set; they are none unless every background clause holds only variables,
+symbols and lists and calls no builtin, and the body pool names no
+builtin.  A goal takes a generation parameter when its one Int outside
+item handles is an argument at such a position; any other goal, a ground
+Int goal say, keeps y.
+Why this is exact.  As above, the parameter stays in the last goal of the
+goal list, so an eq on it is a pin at the end of its branch.  Nothing else
+in the proof holds an Int: not the goal, not the background clauses, and
+an abducible binds fdv(v) references, never Ints; nor can a clause take an
+item or fdv handle apart.  So whatever y meets, it and its slot act alike:
+a variable binds to either; any other term unifies with neither, being no
+Int and no slot; a background fact matches or fails the same way and ends
+the branch; and an abducible fails at once on a term that is no list,
+unless y is eq's output, a pin.  _call_type types a slot int, so the
+choice lists, keyed by the call's types, are the Int call's.  The slotted
+proof takes the steps of the goal's own proof, in order, and the pins give
+its leaves.  This covers f(A,B) :- f(A,C), head(C,B), which type-checks
+with B : int and hands B to head/2: the descent rule fails f(A,C) before
+head runs, but even there head would compare y with an item of C, which is
+no Int.  In a ground goal it would be: f(A,B) :- tail(A,C), head(C,B)
+proves f([3,5],5) and not f([3,5],4), so that goal keeps y.
+Generation's cut under recorded programs depends on the positives its
+caller has consumed so far, so a stored generation proof is the uncut one:
+each leaf keeps its program, and the storing run and every replay drop, at
+yield time, a leaf whose closed program generation has recorded, before
+its feasibility check.  The cut would have removed only such leaves, since
+recorded programs are never forgotten, and from such a leaf generation
+records nothing; so the pool and its order are the cut search's, and
+every run and replay charges the uncut proof's nodes, whatever is stored.
+Generation proves the next positive between two leaves of one proof, so a
+storing run proves its goal whole, and stores it, before the first leaf
+goes out: a later positive of the shape replays it even there.
 
 Scoring solves each distinct constraint store under the same tables once
 per induce call, be its proof run or replayed: the two base cases of a
@@ -528,11 +574,13 @@ class InductionSetting:
             done = self._productive[prog] = _productive(prog, self)
         return done
 
-    def parameters(self, prog: Program) -> "frozenset[tuple[str, int, int]]":
-        """_parameters of prog, computed once per setting."""
-        done = self._parameters.get(prog)
+    def parameters(self, prog: Program, generation: bool = False) -> "frozenset[tuple[str, int, int]]":
+        """_parameters of prog, or with generation _generation_parameters,
+        computed once per setting."""
+        key = (prog, generation)
+        done = self._parameters.get(key)
         if done is None:
-            done = self._parameters[prog] = _parameters(prog, self)
+            done = self._parameters[key] = (_generation_parameters if generation else _parameters)(prog, self)
         return done
 
     def well_typed(self, ms: MetaSub, types: tuple) -> bool:
@@ -650,9 +698,10 @@ class InduceOutcome:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
     (the depth bound cut some branch, so a program may lie beyond it; a
     branch through a clause that would close an unproductive program or
-    through a new clause that does not type-check against its call, or
-    under a closed program generation has recorded, is not searched, so a
-    cut it would have met is not counted: it could hold no new program),
+    through a new clause that does not type-check against its call, or,
+    for a positive whose y is no generation parameter, under a closed
+    program generation has recorded, is not searched, so a cut it would
+    have met is not counted: it could hold no new program),
     "unscorable" (a candidate proves every positive, weights aside, yet none
     scored above -inf on every example) or "no_candidate" (no program proves
     every positive example).  It is None when a program was found.
@@ -868,24 +917,98 @@ def _body_in(c: Clause, inducible: set, productive: set) -> bool:
 
 def _parameters(prog: Program, setting: InductionSetting) -> "frozenset[tuple[str, int, int]]":
     """(name, arity, position) of each parameter position of prog's
-    inducible predicates (see the module docstring): the largest set of
-    positions that every clause of prog for the predicate hands on, by
-    _hands_on, to the output of an eq abducible or to a position in the
-    set.  It starts from every position and drops, until none drops, each
-    that some clause does not hand on (the least fixpoint of that drop)."""
+    inducible predicates (see the module docstring): _closure over prog's
+    clauses, each handing a position on to the output of an eq abducible
+    or to a position in the set."""
     clauses = [setting.clause_of(ms) for ms in prog.metasubs]
-    out = {(n, a, i) for n, a in (setting.target, *prog.invented) for i in range(a)}
+    return _closure(clauses, (setting.target, *prog.invented), setting, _pins)
+
+
+def _generation_parameters(prog: Program, setting: InductionSetting) -> "frozenset[tuple[str, int, int]]":
+    """(name, arity, position) of each generation parameter position of
+    prog's inducible predicates (see the module docstring): _closure over
+    prog's clauses and every clause generation may add to it, each handing
+    a position on by _takes; none unless the background clauses hold only
+    variables, symbols and lists and call no builtin, and the body pool
+    names no builtin."""
+    kb = setting.kb
+    if any(key in kb.builtins for key in setting.body_pool) or not all(
+        _lists_only(c, kb) for cs in kb.clauses.values() for c in cs
+    ):
+        return frozenset()
+    heads = [setting.target, *prog.invented]
+    if setting.max_invented:  # a predicate generation may still invent, one name per arity
+        heads += [(_NEW, a) for a in sorted({b.arity for mr in setting.metarules for b in mr.body})]
+    clauses = [setting.clause_of(ms) for ms in prog.metasubs]
+    for mr in setting.metarules:
+        for name, arity in heads:
+            if mr.head.arity == arity:
+                clauses += [setting.clause_of(ms) for ms in _buildable(mr, name, heads, setting)]
+    return frozenset(p for p in _closure(clauses, heads, setting, _takes) if p[0] != _NEW)
+
+
+_NEW = "$new"  # a predicate not yet invented; no name the parser reads
+
+
+def _buildable(mr: Metarule, name: str, heads: list, setting: InductionSetting) -> "list[MetaSub]":
+    """The instances of mr, with head predicate name, that differ in what
+    _hands_on reads: one per predicate generation may put in the last body
+    atom, a body pool entry or an inducible predicate of heads of its
+    arity; every other body predicate is its existential's own name."""
+    head = mr.head.pred_var
+    last = mr.body[-1].pred_var if mr.body else head
+    if last == head:
+        options = [name]
+    else:
+        options = list(dict.fromkeys(n for n, a in (*setting.body_pool, *heads) if a == mr.body[-1].arity))
+    return [
+        MetaSub(mr.name, tuple([(e, name if e == head else r if e == last else e) for e in mr.existentials]))
+        for r in options
+    ]
+
+
+def _closure(clauses: "list[Clause]", heads, setting: InductionSetting, takes) -> "frozenset[tuple[str, int, int]]":
+    """The largest set of (name, arity, position) of the predicates heads
+    such that every clause in clauses for the predicate hands the position
+    on, by _hands_on with takes, to a position in the set or as takes
+    allows.  It starts from every position and drops, until none drops,
+    each that some clause does not hand on (the least fixpoint of that
+    drop)."""
+    out = {(n, a, i) for n, a in heads for i in range(a)}
     while True:
-        bad = {p for p in out if not all(_hands_on(c, p[2], out, setting) for c in clauses if c.head.key() == p[:2])}
+        bad = {p for p in out if not all(_hands_on(c, p[2], out, setting, takes) for c in clauses if c.head.key() == p[:2])}
         if not bad:
             return frozenset(out)
         out -= bad
 
 
-def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting) -> bool:
+def _pins(key: "tuple[str, int]", q: int, params, setting: InductionSetting) -> bool:
+    """Whether a last goal on predicate key takes a parameter at position
+    q as a closed program's proof may: at eq's output, or at a position in
+    params."""
+    spec = setting.abducibles.get(key)
+    if spec is not None:
+        return spec.kind == EQC and q == 1
+    return (*key, q) in params
+
+
+def _takes(key: "tuple[str, int]", q: int, params, setting: InductionSetting) -> bool:
+    """Whether a last goal on predicate key proves alike with y or its
+    slot at position q: an abducible (eq's output is a pin, any other
+    position fails at once on a term that is no list), a background
+    predicate of facts only, or another at a position in params."""
+    if key in setting.abducibles:
+        return True
+    clauses = setting.kb.clauses.get(key)
+    if clauses is not None:
+        return not any(c.body for c in clauses)
+    return (*key, q) in params
+
+
+def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting, takes) -> bool:
     """Whether c's head holds a variable at position i that occurs once in
-    the head and once in the body, as an argument of the last body atom,
-    at the output of an eq abducible or at a position in params."""
+    the head and once in the body, as an argument of the last body atom
+    that takes it there, by takes."""
     v = c.head.args[i]
     if v.__class__ is not Var or not c.body or _occurrences(v, c.head.args) != 1:
         return False
@@ -894,11 +1017,7 @@ def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting) -> bool
     last = c.body[-1]
     if v not in last.args:
         return False
-    q = last.args.index(v)
-    spec = setting.abducibles.get(last.key())
-    if spec is not None:
-        return spec.kind == EQC and q == 1
-    return (last.pred, len(last.args), q) in params
+    return takes(last.key(), last.args.index(v), params, setting)
 
 
 def _occurrences(v: Var, terms: "Iterable[Term]") -> int:
@@ -911,6 +1030,23 @@ def _occurrences(v: Var, terms: "Iterable[Term]") -> int:
         elif t.__class__ is Struct:
             todo.extend(t.args)
     return n
+
+
+def _lists_only(c: Clause, kb: KnowledgeBase) -> bool:
+    """Whether background clause c holds nothing but variables, symbols,
+    [] and list cells, and calls no builtin."""
+    if any(b.key() in kb.builtins for b in c.body):
+        return False
+    todo = [*c.head.args, *(t for b in c.body for t in b.args)]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Struct:
+            if not (t.functor == "." and len(t.args) == 2 or is_nil(t)):
+                return False
+            todo.extend(t.args)
+        elif t.__class__ is not Var and t.__class__ is not Sym:
+            return False
+    return True
 
 
 def _inducible(g: Atom, anc: tuple, s: Subst, state, ctx: _Ctx):
@@ -1051,10 +1187,11 @@ def _meet(a, b):
 
 
 def _call_type(t: Term):
-    """(type, length) of term t at the call: "int" for an Int, "item" for
-    an item(i) handle, ("list", T) for a proper list whose items' types
-    meet in T, else None; length counts a proper list's items, and is None
-    for any other term."""
+    """(type, length) of term t at the call: "int" for an Int or a
+    parameter's $param(k) slot, which stands for one, "item" for an item(i)
+    handle, ("list", T) for a proper list whose items' types meet in T,
+    else None; length counts a proper list's items, and is None for any
+    other term."""
     cls = t.__class__
     if cls is Int:
         return "int", None
@@ -1072,7 +1209,9 @@ def _call_type(t: Term):
         return (None if elem is _MIXED else ("list", elem)), n
     if is_nil(t):
         return ("list", None), 0
-    return ("item" if _item_id(t) is not None else None), None
+    if _item_id(t) is not None:
+        return "item", None
+    return ("int" if _item_id(t, PARAM_F) is not None else None), None
 
 
 def _call_types(g: Atom) -> "tuple[Optional[int], tuple]":
@@ -1191,19 +1330,28 @@ def prove(
     solve_best's untruncated answer and its solver_nodes and solver_leaves,
     gives the answer of a store solved before under the same tables and
     adds those counts to runtime.
-    found, generation's map of the programs it has recorded by key, fails
-    every goal under a closed program already in it.  Without
-    allow_new_clauses the proof is the setting's stored proof of the goals'
-    shape when it has one, a single goal's parameters (y of a sum or
-    product goal) pinned to the goal's values (see the module docstring).
+    found, generation's map of the programs it has recorded by key, drops
+    every leaf whose closed program is already in it, unchecked.  The proof
+    is the setting's stored proof of the goals' shape when it has one, a
+    single goal's parameters (y of a sum or product goal) pinned to the
+    goal's values (see the module docstring), and is stored when it is
+    run.  With allow_new_clauses it is so only for a goal with a
+    generation parameter, and the proof is stored uncut; a goal without
+    one is proved on its own, every goal under a closed program in found
+    failing at once.
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
-    ctx = _Ctx(setting, facts, budget, allow_new_clauses, found=found)
-    leaves = (_leaves if allow_new_clauses else _shared_leaves)(goals, program, ctx, runtime)
-    yield from _results(leaves, ctx, runtime, feasibility_only, solved)
+    goals, values = _parametrized(goals, program, setting, allow_new_clauses)
+    shared = values or not allow_new_clauses
+    ctx = _Ctx(setting, facts, budget, allow_new_clauses, found=None if shared else found)
+    if shared:
+        leaves = _shared_leaves(goals, values, program, ctx, runtime)
+    else:
+        leaves = _leaves(goals, program, ctx, runtime)
+    yield from _results(leaves, ctx, runtime, feasibility_only, solved, found)
 
 
 def _leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
@@ -1215,11 +1363,19 @@ def _leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budge
 
 
 def _results(
-    leaves: Iterable[tuple], ctx: _Ctx, runtime: Budget, feasibility_only: bool, solved: Optional[dict]
+    leaves: Iterable[tuple],
+    ctx: _Ctx,
+    runtime: Budget,
+    feasibility_only: bool,
+    solved: Optional[dict],
+    found: Optional[dict] = None,
 ) -> Iterator[AbductionResult]:
     """prove's results: each leaf's store solved, or only checked for a
-    solution with feasibility_only; a leaf with no solution is dropped."""
+    solution with feasibility_only; a leaf with no solution is dropped, and
+    so, unchecked, is a leaf whose closed program is in found."""
     for prog, ab, dlogp, abduced in leaves:
+        if found is not None and ctx.closed(prog) and prog.key() in found:
+            continue  # generation has recorded prog and would only record it again
         labeling = None
         total = dlogp
         if ab.store is not None and ab.store.vars:
@@ -1273,16 +1429,19 @@ def _solve_once(
 # ---------------------------------------------------------------------------
 
 
-def _proof_key(goals: "Sequence[Atom]", program: Program, facts: TableFacts) -> "tuple[tuple, list[int]]":
+def _proof_key(
+    goals: "Sequence[Atom]", program: Program, facts: TableFacts, budget: Optional[int] = None
+) -> "tuple[tuple, list[int]]":
     """The key of the goals' stored proof under program, and the goals' item
     ids by position.  The goals come from _parametrized, each parameter a
-    $param(k) slot.  The key is one flat tuple: program, value_base, the
-    goals in preorder (a predicate or functor, then its arity, then its
+    $param(k) slot.  The key is one flat tuple: program, value_base,
+    generation's clause budget (None for a closed-program proof), the goals
+    in preorder (a predicate or functor, then its arity, then its
     arguments, so a slot gives "$param", 1, Int(k)) with each item(i)
     handle given as the position of i's first occurrence, and each item's
     table length, None if it has none."""
     ids: dict = {}
-    out = [program, facts.value_base]
+    out = [program, facts.value_base, budget]
     for g in goals:
         out += (g.pred, len(g.args))
         todo = list(reversed(g.args))
@@ -1344,8 +1503,9 @@ def _reread(read: tuple, ids: "list[int]", facts: TableFacts) -> Optional[dict]:
 
 class _Proof(NamedTuple):
     """A stored proof (see the module docstring).  A leaf is (store, item
-    position -> var map, abduced pairs as positions in path order); a
-    pending leaf adds its pins, (store var, parameter slot) pairs."""
+    position -> var map, abduced pairs as positions in path order, its
+    program); a pending leaf adds its pins, (store var, parameter slot)
+    pairs, before its program."""
 
     leaves: tuple  # the leaves under the parameter values that stored the proof
     read: tuple  # item positions and pairs of them, in first-read order
@@ -1355,11 +1515,13 @@ class _Proof(NamedTuple):
     by_values: dict  # parameter values, () without parameters -> the leaves under them
 
 
-def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting):
+def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting, generation: bool = False):
     """The goals with each parameter, an Int argument of a single goal at
     one of program's parameter positions, replaced by its slot $param(k),
-    and the parameters' values by slot."""
-    params = setting.parameters(program)
+    and the parameters' values by slot.  Under generation the positions
+    are the generation parameter positions, and a goal takes a parameter
+    only if it is the goal's one Int outside item handles."""
+    params = setting.parameters(program, generation)
     if len(goals) != 1 or not params:
         return goals, ()
     g = goals[0]
@@ -1368,7 +1530,21 @@ def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionS
         if t.__class__ is Int and (g.pred, len(args), i) in params:
             args[i] = Struct(PARAM_F, (Int(len(values)),))
             values.append(t.value)
-    return ([Atom(g.pred, tuple(args))], tuple(values)) if values else (goals, ())
+    if not values or generation and (len(values) > 1 or not _int_free(args)):
+        return goals, ()
+    return [Atom(g.pred, tuple(args))], tuple(values)
+
+
+def _int_free(terms: "Iterable[Term]") -> bool:
+    """No Int occurs in terms outside item handles and parameter slots."""
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Int:
+            return False
+        if t.__class__ is Struct and t.functor != ITEM_F and t.functor != PARAM_F:
+            todo.extend(t.args)
+    return True
 
 
 def _pinned(pending: "Iterable[tuple]", values: tuple) -> "list[tuple]":
@@ -1376,27 +1552,30 @@ def _pinned(pending: "Iterable[tuple]", values: tuple) -> "list[tuple]":
     a clone of its store with each pin posted as var = its parameter's
     value, and is dropped if one fails."""
     out = []
-    for store, vids, path, pins in pending:
+    for store, vids, path, pins, prog in pending:
         if pins:
             store = store.clone()
             if not all(store.post_eq_const(vid, values[k]) for vid, k in pins):
                 continue
-        out.append((store, vids, path))
+        out.append((store, vids, path, prog))
     return out
 
 
-def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
+def _shared_leaves(
+    goals: "Sequence[Atom]", values: tuple, program: Program, ctx: _Ctx, runtime: Budget
+) -> Iterator[tuple]:
     """_leaves, through the setting's stored proofs (see the module
-    docstring): the stored proof of the goals' shape, parameters slotted,
-    is replayed when runtime could run it whole and no pair it read now has
-    probability 0, its leaves under the goals' parameter values taken from
-    the proof or pinned once and kept there; otherwise the goals are
-    proved, their pins posted, and the proof is stored unless runtime ran
-    out or it read a pair of probability 0.  runtime counts either in
-    proofs_replayed or proofs_run."""
+    docstring): the stored proof of the goals' shape, parameters slotted
+    and their values given, is replayed when runtime could run it whole
+    and no pair it read now has probability 0, its leaves under the
+    parameter values taken from the proof or pinned once and kept there;
+    otherwise the goals are proved, their pins posted, and the proof is
+    stored unless runtime ran out or it read a pair of probability 0.
+    Under generation the proof runs whole, and is stored, before its first
+    leaf goes out.  runtime counts either in proofs_replayed or
+    proofs_run."""
     facts = ctx.facts
-    goals, values = _parametrized(goals, program, ctx.setting)
-    key, ids = _proof_key(goals, program, facts)
+    key, ids = _proof_key(goals, program, facts, ctx.budget.max_clauses if ctx.allow_new else None)
     proofs = ctx.setting._proofs
     proof = proofs.get(key)
     cap = runtime.max_nodes
@@ -1409,26 +1588,30 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
         runtime.proofs_replayed += 1
         runtime.nodes += proof.nodes
         runtime.depth_hits += proof.depth_hits
-        for store, vids, path in leaves:
+        for store, vids, path, prog in leaves:
             dlogp = 0.0
             for p in path:
                 dlogp += pairs[p].log_prob
-            yield program, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, tuple([pairs[p] for p in path])
+            yield prog, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, tuple([pairs[p] for p in path])
         return
     runtime.proofs_run += 1
     pos = {iid: p for p, iid in enumerate(ids)}
     reads = _Reads(facts, pos)
     nodes, depth_hits = runtime.nodes, runtime.depth_hits
-    pending, leaves = [], []
+    pending, leaves, held = [], [], []
     for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
-        ab = state[1]
+        prog, ab = state[0], state[1]
         path = tuple([(pos[a.key[1]], pos[a.key[2]]) for a in state[3]])
-        pending.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path, ab.pins))
+        pending.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path, ab.pins, prog))
         pinned = _pinned(pending[-1:], values)
         if not pinned:
             continue
         leaves.append(pinned[0])
-        yield state[0], _AbdState(pinned[0][0], ab.item_vars), state[2], state[3]
+        leaf = (prog, _AbdState(pinned[0][0], ab.item_vars), state[2], state[3])
+        if ctx.allow_new:
+            held.append(leaf)  # generation proves the next positive between leaves
+        else:
+            yield leaf
     if not (runtime.exhausted or reads.zero):
         leaves = tuple(leaves)
         proofs[key] = _Proof(
@@ -1439,6 +1622,7 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
             tuple(pending),
             {values: leaves},
         )
+    yield from held
 
 
 # ---------------------------------------------------------------------------
@@ -1570,9 +1754,11 @@ def _candidate_programs(
     recurse is never entered, where a search of it would take 2^L branches
     down a list of L items.  A new clause that does not type-check against
     its call is never offered either: it is in no proof.  So a depth cut
-    that a branch through either would have met is not counted.  Under a
-    full program found already, prove fails every goal: the branch could
-    only find it again."""
+    that a branch through either would have met is not counted.  prove
+    drops a result whose full program is found already, since it could
+    only be found again, and a positive with y as a generation parameter
+    is proved once per (program, length, budget) in the setting's stored
+    proofs, its y pinned per positive (see the module docstring)."""
     seen_prefix: set = set()
     found: dict = {}
 

@@ -1561,8 +1561,8 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     got = stream(shared, item_goal([7, 8, 9], 8), second)
     monkeypatch.undo()
     assert clones == [] and len(shared._proofs) == 1
-    assert len(solved) == len(leaves) > 0 and all(a is b for a, (b, _, _) in zip(solved, leaves))
-    assert all(pairs == () for _, _, pairs in leaves)  # a sum proof abduces no pair
+    assert len(solved) == len(leaves) > 0 and all(a is b for a, (b, *_) in zip(solved, leaves))
+    assert all(pairs == () and prog == SUM_PROG for _, _, pairs, prog in leaves)  # a sum proof abduces no pair
     assert got == stream(sum_setting(), item_goal([7, 8, 9], 8), second)
     assert [lab for _, lab, _ in got] != [lab for _, lab, _ in want_first]
 
@@ -1593,7 +1593,7 @@ def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
     got = stream(shared, item_goal([7, 8, 9], 6), second, rt)
     assert (rt.proofs_run, rt.proofs_replayed) == (0, 1)
     assert len(clones) == len(proof.pending) == len(solved) > 0
-    for clone, store, (base, _, _, pins) in zip(clones, solved, proof.pending):
+    for clone, store, (base, _, _, pins, _) in zip(clones, solved, proof.pending):
         (vid, _), = pins
         assert clone is base and len(store.vars) == len(base.vars)
         assert store.constraints == base.constraints + [FDConstraint(EQC, vid, -1, 6)]
@@ -1759,6 +1759,229 @@ def test_generation_prune_changes_no_candidate(case):
         off, nodes_off = generate()
     assert on == off
     assert nodes_on <= nodes_off
+
+
+# ---------------------------------------------------------------------------
+# generation through stored proofs, y a parameter
+# ---------------------------------------------------------------------------
+
+
+def _generation(positives, setting, facts, max_clauses):
+    """Generation's pool as program texts, its (nodes, solver_nodes,
+    depth_hits), and the (goal, program, leaf program) of each result
+    prove hands it, in order."""
+    trace, plain = [], mil.prove
+
+    def spy(goal, prog, *a, **kw):
+        for r in plain(goal, prog, *a, **kw):
+            trace.append((goal, prog.key(), r.program.key()))
+            yield r
+
+    runtime = Budget()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "prove", spy)
+        pool = mil._candidate_programs(positives, setting, SearchBudget(max_clauses=max_clauses), facts, runtime)
+    texts = [program_text(p, setting.library) for p in pool]
+    return texts, (runtime.nodes, runtime.solver_nodes, runtime.depth_hits), trace
+
+
+def _reference_generation(positives, setting, facts, max_clauses, cut=False):
+    """_generation with y in every goal and nothing stored, the cut under
+    recorded programs moved to yield time: each positive's own proof runs
+    uncut (_leaves with no found map), and a leaf whose closed program is
+    recorded is dropped before its feasibility check.  With cut, the
+    proofs also cut as they go, as generation does where y is no
+    parameter."""
+    budget = SearchBudget(max_clauses=max_clauses)
+    seen, found, trace = set(), {}, []
+    runtime, ctx = Budget(), mil._Ctx(setting, facts, budget, True, found=found if cut else None)
+
+    def rec(idx, prog):
+        if idx == len(positives) or prog.size == max_clauses:
+            if prog.size > 0:
+                found.setdefault(prog.key(), prog)
+            return
+        if (prog.key(), idx) in seen:
+            return
+        seen.add((prog.key(), idx))
+        goal = positives[idx].goal
+        for leaf, ab, _, _ in mil._leaves([goal], prog, ctx, runtime):
+            if ctx.closed(leaf) and leaf.key() in found:
+                continue
+            if ab.store is not None and ab.store.vars and not mil._completion_exists(ab.store, runtime):
+                continue
+            trace.append((goal, prog.key(), leaf.key()))
+            rec(idx + 1, leaf)
+
+    rec(0, Program())
+    pool = sorted(found.values(), key=lambda p: (p.size, program_text(p, setting.library)))
+    texts = [program_text(p, setting.library) for p in pool]
+    return texts, (runtime.nodes, runtime.solver_nodes, runtime.depth_hits), trace
+
+
+@st.composite
+def _generation_batches(draw):
+    """A sum or product batch of 1-4 positives of lengths 1-3, repeats
+    likely, twice: as item goals under tables biased toward the drawn
+    digits, and as ground Int goals of those digits under exact tables.
+    Each y is the digits' value, 0, or one above the largest value a list
+    of that length reaches."""
+    task = tasks.make_task(draw(st.sampled_from(["sum", "product"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    items, ground, tables, next_id = [], [], {}, 0
+    for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        digits = [int(d) for d in rng.integers(task.digit_lo, task.digit_hi + 1, size=n)]
+        y = draw(st.sampled_from([task.y_of(digits), 0, task.y_of([task.digit_hi] * n) + 1]))
+        ids = list(range(next_id, next_id + n))
+        next_id += n
+        for i, d in zip(ids, digits):
+            p = rng.dirichlet(np.ones(task.n_classes))
+            p[d - task.value_base] += 0.5
+            tables[i] = (p / p.sum()).tolist()
+        items.append(task.goal(ids, y))
+        ground.append(GoalExample(int_goal(digits, y)))
+    return task, {"item": (items, TableFacts(tables, task.value_base)), "int": (ground, TableFacts.exact())}
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_generation_batches(), data=st.data())
+def test_generation_through_stored_proofs_matches_the_uncut_reference(batch, data):
+    """One shared setting runs generation on the item goals and the ground
+    goals at clause budgets 1 to 4, each twice, in any order.  Each run
+    gives the pool of a fresh setting's reference (y in the goal, nothing
+    stored, the cut under recorded programs at yield time), in the same
+    order, from the same results of prove in the same order, with the same
+    nodes, solver_nodes and depth hits.  Item goals take y as a parameter;
+    ground goals hold other Ints and keep it, and with it the cut as they
+    go."""
+    task, cases = batch
+    shared = task.setting()
+    assert shared.parameters(Program(), True) == {("f", 2, 1)}
+    runs = [(kind, mc) for kind in ("item", "int") for mc in (1, 2, 3, 4)] * 2
+    for kind, mc in data.draw(st.permutations(runs)):
+        positives, facts = cases[kind]
+        want = _reference_generation(positives, task.setting(), facts, mc, cut=kind == "int")
+        assert _generation(positives, shared, facts, mc) == want
+        goal = positives[0].goal
+        assert bool(mil._parametrized([goal], Program(), shared, True)[1]) == (kind == "item")
+
+
+def test_generation_replays_a_positive_of_a_stored_length_under_another_y():
+    """Generation stores each proof with y slotted: the first positive's
+    under the empty program, and the second one's under each one-clause
+    program the first gave.  A later batch of positives of those lengths
+    under other values of y replays all three, counted in proofs_replayed,
+    and gets the pool and nodes of a fresh setting, which proves them
+    again: a stored proof charges its own nodes, not those of the
+    positives generation proved between its leaves."""
+    task = tasks.make_task("sum")
+    facts = TableFacts({i: digit_table(d) for i, d in enumerate([3, 4, 1, 3, 2, 2, 0, 5])})
+    shared = task.setting()
+    batches = (
+        ([item_goal([0, 1], 7), item_goal([6, 7], 5)], (3, 0), (3, 0)),
+        ([item_goal([2, 3], 4), item_goal([4, 5], 4)], (0, 3), (3, 0)),
+    )
+    for goals, on_shared, on_fresh in batches:
+        positives = [GoalExample(g) for g in goals]
+        counts = []
+        for setting in (shared, task.setting()):
+            rt = Budget()
+            pool = mil._candidate_programs(positives, setting, SearchBudget(max_clauses=2), facts, rt)
+            counts.append(((rt.proofs_run, rt.proofs_replayed), [program_text(p, setting.library) for p in pool], rt.nodes))
+        assert counts[0][0] == on_shared and counts[1][0] == on_fresh
+        assert counts[0][1:] == counts[1][1:] and "f(A,B) :- eq(A,B)." in counts[0][1][-1]
+
+
+@pytest.mark.parametrize("task_id", ["sum", "product"])
+def test_slotted_call_gets_the_choice_lists_of_the_call_with_its_int(task_id):
+    """A generation call with y in its $param slot has the call types of
+    the call with the Int, and so the same clause lists: under the empty
+    program and under each one-clause program they list.  A wildcard in
+    that position would list other clauses, add(A,B) among them."""
+    task = tasks.make_task(task_id)
+    goal = task.goal([0, 1, 2], 6).goal
+    (slotted,), values = mil._parametrized([goal], Program(), task.setting(), True)
+    assert values == (6,) and slotted.args[1] != goal.args[1]
+    size, types = mil._call_types(slotted)
+    assert (size, types) == mil._call_types(goal) and types[1] == "int"
+    facts = TableFacts({i: digit_table(1) for i in range(3)}, task.value_base)
+    for mc in (1, 2, 3):
+        ctx = mil._Ctx(task.setting(), facts, SearchBudget(max_clauses=mc), True)
+        progs = [Program()] + [p for _, p in ctx.choices(Program(), "f", 2, types)]
+        for prog in progs:
+            lists = [ctx.choices(prog, "f", 2, t) for t in (types, mil._call_types(goal)[1], (types[0], None))]
+            assert lists[0] == lists[1] and len(lists[0]) > 0
+            if not ctx.closed(prog):
+                assert lists[2] != lists[0]
+                assert any(f"f(A,B) :- {task.abducibles[0].name}(A,B)." in program_text(p, ctx.setting.library) for _, p in lists[2])
+
+
+def test_generation_parameter_sound_where_the_slot_meets_head():
+    """f(A,B) :- f(A,C), head(C,B) type-checks against f(list(item), int)
+    and hands B to head/2, no eq output; it never reaches head only
+    because the descent rule fails f(A,C) first.  The derivation does not
+    rest on that: head/2 is a predicate of facts, and in a proof that meets
+    no Int but y it cannot tell y from its slot.  With an invented
+    predicate, f(A,B) :- f_1(A,C), head(C,B) does reach head with the slot
+    (f_1(A,C) :- tail(A,C)), and generation still matches the reference.
+    A ground goal holds other Ints: there head would tell them apart
+    (f(A,B) :- tail(A,C), head(C,B) proves f([3,5],5) only with y = 5), so
+    it keeps y, and slotting it anyway would lose that program."""
+    setting = sum_setting(pool=LIST_POOL)  # may invent one predicate
+    trap = Program((MetaSub("chain", (("P", "f"), ("Q", "f"), ("R", "head"))),))
+    assert setting.parameters(Program(), True) == setting.parameters(trap, True) == {("f", 2, 1)}
+    assert ("f", 2, 1) not in setting.parameters(trap)  # a closed program's parameter goes to eq or f
+    goal = item_goal([0, 1, 2], 5)
+    (slotted,), _ = mil._parametrized([goal], Program(), setting, True)
+    facts = TableFacts({i: digit_table(d) for i, d in enumerate([1, 1, 3, 3, 2])})
+    ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=3), True)
+    listed = {program_text(p, setting.library) for _, p in ctx.choices(Program(), "f", 2, mil._call_types(slotted)[1])}
+    assert "f(A,B) :- f(A,C), head(C,B)." in listed and "f(A,B) :- f_1(A,C), head(C,B)." in listed
+    met, plain = [], kb_module.resolve
+
+    def spy(g, clause, s):
+        if g.pred == "head" and mil._item_id(s.apply(g.args[1]), mil.PARAM_F) is not None:
+            met.append(g)
+        return plain(g, clause, s)
+
+    positives = [GoalExample(goal), GoalExample(item_goal([3, 4], 5))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kb_module, "resolve", spy)
+        got = _generation(positives, setting, facts, 3)
+    assert met and got == _reference_generation(positives, sum_setting(pool=LIST_POOL), facts, 3)
+    ground = [GoalExample(int_goal([3, 5], 5))]
+    assert mil._parametrized([ground[0].goal], Program(), setting, True)[1] == ()
+    want = _reference_generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1, cut=True)
+    assert "f(A,B) :- tail(A,C), head(C,B)." in want[0]
+    assert _generation(ground, setting, TableFacts.exact(), 1) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mil, "_int_free", lambda terms: True)
+        forced = _generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1)
+    assert "f(A,B) :- tail(A,C), head(C,B)." not in forced[0]
+
+
+def test_generation_parameters_need_every_buildable_clause_to_hand_y_on():
+    """A metarule that keeps the head's second argument out of its last
+    body atom, a body pool with a builtin or a background predicate with a
+    body in that atom's slot, or a background clause holding an Int, each
+    leaves generation no parameter; so does a start program whose own
+    clause hands y to such a predicate."""
+    assert sum_setting(mrs=("chain", "ident", "postcon")).parameters(Program(), True) == frozenset()
+    rules = [r for r in default_metarules() if r.name in ("chain", "ident")]
+    abd = {("add", 2): Abducible("add", ADD), ("eq", 2): Abducible("eq", EQC)}
+
+    def positions(pool, bk=""):
+        return InductionSetting(standard_kb(BK + bk), rules, abd, ("f", 2), list(pool)).parameters(Program(), True)
+
+    second = "second(L, X) :- tail(L, T), head(T, X)."
+    assert positions(LIST_POOL) == positions(LIST_POOL, second) == {("f", 2, 1)}
+    assert positions(LIST_POOL + (("second", 2),), second) == frozenset()
+    assert positions(LIST_POOL, "zero(0).") == frozenset()  # zero(0) holds an Int, called or not
+    assert positions(LIST_POOL + (("permute", 3),)) == frozenset()
+    setting = InductionSetting(standard_kb(BK + second), rules, abd, ("f", 2), list(LIST_POOL))
+    foreign = Program((MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "second"))),))
+    assert setting.parameters(foreign, True) == frozenset()
+    assert setting.parameters(SUM_PROG, True) == {("f", 2, 1)}
 
 
 # ---------------------------------------------------------------------------
