@@ -38,7 +38,7 @@ METRIC_COLUMNS = (
     "perception_acc",
     "loss",
     "nodes_explored",
-    "proofs_run",  # stored-proof lookups (closed-program and generation proofs) run from scratch (see mil)
+    "proofs_run",  # stored-proof lookups, one per proof mil runs, run from scratch (see mil)
     "proofs_replayed",  # and replayed from a stored proof of their shape
     "solver_truncated",
     "failure",  # InduceOutcome.failure, empty on solved batches

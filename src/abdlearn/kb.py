@@ -77,8 +77,7 @@ class Budget:
 
     proofs_run and proofs_replayed count mil's stored-proof lookups, run
     from scratch or replayed from the setting's stored proof of their
-    shape: every closed-program proof, and each generation proof of a
-    positive whose y is a generation parameter.
+    shape: every proof mil runs.
     """
 
     __slots__ = (

@@ -52,9 +52,8 @@ all recurse tries every mix of its clauses down the list, 2^L branches for
 a list of L items, before it fails.
 
 Generation drops what could only give it a program again: a leaf whose
-closed program it has already recorded goes before its feasibility check.
-A goal that keeps y (below) is also cut as it is proved: under a closed
-program generation has recorded, every goal fails at once.
+closed program it has already recorded goes, as it is yielded, before its
+feasibility check.  That is its one cut under recorded programs (below).
 
 Generation lists a new clause only if it type-checks against the call
 (typed MIL: Morel, Cropper & Ong, JELIA 2019), with every type derived,
@@ -108,25 +107,25 @@ clause against each call's types is decided once per setting too.  Each
 inducible call then resolves its goal by kb.resolve against the listed
 clauses, in the listed order.
 
-Every proof under a closed program proves each goal shape once per setting
-(query packs, Blockeel et al., JAIR 2002; ground once, re-weight per
-example, Fierens et al., TPLP 2015): scored positives, the feasibility
-checks of negatives and induce's failure diagnosis alike, fact abducibles
+Every proof proves each goal shape once per setting (query packs, Blockeel
+et al., JAIR 2002; ground once, re-weight per example, Fierens et al., TPLP
+2015): scored positives, the feasibility checks of negatives, induce's
+failure diagnosis and generation's positives alike, fact abducibles
 included.  The setting keeps each such proof as it ran: per leaf, its
 constraint store, its map from item positions to store vars, its abduced
-pairs as item positions in path order and its pins (below); the item
-tables and pairs the proof read, by position in first-read order; its nodes
-and depth hits.  The key is the program; the goal with each item(i) handle
-replaced by the position of i's first occurrence (so the length and
-repeats stay in it) and each parameter by its slot; value_base; and each
-item's table length.  It is exact: a store holds
-no weights (solve_best takes the tables from its caller), the tree reads
-the item tables only through the initial domains, which the key sets, the
-background knowledge names no item handle, and a pair read adds its log
+pairs as item positions in path order and its pins (below); the item tables
+and pairs the proof read, by position in first-read order; its nodes and
+depth hits.  The key is the program; the goal with each item(i) handle
+replaced by the position of i's first occurrence (so the length and repeats
+stay in it) and each parameter by its slot; value_base; under generation
+the clause budget; and each item's table length.  It is exact: a store
+holds no weights (solve_best takes the tables from its caller), the tree
+reads the item tables only through the initial domains, which the key sets,
+the background knowledge names no item handle, and a pair read adds its log
 or, at probability 0, ends the branch.  TableFacts.from_model clips pairs
 to [1e-9, 1 - 1e-9], so no branch ends, and the tree, each leaf's store and
-its facts are the same for every goal of the key.  A proof that read a
-pair of probability 0 (TableFacts.exact builds those) is not stored, nor
+its facts are the same for every goal of the key.  A proof that read a pair
+of probability 0 (TableFacts.exact builds those) is not stored, nor
 replayed when a pair it read has one now.  A replay adds the proof's nodes
 and depth hits to the budget, re-reads its log in order (a missing pair or
 table raises as before), sums each leaf's pair log-probabilities as
@@ -171,9 +170,9 @@ those of the goal's own proof, and a leaf whose pin fails is its branch
 that failed at the eq.
 
 Generation proves a sum or product positive once per program, length and
-clause budget too, y in its slot, when y is a generation parameter (the
-key adds the clause budget, which bounds the clauses a proof may add).
-The rule must hold for every clause generation can add as well as for the
+clause budget, y in its slot, when y is a generation parameter (the key
+holds the clause budget, which bounds the clauses a proof may add).  The
+rule must hold for every clause generation can add as well as for the
 program's own, so it is derived over both, once per setting and program.
 The clauses it can add are, per metarule and head predicate, one for each
 predicate it may put in the last body atom: a body pool entry, the target,
@@ -204,7 +203,7 @@ head runs, but even there head would compare y with an item of C, which is
 no Int.  In a ground goal it would be: f(A,B) :- tail(A,C), head(C,B)
 proves f([3,5],5) and not f([3,5],4), so that goal keeps y.
 Generation's cut under recorded programs depends on the positives its
-caller has consumed so far, so a stored generation proof is the uncut one:
+caller has consumed so far, so every generation proof is stored uncut:
 each leaf keeps its program, and the storing run and every replay drop, at
 yield time, a leaf whose closed program generation has recorded, before
 its feasibility check.  The cut would have removed only such leaves, since
@@ -698,10 +697,9 @@ class InduceOutcome:
     "budget_exhausted" (the search ran out of nodes or time), "depth_cut"
     (the depth bound cut some branch, so a program may lie beyond it; a
     branch through a clause that would close an unproductive program or
-    through a new clause that does not type-check against its call, or,
-    for a positive whose y is no generation parameter, under a closed
-    program generation has recorded, is not searched, so a cut it would
-    have met is not counted: it could hold no new program),
+    through a new clause that does not type-check against its call is not
+    searched, so a cut it would have met is not counted: it could hold no
+    new program; a cut under a program generation has recorded counts),
     "unscorable" (a candidate proves every positive, weights aside, yet none
     scored above -inf on every example) or "no_candidate" (no program proves
     every positive example).  It is None when a program was found.
@@ -744,7 +742,6 @@ class _Ctx:
     facts: TableFacts
     budget: SearchBudget
     allow_new: bool
-    found: Optional[dict] = None  # generation's programs by key; a closed one here is done
 
     def closed(self, prog: Program) -> bool:
         """prog can gain no clause in this search."""
@@ -768,8 +765,6 @@ class _Ctx:
         """kb.solve hook for goals the kb does not define.  state is (program,
         abduction state, dyadic log prob, abduced); the scope anc holds the
         (predicate, first-argument size) of each inducible call above g."""
-        if self.found is not None and self.closed(state[0]) and state[0].key() in self.found:
-            return ()  # the branch can only yield a program generation has recorded
         spec = self.setting.abducibles.get(g.key())
         if spec is not None:
             return _abduce(spec, g, s, state, self)
@@ -1331,26 +1326,20 @@ def prove(
     gives the answer of a store solved before under the same tables and
     adds those counts to runtime.
     found, generation's map of the programs it has recorded by key, drops
-    every leaf whose closed program is already in it, unchecked.  The proof
-    is the setting's stored proof of the goals' shape when it has one, a
-    single goal's parameters (y of a sum or product goal) pinned to the
-    goal's values (see the module docstring), and is stored when it is
-    run.  With allow_new_clauses it is so only for a goal with a
-    generation parameter, and the proof is stored uncut; a goal without
-    one is proved on its own, every goal under a closed program in found
-    failing at once.
+    every leaf whose closed program is already in it, unchecked, as the
+    leaf is yielded.  Every proof is the setting's stored proof of the
+    goals' shape when it has one, a single goal's parameters (y of a sum
+    or product goal) pinned to the goal's values (see the module
+    docstring), and is stored when it is run; with allow_new_clauses the
+    key holds the clause budget and the proof is stored uncut.
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
     goals, values = _parametrized(goals, program, setting, allow_new_clauses)
-    shared = values or not allow_new_clauses
-    ctx = _Ctx(setting, facts, budget, allow_new_clauses, found=None if shared else found)
-    if shared:
-        leaves = _shared_leaves(goals, values, program, ctx, runtime)
-    else:
-        leaves = _leaves(goals, program, ctx, runtime)
+    ctx = _Ctx(setting, facts, budget, allow_new_clauses)
+    leaves = _shared_leaves(goals, values, program, ctx, runtime)
     yield from _results(leaves, ctx, runtime, feasibility_only, solved, found)
 
 
@@ -1507,12 +1496,13 @@ class _Proof(NamedTuple):
     program); a pending leaf adds its pins, (store var, parameter slot)
     pairs, before its program."""
 
-    leaves: tuple  # the leaves under the parameter values that stored the proof
     read: tuple  # item positions and pairs of them, in first-read order
     nodes: int
     depth_hits: int
     pending: tuple  # the leaves with their pins unposted
-    by_values: dict  # parameter values, () without parameters -> the leaves under them
+    # parameter values, () without parameters -> the leaves under them: a
+    # (shape, y) met again takes its pinned stores here, no clone or post
+    by_values: dict
 
 
 def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting, generation: bool = False):
@@ -1613,14 +1603,12 @@ def _shared_leaves(
         else:
             yield leaf
     if not (runtime.exhausted or reads.zero):
-        leaves = tuple(leaves)
         proofs[key] = _Proof(
-            leaves,
             tuple(reads.log),
             runtime.nodes - nodes,
             runtime.depth_hits - depth_hits,
             tuple(pending),
-            {values: leaves},
+            {values: tuple(leaves)},
         )
     yield from held
 
@@ -1755,10 +1743,11 @@ def _candidate_programs(
     down a list of L items.  A new clause that does not type-check against
     its call is never offered either: it is in no proof.  So a depth cut
     that a branch through either would have met is not counted.  prove
-    drops a result whose full program is found already, since it could
-    only be found again, and a positive with y as a generation parameter
-    is proved once per (program, length, budget) in the setting's stored
-    proofs, its y pinned per positive (see the module docstring)."""
+    drops, as it yields it, a result whose full program is found already,
+    since it could only be found again.  Every positive is proved through
+    the setting's stored proofs, once per (program, goal shape, budget),
+    a y that is a generation parameter slotted and pinned per positive
+    (see the module docstring)."""
     seen_prefix: set = set()
     found: dict = {}
 

@@ -1553,7 +1553,8 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
 
     want_first = stream(sum_setting(), item_goal([0, 1, 2], 8), first)
     assert stream(shared, item_goal([0, 1, 2], 8), first) == want_first
-    ((leaves, *_),) = shared._proofs.values()
+    (proof,) = shared._proofs.values()
+    leaves = proof.by_values[(8,)]
     solved, clones = [], []
     plain_solve, plain_clone = mil.solve_best, ConstraintStore.clone
     monkeypatch.setattr(mil, "solve_best", lambda store, *a: solved.append(store) or plain_solve(store, *a))
@@ -1743,9 +1744,9 @@ def _generation_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_generation_cases())
 def test_generation_prune_changes_no_candidate(case):
-    """Failing every goal under a full program generation has recorded
-    leaves the candidate list as it is, in the same order, in no more
-    nodes than a search that proves it again."""
+    """Dropping, as prove yields it, each leaf whose full program
+    generation has recorded leaves the candidate list as it is, in the
+    same order, in no more nodes than a search that keeps the leaf."""
     examples, setting, facts, budget = case
 
     def generate():
@@ -1785,16 +1786,13 @@ def _generation(positives, setting, facts, max_clauses):
     return texts, (runtime.nodes, runtime.solver_nodes, runtime.depth_hits), trace
 
 
-def _reference_generation(positives, setting, facts, max_clauses, cut=False):
-    """_generation with y in every goal and nothing stored, the cut under
-    recorded programs moved to yield time: each positive's own proof runs
-    uncut (_leaves with no found map), and a leaf whose closed program is
-    recorded is dropped before its feasibility check.  With cut, the
-    proofs also cut as they go, as generation does where y is no
-    parameter."""
+def _reference_generation(positives, setting, facts, max_clauses):
+    """_generation with y in every goal and nothing stored: each positive's
+    own proof runs uncut (_leaves), and a leaf whose closed program is
+    recorded is dropped before its feasibility check."""
     budget = SearchBudget(max_clauses=max_clauses)
     seen, found, trace = set(), {}, []
-    runtime, ctx = Budget(), mil._Ctx(setting, facts, budget, True, found=found if cut else None)
+    runtime, ctx = Budget(), mil._Ctx(setting, facts, budget, True)
 
     def rec(idx, prog):
         if idx == len(positives) or prog.size == max_clauses:
@@ -1852,15 +1850,14 @@ def test_generation_through_stored_proofs_matches_the_uncut_reference(batch, dat
     stored, the cut under recorded programs at yield time), in the same
     order, from the same results of prove in the same order, with the same
     nodes, solver_nodes and depth hits.  Item goals take y as a parameter;
-    ground goals hold other Ints and keep it, and with it the cut as they
-    go."""
+    ground goals hold other Ints and keep it in their key."""
     task, cases = batch
     shared = task.setting()
     assert shared.parameters(Program(), True) == {("f", 2, 1)}
     runs = [(kind, mc) for kind in ("item", "int") for mc in (1, 2, 3, 4)] * 2
     for kind, mc in data.draw(st.permutations(runs)):
         positives, facts = cases[kind]
-        want = _reference_generation(positives, task.setting(), facts, mc, cut=kind == "int")
+        want = _reference_generation(positives, task.setting(), facts, mc)
         assert _generation(positives, shared, facts, mc) == want
         goal = positives[0].goal
         assert bool(mil._parametrized([goal], Program(), shared, True)[1]) == (kind == "item")
@@ -1890,6 +1887,90 @@ def test_generation_replays_a_positive_of_a_stored_length_under_another_y():
             counts.append(((rt.proofs_run, rt.proofs_replayed), [program_text(p, setting.library) for p in pool], rt.nodes))
         assert counts[0][0] == on_shared and counts[1][0] == on_fresh
         assert counts[0][1:] == counts[1][1:] and "f(A,B) :- eq(A,B)." in counts[0][1][-1]
+
+
+@st.composite
+def _dyadic_generation_batches(draw):
+    """Two batches of 1-3 positives with the same lengths, each under item
+    ids and a pair oracle of its own, in one of three settings:
+    sorted_concept with invention at clause budget 3, pair probabilities
+    in [0.05, 0.95]; bogosort on the curriculum setting (stage 1's program
+    as background, permute/3) at budget 1, the second batch repeating the
+    first one's rankings; and sorted_concept under TableFacts.exact of
+    drawn digits, each batch's first positive an ascending pair, whose
+    pair has probability 0, and its second a single item."""
+    kind = draw(st.sampled_from(["sorted_concept", "bogosort", "exact"]))
+    lengths = draw(st.lists(st.integers(2 if kind == "bogosort" else 1, 3), min_size=1, max_size=3))
+    if kind == "exact":
+        lengths = [2, 1] + lengths[:1]
+    task = tasks.make_task("bogosort" if kind == "bogosort" else "sorted_concept")
+    ranks = [draw(st.permutations(range(1, n + 1))) for n in lengths]
+    batches = []
+    for offset in (0, 100):
+        ids = itertools.count(offset)
+        lists = [[next(ids) for _ in range(n)] for n in lengths]
+        pairs = [(a, b) for ids_ in lists for a in ids_ for b in ids_]
+        if kind == "exact":
+            n = sum(lengths)
+            digits = dict(zip(range(offset, offset + n), draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))))
+            digits[offset], digits[offset + 1] = 0, 1
+            facts = TableFacts.exact(pairs=lambda a, b, d=digits: d[a] >= d[b])
+        else:
+            probs = draw(st.lists(st.floats(0.05, 0.95), min_size=len(pairs), max_size=len(pairs)))
+            facts = TableFacts({}, pairs=dict(zip(pairs, probs)))
+        batches.append(([task.goal(ids_, r if kind == "bogosort" else True) for ids_, r in zip(lists, ranks)], facts))
+    return task.id, 1 if kind == "bogosort" else 3, batches, kind == "exact"
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_dyadic_generation_batches())
+def test_dyadic_generation_through_stored_proofs_matches_the_uncut_reference(case):
+    """One shared setting runs generation on two batches whose lengths
+    repeat.  Each gives the pool of a fresh setting's reference (nothing
+    stored, the cut under recorded programs at yield time), in the same
+    order, from the same results of prove in the same order, with the same
+    nodes, solver_nodes and depth hits.  A proof runs, counted in
+    proofs_run, when its key is not stored or a pair it read has
+    probability 0 now, and is stored unless it read one; every other
+    lookup replays, counted in proofs_replayed, and the second batch
+    replays some.  Under exact tables a proof reads a pair of probability
+    0 in each batch, is not stored, and runs again in the second."""
+    task_id, max_clauses, batches, exact = case
+    shared = _dyadic_setting(task_id)
+    made, calls, plain = [], [], mil._shared_leaves
+
+    class Reads(mil._Reads):
+        def __init__(self, *a):
+            super().__init__(*a)
+            made.append(self)
+
+    def spy(goals, values, program, ctx, runtime):
+        key = mil._proof_key(goals, program, ctx.facts, ctx.budget.max_clauses)[0]
+        had, n, counts = key in shared._proofs, len(made), (runtime.proofs_run, runtime.proofs_replayed)
+        leaves = plain(goals, values, program, ctx, runtime)
+        first = next(leaves, None)  # generation runs its proof whole before the first leaf goes out
+        ran = len(made) > n
+        zero = ran and made[n].zero
+        assert (runtime.proofs_run - counts[0], runtime.proofs_replayed - counts[1]) == ((1, 0) if ran else (0, 1))
+        assert ran or had
+        assert zero or not (had and ran)  # a stored proof runs again only at a pair of probability 0
+        assert (key in shared._proofs) == (had or not zero)
+        calls[-1].append((key, ran, zero))
+        if first is not None:
+            yield first
+            yield from leaves
+
+    for positives, facts in batches:
+        want = _reference_generation(positives, _dyadic_setting(task_id), facts, max_clauses)
+        calls.append([])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mil, "_Reads", Reads)
+            mp.setattr(mil, "_shared_leaves", spy)
+            assert _generation(positives, shared, facts, max_clauses) == want
+    assert any(not ran for _, ran, _ in calls[1])
+    if exact:
+        zeros = [{key for key, _, zero in batch if zero} for batch in calls]
+        assert zeros[0] & zeros[1]
 
 
 @pytest.mark.parametrize("task_id", ["sum", "product"])
@@ -1951,7 +2032,7 @@ def test_generation_parameter_sound_where_the_slot_meets_head():
     assert met and got == _reference_generation(positives, sum_setting(pool=LIST_POOL), facts, 3)
     ground = [GoalExample(int_goal([3, 5], 5))]
     assert mil._parametrized([ground[0].goal], Program(), setting, True)[1] == ()
-    want = _reference_generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1, cut=True)
+    want = _reference_generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1)
     assert "f(A,B) :- tail(A,C), head(C,B)." in want[0]
     assert _generation(ground, setting, TableFacts.exact(), 1) == want
     with pytest.MonkeyPatch.context() as mp:
