@@ -18,12 +18,54 @@ every variable is a frame index and every ground subterm is kept as it is
 (terms.Clause; compiled clauses with slot frames, Ait-Kaci 1991, without
 the binding trail), so the frame is a list indexed by slot and a step
 matches the head and builds the body without looking up a name.
+
+Rankings are generated and tested (f(A,B) :- permute(A,B,C), s(C)), so a
+blind permute runs its continuation on up to n! rankings.  When permute
+meets an Order that is not a ground ranking, with goals open after it and no
+hook, it coroutines instead (Naish, Negation and Control in Prolog, 1986:
+the interleaving that compiling control derives statically, Bruynooghe,
+De Schreye & Krekels, JLP 1989):
+  * skeletons: Order and Out are unified with lists of fresh cell variables;
+  * probe: solve runs the rest of the goal stack once on them, within the
+    room the main search has left under the depth bound, charging the same
+    Budget.  A builtin there runs by its lazy reading (KnowledgeBase.
+    add_builtin), which waits on an unbound variable it reads where the
+    builtin would fail or raise.  The probe's leaves are its answers, each
+    a substitution with its waiting goals.  A builtin with no lazy reading,
+    a permute whose order is not a ground ranking, or a depth cut ends the
+    probe, and permute enumerates blind as before;
+  * enumeration: rankings come in the blind order, item by item with ranks
+    ascending (lexicographic in Order).  Each step, one budget tick, binds
+    one item's rank and its Out cell in every leaf and runs each waiting
+    goal whose variable is now bound; a prefix every leaf rejects is
+    dropped with all its rankings;
+  * output: each ranking left is yielded as the blind enumeration yields
+    it, from the substitution permute was called in, and the continuation
+    then runs on it as it always did.
+
+Why the answers cannot change.  The stream is the blind one less rankings
+on which the continuation has no refutation, which yield nothing.  A
+derivation of the continuation on a ranking r lifts to the probe: it
+resolves the same goals in the same order by the same clauses; a
+unification that succeeds on r's cells succeeds on the more general
+skeletons; and a builtin that succeeds on them either ran alike in the
+probe or waits there (a lazy reading that cannot read a pair holds, so the
+ground reading's error is left to r's own run).  So a refutation on r ends
+in a leaf that the step bindings of r leave alive, its waiting goals
+succeeding as they wake.  The steps match one for one, so the probe meets
+the depth bound wherever a ranking's continuation would: an uncut probe
+means no dropped ranking would have been cut, and the probe's own cut is
+not counted, the blind enumeration that follows it counting its cuts
+itself.  Only nodes move: the probe and the steps are charged, dropped
+continuations are not run, and once the node cap stops the probe no ranking
+is tried, as none could answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .parser import parse_program
@@ -49,6 +91,8 @@ DEPTH_BASE = 64
 DEPTH_PER_ITEM = 8
 
 BuiltinFn = Callable[[tuple, Subst], Iterable[Subst]]
+# a lazy reading yields a builtin's answers, or the unbound variable it waits on
+LazyFn = Callable[[tuple, Subst], Iterable["Subst | Var"]]
 
 
 class KBError(ValueError):
@@ -123,12 +167,14 @@ class Budget:
 
 
 class KnowledgeBase:
-    """Clauses indexed by (predicate, arity) plus native builtins."""
+    """Clauses indexed by (predicate, arity) plus native builtins, some with
+    the lazy reading that permute's probe runs (see the module docstring)."""
 
     def __init__(self):
         # stored as parsed: resolve() matches them without renaming
         self.clauses: dict[tuple[str, int], list[Clause]] = {}
         self.builtins: dict[tuple[str, int], BuiltinFn] = {}
+        self.lazy: dict[tuple[str, int], LazyFn] = {}
 
     def add_clause(self, c: Clause) -> None:
         key = c.head.key()
@@ -140,11 +186,16 @@ class KnowledgeBase:
         for c in parse_program(text):
             self.add_clause(c)
 
-    def add_builtin(self, name: str, arity: int, fn: BuiltinFn) -> None:
+    def add_builtin(self, name: str, arity: int, fn: BuiltinFn, lazy: Optional[LazyFn] = None) -> None:
+        """fn, and lazy, its reading that yields the variable it waits on
+        where fn would fail or raise on reading an unbound one, and
+        otherwise answers as fn does."""
         key = (name, arity)
         if key in self.clauses:
             raise KBError(f"builtin {name}/{arity} would shadow existing clauses")
         self.builtins[key] = fn
+        if lazy is not None:
+            self.lazy[key] = lazy
 
     def defines(self, key: tuple) -> bool:
         return key in self.clauses or key in self.builtins
@@ -168,9 +219,8 @@ def _bi_permute(args: tuple, s: Subst) -> Iterator[Subst]:
     if items is None:
         return
     n = len(items)
-    order_t = s.apply(args[1])
-    order_items = proper_list_items(order_t)
-    if order_items is not None and all(isinstance(t, Int) for t in order_items):
+    order_items = _ranking(args[1], s)
+    if order_items is not None:
         if len(order_items) != n:
             return
         out: list = [None] * n
@@ -182,18 +232,154 @@ def _bi_permute(args: tuple, s: Subst) -> Iterator[Subst]:
         if s2 is not None:
             yield s2
         return
-    # every ranking is a permutation of 1..n, so each places all n items
     ranks = [Int(p) for p in range(1, n + 1)]
     for perm in itertools.permutations(range(n)):
-        out = [None] * n
-        for item, p in zip(items, perm):
-            out[p] = item
-        s2 = unify(args[1], mk_list([ranks[p] for p in perm]), s)
-        if s2 is None:
-            continue
-        s3 = unify(args[2], mk_list(out), s2)
+        s3 = _placed(args, s, items, perm, ranks)
         if s3 is not None:
             yield s3
+
+
+def _ranking(order: Term, s: Subst) -> "Optional[list[Int]]":
+    """The ranks of order under s when it is a proper list of Ints, or None."""
+    items = proper_list_items(s.apply(order))
+    if items is not None and all(isinstance(t, Int) for t in items):
+        return items
+    return None
+
+
+def _placed(args: tuple, s: Subst, items: list, perm: Sequence[int], ranks: list) -> Optional[Subst]:
+    """s with permute's Order bound to the ranking that gives item i rank
+    perm[i] + 1, and Out to the items so placed, or None."""
+    # every ranking is a permutation of 1..n, so each places all n items
+    out: list = [None] * len(items)
+    for item, p in zip(items, perm):
+        out[p] = item
+    s2 = unify(args[1], mk_list([ranks[p] for p in perm]), s)
+    return None if s2 is None else unify(args[2], mk_list(out), s2)
+
+
+class _Unready(Exception):
+    """The probe met a goal it cannot run on the skeletons."""
+
+
+def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> Iterator[Subst]:
+    """permute(L, Order, Out) followed by the goal stack rest: the blind
+    enumeration's answers, less the rankings that every leaf of rest's
+    probe rejects (see the module docstring)."""
+    items = proper_list_items(s.apply(args[0]))
+    if items is None or _ranking(args[1], s) is not None:
+        yield from _bi_permute(args, s)  # fails, or places by the ranking given
+        return
+    n = len(items)
+    order_cells = [Var(fresh_name()) for _ in range(n)]
+    out_cells = [Var(fresh_name()) for _ in range(n)]
+    s0 = unify(args[1], mk_list(order_cells), s)
+    s0 = None if s0 is None else unify(args[2], mk_list(out_cells), s0)
+    if s0 is None:  # no ranking unifies either
+        return
+    leaves = _probe(rest, s0, kb, budget, room)
+    if leaves is None:
+        if not budget.exhausted:  # once it is, no node can answer
+            yield from _bi_permute(args, s)
+        return
+    ranks = [Int(p) for p in range(1, n + 1)]
+    perm: list = []  # perm[i]: the rank index given to item i
+    alive = [leaves]  # alive[i]: the leaves that survive perm[:i]
+    taken = [False] * n
+    p = 0  # the next rank index to try for item len(perm)
+    while True:
+        i = len(perm)
+        if i == n:
+            s3 = _placed(args, s, items, perm, ranks)
+            if s3 is not None:
+                yield s3
+            p = n
+        while p < n and taken[p]:
+            p += 1
+        if p == n:
+            if not perm:
+                return
+            p = perm.pop()
+            taken[p] = False
+            alive.pop()
+            p += 1
+            continue
+        if not budget.tick():
+            return
+        kept: list = []
+        for leaf_s, waiting in alive[-1]:
+            s2 = unify(order_cells[i], ranks[p], leaf_s)
+            if s2 is not None:
+                s2 = unify(out_cells[p], items[i], s2)
+            if s2 is not None:
+                kept += _wake(s2, waiting)
+        if kept:
+            perm.append(p)
+            taken[p] = True
+            alive.append(kept)
+            p = 0
+        else:
+            p += 1
+
+
+def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Optional[list[tuple[Subst, tuple]]]":
+    """The success leaves (subst, waiting goals) of the goal stack rest run
+    from s0 within room steps, or None when the probe could not finish."""
+    goals = []  # solve starts from no bindings: the goals carry s0's
+    while rest is not None:
+        goal, scope, rest = rest
+        goals.append((s0.apply_atom(goal), scope))
+    clauses_only = KnowledgeBase()
+    clauses_only.clauses = kb.clauses  # so that every builtin goal reaches the hook
+    hits = budget.depth_hits
+    try:
+        leaves: "Optional[list]" = list(solve(goals, clauses_only, budget, (), partial(_lazy_step, kb), room))
+    except _Unready:
+        leaves = None
+    if budget.depth_hits != hits or budget.exhausted:
+        leaves = None
+    budget.depth_hits = hits
+    return leaves
+
+
+def _lazy_step(kb: KnowledgeBase, goal: Atom, scope, s: Subst, waiting: tuple):
+    """The probe's hook: a builtin goal run by its lazy reading, waiting
+    when that yields a variable."""
+    key = goal.key()
+    bi = kb.builtins.get(key)
+    if bi is None:  # undefined: fails, as in the run
+        return
+    if bi is _bi_permute:
+        if proper_list_items(goal.args[0]) is None or _ranking(goal.args[1], s) is None:
+            raise _Unready
+        for s2 in bi(goal.args, s):
+            yield (), scope, s2, waiting
+        return
+    lazy = kb.lazy.get(key)
+    if lazy is None:
+        raise _Unready
+    for r in lazy(goal.args, s):
+        if r.__class__ is Var:
+            yield (), scope, s, waiting + ((goal.args, lazy, r),)
+        else:
+            yield (), scope, r, waiting
+
+
+def _wake(s: Subst, waiting: tuple) -> "list[tuple[Subst, tuple]]":
+    """The leaves of running, under s, each waiting goal whose variable is
+    bound, and the goals those bind in turn, until every goal left waits."""
+    out, todo = [], [(s, waiting)]
+    while todo:
+        s, waiting = todo.pop()
+        for k, (args, lazy, var) in enumerate(waiting):
+            if s.walk(var).__class__ is not Var:
+                rest = waiting[:k] + waiting[k + 1 :]
+                for r in lazy(args, s):
+                    todo.append((s, rest + ((args, lazy, r),)) if r.__class__ is Var else (r, rest))
+                break
+        else:
+            out.append((s, waiting))
+    return out
 
 
 def standard_builtins() -> "dict[tuple[str, int], BuiltinFn]":
@@ -254,6 +440,7 @@ def solve(
     budget: Budget,
     state: Any = None,
     hook: Optional[Callable[[Atom, Any, Subst, Any], Iterable[tuple]]] = None,
+    limit: Optional[int] = None,
 ) -> Iterator[tuple[Subst, Any]]:
     """Depth-first SLD resolution of (atom, scope) goals; yields (subst, state).
 
@@ -265,13 +452,16 @@ def solve(
     state), which yields the alternatives as (body atoms, body scope,
     subst, state); without a hook it fails.  The open goals' alternative
     iterators sit on an explicit stack, innermost last (Ait-Kaci, 1991), so
-    the interpreter's recursion limit bounds no proof.
+    the interpreter's recursion limit bounds no proof.  limit, given, is
+    the depth bound in place of the goals' own: a node limit or more steps
+    down its branch is cut.
     """
     stack = None
     for goal, scope in reversed(goals):
         stack = (goal, scope, stack)
     # a node drawn from open_[i] lies i steps down its branch
-    limit = DEPTH_BASE + DEPTH_PER_ITEM * sum(len(list_parts(t)[0]) for g, _ in goals for t in g.args)
+    if limit is None:
+        limit = DEPTH_BASE + DEPTH_PER_ITEM * sum(len(list_parts(t)[0]) for g, _ in goals for t in g.args)
     tick = budget.tick
     open_ = [iter(((stack, Subst(), state),))]
     push, pop = open_.append, open_.pop
@@ -280,22 +470,27 @@ def solve(
             if stack is None:
                 yield s, state
             elif tick():
-                if len(open_) <= limit:
-                    push(_alternatives(stack, s, state, kb, hook))
+                room = limit - len(open_)  # the bound as seen from this node's children
+                if room >= 0:
+                    push(_alternatives(stack, s, state, kb, hook, budget, room))
                     break
                 budget.depth_hits += 1
         else:
             pop()
 
 
-def _alternatives(stack, s: Subst, state, kb: KnowledgeBase, hook):
+def _alternatives(stack, s: Subst, state, kb: KnowledgeBase, hook, budget: Budget, room: int):
     """The child nodes (goal stack, subst, state) of resolving stack's first goal."""
     # stack is a linked list of goals: (atom, scope, rest) or None
     goal, scope, rest = stack
     key = goal.key()
     bi = kb.builtins.get(key)
     if bi is not None:
-        for s2 in bi(goal.args, s):
+        if bi is _bi_permute and rest is not None and hook is None:
+            alts = _coroutined_permute(goal.args, rest, s, kb, budget, room)
+        else:
+            alts = bi(goal.args, s)
+        for s2 in alts:
             yield rest, s2, state
         return
     clauses = kb.clauses.get(key)

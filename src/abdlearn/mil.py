@@ -478,39 +478,71 @@ class Abducible:
     def arity(self) -> int:
         return 1 if self.kind == ABD_FACT else 2
 
-    def ground(self, facts: Optional[TableFacts] = None):
-        """kb builtin of the ground reading; the fact kind reads facts."""
+    def ground(self, facts: Optional[TableFacts] = None, lazy: bool = False):
+        """kb builtin of the ground reading; the fact kind reads facts.
+
+        With lazy, the reading kb's permute probe runs (KnowledgeBase.
+        add_builtin): where an unbound variable stands in a cell it reads,
+        it yields that variable to wait on, where the ground reading fails
+        or, on an item of the fact kind, raises SettingError.  On a pair it
+        cannot read (a non-item, or a pair facts was not given), the fact
+        kind holds, leaving the ground reading to raise in the run."""
         if self.kind == ABD_FACT:
             def holds(args, s):
-                split = _first_two(s.apply(args[0]))
-                if split is None:
+                read, rest = _cells(args[0], s, 2)
+                if len(read) < 2:
+                    if lazy and rest.__class__ is Var:
+                        yield rest
                     return
-                i, j = _item_id(split[0]), _item_id(split[1])
+                x, y = s.apply(read[0]), s.apply(read[1])
+                i, j = _item_id(x), _item_id(y)
+                # a probe leaf may pair terms that no ranking pairs: where the
+                # ground reading raises, the lazy one holds, and a ranking's run decides
                 if i is None or j is None:
-                    raise SettingError(f"{self.name} reached a non-item term")
-                if facts.pair_prob(i, j) >= 0.5:
+                    unbound = lazy and (term_vars(x) or term_vars(y))
+                    if unbound:
+                        yield Var(unbound[0])
+                    elif lazy:
+                        yield s
+                    else:
+                        raise SettingError(f"{self.name} reached a non-item term")
+                    return
+                try:
+                    p = facts.pair_prob(i, j)
+                except KeyError:  # a pair facts was not given
+                    if not lazy:
+                        raise
+                    p = 1.0
+                if p >= 0.5:
                     yield s
 
             return holds
         if self.kind == EQC:
             def eq(args, s):
-                x = _single(s.apply(args[0]))
-                s2 = None if x is None else unify(args[1], x, s)
-                if s2 is not None:
-                    yield s2
+                read, rest = _cells(args[0], s, 1)
+                if read and is_nil(rest):
+                    s2 = unify(args[1], read[0], s)
+                    if s2 is not None:
+                        yield s2
+                elif lazy and rest.__class__ is Var:
+                    yield rest
 
             return eq
         op = _OPS[self.kind]
 
         def arith(args, s):
-            split = _first_two(s.apply(args[0]))
-            if split is None:
+            read, rest = _cells(args[0], s, 2)
+            if len(read) < 2:
+                if lazy and rest.__class__ is Var:
+                    yield rest
                 return
-            x, y, t = split
-            if isinstance(x, Int) and isinstance(y, Int):
-                s2 = unify(args[1], Struct(".", (Int(op(x.value, y.value)), t)), s)
+            x, y = read
+            if x.__class__ is Int and y.__class__ is Int:
+                s2 = unify(args[1], Struct(".", (Int(op(x.value, y.value)), rest)), s)
                 if s2 is not None:
                     yield s2
+            elif lazy and (x.__class__ is Var or y.__class__ is Var):
+                yield x if x.__class__ is Var else y
 
         return arith
 
@@ -536,11 +568,13 @@ class InductionSetting:
     _parameters: dict = field(init=False, repr=False)
     _proofs: dict = field(init=False, repr=False)
     _signatures: dict = field(init=False, repr=False)
+    _texts: dict = field(init=False, repr=False)
     _typed: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
         self._clauses = {}
+        self._texts = {}
         self._choices = {}
         self._productive = {}
         self._parameters = {}
@@ -565,6 +599,13 @@ class InductionSetting:
         if ms not in self._clauses:
             self._clauses[ms] = materialize(ms, self.library)
         return self._clauses[ms]
+
+    def text_of(self, prog: Program) -> str:
+        """prog's program_text, printed once per setting."""
+        text = self._texts.get(prog)
+        if text is None:
+            text = self._texts[prog] = program_text(prog, self.library)
+        return text
 
     def productive(self, prog: Program) -> "set[tuple[str, int]]":
         """_productive of prog, computed once per setting."""
@@ -802,33 +843,31 @@ def _var_for(t: Term, ab: _AbdState, facts) -> Optional[int]:
     return _item_id(t, FDV_F)
 
 
-def _first_two(t: Term):
-    """Split a list term into (first, second, rest-after-second)."""
-    if not (isinstance(t, Struct) and t.functor == "." and len(t.args) == 2):
-        return None
-    x, t1 = t.args
-    if not (isinstance(t1, Struct) and t1.functor == "." and len(t1.args) == 2):
-        return None
-    y, t2 = t1.args
-    return x, y, t2
-
-
-def _single(t: Term) -> Optional[Term]:
-    """X of a proper one-item list [X]."""
-    if isinstance(t, Struct) and t.functor == "." and len(t.args) == 2 and is_nil(t.args[1]):
-        return t.args[0]
-    return None
+def _cells(t: Term, s: Subst, k: int) -> "tuple[list[Term], Term]":
+    """Up to k leading items of list t, each walked under s, and what
+    follows them, walked: a reading walks only the cells it reads."""
+    read: "list[Term]" = []
+    t = s.walk(t)
+    while t.__class__ is Struct and t.functor == "." and len(t.args) == 2:
+        x, t = t.args
+        if x.__class__ is Var:
+            x = s.walk(x)
+        if t.__class__ is Var:
+            t = s.walk(t)
+        read.append(x)
+        if len(read) == k:
+            break
+    return read, t
 
 
 def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     """The one way to assume g, as a kb.solve alternative with an empty body."""
     prog, ab, dlogp, abduced = state
     if spec.kind == ABD_FACT:
-        split = _first_two(g.args[0])
-        if split is None:
+        read, _ = _cells(g.args[0], s, 2)
+        if len(read) < 2:
             return
-        x, y, _ = split
-        ka, kb_ = _item_id(x), _item_id(y)
+        ka, kb_ = _item_id(read[0]), _item_id(read[1])
         if ka is None or kb_ is None:
             return
         fact_key = ("pair", ka, kb_)
@@ -844,12 +883,12 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
 
     term_in, term_out = g.args
     if spec.kind == EQC:
-        x = _single(term_in)
+        read, rest = _cells(term_in, s, 1)
         slot = _item_id(term_out, PARAM_F)
-        if x is None or (slot is None and not isinstance(term_out, Int)):
+        if not (read and is_nil(rest)) or (slot is None and not isinstance(term_out, Int)):
             return
         ab2 = ab.cloned()
-        vx = _var_for(x, ab2, ctx.facts)
+        vx = _var_for(read[0], ab2, ctx.facts)
         if vx is None:
             return
         if slot is not None:
@@ -859,8 +898,8 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         yield (), None, s, (prog, ab2, dlogp, abduced)
         return
 
-    split = _first_two(term_in)
-    if split is None:
+    read, t2 = _cells(term_in, s, 2)
+    if len(read) < 2:
         return
     if not isinstance(term_out, Var) and not (
         isinstance(term_out, Struct) and term_out.functor == "." and len(term_out.args) == 2
@@ -869,10 +908,9 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         # [N|T], so the unify at the end would fail: fail before the store
         # is cloned and the constraint posted.
         return
-    x, y, t2 = split
     ab2 = ab.cloned()
-    vx = _var_for(x, ab2, ctx.facts)
-    vy = _var_for(y, ab2, ctx.facts)
+    vx = _var_for(read[0], ab2, ctx.facts)
+    vy = _var_for(read[1], ab2, ctx.facts)
     if vx is None or vy is None:
         return
     dx, dy = ab2.store.dom(vx), ab2.store.dom(vy)
@@ -1776,7 +1814,7 @@ def _candidate_programs(
 
     rec(0, Program())
     out = list(found.values())
-    out.sort(key=lambda p: (p.size, program_text(p, setting.library)))
+    out.sort(key=lambda p: (p.size, setting.text_of(p)))
     return out
 
 

@@ -430,8 +430,8 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
 def ground_kb(task: Task, program: Program, facts: Optional[TableFacts] = None) -> KnowledgeBase:
     """Executable kb: background + induced clauses, read through the
     default metarule library, + each abducible's ground reading
-    (mil.Abducible.ground), which on a dyadic task reads the pair relation
-    from facts.
+    (mil.Abducible.ground) with its lazy one, which on a dyadic task read
+    the pair relation from facts.
     """
     if task.dyadic and facts is None:
         raise TaskError(f"task {task.id} needs a pairwise relation to execute")
@@ -439,7 +439,7 @@ def ground_kb(task: Task, program: Program, facts: Optional[TableFacts] = None) 
     for clause in program_clauses(program, DEFAULT_LIBRARY):
         kb.add_clause(clause)
     for a in task.abducibles:
-        kb.add_builtin(a.name, a.arity, a.ground(facts))
+        kb.add_builtin(a.name, a.arity, a.ground(facts), a.ground(facts, lazy=True))
     return kb
 
 

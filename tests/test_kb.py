@@ -1,5 +1,7 @@
 
+import itertools
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from abdlearn import kb as kb_module
 from abdlearn.kb import Budget, KBError, KnowledgeBase, deduce, resolve, standard_kb
 from abdlearn.metarules import MetaSub, Program
+from abdlearn.mil import TableFacts, item_term
 from abdlearn.parser import parse_atom, parse_clause, parse_term
-from abdlearn.tasks import ground_kb, make_task
+from abdlearn.tasks import evaluate, gen_sequences, ground_kb, make_task
 from abdlearn.terms import (
     Atom,
     Clause,
@@ -247,3 +250,102 @@ def test_one_clause_used_many_times_in_one_proof(monkeypatch):
     assert got[0] == [Int(14)]
     monkeypatch.setattr(kb_module, "resolve", _ref_resolve)
     assert run() == got
+
+
+# ---------------------------------------------------------------------------
+# permute pruned by the goals after it, against the blind enumeration
+# ---------------------------------------------------------------------------
+
+SORT_PROGRAM = Program(
+    (
+        MetaSub("tri_split", (("P", "f"), ("Q", "permute"), ("R", "s"))),
+        MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),
+        MetaSub("mono_rec", (("P", "s"), ("Q", "s_1"))),
+        MetaSub("precon", (("P", "s_1"), ("Q", "nn"), ("R", "tail"))),
+    ),
+    invented=(("s_1", 2),),
+)
+
+# Continuations of permute beside the learned s: two branches that both
+# succeed on the skeleton, one that binds a cell itself, and one whose
+# lst(X) the depth bound cuts on a cell variable, though on every ranking
+# it fails at once on the item and opt takes its second clause.
+CONTINUATIONS = """
+two(C) :- s(C).
+two(C) :- tail(C, T), s(T).
+pin(C) :- head(C, item(2)), s(C).
+lst([]).
+lst([_|T]) :- lst(T).
+opt(X) :- lst(X).
+opt(item(_)).
+deep(C) :- s(C), head(C, X), opt(X).
+g_two(A, B) :- permute(A, B, C), two(C).
+g_pin(A, B) :- permute(A, B, C), pin(C).
+g_deep(A, B) :- permute(A, B, C), deep(C).
+"""
+
+
+@st.composite
+def _relations(draw):
+    """n items and a pair relation on them: arbitrary (so mostly
+    intransitive) or empty."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return n, draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return n, [False] * (n * n)
+
+
+def _blind(kb, cont: str, n: int) -> "list[str]":
+    """The ranking of each of cont's answers on each ranking of n items, in
+    itertools.permutations order: the stream of a permute that tries every
+    ranking."""
+    items = [item_term(i) for i in range(n)]
+    out = []
+    for perm in itertools.permutations(range(n)):
+        placed = [None] * n
+        for item, p in zip(items, perm):
+            placed[p] = item
+        out += [print_term(mk_list([Int(p + 1) for p in perm])) for _ in deduce(Atom(cont, (mk_list(placed),)), kb)]
+    return out
+
+
+@pytest.mark.parametrize("order", ["R", "[2|R]"])
+@pytest.mark.parametrize("top, cont", [("f", "s"), ("g_two", "two"), ("g_pin", "pin"), ("g_deep", "deep")])
+@given(_relations())
+@settings(max_examples=25, deadline=None)
+def test_pruned_permute_gives_the_blind_answer_stream(top, cont, order, relation):
+    n, table = relation
+    # a pair of two items no ranking pairs (pin's item(2) where n = 2) is not given
+    pairs = {(a, b): float(table[a * n + b]) for a in range(n) for b in range(n) if a != b}
+    kb = ground_kb(make_task("bogosort"), SORT_PROGRAM, facts=TableFacts({}, pairs=pairs))
+    kb.add_text(CONTINUATIONS)
+    probes = []
+
+    def probe(*args):
+        probes.append(real_probe(*args))
+        return probes[-1]
+
+    real_probe, b, order_t = kb_module._probe, Budget(), parse_term(order)
+    goal = Atom(top, (mk_list([item_term(i) for i in range(n)]), order_t))
+    with mock.patch.object(kb_module, "_probe", probe):
+        got = [print_term(s.apply(order_t)) for s in deduce(goal, kb, budget=b)]
+    assert got == [r for r in _blind(kb, cont, n) if order == "R" or r.startswith("[2")]
+    assert b.depth_hits == 0  # the probe's own cut is not counted
+    # a partial order no ranking fits ends before the probe; every probe runs to
+    # its end, but deep's, which the depth bound cuts
+    assert len(probes) == int(order == "R" or n > 0)
+    assert all((p is None) == (cont == "deep" and n > 0) for p in probes)
+
+
+def test_sorted_rankings_answer_within_a_node_bound():
+    """Under true pairs the sort program answers every 7-item ranking
+    within 4,000 nodes and every 9-item one within 40,000 (at most 1,651
+    and 22,393 on these lists).  nodes is deterministic, so this gates the
+    search, not a clock.  A permute that tried every ranking in turn took
+    10,656 to 40,728 nodes on the 7-item lists, and all 6 of the 9-item
+    ones ran out of evaluate's 500,000-node cap without an answer."""
+    task = make_task("bogosort")
+    for length, cap in ((7, 4_000), (9, 40_000)):
+        examples = gen_sequences(task, 6, lengths=(length, length), seed=0)
+        m = evaluate(SORT_PROGRAM, task, examples, use_truth=True, max_nodes=cap)
+        assert (m.failures, m.budget_exhausted, m.depth_cut) == (0, 0, 0)

@@ -423,6 +423,43 @@ def test_ground_and_abduced_fact_readings_agree(src):
     assert len(ground) == len(_abduced(spec, Atom("nn", (lst,)), facts)) <= 1
 
 
+@pytest.mark.parametrize(
+    "kind, src, waits",
+    [(ADD, "[X,2]", "X"), (MUL, "[1,Y|T]", "Y"), (ADD, "[1|T]", "T"), (MUL, "L", "L"),
+     (EQC, "[1|T]", "T"), (EQC, "L", "L"), (ABD_FACT, "[item(0),Y]", "Y"),
+     (ABD_FACT, "[item(I),item(1)]", "I"), (ABD_FACT, "[item(0)|T]", "T")],
+)
+def test_lazy_reading_waits_on_the_unbound_cell_it_reads(kind, src, waits):
+    spec, lst = Abducible("p", kind), parse_term(src)
+    args = (lst,) if kind == ABD_FACT else (lst, Var("Out"))
+    lazy = spec.ground(TableFacts.exact(pairs=lambda a, b: True), lazy=True)
+    assert list(lazy(args, Subst())) == [Var(waits)]
+
+
+@pytest.mark.parametrize("src", ["[1]", "[]", "[1,2|T]", "[a,2,3]", "[X]", "foo", "[3,4,5,6]"])
+@pytest.mark.parametrize("kind", [ADD, MUL, EQC])
+def test_lazy_reading_answers_as_the_ground_one_when_nothing_it_reads_is_unbound(kind, src):
+    spec, lst = Abducible("p", kind), parse_term(src)
+    for out in (Int(1), Int(5), Var("Out")):
+        ground = [s.apply(out) for s in spec.ground()((lst, out), Subst())]
+        assert [s.apply(out) for s in spec.ground(lazy=True)((lst, out), Subst())] == ground
+
+
+def test_lazy_fact_reading_keeps_what_the_ground_one_raises_on():
+    """A probe leaf may pair a non-item, or two items facts holds no pair
+    for: the lazy reading holds, and the run on a ranking decides."""
+    facts = TableFacts({}, pairs={(0, 1): 0.0})
+    spec = Abducible("nn", ABD_FACT)
+    s = Subst()
+    for src, error in (("[1,2]", SettingError), ("[item(1),item(0)]", KeyError)):
+        lst = parse_term(src)
+        assert list(spec.ground(facts, lazy=True)((lst,), s)) == [s]
+        with pytest.raises(error):
+            list(spec.ground(facts)((lst,), s))
+    lst = parse_term("[item(0),item(1)]")
+    assert list(spec.ground(facts, lazy=True)((lst,), s)) == list(spec.ground(facts)((lst,), s)) == []
+
+
 def test_ground_fact_rejects_a_non_item_term():
     facts = TableFacts.exact(pairs=lambda a, b: True)
     spec, lst = Abducible("nn", ABD_FACT), parse_term("[1,2]")
