@@ -445,9 +445,11 @@ def solve(
     """Depth-first SLD resolution of (atom, scope) goals; yields (subst, state).
 
     Each goal costs one budget tick and one step of the depth bound,
-    DEPTH_PER_ITEM per list item in the goals plus DEPTH_BASE.  A goal the
-    kb defines is resolved by its builtin or clauses (through resolve(),
-    which builds only the body), a clause body inheriting the goal's scope.
+    DEPTH_PER_ITEM per list item in the goals plus DEPTH_BASE.  The first
+    tick that fails ends the search: no answer is yielded after it.  A
+    goal the kb defines is resolved by its builtin or clauses (through
+    resolve(), which builds only the body), a clause body inheriting the
+    goal's scope.
     Any other goal, substitution applied, goes to hook(goal, scope, subst,
     state), which yields the alternatives as (body atoms, body scope,
     subst, state); without a hook it fails.  The open goals' alternative
@@ -469,7 +471,9 @@ def solve(
         for stack, s, state in open_[-1]:
             if stack is None:
                 yield s, state
-            elif tick():
+            elif not tick():
+                return  # the budget is out: no node left can be searched
+            else:
                 room = limit - len(open_)  # the bound as seen from this node's children
                 if room >= 0:
                     push(_alternatives(stack, s, state, kb, hook, budget, room))

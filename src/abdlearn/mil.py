@@ -117,7 +117,7 @@ pairs as item positions in path order and its pins (below); the item tables
 and pairs the proof read, by position in first-read order; its nodes and
 depth hits.  The key is the program; the goal with each item(i) handle
 replaced by the position of i's first occurrence (so the length and repeats
-stay in it) and each parameter by its slot; value_base; under generation
+stay in it) and a parameter by its slot; value_base; under generation
 the clause budget; and each item's table length.  It is exact: a store
 holds no weights (solve_best takes the tables from its caller), the tree
 reads the item tables only through the initial domains, which the key sets,
@@ -136,72 +136,57 @@ goal's own proof.  A goal whose budget could not run the whole proof
 (max_nodes below its nodes, or the budget out) is proved from scratch; a
 proof that ran the budget out is not stored.
 
-A sum or product goal f(items, y) is proved once per program and length,
-not once per y: y is a parameter.  A parameter is an Int argument of a
-single goal at a parameter position of the program's inducible predicates:
-a position at which every clause of the program for the predicate has a
-head variable that occurs once in the head and once in the body, as an
-argument of the last body atom, at the output of an eq abducible or at a
-parameter position.  The positions are the largest set closed under that
-rule, derived once per setting and program; a background predicate, a
-builtin, an add or mult output or a nested occurrence drops a position,
-and a goal with no parameter keeps its Int arguments, y too, in its key.
-The proof runs on the goal with each parameter replaced by its slot
-$param(k); an eq whose output is a slot records (store var, slot) as a pin
-and posts nothing.  The proof that stores an entry, and each replay, posts
-every pin as var = value on a clone of its leaf store and drops a leaf
-whose pin fails.  The stored proof keeps the leaves under each tuple of
-parameter values it has met, so a (shape, y) met again costs no clone.
-Why this is exact.  Resolution starts from one goal, and the rule keeps
-the parameter in the last goal of the goal list: a clause head takes it in
-a variable that binds nothing (its only occurrence) and the body hands it
-on only in its last atom.  No other goal holds it; the depth bound counts
-no Int; an inducible call reads only its first argument's list length,
-which an Int and a slot both lack; the clause lists never read arguments.
-So the proof with the slot and the proof with the value take the same
-steps: the same nodes ticked, branches cut and tables read, in the same
-order.  The pin is the last step of its branch, since an eq that is the
-last goal succeeds into a leaf: the goal's own proof clones the store,
-adds x's var and posts var = y; the stored proof clones and adds the same
-var, and the pin later appends the same EQC to a clone and propagates it
-from the same queue.  So the leaves, in order, each store's content and
-watch lists, the solved-store key, the labelings and all four counters are
-those of the goal's own proof, and a leaf whose pin fails is its branch
-that failed at the eq.
-
-Generation proves a sum or product positive once per program, length and
-clause budget, y in its slot, when y is a generation parameter (the key
-holds the clause budget, which bounds the clauses a proof may add).  The
-rule must hold for every clause generation can add as well as for the
-program's own, so it is derived over both, once per setting and program.
-The clauses it can add are, per metarule and head predicate, one for each
-predicate it may put in the last body atom: a body pool entry, the target,
-an invented predicate or one the setting may still invent.  In each, the
-head holds at the position a variable that occurs once in the head and
-once in the body, in the last body atom, which must take it: an
-abducible, a background predicate of facts only, or an inducible one at a
-generation parameter position.  The positions are again the largest such
+A sum or product goal f(items, y) is proved once per program and length
+(and, under generation, clause budget), not once per y: y is a parameter.
+One rule decides where, for closed-program proofs and generation alike,
+derived once per setting and program over the program's clauses and every
+clause generation can add to it.  Those are, per metarule and head
+predicate, one for each predicate it may put in the last body atom: a body
+pool entry, the target, an invented predicate or one the setting may still
+invent.  A parameter position of an inducible predicate is one at which
+each of these clauses for the predicate has a head variable that occurs
+once in the head and once in the body, in the last body atom, which must
+take it: an abducible, a background predicate of facts only, or an
+inducible one at a parameter position.  The positions are the largest such
 set; they are none unless every background clause holds only variables,
 symbols and lists and calls no builtin, and the body pool names no
-builtin.  A goal takes a generation parameter when its one Int outside
-item handles is an argument at such a position; any other goal, a ground
-Int goal say, keeps y.
-Why this is exact.  As above, the parameter stays in the last goal of the
-goal list, so an eq on it is a pin at the end of its branch.  Nothing else
-in the proof holds an Int: not the goal, not the background clauses, and
-an abducible binds fdv(v) references, never Ints; nor can a clause take an
-item or fdv handle apart.  So whatever y meets, it and its slot act alike:
-a variable binds to either; any other term unifies with neither, being no
-Int and no slot; a background fact matches or fails the same way and ends
-the branch; and an abducible fails at once on a term that is no list,
-unless y is eq's output, a pin.  _call_type types a slot int, so the
-choice lists, keyed by the call's types, are the Int call's.  The slotted
-proof takes the steps of the goal's own proof, in order, and the pins give
-its leaves.  This covers f(A,B) :- f(A,C), head(C,B), which type-checks
-with B : int and hands B to head/2: the descent rule fails f(A,C) before
-head runs, but even there head would compare y with an item of C, which is
-no Int.  In a ground goal it would be: f(A,B) :- tail(A,C), head(C,B)
-proves f([3,5],5) and not f([3,5],4), so that goal keeps y.
+builtin.  A single goal takes a parameter when its one Int outside item
+handles is an argument at such a position; any other goal, a ground Int
+goal say, keeps y in its key.  The proof runs on the goal with y replaced
+by the slot $param; an eq whose output is the slot records its store var
+as a pin and posts nothing.  The proof that stores an entry, and each
+replay, posts every pin as var = y on a clone of its leaf store and drops
+a leaf whose pin fails.  The stored proof keeps the leaves under each y it
+has met, so a (shape, y) met again costs no clone.
+Why this is exact.  Resolution starts from one goal, and the rule keeps y
+in the last goal of the goal list: a clause head takes it in a variable
+that binds nothing (its only occurrence) and the body hands it on only in
+its last atom.  Nothing else in the proof holds an Int: not the goal, not
+the background clauses, and an abducible binds fdv(v) references, never
+Ints; nor can a clause take an item or fdv handle apart.  So whatever y
+meets, it and its slot act alike: a variable binds to either; any other
+term unifies with neither, being no Int and no slot; a background fact
+matches or fails the same way and ends the branch; and an abducible fails
+at once on a term that is no list, unless y is eq's output, a pin.  The
+depth bound counts no Int; an inducible call reads only its first
+argument's list length, which y and its slot both lack; _call_type types
+the slot int, so the choice lists, keyed by the call's types, are the Int
+call's.  So the slotted proof takes the steps of the goal's own proof: the
+same nodes ticked, branches cut and tables read, in the same order.  The
+pin is the last step of its branch, since an eq that is the last goal
+succeeds into a leaf: the goal's own proof clones the store, adds x's var
+and posts var = y; the stored proof clones and adds the same var, and the
+pin later appends the same EQC to a clone and propagates it from the same
+queue.  So the leaves, in order, each store's content and watch lists, the
+solved-store key, the labelings and all four counters are those of the
+goal's own proof, and a leaf whose pin fails is its branch that failed at
+the eq.  A closed program's proof uses only clauses the rule covers, so
+this holds for it word for word.  It covers f(A,B) :- f(A,C), head(C,B),
+which type-checks with B : int and hands B to head/2: the descent rule
+fails f(A,C) before head runs, but even there head would compare y with an
+item of C, which is no Int.  In a ground goal it would be: f(A,B) :-
+tail(A,C), head(C,B) proves f([3,5],5) and not f([3,5],4), so that goal
+keeps y.
 Generation's cut under recorded programs depends on the positives its
 caller has consumed so far, so every generation proof is stored uncut:
 each leaf keeps its program, and the storing run and every replay drop, at
@@ -423,7 +408,7 @@ class TableFacts:
 
 ITEM_F = "item"
 FDV_F = "fdv"
-PARAM_F = "$param"  # a parameter's slot in a stored proof's goal; no name the parser reads
+_SLOT = Sym("$param")  # a parameter's slot in a stored proof's goal; no name the parser reads
 
 
 def item_term(i: int) -> Struct:
@@ -437,8 +422,8 @@ def fdv_term(vid: int) -> Struct:
 
 
 def _item_id(t: Term, functor: str = ITEM_F) -> Optional[int]:
-    """i of an item(i) handle, or, given its functor, of an fdv(i) reference
-    or a $param(i) slot."""
+    """i of an item(i) handle, or, given its functor, of an fdv(i)
+    reference."""
     if isinstance(t, Struct) and t.functor == functor and len(t.args) == 1:
         a = t.args[0]
         if isinstance(a, Int):
@@ -614,13 +599,11 @@ class InductionSetting:
             done = self._productive[prog] = _productive(prog, self)
         return done
 
-    def parameters(self, prog: Program, generation: bool = False) -> "frozenset[tuple[str, int, int]]":
-        """_parameters of prog, or with generation _generation_parameters,
-        computed once per setting."""
-        key = (prog, generation)
-        done = self._parameters.get(key)
+    def parameters(self, prog: Program) -> "frozenset[tuple[str, int, int]]":
+        """_parameters of prog, computed once per setting."""
+        done = self._parameters.get(prog)
         if done is None:
-            done = self._parameters[key] = (_generation_parameters if generation else _parameters)(prog, self)
+            done = self._parameters[prog] = _parameters(prog, self)
         return done
 
     def well_typed(self, ms: MetaSub, types: tuple) -> bool:
@@ -642,7 +625,15 @@ class InductionSetting:
 
 @dataclass
 class SearchBudget:
-    """Limits of one search; kb.solve derives the depth bound from the goals."""
+    """Limits of one search; kb.solve derives the depth bound from the goals.
+
+    max_nodes and wall_ms bind each runtime Budget made from this one: an
+    induce call's own (its candidate generation, and the start of each
+    candidate's scoring) and, apart, the scoring of each example.  wall_ms
+    is a deadline, in milliseconds from that Budget's making, that kb reads
+    every 256 nodes: a search stops at the first tick that reads it passed,
+    so within 256 nodes of it.
+    """
 
     max_clauses: int = 3
     max_nodes: Optional[int] = None
@@ -759,15 +750,15 @@ class InduceOutcome:
 
 
 class _AbdState:
-    """Constraint store, the item -> store-variable map and the pins that
-    wait for a parameter's value, copy-on-write."""
+    """Constraint store, the item -> store-variable map and the pins, store
+    vars that wait for the parameter's value, copy-on-write."""
 
     __slots__ = ("store", "item_vars", "pins")
 
     def __init__(self, store: Optional[ConstraintStore] = None, item_vars: Optional[dict] = None, pins: tuple = ()):
         self.store = store
         self.item_vars = item_vars if item_vars is not None else {}
-        self.pins = pins  # (store var, parameter slot) of each eq on a slot
+        self.pins = pins  # the store var of each eq on the slot
 
     def cloned(self) -> "_AbdState":
         return _AbdState(
@@ -884,15 +875,15 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     term_in, term_out = g.args
     if spec.kind == EQC:
         read, rest = _cells(term_in, s, 1)
-        slot = _item_id(term_out, PARAM_F)
-        if not (read and is_nil(rest)) or (slot is None and not isinstance(term_out, Int)):
+        slotted = term_out == _SLOT
+        if not (read and is_nil(rest)) or not (slotted or isinstance(term_out, Int)):
             return
         ab2 = ab.cloned()
         vx = _var_for(read[0], ab2, ctx.facts)
         if vx is None:
             return
-        if slot is not None:
-            ab2.pins += ((vx, slot),)  # _shared_leaves posts it, per value
+        if slotted:
+            ab2.pins += (vx,)  # _shared_leaves posts it, per value
         elif not ab2.store.post_eq_const(vx, term_out.value):
             return
         yield (), None, s, (prog, ab2, dlogp, abduced)
@@ -951,19 +942,9 @@ def _body_in(c: Clause, inducible: set, productive: set) -> bool:
 def _parameters(prog: Program, setting: InductionSetting) -> "frozenset[tuple[str, int, int]]":
     """(name, arity, position) of each parameter position of prog's
     inducible predicates (see the module docstring): _closure over prog's
-    clauses, each handing a position on to the output of an eq abducible
-    or to a position in the set."""
-    clauses = [setting.clause_of(ms) for ms in prog.metasubs]
-    return _closure(clauses, (setting.target, *prog.invented), setting, _pins)
-
-
-def _generation_parameters(prog: Program, setting: InductionSetting) -> "frozenset[tuple[str, int, int]]":
-    """(name, arity, position) of each generation parameter position of
-    prog's inducible predicates (see the module docstring): _closure over
-    prog's clauses and every clause generation may add to it, each handing
-    a position on by _takes; none unless the background clauses hold only
-    variables, symbols and lists and call no builtin, and the body pool
-    names no builtin."""
+    clauses and every clause generation may add to it; none unless the
+    background clauses hold only variables, symbols and lists and call no
+    builtin, and the body pool names no builtin."""
     kb = setting.kb
     if any(key in kb.builtins for key in setting.body_pool) or not all(
         _lists_only(c, kb) for cs in kb.clauses.values() for c in cs
@@ -977,7 +958,7 @@ def _generation_parameters(prog: Program, setting: InductionSetting) -> "frozens
         for name, arity in heads:
             if mr.head.arity == arity:
                 clauses += [setting.clause_of(ms) for ms in _buildable(mr, name, heads, setting)]
-    return frozenset(p for p in _closure(clauses, heads, setting, _takes) if p[0] != _NEW)
+    return frozenset(p for p in _closure(clauses, heads, setting) if p[0] != _NEW)
 
 
 _NEW = "$new"  # a predicate not yet invented; no name the parser reads
@@ -1000,29 +981,18 @@ def _buildable(mr: Metarule, name: str, heads: list, setting: InductionSetting) 
     ]
 
 
-def _closure(clauses: "list[Clause]", heads, setting: InductionSetting, takes) -> "frozenset[tuple[str, int, int]]":
+def _closure(clauses: "list[Clause]", heads, setting: InductionSetting) -> "frozenset[tuple[str, int, int]]":
     """The largest set of (name, arity, position) of the predicates heads
     such that every clause in clauses for the predicate hands the position
-    on, by _hands_on with takes, to a position in the set or as takes
-    allows.  It starts from every position and drops, until none drops,
-    each that some clause does not hand on (the least fixpoint of that
-    drop)."""
+    on, by _hands_on, to a position in the set or as _takes allows.  It
+    starts from every position and drops, until none drops, each that some
+    clause does not hand on (the least fixpoint of that drop)."""
     out = {(n, a, i) for n, a in heads for i in range(a)}
     while True:
-        bad = {p for p in out if not all(_hands_on(c, p[2], out, setting, takes) for c in clauses if c.head.key() == p[:2])}
+        bad = {p for p in out if not all(_hands_on(c, p[2], out, setting) for c in clauses if c.head.key() == p[:2])}
         if not bad:
             return frozenset(out)
         out -= bad
-
-
-def _pins(key: "tuple[str, int]", q: int, params, setting: InductionSetting) -> bool:
-    """Whether a last goal on predicate key takes a parameter at position
-    q as a closed program's proof may: at eq's output, or at a position in
-    params."""
-    spec = setting.abducibles.get(key)
-    if spec is not None:
-        return spec.kind == EQC and q == 1
-    return (*key, q) in params
 
 
 def _takes(key: "tuple[str, int]", q: int, params, setting: InductionSetting) -> bool:
@@ -1038,10 +1008,10 @@ def _takes(key: "tuple[str, int]", q: int, params, setting: InductionSetting) ->
     return (*key, q) in params
 
 
-def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting, takes) -> bool:
+def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting) -> bool:
     """Whether c's head holds a variable at position i that occurs once in
     the head and once in the body, as an argument of the last body atom
-    that takes it there, by takes."""
+    that takes it there, by _takes."""
     v = c.head.args[i]
     if v.__class__ is not Var or not c.body or _occurrences(v, c.head.args) != 1:
         return False
@@ -1050,7 +1020,7 @@ def _hands_on(c: Clause, i: int, params: set, setting: InductionSetting, takes) 
     last = c.body[-1]
     if v not in last.args:
         return False
-    return takes(last.key(), last.args.index(v), params, setting)
+    return _takes(last.key(), last.args.index(v), params, setting)
 
 
 def _occurrences(v: Var, terms: "Iterable[Term]") -> int:
@@ -1220,13 +1190,13 @@ def _meet(a, b):
 
 
 def _call_type(t: Term):
-    """(type, length) of term t at the call: "int" for an Int or a
-    parameter's $param(k) slot, which stands for one, "item" for an item(i)
+    """(type, length) of term t at the call: "int" for an Int or the
+    parameter's slot, which stands for one, "item" for an item(i)
     handle, ("list", T) for a proper list whose items' types meet in T,
     else None; length counts a proper list's items, and is None for any
     other term."""
     cls = t.__class__
-    if cls is Int:
+    if cls is Int or cls is Sym and t == _SLOT:
         return "int", None
     if cls is not Struct:
         return None, None
@@ -1242,9 +1212,7 @@ def _call_type(t: Term):
         return (None if elem is _MIXED else ("list", elem)), n
     if is_nil(t):
         return ("list", None), 0
-    if _item_id(t) is not None:
-        return "item", None
-    return ("int" if _item_id(t, PARAM_F) is not None else None), None
+    return ("item" if _item_id(t) is not None else None), None
 
 
 def _call_types(g: Atom) -> "tuple[Optional[int], tuple]":
@@ -1366,18 +1334,18 @@ def prove(
     found, generation's map of the programs it has recorded by key, drops
     every leaf whose closed program is already in it, unchecked, as the
     leaf is yielded.  Every proof is the setting's stored proof of the
-    goals' shape when it has one, a single goal's parameters (y of a sum
-    or product goal) pinned to the goal's values (see the module
-    docstring), and is stored when it is run; with allow_new_clauses the
-    key holds the clause budget and the proof is stored uncut.
+    goals' shape when it has one, a single goal's parameter (y of a sum or
+    product goal, by the one rule of the module docstring) pinned to the
+    goal's y, and is stored when it is run; with allow_new_clauses the key
+    holds the clause budget and the proof is stored uncut.
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
-    goals, values = _parametrized(goals, program, setting, allow_new_clauses)
+    goals, y = _parametrized(goals, program, setting)
     ctx = _Ctx(setting, facts, budget, allow_new_clauses)
-    leaves = _shared_leaves(goals, values, program, ctx, runtime)
+    leaves = _shared_leaves(goals, y, program, ctx, runtime)
     yield from _results(leaves, ctx, runtime, feasibility_only, solved, found)
 
 
@@ -1460,13 +1428,13 @@ def _proof_key(
     goals: "Sequence[Atom]", program: Program, facts: TableFacts, budget: Optional[int] = None
 ) -> "tuple[tuple, list[int]]":
     """The key of the goals' stored proof under program, and the goals' item
-    ids by position.  The goals come from _parametrized, each parameter a
-    $param(k) slot.  The key is one flat tuple: program, value_base,
+    ids by position.  The goals come from _parametrized, a parameter in
+    its slot.  The key is one flat tuple: program, value_base,
     generation's clause budget (None for a closed-program proof), the goals
     in preorder (a predicate or functor, then its arity, then its
-    arguments, so a slot gives "$param", 1, Int(k)) with each item(i)
-    handle given as the position of i's first occurrence, and each item's
-    table length, None if it has none."""
+    arguments, the slot as itself) with each item(i) handle given as the
+    position of i's first occurrence, and each item's table length, None
+    if it has none."""
     ids: dict = {}
     out = [program, facts.value_base, budget]
     for g in goals:
@@ -1531,74 +1499,69 @@ def _reread(read: tuple, ids: "list[int]", facts: TableFacts) -> Optional[dict]:
 class _Proof(NamedTuple):
     """A stored proof (see the module docstring).  A leaf is (store, item
     position -> var map, abduced pairs as positions in path order, its
-    program); a pending leaf adds its pins, (store var, parameter slot)
-    pairs, before its program."""
+    program); a pending leaf adds its pins, store vars, before its
+    program."""
 
     read: tuple  # item positions and pairs of them, in first-read order
     nodes: int
     depth_hits: int
     pending: tuple  # the leaves with their pins unposted
-    # parameter values, () without parameters -> the leaves under them: a
-    # (shape, y) met again takes its pinned stores here, no clone or post
+    # y, None without a parameter -> the leaves under it: a (shape, y) met
+    # again takes its pinned stores here, no clone or post
     by_values: dict
 
 
-def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting, generation: bool = False):
-    """The goals with each parameter, an Int argument of a single goal at
-    one of program's parameter positions, replaced by its slot $param(k),
-    and the parameters' values by slot.  Under generation the positions
-    are the generation parameter positions, and a goal takes a parameter
-    only if it is the goal's one Int outside item handles."""
-    params = setting.parameters(program, generation)
+def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting):
+    """The goals with the parameter, a single goal's one Int outside item
+    handles when it is an argument at one of program's parameter
+    positions, replaced by the slot, and its value; else the goals and
+    None."""
+    params = setting.parameters(program)
     if len(goals) != 1 or not params:
-        return goals, ()
+        return goals, None
     g = goals[0]
-    args, values = list(g.args), []
-    for i, t in enumerate(args):
-        if t.__class__ is Int and (g.pred, len(args), i) in params:
-            args[i] = Struct(PARAM_F, (Int(len(values)),))
-            values.append(t.value)
-    if not values or generation and (len(values) > 1 or not _int_free(args)):
-        return goals, ()
-    return [Atom(g.pred, tuple(args))], tuple(values)
+    for i, t in enumerate(g.args):
+        if t.__class__ is Int and (g.pred, len(g.args), i) in params:
+            args = (*g.args[:i], _SLOT, *g.args[i + 1 :])
+            return ([Atom(g.pred, args)], t.value) if _int_free(args) else (goals, None)
+    return goals, None
 
 
 def _int_free(terms: "Iterable[Term]") -> bool:
-    """No Int occurs in terms outside item handles and parameter slots."""
+    """No Int occurs in terms outside item handles."""
     todo = list(terms)
     while todo:
         t = todo.pop()
         if t.__class__ is Int:
             return False
-        if t.__class__ is Struct and t.functor != ITEM_F and t.functor != PARAM_F:
+        if t.__class__ is Struct and t.functor != ITEM_F:
             todo.extend(t.args)
     return True
 
 
-def _pinned(pending: "Iterable[tuple]", values: tuple) -> "list[tuple]":
-    """The pending leaves under the parameter values: a leaf with pins gets
-    a clone of its store with each pin posted as var = its parameter's
-    value, and is dropped if one fails."""
+def _pinned(pending: "Iterable[tuple]", y: Optional[int]) -> "list[tuple]":
+    """The pending leaves under y: a leaf with pins gets a clone of its
+    store with each pin posted as var = y, and is dropped if one fails."""
     out = []
     for store, vids, path, pins, prog in pending:
         if pins:
             store = store.clone()
-            if not all(store.post_eq_const(vid, values[k]) for vid, k in pins):
+            if not all(store.post_eq_const(vid, y) for vid in pins):
                 continue
         out.append((store, vids, path, prog))
     return out
 
 
 def _shared_leaves(
-    goals: "Sequence[Atom]", values: tuple, program: Program, ctx: _Ctx, runtime: Budget
+    goals: "Sequence[Atom]", y: Optional[int], program: Program, ctx: _Ctx, runtime: Budget
 ) -> Iterator[tuple]:
     """_leaves, through the setting's stored proofs (see the module
-    docstring): the stored proof of the goals' shape, parameters slotted
-    and their values given, is replayed when runtime could run it whole
-    and no pair it read now has probability 0, its leaves under the
-    parameter values taken from the proof or pinned once and kept there;
-    otherwise the goals are proved, their pins posted, and the proof is
-    stored unless runtime ran out or it read a pair of probability 0.
+    docstring): the stored proof of the goals' shape, the parameter
+    slotted and its value y given, is replayed when runtime could run it
+    whole and no pair it read now has probability 0, its leaves under y
+    taken from the proof or pinned once and kept there; otherwise the
+    goals are proved, their pins posted, and the proof is stored unless
+    runtime ran out or it read a pair of probability 0.
     Under generation the proof runs whole, and is stored, before its first
     leaf goes out.  runtime counts either in proofs_replayed or
     proofs_run."""
@@ -1610,9 +1573,9 @@ def _shared_leaves(
     whole = proof is not None and runtime.ok() and (cap is None or runtime.nodes + proof.nodes <= cap)
     pairs = _reread(proof.read, ids, facts) if whole else None
     if pairs is not None:
-        leaves = proof.by_values.get(values)
+        leaves = proof.by_values.get(y)
         if leaves is None:
-            leaves = proof.by_values[values] = tuple(_pinned(proof.pending, values))
+            leaves = proof.by_values[y] = tuple(_pinned(proof.pending, y))
         runtime.proofs_replayed += 1
         runtime.nodes += proof.nodes
         runtime.depth_hits += proof.depth_hits
@@ -1631,7 +1594,7 @@ def _shared_leaves(
         prog, ab = state[0], state[1]
         path = tuple([(pos[a.key[1]], pos[a.key[2]]) for a in state[3]])
         pending.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path, ab.pins, prog))
-        pinned = _pinned(pending[-1:], values)
+        pinned = _pinned(pending[-1:], y)
         if not pinned:
             continue
         leaves.append(pinned[0])
@@ -1646,7 +1609,7 @@ def _shared_leaves(
             runtime.nodes - nodes,
             runtime.depth_hits - depth_hits,
             tuple(pending),
-            {values: tuple(leaves)},
+            {y: tuple(leaves)},
         )
     yield from held
 
@@ -1784,8 +1747,8 @@ def _candidate_programs(
     drops, as it yields it, a result whose full program is found already,
     since it could only be found again.  Every positive is proved through
     the setting's stored proofs, once per (program, goal shape, budget),
-    a y that is a generation parameter slotted and pinned per positive
-    (see the module docstring)."""
+    a y that is a parameter slotted and pinned per positive (see the
+    module docstring)."""
     seen_prefix: set = set()
     found: dict = {}
 

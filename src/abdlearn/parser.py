@@ -12,6 +12,11 @@ Variables begin with an uppercase letter or underscore, symbols and
 functors with a lowercase letter, integers are optionally signed decimal
 literals.  A bare ``_`` is an anonymous variable: each occurrence is fresh.
 There is no operator parsing beyond ``:-`` and the argument comma.
+
+The public API is parse_program, which the knowledge base and the
+metarule library read clause text with, and parse_term, parse_atom and
+parse_clause, kept as the API for reading one term, atom or clause; no
+module in the package calls them, the tests build their cases with them.
 """
 
 from __future__ import annotations

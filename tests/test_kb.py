@@ -349,3 +349,51 @@ def test_sorted_rankings_answer_within_a_node_bound():
         examples = gen_sequences(task, 6, lengths=(length, length), seed=0)
         m = evaluate(SORT_PROGRAM, task, examples, use_truth=True, max_nodes=cap)
         assert (m.failures, m.budget_exhausted, m.depth_cut) == (0, 0, 0)
+
+
+def _blind_permute_kb(no) -> KnowledgeBase:
+    """g(A, B) :- permute(A, B, C), no(C), where no/1 is the builtin no,
+    with no lazy reading: it ends permute's probe, so permute tries every
+    ranking, 40,320 on 8 items."""
+    kb = standard_kb("g(A, B) :- permute(A, B, C), no(C).")
+    kb.add_builtin("no", 1, no)
+    return kb
+
+
+EIGHT = Atom("g", (mk_list([Int(i) for i in range(8)]), Var("R")))
+
+
+def test_node_cap_stops_the_search_at_its_first_failed_tick():
+    """Uncapped the search takes 40,323 nodes; under a 1,000-node cap it
+    stops at the tick past the cap and runs no ranking after it."""
+    calls = []
+
+    def no(args, s):
+        calls.append(None)
+        return iter(())
+
+    b = Budget()
+    assert list(deduce(EIGHT, _blind_permute_kb(no), budget=b)) == []
+    assert (b.nodes, len(calls), b.exhausted) == (40_323, 40_320, False)
+    calls.clear()
+    b = Budget(max_nodes=1_000)
+    assert list(deduce(EIGHT, _blind_permute_kb(no), budget=b)) == []
+    assert b.exhausted and b.nodes <= 1_001 and len(calls) < 1_000
+
+
+def test_passed_deadline_stops_the_search_within_256_nodes(monkeypatch):
+    """The clock passes the deadline at the 500th ranking.  The deadline is
+    read every 256 nodes, and the search stops at the first tick that
+    reads it passed, not after the rankings left."""
+    now, calls, at = [0.0], [], []
+    monkeypatch.setattr(kb_module.time, "monotonic", lambda: now[0])
+    b = Budget(wall_ms=5)
+
+    def no(args, s):
+        calls.append(None)
+        if len(calls) == 500:
+            now[0], at[:] = 1.0, [b.nodes]
+        return iter(())
+
+    assert list(deduce(EIGHT, _blind_permute_kb(no), budget=b)) == []
+    assert b.exhausted and 0 < b.nodes - at[0] <= 256

@@ -1315,14 +1315,24 @@ def test_one_generation_matches_per_size_search_on_sorted_concept():
 
 def _programs_over(op):
     """Closed programs the memo tests prove under: the task's, its other
-    base case, and one that skips to the last item."""
+    base case, one that skips to the last item, one that hands y to an
+    invented predicate, and the task's with a third clause that hands y to
+    head/2 (which proves a goal only where an Int among the items keeps y
+    in the key)."""
     step = MetaSub("chain", (("P", "f"), ("Q", op), ("R", "f")))
     ident = MetaSub("ident", (("P", "f"), ("Q", "eq")))
     skip = MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "f")))
+    invented = (
+        MetaSub("ident", (("P", "f"), ("Q", "f_1"))),
+        MetaSub("chain", (("P", "f_1"), ("Q", op), ("R", "f_1"))),
+        MetaSub("ident", (("P", "f_1"), ("Q", "eq"))),
+    )
     return [
         Program((step, ident)),
         Program((step, MetaSub("chain", (("P", "f"), ("Q", op), ("R", "eq"))))),
         Program((skip, ident)),
+        Program(invented, (("f_1", 2),)),
+        Program((step, ident, MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "head"))))),
     ]
 
 
@@ -1400,21 +1410,24 @@ def test_shared_proofs_match_proving_each_goal(case, solver_cap):
     no stored proof): log_prob bits, labels, truncated flag and all four
     counters.  Every program here takes y as a parameter, so the second
     goal (the first one's shape under other ids and tables) and the third
-    (another y) reuse each stored proof and store none; each later one,
-    with the first one's y, stores its own unless its key is the first
-    one's."""
+    (another y) reuse each stored proof and store none, unless an Int
+    among the items keeps y in the key: then the third stores its own
+    under another y.  Each later one, with the first one's y, stores its
+    own unless its key is the first one's."""
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
     shared = task.setting()
+    keeps_y = not mil._int_free([goals[0].args[0]])
     for prog in _programs_over(op):
-        assert shared.parameters(prog) == {("f", 2, 1)}
+        assert ("f", 2, 1) in shared.parameters(prog)
         for k, (goal, facts) in enumerate(zip(goals, oracles)):
             stored = len(shared._proofs)
             got = _scored(shared, goal, prog, facts, budget)
             assert got == _concrete(task.setting(), goal, prog, facts, budget)
             assert not got[2]
             new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
-            assert len(shared._proofs) == stored + (k == 0 or (k > 2 and new_key))
+            new_y = keeps_y and goal.args[1] != goals[0].args[1]
+            assert len(shared._proofs) == stored + (k == 0 or (k == 2 and new_y) or (k > 2 and new_key))
 
 
 @st.composite
@@ -1453,30 +1466,32 @@ def test_one_stored_proof_serves_every_y_of_a_shape(case, solver_cap):
     order, each as the goal's own proof with y in it scores it on a fresh
     setting (_leaves, no stored proof): log_prob bits, labels, truncated
     flag and all four counters, a y no labeling reaches included.  Each
-    program stores one proof for them all."""
+    program stores one proof for them all, or, where an Int among the
+    items keeps y in the key, one per y."""
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
     shared = task.setting()
+    keeps_y = not mil._int_free([goals[0].args[0]])
     for prog in _programs_over(op):
         stored = len(shared._proofs)
         for goal, facts in zip(goals, oracles):
             assert _scored(shared, goal, prog, facts, budget) == _concrete(task.setting(), goal, prog, facts, budget)
-        assert len(shared._proofs) == stored + 1
+        assert len(shared._proofs) == stored + (len({g.args[1] for g in goals}) if keeps_y else 1)
 
 
 def test_y_stays_in_the_key_where_it_reaches_a_background_predicate_or_an_add_output():
     """A program with a clause that hands the head's output to a background
-    predicate (head/2: f([3,4], 4) holds by tail, then head) or to an add
-    output takes no parameter: it keeps one stored proof per y, each the
-    goal's own proof.  The sum program, in the same setting, keeps one for
-    every y."""
+    predicate of facts (head/2: f([3,4], 4) holds by tail, then head) or
+    to an add output takes y as a parameter, as the sum program does.  A
+    ground goal holds other Ints, so under each program it keeps y in its
+    key: one stored proof per y, each the goal's own proof."""
     shared = sum_setting()
     facts = TableFacts.exact()
     to_background = Program(SUM_PROG.metasubs + (MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "head"))),))
     to_add = Program(SUM_PROG.metasubs + (MetaSub("ident", (("P", "f"), ("Q", "add"))),))
     ys = (4, 7, 5, 7)
-    for prog, stores in ((to_background, 3), (to_add, 3), (SUM_PROG, 1)):
-        assert shared.parameters(prog) == (frozenset() if stores > 1 else {("f", 2, 1)})
+    for prog, stores in ((to_background, 3), (to_add, 3), (SUM_PROG, 3)):
+        assert shared.parameters(prog) == {("f", 2, 1)}
         stored = len(shared._proofs)
         for y in ys:
             got = _scored(shared, int_goal([3, 4], y), prog, facts, SearchBudget())
@@ -1554,7 +1569,7 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     want_first = stream(sum_setting(), item_goal([0, 1, 2], 8), first)
     assert stream(shared, item_goal([0, 1, 2], 8), first) == want_first
     (proof,) = shared._proofs.values()
-    leaves = proof.by_values[(8,)]
+    leaves = proof.by_values[8]
     solved, clones = [], []
     plain_solve, plain_clone = mil.solve_best, ConstraintStore.clone
     monkeypatch.setattr(mil, "solve_best", lambda store, *a: solved.append(store) or plain_solve(store, *a))
@@ -1595,7 +1610,7 @@ def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
     assert (rt.proofs_run, rt.proofs_replayed) == (0, 1)
     assert len(clones) == len(proof.pending) == len(solved) > 0
     for clone, store, (base, _, _, pins, _) in zip(clones, solved, proof.pending):
-        (vid, _), = pins
+        (vid,) = pins
         assert clone is base and len(store.vars) == len(base.vars)
         assert store.constraints == base.constraints + [FDConstraint(EQC, vid, -1, 6)]
     assert got == stream(sum_setting(), item_goal([7, 8, 9], 6), second)
@@ -1605,7 +1620,7 @@ def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
     monkeypatch.undo()
     assert got == stream(sum_setting(), item_goal([4, 5, 6], 6), third)
     assert clones == [] and len(shared._proofs) == 1
-    assert [leaf[0] for leaf in proof.by_values[(6,)]] == solved
+    assert [leaf[0] for leaf in proof.by_values[6]] == solved
 
 
 def test_shared_proofs_are_keyed_by_table_length_and_value_base():
@@ -1853,14 +1868,14 @@ def test_generation_through_stored_proofs_matches_the_uncut_reference(batch, dat
     ground goals hold other Ints and keep it in their key."""
     task, cases = batch
     shared = task.setting()
-    assert shared.parameters(Program(), True) == {("f", 2, 1)}
+    assert shared.parameters(Program()) == {("f", 2, 1)}
     runs = [(kind, mc) for kind in ("item", "int") for mc in (1, 2, 3, 4)] * 2
     for kind, mc in data.draw(st.permutations(runs)):
         positives, facts = cases[kind]
         want = _reference_generation(positives, task.setting(), facts, mc)
         assert _generation(positives, shared, facts, mc) == want
         goal = positives[0].goal
-        assert bool(mil._parametrized([goal], Program(), shared, True)[1]) == (kind == "item")
+        assert (mil._parametrized([goal], Program(), shared)[1] is not None) == (kind == "item")
 
 
 def test_generation_replays_a_positive_of_a_stored_length_under_another_y():
@@ -1975,14 +1990,14 @@ def test_dyadic_generation_through_stored_proofs_matches_the_uncut_reference(cas
 
 @pytest.mark.parametrize("task_id", ["sum", "product"])
 def test_slotted_call_gets_the_choice_lists_of_the_call_with_its_int(task_id):
-    """A generation call with y in its $param slot has the call types of
+    """A generation call with y in the $param slot has the call types of
     the call with the Int, and so the same clause lists: under the empty
     program and under each one-clause program they list.  A wildcard in
     that position would list other clauses, add(A,B) among them."""
     task = tasks.make_task(task_id)
     goal = task.goal([0, 1, 2], 6).goal
-    (slotted,), values = mil._parametrized([goal], Program(), task.setting(), True)
-    assert values == (6,) and slotted.args[1] != goal.args[1]
+    (slotted,), y = mil._parametrized([goal], Program(), task.setting())
+    assert y == 6 and slotted.args[1] != goal.args[1]
     size, types = mil._call_types(slotted)
     assert (size, types) == mil._call_types(goal) and types[1] == "int"
     facts = TableFacts({i: digit_table(1) for i in range(3)}, task.value_base)
@@ -2010,10 +2025,9 @@ def test_generation_parameter_sound_where_the_slot_meets_head():
     it keeps y, and slotting it anyway would lose that program."""
     setting = sum_setting(pool=LIST_POOL)  # may invent one predicate
     trap = Program((MetaSub("chain", (("P", "f"), ("Q", "f"), ("R", "head"))),))
-    assert setting.parameters(Program(), True) == setting.parameters(trap, True) == {("f", 2, 1)}
-    assert ("f", 2, 1) not in setting.parameters(trap)  # a closed program's parameter goes to eq or f
+    assert setting.parameters(Program()) == setting.parameters(trap) == {("f", 2, 1)}
     goal = item_goal([0, 1, 2], 5)
-    (slotted,), _ = mil._parametrized([goal], Program(), setting, True)
+    (slotted,), _ = mil._parametrized([goal], Program(), setting)
     facts = TableFacts({i: digit_table(d) for i, d in enumerate([1, 1, 3, 3, 2])})
     ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=3), True)
     listed = {program_text(p, setting.library) for _, p in ctx.choices(Program(), "f", 2, mil._call_types(slotted)[1])}
@@ -2021,7 +2035,7 @@ def test_generation_parameter_sound_where_the_slot_meets_head():
     met, plain = [], kb_module.resolve
 
     def spy(g, clause, s):
-        if g.pred == "head" and mil._item_id(s.apply(g.args[1]), mil.PARAM_F) is not None:
+        if g.pred == "head" and s.apply(g.args[1]) == mil._SLOT:
             met.append(g)
         return plain(g, clause, s)
 
@@ -2031,7 +2045,7 @@ def test_generation_parameter_sound_where_the_slot_meets_head():
         got = _generation(positives, setting, facts, 3)
     assert met and got == _reference_generation(positives, sum_setting(pool=LIST_POOL), facts, 3)
     ground = [GoalExample(int_goal([3, 5], 5))]
-    assert mil._parametrized([ground[0].goal], Program(), setting, True)[1] == ()
+    assert mil._parametrized([ground[0].goal], Program(), setting)[1] is None
     want = _reference_generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1)
     assert "f(A,B) :- tail(A,C), head(C,B)." in want[0]
     assert _generation(ground, setting, TableFacts.exact(), 1) == want
@@ -2047,12 +2061,12 @@ def test_generation_parameters_need_every_buildable_clause_to_hand_y_on():
     body in that atom's slot, or a background clause holding an Int, each
     leaves generation no parameter; so does a start program whose own
     clause hands y to such a predicate."""
-    assert sum_setting(mrs=("chain", "ident", "postcon")).parameters(Program(), True) == frozenset()
+    assert sum_setting(mrs=("chain", "ident", "postcon")).parameters(Program()) == frozenset()
     rules = [r for r in default_metarules() if r.name in ("chain", "ident")]
     abd = {("add", 2): Abducible("add", ADD), ("eq", 2): Abducible("eq", EQC)}
 
     def positions(pool, bk=""):
-        return InductionSetting(standard_kb(BK + bk), rules, abd, ("f", 2), list(pool)).parameters(Program(), True)
+        return InductionSetting(standard_kb(BK + bk), rules, abd, ("f", 2), list(pool)).parameters(Program())
 
     second = "second(L, X) :- tail(L, T), head(T, X)."
     assert positions(LIST_POOL) == positions(LIST_POOL, second) == {("f", 2, 1)}
@@ -2061,8 +2075,8 @@ def test_generation_parameters_need_every_buildable_clause_to_hand_y_on():
     assert positions(LIST_POOL + (("permute", 3),)) == frozenset()
     setting = InductionSetting(standard_kb(BK + second), rules, abd, ("f", 2), list(LIST_POOL))
     foreign = Program((MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "second"))),))
-    assert setting.parameters(foreign, True) == frozenset()
-    assert setting.parameters(SUM_PROG, True) == {("f", 2, 1)}
+    assert setting.parameters(foreign) == frozenset()
+    assert setting.parameters(SUM_PROG) == {("f", 2, 1)}
 
 
 # ---------------------------------------------------------------------------
