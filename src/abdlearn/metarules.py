@@ -109,7 +109,14 @@ class Program:
 
 
 def materialize(ms: MetaSub, library: "dict[str, Metarule]") -> Clause:
-    mr = library[ms.rule]
+    """ms's clause under library's rule of its name.  Each (MetaSub, Metarule)
+    pair is built once per process: clauses are immutable, so every caller
+    shares one."""
+    return _clause(ms, library[ms.rule])
+
+
+@lru_cache(maxsize=None)
+def _clause(ms: MetaSub, mr: Metarule) -> Clause:
     head = Atom(ms.symbol(mr.head.pred_var), tuple(Var(v) for v in mr.head.arg_vars))
     body = tuple(
         Atom(ms.symbol(b.pred_var), tuple(Var(v) for v in b.arg_vars)) for b in mr.body

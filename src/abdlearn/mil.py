@@ -311,8 +311,8 @@ class WeightTable(tuple):
     __slots__ = ()
 
     def __new__(cls, log_weights: Iterable[float]) -> "WeightTable":
-        ws = super().__new__(cls, (float(w) for w in log_weights))
-        total = sum(math.exp(w) for w in ws)
+        ws = super().__new__(cls, map(float, log_weights))
+        total = sum(map(math.exp, ws))
         if not abs(total - 1.0) <= 1e-9:  # a NaN total fails this too
             raise ValueError(f"weight table must sum to 1 in probability space, got {total}")
         return ws
@@ -547,7 +547,6 @@ class InductionSetting:
     body_pool: "list[tuple[str, int]]"
     max_invented: int = 1
     library: dict = field(init=False)
-    _clauses: dict = field(init=False, repr=False)
     _choices: dict = field(init=False, repr=False)
     _productive: dict = field(init=False, repr=False)
     _parameters: dict = field(init=False, repr=False)
@@ -558,7 +557,6 @@ class InductionSetting:
 
     def __post_init__(self):
         self.library = metarule_library(self.metarules)
-        self._clauses = {}
         self._texts = {}
         self._choices = {}
         self._productive = {}
@@ -580,10 +578,8 @@ class InductionSetting:
                 raise SettingError(f"body pool entry {key[0]}/{key[1]} is undefined")
 
     def clause_of(self, ms: MetaSub) -> Clause:
-        """ms's clause, materialised once per setting."""
-        if ms not in self._clauses:
-            self._clauses[ms] = materialize(ms, self.library)
-        return self._clauses[ms]
+        """ms's clause under this setting's library (materialize's memo)."""
+        return materialize(ms, self.library)
 
     def text_of(self, prog: Program) -> str:
         """prog's program_text, printed once per setting."""

@@ -189,13 +189,14 @@ class MLP:
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y] = 1.0
 
-        def buffers(m: int):  # x, target, h, dh, live (h > 0 as 1.0 or 0.0), out, row stat, 1 / m
+        def buffers(m: int):  # h, dh, live (h > 0 as 1.0 or 0.0), out, row stat, 1 / m
             hid = (m, self.hidden)
-            return (np.empty((m, self.n_in)), np.empty((m, k)), np.empty(hid), np.empty(hid),
-                    np.empty(hid), np.empty((m, k)), np.empty((m, 1)), 1.0 / m)
+            return np.empty(hid), np.empty(hid), np.empty(hid), np.empty((m, k)), np.empty((m, 1)), 1.0 / m
 
         full = buffers(bs)
         last = buffers(n % bs) if n % bs else full
+        # each epoch's rows and targets in its order; a mini-batch is a slice
+        X_ord, T_ord = np.empty((n, self.n_in)), np.empty((n, k))
         grad = np.empty_like(self._theta)
         gW1, gb1, gW2, gb2 = self._views(grad)
         W1, b1, W2, b2 = self.params()
@@ -203,11 +204,11 @@ class MLP:
         theta, vel, lr, momentum = self._theta, self._velocity, self.lr, self.momentum
         for _ in range(epochs):
             order = self._rng.permutation(n)
+            X.take(order, axis=0, out=X_ord)
+            onehot.take(order, axis=0, out=T_ord)
             for start in range(0, n, bs):
-                idx = order[start : start + bs]
-                x, t, h, dh, live, d, top, scale = full if len(idx) == bs else last
-                np.take(X, idx, axis=0, out=x)
-                np.take(onehot, idx, axis=0, out=t)
+                x, t = X_ord[start : start + bs], T_ord[start : start + bs]
+                h, dh, live, d, top, scale = full if len(x) == bs else last
                 # forward: h = relu(x W1 + b1), d = softmax(h W2 + b2)
                 np.matmul(x, W1, out=h)
                 np.add(h, b1, out=h)

@@ -218,11 +218,19 @@ class SyntheticDigitGen:
         rng = np.random.default_rng(self.seed)
         self.prototypes = rng.uniform(0.1, 0.9, size=(self.n_classes, self.dim))
 
+    def render(self, digits: "Sequence[int]", rng: np.random.Generator) -> np.ndarray:
+        """One row per digit, in one draw: the noise is a single
+        (len(digits), dim) block of normals, filled in row order from rng,
+        so the rows are bit for bit those of one sample call per digit."""
+        for d in digits:
+            if not 0 <= d < self.n_classes:
+                raise TaskError(f"digit {d} outside 0..{self.n_classes - 1}")
+        x = rng.normal(0.0, self.noise, size=(len(digits), self.dim))
+        x += self.prototypes[digits]
+        return x.clip(0.0, 1.0, out=x)
+
     def sample(self, digit: int, rng: np.random.Generator) -> np.ndarray:
-        if not 0 <= digit < self.n_classes:
-            raise TaskError(f"digit {digit} outside 0..{self.n_classes - 1}")
-        x = self.prototypes[digit] + rng.normal(0.0, self.noise, size=self.dim)
-        return np.clip(x, 0.0, 1.0)
+        return self.render([digit], rng)[0]
 
 
 @dataclass
@@ -283,6 +291,11 @@ def gen_sequences(
     A yes/no concept task alternates positives (already in descending order)
     with negatives built as near-misses: one adjacent swap of a sorted sequence,
     or a reshuffle verified unsorted.
+
+    Each sequence draws from one stream, in this order: its length, its
+    digits (redrawn while a negative is too short), a negative's swap
+    position or reshuffles, then one block of normal noise for all its
+    items in row order (SyntheticDigitGen.render).
     """
     lo, hi = lengths
     if lo < 1 or hi < lo:
@@ -308,7 +321,7 @@ def gen_sequences(
                     while is_descending(digits):
                         rng.shuffle(digits)
         y = task.y_of(digits)
-        feats = np.stack([gen.sample(d - task.digit_lo, rng) for d in digits])
+        feats = gen.render([d - task.digit_lo for d in digits], rng)
         out.append(SeqExample(feats, y, tuple(digits)))
     return out
 

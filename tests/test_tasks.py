@@ -195,11 +195,51 @@ def test_digit_gen_bounds():
     rng = np.random.default_rng(0)
     x = gen.sample(4, rng)
     assert x.shape == (8,) and x.min() >= 0 and x.max() <= 1
-    with pytest.raises(TaskError):
-        gen.sample(10, rng)
+    for bad in (10, -1):
+        with pytest.raises(TaskError):
+            gen.sample(bad, rng)
+        with pytest.raises(TaskError):
+            gen.render([3, bad], rng)
     for bad in (dict(dim=0), dict(noise=-0.1), dict(noise=float("nan"))):
         with pytest.raises(TaskError):
             SyntheticDigitGen(**bad)
+
+
+def test_digit_gen_sample_is_render_of_one_digit():
+    gen = SyntheticDigitGen(seed=4)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for d in (0, 7, 9, 3):
+        assert gen.sample(d, a).tobytes() == gen.render([d], b)[0].tobytes()
+
+
+def _render_per_digit(gen: SyntheticDigitGen):
+    """The renderer before render(): one normal draw and one clip per digit."""
+
+    def render(digits, rng):
+        return np.stack(
+            [np.clip(gen.prototypes[d] + rng.normal(0.0, gen.noise, size=gen.dim), 0.0, 1.0) for d in digits]
+        )
+
+    return render
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.12])
+@pytest.mark.parametrize("task_id", ["sum", "product", "sorted_concept", "bogosort"])
+def test_gen_stream_matches_one_draw_per_digit(task_id, noise):
+    # the whole stream, negatives' swaps and reshuffles and bogosort's choice
+    # draws included, comes out bit for bit as under the per-digit renderer
+    task = make_task(task_id)
+    top = min(12, task.n_classes) if task.dyadic else 12
+    for seed in (0, 1, 7919):
+        gen = SyntheticDigitGen(n_classes=task.n_classes, noise=noise, seed=seed)
+        ref = SyntheticDigitGen(n_classes=task.n_classes, noise=noise, seed=seed)
+        ref.render = _render_per_digit(ref)
+        for lengths in [(k, k) for k in range(1, top + 1)] + [(1, top)]:
+            got = gen_sequences(task, 8, lengths=lengths, gen=gen, seed=seed + lengths[0])
+            want = gen_sequences(task, 8, lengths=lengths, gen=ref, seed=seed + lengths[0])
+            for a, b in zip(got, want):
+                assert a.x.shape == b.x.shape and a.x.tobytes() == b.x.tobytes()
+                assert (a.y, a.truth) == (b.y, b.truth)
 
 
 # ---------------------------------------------------------------------------
