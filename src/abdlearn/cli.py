@@ -89,7 +89,6 @@ _SCHEMA = {
         "max_clauses": (int, 0),  # 0 = task default
         "max_nodes": (int, 0),  # 0 = unlimited
         "wall_ms": (int, 0),
-        "solver_max_nodes": (int, 0),
         "pruning": (int, 1),
     },
     "curriculum": {
@@ -163,7 +162,6 @@ def _budget_from(cfg: "dict[str, dict]", task: Task) -> SearchBudget:
         max_clauses=b["max_clauses"] or task.max_clauses,
         max_nodes=b["max_nodes"] or None,
         wall_ms=b["wall_ms"] or None,
-        solver_max_nodes=b["solver_max_nodes"] or None,
         pruning=bool(b["pruning"]),
     )
 

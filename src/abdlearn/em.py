@@ -40,7 +40,8 @@ METRIC_COLUMNS = (
     "nodes_explored",
     "proofs_run",  # stored-proof lookups, one per proof mil runs, run from scratch (see mil)
     "proofs_replayed",  # and replayed from a stored proof of their shape
-    "solver_truncated",
+    "budget_exhausted",  # InduceOutcome.budget_exhausted: the batch's runtime ran out
+    "depth_hits",  # the batch's runtime depth_hits: branches the depth bound cut
     "failure",  # InduceOutcome.failure, empty on solved batches
 )
 
@@ -256,13 +257,13 @@ def train(
                     "nodes_explored": nodes,
                     "proofs_run": runtime.proofs_run,
                     "proofs_replayed": runtime.proofs_replayed,
-                    "solver_truncated": None,
+                    "budget_exhausted": int(out.budget_exhausted),
+                    "depth_hits": runtime.depth_hits,
                     "failure": out.failure,
                 }
                 if out.induced is not None:
                     solved += 1
                     row["score"] = out.induced.log_score
-                    row["solver_truncated"] = int(out.induced.truncated)
                     row["pseudo_label_acc"] = _pseudo_label_acc(task, batch, spans, out.induced)
                     row["loss"] = m_step(
                         task,

@@ -28,8 +28,9 @@ solve_best picks one of two exact paths from the shape of the store:
     over the values the running variable can take (bucket elimination
     along the chain, Dechter 1999), O(n*|D|*|S|) time in the worst case;
   * any other store goes to branch-and-bound, which clones and
-    re-propagates the store at every node and may stop early at a node
-    budget, in which case the result says so (Labeling.truncated).
+    re-propagates the store at every node and stops early only when the
+    caller's runtime budget runs out; that cut is recorded on the budget
+    (kb.Budget.exhausted), not on the answer.
 
 The chain pass is bounded as A* bounds a search (Hart, Nilsson & Raphael
 1968).  A greedy depth-first search from the head first takes, at each
@@ -140,7 +141,6 @@ class FDConstraint:
 class Labeling:
     assignment: dict  # var id → value, weighted vars only
     log_prob: float
-    truncated: bool = False
 
 
 class ConstraintStore:
@@ -328,7 +328,7 @@ def _completion_exists(store: ConstraintStore, budget: Optional[Budget]) -> bool
     return _search_completion(store, budget)
 
 
-def _labeling_of(store: ConstraintStore, tables: dict, truncated: bool = False) -> Labeling:
+def _labeling_of(store: ConstraintStore, tables: dict) -> Labeling:
     assignment = {}
     log_prob = 0.0
     for v in store.vars:
@@ -337,19 +337,14 @@ def _labeling_of(store: ConstraintStore, tables: dict, truncated: bool = False) 
             assert val is not None
             assignment[v.id] = val
             log_prob += tables[v.id][val - v.base]
-    return Labeling(assignment, log_prob, truncated)
+    return Labeling(assignment, log_prob)
 
 
 def _lex_key(assignment: dict) -> tuple:
     return tuple(assignment[k] for k in sorted(assignment))
 
 
-def solve_best(
-    store: ConstraintStore,
-    tables: dict,
-    budget: Optional[Budget] = None,
-    max_nodes: Optional[int] = None,
-) -> Optional[Labeling]:
+def solve_best(store: ConstraintStore, tables: dict, budget: Optional[Budget] = None) -> Optional[Labeling]:
     """Max-log-prob feasible assignment of the weighted vars, or None.
 
     tables maps each weighted var's id to its log-weight table, whose entry
@@ -358,35 +353,33 @@ def solve_best(
     assignment in var-id order, and an assignment scoring -inf counts as
     infeasible.
 
-    The store's shape picks the path, and an untruncated answer is the same
-    on both: a chain store (see _chain_of) takes the bounded max-product
-    pass, which is exact, O(n*|D|*|S|) at worst, and ignores max_nodes; any
-    other store takes branch-and-bound, which stops after max_nodes
-    branching nodes or when the budget runs out and then returns its best
-    labeling so far marked truncated.  If it stops before its first complete labeling, and when
-    a chain store meets a budget already run out, the labeling has no
-    assignment and log_prob -inf, marked truncated: None always means the
-    store is infeasible, never that the search was cut.  solver_nodes and
-    solver_leaves on the budget count each path's work as the Budget
-    docstring defines: on a chain, the transitions the bounded pass kept
-    and the final states it scored, so a tighter bound shows as fewer.
+    The store's shape picks the path, and an answer on a budget that has
+    not run out is the same on both: a chain store (see _chain_of) takes
+    the bounded max-product pass, which is exact and O(n*|D|*|S|) at
+    worst; any other store takes branch-and-bound, which stops as soon as
+    budget.ok() fails (its deadline passed, or its node cap was hit
+    before) and then returns its best labeling so far.  If it stops before
+    its first complete labeling, and when a chain store meets a budget
+    already run out, the labeling has no assignment and log_prob -inf.
+    None always means the store is infeasible, never that the search was
+    cut: every cut is recorded on the budget (Budget.exhausted), so a
+    caller that reads budget.ok() after the call knows whether the answer
+    is exact.  solver_nodes and solver_leaves on the budget count each
+    path's work as the Budget docstring defines: on a chain, the
+    transitions the bounded pass kept and the final states it scored, so a
+    tighter bound shows as fewer.
     """
     if store.failed:
         return None
     chain = _chain_of(store)
     if chain is None:
-        return _branch_and_bound(store, tables, budget, max_nodes)
+        return _branch_and_bound(store, tables, budget)
     if budget is not None and not budget.ok():
-        return Labeling({}, -math.inf, truncated=True)
+        return Labeling({}, -math.inf)
     return _chain_best(store, tables, *chain, budget)
 
 
-def _branch_and_bound(
-    store: ConstraintStore,
-    tables: dict,
-    budget: Optional[Budget] = None,
-    max_nodes: Optional[int] = None,
-) -> Optional[Labeling]:
+def _branch_and_bound(store: ConstraintStore, tables: dict, budget: Optional[Budget] = None) -> Optional[Labeling]:
     """solve_best for any store shape.
 
     Branch on weighted vars in descending max-weight order, values in
@@ -411,7 +404,7 @@ def _branch_and_bound(
     mass = sum(max((abs(w) for w in tables[vid] if w != -math.inf), default=0.0) for vid in order)
     slack = len(order) * mass * _SLACK_ULPS
 
-    best: dict = {"labeling": None, "score": -math.inf, "nodes": 0, "truncated": False}
+    best: dict = {"labeling": None, "score": -math.inf, "stopped": False}
 
     def bound_rest(st: ConstraintStore, level: int) -> float:
         total = 0.0
@@ -423,10 +416,8 @@ def _branch_and_bound(
         return total
 
     def descend(st: ConstraintStore, level: int, acc: float) -> None:
-        if best["truncated"]:
-            return
         if budget is not None and not budget.ok():
-            best["truncated"] = True
+            best["stopped"] = True
             return
         if level == len(order):
             if budget is not None:
@@ -447,12 +438,8 @@ def _branch_and_bound(
         tab, base = tables[vid], var.base
         vals = sorted(var.dom.values(), key=lambda v: (-tab[v - base], v))
         for val in vals:
-            best["nodes"] += 1
             if budget is not None:
                 budget.solver_nodes += 1
-            if max_nodes is not None and best["nodes"] > max_nodes:
-                best["truncated"] = True
-                return
             here = acc + tab[val - base]
             s2 = _pin_and_propagate(st, vid, val)
             if s2 is None:
@@ -460,14 +447,14 @@ def _branch_and_bound(
             if here + bound_rest(s2, level + 1) < best["score"] - slack:
                 continue
             descend(s2, level + 1, here)
+            if best["stopped"]:
+                return
 
     descend(root, 0, 0.0)
     lab = best["labeling"]
-    if not best["truncated"]:
-        return lab
-    if lab is None:
-        return Labeling({}, -math.inf, truncated=True)
-    return Labeling(lab.assignment, lab.log_prob, truncated=True)
+    if lab is None and best["stopped"]:
+        return Labeling({}, -math.inf)
+    return lab
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,11 @@ class Budget:
 
     nodes counts resolution steps.  depth_hits records how often a branch
     was cut by the depth bound, which is what distinguishes "finitely
-    failed" from "ran out of resources".
+    failed" from "ran out of resources".  exhausted records that the budget
+    ran out (max_nodes passed, or the deadline read passed): every search
+    that reads the budget (resolution, fd's branch-and-bound, mil's
+    blocking search) stops then, and this flag and depth_hits are the only
+    record of a cut, so a result is exact while both read clear.
 
     solver_nodes and solver_leaves count finite-domain solver work, and
     their unit depends on the path the store took (see fd):
@@ -412,7 +416,7 @@ def deduce(
     Solutions come in depth-first clause order.  The depth bound comes from
     the goals (see solve); when it cuts a branch the budget's depth_hits
     counter is bumped, so an empty stream with depth_hits == 0 means finite
-    failure while depth_hits > 0 means the search was truncated.
+    failure while depth_hits > 0 means the depth bound cut the search.
     """
     goals = [goal] if isinstance(goal, Atom) else list(goal)
     if budget is None:

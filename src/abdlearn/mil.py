@@ -628,13 +628,15 @@ class SearchBudget:
     candidate's scoring) and, apart, the scoring of each example.  wall_ms
     is a deadline, in milliseconds from that Budget's making, that kb reads
     every 256 nodes: a search stops at the first tick that reads it passed,
-    so within 256 nodes of it.
+    so within 256 nodes of it.  The solver's branch-and-bound and the
+    blocking search of a negative read it at every node.  Every cut is
+    recorded on the runtime Budget (exhausted, depth_hits), none on a
+    result.
     """
 
     max_clauses: int = 3
     max_nodes: Optional[int] = None
     wall_ms: Optional[float] = None
-    solver_max_nodes: Optional[int] = None  # binds branch-and-bound only, not chain stores
     pruning: bool = True  # induce stops scoring a candidate once its partial score cannot win
 
     def runtime(self) -> Budget:
@@ -662,11 +664,6 @@ class AbductionResult:
     labeling: Optional[Labeling] = None
     item_vars: "tuple[tuple[int, int], ...]" = ()  # (item handle, store var)
 
-    @property
-    def truncated(self) -> bool:
-        """The solver stopped early, so log_prob may be below the optimum."""
-        return self.labeling is not None and self.labeling.truncated
-
     def item_assignment(self) -> "dict[int, int]":
         if self.labeling is None:
             return {}
@@ -685,32 +682,20 @@ class GoalExample:
 
 @dataclass(frozen=True, slots=True)
 class ExampleLabeling:
-    """Most probable pseudo-labels for one example under a fixed program.
-
-    truncated: some proof's solver call stopped early, so log_prob and the
-    labels may not be the optimum.
-    """
+    """Most probable pseudo-labels for one example under a fixed program."""
 
     log_prob: float
     item_labels: "tuple[tuple[int, int], ...]" = ()
     pair_facts: "tuple[tuple[tuple, bool], ...]" = ()
-    truncated: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class Induced:
-    """Winning program of an induce call.
-
-    truncated: a solver call stopped early while scoring this program or a
-    rival (even one later rejected for want of a proof: the flag may
-    over-report, never under-report), so the score, the pseudo-labels or the
-    choice of program may not be the optimum.
-    """
+    """Winning program of an induce call."""
 
     program: Program
     labelings: "tuple[ExampleLabeling, ...]"
     log_score: float
-    truncated: bool = False
 
     @property
     def score(self) -> float:
@@ -1313,8 +1298,8 @@ def prove(
     Every emitted result is complete: its constraint store (if any) has been
     solved to the most probable feasible assignment, and log_prob is the sum
     of the log probabilities of every assumed fact plus that assignment.  If
-    the solver stopped early (budget.solver_max_nodes, which binds only
-    stores that are not chains), the result's truncated flag says so.
+    the search or the solver stopped early, runtime records it (exhausted,
+    depth_hits): a result is exact while runtime.ok() holds after it.
     The stream does not depend on how it is consumed: nothing is pruned by
     score, so a caller after the best proof takes the maximum itself.
     With feasibility_only the solver is replaced by a cheap satisfiability
@@ -1324,7 +1309,7 @@ def prove(
     proof, so it always applies.
 
     solved, induce's per-call map from store content and tables to
-    solve_best's untruncated answer and its solver_nodes and solver_leaves,
+    solve_best's uncut answer and its solver_nodes and solver_leaves,
     gives the answer of a store solved before under the same tables and
     adds those counts to runtime.
     found, generation's map of the programs it has recorded by key, drops
@@ -1375,7 +1360,7 @@ def _results(
                     continue
             else:
                 tables = {vid: ctx.facts.item_logweights(iid) for iid, vid in ab.item_vars.items()}
-                labeling = _solve_once(ab.store, tables, runtime, ctx.budget.solver_max_nodes, solved)
+                labeling = _solve_once(ab.store, tables, runtime, solved)
                 if labeling is None:
                     continue
                 total += labeling.log_prob
@@ -1388,19 +1373,17 @@ def _results(
         )
 
 
-def _solve_once(
-    store: ConstraintStore, tables: dict, runtime: Budget, max_nodes: Optional[int], solved: Optional[dict]
-) -> Optional[Labeling]:
-    """solve_best(store, tables, runtime, max_nodes), solving each store
-    content under the same tables, in var-id order, once in solved.
+def _solve_once(store: ConstraintStore, tables: dict, runtime: Budget, solved: Optional[dict]) -> Optional[Labeling]:
+    """solve_best(store, tables, runtime), solving each store content
+    under the same tables, in var-id order, once in solved.
 
-    Only an untruncated answer is kept: solve_best reads the budget only to
-    stop early, so such an answer, and the work it cost, is the same on any
-    budget that has not run out.  A budget that has run out takes
-    solve_best's own path.
+    An answer is kept only while runtime.ok() still holds after the solve:
+    solve_best reads the budget only to stop early, so such an answer, and
+    the work it cost, is the same on any budget that has not run out.  A
+    budget that has run out takes solve_best's own path.
     """
     if solved is None or not runtime.ok():
-        return solve_best(store, tables, runtime, max_nodes)
+        return solve_best(store, tables, runtime)
     key = (store.content(), tuple([tables[vid] for vid in sorted(tables)]))
     hit = solved.get(key)
     if hit is not None:
@@ -1409,8 +1392,8 @@ def _solve_once(
         runtime.solver_leaves += leaves
         return labeling
     nodes, leaves = runtime.solver_nodes, runtime.solver_leaves
-    labeling = solve_best(store, tables, runtime, max_nodes)
-    if labeling is None or not labeling.truncated:
+    labeling = solve_best(store, tables, runtime)
+    if runtime.ok():
         solved[key] = (labeling, runtime.solver_nodes - nodes, runtime.solver_leaves - leaves)
     return labeling
 
@@ -1622,38 +1605,69 @@ def _log_not(lp: float) -> float:
     return math.log1p(-p)
 
 
-_BLOCK_CAP = 14  # brute-force blocking over at most 2^14 assignments
-
-
-def _best_blocking(proof_fact_sets: "list[frozenset]", facts) -> Optional[ExampleLabeling]:
+def _best_blocking(proof_fact_sets: "list[frozenset]", facts, runtime: Budget) -> Optional[ExampleLabeling]:
     """Most probable truth assignment falsifying every proof, if one exists.
 
-    A proof that assumed no facts cannot be blocked.  Otherwise setting all
-    facts false blocks everything, so an optimum always exists.  Over
-    _BLOCK_CAP facts the search is skipped and that all-false assignment is
-    returned marked truncated.
+    A proof that assumed no facts cannot be blocked, and an assignment
+    scoring -inf does not count: None then.  Read an assignment as a mask,
+    bit i the i-th fact in key order; the answer has the highest key-order
+    sum of log-probabilities and, on an exact tie, the smallest mask.  It is
+    a minimum-weight hitting set of the fact sets (Reiter 1987), searched
+    depth first in key order, each fact at its more probable value first.
+    A branch is cut once some proof has all its facts true, or once its
+    bound, the key-order sum with every undecided fact at its better value,
+    is below the best found or ties it with a mask so far no smaller.  As
+    float addition is monotone, no completion beats the bound: the cut is
+    exact.  The search reads runtime.ok() at every node; once it fails, the
+    best assignment so far is returned, or all false if there is none.
     """
     if any(not fs for fs in proof_fact_sets):
         return None
     keys = sorted(set().union(*proof_fact_sets)) if proof_fact_sets else []
     if not keys:
         return ExampleLabeling(0.0)
-    logs_true = {k: facts.pair_logprob(k[1], k[2]) for k in keys}
-    logs_false = {k: _log_not(lp) for k, lp in logs_true.items()}
-    if len(keys) > _BLOCK_CAP:
-        lp = sum(logs_false.values())
-        return ExampleLabeling(lp, pair_facts=tuple((k, False) for k in keys), truncated=True)
-    best_lp, best_assign = -math.inf, None
-    for mask in range(1 << len(keys)):
-        assign = {k: bool(mask >> i & 1) for i, k in enumerate(keys)}
-        if any(all(assign[k] for k in fs) for fs in proof_fact_sets):
-            continue
-        lp = sum(logs_true[k] if v else logs_false[k] for k, v in assign.items())
-        if lp > best_lp:
-            best_lp, best_assign = lp, assign
-    if best_assign is None:
-        return None
-    return ExampleLabeling(best_lp, pair_facts=tuple((k, best_assign[k]) for k in keys))
+    logs = [(_log_not(lp), lp) for lp in (facts.pair_logprob(k[1], k[2]) for k in keys)]  # (false, true)
+    tops = [max(pair) for pair in logs]
+    index = {k: i for i, k in enumerate(keys)}
+    masks = [sum(1 << index[k] for k in fs) for fs in proof_fact_sets]
+    proofs_of = [[pm for pm in masks if pm >> i & 1] for i in range(len(keys))]
+    best = [-math.inf, -1]  # log_prob and mask found; a -inf bound ties the start and is cut
+
+    def descend(i: int, acc: float, mask: int, bound: float) -> bool:
+        """False once runtime has run out."""
+        if not runtime.ok():
+            return False
+        if i == len(keys):  # its bound is acc, and it passed the cut
+            best[:] = acc, mask
+            return True
+        first = logs[i][1] > logs[i][0]
+        for value in (first, not first):
+            here = acc + logs[i][value]
+            if value is not first:  # the first child's bound is its parent's
+                bound = here
+                for t in tops[i + 1 :]:
+                    bound += t
+            m = mask | value << i
+            if bound < best[0] or (bound == best[0] and m >= best[1]):
+                continue
+            if value and any((m & pm) == pm for pm in proofs_of[i]):
+                continue
+            if not descend(i + 1, here, m, bound):
+                return False
+        return True
+
+    root = 0.0
+    for t in tops:
+        root += t
+    finished = descend(0, 0.0, 0, root)
+    log_prob, mask = best
+    if mask < 0:
+        if finished:
+            return None
+        log_prob, mask = 0.0, 0
+        for lf, _ in logs:
+            log_prob += lf
+    return ExampleLabeling(log_prob, pair_facts=tuple((k, bool(mask >> i & 1)) for i, k in enumerate(keys)))
 
 
 def score_example(
@@ -1672,12 +1686,13 @@ def score_example(
     fact-free proof makes that impossible.  solved is induce's per-call map
     of solved stores (see prove): a positive's store solved before, under
     another program, is not solved again, and its solver counts are
-    replayed onto runtime.
+    replayed onto runtime.  Every cut of the proof search, the solver or
+    the blocking search is recorded on runtime, not on the labeling: a
+    caller that needs to know passes its own runtime and reads it after.
     """
     runtime = runtime if runtime is not None else budget.runtime()
     if ex.positive:
         best: Optional[AbductionResult] = None
-        truncated = False
         for r in prove(
             ex.goal,
             program,
@@ -1688,7 +1703,6 @@ def score_example(
             allow_new_clauses=False,
             solved=solved,
         ):
-            truncated = truncated or r.truncated
             if best is None or r.log_prob > best.log_prob:
                 best = r
         if best is None:
@@ -1697,7 +1711,6 @@ def score_example(
             best.log_prob,
             item_labels=tuple(sorted(best.item_assignment().items())),
             pair_facts=tuple((a.key, True) for a in best.abduced),
-            truncated=truncated,
         )
     proof_sets = []
     for r in prove(
@@ -1713,7 +1726,7 @@ def score_example(
         proof_sets.append(frozenset(a.key for a in r.abduced))
     if not proof_sets:
         return ExampleLabeling(0.0)
-    return _best_blocking(proof_sets, facts)
+    return _best_blocking(proof_sets, facts, runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -1815,7 +1828,6 @@ def induce(
     positives = [e for e in examples if e.positive]
 
     best_log, best_prog, best_labs = -math.inf, None, None
-    truncated = False
     tried = 0
     solved: dict = {}
     pool = _candidate_programs(positives, setting, budget, facts, runtime)
@@ -1831,7 +1843,6 @@ def induce(
             _fold(runtime, rt)
             if lab is None:
                 break
-            truncated = truncated or lab.truncated
             acc += lab.log_prob
             labs.append(lab)
             if budget.pruning and acc <= best_log:
@@ -1852,5 +1863,5 @@ def induce(
             "unscorable" if proven else "no_candidate"
         )
         return InduceOutcome(None, exhausted, tried, failure)
-    return InduceOutcome(Induced(best_prog, best_labs, best_log, truncated), exhausted, tried)
+    return InduceOutcome(Induced(best_prog, best_labs, best_log), exhausted, tried)
 

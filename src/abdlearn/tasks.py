@@ -469,15 +469,6 @@ class Metrics:
     depth_cut: int = 0  # examples whose search the depth bound cut somewhere
     budget_exhausted: int = 0  # examples whose search ran out of nodes (max_nodes)
 
-    def row(self) -> str:
-        parts = [f"n={self.n}", f"failures={self.failures}", f"depth_cut={self.depth_cut}",
-                 f"budget_exhausted={self.budget_exhausted}"]
-        for name in ("acc", "mae", "log_mae", "perm_acc", "elem_acc", "cls_acc"):
-            v = getattr(self, name)
-            if v is not None:
-                parts.append(f"{name}={v:.4f}")
-        return " ".join(parts)
-
 
 def _first_solution(goal: Atom, kb: KnowledgeBase, max_nodes: int, m: Metrics):
     """First answer to goal, or None; counts a depth-bound cut and a

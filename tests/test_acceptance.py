@@ -1,4 +1,4 @@
-"""Eleven end-to-end acceptance checks, one test per criterion.
+"""Twelve end-to-end acceptance checks, one test per criterion.
 
 Every test prints a single ``ACCEPTANCE n: PASS/FAIL`` verdict line (echoed
 again in the terminal summary) before asserting, so a failing criterion
@@ -450,3 +450,37 @@ def test_criterion_11_metarule_count_node_ordering():
     ok = n2 < n3 <= n9
     _verdict(11, ok, f"worst-case search nodes by library size: {n2} < {n3} <= {n9}")
     assert n2 < n3 <= n9, (n2, n3, n9)
+
+
+# ---------------------------------------------------------------------------
+# 12. product learned from a cold start: raw sequences and y alone
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_12_product_learns_from_a_cold_start():
+    # criterion 4's data and settings, on product and with no warm start;
+    # a product has no shift of two digits that keeps it, as a sum has
+    task = make_task("product")
+    gen = SyntheticDigitGen(seed=2)
+    train_exs = gen_sequences(task, 300, lengths=(2, 5), gen=gen, seed=0)
+    test_exs = gen_sequences(task, 200, lengths=(5, 5), gen=gen, seed=9999)
+    results = []
+    t0 = time.perf_counter()
+    for em_seed in range(5):
+        model = MLP(8, task.n_classes, hidden=64, lr=0.1, seed=em_seed)
+        cfg = EMConfig(
+            epochs=40,
+            batch_size=32,
+            m_epochs=6,
+            lr_decay=0.90,
+            seed=em_seed,
+            budget=SearchBudget(max_clauses=2),
+        )
+        st = train(task, train_exs, cfg, model=model)
+        m = evaluate(st.best_program, task, test_exs, model=model)
+        results.append((em_seed, st.best_program.key() == PRODUCT_CANON.key(), m.cls_acc, m.acc))
+    elapsed = time.perf_counter() - t0
+    wins = sum(1 for _, canon, cls_acc, _ in results if canon and cls_acc >= 0.95)
+    detail = " ".join(f"s{s}:{'canon' if c else 'other'},cls_acc={a:.3f},acc={y:.3f}" for s, c, a, y in results)
+    _verdict(12, wins >= 4, f"{wins}/5 cold seeds hit the canonical program & cls_acc>=0.95 in {elapsed:.0f}s; {detail}")
+    assert wins >= 4, results

@@ -1,15 +1,17 @@
 """End-to-end command line behavior: artifacts, determinism, exit codes."""
 
 import configparser
+import dataclasses
 import csv
 import json
 from pathlib import Path
 
 import pytest
 
+from abdlearn import cli
 from abdlearn.cli import main
 from abdlearn.em import METRIC_COLUMNS
-from abdlearn.mil import SettingError
+from abdlearn.mil import SearchBudget, SettingError
 from abdlearn.perception import PairModel
 from abdlearn.tasks import TASK_IDS, make_task
 
@@ -146,6 +148,15 @@ def test_train_rejects_the_removed_depth_limit_setting(tmp_path, sum_data, capsy
     cfg = write_cfg(tmp_path / "l.ini", train_path=sum_data / "sum_train.tsv", budget={"depth_limit": 512})
     assert run("train", "--config", cfg) == 2
     assert capsys.readouterr().err.startswith("error: unknown config key budget.depth_limit")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_the_removed_solver_max_nodes_setting(tmp_path, sum_data, capsys):
+    # the solver stops only when the runtime budget runs out: there is no cap of its own
+    assert list(cli._SCHEMA["budget"]) == [f.name for f in dataclasses.fields(SearchBudget)]
+    cfg = write_cfg(tmp_path / "n.ini", train_path=sum_data / "sum_train.tsv", budget={"solver_max_nodes": 5})
+    assert run("train", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key budget.solver_max_nodes")
     assert not (tmp_path / "run").exists()
 
 

@@ -399,9 +399,9 @@ def test_train_writes_metrics_and_artifacts(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == list(METRIC_COLUMNS)
     assert len(rows) - 1 == len(state.rows) == 3 * 3  # epochs x batches
-    # sum stores are chains, solved exactly: no solved batch is truncated
-    col = METRIC_COLUMNS.index("solver_truncated")
-    assert {r[col] for r in rows[1:] if r[METRIC_COLUMNS.index("score")]} == {"0"}
+    # every batch records its cuts, and on these short sums there are none
+    for c in ("budget_exhausted", "depth_hits"):
+        assert {r[METRIC_COLUMNS.index(c)] for r in rows[1:]} == {"0"}
     # scoring replays stored proofs: one per (program, length) serves every y
     run, replayed = (sum(int(r[METRIC_COLUMNS.index(c)]) for r in rows[1:]) for c in ("proofs_run", "proofs_replayed"))
     assert 0 < run < replayed

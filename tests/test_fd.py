@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from abdlearn import fd
+from abdlearn import kb as kb_module
 from abdlearn.fd import ADD, MUL, ConstraintStore, Dom, solve_best
 from abdlearn.kb import Budget
 from helpers_fd import (
@@ -184,16 +185,26 @@ class TestSolveBest:
         lab = solve_best(st, uniform(st))
         assert lab.assignment == {a: 0, b: 3}
 
-    def test_node_budget_truncates(self):
+    def test_passed_deadline_stops_branch_and_bound_at_its_best_so_far(self, monkeypatch):
+        # four free vars are not a chain, and under uniform tables every
+        # labeling ties, so an uncut search reaches all 10^4 leaves.  The
+        # clock passes the deadline at its 9th read: the making of the
+        # budget and one read per node before it, the first leaf among them.
+        # The search stops there, pinning no value after it
         st = ConstraintStore()
-        for _ in range(4):
-            st.new_weighted_var(10)
-        lab = solve_best(st, uniform(st), max_nodes=5)
-        assert lab is not None and lab.truncated
+        xs = [st.new_weighted_var(10) for _ in range(4)]
+        assert fd._chain_of(st) is None
+        reads = iter(range(1, 1 << 20))
+        monkeypatch.setattr(kb_module.time, "monotonic", lambda: 0.0 if next(reads) < 9 else 1.0)
+        budget = Budget(wall_ms=5)
+        lab = solve_best(st, uniform(st), budget)
+        assert budget.exhausted and budget.solver_leaves < 10 and budget.solver_nodes < 10
+        assert lab is not None and lab.assignment == {x: 0 for x in xs}
+        assert lab.log_prob == 4 * math.log(0.1)
 
-    def test_cap_before_first_labeling_reads_truncated_not_infeasible(self):
-        # x0+x0#=v, v#=8 is not a chain: branch-and-bound tries x0=0 first,
-        # which fails, and a one-node cap stops it before any leaf
+    def test_budget_out_before_first_labeling_reads_minus_inf_not_infeasible(self):
+        # x0+x0#=v, v#=8 is not a chain: a budget already run out stops
+        # branch-and-bound before any leaf
         st = ConstraintStore()
         x0 = st.new_weighted_var(10)
         v = st.new_derived_var(0, 18)
@@ -201,13 +212,13 @@ class TestSolveBest:
         st.post_eq_const(v, 8)
         assert fd._chain_of(st) is None
         assert solve_best(st, uniform(st)).assignment == {x0: 4}
-        budget = Budget()
-        lab = solve_best(st, uniform(st), budget, max_nodes=1)
+        budget = Budget(max_nodes=0)
+        assert not budget.tick()
+        lab = solve_best(st, uniform(st), budget)
         assert budget.solver_leaves == 0
-        assert lab is not None and lab.truncated
-        assert lab.assignment == {} and lab.log_prob == -math.inf
+        assert lab is not None and lab.assignment == {} and lab.log_prob == -math.inf
 
-    def test_exhausted_budget_reads_truncated_on_a_chain_too(self):
+    def test_exhausted_budget_reads_minus_inf_on_a_chain_too(self):
         st = ConstraintStore()
         x0 = st.new_weighted_var(10)
         x1 = st.new_weighted_var(10)
@@ -216,7 +227,7 @@ class TestSolveBest:
         budget = Budget(max_nodes=0)
         assert not budget.tick()
         lab = solve_best(st, uniform(st), budget)
-        assert lab is not None and lab.truncated and lab.log_prob == -math.inf
+        assert lab is not None and lab.assignment == {} and lab.log_prob == -math.inf
 
 
 class TestSolveAll:
@@ -317,7 +328,7 @@ class TestOracleEquivalence:
 def _same(got, want) -> bool:
     if got is None or want is None:
         return got is None and want is None
-    return (got.assignment, got.log_prob, got.truncated) == (want.assignment, want.log_prob, want.truncated)
+    return (got.assignment, got.log_prob) == (want.assignment, want.log_prob)
 
 
 def _sweep_transitions(store: ConstraintStore, tables=None) -> int:
@@ -374,25 +385,18 @@ class TestChainStores:
                 feasible += 1
                 assert got is not None, dump(store)
                 assert (got.assignment, got.log_prob) == want, dump(store)
-                assert not got.truncated
                 assert fd._completion_exists(store, None)
         assert feasible >= 100
 
     @pytest.mark.parametrize("kind", ["add", "mul", "mixed"])
     def test_matches_branch_and_bound_up_to_twelve_vars(self, kind):
         rng = np.random.default_rng({"add": 31, "mul": 32, "mixed": 33}[kind])
-        compared = 0
         for k in range(7, 13):
             for _ in range(2):
                 store, plan = gen_chain_store(rng, k, kind=kind, p_uniform=0.0)
-                budget = Budget()
-                want = fd._branch_and_bound(store, tables_of(plan), budget, max_nodes=2000)
-                if budget.solver_nodes > 2000:
-                    continue  # branch-and-bound gave up, maybe before any labeling
-                compared += 1
+                want = fd._branch_and_bound(store, tables_of(plan))
                 assert _same(solve_best(store, tables_of(plan)), want), dump(store)
                 assert fd._completion_exists(store, None) == fd._search_completion(store, None)
-        assert compared >= 9
 
     def test_uniform_tables_break_ties_lexicographically(self):
         # x0+x1+x2 = 20 over uniform digits: lex-smallest is (2, 9, 9)
@@ -532,23 +536,25 @@ class TestChainStores:
         # x0 in 0..3, x1 in 0..3: four transitions reach the pinned sum
         assert (budget.solver_nodes, budget.solver_leaves) == (4, 1)
 
-    def test_chain_ignores_node_cap(self):
+    def test_chain_ignores_the_resolution_node_cap(self):
+        # max_nodes binds resolution steps (Budget.tick), not solver nodes
         st = ConstraintStore()
         x0 = st.new_weighted_var(10)
         x1 = st.new_weighted_var(10)
         m = st.new_derived_var(0, 18)
         st.post(ADD, x0, x1, m)
-        lab = solve_best(st, uniform(st), max_nodes=1)
-        assert lab is not None and not lab.truncated
-        assert lab.assignment == {x0: 0, x1: 0}
+        budget = Budget(max_nodes=1)
+        lab = solve_best(st, uniform(st), budget)
+        assert lab is not None and lab.assignment == {x0: 0, x1: 0}
+        assert budget.solver_nodes > 1 and budget.ok()
 
     def test_non_chain_store_takes_branch_and_bound(self, monkeypatch):
         calls = []
         real = fd._branch_and_bound
 
-        def spy(store, tables, budget=None, max_nodes=None):
+        def spy(store, tables, budget=None):
             calls.append(store)
-            return real(store, tables, budget, max_nodes)
+            return real(store, tables, budget)
 
         monkeypatch.setattr(fd, "_branch_and_bound", spy)
         # x0 consumed twice: x0+x0 = v1

@@ -7,6 +7,7 @@ the individual fact probabilities, and program scores add the log prior
 
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -624,18 +625,108 @@ def test_score_example_negative_blocks_cheapest_fact():
     assert dict(lab.pair_facts) == {("pair", 0, 1): True, ("pair", 1, 2): False}
 
 
-def test_blocking_over_the_cap_is_flagged_truncated():
-    # 15 single-fact proofs: over _BLOCK_CAP facts, so the 2^k search is
-    # skipped and the all-false answer comes back marked as such.
-    keys = [("pair", i, i + 1) for i in range(15)]
-    assert len(keys) > mil._BLOCK_CAP
-    facts = TableFacts({}, pairs={(a, b): 0.3 for _, a, b in keys})
-    lab = mil._best_blocking([frozenset([k]) for k in keys], facts)
-    assert lab is not None and lab.truncated
-    assert dict(lab.pair_facts) == {k: False for k in keys}
-    assert lab.log_prob == sum(math.log1p(-0.3) for _ in keys)
-    small = mil._best_blocking([frozenset([k]) for k in keys[:3]], facts)
-    assert small is not None and not small.truncated
+def _blocking_oracle(proof_fact_sets, facts):
+    """_best_blocking by brute force over every assignment, a mask with
+    bit i the i-th fact in key order: the highest key-order sum, the
+    smallest mask on an exact tie, and None when every blocking assignment
+    scores -inf."""
+    if any(not fs for fs in proof_fact_sets):
+        return None
+    keys = sorted(set().union(*proof_fact_sets)) if proof_fact_sets else []
+    if not keys:
+        return mil.ExampleLabeling(0.0)
+    logs_true = {k: facts.pair_logprob(k[1], k[2]) for k in keys}
+    logs_false = {k: mil._log_not(lp) for k, lp in logs_true.items()}
+    best_lp, best_assign = -math.inf, None
+    for mask in range(1 << len(keys)):
+        assign = {k: bool(mask >> i & 1) for i, k in enumerate(keys)}
+        if any(all(assign[k] for k in fs) for fs in proof_fact_sets):
+            continue
+        lp = 0.0
+        for k in keys:
+            lp += logs_true[k] if assign[k] else logs_false[k]
+        if lp > best_lp:
+            best_lp, best_assign = lp, assign
+    if best_assign is None:
+        return None
+    return mil.ExampleLabeling(best_lp, pair_facts=tuple((k, best_assign[k]) for k in keys))
+
+
+def _blocking_key(lab):
+    return None if lab is None else (lab.log_prob.hex(), lab.pair_facts)
+
+
+_PAIR_P = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),  # exact ties and -inf sides
+    st.floats(0.0, 1.0).map(lambda p: min(max(p, 1e-9), 1 - 1e-9)),  # as TableFacts.from_model clips
+)
+
+
+@st.composite
+def _blocking_cases(draw):
+    """Up to 6 proofs over up to 10 pair facts, now and then a fact-free one
+    or none at all, with each fact's probability from _PAIR_P."""
+    n = draw(st.integers(1, 10))
+    keys = [("pair", a, b) for a, b in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                                      min_size=n, max_size=n, unique=True))]
+    fact_set = st.frozensets(st.sampled_from(keys), min_size=1, max_size=n)
+    proofs = draw(st.lists(st.one_of(fact_set, fact_set, fact_set, st.just(frozenset())), max_size=6))
+    facts = TableFacts({}, pairs={(a, b): draw(_PAIR_P) for _, a, b in keys})
+    return proofs, facts
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_blocking_cases())
+def test_best_blocking_matches_the_brute_force_oracle(case):
+    proofs, facts = case
+    runtime = Budget()
+    assert _blocking_key(mil._best_blocking(proofs, facts, runtime)) == _blocking_key(_blocking_oracle(proofs, facts))
+    assert runtime.ok()
+
+
+def _adjacent_chain(n):
+    """One proof through n adjacent pairs, each more probable true than
+    false, fact 0 alone the least so: its probabilities and fact set."""
+    probs = {(i, i + 1): 0.6 if i == 0 else 0.65 + 0.3 * ((i * 5) % 7) / 6 for i in range(n)}
+    return probs, [frozenset(("pair", a, b) for a, b in probs)]
+
+
+def test_blocking_a_forty_fact_proof_is_exact_and_fast():
+    """The optimum keeps every fact true but the one whose falsity costs
+    least, fact 0; all false scores far below it."""
+    probs, proofs = _adjacent_chain(40)
+    facts = TableFacts({}, pairs=probs)
+    t0 = time.perf_counter()
+    lab = mil._best_blocking(proofs, facts, Budget())
+    elapsed = time.perf_counter() - t0
+    want, all_false = 0.0, 0.0
+    for (a, b), p in sorted(probs.items()):
+        want += math.log1p(-p) if a == 0 else math.log(p)
+        all_false += math.log1p(-p)
+    assert dict(lab.pair_facts) == {("pair", a, b): a != 0 for a, b in probs}
+    assert lab.log_prob == want and want > all_false
+    assert elapsed < 0.05, elapsed
+
+
+def test_blocking_search_stops_at_a_passed_deadline_with_its_best_so_far(monkeypatch):
+    """The search reads the runtime at every node.  Its first leaf, its
+    41st node, keeps every fact true but the last; a deadline found passed
+    at the next read returns that leaf, one found passed at the first read
+    returns all false, and the runtime records the cut."""
+    probs, proofs = _adjacent_chain(40)
+    facts = TableFacts({}, pairs=probs)
+    keys = sorted(proofs[0])
+    for passed_at, want in ((43, {k: k != keys[-1] for k in keys}), (2, {k: False for k in keys})):
+        reads = iter(range(1, 1 << 20))  # the making of the runtime is read 1
+        monkeypatch.setattr(kb_module.time, "monotonic", lambda: 0.0 if next(reads) < passed_at else 1.0)
+        runtime = Budget(wall_ms=5)
+        lab = mil._best_blocking(proofs, facts, runtime)
+        assert runtime.exhausted and dict(lab.pair_facts) == want
+        total = 0.0
+        for k in keys:
+            lp = facts.pair_logprob(k[1], k[2])
+            total += lp if want[k] else math.log1p(-math.exp(lp))
+        assert lab.log_prob == total
 
 
 def test_setting_materialises_each_metasub_once():
@@ -925,9 +1016,7 @@ def _full_generation(positives, setting, budget, facts, runtime):
 
 def _outcome(out):
     ind = out.induced
-    won = None if ind is None else (
-        sorted(ind.program.key()), ind.log_score.hex(), ind.labelings, ind.truncated
-    )
+    won = None if ind is None else (sorted(ind.program.key()), ind.log_score.hex(), ind.labelings)
     return won, out.budget_exhausted, out.failure
 
 
@@ -974,27 +1063,31 @@ def test_generation_never_extends_a_full_program(monkeypatch):
     assert any(size == 2 for size, _, new in calls if not new)  # full programs reach scoring
 
 
-def test_solver_truncation_reaches_labelings_and_induced():
+def test_a_solver_cut_is_recorded_on_the_runtime(monkeypatch):
     # Item 0 occurs twice, so its store x0+x0#=v is not a chain and goes to
-    # branch-and-bound, which a one-node cap stops after its first labeling.
+    # branch-and-bound, which reads the runtime at every node.
     facts = TableFacts({0: digit_table(2), 1: digit_table(3)})
     setting = sum_setting()
     ex = GoalExample(item_goal([0, 0], 4))
-    capped = SearchBudget(max_clauses=2, solver_max_nodes=1)
-    lab = score_example(ex, SUM_PROG, setting, facts, capped)
-    assert lab.truncated and dict(lab.item_labels) == {0: 2}
-    assert not score_example(ex, SUM_PROG, setting, facts, SearchBudget()).truncated
-    out = induce([ex], setting, facts, capped)
-    assert out.induced is not None and out.induced.truncated
-    assert out.induced.labelings[0].truncated
-    assert not induce([ex], setting, facts, SearchBudget(max_clauses=2)).induced.truncated
-    # x0=3 is feasible, but the cap stops the search at x0=2, before any
-    # labeling: the example scores -inf marked truncated, not "no proof"
-    cut = score_example(GoalExample(item_goal([0, 0], 6)), SUM_PROG, setting, facts, capped)
-    assert cut is not None and cut.truncated and cut.log_prob == -math.inf
-    # a chain store takes the exact pass, which the cap does not bind
-    chain_ex = GoalExample(item_goal([0, 1], 5))
-    assert not score_example(chain_ex, SUM_PROG, setting, facts, capped).truncated
+    rt, solved = Budget(), {}
+    lab = score_example(ex, SUM_PROG, setting, facts, SearchBudget(), rt, solved=solved)
+    assert dict(lab.item_labels) == {0: 2} and rt.ok() and len(solved) == 1
+    assert induce([ex], setting, facts, SearchBudget(max_clauses=2)).induced is not None
+    solve_best = mil.solve_best
+
+    def deadline_passes(store, tables, budget):
+        budget.deadline = 0.0  # passed as the solver starts
+        return solve_best(store, tables, budget)
+
+    monkeypatch.setattr(mil, "solve_best", deadline_passes)
+    # the search stops before any labeling: the example scores -inf, not
+    # "no proof", the runtime says why, and the answer is not kept
+    rt, solved = Budget(), {}
+    cut = score_example(ex, SUM_PROG, setting, facts, SearchBudget(), rt, solved=solved)
+    assert cut is not None and cut.log_prob == -math.inf
+    assert rt.exhausted and solved == {}
+    out = induce([ex], setting, facts, SearchBudget(max_clauses=2))
+    assert (out.induced, out.budget_exhausted, out.failure) == (None, True, "budget_exhausted")
 
 
 def test_induce_sorted_concept_with_invention():
@@ -1162,19 +1255,19 @@ def _induced_with_counters(examples, setting, facts, budget):
     runtime = budget.runtime()
     out = induce(examples, setting, facts, budget, runtime=runtime)
     ind = out.induced
-    won = None if ind is None else (sorted(ind.program.key()), ind.log_score.hex(), ind.labelings, ind.truncated)
+    won = None if ind is None else (sorted(ind.program.key()), ind.log_score.hex(), ind.labelings)
     counters = (runtime.nodes, runtime.depth_hits, runtime.solver_nodes, runtime.solver_leaves)
     return won, out.candidates_tried, out.failure, out.budget_exhausted, counters
 
 
 @settings(max_examples=40, deadline=None)
-@given(batch=_arith_batches(), solver_cap=st.sampled_from([None, 1, 3]))
-def test_solve_map_changes_no_outcome_or_counter(batch, solver_cap):
+@given(batch=_arith_batches())
+def test_solve_map_changes_no_outcome_or_counter(batch):
     """Solving each distinct store once per induce call changes nothing:
     outcome, labelings, log_score bits and all four counters match a run
     that solves every store it meets."""
     examples, task, facts = batch
-    budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
+    budget = SearchBudget(max_clauses=2)
     got = _induced_with_counters(examples, task.setting(), facts, budget)
     with pytest.MonkeyPatch.context() as mp:
         plain = mil.score_example
@@ -1339,7 +1432,7 @@ def _programs_over(op):
 def _scored(setting, goal, prog, facts, budget):
     rt = budget.runtime()
     lab = score_example(GoalExample(goal), prog, setting, facts, budget, rt)
-    got = None if lab is None else (lab.log_prob.hex(), lab.item_labels, lab.truncated)
+    got = None if lab is None else (lab.log_prob.hex(), lab.item_labels)
     return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves), rt.exhausted
 
 
@@ -1358,12 +1451,11 @@ def _concrete(setting, goal, prog, facts, budget):
 
 
 def _best_of(results, rt):
-    best, truncated = None, False
+    best = None
     for r in results:
-        truncated = truncated or r.truncated
         if best is None or r.log_prob > best.log_prob:
             best = r
-    got = None if best is None else (best.log_prob.hex(), tuple(sorted(best.item_assignment().items())), truncated)
+    got = None if best is None else (best.log_prob.hex(), tuple(sorted(best.item_assignment().items())))
     return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves), rt.exhausted
 
 
@@ -1403,19 +1495,19 @@ def _shape_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_shape_cases(), solver_cap=st.sampled_from([None, 1, 3]))
-def test_shared_proofs_match_proving_each_goal(case, solver_cap):
+@given(case=_shape_cases())
+def test_shared_proofs_match_proving_each_goal(case):
     """A positive scored through the setting's stored proof of its shape
     matches the goal's own proof with y in it on a fresh setting (_leaves,
-    no stored proof): log_prob bits, labels, truncated flag and all four
-    counters.  Every program here takes y as a parameter, so the second
+    no stored proof): log_prob bits, labels, all four counters and the
+    budget's exhausted flag.  Every program here takes y as a parameter, so the second
     goal (the first one's shape under other ids and tables) and the third
     (another y) reuse each stored proof and store none, unless an Int
     among the items keeps y in the key: then the third stores its own
     under another y.  Each later one, with the first one's y, stores its
     own unless its key is the first one's."""
     task, op, goals, oracles = case
-    budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
+    budget = SearchBudget(max_clauses=2)
     shared = task.setting()
     keeps_y = not mil._int_free([goals[0].args[0]])
     for prog in _programs_over(op):
@@ -1460,16 +1552,16 @@ def _param_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_param_cases(), solver_cap=st.sampled_from([None, 1, 3]))
-def test_one_stored_proof_serves_every_y_of_a_shape(case, solver_cap):
+@given(case=_param_cases())
+def test_one_stored_proof_serves_every_y_of_a_shape(case):
     """One shared setting scores goals of one shape under every y, in any
     order, each as the goal's own proof with y in it scores it on a fresh
-    setting (_leaves, no stored proof): log_prob bits, labels, truncated
-    flag and all four counters, a y no labeling reaches included.  Each
+    setting (_leaves, no stored proof): log_prob bits, labels, all four
+    counters and the budget's exhausted flag, a y no labeling reaches included.  Each
     program stores one proof for them all, or, where an Int among the
     items keeps y in the key, one per y."""
     task, op, goals, oracles = case
-    budget = SearchBudget(max_clauses=2, solver_max_nodes=solver_cap)
+    budget = SearchBudget(max_clauses=2)
     shared = task.setting()
     keeps_y = not mil._int_free([goals[0].args[0]])
     for prog in _programs_over(op):
@@ -1700,7 +1792,7 @@ def _dyadic_cases(draw):
 def _example_scored(setting, ex, prog, facts):
     rt = SearchBudget().runtime()
     lab = score_example(ex, prog, setting, facts, SearchBudget(), rt)
-    got = None if lab is None else (lab.log_prob.hex(), lab.pair_facts, lab.truncated)
+    got = None if lab is None else (lab.log_prob.hex(), lab.pair_facts)
     return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves)
 
 
@@ -1708,8 +1800,8 @@ def _example_scored(setting, ex, prog, facts):
 @given(case=_dyadic_cases())
 def test_dyadic_shared_proofs_match_proving_each_goal(case):
     """A dyadic example scored through the setting's stored proof of its
-    shape matches it scored on a fresh setting: log_prob bits, pair facts,
-    truncated flag and all four counters, negatives included.  A proof that
+    shape matches it scored on a fresh setting: log_prob bits, pair facts
+    and all four counters, negatives included.  A proof that
     read a pair of probability 0 is not stored, and a stored proof that
     would read one is not replayed: the example is proved afresh.  A pair
     missing at replay raises KeyError, as it does without the memo."""
