@@ -102,7 +102,7 @@ def _pseudo_label_acc(task: Task, batch, spans, induced: Induced) -> Optional[fl
             continue
         truth = {i: d for i, d in zip(ids, ex.truth)}
         if task.dyadic:
-            for (_, a, b), val in lab.pair_facts:
+            for (a, b), val in lab.pair_facts:
                 hits += int(val == (truth[a] >= truth[b]))
                 total += 1
         else:
@@ -135,30 +135,24 @@ def _perception_acc(task: Task, batch, spans, facts: TableFacts) -> Optional[flo
     return hits / total if total else None
 
 
-def m_step(
-    task: Task,
-    batch,
-    spans,
-    induced: Induced,
-    model,
-    pair_model,
-    m_epochs: int,
-    m_batch: int,
-) -> Optional[float]:
+def m_step(task: Task, features, induced: Induced, model, m_epochs: int, m_batch: int) -> Optional[float]:
     """Refit perception on the abduced labels; returns the final loss.
 
-    Warm start: the model keeps its current weights and momentum, so each
-    M-step is a few more passes, not training from scratch.
+    features holds the batch's rows by item id, as _assemble builds them.
+    On a dyadic task the pair model fits each labeling's pair facts, an
+    item pair (i, j) and its truth; on any other the classifier fits each
+    item label.  Warm start: the model keeps its current weights and
+    momentum, so each M-step is a few more passes, not training from
+    scratch.
     """
-    features = np.concatenate([ex.x for ex in batch], axis=0)
     if task.dyadic:
         triples = []
-        for ids, lab in zip(spans, induced.labelings):
-            for (_, a, b), val in lab.pair_facts:
+        for lab in induced.labelings:
+            for (a, b), val in lab.pair_facts:
                 triples.append((features[a], features[b], bool(val)))
         if not triples:
             return None
-        return pair_model.fit_pairs(triples, epochs=m_epochs, batch_size=m_batch)
+        return model.fit_pairs(triples, epochs=m_epochs, batch_size=m_batch)
     X, y = [], []
     for lab in induced.labelings:
         for i, v in lab.item_labels:
@@ -182,13 +176,14 @@ def train(
     examples: Sequence[SeqExample],
     config: EMConfig,
     model=None,
-    pair_model=None,
     setting: Optional[InductionSetting] = None,
     pretrain_data=None,
 ) -> EMState:
     """Run hard-EM epochs over shuffled batches.
 
-    Every batch appends one metrics row.  Its perception_acc is read off the
+    model is the perception model the E-step reads and the M-step refits:
+    a perception.PairModel on a dyadic task, an MLP on any other.  Every
+    batch appends one metrics row.  Its perception_acc is read off the
     batch's fact oracle before the M-step, so it describes the model the
     E-step scored.  A batch whose E-step finds no program is skipped (no
     M-step); an epoch in which every batch fails aborts training, since
@@ -198,16 +193,15 @@ def train(
     """
     if not examples:
         raise EMError("no training examples")
-    if task.dyadic and pair_model is None:
-        raise EMError(f"task {task.id} trains a pairwise model; none given")
-    if not task.dyadic and model is None:
-        raise EMError(f"task {task.id} trains a classifier; none given")
+    kind, reads = ("pairwise model", "predict_pairs") if task.dyadic else ("classifier", "log_probs")
+    if not hasattr(model, reads):  # none given, or the other kind
+        raise EMError(f"task {task.id} trains a {kind}, not {type(model).__name__}")
     if config.pretrain:
         if task.dyadic or pretrain_data is None:
             raise EMError("pretraining needs a classifier and (X, y) seed data")
         pretrain_few_shot(model, pretrain_data[0], pretrain_data[1])
     setting = setting or task.setting()
-    state = EMState(model=pair_model if task.dyadic else model)
+    state = EMState(model=model)
     rng = np.random.default_rng(config.seed)
 
     writer = None
@@ -224,10 +218,7 @@ def train(
     try:
         for epoch in range(config.epochs):
             if epoch and config.lr_decay != 1.0:
-                if model is not None:
-                    model.lr *= config.lr_decay
-                if pair_model is not None:
-                    pair_model.net.lr *= config.lr_decay
+                (model.net if task.dyadic else model).lr *= config.lr_decay
             order = rng.permutation(len(examples))
             batches = [
                 [examples[i] for i in order[o : o + config.batch_size]]
@@ -239,7 +230,7 @@ def train(
                 facts = TableFacts.from_model(
                     features,
                     model=None if task.dyadic else model,
-                    pair_model=pair_model if task.dyadic else None,
+                    pair_model=model if task.dyadic else None,
                     value_base=task.value_base,
                     groups=spans,
                 )
@@ -265,16 +256,7 @@ def train(
                     solved += 1
                     row["score"] = out.induced.log_score
                     row["pseudo_label_acc"] = _pseudo_label_acc(task, batch, spans, out.induced)
-                    row["loss"] = m_step(
-                        task,
-                        batch,
-                        spans,
-                        out.induced,
-                        model,
-                        pair_model,
-                        config.m_epochs,
-                        config.m_batch,
-                    )
+                    row["loss"] = m_step(task, features, out.induced, model, config.m_epochs, config.m_batch)
                     if out.induced.log_score > state.best_score:
                         state.best_score = out.induced.log_score
                         state.best_program = out.induced.program
@@ -297,9 +279,9 @@ def train(
 def run_curriculum(
     stage1: "tuple[Task, Sequence[SeqExample], EMConfig]",
     stage2: "tuple[Task, Sequence[SeqExample], EMConfig]",
-    pair_model,
+    model,
 ) -> "tuple[EMState, EMState, Program]":
-    """Two-stage schedule sharing one pairwise model.
+    """Two-stage schedule sharing one pairwise model, a perception.PairModel.
 
     Stage one learns the ordered-list concept; its program is then
     installed as interpreted background clauses so stage two can call (and
@@ -310,11 +292,11 @@ def run_curriculum(
 
     task1, ex1, cfg1 = stage1
     task2, ex2, cfg2 = stage2
-    s1 = train(task1, ex1, cfg1, pair_model=pair_model)
+    s1 = train(task1, ex1, cfg1, model)
     if s1.best_program is None:
         raise EMError(f"stage {task1.id} produced no program")
     setting2 = task2.setting(extra_program=s1.best_program)
-    s2 = train(task2, ex2, cfg2, pair_model=pair_model, setting=setting2)
+    s2 = train(task2, ex2, cfg2, model, setting=setting2)
     if s2.best_program is None:
         raise EMError(f"stage {task2.id} produced no program")
     return s1, s2, merge_programs(s2.best_program, s1.best_program)

@@ -66,10 +66,6 @@ from typing import Optional
 
 from .kb import Budget
 
-# Widest interval _search_completion enumerates; a wider open domain (a
-# product intermediate no constant has pinned) is taken as feasible there.
-EXPLICIT_MAX = 4096
-
 ADD = "add"
 MUL = "mul"
 EQC = "eqc"
@@ -291,20 +287,16 @@ def _pin_and_propagate(store: ConstraintStore, vid: int, value: int) -> Optional
 
 
 def _search_completion(store: ConstraintStore, budget: Optional[Budget]) -> bool:
-    """True iff the unpinned (derived) vars admit a consistent completion.
+    """True iff the unpinned vars admit a consistent completion.
 
-    Depth-first over the smallest open domain, re-propagating at each pin.
+    Depth-first over the smallest open domain, each of its values in turn
+    however wide it is, re-propagating at each pin: exact.
     """
     open_vars = [v for v in store.vars if v.dom.pinned() is None]
     if not open_vars:
         return True
     open_vars.sort(key=lambda v: (v.dom.size(), v.id))
     v = open_vars[0]
-    if v.dom.size() > EXPLICIT_MAX:
-        # Every open interval is too wide to enumerate (a product
-        # intermediate no constant pins): within bounds is taken as
-        # feasible.  _completion_exists sends chain stores to the exact pass.
-        return True
     for val in v.dom.values():
         if budget is not None:
             budget.solver_nodes += 1

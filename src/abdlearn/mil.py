@@ -4,7 +4,8 @@ prove() is a meta-interpreter that handles each goal by one of four
 alternatives, tried in this order:
 
   1. empty goal list: succeed, emitting the current program together with
-     the assumptions made along the proof and their joint probability;
+     the proof's ExampleLabeling: the item pairs it assumed, the item
+     values its solved store assigns, and their joint log-probability;
   2. deductive predicate (background clause or builtin): resolve, recurse;
      kb.solve does this itself and hands every other goal to prove's hook;
   3. abducible predicate: record the assumption; arithmetic abducibles post
@@ -246,8 +247,6 @@ from .terms import (
 
 __all__ = [
     "Abducible",
-    "Abduced",
-    "AbductionResult",
     "ExampleLabeling",
     "GoalExample",
     "Induced",
@@ -649,32 +648,6 @@ class SearchBudget:
 
 
 @dataclass(frozen=True, slots=True)
-class Abduced:
-    """A dyadic fact a proof assumed: ("pair", i, j) and its log-probability."""
-
-    key: tuple
-    log_prob: float
-
-
-@dataclass(frozen=True, slots=True)
-class AbductionResult:
-    program: Program
-    abduced: "tuple[Abduced, ...]"
-    log_prob: float
-    labeling: Optional[Labeling] = None
-    item_vars: "tuple[tuple[int, int], ...]" = ()  # (item handle, store var)
-
-    def item_assignment(self) -> "dict[int, int]":
-        if self.labeling is None:
-            return {}
-        out = {}
-        for item, vid in self.item_vars:
-            if vid in self.labeling.assignment:
-                out[item] = self.labeling.assignment[vid]
-        return out
-
-
-@dataclass(frozen=True, slots=True)
 class GoalExample:
     goal: Atom
     positive: bool = True
@@ -682,11 +655,19 @@ class GoalExample:
 
 @dataclass(frozen=True, slots=True)
 class ExampleLabeling:
-    """Most probable pseudo-labels for one example under a fixed program."""
+    """Pseudo-labels of one example under a fixed program, and their joint
+    log-probability: what prove yields per proof, and score_example per
+    example.
+
+    item_labels are (item, value) pairs in item order.  pair_facts are
+    ((i, j), truth) pairs, each the dyadic fact of the item pair (i, j):
+    a proof's assumed pairs in path order, each True, or a negative's
+    blocking assignment in pair order.
+    """
 
     log_prob: float
     item_labels: "tuple[tuple[int, int], ...]" = ()
-    pair_facts: "tuple[tuple[tuple, bool], ...]" = ()
+    pair_facts: "tuple[tuple[tuple[int, int], bool], ...]" = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -696,10 +677,6 @@ class Induced:
     program: Program
     labelings: "tuple[ExampleLabeling, ...]"
     log_score: float
-
-    @property
-    def score(self) -> float:
-        return math.exp(self.log_score)
 
 
 @dataclass(frozen=True, slots=True)
@@ -776,8 +753,9 @@ class _Ctx:
 
     def hook(self, g: Atom, anc: tuple, s: Subst, state):
         """kb.solve hook for goals the kb does not define.  state is (program,
-        abduction state, dyadic log prob, abduced); the scope anc holds the
-        (predicate, first-argument size) of each inducible call above g."""
+        abduction state, dyadic log prob, abduced item pairs); the scope anc
+        holds the (predicate, first-argument size) of each inducible call
+        above g."""
         spec = self.setting.abducibles.get(g.key())
         if spec is not None:
             return _abduce(spec, g, s, state, self)
@@ -839,18 +817,17 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
         read, _ = _cells(g.args[0], s, 2)
         if len(read) < 2:
             return
-        ka, kb_ = _item_id(read[0]), _item_id(read[1])
-        if ka is None or kb_ is None:
+        pair = (_item_id(read[0]), _item_id(read[1]))
+        if None in pair:
             return
-        fact_key = ("pair", ka, kb_)
-        if any(a.key == fact_key for a in abduced):
+        if pair in abduced:
             # Already assumed in this proof; consume it again for free.
             yield (), None, s, state
             return
-        lp = ctx.facts.pair_logprob(ka, kb_)
+        lp = ctx.facts.pair_logprob(*pair)
         if lp == -math.inf:
             return
-        yield (), None, s, (prog, ab, dlogp + lp, abduced + (Abduced(fact_key, lp),))
+        yield (), None, s, (prog, ab, dlogp + lp, abduced + (pair,))
         return
 
     term_in, term_out = g.args
@@ -1292,21 +1269,24 @@ def prove(
     feasibility_only: bool = False,
     solved: Optional[dict] = None,
     found: Optional[dict] = None,
-) -> Iterator[AbductionResult]:
-    """Stream of abductive proofs of the goals, best-effort order.
+) -> Iterator["tuple[Program, ExampleLabeling]"]:
+    """Stream of abductive proofs of the goals, best-effort order: for each,
+    the program it ran under (with the clauses it added) and its labeling.
 
-    Every emitted result is complete: its constraint store (if any) has been
-    solved to the most probable feasible assignment, and log_prob is the sum
-    of the log probabilities of every assumed fact plus that assignment.  If
-    the search or the solver stopped early, runtime records it (exhausted,
-    depth_hits): a result is exact while runtime.ok() holds after it.
+    Every emitted proof is complete: its constraint store (if any) has been
+    solved to the most probable feasible assignment, which item_labels
+    holds, pair_facts holds the item pairs it assumed, in path order, each
+    True, and log_prob is the sum of the log probabilities of every assumed
+    pair plus that assignment.  If the search or the solver stopped early,
+    runtime records it (exhausted, depth_hits): a proof is exact while
+    runtime.ok() holds after it.
     The stream does not depend on how it is consumed: nothing is pruned by
     score, so a caller after the best proof takes the maximum itself.
     With feasibility_only the solver is replaced by a cheap satisfiability
-    check and log_prob covers dyadic facts alone.  A clause that would
-    leave a closed program unable to prove an inducible predicate of its
-    body is never tried (see the module docstring); that prune holds no
-    proof, so it always applies.
+    check, item_labels is empty and log_prob covers the pairs alone.  A
+    clause that would leave a closed program unable to prove an inducible
+    predicate of its body is never tried (see the module docstring); that
+    prune holds no proof, so it always applies.
 
     solved, induce's per-call map from store content and tables to
     solve_best's uncut answer and its solver_nodes and solver_leaves,
@@ -1332,7 +1312,7 @@ def prove(
 
 def _leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
     """The SLD successes of the goals: each leaf's state (program,
-    abduction state, dyadic log prob, abduced), in proof order."""
+    abduction state, dyadic log prob, abduced item pairs), in proof order."""
     start = (program, _AbdState(), 0.0, ())
     for _, state in solve([(g, ()) for g in goals], ctx.setting.kb, runtime, start, ctx.hook):
         yield state
@@ -1345,14 +1325,14 @@ def _results(
     feasibility_only: bool,
     solved: Optional[dict],
     found: Optional[dict] = None,
-) -> Iterator[AbductionResult]:
-    """prove's results: each leaf's store solved, or only checked for a
+) -> Iterator["tuple[Program, ExampleLabeling]"]:
+    """prove's proofs: each leaf's store solved, or only checked for a
     solution with feasibility_only; a leaf with no solution is dropped, and
     so, unchecked, is a leaf whose closed program is in found."""
     for prog, ab, dlogp, abduced in leaves:
         if found is not None and ctx.closed(prog) and prog.key() in found:
             continue  # generation has recorded prog and would only record it again
-        labeling = None
+        items = ()
         total = dlogp
         if ab.store is not None and ab.store.vars:
             if feasibility_only:
@@ -1364,13 +1344,9 @@ def _results(
                 if labeling is None:
                     continue
                 total += labeling.log_prob
-        yield AbductionResult(
-            program=prog,
-            abduced=abduced,
-            log_prob=total,
-            labeling=labeling,
-            item_vars=tuple(sorted(ab.item_vars.items())),
-        )
+                values = labeling.assignment
+                items = tuple(sorted([(iid, values[vid]) for iid, vid in ab.item_vars.items() if vid in values]))
+        yield prog, ExampleLabeling(total, items, tuple([(pair, True) for pair in abduced]))
 
 
 def _solve_once(store: ConstraintStore, tables: dict, runtime: Budget, solved: Optional[dict]) -> Optional[Labeling]:
@@ -1462,8 +1438,9 @@ class _Reads:
 
 def _reread(read: tuple, ids: "list[int]", facts: TableFacts) -> Optional[dict]:
     """Read every item table and pair in a stored proof's log, in its order,
-    so a missing or malformed one raises as before: the Abduced of each pair
-    by its goal positions, or None at the first pair of probability 0."""
+    so a missing or malformed one raises as before: the log-probability of
+    each pair by its goal positions, or None at the first pair of
+    probability 0."""
     pairs = {}
     for r in read:
         if r.__class__ is int:
@@ -1471,7 +1448,7 @@ def _reread(read: tuple, ids: "list[int]", facts: TableFacts) -> Optional[dict]:
         elif (lp := facts.pair_logprob(ids[r[0]], ids[r[1]])) == -math.inf:
             return None
         else:
-            pairs[r] = Abduced(("pair", ids[r[0]], ids[r[1]]), lp)
+            pairs[r] = lp
     return pairs
 
 
@@ -1561,8 +1538,9 @@ def _shared_leaves(
         for store, vids, path, prog in leaves:
             dlogp = 0.0
             for p in path:
-                dlogp += pairs[p].log_prob
-            yield prog, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, tuple([pairs[p] for p in path])
+                dlogp += pairs[p]
+            abduced = tuple([(ids[a], ids[b]) for a, b in path])
+            yield prog, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, abduced
         return
     runtime.proofs_run += 1
     pos = {iid: p for p, iid in enumerate(ids)}
@@ -1571,7 +1549,7 @@ def _shared_leaves(
     pending, leaves, held = [], [], []
     for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
         prog, ab = state[0], state[1]
-        path = tuple([(pos[a.key[1]], pos[a.key[2]]) for a in state[3]])
+        path = tuple([(pos[a], pos[b]) for a, b in state[3]])
         pending.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path, ab.pins, prog))
         pinned = _pinned(pending[-1:], y)
         if not pinned:
@@ -1608,14 +1586,15 @@ def _log_not(lp: float) -> float:
 def _best_blocking(proof_fact_sets: "list[frozenset]", facts, runtime: Budget) -> Optional[ExampleLabeling]:
     """Most probable truth assignment falsifying every proof, if one exists.
 
-    A proof that assumed no facts cannot be blocked, and an assignment
-    scoring -inf does not count: None then.  Read an assignment as a mask,
-    bit i the i-th fact in key order; the answer has the highest key-order
-    sum of log-probabilities and, on an exact tie, the smallest mask.  It is
+    Each proof's facts are the item pairs (i, j) it assumed.  A proof that
+    assumed none cannot be blocked, and an assignment scoring -inf does not
+    count: None then.  Read an assignment as a mask, bit i the i-th pair in
+    sorted order; the answer has the highest sum of log-probabilities,
+    summed in that order, and, on an exact tie, the smallest mask.  It is
     a minimum-weight hitting set of the fact sets (Reiter 1987), searched
-    depth first in key order, each fact at its more probable value first.
+    depth first in pair order, each fact at its more probable value first.
     A branch is cut once some proof has all its facts true, or once its
-    bound, the key-order sum with every undecided fact at its better value,
+    bound, the ordered sum with every undecided fact at its better value,
     is below the best found or ties it with a mask so far no smaller.  As
     float addition is monotone, no completion beats the bound: the cut is
     exact.  The search reads runtime.ok() at every node; once it fails, the
@@ -1626,7 +1605,7 @@ def _best_blocking(proof_fact_sets: "list[frozenset]", facts, runtime: Budget) -
     keys = sorted(set().union(*proof_fact_sets)) if proof_fact_sets else []
     if not keys:
         return ExampleLabeling(0.0)
-    logs = [(_log_not(lp), lp) for lp in (facts.pair_logprob(k[1], k[2]) for k in keys)]  # (false, true)
+    logs = [(_log_not(lp), lp) for lp in (facts.pair_logprob(*k) for k in keys)]  # (false, true)
     tops = [max(pair) for pair in logs]
     index = {k: i for i, k in enumerate(keys)}
     masks = [sum(1 << index[k] for k in fs) for fs in proof_fact_sets]
@@ -1681,49 +1660,31 @@ def score_example(
 ) -> Optional[ExampleLabeling]:
     """Best log P(example | program) with its pseudo-labels, or None.
 
-    Positive examples take the most probable proof.  Negative examples take
-    the most probable fact assignment under which no proof survives; a
-    fact-free proof makes that impossible.  solved is induce's per-call map
-    of solved stores (see prove): a positive's store solved before, under
-    another program, is not solved again, and its solver counts are
-    replayed onto runtime.  Every cut of the proof search, the solver or
+    A positive example takes the labeling of its most probable proof, the
+    first that prove yields on a tie.  A negative example takes the most
+    probable truth assignment of the pairs its proofs assumed (their
+    pair_facts) under which no proof survives; a fact-free proof makes that
+    impossible.  solved is induce's per-call map of solved stores (see
+    prove): a positive's store solved before, under another program, is not
+    solved again, and its solver counts are replayed onto runtime.  Every cut of the proof search, the solver or
     the blocking search is recorded on runtime, not on the labeling: a
     caller that needs to know passes its own runtime and reads it after.
     """
     runtime = runtime if runtime is not None else budget.runtime()
     if ex.positive:
-        best: Optional[AbductionResult] = None
-        for r in prove(
-            ex.goal,
-            program,
-            setting,
-            facts,
-            budget,
-            runtime=runtime,
-            allow_new_clauses=False,
-            solved=solved,
+        best: Optional[ExampleLabeling] = None
+        for _, lab in prove(
+            ex.goal, program, setting, facts, budget, runtime=runtime, allow_new_clauses=False, solved=solved
         ):
-            if best is None or r.log_prob > best.log_prob:
-                best = r
-        if best is None:
-            return None
-        return ExampleLabeling(
-            best.log_prob,
-            item_labels=tuple(sorted(best.item_assignment().items())),
-            pair_facts=tuple((a.key, True) for a in best.abduced),
+            if best is None or lab.log_prob > best.log_prob:
+                best = lab
+        return best
+    proof_sets = [
+        frozenset([pair for pair, _ in lab.pair_facts])
+        for _, lab in prove(
+            ex.goal, program, setting, facts, budget, runtime=runtime, allow_new_clauses=False, feasibility_only=True
         )
-    proof_sets = []
-    for r in prove(
-        ex.goal,
-        program,
-        setting,
-        facts,
-        budget,
-        runtime=runtime,
-        allow_new_clauses=False,
-        feasibility_only=True,
-    ):
-        proof_sets.append(frozenset(a.key for a in r.abduced))
+    ]
     if not proof_sets:
         return ExampleLabeling(0.0)
     return _best_blocking(proof_sets, facts, runtime)
@@ -1772,7 +1733,7 @@ def _candidate_programs(
         if state in seen_prefix:
             return
         seen_prefix.add(state)
-        for r in prove(
+        for prog2, _ in prove(
             positives[idx].goal,
             prog,
             setting,
@@ -1782,7 +1743,7 @@ def _candidate_programs(
             feasibility_only=True,
             found=found,
         ):
-            rec(idx + 1, r.program)
+            rec(idx + 1, prog2)
 
     rec(0, Program())
     out = list(found.values())

@@ -200,7 +200,7 @@ def test_train_reads_each_pair_once_per_batch():
     exs = gen_sequences(task, 12, lengths=(1, 4), gen=SyntheticDigitGen(seed=4), seed=4)
     spy = _CountingPair()
     cfg = EMConfig(epochs=1, batch_size=6, seed=4, budget=SearchBudget(max_clauses=3))
-    state = train(task, exs, cfg, pair_model=spy)
+    state = train(task, exs, cfg, spy)
     assert state.rows[0]["perception_acc"] is not None
     assert len(spy.calls) == len(state.rows) == 2
     assert all(len(c) == len(set(c)) for c in spy.calls)
@@ -468,15 +468,23 @@ def test_train_aborts_when_every_batch_contradicts(tmp_path):
         train(task, exs, cfg, model=MLP(8, 10, seed=0))
 
 
-def test_train_requires_matching_model_kind():
-    task = make_task("sum")
+@pytest.mark.parametrize(
+    "tid, model",
+    [
+        ("sum", None),
+        ("sum", PairModel(8, seed=0)),
+        ("sorted_concept", None),
+        ("sorted_concept", MLP(8, 10, seed=0)),
+    ],
+)
+def test_train_requires_matching_model_kind(tid, model):
+    """train takes one perception model: a classifier on a sum task, a pair
+    model on a dyadic one; none, or the other kind, is refused before any
+    batch runs."""
+    task = make_task(tid)
     exs = gen_sequences(task, 4, seed=0)
-    with pytest.raises(EMError):
-        train(task, exs, EMConfig(epochs=1), pair_model=PairModel(8, seed=0))
-    dyadic = make_task("sorted_concept")
-    dexs = gen_sequences(dyadic, 4, seed=0)
-    with pytest.raises(EMError):
-        train(dyadic, dexs, EMConfig(epochs=1), model=MLP(8, 10, seed=0))
+    with pytest.raises(EMError, match="trains a"):
+        train(task, exs, EMConfig(epochs=1), model)
 
 
 def test_train_dyadic_sorted_concept(tmp_path):
@@ -496,7 +504,7 @@ def test_train_dyadic_sorted_concept(tmp_path):
         budget=SearchBudget(max_clauses=3),
         metrics_path=tmp_path / "m.csv",
     )
-    state = train(task, exs, cfg, pair_model=pm)
+    state = train(task, exs, cfg, pm)
     assert state.best_program is not None
     assert state.best_program.size == 3
     text = state.best_text()

@@ -775,3 +775,17 @@ def test_property_propagation_keeps_every_solution(seed, chain):
         if len(vs):
             dom = store.dom(vid)
             assert dom.lo <= vs.min() and vs.max() <= dom.hi, (vid, dump(store))
+
+
+def test_a_wide_open_derived_var_is_searched_not_assumed_feasible():
+    """A non-chain store whose only open var is a free derived var of 5,000
+    values: the completion search pins one of its values, however wide the
+    domain, rather than take its bounds as a solution."""
+    store = ConstraintStore()
+    weighted = store.new_weighted_var(10)
+    store.post_eq_const(weighted, 3)
+    store.new_derived_var(0, 4999)
+    assert fd._chain_of(store) is None
+    budget = Budget()
+    assert fd._completion_exists(store, budget)
+    assert budget.solver_nodes >= 1

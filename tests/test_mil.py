@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abdlearn.fd import ADD, EQC, ConstraintStore, FDConstraint
@@ -252,9 +252,10 @@ def test_prove_empty_goal_list_succeeds_once():
     setting = sum_setting()
     results = list(prove([], SUM_PROG, setting, TableFacts.exact(), SearchBudget()))
     assert len(results) == 1
-    assert results[0].program is SUM_PROG
-    assert results[0].log_prob == 0.0
-    assert results[0].abduced == ()
+    prog, lab = results[0]
+    assert prog is SUM_PROG
+    assert lab.log_prob == 0.0
+    assert lab.pair_facts == () and lab.item_labels == ()
 
 
 def test_prove_induces_sum_program_from_ground_goal():
@@ -262,9 +263,9 @@ def test_prove_induces_sum_program_from_ground_goal():
     stream = prove(
         int_goal([1, 2, 3], 6), Program(), setting, TableFacts.exact(), SearchBudget(max_clauses=2)
     )
-    hits = [r for r in stream if clause_texts(r.program, setting) == SUM_TEXTS]
+    hits = [lab for prog, lab in stream if clause_texts(prog, setting) == SUM_TEXTS]
     assert hits, "expected the two-clause cumulative sum program in the stream"
-    assert any(abs(r.log_prob) < 1e-12 for r in hits)
+    assert any(abs(lab.log_prob) < 1e-12 for lab in hits)
 
 
 def test_prove_ground_goal_infeasible_output():
@@ -283,31 +284,55 @@ def test_prove_accumulates_item_probabilities():
     facts = TableFacts({0: digit_table(1), 1: digit_table(2), 2: digit_table(3)})
     setting = sum_setting()
     best = None
-    for r in prove(
+    for _, lab in prove(
         item_goal([0, 1, 2], 6), SUM_PROG, setting, facts, SearchBudget(),
         allow_new_clauses=False,
     ):
-        if best is None or r.log_prob > best.log_prob:
-            best = r
+        if best is None or lab.log_prob > best.log_prob:
+            best = lab
     assert best is not None
     assert abs(best.log_prob - 3 * math.log(0.9)) < 1e-9
-    assert best.item_assignment() == {0: 1, 1: 2, 2: 3}
+    assert best.item_labels == ((0, 1), (1, 2), (2, 3))
+
+
+def _oracle_log_prob(lab, item_tables, pairs):
+    """A proof's log-probability rebuilt from the probabilities the fact
+    oracle was built on: each pair it assumed, then each item table at the
+    item's label."""
+    lp = 0.0
+    for pair, _ in lab.pair_facts:
+        lp += math.log(pairs[pair])
+    for item, value in lab.item_labels:
+        lp += math.log(item_tables[item][value])
+    return lp
 
 
 def test_prove_log_prob_matches_consumed_facts():
-    facts = TableFacts({0: digit_table(4), 1: digit_table(2)})
-    setting = sum_setting()
-    for r in prove(
-        item_goal([0, 1], 6), SUM_PROG, setting, facts, SearchBudget(),
-        allow_new_clauses=False,
-    ):
-        manual = sum(a.log_prob for a in r.abduced)
-        if r.labeling is not None:
-            for item, vid in r.item_vars:
-                if vid in r.labeling.assignment:
-                    value = r.labeling.assignment[vid]
-                    manual += facts.item_logweights(item)[value - facts.value_base]
-        assert abs(r.log_prob - manual) <= 1e-12
+    """Every proof's log_prob is its pairs' and item labels' log-probabilities
+    summed, read from the tables the oracle was built on, on a sum goal and
+    on a sorted-list goal that assumes pairs."""
+    tables = {0: digit_table(4), 1: digit_table(2)}
+    pairs = {(0, 1): 0.8, (1, 2): 0.7}
+    sorted_prog = Program(
+        (
+            MetaSub("mono_rec", (("P", "s"), ("Q", "s_1"))),
+            MetaSub("mono_chain", (("P", "s"), ("Q", "tail"), ("R", "empty"))),
+            MetaSub("precon", (("P", "s_1"), ("Q", "nn"), ("R", "tail"))),
+        ),
+        (("s_1", 2),),
+    )
+    cases = [
+        (item_goal([0, 1], 6), SUM_PROG, sum_setting()),
+        (Atom("s", (mk_list([item_term(i) for i in (0, 1, 2)]),)), sorted_prog, sorted_setting()),
+    ]
+    for goal, prog, setting in cases:
+        labs = [lab for _, lab in prove(
+            goal, prog, setting, TableFacts(tables, pairs=pairs), SearchBudget(), allow_new_clauses=False
+        )]
+        assert labs and any(lab.item_labels or lab.pair_facts for lab in labs)
+        for lab in labs:
+            assert all(truth for _, truth in lab.pair_facts)
+            assert abs(lab.log_prob - _oracle_log_prob(lab, tables, pairs)) <= 1e-12
 
 
 def test_prove_left_recursion_terminates():
@@ -320,7 +345,7 @@ def test_prove_left_recursion_terminates():
               runtime=runtime)
     )
     assert not runtime.exhausted
-    assert any(clause_texts(r.program, setting) == {"f(A,B) :- eq(A,B)."} for r in results)
+    assert any(clause_texts(prog, setting) == {"f(A,B) :- eq(A,B)."} for prog, _ in results)
 
 
 _RECURSIVE_BK = """
@@ -390,15 +415,15 @@ def test_prove_pruning_keeps_best_result():
     for goal, prog, setting, facts in cases:
         on, off = (
             [
-                (r.log_prob.hex(), r.abduced, r.item_assignment())
-                for r in prove(goal, prog, setting, facts, SearchBudget(pruning=pruning), allow_new_clauses=False)
+                (lab.log_prob.hex(), lab.pair_facts, lab.item_labels)
+                for _, lab in prove(goal, prog, setting, facts, SearchBudget(pruning=pruning), allow_new_clauses=False)
             ]
             for pruning in (True, False)
         )
         assert on == off
     assert len(on) == 6
     best = max(on, key=lambda r: float.fromhex(r[0]))
-    assert {a.key for a in best[1]} == {("pair", 1, 2), ("pair", 2, 0)}
+    assert {pair for pair, _ in best[1]} == {(1, 2), (2, 0)}
 
 
 def test_prove_dyadic_fact_probability():
@@ -417,9 +442,9 @@ def test_prove_dyadic_fact_probability():
         prove(goal, prog, setting, facts, SearchBudget(), allow_new_clauses=False)
     )
     assert results
-    best = max(results, key=lambda r: r.log_prob)
+    best = max([lab for _, lab in results], key=lambda lab: lab.log_prob)
     assert abs(best.log_prob - (math.log(0.8) + math.log(0.7))) < 1e-12
-    assert {a.key for a in best.abduced} == {("pair", 0, 1), ("pair", 1, 2)}
+    assert best.pair_facts == (((0, 1), True), ((1, 2), True))
 
 
 def test_feasibility_proofs_are_never_pruned():
@@ -439,18 +464,18 @@ def test_feasibility_proofs_are_never_pruned():
 
     def fact_sets(pruning):
         return [
-            frozenset(a.key for a in r.abduced)
-            for r in prove(goal, prog, setting, facts, SearchBudget(pruning=pruning),
+            frozenset(pair for pair, _ in lab.pair_facts)
+            for _, lab in prove(goal, prog, setting, facts, SearchBudget(pruning=pruning),
                            allow_new_clauses=False, feasibility_only=True)
         ]
 
     assert fact_sets(True) == fact_sets(False) == [
-        frozenset({("pair", 0, 1)}), frozenset({("pair", 1, 2)}), frozenset({("pair", 2, 3)})
+        frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(2, 3)})
     ]
     neg = GoalExample(goal, positive=False)
     on = score_example(neg, prog, setting, facts, SearchBudget(pruning=True))
     assert on == score_example(neg, prog, setting, facts, SearchBudget(pruning=False))
-    assert dict(on.pair_facts) == {("pair", 0, 1): False, ("pair", 1, 2): False, ("pair", 2, 3): False}
+    assert dict(on.pair_facts) == {(0, 1): False, (1, 2): False, (2, 3): False}
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +497,7 @@ def _sum_feasibility(prog, n):
         item_goal(range(n), 3 * n), prog, setting, facts, SearchBudget(max_clauses=2),
         runtime=runtime, feasibility_only=True,
     )
-    return [clause_texts(r.program, setting) for r in proofs], runtime.nodes
+    return [clause_texts(prog, setting) for prog, _ in proofs], runtime.nodes
 
 
 def test_closed_program_without_a_base_case_fails_at_once():
@@ -539,8 +564,8 @@ def _streams(goal, prog, setting, facts, budget, **options):
     def stream():
         runtime = Budget()
         proofs = [
-            (r.program, r.log_prob.hex(), r.abduced, r.item_assignment())
-            for r in prove(goal, prog, setting, facts, budget, runtime=runtime, **options)
+            (prog, lab.log_prob.hex(), lab.pair_facts, lab.item_labels)
+            for prog, lab in prove(goal, prog, setting, facts, budget, runtime=runtime, **options)
         ]
         return proofs, runtime.nodes
 
@@ -622,12 +647,12 @@ def test_score_example_negative_blocks_cheapest_fact():
     assert lab is not None
     want = math.log(0.9) + math.log(0.8)
     assert abs(lab.log_prob - want) < 1e-12
-    assert dict(lab.pair_facts) == {("pair", 0, 1): True, ("pair", 1, 2): False}
+    assert dict(lab.pair_facts) == {(0, 1): True, (1, 2): False}
 
 
 def _blocking_oracle(proof_fact_sets, facts):
     """_best_blocking by brute force over every assignment, a mask with
-    bit i the i-th fact in key order: the highest key-order sum, the
+    bit i the i-th pair in sorted order: the highest sum in that order, the
     smallest mask on an exact tie, and None when every blocking assignment
     scores -inf."""
     if any(not fs for fs in proof_fact_sets):
@@ -635,7 +660,7 @@ def _blocking_oracle(proof_fact_sets, facts):
     keys = sorted(set().union(*proof_fact_sets)) if proof_fact_sets else []
     if not keys:
         return mil.ExampleLabeling(0.0)
-    logs_true = {k: facts.pair_logprob(k[1], k[2]) for k in keys}
+    logs_true = {k: facts.pair_logprob(*k) for k in keys}
     logs_false = {k: mil._log_not(lp) for k, lp in logs_true.items()}
     best_lp, best_assign = -math.inf, None
     for mask in range(1 << len(keys)):
@@ -667,11 +692,10 @@ def _blocking_cases(draw):
     """Up to 6 proofs over up to 10 pair facts, now and then a fact-free one
     or none at all, with each fact's probability from _PAIR_P."""
     n = draw(st.integers(1, 10))
-    keys = [("pair", a, b) for a, b in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                                                      min_size=n, max_size=n, unique=True))]
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n, unique=True))
     fact_set = st.frozensets(st.sampled_from(keys), min_size=1, max_size=n)
     proofs = draw(st.lists(st.one_of(fact_set, fact_set, fact_set, st.just(frozenset())), max_size=6))
-    facts = TableFacts({}, pairs={(a, b): draw(_PAIR_P) for _, a, b in keys})
+    facts = TableFacts({}, pairs={k: draw(_PAIR_P) for k in keys})
     return proofs, facts
 
 
@@ -688,7 +712,7 @@ def _adjacent_chain(n):
     """One proof through n adjacent pairs, each more probable true than
     false, fact 0 alone the least so: its probabilities and fact set."""
     probs = {(i, i + 1): 0.6 if i == 0 else 0.65 + 0.3 * ((i * 5) % 7) / 6 for i in range(n)}
-    return probs, [frozenset(("pair", a, b) for a, b in probs)]
+    return probs, [frozenset(probs)]
 
 
 def test_blocking_a_forty_fact_proof_is_exact_and_fast():
@@ -703,7 +727,7 @@ def test_blocking_a_forty_fact_proof_is_exact_and_fast():
     for (a, b), p in sorted(probs.items()):
         want += math.log1p(-p) if a == 0 else math.log(p)
         all_false += math.log1p(-p)
-    assert dict(lab.pair_facts) == {("pair", a, b): a != 0 for a, b in probs}
+    assert dict(lab.pair_facts) == {(a, b): a != 0 for a, b in probs}
     assert lab.log_prob == want and want > all_false
     assert elapsed < 0.05, elapsed
 
@@ -724,7 +748,7 @@ def test_blocking_search_stops_at_a_passed_deadline_with_its_best_so_far(monkeyp
         assert runtime.exhausted and dict(lab.pair_facts) == want
         total = 0.0
         for k in keys:
-            lp = facts.pair_logprob(k[1], k[2])
+            lp = facts.pair_logprob(*k)
             total += lp if want[k] else math.log1p(-math.exp(lp))
         assert lab.log_prob == total
 
@@ -1002,13 +1026,13 @@ def _full_generation(positives, setting, budget, facts, runtime):
             return
         seen_prefix.add((prog.key(), idx))
         local = set()
-        for r in prove(
+        for prog2, _ in prove(
             positives[idx].goal, prog, setting, facts, budget,
             runtime=runtime, feasibility_only=True,
         ):
-            if r.program.key() not in local:
-                local.add(r.program.key())
-                rec(idx + 1, r.program)
+            if prog2.key() not in local:
+                local.add(prog2.key())
+                rec(idx + 1, prog2)
 
     rec(0, Program())
     return sorted(found.values(), key=lambda p: (p.size, program_text(p, setting.library)))
@@ -1452,10 +1476,10 @@ def _concrete(setting, goal, prog, facts, budget):
 
 def _best_of(results, rt):
     best = None
-    for r in results:
-        if best is None or r.log_prob > best.log_prob:
-            best = r
-    got = None if best is None else (best.log_prob.hex(), tuple(sorted(best.item_assignment().items())))
+    for _, lab in results:
+        if best is None or lab.log_prob > best.log_prob:
+            best = lab
+    got = None if best is None else (best.log_prob.hex(), best.item_labels)
     return got, (rt.nodes, rt.depth_hits, rt.solver_nodes, rt.solver_leaves), rt.exhausted
 
 
@@ -1520,6 +1544,38 @@ def test_shared_proofs_match_proving_each_goal(case):
             new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
             new_y = keeps_y and goal.args[1] != goals[0].args[1]
             assert len(shared._proofs) == stored + (k == 0 or (k == 2 and new_y) or (k > 2 and new_key))
+
+
+_TIED = (  # [a, a] summing to 4 under a uniform table: a = 2 and a = 4 tie
+    tasks.make_task("sum"), "add", [Atom("f", (mk_list([item_term(0)] * 2), Int(4)))], [TableFacts({0: [0.1] * 10})]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_shape_cases())
+@example(case=_TIED)
+def test_score_example_takes_the_first_best_proof(case):
+    """On sum and product positives, score_example returns the labeling of
+    the first proof that prove yields at the maximum log_prob, whole:
+    log_prob bits, item labels and pair facts; None when prove yields
+    none.  Beside _programs_over's, a program that may add or skip each
+    item proves a goal many ways: on _TIED, two of them tie."""
+    task, op, goals, oracles = case
+    budget = SearchBudget(max_clauses=2)
+    add_or_skip = Program((
+        MetaSub("chain", (("P", "f"), ("Q", op), ("R", "f"))),
+        MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "f"))),
+        MetaSub("ident", (("P", "f"), ("Q", "eq"))),
+    ))
+    for prog in [*_programs_over(op), add_or_skip]:
+        for goal, facts in zip(goals, oracles):
+            labs = [lab for _, lab in prove(goal, prog, task.setting(), facts, budget, allow_new_clauses=False)]
+            got = score_example(GoalExample(goal), prog, task.setting(), facts, budget)
+            if not labs:
+                assert got is None
+                continue
+            top = max(lab.log_prob for lab in labs)
+            assert got == next(lab for lab in labs if lab.log_prob == top)
 
 
 @st.composite
@@ -1654,8 +1710,8 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
 
     def stream(setting, goal, facts):
         return [
-            (r.log_prob.hex(), r.labeling.assignment, r.item_vars)
-            for r in prove(goal, SUM_PROG, setting, facts, allow_new_clauses=False)
+            (lab.log_prob.hex(), lab.item_labels, lab.pair_facts)
+            for _, lab in prove(goal, SUM_PROG, setting, facts, allow_new_clauses=False)
         ]
 
     want_first = stream(sum_setting(), item_goal([0, 1, 2], 8), first)
@@ -1672,7 +1728,8 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     assert len(solved) == len(leaves) > 0 and all(a is b for a, (b, *_) in zip(solved, leaves))
     assert all(pairs == () and prog == SUM_PROG for _, _, pairs, prog in leaves)  # a sum proof abduces no pair
     assert got == stream(sum_setting(), item_goal([7, 8, 9], 8), second)
-    assert [lab for _, lab, _ in got] != [lab for _, lab, _ in want_first]
+    values = [[[v for _, v in labels] for _, labels, _ in run] for run in (got, want_first)]
+    assert values[0] != values[1]
 
 
 def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
@@ -1687,8 +1744,8 @@ def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
 
     def stream(setting, goal, facts, runtime=None):
         return [
-            (r.log_prob.hex(), r.labeling.assignment, r.item_vars)
-            for r in prove(goal, SUM_PROG, setting, facts, runtime=runtime, allow_new_clauses=False)
+            (lab.log_prob.hex(), lab.item_labels, lab.pair_facts)
+            for _, lab in prove(goal, SUM_PROG, setting, facts, runtime=runtime, allow_new_clauses=False)
         ]
 
     stream(shared, item_goal([0, 1, 2], 8), first)
@@ -1881,9 +1938,9 @@ def _generation(positives, setting, facts, max_clauses):
     trace, plain = [], mil.prove
 
     def spy(goal, prog, *a, **kw):
-        for r in plain(goal, prog, *a, **kw):
-            trace.append((goal, prog.key(), r.program.key()))
-            yield r
+        for prog2, lab in plain(goal, prog, *a, **kw):
+            trace.append((goal, prog.key(), prog2.key()))
+            yield prog2, lab
 
     runtime = Budget()
     with pytest.MonkeyPatch.context() as mp:
