@@ -227,13 +227,7 @@ def train(
             solved = 0
             for bi, batch in enumerate(batches):
                 goals, features, spans = _assemble(task, batch)
-                facts = TableFacts.from_model(
-                    features,
-                    model=None if task.dyadic else model,
-                    pair_model=model if task.dyadic else None,
-                    value_base=task.value_base,
-                    groups=spans,
-                )
+                facts = TableFacts.from_model(features, model=model, value_base=task.value_base, groups=spans)
                 runtime = config.budget.runtime()
                 out = induce(goals, setting, facts, config.budget, runtime=runtime)
                 nodes = runtime.nodes + runtime.solver_nodes

@@ -10,10 +10,10 @@ alternatives, tried in this order:
      kb.solve does this itself and hands every other goal to prove's hook;
   3. abducible predicate: record the assumption; arithmetic abducibles post
      a finite-domain constraint over the sequence items touched, the dyadic
-     fact abducible multiplies the fact's probability into the running
-     score, and a fact of probability 0 ends the branch; Abducible.ground
-     is the same predicate's ground reading, which a learned program runs
-     on at eval;
+     fact abducible records the item pair, whose probability the proof's
+     score takes at its leaf, and a fact of probability 0 ends the branch;
+     Abducible.ground is the same predicate's ground reading, which a
+     learned program runs on at eval;
   4. inducible predicate (the induction target or an invented symbol):
      reuse a recorded template instantiation, or, within the clause budget,
      bind a new one, inventing a fresh auxiliary symbol as a last resort.
@@ -119,19 +119,23 @@ and pairs the proof read, by position in first-read order; its nodes and
 depth hits.  The key is the program; the goal with each item(i) handle
 replaced by the position of i's first occurrence (so the length and repeats
 stay in it) and a parameter by its slot; value_base; under generation
-the clause budget; and each item's table length.  It is exact: a store
-holds no weights (solve_best takes the tables from its caller), the tree
-reads the item tables only through the initial domains, which the key sets,
-the background knowledge names no item handle, and a pair read adds its log
-or, at probability 0, ends the branch.  TableFacts.from_model clips pairs
-to [1e-9, 1 - 1e-9], so no branch ends, and the tree, each leaf's store and
+the clause budget; and each item's table length.  One preorder walk of the
+goals (_proof_key) gives the key, the goals' item ids by position and the
+parameter.  The key is exact: a store holds no weights (solve_best takes
+the tables from its caller), the tree reads the item tables only through
+the initial domains, which the key sets, the background knowledge names no
+item handle, and a pair read is only logged, with its log-probability, or,
+at probability 0, ends the branch.  TableFacts.from_model clips pairs to
+[1e-9, 1 - 1e-9], so no branch ends, and the tree, each leaf's store and
 its facts are the same for every goal of the key.  A proof that read a pair
 of probability 0 (TableFacts.exact builds those) is not stored, nor
 replayed when a pair it read has one now.  A replay adds the proof's nodes
-and depth hits to the budget, re-reads its log in order (a missing pair or
-table raises as before), sums each leaf's pair log-probabilities as
-0.0 + lp1 + lp2 + ... in path order, as _abduce does, and hands each
-stored store, as it is, to the solver with its own tables or to the
+and depth hits to the budget and re-reads its log in order (a missing pair
+or table raises as before).  Run or replayed, every leaf reaches the solver
+through one translation, _emitted: item positions become the goal's item
+ids, and the leaf's pair log-probabilities, from the run's log or the
+re-read, are summed as 0.0 + lp1 + lp2 + ... in path order.  Each stored
+store goes, as it is, to the solver with its own tables or to the
 feasibility check: labelings, log_prob bits and counters are those of the
 goal's own proof.  A goal whose budget could not run the whole proof
 (max_nodes below its nodes, or the budget out) is proved from scratch; a
@@ -153,12 +157,14 @@ set; they are none unless every background clause holds only variables,
 symbols and lists and calls no builtin, and the body pool names no
 builtin.  A single goal takes a parameter when its one Int outside item
 handles is an argument at such a position; any other goal, a ground Int
-goal say, keeps y in its key.  The proof runs on the goal with y replaced
-by the slot $param; an eq whose output is the slot records its store var
-as a pin and posts nothing.  The proof that stores an entry, and each
-replay, posts every pin as var = y on a clone of its leaf store and drops
-a leaf whose pin fails.  The stored proof keeps the leaves under each y it
-has met, so a (shape, y) met again costs no clone.
+goal say, keeps y in its key.  The key's walk counts the Ints, so the
+positions are read only for a single goal with one Int.  The proof runs on
+the goal with y replaced by the slot $param; an eq whose output is the
+slot records its store var as a pin and posts nothing.  The proof that
+stores an entry, and each replay, posts every pin as var = y on a clone
+of its leaf store and drops a leaf whose pin fails.  The stored proof
+keeps the leaves under each y it has met, so a (shape, y) met again costs
+no clone.
 Why this is exact.  Resolution starts from one goal, and the rule keeps y
 in the last goal of the goal list: a clause head takes it in a variable
 that binds nothing (its only occurrence) and the body hands it on only in
@@ -355,23 +361,22 @@ class TableFacts:
         return cls(tables, value_base, None if pairs is None else lambda a, b: float(bool(pairs(a, b))))
 
     @classmethod
-    def from_model(
-        cls, features, model=None, pair_model=None, value_base: int = 0, groups=None
-    ) -> "TableFacts":
-        """Perception's reading of the rows of features.  Item tables are the
-        classifier's log-probabilities from one forward over all rows.  Pair
-        probabilities come from one predict_pairs call over every ordered
-        pair of rows inside each group (the row ids of one example; by
-        default all rows are one example), clipped to
-        [_LOG_FLOOR, 1 - _LOG_FLOOR].  A read of a missing part, or of a
+    def from_model(cls, features, model=None, value_base: int = 0, groups=None) -> "TableFacts":
+        """Perception's reading of the rows of features by one model.  A
+        pair model (one with predict_pairs) fills the pair probabilities,
+        from one predict_pairs call over every ordered pair of rows inside
+        each group (the row ids of one example; by default all rows are one
+        example), clipped to [_LOG_FLOOR, 1 - _LOG_FLOOR].  Any other model
+        fills the item tables, the classifier's log-probabilities from one
+        forward over all rows.  A read of a part no model filled, or of a
         pair outside the groups, raises KeyError."""
-        pairs = None
-        if pair_model is not None:
+        if hasattr(model, "predict_pairs"):
             ids = [range(len(features))] if groups is None else groups
             keys = [(a, b) for g in ids for a in g for b in g]
-            probs = pair_model.predict_pairs(features, keys)
+            probs = model.predict_pairs(features, keys)
             pairs = {k: min(max(float(p), _LOG_FLOOR), 1.0 - _LOG_FLOOR) for k, p in zip(keys, probs)}
-        facts = cls({}, value_base, pairs)
+            return cls({}, value_base, pairs)
+        facts = cls({}, value_base)
         if model is not None and len(features):
             facts._items = dict(enumerate(map(tuple, model.log_probs(features).tolist())))
         return facts
@@ -753,7 +758,7 @@ class _Ctx:
 
     def hook(self, g: Atom, anc: tuple, s: Subst, state):
         """kb.solve hook for goals the kb does not define.  state is (program,
-        abduction state, dyadic log prob, abduced item pairs); the scope anc
+        abduction state, abduced item pairs in path order); the scope anc
         holds the (predicate, first-argument size) of each inducible call
         above g."""
         spec = self.setting.abducibles.get(g.key())
@@ -812,7 +817,7 @@ def _cells(t: Term, s: Subst, k: int) -> "tuple[list[Term], Term]":
 
 def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     """The one way to assume g, as a kb.solve alternative with an empty body."""
-    prog, ab, dlogp, abduced = state
+    prog, ab, abduced = state
     if spec.kind == ABD_FACT:
         read, _ = _cells(g.args[0], s, 2)
         if len(read) < 2:
@@ -824,10 +829,9 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
             # Already assumed in this proof; consume it again for free.
             yield (), None, s, state
             return
-        lp = ctx.facts.pair_logprob(*pair)
-        if lp == -math.inf:
+        if ctx.facts.pair_logprob(*pair) == -math.inf:
             return
-        yield (), None, s, (prog, ab, dlogp + lp, abduced + (pair,))
+        yield (), None, s, (prog, ab, abduced + (pair,))
         return
 
     term_in, term_out = g.args
@@ -844,7 +848,7 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
             ab2.pins += (vx,)  # _shared_leaves posts it, per value
         elif not ab2.store.post_eq_const(vx, term_out.value):
             return
-        yield (), None, s, (prog, ab2, dlogp, abduced)
+        yield (), None, s, (prog, ab2, abduced)
         return
 
     read, t2 = _cells(term_in, s, 2)
@@ -874,7 +878,7 @@ def _abduce(spec: Abducible, g: Atom, s: Subst, state, ctx: _Ctx):
     s2 = unify(term_out, Struct(".", (fdv_term(vz), t2)), s)
     if s2 is None:
         return
-    yield (), None, s2, (prog, ab2, dlogp, abduced)
+    yield (), None, s2, (prog, ab2, abduced)
 
 
 def _productive(prog: Program, setting: InductionSetting) -> "set[tuple[str, int]]":
@@ -1297,23 +1301,24 @@ def prove(
     leaf is yielded.  Every proof is the setting's stored proof of the
     goals' shape when it has one, a single goal's parameter (y of a sum or
     product goal, by the one rule of the module docstring) pinned to the
-    goal's y, and is stored when it is run; with allow_new_clauses the key
-    holds the clause budget and the proof is stored uncut.
+    goal's y, and is stored when it is run; one walk of the goals finds
+    its key, and run or replayed, each leaf reaches the solver through the
+    same translation.  With allow_new_clauses the key holds the clause
+    budget and the proof is stored uncut.
     """
     if isinstance(goals, Atom):
         goals = [goals]
     budget = budget or SearchBudget()
     runtime = runtime if runtime is not None else budget.runtime()
-    goals, y = _parametrized(goals, program, setting)
     ctx = _Ctx(setting, facts, budget, allow_new_clauses)
-    leaves = _shared_leaves(goals, y, program, ctx, runtime)
+    leaves = _shared_leaves(goals, program, ctx, runtime)
     yield from _results(leaves, ctx, runtime, feasibility_only, solved, found)
 
 
 def _leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
     """The SLD successes of the goals: each leaf's state (program,
-    abduction state, dyadic log prob, abduced item pairs), in proof order."""
-    start = (program, _AbdState(), 0.0, ())
+    abduction state, abduced item pairs in path order), in proof order."""
+    start = (program, _AbdState(), ())
     for _, state in solve([(g, ()) for g in goals], ctx.setting.kb, runtime, start, ctx.hook):
         yield state
 
@@ -1326,26 +1331,26 @@ def _results(
     solved: Optional[dict],
     found: Optional[dict] = None,
 ) -> Iterator["tuple[Program, ExampleLabeling]"]:
-    """prove's proofs: each leaf's store solved, or only checked for a
-    solution with feasibility_only; a leaf with no solution is dropped, and
-    so, unchecked, is a leaf whose closed program is in found."""
-    for prog, ab, dlogp, abduced in leaves:
+    """prove's proofs from _emitted's leaves: each leaf's store solved, or
+    only checked for a solution with feasibility_only; a leaf with no
+    solution is dropped, and so, unchecked, is a leaf whose closed program
+    is in found."""
+    for prog, store, item_vars, total, abduced in leaves:
         if found is not None and ctx.closed(prog) and prog.key() in found:
             continue  # generation has recorded prog and would only record it again
         items = ()
-        total = dlogp
-        if ab.store is not None and ab.store.vars:
+        if store is not None and store.vars:
             if feasibility_only:
-                if not _completion_exists(ab.store, runtime):
+                if not _completion_exists(store, runtime):
                     continue
             else:
-                tables = {vid: ctx.facts.item_logweights(iid) for iid, vid in ab.item_vars.items()}
-                labeling = _solve_once(ab.store, tables, runtime, solved)
+                tables = {vid: ctx.facts.item_logweights(iid) for iid, vid in item_vars.items()}
+                labeling = _solve_once(store, tables, runtime, solved)
                 if labeling is None:
                     continue
                 total += labeling.log_prob
                 values = labeling.assignment
-                items = tuple(sorted([(iid, values[vid]) for iid, vid in ab.item_vars.items() if vid in values]))
+                items = tuple(sorted([(iid, values[vid]) for iid, vid in item_vars.items() if vid in values]))
         yield prog, ExampleLabeling(total, items, tuple([(pair, True) for pair in abduced]))
 
 
@@ -1380,49 +1385,63 @@ def _solve_once(store: ConstraintStore, tables: dict, runtime: Budget, solved: O
 
 
 def _proof_key(
-    goals: "Sequence[Atom]", program: Program, facts: TableFacts, budget: Optional[int] = None
-) -> "tuple[tuple, list[int]]":
-    """The key of the goals' stored proof under program, and the goals' item
-    ids by position.  The goals come from _parametrized, a parameter in
-    its slot.  The key is one flat tuple: program, value_base,
-    generation's clause budget (None for a closed-program proof), the goals
-    in preorder (a predicate or functor, then its arity, then its
-    arguments, the slot as itself) with each item(i) handle given as the
-    position of i's first occurrence, and each item's table length, None
-    if it has none."""
+    goals: "Sequence[Atom]", program: Program, setting: InductionSetting, facts, budget: Optional[int] = None
+) -> "tuple[tuple, list[int], Optional[int], Sequence[Atom]]":
+    """From one preorder walk of the goals: their stored proof's key under
+    program, their item ids by position, the parameter's value y (None
+    without one) and the goals to prove, y in its slot.  The key is one
+    flat tuple: program, value_base, generation's clause budget (None for
+    a closed-program proof), the goals in preorder (a predicate or functor,
+    its arity, its arguments) with each item(i) handle as the position of
+    i's first occurrence and the slot in y's place, and each item's table
+    length, None if it has none.  setting.parameters is read only for a
+    single goal with one Int outside item handles (see the module
+    docstring)."""
     ids: dict = {}
+    ints = []  # where each Int outside item handles sits in the key
     out = [program, facts.value_base, budget]
     for g in goals:
         out += (g.pred, len(g.args))
         todo = list(reversed(g.args))
         while todo:
             t = todo.pop()
-            iid = _item_id(t)
-            if iid is not None:
-                out.append(ids.setdefault(iid, len(ids)))
-            elif isinstance(t, Struct):
-                out += (t.functor, len(t.args))
-                todo.extend(reversed(t.args))
+            if t.__class__ is Struct:
+                iid = _item_id(t)
+                if iid is None:
+                    out += (t.functor, len(t.args))
+                    todo.extend(reversed(t.args))
+                else:
+                    out.append(ids.setdefault(iid, len(ids)))
             else:
+                if t.__class__ is Int:
+                    ints.append(len(out))
                 out.append(t)
+    y = None
+    if len(ints) == 1 and len(goals) == 1:
+        g = goals[0]
+        for i, t in enumerate(g.args):
+            if t.__class__ is Int:  # the goal's one Int
+                if (g.pred, len(g.args), i) in setting.parameters(program):
+                    y, out[ints[0]] = t.value, _SLOT
+                    goals = [Atom(g.pred, (*g.args[:i], _SLOT, *g.args[i + 1 :]))]
+                break
     tables = facts._items
     out += [len(tables[i]) if i in tables else None for i in ids]
-    return tuple(out), list(ids)
+    return tuple(out), list(ids), y, goals
 
 
 class _Reads:
     """A fact oracle that hands out facts' item tables and pair
-    log-probabilities and logs, by goal position, each item and pair it was
-    asked for."""
+    log-probabilities and logs, by goal position, each item it was asked
+    for and each pair with its log-probability (-inf at probability 0)."""
 
-    __slots__ = ("facts", "value_base", "pos", "log", "zero")
+    __slots__ = ("facts", "value_base", "pos", "log")
 
     def __init__(self, facts: TableFacts, pos: dict):
         self.facts = facts
         self.value_base = facts.value_base
         self.pos = pos  # item -> its goal position
-        self.log: dict = {}  # item position, or pair of them -> None, in first-read order
-        self.zero = False  # some pair read has probability 0
+        self.log: dict = {}  # item position -> None, pair of them -> its log-probability, in first-read order
 
     def item_logweights(self, item: int) -> WeightTable:
         w = self.facts.item_logweights(item)
@@ -1430,9 +1449,7 @@ class _Reads:
         return w
 
     def pair_logprob(self, a: int, b: int) -> float:
-        lp = self.facts.pair_logprob(a, b)
-        self.log[self.pos[a], self.pos[b]] = None
-        self.zero = self.zero or lp == -math.inf
+        lp = self.log[self.pos[a], self.pos[b]] = self.facts.pair_logprob(a, b)
         return lp
 
 
@@ -1467,34 +1484,6 @@ class _Proof(NamedTuple):
     by_values: dict
 
 
-def _parametrized(goals: "Sequence[Atom]", program: Program, setting: InductionSetting):
-    """The goals with the parameter, a single goal's one Int outside item
-    handles when it is an argument at one of program's parameter
-    positions, replaced by the slot, and its value; else the goals and
-    None."""
-    params = setting.parameters(program)
-    if len(goals) != 1 or not params:
-        return goals, None
-    g = goals[0]
-    for i, t in enumerate(g.args):
-        if t.__class__ is Int and (g.pred, len(g.args), i) in params:
-            args = (*g.args[:i], _SLOT, *g.args[i + 1 :])
-            return ([Atom(g.pred, args)], t.value) if _int_free(args) else (goals, None)
-    return goals, None
-
-
-def _int_free(terms: "Iterable[Term]") -> bool:
-    """No Int occurs in terms outside item handles."""
-    todo = list(terms)
-    while todo:
-        t = todo.pop()
-        if t.__class__ is Int:
-            return False
-        if t.__class__ is Struct and t.functor != ITEM_F:
-            todo.extend(t.args)
-    return True
-
-
 def _pinned(pending: "Iterable[tuple]", y: Optional[int]) -> "list[tuple]":
     """The pending leaves under y: a leaf with pins gets a clone of its
     store with each pin posted as var = y, and is dropped if one fails."""
@@ -1508,21 +1497,31 @@ def _pinned(pending: "Iterable[tuple]", y: Optional[int]) -> "list[tuple]":
     return out
 
 
-def _shared_leaves(
-    goals: "Sequence[Atom]", y: Optional[int], program: Program, ctx: _Ctx, runtime: Budget
-) -> Iterator[tuple]:
-    """_leaves, through the setting's stored proofs (see the module
-    docstring): the stored proof of the goals' shape, the parameter
-    slotted and its value y given, is replayed when runtime could run it
-    whole and no pair it read now has probability 0, its leaves under y
-    taken from the proof or pinned once and kept there; otherwise the
-    goals are proved, their pins posted, and the proof is stored unless
-    runtime ran out or it read a pair of probability 0.
-    Under generation the proof runs whole, and is stored, before its first
-    leaf goes out.  runtime counts either in proofs_replayed or
-    proofs_run."""
-    facts = ctx.facts
-    key, ids = _proof_key(goals, program, facts, ctx.budget.max_clauses if ctx.allow_new else None)
+def _emitted(leaf: tuple, ids: "list[int]", pairs: dict) -> tuple:
+    """A stored proof's leaf as _results reads it, run or replayed alike:
+    (program, store, item -> var map, the log-probability of its pairs,
+    from pairs by position and summed as 0.0 + lp1 + lp2 + ... in path
+    order, and its pairs as item ids in path order)."""
+    store, vids, path, prog = leaf
+    dlogp = 0.0
+    for p in path:
+        dlogp += pairs[p]
+    return prog, store, {ids[p]: vid for p, vid in vids}, dlogp, tuple([(ids[a], ids[b]) for a, b in path])
+
+
+def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime: Budget) -> Iterator[tuple]:
+    """The goals' proof leaves, each through _emitted, from the setting's
+    stored proofs (see the module docstring): the stored proof of the
+    goals' shape, found by _proof_key with the parameter's value y, is
+    replayed when runtime could run it whole and no pair it read now has
+    probability 0, its leaves under y taken from the proof or pinned once
+    and kept there; otherwise the goals are proved (_leaves), their pins
+    posted, and the proof is stored unless runtime ran out or it read a
+    pair of probability 0.  Under generation the proof runs whole, and is
+    stored, before its first leaf goes out.  runtime counts either in
+    proofs_replayed or proofs_run."""
+    facts, budget = ctx.facts, ctx.budget.max_clauses if ctx.allow_new else None
+    key, ids, y, goals = _proof_key(goals, program, ctx.setting, facts, budget)
     proofs = ctx.setting._proofs
     proof = proofs.get(key)
     cap = runtime.max_nodes
@@ -1535,40 +1534,29 @@ def _shared_leaves(
         runtime.proofs_replayed += 1
         runtime.nodes += proof.nodes
         runtime.depth_hits += proof.depth_hits
-        for store, vids, path, prog in leaves:
-            dlogp = 0.0
-            for p in path:
-                dlogp += pairs[p]
-            abduced = tuple([(ids[a], ids[b]) for a, b in path])
-            yield prog, _AbdState(store, {ids[p]: vid for p, vid in vids}), dlogp, abduced
+        for leaf in leaves:
+            yield _emitted(leaf, ids, pairs)
         return
     runtime.proofs_run += 1
     pos = {iid: p for p, iid in enumerate(ids)}
     reads = _Reads(facts, pos)
     nodes, depth_hits = runtime.nodes, runtime.depth_hits
-    pending, leaves, held = [], [], []
-    for state in _leaves(goals, program, replace(ctx, facts=reads), runtime):
-        prog, ab = state[0], state[1]
-        path = tuple([(pos[a], pos[b]) for a, b in state[3]])
-        pending.append((ab.store, tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()]), path, ab.pins, prog))
+    pending, leaves = [], []
+    for prog, ab, abduced in _leaves(goals, program, replace(ctx, facts=reads), runtime):
+        vids = tuple([(pos[iid], vid) for iid, vid in ab.item_vars.items()])
+        pending.append((ab.store, vids, tuple([(pos[a], pos[b]) for a, b in abduced]), ab.pins, prog))
         pinned = _pinned(pending[-1:], y)
-        if not pinned:
-            continue
-        leaves.append(pinned[0])
-        leaf = (prog, _AbdState(pinned[0][0], ab.item_vars), state[2], state[3])
-        if ctx.allow_new:
-            held.append(leaf)  # generation proves the next positive between leaves
-        else:
-            yield leaf
-    if not (runtime.exhausted or reads.zero):
+        leaves += pinned
+        if pinned and not ctx.allow_new:  # generation proves the next positive between leaves
+            yield _emitted(pinned[0], ids, reads.log)
+    if not (runtime.exhausted or -math.inf in reads.log.values()):
         proofs[key] = _Proof(
-            tuple(reads.log),
-            runtime.nodes - nodes,
-            runtime.depth_hits - depth_hits,
-            tuple(pending),
+            tuple(reads.log), runtime.nodes - nodes, runtime.depth_hits - depth_hits, tuple(pending),
             {y: tuple(leaves)},
         )
-    yield from held
+    if ctx.allow_new:
+        for leaf in leaves:
+            yield _emitted(leaf, ids, reads.log)
 
 
 # ---------------------------------------------------------------------------

@@ -493,7 +493,7 @@ def _example_facts(ex: SeqExample, model, use_truth: bool) -> TableFacts:
     if use_truth or model is None:
         truth = _truth(ex)
         return TableFacts.exact(pairs=lambda a, b: truth[a] >= truth[b])
-    return TableFacts.from_model(ex.x, pair_model=model)
+    return TableFacts.from_model(ex.x, model=model)
 
 
 def evaluate(

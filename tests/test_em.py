@@ -120,7 +120,7 @@ def test_model_facts_pair_clipped():
         def predict_pairs(self, features, pairs):
             return [self.predict_pair(features[a], features[b]) for a, b in pairs]
 
-    facts = TableFacts.from_model(idx_features(2), pair_model=HardPair())
+    facts = TableFacts.from_model(idx_features(2), HardPair())
     assert facts.pair_logprob(1, 0) < 0.0  # never exactly log(1) = 0
     assert math.isfinite(facts.pair_logprob(0, 1))
     assert facts.pair_prob(1, 0) >= 0.5 > facts.pair_prob(0, 1)  # clipping keeps the side of 0.5
@@ -132,7 +132,8 @@ def test_model_facts_match_the_reference_bit_for_bit():
     batch = gen_sequences(task, 8, lengths=(2, 5), gen=gen, seed=3)
     _, features, spans = em._assemble(task, batch)
     model, pair = MLP(8, 10, seed=5), PairModel(8, seed=5)
-    facts = TableFacts.from_model(features, model=model, pair_model=pair, groups=spans)
+    facts = TableFacts.from_model(features, model, groups=spans)
+    pair_facts = TableFacts.from_model(features, pair, groups=spans)
     ref = _RefModelFacts(features, model=model, pair_model=pair)
     for i in range(len(features)):
         assert _bits(facts.item_logweights(i)) == _bits(ref.item_logweights(i))
@@ -140,7 +141,7 @@ def test_model_facts_match_the_reference_bit_for_bit():
     # and within rounding of one single-row forward per pair
     pairs = [(a, b) for ids in spans for a in ids for b in ids]
     batched = [math.log(min(max(p, 1e-9), 1.0 - 1e-9)) for p in pair.predict_pairs(features, pairs)]
-    got = [facts.pair_logprob(a, b) for a, b in pairs]
+    got = [pair_facts.pair_logprob(a, b) for a, b in pairs]
     assert [v.hex() for v in got] == [v.hex() for v in batched]
     assert max(abs(v - ref.pair_logprob(a, b)) for v, (a, b) in zip(got, pairs)) <= 1e-12
     # the exact constructor: certainty reads 0.0, impossibility -inf
@@ -183,7 +184,7 @@ def test_model_facts_reads_each_pair_once_per_batch():
     batch = gen_sequences(task, 6, lengths=(2, 4), seed=3)
     _, features, spans = em._assemble(task, batch)
     spy = _CountingPair()
-    facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), pair_model=spy, groups=spans)
+    facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), spy, groups=spans)
     _induce_batch(task, batch, facts, 3)
     assert len(spy.calls) == 1 and len(spy.calls[0]) == len(set(spy.calls[0]))
     assert set(spy.calls[0]) == {(a, b) for ids in spans for a in ids for b in ids}
@@ -212,6 +213,11 @@ def test_model_facts_missing_parts_raise():
         facts.item_logweights(0)  # no classifier attached
     with pytest.raises(KeyError):
         facts.pair_logprob(0, 1)  # no pair model attached
+    # one model fills one kind of table: a classifier no pairs, a pair model no items
+    with pytest.raises(KeyError):
+        TableFacts.from_model(idx_features(2), TableModel(peaked([3, 7]))).pair_logprob(0, 1)
+    with pytest.raises(KeyError):
+        TableFacts.from_model(idx_features(2), _CountingPair()).item_logweights(0)
 
 
 @pytest.mark.parametrize("tid", ["sum", "sorted_concept"])
@@ -222,7 +228,7 @@ def test_perception_acc_matches_the_reference(tid):
     model, pair = (None, PairModel(8, seed=3)) if task.dyadic else (MLP(8, 10, seed=3), None)
     if model is not None:  # a little training, so the reading is not all one digit
         model.fit(features, np.array([d for ex in batch for d in ex.truth]), epochs=2)
-    facts = TableFacts.from_model(features, model=model, pair_model=pair, value_base=task.value_base)
+    facts = TableFacts.from_model(features, pair if task.dyadic else model, task.value_base)
     got = em._perception_acc(task, batch, spans, facts)
     assert got is not None and got == _ref_perception_acc(task, batch, model, pair)
 

@@ -43,7 +43,7 @@ from abdlearn.mil import (
     score_example,
 )
 from abdlearn import kb as kb_module, mil, tasks
-from abdlearn.terms import Atom, Int, Var, mk_list, proper_list_items
+from abdlearn.terms import Atom, Int, Struct, Sym, Var, mk_list, proper_list_items
 from abdlearn.parser import parse_atom
 
 BK = """
@@ -1468,10 +1468,19 @@ def _best_proved(setting, goal, prog, facts, budget):
 
 def _concrete(setting, goal, prog, facts, budget):
     """_best_proved of the goal's own proof, y in the goal and no stored
-    proof: the leaves of _leaves, solved as prove solves them."""
+    proof: the leaves of _leaves, each with its pairs' log-probabilities
+    summed in path order, solved as prove solves them."""
     rt = budget.runtime()
     ctx = mil._Ctx(setting, facts, budget, False)
-    return _best_of(mil._results(mil._leaves([goal], prog, ctx, rt), ctx, rt, False, None), rt)
+
+    def leaves():
+        for prog2, ab, abduced in mil._leaves([goal], prog, ctx, rt):
+            dlogp = 0.0
+            for pair in abduced:
+                dlogp += facts.pair_logprob(*pair)
+            yield prog2, ab.store, ab.item_vars, dlogp, abduced
+
+    return _best_of(mil._results(leaves(), ctx, rt, False, None), rt)
 
 
 def _best_of(results, rt):
@@ -1533,7 +1542,7 @@ def test_shared_proofs_match_proving_each_goal(case):
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2)
     shared = task.setting()
-    keeps_y = not mil._int_free([goals[0].args[0]])
+    keeps_y = any(t.__class__ is Int for t in proper_list_items(goals[0].args[0]))
     for prog in _programs_over(op):
         assert ("f", 2, 1) in shared.parameters(prog)
         for k, (goal, facts) in enumerate(zip(goals, oracles)):
@@ -1541,7 +1550,8 @@ def test_shared_proofs_match_proving_each_goal(case):
             got = _scored(shared, goal, prog, facts, budget)
             assert got == _concrete(task.setting(), goal, prog, facts, budget)
             assert not got[2]
-            new_key = mil._proof_key([goal], prog, facts)[0] != mil._proof_key([goals[0]], prog, oracles[0])[0]
+            keys = [mil._proof_key([g], prog, shared, f)[0] for g, f in ((goal, facts), (goals[0], oracles[0]))]
+            new_key = keys[0] != keys[1]
             new_y = keeps_y and goal.args[1] != goals[0].args[1]
             assert len(shared._proofs) == stored + (k == 0 or (k == 2 and new_y) or (k > 2 and new_key))
 
@@ -1619,7 +1629,7 @@ def test_one_stored_proof_serves_every_y_of_a_shape(case):
     task, op, goals, oracles = case
     budget = SearchBudget(max_clauses=2)
     shared = task.setting()
-    keeps_y = not mil._int_free([goals[0].args[0]])
+    keeps_y = any(t.__class__ is Int for t in proper_list_items(goals[0].args[0]))
     for prog in _programs_over(op):
         stored = len(shared._proofs)
         for goal, facts in zip(goals, oracles):
@@ -1872,7 +1882,7 @@ def test_dyadic_shared_proofs_match_proving_each_goal(case):
         for ex, probs in examples:
             # a pair function fills the oracle's cache in the order pairs are read
             facts = TableFacts({}, pairs=lambda a, b, probs=probs: probs[a, b])
-            key = mil._proof_key([ex.goal], prog, facts)[0]
+            key = mil._proof_key([ex.goal], prog, shared, facts)[0]
             had, n_proved = key in shared._proofs, len(proved)
             got = _example_scored(shared, ex, prog, facts)
             zero = 0.0 in facts._pair_p.values()
@@ -1967,7 +1977,7 @@ def _reference_generation(positives, setting, facts, max_clauses):
             return
         seen.add((prog.key(), idx))
         goal = positives[idx].goal
-        for leaf, ab, _, _ in mil._leaves([goal], prog, ctx, runtime):
+        for leaf, ab, _ in mil._leaves([goal], prog, ctx, runtime):
             if ctx.closed(leaf) and leaf.key() in found:
                 continue
             if ab.store is not None and ab.store.vars and not mil._completion_exists(ab.store, runtime):
@@ -2023,8 +2033,7 @@ def test_generation_through_stored_proofs_matches_the_uncut_reference(batch, dat
         positives, facts = cases[kind]
         want = _reference_generation(positives, task.setting(), facts, mc)
         assert _generation(positives, shared, facts, mc) == want
-        goal = positives[0].goal
-        assert (mil._parametrized([goal], Program(), shared)[1] is not None) == (kind == "item")
+        assert (mil._proof_key([positives[0].goal], Program(), shared, facts)[2] is not None) == (kind == "item")
 
 
 def test_generation_replays_a_positive_of_a_stored_length_under_another_y():
@@ -2108,13 +2117,13 @@ def test_dyadic_generation_through_stored_proofs_matches_the_uncut_reference(cas
             super().__init__(*a)
             made.append(self)
 
-    def spy(goals, values, program, ctx, runtime):
-        key = mil._proof_key(goals, program, ctx.facts, ctx.budget.max_clauses)[0]
+    def spy(goals, program, ctx, runtime):
+        key = mil._proof_key(goals, program, ctx.setting, ctx.facts, ctx.budget.max_clauses)[0]
         had, n, counts = key in shared._proofs, len(made), (runtime.proofs_run, runtime.proofs_replayed)
-        leaves = plain(goals, values, program, ctx, runtime)
+        leaves = plain(goals, program, ctx, runtime)
         first = next(leaves, None)  # generation runs its proof whole before the first leaf goes out
         ran = len(made) > n
-        zero = ran and made[n].zero
+        zero = ran and -math.inf in made[n].log.values()
         assert (runtime.proofs_run - counts[0], runtime.proofs_replayed - counts[1]) == ((1, 0) if ran else (0, 1))
         assert ran or had
         assert zero or not (had and ran)  # a stored proof runs again only at a pair of probability 0
@@ -2145,11 +2154,11 @@ def test_slotted_call_gets_the_choice_lists_of_the_call_with_its_int(task_id):
     that position would list other clauses, add(A,B) among them."""
     task = tasks.make_task(task_id)
     goal = task.goal([0, 1, 2], 6).goal
-    (slotted,), y = mil._parametrized([goal], Program(), task.setting())
+    facts = TableFacts({i: digit_table(1) for i in range(3)}, task.value_base)
+    _, _, y, (slotted,) = mil._proof_key([goal], Program(), task.setting(), facts)
     assert y == 6 and slotted.args[1] != goal.args[1]
     size, types = mil._call_types(slotted)
     assert (size, types) == mil._call_types(goal) and types[1] == "int"
-    facts = TableFacts({i: digit_table(1) for i in range(3)}, task.value_base)
     for mc in (1, 2, 3):
         ctx = mil._Ctx(task.setting(), facts, SearchBudget(max_clauses=mc), True)
         progs = [Program()] + [p for _, p in ctx.choices(Program(), "f", 2, types)]
@@ -2176,8 +2185,8 @@ def test_generation_parameter_sound_where_the_slot_meets_head():
     trap = Program((MetaSub("chain", (("P", "f"), ("Q", "f"), ("R", "head"))),))
     assert setting.parameters(Program()) == setting.parameters(trap) == {("f", 2, 1)}
     goal = item_goal([0, 1, 2], 5)
-    (slotted,), _ = mil._parametrized([goal], Program(), setting)
     facts = TableFacts({i: digit_table(d) for i, d in enumerate([1, 1, 3, 3, 2])})
+    _, _, _, (slotted,) = mil._proof_key([goal], Program(), setting, facts)
     ctx = mil._Ctx(setting, facts, SearchBudget(max_clauses=3), True)
     listed = {program_text(p, setting.library) for _, p in ctx.choices(Program(), "f", 2, mil._call_types(slotted)[1])}
     assert "f(A,B) :- f(A,C), head(C,B)." in listed and "f(A,B) :- f_1(A,C), head(C,B)." in listed
@@ -2194,12 +2203,24 @@ def test_generation_parameter_sound_where_the_slot_meets_head():
         got = _generation(positives, setting, facts, 3)
     assert met and got == _reference_generation(positives, sum_setting(pool=LIST_POOL), facts, 3)
     ground = [GoalExample(int_goal([3, 5], 5))]
-    assert mil._parametrized([ground[0].goal], Program(), setting)[1] is None
+    assert mil._proof_key([ground[0].goal], Program(), setting, TableFacts.exact())[2] is None
     want = _reference_generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1)
     assert "f(A,B) :- tail(A,C), head(C,B)." in want[0]
     assert _generation(ground, setting, TableFacts.exact(), 1) == want
+    plain_key = mil._proof_key
+
+    def forced_key(goals, program, setting, facts, budget=None):
+        """_proof_key, y slotted at its parameter position though the list holds Ints."""
+        key, ids, y, slotted = plain_key(goals, program, setting, facts, budget)
+        (g,) = goals
+        if y is None and g.args[1].__class__ is Int and (g.pred, 2, 1) in setting.parameters(program):
+            at = len(key) - len(ids) - 1  # y is the goal's last term in preorder
+            key, y = (*key[:at], mil._SLOT, *key[at + 1 :]), g.args[1].value
+            slotted = [Atom(g.pred, (g.args[0], mil._SLOT))]
+        return key, ids, y, slotted
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mil, "_int_free", lambda terms: True)
+        mp.setattr(mil, "_proof_key", forced_key)
         forced = _generation(ground, sum_setting(pool=LIST_POOL), TableFacts.exact(), 1)
     assert "f(A,B) :- tail(A,C), head(C,B)." not in forced[0]
 
@@ -2226,6 +2247,159 @@ def test_generation_parameters_need_every_buildable_clause_to_hand_y_on():
     foreign = Program((MetaSub("chain", (("P", "f"), ("Q", "tail"), ("R", "second"))),))
     assert setting.parameters(foreign) == frozenset()
     assert setting.parameters(SUM_PROG) == {("f", 2, 1)}
+
+
+# ---------------------------------------------------------------------------
+# the stored-proof key: one walk against the three-walk reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_int_free(terms):
+    """Reference: no Int occurs in terms outside item handles."""
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Int:
+            return False
+        if t.__class__ is Struct and t.functor != "item":
+            todo.extend(t.args)
+    return True
+
+
+def _ref_parametrized(goals, program, setting):
+    """Reference: the goals with a single goal's one Int outside item
+    handles in the slot, when it is an argument at one of program's
+    parameter positions, and its value; else the goals and None."""
+    params = setting.parameters(program)
+    if len(goals) != 1 or not params:
+        return goals, None
+    g = goals[0]
+    for i, t in enumerate(g.args):
+        if t.__class__ is Int and (g.pred, len(g.args), i) in params:
+            args = (*g.args[:i], mil._SLOT, *g.args[i + 1 :])
+            return ([Atom(g.pred, args)], t.value) if _ref_int_free(args) else (goals, None)
+    return goals, None
+
+
+def _ref_proof_key(goals, program, setting, facts, budget=None):
+    """Reference: _proof_key as three walks, _ref_parametrized, then the
+    key and the item ids of the slotted goals."""
+    goals, y = _ref_parametrized(goals, program, setting)
+    ids = {}
+    out = [program, facts.value_base, budget]
+    for g in goals:
+        out += (g.pred, len(g.args))
+        todo = list(reversed(g.args))
+        while todo:
+            t = todo.pop()
+            iid = mil._item_id(t)
+            if iid is not None:
+                out.append(ids.setdefault(iid, len(ids)))
+            elif isinstance(t, Struct):
+                out += (t.functor, len(t.args))
+                todo.extend(reversed(t.args))
+            else:
+                out.append(t)
+    tables = facts._items
+    out += [len(tables[i]) if i in tables else None for i in ids]
+    return tuple(out), list(ids), y, list(goals)
+
+
+_MULT_PROG = Program(
+    (MetaSub("chain", (("P", "f"), ("Q", "mult"), ("R", "f"))), MetaSub("ident", (("P", "f"), ("Q", "eq"))))
+)
+_KEY_SETTINGS = {  # name -> (setting factory, programs)
+    "sum": (lambda: tasks.make_task("sum").setting(), (Program(), SUM_PROG)),
+    "product": (lambda: tasks.make_task("product").setting(), (Program(), _MULT_PROG)),
+    "sum_postcon": (lambda: sum_setting(mrs=("chain", "ident", "postcon")), (Program(), SUM_PROG)),
+    "sorted_concept": (lambda: _dyadic_setting("sorted_concept"), (Program(), SORTED_PROG)),
+    "bogosort": (lambda: _dyadic_setting("bogosort"), (Program(), SORT_PROG)),
+}
+
+
+_key_leaves = st.one_of(
+    st.integers(0, 4).map(item_term),  # few ids: repeated handles
+    st.integers(0, 9).map(Int),
+    st.integers(0, 3).map(mil.fdv_term),
+    st.sampled_from([Var("X"), Sym("a"), Sym("[]")]),
+)
+_key_terms = st.recursive(
+    _key_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(mk_list),
+        st.lists(inner, min_size=1, max_size=2).map(lambda args: Struct("g", tuple(args))),
+    ),
+    max_leaves=8,
+)
+_key_goals = st.lists(
+    st.one_of(
+        st.builds(
+            Atom,
+            st.sampled_from(["f", "s", "g"]),
+            st.lists(st.one_of(st.integers(0, 9).map(Int), _key_terms), min_size=1, max_size=3).map(tuple),
+        ),
+        # the shape of a sum or product goal: f(list, y), the list often free of Ints
+        st.tuples(
+            st.lists(st.one_of(st.integers(0, 4).map(item_term), _key_leaves), max_size=5).map(mk_list),
+            st.integers(0, 99).map(Int),
+        ).map(lambda args: Atom("f", args)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_KEY_SETTINGS)),
+    which=st.integers(0, 1),
+    goals=_key_goals,
+    base=st.integers(0, 1),
+    lengths=st.dictionaries(st.integers(0, 4), st.integers(1, 10)),
+    budget=st.sampled_from([None, 2]),
+)
+@example(name="sum", which=0, goals=[item_goal([0, 1, 0], 5)], base=0, lengths={0: 10}, budget=None)
+@example(name="sum", which=1, goals=[int_goal([3, 5], 5)], base=0, lengths={}, budget=None)
+@example(name="product", which=1, goals=[item_goal([2, 2], 4)], base=1, lengths={2: 9}, budget=2)
+@example(name="sum_postcon", which=0, goals=[item_goal([0], 3)], base=0, lengths={}, budget=None)
+@example(name="sum", which=0, goals=[Atom("f", (Int(5), mk_list([item_term(0)])))], base=0, lengths={}, budget=None)
+@example(
+    name="sum", which=1, goals=[Atom("f", (mk_list([mil.fdv_term(1), item_term(0)]), Int(7)))],
+    base=0, lengths={}, budget=None,
+)
+@example(name="sum", which=1, goals=[item_goal([0, 1], 5), item_goal([1], 2)], base=0, lengths={}, budget=None)
+@example(
+    name="sum", which=0, goals=[item_goal([0, 1], 5), Atom("f", (mk_list([item_term(1)]), Var("Y")))],
+    base=0, lengths={}, budget=None,
+)
+@example(
+    name="bogosort", which=1, goals=[Atom("f", (mk_list([item_term(0), item_term(1)]), mk_list([Int(2), Int(1)])))],
+    base=0, lengths={}, budget=None,
+)
+def test_proof_key_walks_once_as_the_three_walks_did(name, which, goals, base, lengths, budget):
+    """_proof_key's one walk gives what _ref_proof_key's three do: the key,
+    the item ids by position, y and the goals to prove, slotted or not.
+    The goals are one or several, over repeated item handles, with Ints at
+    top level at and off parameter positions, inside lists and inside
+    fdv(v) references, in sum, product and dyadic settings and in one with
+    no parameters, under programs with and without parameters."""
+    make, programs = _KEY_SETTINGS[name]
+    setting, program = make(), programs[which]
+    facts = TableFacts({i: [1.0 / n] * n for i, n in lengths.items()}, value_base=base)
+    key, ids, y, slotted = mil._proof_key(goals, program, setting, facts, budget)
+    assert (key, ids, y, list(slotted)) == _ref_proof_key(goals, program, setting, facts, budget)
+
+
+def test_proof_key_of_a_five_thousand_item_goal():
+    """The walk keeps its own stack: a 5,000-item list, cells nested 5,000
+    deep, gives its key, the reference's, without a RecursionError, and y
+    goes to its slot."""
+    setting = tasks.make_task("sum").setting()
+    goal = item_goal(range(5000), 12)
+    facts = TableFacts({i: digit_table(1) for i in range(5000)})
+    key, ids, y, (slotted,) = mil._proof_key([goal], Program(), setting, facts)
+    assert (key, ids, y, [slotted]) == _ref_proof_key([goal], Program(), setting, facts)
+    assert y == 12 and slotted.args[1] == mil._SLOT and ids == list(range(5000)) and key[-1] == 10
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,7 @@ def test_ground_add_rejects_what_it_always_rejected(src):
 def _abduced(spec, goal, facts):
     """(substitution, abduction state) of each alternative mil._abduce gives."""
     ctx = mil._Ctx(None, facts, SearchBudget(), False)
-    state = (Program(), mil._AbdState(), 0.0, ())
+    state = (Program(), mil._AbdState(), ())
     return [(s2, st[1]) for _, _, s2, st in mil._abduce(spec, goal, Subst(), state, ctx)]
 
 
