@@ -36,9 +36,11 @@ De Schreye & Krekels, JLP 1989):
     probe, and permute enumerates blind as before;
   * enumeration: rankings come in the blind order, item by item with ranks
     ascending (lexicographic in Order).  Each step, one budget tick, binds
-    one item's rank and its Out cell in every leaf and runs each waiting
-    goal whose variable is now bound; a prefix every leaf rejects is
-    dropped with all its rankings;
+    one item's rank and its Out cell in every leaf: in one copy of the
+    leaf's substitution where both cells are unbound there and the item is
+    ground (item handles always are), by unifying each cell otherwise.  It
+    then runs each waiting goal whose variable is now bound (_wake); a
+    prefix every leaf rejects is dropped with all its rankings;
   * output: each ranking left is yielded as the blind enumeration yields
     it, from the substitution permute was called in, and the continuation
     then runs on it as it always did.
@@ -56,9 +58,13 @@ succeeding as they wake.  The steps match one for one, so the probe meets
 the depth bound wherever a ranking's continuation would: an uncut probe
 means no dropped ranking would have been cut, and the probe's own cut is
 not counted, the blind enumeration that follows it counting its cuts
-itself.  Only nodes move: the probe and the steps are charged, dropped
-continuations are not run, and once the node cap stops the probe no ranking
-is tried, as none could answer.
+itself.  A step's one copy binds what its two unifications would: each
+cell is a variable the leaf leaves unbound, so each unification binds it
+to its term as it stands, and the occurs check could only fail on a term
+that holds a variable, which a ground item does not.  Only nodes move:
+the probe and the steps are charged, dropped continuations are not run,
+and once the node cap stops the probe no ranking is tried, as none could
+answer.
 """
 
 from __future__ import annotations
@@ -172,13 +178,17 @@ class Budget:
 
 class KnowledgeBase:
     """Clauses indexed by (predicate, arity) plus native builtins, some with
-    the lazy reading that permute's probe runs (see the module docstring)."""
+    the lazy reading that permute's probe runs (see the module docstring).
+    builtins holds them all; plain holds those a solve without a hook runs
+    as they stand, every builtin but permute, which coroutines there."""
 
     def __init__(self):
         # stored as parsed: resolve() matches them without renaming
         self.clauses: dict[tuple[str, int], list[Clause]] = {}
         self.builtins: dict[tuple[str, int], BuiltinFn] = {}
         self.lazy: dict[tuple[str, int], LazyFn] = {}
+        # decided once per key, so that no other goal pays for permute's test
+        self.plain: dict[tuple[str, int], BuiltinFn] = {}
 
     def add_clause(self, c: Clause) -> None:
         key = c.head.key()
@@ -198,6 +208,8 @@ class KnowledgeBase:
         if key in self.clauses:
             raise KBError(f"builtin {name}/{arity} would shadow existing clauses")
         self.builtins[key] = fn
+        if fn is not _bi_permute:
+            self.plain[key] = fn
         if lazy is not None:
             self.lazy[key] = lazy
 
@@ -269,10 +281,11 @@ class _Unready(Exception):
 def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> Iterator[Subst]:
     """permute(L, Order, Out) followed by the goal stack rest: the blind
     enumeration's answers, less the rankings that every leaf of rest's
-    probe rejects (see the module docstring)."""
+    probe rejects (see the module docstring); with rest empty, the blind
+    enumeration."""
     items = proper_list_items(s.apply(args[0]))
-    if items is None or _ranking(args[1], s) is not None:
-        yield from _bi_permute(args, s)  # fails, or places by the ranking given
+    if rest is None or items is None or _ranking(args[1], s) is not None:
+        yield from _bi_permute(args, s)  # blind, fails, or places by the ranking given
         return
     n = len(items)
     order_cells = [Var(fresh_name()) for _ in range(n)]
@@ -287,6 +300,7 @@ def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: 
             yield from _bi_permute(args, s)
         return
     ranks = [Int(p) for p in range(1, n + 1)]
+    ground = [t.__class__ is not Var and (t.__class__ is not Struct or t.ground) for t in items]
     perm: list = []  # perm[i]: the rank index given to item i
     alive = [leaves]  # alive[i]: the leaves that survive perm[:i]
     taken = [False] * n
@@ -311,12 +325,20 @@ def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: 
         if not budget.tick():
             return
         kept: list = []
+        order_name, out_name, rank, item = order_cells[i].name, out_cells[p].name, ranks[p], items[i]
         for leaf_s, waiting in alive[-1]:
-            s2 = unify(order_cells[i], ranks[p], leaf_s)
-            if s2 is not None:
-                s2 = unify(out_cells[p], items[i], s2)
-            if s2 is not None:
+            if ground[i] and order_name not in leaf_s and out_name not in leaf_s:
+                s2 = leaf_s.bind_two(order_name, rank, out_name, item)
+            else:  # a cell the continuation bound, or an item the occurs check must see
+                s2 = unify(order_cells[i], rank, leaf_s)
+                if s2 is not None:
+                    s2 = unify(out_cells[p], item, s2)
+                if s2 is None:
+                    continue
+            if waiting:
                 kept += _wake(s2, waiting)
+            else:
+                kept.append((s2, waiting))
         if kept:
             perm.append(p)
             taken[p] = True
@@ -348,13 +370,14 @@ def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Op
 
 def _lazy_step(kb: KnowledgeBase, goal: Atom, scope, s: Subst, waiting: tuple):
     """The probe's hook: a builtin goal run by its lazy reading, waiting
-    when that yields a variable."""
+    when that yields a variable.  Lazy readings walk the cells they read,
+    so only permute's list is applied."""
     key = goal.key()
     bi = kb.builtins.get(key)
     if bi is None:  # undefined: fails, as in the run
         return
     if bi is _bi_permute:
-        if proper_list_items(goal.args[0]) is None or _ranking(goal.args[1], s) is None:
+        if proper_list_items(s.apply(goal.args[0])) is None or _ranking(goal.args[1], s) is None:
             raise _Unready
         for s2 in bi(goal.args, s):
             yield (), scope, s2, waiting
@@ -371,15 +394,25 @@ def _lazy_step(kb: KnowledgeBase, goal: Atom, scope, s: Subst, waiting: tuple):
 
 def _wake(s: Subst, waiting: tuple) -> "list[tuple[Subst, tuple]]":
     """The leaves of running, under s, each waiting goal whose variable is
-    bound, and the goals those bind in turn, until every goal left waits."""
-    out, todo = [], [(s, waiting)]
+    bound, and the goals those bind in turn, until every goal left waits.
+
+    A waiting variable costs one dict read, and a walk only when it is bound
+    to another variable.  The goals before the one woken are not read again
+    while the substitution they waited under stays the same."""
+    out, todo = [], [(s, waiting, 0)]
     while todo:
-        s, waiting = todo.pop()
-        for k, (args, lazy, var) in enumerate(waiting):
-            if s.walk(var).__class__ is not Var:
+        s, waiting, start = todo.pop()  # the goals before start wait under s
+        get = s.get
+        for k in range(start, len(waiting)):
+            args, lazy, var = waiting[k]
+            t = get(var.name)
+            if t is not None and (t.__class__ is not Var or s.walk(t).__class__ is not Var):
                 rest = waiting[:k] + waiting[k + 1 :]
                 for r in lazy(args, s):
-                    todo.append((s, rest + ((args, lazy, r),)) if r.__class__ is Var else (r, rest))
+                    if r.__class__ is Var:
+                        todo.append((s, rest + ((args, lazy, r),), k))
+                    else:
+                        todo.append((r, rest, k if r is s else 0))
                 break
         else:
             out.append((s, waiting))
@@ -453,14 +486,15 @@ def solve(
     tick that fails ends the search: no answer is yielded after it.  A
     goal the kb defines is resolved by its builtin or clauses (through
     resolve(), which builds only the body), a clause body inheriting the
-    goal's scope.
-    Any other goal, substitution applied, goes to hook(goal, scope, subst,
-    state), which yields the alternatives as (body atoms, body scope,
-    subst, state); without a hook it fails.  The open goals' alternative
-    iterators sit on an explicit stack, innermost last (Ait-Kaci, 1991), so
-    the interpreter's recursion limit bounds no proof.  limit, given, is
-    the depth bound in place of the goals' own: a node limit or more steps
-    down its branch is cut.
+    goal's scope; without a hook, a permute with goals after it
+    coroutines with them (KnowledgeBase.plain leaves it out).
+    Any other goal goes to hook(goal, scope, subst, state) as the goal
+    stack holds it, to be read under subst, and the hook yields the
+    alternatives as (body atoms, body scope, subst, state); without a hook
+    it fails.  The open goals' alternative iterators sit on an explicit
+    stack, innermost last (Ait-Kaci, 1991), so the interpreter's recursion
+    limit bounds no proof.  limit, given, is the depth bound in place of
+    the goals' own: a node limit or more steps down its branch is cut.
     """
     stack = None
     for goal, scope in reversed(goals):
@@ -469,8 +503,43 @@ def solve(
     if limit is None:
         limit = DEPTH_BASE + DEPTH_PER_ITEM * sum(len(list_parts(t)[0]) for g, _ in goals for t in g.args)
     tick = budget.tick
+    clauses = kb.clauses
+    builtins = kb.builtins if hook is not None else kb.plain
     open_ = [iter(((stack, Subst(), state),))]
     push, pop = open_.append, open_.pop
+
+    def alternatives(stack, s: Subst, state, room: int):
+        """The child nodes (goal stack, subst, state) of resolving stack's
+        first goal; room is the depth bound as seen from them."""
+        # stack is a linked list of goals: (atom, scope, rest) or None
+        goal, scope, rest = stack
+        key = goal.key()
+        bi = builtins.get(key)
+        if bi is not None:
+            for s2 in bi(goal.args, s):
+                yield rest, s2, state
+            return
+        defined = clauses.get(key)
+        if defined is not None:
+            for clause in defined:
+                step = resolve(goal, clause, s)
+                if step is not None:
+                    stack2 = rest
+                    for b in reversed(step[0]):
+                        stack2 = (b, scope, stack2)
+                    yield stack2, step[1], state
+            return
+        if hook is not None:
+            for body, body_scope, s2, state2 in hook(goal, scope, s, state):
+                stack2 = rest
+                for b in reversed(body):
+                    stack2 = (b, body_scope, stack2)
+                yield stack2, s2, state2
+            return
+        if key in kb.builtins:  # permute, which plain leaves out
+            for s2 in _coroutined_permute(goal.args, rest, s, kb, budget, room):
+                yield rest, s2, state
+
     while open_:
         for stack, s, state in open_[-1]:
             if stack is None:
@@ -480,44 +549,11 @@ def solve(
             else:
                 room = limit - len(open_)  # the bound as seen from this node's children
                 if room >= 0:
-                    push(_alternatives(stack, s, state, kb, hook, budget, room))
+                    push(alternatives(stack, s, state, room))
                     break
                 budget.depth_hits += 1
         else:
             pop()
-
-
-def _alternatives(stack, s: Subst, state, kb: KnowledgeBase, hook, budget: Budget, room: int):
-    """The child nodes (goal stack, subst, state) of resolving stack's first goal."""
-    # stack is a linked list of goals: (atom, scope, rest) or None
-    goal, scope, rest = stack
-    key = goal.key()
-    bi = kb.builtins.get(key)
-    if bi is not None:
-        if bi is _bi_permute and rest is not None and hook is None:
-            alts = _coroutined_permute(goal.args, rest, s, kb, budget, room)
-        else:
-            alts = bi(goal.args, s)
-        for s2 in alts:
-            yield rest, s2, state
-        return
-    clauses = kb.clauses.get(key)
-    if clauses is not None:
-        for clause in clauses:
-            step = resolve(goal, clause, s)
-            if step is not None:
-                stack2 = rest
-                for b in reversed(step[0]):
-                    stack2 = (b, scope, stack2)
-                yield stack2, step[1], state
-        return
-    if hook is None:
-        return
-    for body, body_scope, s2, state2 in hook(s.apply_atom(goal), scope, s, state):
-        stack2 = rest
-        for b in reversed(body):
-            stack2 = (b, body_scope, stack2)
-        yield stack2, s2, state2
 
 
 def resolve(goal: Atom, clause: Clause, s: Subst) -> "Optional[tuple[tuple[Atom, ...], Subst]]":

@@ -475,7 +475,10 @@ class Abducible:
         it yields that variable to wait on, where the ground reading fails
         or, on an item of the fact kind, raises SettingError.  On a pair it
         cannot read (a non-item, or a pair facts was not given), the fact
-        kind holds, leaving the ground reading to raise in the run."""
+        kind holds, leaving the ground reading to raise in the run.  The
+        fact kind takes its cells as _cells walked them: an unbound first
+        cell, or an unbound second after a ground first, is the variable it
+        waits on, and a ground cell is read as it stands."""
         if self.kind == ABD_FACT:
             def holds(args, s):
                 read, rest = _cells(args[0], s, 2)
@@ -483,7 +486,15 @@ class Abducible:
                     if lazy and rest.__class__ is Var:
                         yield rest
                     return
-                x, y = s.apply(read[0]), s.apply(read[1])
+                x, y = read
+                x_ground = x.__class__ is Struct and x.ground
+                if lazy and (x.__class__ is Var or x_ground and y.__class__ is Var):
+                    yield x if x.__class__ is Var else y  # the pair's first variable
+                    return
+                if not x_ground:
+                    x = s.apply(x)
+                if y.__class__ is not Struct or not y.ground:
+                    y = s.apply(y)
                 i, j = _item_id(x), _item_id(y)
                 # a probe leaf may pair terms that no ranking pairs: where the
                 # ground reading raises, the lazy one holds, and a ranking's run decides
@@ -760,7 +771,8 @@ class _Ctx:
         """kb.solve hook for goals the kb does not define.  state is (program,
         abduction state, abduced item pairs in path order); the scope anc
         holds the (predicate, first-argument size) of each inducible call
-        above g."""
+        above g, which is read here with s applied."""
+        g = s.apply_atom(g)
         spec = self.setting.abducibles.get(g.key())
         if spec is not None:
             return _abduce(spec, g, s, state, self)

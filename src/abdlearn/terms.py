@@ -294,6 +294,13 @@ class Subst:
         m[name] = term
         return Subst(m)
 
+    def bind_two(self, name1: str, term1: Term, name2: str, term2: Term) -> "Subst":
+        """bind(name1, term1).bind(name2, term2), in one copy."""
+        m = dict(self._m)
+        m[name1] = term1
+        m[name2] = term2
+        return Subst(m)
+
     def get(self, name: str) -> Optional[Term]:
         return self._m.get(name)
 

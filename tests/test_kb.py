@@ -267,9 +267,11 @@ SORT_PROGRAM = Program(
 )
 
 # Continuations of permute beside the learned s: two branches that both
-# succeed on the skeleton, one that binds a cell itself, and one whose
+# succeed on the skeleton, one that binds a cell itself, one whose
 # lst(X) the depth bound cuts on a cell variable, though on every ranking
-# it fails at once on the item and opt takes its second clause.
+# it fails at once on the item and opt takes its second clause, and one
+# that ties the variable of an item that is not ground, h(V), to the first
+# Out cell.
 CONTINUATIONS = """
 two(C) :- s(C).
 two(C) :- tail(C, T), s(T).
@@ -282,6 +284,8 @@ deep(C) :- s(C), head(C, X), opt(X).
 g_two(A, B) :- permute(A, B, C), two(C).
 g_pin(A, B) :- permute(A, B, C), pin(C).
 g_deep(A, B) :- permute(A, B, C), deep(C).
+tie([h(X)|_], [X|_]).
+g_tie(A, B) :- permute(A, B, C), tie(A, C).
 """
 
 
@@ -295,22 +299,32 @@ def _relations(draw):
     return n, [False] * (n * n)
 
 
-def _blind(kb, cont: str, n: int) -> "list[str]":
-    """The ranking of each of cont's answers on each ranking of n items, in
-    itertools.permutations order: the stream of a permute that tries every
-    ranking."""
+def _items(cont: str, n: int) -> list:
+    """The n items permute ranks: item handles, but tie's first, h(V)."""
     items = [item_term(i) for i in range(n)]
-    out = []
+    if cont == "tie" and n:
+        items[0] = Struct("h", (Var("V"),))
+    return items
+
+
+def _blind(kb, cont: str, items: list) -> "list[str]":
+    """The ranking of each of cont's answers on each ranking of the items, in
+    itertools.permutations order: the stream of a permute that tries every
+    ranking.  tie reads the items too."""
+    n, out = len(items), []
     for perm in itertools.permutations(range(n)):
         placed = [None] * n
         for item, p in zip(items, perm):
             placed[p] = item
-        out += [print_term(mk_list([Int(p + 1) for p in perm])) for _ in deduce(Atom(cont, (mk_list(placed),)), kb)]
+        args = (mk_list(items), mk_list(placed)) if cont == "tie" else (mk_list(placed),)
+        out += [print_term(mk_list([Int(p + 1) for p in perm])) for _ in deduce(Atom(cont, args), kb)]
     return out
 
 
 @pytest.mark.parametrize("order", ["R", "[2|R]"])
-@pytest.mark.parametrize("top, cont", [("f", "s"), ("g_two", "two"), ("g_pin", "pin"), ("g_deep", "deep")])
+@pytest.mark.parametrize(
+    "top, cont", [("f", "s"), ("g_two", "two"), ("g_pin", "pin"), ("g_deep", "deep"), ("g_tie", "tie")]
+)
 @given(_relations())
 @settings(max_examples=25, deadline=None)
 def test_pruned_permute_gives_the_blind_answer_stream(top, cont, order, relation):
@@ -319,36 +333,58 @@ def test_pruned_permute_gives_the_blind_answer_stream(top, cont, order, relation
     pairs = {(a, b): float(table[a * n + b]) for a in range(n) for b in range(n) if a != b}
     kb = ground_kb(make_task("bogosort"), SORT_PROGRAM, facts=TableFacts({}, pairs=pairs))
     kb.add_text(CONTINUATIONS)
-    probes = []
+    probes, placed = [], []
 
     def probe(*args):
         probes.append(real_probe(*args))
         return probes[-1]
 
-    real_probe, b, order_t = kb_module._probe, Budget(), parse_term(order)
-    goal = Atom(top, (mk_list([item_term(i) for i in range(n)]), order_t))
-    with mock.patch.object(kb_module, "_probe", probe):
+    def place(args, s, items, perm, ranks):
+        placed.append(tuple(perm))
+        return real_place(args, s, items, perm, ranks)
+
+    real_probe, real_place, b, order_t = kb_module._probe, kb_module._placed, Budget(), parse_term(order)
+    items = _items(cont, n)
+    goal = Atom(top, (mk_list(items), order_t))
+    with mock.patch.object(kb_module, "_probe", probe), mock.patch.object(kb_module, "_placed", place):
         got = [print_term(s.apply(order_t)) for s in deduce(goal, kb, budget=b)]
-    assert got == [r for r in _blind(kb, cont, n) if order == "R" or r.startswith("[2")]
+    assert got == [r for r in _blind(kb, cont, items) if order == "R" or r.startswith("[2")]
     assert b.depth_hits == 0  # the probe's own cut is not counted
     # a partial order no ranking fits ends before the probe; every probe runs to
     # its end, but deep's, which the depth bound cuts
     assert len(probes) == int(order == "R" or n > 0)
     assert all((p is None) == (cont == "deep" and n > 0) for p in probes)
+    if cont == "tie":
+        # V is tied to the first Out cell, so placing h(V) there would bind
+        # it to a term that holds it: the step's occurs check drops that
+        # prefix, and no ranking that ranks h(V) first is placed
+        assert all(perm[0] != 0 for perm in placed if perm)
 
 
-def test_sorted_rankings_answer_within_a_node_bound():
+def test_sorted_rankings_answer_within_a_node_bound(monkeypatch):
     """Under true pairs the sort program answers every 7-item ranking
     within 4,000 nodes and every 9-item one within 40,000 (at most 1,651
     and 22,393 on these lists).  nodes is deterministic, so this gates the
-    search, not a clock.  A permute that tried every ranking in turn took
+    search, not a clock, and each length's total is pinned: how a step
+    binds its cells, how waiting goals wake and how solve dispatches a goal
+    move no node.  A permute that tried every ranking in turn took
     10,656 to 40,728 nodes on the 7-item lists, and all 6 of the 9-item
     ones ran out of evaluate's 500,000-node cap without an answer."""
+    budgets = []
+
+    class Recorded(Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self)
+
+    monkeypatch.setattr("abdlearn.tasks.Budget", Recorded)
     task = make_task("bogosort")
-    for length, cap in ((7, 4_000), (9, 40_000)):
+    for length, cap, total in ((5, 4_000, 827), (7, 4_000, 6_078), (9, 40_000, 91_610)):
         examples = gen_sequences(task, 6, lengths=(length, length), seed=0)
+        budgets.clear()
         m = evaluate(SORT_PROGRAM, task, examples, use_truth=True, max_nodes=cap)
         assert (m.failures, m.budget_exhausted, m.depth_cut) == (0, 0, 0)
+        assert (len(budgets), sum(b.nodes for b in budgets)) == (6, total)
 
 
 def _blind_permute_kb(no) -> KnowledgeBase:

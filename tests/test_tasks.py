@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abdlearn.fd import ADD, EQC, MUL, solve_best
 from abdlearn.metarules import MetaSub, Program, merge_programs
@@ -26,7 +28,7 @@ from abdlearn.tasks import (
     save_dataset,
 )
 from abdlearn.parser import parse_term
-from abdlearn.terms import Atom, Int, Subst, Var, mk_list
+from abdlearn.terms import Atom, Int, Struct, Subst, Var, mk_list, term_vars
 
 SUM_PROG = Program(
     (
@@ -495,6 +497,98 @@ def test_lazy_fact_reading_keeps_what_the_ground_one_raises_on():
             list(spec.ground(facts)((lst,), s))
     lst = parse_term("[item(0),item(1)]")
     assert list(spec.ground(facts, lazy=True)((lst,), s)) == list(spec.ground(facts)((lst,), s)) == []
+
+
+def _reference_fact_reading(facts, lazy):
+    """The fact kind's reading as it read its cells before they were taken
+    as _cells walked them: each cell applied, and a wait named by term_vars."""
+
+    def holds(args, s):
+        read, rest = mil._cells(args[0], s, 2)
+        if len(read) < 2:
+            if lazy and rest.__class__ is Var:
+                yield rest
+            return
+        x, y = s.apply(read[0]), s.apply(read[1])
+        i, j = mil._item_id(x), mil._item_id(y)
+        if i is None or j is None:
+            unbound = lazy and (term_vars(x) or term_vars(y))
+            if unbound:
+                yield Var(unbound[0])
+            elif lazy:
+                yield s
+            else:
+                raise SettingError("non-item")
+            return
+        try:
+            p = facts.pair_prob(i, j)
+        except KeyError:
+            if not lazy:
+                raise
+            p = 1.0
+        if p >= 0.5:
+            yield s
+
+    return holds
+
+
+_NAMES = ("A", "B", "C", "T")
+
+
+@st.composite
+def _cell_terms(draw, later: "tuple[str, ...]"):
+    """A cell term whose variables are among later: an item, a variable, a
+    non-item struct with or without a variable, or an Int."""
+    kinds = ["item", "struct", "int"] + (["var", "var struct", "var item"] if later else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "item":
+        return item_term(draw(st.integers(0, 2)))
+    if kind == "struct":
+        return Struct("f", (Int(1),))
+    if kind == "int":
+        return Int(1)
+    v = Var(draw(st.sampled_from(later)))
+    return v if kind == "var" else Struct("f" if kind == "var struct" else "item", (v,))
+
+
+@st.composite
+def _fact_reading_cases(draw):
+    """(facts, list term, substitution): up to three cells and a tail, and
+    bindings that chain variables without a cycle (each name binds only to
+    terms over the names after it)."""
+    cells = [draw(_cell_terms(_NAMES)) for _ in range(draw(st.sampled_from([0, 1, 2, 2, 2, 3])))]
+    tail = draw(st.sampled_from([mk_list([]), Var("T"), mk_list([item_term(2)])]))
+    s = Subst()
+    for k, name in enumerate(_NAMES):
+        if draw(st.integers(0, 2)) == 0:
+            s = s.bind(name, draw(_cell_terms(_NAMES[k + 1 :])))
+    # some pairs the facts lack: every (a, a), and those drawn out
+    pairs = {(a, b): draw(st.sampled_from([0.0, 1.0])) for a in range(3) for b in range(3)
+             if a != b and draw(st.booleans())}
+    return TableFacts({}, pairs=pairs), mk_list(cells, tail), s
+
+
+def _outcome(reading, args, s):
+    """What a reading gives: its waits by name and its holds, or the error it raises."""
+    try:
+        return [("waits", r.name) if r.__class__ is Var else ("holds", r is s) for r in reading(args, s)]
+    except (KeyError, SettingError) as e:
+        return type(e).__name__
+
+
+@given(_fact_reading_cases())
+@settings(max_examples=300, deadline=None)
+def test_fact_reading_decides_as_the_reference_reading(case):
+    """The fact kind's readings, lazy and ground, decide as the reference
+    copy of how they took their cells: the same holds, the same waits (the
+    variable equal by name) and the same errors, on cells holding items,
+    unbound variables and variable chains, non-item structs with and without
+    variables, and pairs the facts lack."""
+    facts, lst, s = case
+    spec = Abducible("nn", ABD_FACT)
+    for lazy in (True, False):
+        reference = _reference_fact_reading(facts, lazy)
+        assert _outcome(spec.ground(facts, lazy=lazy), (lst,), s) == _outcome(reference, (lst,), s)
 
 
 def test_ground_fact_rejects_a_non_item_term():
