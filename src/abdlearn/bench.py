@@ -8,6 +8,10 @@ over every candidate program induce scores, while z_to_h counts the label
 tuples tried under the task's true y_of only.  The second sweeps
 metarule subsets of growing size and reports the search cost of inducing
 the same program under each.
+
+Both read their examples as training does, through tasks.assemble: items
+numbered in order across the examples and one fact oracle over them, the
+model's reading in the first and the truth sidecar's in the second.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .em import _assemble
 from .metarules import default_metarules
-from .mil import SearchBudget, TableFacts, induce
-from .tasks import SeqExample, Task
+from .mil import SearchBudget, induce
+from .tasks import SeqExample, Task, assemble
 
 
 @dataclass
@@ -89,16 +92,16 @@ def bench_abduction(
 ) -> "list[AbductionBenchRow]":
     """Both labeling orders on each batch, from one fact oracle per batch.
 
-    The batch's TableFacts.from_model holds the classifier's item tables;
-    induce abduces from it (H then z), and the enumeration ranks label
+    The batch's facts (tasks.assemble) hold the classifier's item tables;
+    induce abduces from them (H then z), and the enumeration ranks label
     tuples by the same tables (z then H).
     """
     budget = budget or SearchBudget(max_clauses=task.max_clauses)
     setting = task.setting()
     rows = []
     for bi, batch in enumerate(batches):
-        goals, features, spans = _assemble(task, batch)
-        facts = TableFacts.from_model(features, model=model, value_base=task.value_base)
+        _, spans, facts = assemble(task, batch, model)
+        goals = [task.goal(ids, ex.y) for ex, ids in zip(batch, spans)]
         runtime = budget.runtime()
         t0 = time.perf_counter()
         out = induce(goals, setting, facts, budget, runtime=runtime)
@@ -130,21 +133,14 @@ def bench_metarules(
 ) -> "list[MetaruleBenchRow]":
     """Induce from ground-truth facts under each metarule subset.
 
-    Perception is taken out of the picture (one-hot facts and the true
-    pair order from the digit sidecar) so the rows isolate pure search
-    cost.  A subset that cannot express the target program comes back
+    Perception is taken out of the picture (tasks.assemble with no model:
+    one-hot facts and the true pair order from the digit sidecar, a
+    TaskError without it) so the rows isolate pure search cost.  A subset that cannot express the target program comes back
     unsolved rather than erroring.
     """
     budget = budget or SearchBudget(max_clauses=task.max_clauses)
-    goals, _, spans = _assemble(task, examples)
-    labels = {}
-    for ex, ids in zip(examples, spans):
-        if ex.truth is None:
-            raise ValueError("metarule bench needs ground-truth digits")
-        labels.update({i: d for i, d in zip(ids, ex.truth)})
-    facts = TableFacts.exact(
-        labels, n_values=task.n_classes, value_base=task.value_base, pairs=lambda a, b: labels[a] >= labels[b]
-    )
+    _, spans, facts = assemble(task, examples)
+    goals = [task.goal(ids, ex.y) for ex, ids in zip(examples, spans)]
     rows = []
     for names in subsets:
         setting = task.setting(metarule_names=tuple(names))

@@ -35,12 +35,14 @@ from .tasks import (
     Task,
     TaskError,
     TASK_IDS,
-    evaluate,
+    answer_each,
     few_shot_examples,
     gen_sequences,
+    labels_path_for,
     load_dataset,
     make_task,
     save_dataset,
+    score,
 )
 
 OK, CONFIG_ERR, DATA_ERR, BUDGET_ERR = 0, 2, 3, 4
@@ -166,7 +168,8 @@ def _budget_from(cfg: "dict[str, dict]", task: Task) -> SearchBudget:
     )
 
 
-def _load_examples(path: str, task_id: Optional[str] = None):
+def _load_examples(path: str, task_id: Optional[str] = None, truth: bool = False):
+    """The dataset at path; with truth, every sequence needs its sidecar digits."""
     p = Path(path)
     if not p.is_file():
         raise CliError(DATA_ERR, f"dataset not found: {p}")
@@ -176,6 +179,8 @@ def _load_examples(path: str, task_id: Optional[str] = None):
         raise CliError(DATA_ERR, f"bad dataset {p}: {e}") from e
     if not examples:
         raise CliError(DATA_ERR, f"dataset {p} is empty")
+    if truth and any(ex.truth is None for ex in examples):
+        raise CliError(DATA_ERR, f"dataset {p} lacks ground-truth digits in {labels_path_for(p)}")
     return examples
 
 
@@ -386,15 +391,14 @@ def _metrics_table(per_len: "list[tuple[str, Metrics]]") -> str:
 
 
 def _per_length_table(task: Task, program: Program, examples, model, use_truth: bool = False) -> str:
+    """One row per length and one for all: each example runs once, and
+    every row reduces its examples' answers in dataset order."""
+    answers, read = answer_each(program, task, examples, model=model, use_truth=use_truth)
     by_len: "dict[int, list]" = {}
-    for ex in examples:
-        by_len.setdefault(len(ex), []).append(ex)
-    rows = []
-    for ln in sorted(by_len):
-        m = evaluate(program, task, by_len[ln], model=model, use_truth=use_truth)
-        rows.append((f"len={ln}", m))
-    overall = evaluate(program, task, examples, model=model, use_truth=use_truth)
-    rows.append(("all", overall))
+    for a in answers:
+        by_len.setdefault(len(a.ex), []).append(a)
+    rows = [(f"len={ln}", score(task, by_len[ln], read)) for ln in sorted(by_len)]
+    rows.append(("all", score(task, answers, read)))
     return _metrics_table(rows)
 
 
@@ -414,7 +418,7 @@ def _load_model(path: Path, task: Task, dim: int):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     task = make_task(args.task)
-    examples = _load_examples(args.data, task.id)
+    examples = _load_examples(args.data, task.id, truth=args.use_truth)
     program = _load_program(Path(args.program))
     model = None
     if not args.use_truth:
@@ -482,7 +486,7 @@ def cmd_bench_metarules(args: argparse.Namespace) -> int:
     task = make_task(args.task)
     if args.limit < 0:
         raise CliError(CONFIG_ERR, "--limit cannot be negative")
-    examples = _load_examples(args.data, task.id)
+    examples = _load_examples(args.data, task.id, truth=True)
     if args.limit:
         examples = examples[: args.limit]
     try:

@@ -7,17 +7,17 @@ targets and takes a few gradient passes, warm-starting from the current
 weights.  The best-scoring program seen so far is retained across batches
 and epochs.
 
-Perception is read once per batch, through one mil.TableFacts built from
-the current model before the E-step.  The E-step's abduction and the
-perception_acc column read the same tables: one classifier forward per
-batch or, on a dyadic task, one pair-net forward over every ordered pair
-inside each example of the batch.
+Perception is read once per batch, before the E-step, through
+tasks.assemble: it numbers the batch's items and builds one mil.TableFacts
+from the current model.  The E-step's abduction and the perception_acc
+column (tasks.perception_acc) read the same tables: one classifier forward
+per batch or, on a dyadic task, one pair-net forward over every ordered
+pair inside each example of the batch.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .metarules import DEFAULT_LIBRARY, Program, program_text
-from .mil import Induced, InductionSetting, SearchBudget, TableFacts, induce
+from .mil import Induced, InductionSetting, SearchBudget, induce
 from .perception import pretrain_few_shot
-from .tasks import SeqExample, Task
+from .tasks import SeqExample, Task, assemble, perception_acc
 
 METRIC_COLUMNS = (
     "epoch",
@@ -79,22 +79,6 @@ class EMState:
         return program_text(self.best_program, DEFAULT_LIBRARY)
 
 
-def _assemble(task: Task, batch: Sequence[SeqExample]):
-    """Item-id bookkeeping for one batch: goals, features, spans."""
-    goals = []
-    rows = []
-    spans = []
-    next_id = 0
-    for ex in batch:
-        ids = list(range(next_id, next_id + len(ex)))
-        next_id += len(ex)
-        rows.append(ex.x)
-        spans.append(ids)
-        goals.append(task.goal(ids, ex.y))
-    features = np.concatenate(rows, axis=0) if rows else np.zeros((0, 1))
-    return goals, features, spans
-
-
 def _pseudo_label_acc(task: Task, batch, spans, induced: Induced) -> Optional[float]:
     hits = total = 0
     for ex, ids, lab in zip(batch, spans, induced.labelings):
@@ -112,33 +96,10 @@ def _pseudo_label_acc(task: Task, batch, spans, induced: Induced) -> Optional[fl
     return hits / total if total else None
 
 
-def _perception_acc(task: Task, batch, spans, facts: TableFacts) -> Optional[float]:
-    """Share of the batch's truths that the scored model reads right.
-
-    Read off the batch's fact oracle: each item's most probable digit, or,
-    on a dyadic task, each pair i < j of an example, held at probability
-    0.5 or above.
-    """
-    hits = total = 0
-    for ex, ids in zip(batch, spans):
-        if ex.truth is None:
-            continue
-        if task.dyadic:
-            for i, j in itertools.combinations(range(len(ids)), 2):
-                pred = facts.pair_prob(ids[i], ids[j]) >= 0.5
-                hits += int(pred == (ex.truth[i] >= ex.truth[j]))
-                total += 1
-        else:
-            for i, d in zip(ids, ex.truth):
-                hits += int(facts.item_label(i) == d)
-                total += 1
-    return hits / total if total else None
-
-
 def m_step(task: Task, features, induced: Induced, model, m_epochs: int, m_batch: int) -> Optional[float]:
     """Refit perception on the abduced labels; returns the final loss.
 
-    features holds the batch's rows by item id, as _assemble builds them.
+    features holds the batch's rows by item id, as tasks.assemble stacks them.
     On a dyadic task the pair model fits each labeling's pair facts, an
     item pair (i, j) and its truth; on any other the classifier fits each
     item label.  Warm start: the model keeps its current weights and
@@ -226,12 +187,12 @@ def train(
             ]
             solved = 0
             for bi, batch in enumerate(batches):
-                goals, features, spans = _assemble(task, batch)
-                facts = TableFacts.from_model(features, model=model, value_base=task.value_base, groups=spans)
+                features, spans, facts = assemble(task, batch, model)
+                goals = [task.goal(ids, ex.y) for ex, ids in zip(batch, spans)]
                 runtime = config.budget.runtime()
                 out = induce(goals, setting, facts, config.budget, runtime=runtime)
                 nodes = runtime.nodes + runtime.solver_nodes
-                pacc = _perception_acc(task, batch, spans, facts)
+                pacc = perception_acc(task, batch, spans, facts)
                 row = {
                     "epoch": epoch,
                     "batch": bi,

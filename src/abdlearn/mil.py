@@ -356,9 +356,13 @@ class TableFacts:
     @classmethod
     def exact(cls, labels=None, n_values: int = 10, value_base: int = 0, pairs=None) -> "TableFacts":
         """Certainty: each known label, and each pair the relation
-        pairs(a, b) -> bool holds of, gets probability 1; the rest 0."""
-        tables = {i: [float(v == d - value_base) for v in range(n_values)] for i, d in (labels or {}).items()}
-        return cls(tables, value_base, None if pairs is None else lambda a, b: float(bool(pairs(a, b))))
+        pairs(a, b) -> bool holds of, gets probability 1; the rest 0.  The
+        items with one label share one log table."""
+        facts = cls({}, value_base, None if pairs is None else lambda a, b: float(bool(pairs(a, b))))
+        rows = {k: tuple(0.0 if v == k else -math.inf for v in range(n_values)) for k in range(n_values)}
+        none = (-math.inf,) * n_values
+        facts._items = {i: rows.get(d - value_base, none) for i, d in (labels or {}).items()}
+        return facts
 
     @classmethod
     def from_model(cls, features, model=None, value_base: int = 0, groups=None) -> "TableFacts":
@@ -392,7 +396,7 @@ class TableFacts:
     def item_label(self, item: int) -> int:
         """The item's most probable value, the first on a tie."""
         w = self._items[item]
-        return max(range(len(w)), key=w.__getitem__) + self.value_base
+        return w.index(max(w)) + self.value_base
 
     def pair_prob(self, a: int, b: int) -> float:
         """Probability that the dyadic relation holds of (a, b)."""

@@ -7,14 +7,22 @@ pool that the induction engine needs, plus its digit range; what else a
 task needs (class count, whether perception is pairwise) is derived from
 those.  The abducibles' meaning lives in mil.Abducible alone: evaluation
 runs a learned program on each abducible's ground reading.
+
+A set of examples reaches the reasoning through assemble alone: it numbers
+their items and builds one fact oracle over them, from a model or from the
+truth sidecar.  EM, the benches and evaluation all read perception through
+it; evaluate reads it once per call and runs every example on one ground
+kb.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -436,8 +444,50 @@ def load_dataset(path: "str | Path", expect_task: Optional[str] = None):
 
 
 # ---------------------------------------------------------------------------
-# Ground execution and metrics
+# Reading a set of examples, ground execution and metrics
 # ---------------------------------------------------------------------------
+
+
+def assemble(task: Task, examples: Sequence[SeqExample], model=None):
+    """How a set of examples reaches the reasoning: (features, spans, facts).
+
+    Items are numbered from 0 across the examples in order: spans[k] lists
+    the ids of examples[k]'s items, and features stacks their rows by id.
+    facts is one fact oracle over them: with a model, its reading
+    (TableFacts.from_model, each example's items a group); with none, the
+    truth sidecar's, each item's digit for certain and a pair held when its
+    first digit is at least its second (TaskError if an example has none).
+    """
+    ends = itertools.accumulate(len(ex) for ex in examples)
+    spans = [list(range(end - len(ex), end)) for ex, end in zip(examples, ends)]
+    features = np.concatenate([ex.x for ex in examples], axis=0) if examples else np.zeros((0, 1))
+    if model is not None:
+        return features, spans, TableFacts.from_model(features, model, task.value_base, groups=spans)
+    if any(ex.truth is None for ex in examples):
+        raise TaskError("an example has no ground-truth digits")
+    labels = {i: d for ex, ids in zip(examples, spans) for i, d in zip(ids, ex.truth)}
+    facts = TableFacts.exact(labels, task.n_classes, task.value_base, pairs=lambda a, b: labels[a] >= labels[b])
+    return features, spans, facts
+
+
+def perception_acc(task: Task, examples, spans, facts: TableFacts) -> Optional[float]:
+    """Share of the examples' truths that facts reads right (None without
+    truth): each item's most probable digit or, on a dyadic task, each pair
+    i < j of an example, held at probability 0.5 or above."""
+    hits = total = 0
+    for ex, ids in zip(examples, spans):
+        if ex.truth is None:
+            continue
+        if task.dyadic:
+            for i, j in itertools.combinations(range(len(ids)), 2):
+                pred = facts.pair_prob(ids[i], ids[j]) >= 0.5
+                hits += int(pred == (ex.truth[i] >= ex.truth[j]))
+                total += 1
+        else:
+            for i, d in zip(ids, ex.truth):
+                hits += int(facts.item_label(i) == d)
+                total += 1
+    return hits / total if total else None
 
 
 def ground_kb(task: Task, program: Program, facts: Optional[TableFacts] = None) -> KnowledgeBase:
@@ -470,30 +520,96 @@ class Metrics:
     budget_exhausted: int = 0  # examples whose search ran out of nodes (max_nodes)
 
 
-def _first_solution(goal: Atom, kb: KnowledgeBase, max_nodes: int, m: Metrics):
-    """First answer to goal, or None; counts a depth-bound cut and a
-    search the node cap stopped into m."""
-    budget = Budget(max_nodes=max_nodes)
-    sol = None
-    for sol in deduce(goal, kb, budget=budget):
-        break
-    m.depth_cut += int(budget.depth_hits > 0)
-    m.budget_exhausted += int(budget.exhausted)
-    return sol
+class Answer(NamedTuple):
+    """One eval example as the program answered it: the example, its item
+    ids, the answer (whether a concept held, else an int or a ranking's
+    tuple of ints, None for anything else) and the cuts of its search."""
+
+    ex: SeqExample
+    ids: "list[int]"
+    value: object
+    depth_cut: bool
+    exhausted: bool
 
 
-def _truth(ex: SeqExample) -> "tuple[int, ...]":
-    if ex.truth is None:
-        raise TaskError("no ground-truth digits available for this example")
-    return ex.truth
+def _value(t: Term):
+    """An Int's value, a proper list of Ints as a tuple of their values, else None."""
+    if isinstance(t, Int):
+        return t.value
+    items = proper_list_items(t)
+    return tuple(i.value for i in items) if items is not None and all(isinstance(i, Int) for i in items) else None
 
 
-def _example_facts(ex: SeqExample, model, use_truth: bool) -> TableFacts:
-    """One eval example's pair facts: its true digit order, or the pair model's."""
-    if use_truth or model is None:
-        truth = _truth(ex)
-        return TableFacts.exact(pairs=lambda a, b: truth[a] >= truth[b])
-    return TableFacts.from_model(ex.x, model=model)
+def answer_each(
+    program: Program,
+    task: Task,
+    examples: Sequence[SeqExample],
+    model=None,
+    use_truth: bool = False,
+    max_nodes: int = 500_000,
+) -> "tuple[list[Answer], Optional[TableFacts]]":
+    """Run the program once on each example, in order: the answers, and the
+    facts a classifier gave a numeric task's digits (None without them).
+
+    Perception is read once, through assemble (the truth sidecar under
+    use_truth or with no model), and every query runs on one ground_kb: a
+    numeric one lists each item's most probable digit, any other the item
+    handles.  Each search gets max_nodes resolution steps and a depth bound
+    that grows with the list (see kb).
+    """
+    if not examples:
+        raise TaskError("evaluate needs at least one example")
+    _, spans, facts = assemble(task, examples, None if use_truth else model)
+    kb = ground_kb(task, program, facts)
+    name, arity = task.target
+    numeric = arity == 2 and not task.dyadic
+    out = Var("Y")
+    answers = []
+    for ex, ids in zip(examples, spans):
+        items = mk_list([Int(facts.item_label(i)) if numeric else item_term(i) for i in ids])
+        budget = Budget(max_nodes=max_nodes)
+        sol = next(deduce(Atom(name, (items, out)[:arity]), kb, budget=budget), None)
+        if arity == 1:
+            value = sol is not None
+        else:
+            value = None if sol is None else _value(sol.apply(out))
+        answers.append(Answer(ex, ids, value, budget.depth_hits > 0, budget.exhausted))
+    return answers, facts if numeric and model is not None and not use_truth else None
+
+
+def score(task: Task, answers: "Sequence[Answer]", read: Optional[TableFacts] = None) -> Metrics:
+    """Metrics of the answers, reduced in their order.
+
+    A numeric answer that is not an int counts as the worst possible error
+    for its length; a ranking that is not one scores zero on both
+    whole-permutation and per-position accuracy.  cls_acc scores read, a
+    classifier's facts, when given.  depth_cut and budget_exhausted count
+    the searches the depth bound cut or the node cap stopped.
+    """
+    n = len(answers)
+    m = Metrics(n, depth_cut=sum(a.depth_cut for a in answers), budget_exhausted=sum(a.exhausted for a in answers))
+    if task.target[1] == 1:
+        m.acc = sum(a.value == bool(a.ex.y) for a in answers) / n
+    elif task.dyadic:
+        ranked = [(a.value, tuple(int(r) for r in a.ex.y)) for a in answers if isinstance(a.value, tuple)]
+        m.failures = n - len(ranked)
+        m.perm_acc = m.acc = sum(got == want for got, want in ranked) / n
+        m.elem_acc = sum(sum(map(operator.eq, got, want)) / len(want) for got, want in ranked) / n
+    else:
+        errs = []
+        for a in answers:
+            y = int(a.ex.y)
+            if isinstance(a.value, int):
+                errs.append((abs(a.value - y), abs(math.log1p(a.value) - math.log1p(y))))
+            else:
+                top = task.y_of([task.digit_hi] * len(a.ex))
+                errs.append((float(max(y, top - y)), max(math.log1p(y), math.log1p(top) - math.log1p(y))))
+        m.failures = sum(not isinstance(a.value, int) for a in answers)
+        m.acc = sum(a.value == int(a.ex.y) for a in answers) / n
+        m.mae, m.log_mae = (float(np.mean(e)) for e in zip(*errs))
+        if read is not None:
+            m.cls_acc = perception_acc(task, [a.ex for a in answers], [a.ids for a in answers], read)
+    return m
 
 
 def evaluate(
@@ -504,93 +620,7 @@ def evaluate(
     use_truth: bool = False,
     max_nodes: int = 500_000,
 ) -> Metrics:
-    """Run the program on perception output and score against labels.
-
-    Perception is read through one mil.TableFacts per example; with
-    use_truth, or no model, the true digits stand in.  Numeric tasks run on
-    each item's most probable digit, from one classifier forward per
-    example, and cls_acc scores those digits; an example the program
-    cannot solve counts as the worst possible error for its length.  The
-    dyadic relation is the pair probability at 0.5 or above, read off a
-    table of every ordered pair of the example that one pair-net forward
-    fills (permutations are tried in order until the ordered check passes);
-    a failed ranking scores zero on both whole-permutation and per-position
-    accuracy.  Each example's search gets max_nodes resolution steps and a
-    depth bound that grows with the list (see kb); m.depth_cut and
-    m.budget_exhausted count the examples whose search the depth bound cut
-    or the node cap stopped, answered or not.
-    """
-    if not examples:
-        raise TaskError("evaluate needs at least one example")
-    m = Metrics(n=len(examples))
-    name, _ = task.target
-
-    if task.target[1] == 2 and not task.dyadic:
-        kb = ground_kb(task, program)
-        abs_err: "list[float]" = []
-        log_err: "list[float]" = []
-        hits = cls_hits = cls_total = 0
-        for ex in examples:
-            if use_truth or model is None:
-                digits = list(_truth(ex))
-            else:
-                facts = TableFacts.from_model(ex.x, model=model, value_base=task.value_base)
-                digits = [facts.item_label(i) for i in range(len(ex))]
-                for d, t in zip(digits, ex.truth or ()):
-                    cls_hits += int(d == t)
-                    cls_total += 1
-            goal = Atom(name, (mk_list([Int(d) for d in digits]), Var("Y")))
-            sol = _first_solution(goal, kb, max_nodes, m)
-            yv = sol.apply(Var("Y")) if sol is not None else None
-            y_true = int(ex.y)
-            if isinstance(yv, Int):
-                pred = yv.value
-                abs_err.append(abs(pred - y_true))
-                log_err.append(abs(math.log1p(pred) - math.log1p(y_true)))
-                hits += int(pred == y_true)
-            else:
-                m.failures += 1
-                top = task.y_of([task.digit_hi] * len(ex))
-                abs_err.append(float(max(y_true, top - y_true)))
-                log_err.append(
-                    max(math.log1p(y_true), math.log1p(top) - math.log1p(y_true))
-                )
-        m.acc = hits / m.n
-        m.mae = float(np.mean(abs_err))
-        m.log_mae = float(np.mean(log_err))
-        if cls_total:
-            m.cls_acc = cls_hits / cls_total
-        return m
-
-    if task.target[1] == 1:
-        hits = 0
-        for ex in examples:
-            kb = ground_kb(task, program, facts=_example_facts(ex, model, use_truth))
-            goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]),))
-            pred = _first_solution(goal, kb, max_nodes, m) is not None
-            hits += int(pred == bool(ex.y))
-        m.acc = hits / m.n
-        return m
-
-    # what is left is a ranking: arity 2 with a dyadic abducible
-    perm_hits = 0
-    elem_sum = 0.0
-    for ex in examples:
-        kb = ground_kb(task, program, facts=_example_facts(ex, model, use_truth))
-        goal = Atom(name, (mk_list([item_term(i) for i in range(len(ex))]), Var("R")))
-        sol = _first_solution(goal, kb, max_nodes, m)
-        ranks = None
-        if sol is not None:
-            items = proper_list_items(sol.apply(Var("R")))
-            if items is not None and all(isinstance(t, Int) for t in items):
-                ranks = tuple(t.value for t in items)
-        want = tuple(int(r) for r in ex.y)
-        if ranks is None:
-            m.failures += 1
-            continue
-        perm_hits += int(ranks == want)
-        elem_sum += sum(int(a == b) for a, b in zip(ranks, want)) / len(want)
-    m.perm_acc = perm_hits / m.n
-    m.elem_acc = elem_sum / m.n
-    m.acc = m.perm_acc
-    return m
+    """Run the program on perception output and score against labels: one
+    read of perception and one ground kb per call (answer_each), the
+    answers reduced by score."""
+    return score(task, *answer_each(program, task, examples, model, use_truth, max_nodes))

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from abdlearn import cli
+from abdlearn import cli, tasks
 from abdlearn.cli import main
 from abdlearn.em import METRIC_COLUMNS
 from abdlearn.mil import SearchBudget, SettingError
-from abdlearn.perception import PairModel
+from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import TASK_IDS, make_task
 
 
@@ -335,6 +335,58 @@ def test_malformed_program_file_exits_3(capsys, tmp_path, sum_data, metasub, inv
     assert run("show-program", bad) == 3
     assert "bad program file" in capsys.readouterr().err
     assert run("eval", "--task", "sum", "--program", bad, "--data", sum_data / "sum_test.tsv", "--use-truth") == 3
+
+
+def _per_length_reference(task, program, examples, model, use_truth):
+    """Reference: the table as eval built it with one evaluate call per
+    length and one more over every example."""
+    by_len = {}
+    for ex in examples:
+        by_len.setdefault(len(ex), []).append(ex)
+    rows = [(f"len={ln}", tasks.evaluate(program, task, by_len[ln], model, use_truth)) for ln in sorted(by_len)]
+    rows.append(("all", tasks.evaluate(program, task, examples, model, use_truth)))
+    return cli._metrics_table(rows)
+
+
+@pytest.mark.parametrize("use_truth", [False, True])
+def test_eval_deduces_each_example_once(monkeypatch, tmp_path, trained_run, use_truth):
+    d = tmp_path / "d"
+    assert run("gen-data", "--task", "sum", "--out", d, "--train", 1, "--test", 30, "--lengths", "1,6", "--seed", 4) == 0
+    calls = []
+    deduce = tasks.deduce
+
+    def counting(goal, kb, **kw):
+        calls.append(goal)
+        return deduce(goal, kb, **kw)
+
+    monkeypatch.setattr(tasks, "deduce", counting)
+    flags = ["--use-truth"] if use_truth else ["--model", trained_run / "model.ckpt"]
+    assert run("eval", "--task", "sum", "--program", trained_run / "program.json",
+               "--data", d / "sum_test.tsv", "--out", tmp_path, *flags) == 0
+    _, examples = tasks.load_dataset(d / "sum_test.tsv")
+    assert len(calls) == len(examples) == 30
+    monkeypatch.setattr(tasks, "deduce", deduce)
+    model = None if use_truth else MLP.load(trained_run / "model.ckpt")
+    program = cli._load_program(trained_run / "program.json")
+    want = _per_length_reference(make_task("sum"), program, examples, model, use_truth)
+    got = (tmp_path / "metrics_eval.tsv").read_text()
+    assert got == want + "\n"
+    assert len(got.splitlines()) == 1 + len({len(ex) for ex in examples}) + 1
+
+
+def test_a_dataset_without_its_truth_sidecar_is_a_data_error(capsys, tmp_path, trained_run, sum_data):
+    """eval --use-truth and bench-metarules read the sidecar's digits: without
+    it they exit 3 with one error line."""
+    data = tmp_path / "sum_test.tsv"
+    data.write_text((sum_data / "sum_test.tsv").read_text())
+    for argv in (
+        ("eval", "--task", "sum", "--program", trained_run / "program.json", "--data", data, "--use-truth"),
+        ("bench-metarules", "--task", "sum", "--data", data, "--sizes", "2"),
+    ):
+        assert run(*argv) == 3, argv[0]
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and len(out.err.splitlines()) == 1
+        assert "sum_test.tsv.labels" in out.err
 
 
 def test_eval_rejects_a_truth_sidecar_that_does_not_fit(capsys, tmp_path, trained_run, sum_data):

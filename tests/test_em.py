@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from abdlearn import em, kb as kb_module
+from abdlearn import kb as kb_module, tasks
 from abdlearn.em import (
     EMConfig,
     EMError,
@@ -130,7 +130,7 @@ def test_model_facts_match_the_reference_bit_for_bit():
     gen = SyntheticDigitGen(seed=2)
     task = make_task("sum")
     batch = gen_sequences(task, 8, lengths=(2, 5), gen=gen, seed=3)
-    _, features, spans = em._assemble(task, batch)
+    features, spans, _ = tasks.assemble(task, batch)
     model, pair = MLP(8, 10, seed=5), PairModel(8, seed=5)
     facts = TableFacts.from_model(features, model, groups=spans)
     pair_facts = TableFacts.from_model(features, pair, groups=spans)
@@ -153,6 +153,15 @@ def test_model_facts_match_the_reference_bit_for_bit():
     for a in labels:
         for b in labels:
             assert exact.pair_logprob(a, b) == (0.0 if labels[a] >= labels[b] else -math.inf)
+    # a label outside the values gives every value probability 0, which is
+    # no weight table; a tie reads its first value
+    outside = TableFacts.exact({0: 0, 1: 11}, value_base=1)
+    for i in (0, 1):
+        assert outside.item_label(i) == 1
+        with pytest.raises(ValueError):
+            outside.item_logweights(i)
+    assert TableFacts({0: [0.25, 0.5, 0.25, 0.0]}, value_base=2).item_label(0) == 3
+    assert TableFacts({1: [0.5, 0.5]}).item_label(1) == 0
 
 
 class _CountingPair:
@@ -175,14 +184,15 @@ class _CountingPair:
 
 def _induce_batch(task, batch, facts, max_clauses):
     """The E-step as train runs it: one induce call on the batch's goals."""
-    goals, _, _ = em._assemble(task, batch)  # task.goal per example, items numbered in order
+    _, spans, _ = tasks.assemble(task, batch)  # items numbered in order across the batch
+    goals = [task.goal(ids, ex.y) for ex, ids in zip(batch, spans)]
     return induce(goals, task.setting(), facts, SearchBudget(max_clauses=max_clauses))
 
 
 def test_model_facts_reads_each_pair_once_per_batch():
     task = make_task("sorted_concept")
     batch = gen_sequences(task, 6, lengths=(2, 4), seed=3)
-    _, features, spans = em._assemble(task, batch)
+    features, spans, _ = tasks.assemble(task, batch)
     spy = _CountingPair()
     facts = TableFacts.from_model(np.arange(len(features), dtype=float).reshape(-1, 1), spy, groups=spans)
     _induce_batch(task, batch, facts, 3)
@@ -224,12 +234,12 @@ def test_model_facts_missing_parts_raise():
 def test_perception_acc_matches_the_reference(tid):
     task = make_task(tid)
     batch = gen_sequences(task, 10, lengths=(2, 5), gen=SyntheticDigitGen(seed=2), seed=6)
-    _, features, spans = em._assemble(task, batch)
+    features, spans, _ = tasks.assemble(task, batch)
     model, pair = (None, PairModel(8, seed=3)) if task.dyadic else (MLP(8, 10, seed=3), None)
     if model is not None:  # a little training, so the reading is not all one digit
         model.fit(features, np.array([d for ex in batch for d in ex.truth]), epochs=2)
     facts = TableFacts.from_model(features, pair if task.dyadic else model, task.value_base)
-    got = em._perception_acc(task, batch, spans, facts)
+    got = tasks.perception_acc(task, batch, spans, facts)
     assert got is not None and got == _ref_perception_acc(task, batch, model, pair)
 
 

@@ -625,14 +625,14 @@ class _CountingMLP(MLP):
         return super()._forward(X)
 
 
-def test_evaluate_reads_the_classifier_once_per_example():
+def test_evaluate_reads_the_classifier_once_per_call():
     t = make_task("sum")
     exs = gen_sequences(t, 10, lengths=(2, 5), gen=SyntheticDigitGen(seed=12), seed=3)
     model = _CountingMLP(8, 10, seed=0)
     model.fit(np.concatenate([ex.x for ex in exs]), np.array([d for ex in exs for d in ex.truth]), epochs=3)
     model.forwards = 0
     m = evaluate(SUM_PROG, t, exs, model=model)
-    assert model.forwards == len(exs)
+    assert model.forwards == 1
     # cls_acc is what a per-row argmax gives
     hits = [int(model.predict_label(row)) == d for ex in exs for row, d in zip(ex.x, ex.truth)]
     assert m.cls_acc == sum(hits) / len(hits)
@@ -706,14 +706,61 @@ def test_eval_relation_matches_the_reference(use_truth):
     exs = gen_sequences(bt, 6, lengths=(2, 5), gen=SyntheticDigitGen(seed=1), seed=8)
     pair = PairModel(8, seed=2)
     ref = _ref_pair_relation(exs, pair, use_truth)
-    for idx, ex in enumerate(exs):
-        kb = ground_kb(bt, Program(), facts=tasks._example_facts(ex, pair, use_truth))
+    _, spans, facts = tasks.assemble(bt, exs, None if use_truth else pair)
+    kb = ground_kb(bt, Program(), facts=facts)
+    for idx, (ex, ids) in enumerate(zip(exs, spans)):
         rel = ref(idx, ex)
         for i in range(len(ex)):
             for j in range(len(ex)):
-                goal = Atom("nn", (mk_list([item_term(i), item_term(j)]),))
+                goal = Atom("nn", (mk_list([item_term(ids[i]), item_term(ids[j])]),))
                 held = next(deduce(goal, kb), None) is not None
                 assert held == rel(item_term(i), item_term(j)), (idx, i, j)
+
+
+def _combined(ms):
+    """Metrics of one evaluate call from those of one call per example:
+    counts add up, and every other field is the mean over the examples."""
+    out = tasks.Metrics(n=sum(m.n for m in ms))
+    for f in ("failures", "depth_cut", "budget_exhausted"):
+        setattr(out, f, sum(getattr(m, f) for m in ms))
+    for f in ("acc", "mae", "log_mae", "perm_acc", "elem_acc"):
+        if getattr(ms[0], f) is not None:
+            setattr(out, f, pytest.approx(sum(getattr(m, f) for m in ms) / len(ms), abs=1e-12))
+    return out
+
+
+@pytest.mark.parametrize(
+    "tid, prog, use_truth",
+    [
+        ("sum", SUM_PROG, True),
+        ("product", PROD_PROG, True),
+        ("sorted_concept", SORT_PROG, True),
+        ("sorted_concept", SORT_PROG, False),
+        ("bogosort", merge_programs(BOGO_PROG, SORT_PROG), True),
+        ("bogosort", merge_programs(BOGO_PROG, SORT_PROG), False),
+    ],
+)
+def test_one_evaluate_call_reads_once_and_scores_as_the_per_example_calls(monkeypatch, tid, prog, use_truth):
+    """One ground kb and, on a pairwise task, one predict_pairs call per
+    evaluate call, however many examples; its Metrics are those the
+    per-example calls combine to."""
+    task = make_task(tid)
+    exs = gen_sequences(task, 8, lengths=(2, 5), seed=21)
+    cap = 500_000
+    if tid == "sum":  # 40-item sums under a node cap they run out of: failures and cuts to combine
+        exs += gen_sequences(task, 2, lengths=(40, 40), seed=22)
+        cap = 50
+    spy = _CountingOrder()
+    built = []
+    monkeypatch.setattr(tasks, "ground_kb", lambda *args, **kw: built.append(args) or ground_kb(*args, **kw))
+    whole = evaluate(prog, task, exs, model=None if use_truth else spy, use_truth=use_truth, max_nodes=cap)
+    assert len(built) == 1
+    assert len(spy.calls) == (0 if use_truth else 1)
+    per_example = [evaluate(prog, task, [ex], model=spy, use_truth=use_truth, max_nodes=cap) for ex in exs]
+    assert len(built) == 1 + len(exs)
+    assert whole == _combined(per_example)
+    if tid == "sum":
+        assert whole.budget_exhausted > 0 and 0 < whole.failures < whole.n
 
 
 def test_evaluate_perm_acc_bounded_by_elem_acc():
