@@ -345,7 +345,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             pair.save(out / "model.ckpt")
             best = merged
             trained_model = pair
-            text = program_text(best, DEFAULT_LIBRARY)
         else:
             model = MLP(dim, task.n_classes, hidden=cfg["em"]["hidden"], lr=cfg["em"]["lr"], seed=seed)
             seed_data = _few_shot_seed(examples, task) if cfg["em"]["pretrain"] else None
@@ -357,12 +356,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             model.save(out / "model.ckpt")
             best = state.best_program
             trained_model = model
-            text = state.best_text()
     except EMError as e:
         raise CliError(BUDGET_ERR, f"training failed: {e}") from e
     wall = time.perf_counter() - t0
     print(f"trained {task.id} in {wall:.1f}s; program ({best.size} clauses):")
-    print(text)
+    print(program_text(best, DEFAULT_LIBRARY))
     print(f"artifacts in {out}")
     if val_exs is not None:
         table = _per_length_table(task, best, val_exs, trained_model)
@@ -393,12 +391,12 @@ def _metrics_table(per_len: "list[tuple[str, Metrics]]") -> str:
 def _per_length_table(task: Task, program: Program, examples, model, use_truth: bool = False) -> str:
     """One row per length and one for all: each example runs once, and
     every row reduces its examples' answers in dataset order."""
-    answers, read = answer_each(program, task, examples, model=model, use_truth=use_truth)
+    answers = answer_each(program, task, examples, model=model, use_truth=use_truth)
     by_len: "dict[int, list]" = {}
     for a in answers:
         by_len.setdefault(len(a.ex), []).append(a)
-    rows = [(f"len={ln}", score(task, by_len[ln], read)) for ln in sorted(by_len)]
-    rows.append(("all", score(task, answers, read)))
+    rows = [(f"len={ln}", score(task, by_len[ln])) for ln in sorted(by_len)]
+    rows.append(("all", score(task, answers)))
     return _metrics_table(rows)
 
 

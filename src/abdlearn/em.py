@@ -10,9 +10,10 @@ and epochs.
 Perception is read once per batch, before the E-step, through
 tasks.assemble: it numbers the batch's items and builds one mil.TableFacts
 from the current model.  The E-step's abduction and the perception_acc
-column (tasks.perception_acc) read the same tables: one classifier forward
-per batch or, on a dyadic task, one pair-net forward over every ordered
-pair inside each example of the batch.
+column read the same tables: one classifier forward per batch or, on a
+dyadic task, one pair-net forward over every ordered pair inside each
+example of the batch.  Both accuracy columns are tasks.truth_acc, of
+tasks.reading of those tables and of the E-step's labelings.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metarules import DEFAULT_LIBRARY, Program, program_text
+from .metarules import DEFAULT_LIBRARY, Program, merge_programs, program_text
 from .mil import Induced, InductionSetting, SearchBudget, induce
 from .perception import pretrain_few_shot
-from .tasks import SeqExample, Task, assemble, perception_acc
+from .tasks import SeqExample, Task, assemble, reading, truth_acc
 
 METRIC_COLUMNS = (
     "epoch",
@@ -72,28 +73,6 @@ class EMState:
     best_program: Optional[Program] = None
     best_score: float = -math.inf
     rows: "list[dict]" = field(default_factory=list)
-
-    def best_text(self) -> str:
-        if self.best_program is None:
-            return ""
-        return program_text(self.best_program, DEFAULT_LIBRARY)
-
-
-def _pseudo_label_acc(task: Task, batch, spans, induced: Induced) -> Optional[float]:
-    hits = total = 0
-    for ex, ids, lab in zip(batch, spans, induced.labelings):
-        if ex.truth is None:
-            continue
-        truth = {i: d for i, d in zip(ids, ex.truth)}
-        if task.dyadic:
-            for (a, b), val in lab.pair_facts:
-                hits += int(val == (truth[a] >= truth[b]))
-                total += 1
-        else:
-            for i, v in lab.item_labels:
-                hits += int(v == truth[i])
-                total += 1
-    return hits / total if total else None
 
 
 def m_step(task: Task, features, induced: Induced, model, m_epochs: int, m_batch: int) -> Optional[float]:
@@ -192,7 +171,7 @@ def train(
                 runtime = config.budget.runtime()
                 out = induce(goals, setting, facts, config.budget, runtime=runtime)
                 nodes = runtime.nodes + runtime.solver_nodes
-                pacc = perception_acc(task, batch, spans, facts)
+                pacc = truth_acc(batch, spans, [reading(task, facts, ids) for ids in spans])
                 row = {
                     "epoch": epoch,
                     "batch": bi,
@@ -210,7 +189,8 @@ def train(
                 if out.induced is not None:
                     solved += 1
                     row["score"] = out.induced.log_score
-                    row["pseudo_label_acc"] = _pseudo_label_acc(task, batch, spans, out.induced)
+                    labs = out.induced.labelings
+                    row["pseudo_label_acc"] = truth_acc(batch, spans, [(lab.item_labels, lab.pair_facts) for lab in labs])
                     row["loss"] = m_step(task, features, out.induced, model, config.m_epochs, config.m_batch)
                     if out.induced.log_score > state.best_score:
                         state.best_score = out.induced.log_score
@@ -243,8 +223,6 @@ def run_curriculum(
     step through) it while inducing the permutation-sort rule.  A stage
     that produces no program halts the schedule.
     """
-    from .metarules import merge_programs
-
     task1, ex1, cfg1 = stage1
     task2, ex2, cfg2 = stage2
     s1 = train(task1, ex1, cfg1, model)

@@ -12,7 +12,8 @@ A set of examples reaches the reasoning through assemble alone: it numbers
 their items and builds one fact oracle over them, from a model or from the
 truth sidecar.  EM, the benches and evaluation all read perception through
 it; evaluate reads it once per call and runs every example on one ground
-kb.
+kb.  Labels meet the truth sidecar in truth_acc alone, whether perception
+read them (reading) or the E-step abduced them.
 """
 
 from __future__ import annotations
@@ -470,23 +471,29 @@ def assemble(task: Task, examples: Sequence[SeqExample], model=None):
     return features, spans, facts
 
 
-def perception_acc(task: Task, examples, spans, facts: TableFacts) -> Optional[float]:
-    """Share of the examples' truths that facts reads right (None without
-    truth): each item's most probable digit or, on a dyadic task, each pair
-    i < j of an example, held at probability 0.5 or above."""
+def reading(task: Task, facts: TableFacts, ids: Sequence[int]):
+    """The labels facts gives one example's items, in ExampleLabeling's
+    form (item_labels, pair_facts): on a dyadic task each pair i < j of
+    ids, held at probability 0.5 or above; on any other each item's most
+    probable digit."""
+    if task.dyadic:
+        return (), tuple(((a, b), facts.pair_prob(a, b) >= 0.5) for a, b in itertools.combinations(ids, 2))
+    return tuple([(i, facts.item_label(i)) for i in ids]), ()
+
+
+def truth_acc(examples: Sequence[SeqExample], spans, readings) -> Optional[float]:
+    """Share of the labels the examples' truth bears out, one
+    (item_labels, pair_facts) reading per example: (item, digit) is right
+    when it is the item's digit, ((i, j), held) when held says whether i's
+    digit is at least j's.  Examples without truth are skipped; None when
+    nothing was scored."""
     hits = total = 0
-    for ex, ids in zip(examples, spans):
+    for ex, ids, (items, pairs) in zip(examples, spans, readings):
         if ex.truth is None:
             continue
-        if task.dyadic:
-            for i, j in itertools.combinations(range(len(ids)), 2):
-                pred = facts.pair_prob(ids[i], ids[j]) >= 0.5
-                hits += int(pred == (ex.truth[i] >= ex.truth[j]))
-                total += 1
-        else:
-            for i, d in zip(ids, ex.truth):
-                hits += int(facts.item_label(i) == d)
-                total += 1
+        truth = dict(zip(ids, ex.truth))
+        hits += sum([truth[i] == d for i, d in items]) + sum([held == (truth[i] >= truth[j]) for (i, j), held in pairs])
+        total += len(items) + len(pairs)
     return hits / total if total else None
 
 
@@ -523,13 +530,16 @@ class Metrics:
 class Answer(NamedTuple):
     """One eval example as the program answered it: the example, its item
     ids, the answer (whether a concept held, else an int or a ranking's
-    tuple of ints, None for anything else) and the cuts of its search."""
+    tuple of ints, None for anything else), the cuts of its search and,
+    when a classifier read a numeric task's digits, the item labels the
+    query ran on (reading's item_labels; None otherwise)."""
 
     ex: SeqExample
     ids: "list[int]"
     value: object
     depth_cut: bool
     exhausted: bool
+    labels: "Optional[tuple[tuple[int, int], ...]]" = None
 
 
 def _value(t: Term):
@@ -547,13 +557,12 @@ def answer_each(
     model=None,
     use_truth: bool = False,
     max_nodes: int = 500_000,
-) -> "tuple[list[Answer], Optional[TableFacts]]":
-    """Run the program once on each example, in order: the answers, and the
-    facts a classifier gave a numeric task's digits (None without them).
+) -> "list[Answer]":
+    """Run the program once on each example, in order.
 
     Perception is read once, through assemble (the truth sidecar under
     use_truth or with no model), and every query runs on one ground_kb: a
-    numeric one lists each item's most probable digit, any other the item
+    numeric one lists the item labels reading gives, any other the item
     handles.  Each search gets max_nodes resolution steps and a depth bound
     that grows with the list (see kb).
     """
@@ -563,28 +572,31 @@ def answer_each(
     kb = ground_kb(task, program, facts)
     name, arity = task.target
     numeric = arity == 2 and not task.dyadic
+    classified = numeric and model is not None and not use_truth
     out = Var("Y")
     answers = []
     for ex, ids in zip(examples, spans):
-        items = mk_list([Int(facts.item_label(i)) if numeric else item_term(i) for i in ids])
+        labels = reading(task, facts, ids)[0] if numeric else None
+        items = mk_list([Int(d) for _, d in labels] if numeric else [item_term(i) for i in ids])
         budget = Budget(max_nodes=max_nodes)
         sol = next(deduce(Atom(name, (items, out)[:arity]), kb, budget=budget), None)
         if arity == 1:
             value = sol is not None
         else:
             value = None if sol is None else _value(sol.apply(out))
-        answers.append(Answer(ex, ids, value, budget.depth_hits > 0, budget.exhausted))
-    return answers, facts if numeric and model is not None and not use_truth else None
+        answers.append(Answer(ex, ids, value, budget.depth_hits > 0, budget.exhausted, labels if classified else None))
+    return answers
 
 
-def score(task: Task, answers: "Sequence[Answer]", read: Optional[TableFacts] = None) -> Metrics:
+def score(task: Task, answers: "Sequence[Answer]") -> Metrics:
     """Metrics of the answers, reduced in their order.
 
     A numeric answer that is not an int counts as the worst possible error
     for its length; a ranking that is not one scores zero on both
-    whole-permutation and per-position accuracy.  cls_acc scores read, a
-    classifier's facts, when given.  depth_cut and budget_exhausted count
-    the searches the depth bound cut or the node cap stopped.
+    whole-permutation and per-position accuracy.  cls_acc is truth_acc of
+    the answers' item labels when a classifier read them.  depth_cut and
+    budget_exhausted count the searches the depth bound cut or the node cap
+    stopped.
     """
     n = len(answers)
     m = Metrics(n, depth_cut=sum(a.depth_cut for a in answers), budget_exhausted=sum(a.exhausted for a in answers))
@@ -607,8 +619,8 @@ def score(task: Task, answers: "Sequence[Answer]", read: Optional[TableFacts] = 
         m.failures = sum(not isinstance(a.value, int) for a in answers)
         m.acc = sum(a.value == int(a.ex.y) for a in answers) / n
         m.mae, m.log_mae = (float(np.mean(e)) for e in zip(*errs))
-        if read is not None:
-            m.cls_acc = perception_acc(task, [a.ex for a in answers], [a.ids for a in answers], read)
+        if all(a.labels is not None for a in answers):
+            m.cls_acc = truth_acc([a.ex for a in answers], [a.ids for a in answers], [(a.labels, ()) for a in answers])
     return m
 
 
@@ -623,4 +635,4 @@ def evaluate(
     """Run the program on perception output and score against labels: one
     read of perception and one ground kb per call (answer_each), the
     answers reduced by score."""
-    return score(task, *answer_each(program, task, examples, model, use_truth, max_nodes))
+    return score(task, answer_each(program, task, examples, model, use_truth, max_nodes))

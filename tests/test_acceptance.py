@@ -20,7 +20,7 @@ from abdlearn.bench import bench_abduction, bench_metarule_sizes
 from abdlearn.em import EMConfig, run_curriculum, train
 from abdlearn.fd import solve_best
 from abdlearn.kb import deduce
-from abdlearn.metarules import MetaSub, Program
+from abdlearn.metarules import DEFAULT_LIBRARY, MetaSub, Program, program_text
 from abdlearn.mil import GoalExample, SearchBudget, TableFacts, induce
 from abdlearn.perception import MLP, PairModel, grad_check
 from abdlearn.tasks import (
@@ -322,7 +322,7 @@ def test_criterion_07_curriculum_learns_sorting():
     elapsed = time.perf_counter() - t0
 
     n_invented = len(s1.best_program.invented) if s1.best_program else 0
-    stage2_text = s2.best_text()
+    stage2_text = program_text(s2.best_program, DEFAULT_LIBRARY)
     reuses_s = "s(" in stage2_text
     ok = (
         len(ex1) < 20

@@ -1,6 +1,7 @@
 """EM loop: the fact oracle built from perception, E-step optimality, M-step, bookkeeping."""
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -15,7 +16,8 @@ from abdlearn.em import (
     train,
     run_curriculum,
 )
-from abdlearn.mil import SearchBudget, TableFacts, induce, log_prior
+from abdlearn.metarules import DEFAULT_LIBRARY, program_text
+from abdlearn.mil import ExampleLabeling, SearchBudget, TableFacts, induce, log_prior
 from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import SeqExample, SyntheticDigitGen, gen_sequences, make_task
 
@@ -230,17 +232,86 @@ def test_model_facts_missing_parts_raise():
         TableFacts.from_model(idx_features(2), _CountingPair()).item_logweights(0)
 
 
-@pytest.mark.parametrize("tid", ["sum", "sorted_concept"])
+@pytest.mark.parametrize("tid", tasks.TASK_IDS)
 def test_perception_acc_matches_the_reference(tid):
+    # truth_acc over reading, with every truth, with some examples' truth
+    # missing, and None with all of it missing
     task = make_task(tid)
-    batch = gen_sequences(task, 10, lengths=(2, 5), gen=SyntheticDigitGen(seed=2), seed=6)
-    features, spans, _ = tasks.assemble(task, batch)
-    model, pair = (None, PairModel(8, seed=3)) if task.dyadic else (MLP(8, 10, seed=3), None)
+    full = gen_sequences(task, 10, lengths=(2, 5), gen=SyntheticDigitGen(n_classes=task.n_classes, seed=2), seed=6)
+    features, spans, _ = tasks.assemble(task, full)
+    model, pair = (None, PairModel(8, seed=3)) if task.dyadic else (MLP(8, task.n_classes, seed=3), None)
     if model is not None:  # a little training, so the reading is not all one digit
-        model.fit(features, np.array([d for ex in batch for d in ex.truth]), epochs=2)
+        model.fit(features, np.array([d - task.value_base for ex in full for d in ex.truth]), epochs=2)
     facts = TableFacts.from_model(features, pair if task.dyadic else model, task.value_base)
-    got = tasks.perception_acc(task, batch, spans, facts)
-    assert got is not None and got == _ref_perception_acc(task, batch, model, pair)
+    some = [dataclasses.replace(ex, truth=None) if k % 3 == 1 else ex for k, ex in enumerate(full)]
+    none = [dataclasses.replace(ex, truth=None) for ex in full]
+    for batch in (full, some, none):
+        got = tasks.truth_acc(batch, spans, [tasks.reading(task, facts, ids) for ids in spans])
+        assert got == _ref_perception_acc(task, batch, model, pair)
+        assert (got is None) == (batch is none)
+
+
+def _parent_pseudo_label_acc(task, batch, spans, labelings):
+    """Reference: em's pseudo_label_acc as it stood before truth_acc."""
+    hits = total = 0
+    for ex, ids, lab in zip(batch, spans, labelings):
+        if ex.truth is None:
+            continue
+        truth = {i: d for i, d in zip(ids, ex.truth)}
+        if task.dyadic:
+            for (a, b), val in lab.pair_facts:
+                hits += int(val == (truth[a] >= truth[b]))
+                total += 1
+        else:
+            for i, v in lab.item_labels:
+                hits += int(v == truth[i])
+                total += 1
+    return hits / total if total else None
+
+
+def _guessed_labelings(task, spans, rng):
+    """Labelings in the E-step's form with some wrong labels: a digit per
+    item, or pair facts in any order, reversed pairs included."""
+    labs = []
+    for ids in spans:
+        if task.dyadic:
+            pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.6]
+            labs.append(ExampleLabeling(0.0, pair_facts=tuple((p, bool(rng.random() < 0.5)) for p in pairs)))
+        else:
+            digits = rng.integers(task.digit_lo, task.digit_hi + 1, size=len(ids))
+            labs.append(ExampleLabeling(0.0, item_labels=tuple((i, int(d)) for i, d in zip(ids, digits))))
+    return labs
+
+
+@pytest.mark.parametrize("tid", tasks.TASK_IDS)
+def test_truth_acc_matches_the_parent_pseudo_label_acc(tid):
+    """truth_acc of the E-step's labelings equals the old pseudo_label_acc,
+    bit for bit: with every truth, with some examples' truth missing, and
+    None with all of it missing."""
+    task = make_task(tid)
+    full = gen_sequences(task, 10, lengths=(1, 5), gen=SyntheticDigitGen(n_classes=task.n_classes, seed=2), seed=6)
+    _, spans, _ = tasks.assemble(task, full)
+    labs = _guessed_labelings(task, spans, np.random.default_rng(7))
+    some = [dataclasses.replace(ex, truth=None) if k % 3 == 1 else ex for k, ex in enumerate(full)]
+    none = [dataclasses.replace(ex, truth=None) for ex in full]
+    for batch in (full, some, none):
+        got = tasks.truth_acc(batch, spans, [(lab.item_labels, lab.pair_facts) for lab in labs])
+        assert got == _parent_pseudo_label_acc(task, batch, spans, labs)
+        assert (got is None) == (batch is none)
+    assert 0.0 < tasks.truth_acc(full, spans, [(lab.item_labels, lab.pair_facts) for lab in labs]) < 1.0
+
+
+def test_truth_acc_reading_form():
+    # a reading on a dyadic task lists each pair i < j once, held at 0.5 or above
+    task = make_task("sorted_concept")
+    facts = TableFacts({}, pairs={(a, b): 0.5 if a < b else 0.25 for a in range(3) for b in range(3)})
+    assert tasks.reading(task, facts, [0, 1, 2]) == ((), (((0, 1), True), ((0, 2), True), ((1, 2), True)))
+    ex = SeqExample(idx_features(3), False, (4, 7, 1))
+    assert tasks.truth_acc([ex], [[0, 1, 2]], [tasks.reading(task, facts, [0, 1, 2])]) == 2 / 3  # 4 >= 7 is not so
+    # on a numeric one, each item's most probable digit
+    labels = {5: 3, 6: 9}
+    exact = TableFacts.exact(labels, value_base=1)
+    assert tasks.reading(make_task("product"), exact, [5, 6]) == (((5, 3), (6, 9)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +499,7 @@ def test_train_writes_metrics_and_artifacts(tmp_path):
         assert (r[failure] == "") if r[score] else (r[failure] in reasons)
     assert (tmp_path / "arts" / "program_best.pl").exists()
     assert state.best_program is not None
-    assert "f(A,B) :- add(A,C)" in state.best_text()
+    assert "f(A,B) :- add(A,C)" in program_text(state.best_program, DEFAULT_LIBRARY)
 
 
 def test_depth_cut_batch_records_its_failure(tmp_path, monkeypatch):
@@ -523,7 +594,7 @@ def test_train_dyadic_sorted_concept(tmp_path):
     state = train(task, exs, cfg, pm)
     assert state.best_program is not None
     assert state.best_program.size == 3
-    text = state.best_text()
+    text = program_text(state.best_program, DEFAULT_LIBRARY)
     assert "s_1(A,B) :- nn(A), tail(A,B)." in text
     scored = [r for r in state.rows if r["score"] is not None]
     assert scored and all(r["pseudo_label_acc"] is not None for r in scored)

@@ -638,6 +638,18 @@ def test_evaluate_reads_the_classifier_once_per_call():
     assert m.cls_acc == sum(hits) / len(hits)
 
 
+def test_numeric_evaluate_reads_each_label_once(monkeypatch):
+    # the query and cls_acc share one reading: k items, k label reads
+    t = make_task("sum")
+    exs = gen_sequences(t, 6, lengths=(2, 5), seed=3)
+    reads = []
+    item_label = TableFacts.item_label
+    monkeypatch.setattr(TableFacts, "item_label", lambda self, i: reads.append(i) or item_label(self, i))
+    m = evaluate(SUM_PROG, t, exs, model=MLP(8, 10, seed=0))
+    assert m.cls_acc is not None
+    assert sorted(reads) == list(range(sum(len(ex) for ex in exs)))
+
+
 def test_evaluate_sorted_and_bogosort_truth():
     st = make_task("sorted_concept")
     ms = evaluate(SORT_PROG, st, gen_sequences(st, 30, lengths=(1, 5), seed=11), use_truth=True)
