@@ -41,9 +41,23 @@ De Schreye & Krekels, JLP 1989):
     ground (item handles always are), by unifying each cell otherwise.  It
     then runs each waiting goal whose variable is now bound (_wake); a
     prefix every leaf rejects is dropped with all its rankings;
-  * output: each ranking left is yielded as the blind enumeration yields
-    it, from the substitution permute was called in, and the continuation
-    then runs on it as it always did.
+  * forward checking (Haralick & Elliott, AIJ 1980), when every item is
+    ground: after a step, each unbound Out cell that goals wait on needs a
+    support, an item still to be placed under which each of those goals'
+    lazy readings yields something, and a leaf with a cell that has none
+    is dropped (_checked).  The waiting goals keep their cell's support, so
+    a cell is looked at again only once its support is placed or its goals
+    change;
+  * output: a ranking left is placed as the blind enumeration places it
+    (_placed).  Its surviving leaves then answer for it, each yielded as a
+    success node that binds, over s0, what the leaf binds, unless
+    (a) a leaf still has waiting goals,
+    (b) a lazy reading met a pair it cannot read (it waits there on a
+        variable nothing binds, so this is (a)),
+    (c) a goal woken so far in the enumeration gave more than one answer,
+    or an item is not ground or s0 binds a cell to a term that is not.
+    Then the ranking is yielded as before, from the substitution permute
+    was called in, and the continuation runs on it.
 
 Why the answers cannot change.  The stream is the blind one less rankings
 on which the continuation has no refutation, which yield nothing.  A
@@ -51,20 +65,34 @@ derivation of the continuation on a ranking r lifts to the probe: it
 resolves the same goals in the same order by the same clauses; a
 unification that succeeds on r's cells succeeds on the more general
 skeletons; and a builtin that succeeds on them either ran alike in the
-probe or waits there (a lazy reading that cannot read a pair holds, so the
-ground reading's error is left to r's own run).  So a refutation on r ends
-in a leaf that the step bindings of r leave alive, its waiting goals
-succeeding as they wake.  The steps match one for one, so the probe meets
-the depth bound wherever a ranking's continuation would: an uncut probe
-means no dropped ranking would have been cut, and the probe's own cut is
-not counted, the blind enumeration that follows it counting its cuts
-itself.  A step's one copy binds what its two unifications would: each
-cell is a variable the leaf leaves unbound, so each unification binds it
-to its term as it stands, and the occurs check could only fail on a term
-that holds a variable, which a ground item does not.  Only nodes move:
-the probe and the steps are charged, dropped continuations are not run,
-and once the node cap stops the probe no ranking is tried, as none could
-answer.
+probe or waits there (where the ground reading raises, the lazy one waits
+on a variable nothing binds, which leaves the error to r's own run).  So a
+refutation on r ends in a leaf that the step bindings of r leave alive,
+its waiting goals succeeding as they wake.  Forward checking drops no such
+leaf: a lazy reading that yields nothing under a substitution yields
+nothing under any that binds more (KnowledgeBase.add_builtin), and each
+cell is bound to some item still to be placed, so a goal on a cell without
+a support fails when it wakes.  Conversely, a leaf alive at r with no goal
+waiting is a refutation on r: its clauses and unifications hold with r's
+bindings added, which the steps have checked, and its builtins answered by
+their lazy readings, as the ground ones do on what they read.  So the
+leaves alive at r are r's refutations, one each, and, as no woken goal
+made a choice (c), in the order of the continuation's depth-first search,
+the choices of the goals that ran in the probe.  Each answers as its
+refutation does: the leaf holds the continuation's bindings and r's cells,
+and s0 holds permute's own, its cells bound, if at all, to the ground
+terms that r's placement has just matched.  The steps match one for one,
+so the probe meets the depth bound wherever a ranking's continuation
+would: an uncut probe means no ranking's continuation would have been
+cut, and the probe's own cut is not counted, the blind enumeration that
+follows it counting its cuts itself.  A step's one copy binds what its two
+unifications would: each cell is a variable the leaf leaves unbound, so
+each unification binds it to its term as it stands, and the occurs check
+could only fail on a term that holds a variable, which a ground item does
+not.  Only nodes move: the probe and the steps are charged, dropped
+prefixes are not extended, a ranking its leaves answer for runs no
+continuation, and once the node cap stops the probe no ranking is tried,
+as none could answer.
 """
 
 from __future__ import annotations
@@ -108,13 +136,15 @@ class KBError(ValueError):
 class Budget:
     """Mutable search-resource accounting shared across one query or search.
 
-    nodes counts resolution steps.  depth_hits records how often a branch
-    was cut by the depth bound, which is what distinguishes "finitely
-    failed" from "ran out of resources".  exhausted records that the budget
-    ran out (max_nodes passed, or the deadline read passed): every search
-    that reads the budget (resolution, fd's branch-and-bound, mil's
-    blocking search) stops then, and this flag and depth_hits are the only
-    record of a cut, so a result is exact while both read clear.
+    nodes counts resolution steps, and the coroutined permute's probe and
+    ranking steps; a ranking its probe's leaves answer for adds no node
+    for its continuation, which is not run.  depth_hits records how often
+    a branch was cut by the depth bound, which is what distinguishes
+    "finitely failed" from "ran out of resources".  exhausted records that
+    the budget ran out (max_nodes passed, or the deadline read passed):
+    every search that reads the budget (resolution, fd's branch-and-bound,
+    mil's blocking search) stops then, and this flag and depth_hits are the
+    only record of a cut, so a result is exact while both read clear.
 
     solver_nodes and solver_leaves count finite-domain solver work, and
     their unit depends on the path the store took (see fd):
@@ -203,7 +233,9 @@ class KnowledgeBase:
     def add_builtin(self, name: str, arity: int, fn: BuiltinFn, lazy: Optional[LazyFn] = None) -> None:
         """fn, and lazy, its reading that yields the variable it waits on
         where fn would fail or raise on reading an unbound one, and
-        otherwise answers as fn does."""
+        otherwise answers as fn does.  A lazy reading that yields nothing
+        under a substitution must yield nothing under any that binds more:
+        permute's forward checking drops leaves on it."""
         key = (name, arity)
         if key in self.clauses:
             raise KBError(f"builtin {name}/{arity} would shadow existing clauses")
@@ -278,14 +310,16 @@ class _Unready(Exception):
     """The probe met a goal it cannot run on the skeletons."""
 
 
-def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> Iterator[Subst]:
-    """permute(L, Order, Out) followed by the goal stack rest: the blind
-    enumeration's answers, less the rankings that every leaf of rest's
-    probe rejects (see the module docstring); with rest empty, the blind
-    enumeration."""
+def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> Iterator[tuple]:
+    """permute(L, Order, Out) followed by the goal stack rest, as the child
+    nodes (goal stack, subst) of the blind enumeration less the rankings
+    that every leaf of rest's probe rejects; a ranking its surviving leaves
+    answer for is their success nodes (see the module docstring).  With
+    rest empty, the blind enumeration."""
     items = proper_list_items(s.apply(args[0]))
     if rest is None or items is None or _ranking(args[1], s) is not None:
-        yield from _bi_permute(args, s)  # blind, fails, or places by the ranking given
+        for s2 in _bi_permute(args, s):  # blind, fails, or places by the ranking given
+            yield rest, s2
         return
     n = len(items)
     order_cells = [Var(fresh_name()) for _ in range(n)]
@@ -297,20 +331,32 @@ def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: 
     leaves = _probe(rest, s0, kb, budget, room)
     if leaves is None:
         if not budget.exhausted:  # once it is, no node can answer
-            yield from _bi_permute(args, s)
+            for s2 in _bi_permute(args, s):
+                yield rest, s2
         return
     ranks = [Int(p) for p in range(1, n + 1)]
-    ground = [t.__class__ is not Var and (t.__class__ is not Struct or t.ground) for t in items]
+    ground = [_ground(t) for t in items]
+    checked = all(ground)  # forward checking binds cells without an occurs check
+    # the leaves answer when s0 binds each cell, if at all, to a ground term
+    fixed = [s0.get(c.name) for c in order_cells + out_cells]
+    answers = checked and all(t is None or _ground(t) for t in fixed)
+    out_names = {c.name for c in out_cells}
     perm: list = []  # perm[i]: the rank index given to item i
     alive = [leaves]  # alive[i]: the leaves that survive perm[:i]
+    split = False  # a goal woken so far gave more than one answer
     taken = [False] * n
     p = 0  # the next rank index to try for item len(perm)
     while True:
         i = len(perm)
         if i == n:
             s3 = _placed(args, s, items, perm, ranks)
-            if s3 is not None:
-                yield s3
+            if s3 is not None and answers and not split and not any(waiting for _, waiting in alive[-1]):
+                for leaf_s, _ in alive[-1]:  # the continuation's answers on the ranking
+                    m = dict(s0.items())
+                    m.update(leaf_s.items())
+                    yield None, Subst(m)
+            elif s3 is not None:
+                yield rest, s3  # guards (a) to (c): the continuation runs on the ranking
             p = n
         while p < n and taken[p]:
             p += 1
@@ -336,9 +382,15 @@ def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: 
                 if s2 is None:
                     continue
             if waiting:
-                kept += _wake(s2, waiting)
+                split = _wake(s2, waiting, kept) or split
             else:
                 kept.append((s2, waiting))
+        if checked and i + 1 < n:
+            woken, kept = kept, []
+            for s2, waiting in woken:
+                waiting = _checked(s2, waiting, out_names, items, i)
+                if waiting is not None:
+                    kept.append((s2, waiting))
         if kept:
             perm.append(p)
             taken[p] = True
@@ -346,6 +398,57 @@ def _coroutined_permute(args: tuple, rest, s: Subst, kb: KnowledgeBase, budget: 
             p = 0
         else:
             p += 1
+
+
+def _ground(t: Term) -> bool:
+    return t.__class__ is not Var and (t.__class__ is not Struct or t.ground)
+
+
+def _checked(s: Subst, waiting: tuple, out_names: "set[str]", items: list, i: int) -> "Optional[tuple]":
+    """Forward checking (Haralick & Elliott, 1980) after item i is placed:
+    waiting with the supports of its Out cells brought up to date, or None
+    when an unbound Out cell that goals wait on has none.  The support of
+    such a cell is the last item k still to be placed under which every
+    goal waiting on it, the cell bound to items[k], yields anything by its
+    lazy reading; each of those goals keeps (k, w), w the variable its
+    reading then waits on (None for an answer).  The goals on a cell stay
+    while it is unbound, and the items after k failed one of them, so they
+    fail it under any later bindings too: the cell has no support once k
+    is placed, and k is looked for again, among the items up to it, only
+    when a goal joins the cell or a goal's w is bound."""
+    cells: dict = {}  # each Out cell goals wait on: [whether to look again, their places in waiting]
+    for g, (args, lazy, var, support) in enumerate(waiting):
+        if support is not None and support[0] <= i:
+            return None
+        name = s.walk(var).name
+        if name in out_names:
+            cell = cells.setdefault(name, [False, []])
+            cell[1].append(g)
+            if support is None or support[1] is not None and support[1].name in s:
+                cell[0] = True
+    new = None
+    for name, (stale, goals) in cells.items():
+        if not stale:
+            continue
+        top = min([waiting[g][3][0] for g in goals if waiting[g][3] is not None], default=len(items) - 1)
+        for k in range(top, i, -1):
+            s_k = s.bind(name, items[k])
+            found = []
+            for g in goals:
+                args, lazy, var, _ = waiting[g]
+                r = next(iter(lazy(args, s_k)), None)
+                if r is None:
+                    break
+                found.append((args, lazy, var, (k, r if r.__class__ is Var else None)))
+            else:
+                break
+        else:
+            return None
+        if new is None:
+            new = list(waiting)
+        for g, entry in zip(goals, found):
+            new[g] = entry
+    return waiting if new is None else tuple(new)
 
 
 def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Optional[list[tuple[Subst, tuple]]]":
@@ -387,36 +490,39 @@ def _lazy_step(kb: KnowledgeBase, goal: Atom, scope, s: Subst, waiting: tuple):
         raise _Unready
     for r in lazy(goal.args, s):
         if r.__class__ is Var:
-            yield (), scope, s, waiting + ((goal.args, lazy, r),)
+            yield (), scope, s, waiting + ((goal.args, lazy, r, None),)
         else:
             yield (), scope, r, waiting
 
 
-def _wake(s: Subst, waiting: tuple) -> "list[tuple[Subst, tuple]]":
-    """The leaves of running, under s, each waiting goal whose variable is
-    bound, and the goals those bind in turn, until every goal left waits.
+def _wake(s: Subst, waiting: tuple, out: list) -> bool:
+    """Adds to out the leaves of running, under s, each waiting goal whose
+    variable is bound, and the goals those bind in turn, until every goal
+    left waits; True when a goal woken gave more than one answer.
 
     A waiting variable costs one dict read, and a walk only when it is bound
     to another variable.  The goals before the one woken are not read again
     while the substitution they waited under stays the same."""
-    out, todo = [], [(s, waiting, 0)]
+    split, todo = False, [(s, waiting, 0)]
     while todo:
         s, waiting, start = todo.pop()  # the goals before start wait under s
         get = s.get
         for k in range(start, len(waiting)):
-            args, lazy, var = waiting[k]
+            args, lazy, var, _ = waiting[k]
             t = get(var.name)
             if t is not None and (t.__class__ is not Var or s.walk(t).__class__ is not Var):
                 rest = waiting[:k] + waiting[k + 1 :]
+                before = len(todo)
                 for r in lazy(args, s):
                     if r.__class__ is Var:
-                        todo.append((s, rest + ((args, lazy, r),), k))
+                        todo.append((s, rest + ((args, lazy, r, None),), k))
                     else:
                         todo.append((r, rest, k if r is s else 0))
+                split = split or len(todo) > before + 1
                 break
         else:
             out.append((s, waiting))
-    return out
+    return split
 
 
 def standard_builtins() -> "dict[tuple[str, int], BuiltinFn]":
@@ -487,7 +593,9 @@ def solve(
     goal the kb defines is resolved by its builtin or clauses (through
     resolve(), which builds only the body), a clause body inheriting the
     goal's scope; without a hook, a permute with goals after it
-    coroutines with them (KnowledgeBase.plain leaves it out).
+    coroutines with them (KnowledgeBase.plain leaves it out), and its
+    child nodes on a ranking its probe's leaves answer for are success
+    nodes, with no goal left.
     Any other goal goes to hook(goal, scope, subst, state) as the goal
     stack holds it, to be read under subst, and the hook yields the
     alternatives as (body atoms, body scope, subst, state); without a hook
@@ -537,8 +645,8 @@ def solve(
                 yield stack2, s2, state2
             return
         if key in kb.builtins:  # permute, which plain leaves out
-            for s2 in _coroutined_permute(goal.args, rest, s, kb, budget, room):
-                yield rest, s2, state
+            for stack2, s2 in _coroutined_permute(goal.args, rest, s, kb, budget, room):
+                yield stack2, s2, state
 
     while open_:
         for stack, s, state in open_[-1]:

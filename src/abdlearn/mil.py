@@ -242,6 +242,7 @@ from .terms import (
     Sym,
     Term,
     Var,
+    fresh_name,
     is_nil,
     proper_list_items,
     rename_apart,  # this and unify_atoms are unused: perfbench/spans.py wraps them here
@@ -479,10 +480,12 @@ class Abducible:
         it yields that variable to wait on, where the ground reading fails
         or, on an item of the fact kind, raises SettingError.  On a pair it
         cannot read (a non-item, or a pair facts was not given), the fact
-        kind holds, leaving the ground reading to raise in the run.  The
-        fact kind takes its cells as _cells walked them: an unbound first
-        cell, or an unbound second after a ground first, is the variable it
-        waits on, and a ground cell is read as it stands."""
+        kind waits on a variable nothing binds: the probe's leaf stays
+        alive but cannot answer, and a ranking's run raises as the ground
+        reading does.  The fact kind takes its cells as _cells walked them:
+        an unbound first cell, or an unbound second after a ground first,
+        is the variable it waits on, and a ground cell is read as it
+        stands."""
         if self.kind == ABD_FACT:
             def holds(args, s):
                 read, rest = _cells(args[0], s, 2)
@@ -501,13 +504,13 @@ class Abducible:
                     y = s.apply(y)
                 i, j = _item_id(x), _item_id(y)
                 # a probe leaf may pair terms that no ranking pairs: where the
-                # ground reading raises, the lazy one holds, and a ranking's run decides
+                # ground reading raises, the lazy one waits, and a ranking's run decides
                 if i is None or j is None:
                     unbound = lazy and (term_vars(x) or term_vars(y))
                     if unbound:
                         yield Var(unbound[0])
                     elif lazy:
-                        yield s
+                        yield Var(fresh_name())
                     else:
                         raise SettingError(f"{self.name} reached a non-item term")
                     return
@@ -516,7 +519,8 @@ class Abducible:
                 except KeyError:  # a pair facts was not given
                     if not lazy:
                         raise
-                    p = 1.0
+                    yield Var(fresh_name())
+                    return
                 if p >= 0.5:
                     yield s
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from abdlearn import kb as kb_module
 from abdlearn.kb import Budget, KBError, KnowledgeBase, deduce, resolve, standard_kb
 from abdlearn.metarules import MetaSub, Program
-from abdlearn.mil import TableFacts, item_term
+from abdlearn.mil import SettingError, TableFacts, item_term
 from abdlearn.parser import parse_atom, parse_clause, parse_term
 from abdlearn.tasks import evaluate, gen_sequences, ground_kb, make_task
 from abdlearn.terms import (
@@ -22,6 +22,7 @@ from abdlearn.terms import (
     mk_list,
     print_term,
     rename_apart,
+    unify,
     unify_atoms,
 )
 
@@ -361,15 +362,131 @@ def test_pruned_permute_gives_the_blind_answer_stream(top, cont, order, relation
         assert all(perm[0] != 0 for perm in placed if perm)
 
 
+# mem gives one answer per Out cell, each binding X: a ranking the probe's
+# leaves answer for has as many answers, in mem's order
+MEMBERS = """
+mem(X, [X|_]).
+mem(X, [_|T]) :- mem(X, T).
+g_mem(A, B, X) :- permute(A, B, C), s(C), mem(X, C).
+"""
+
+
+@pytest.mark.parametrize("order", ["R", "[2|R]"])
+@given(_relations())
+@settings(max_examples=25, deadline=None)
+def test_leaf_answers_bind_every_goal_variable_as_the_blind_stream(order, relation):
+    n, table = relation
+    pairs = {(a, b): float(table[a * n + b]) for a in range(n) for b in range(n) if a != b}
+    kb = ground_kb(make_task("bogosort"), SORT_PROGRAM, facts=TableFacts({}, pairs=pairs))
+    kb.add_text(MEMBERS)
+    items, order_t, x = [item_term(i) for i in range(n)], parse_term(order), Var("X")
+    goal = Atom("g_mem", (mk_list(items), order_t, x))
+    got = [(print_term(s.apply(order_t)), print_term(s.apply(x))) for s in deduce(goal, kb)]
+    want = []
+    for perm in itertools.permutations(range(n)):
+        placed = [None] * n
+        for item, p in zip(items, perm):
+            placed[p] = item
+        ranking = print_term(mk_list([Int(p + 1) for p in perm]))
+        if order == "R" or ranking.startswith("[2"):
+            cont = [Atom("s", (mk_list(placed),)), Atom("mem", (x, mk_list(placed)))]
+            want += [(ranking, print_term(s.apply(x))) for s in deduce(cont, kb)]
+    assert got == want
+
+
+def _pick(lazy: bool):
+    """pick(L, X): X is a, then b, once L's first item is bound; the lazy
+    reading waits on that item while it is unbound."""
+
+    def pick(args, s):
+        t = s.walk(args[0])
+        if t.__class__ is not Struct or t.functor != "." or len(t.args) != 2:
+            return
+        first = s.walk(t.args[0])
+        if first.__class__ is Var:
+            if lazy:
+                yield first
+            return
+        for c in ("a", "b"):
+            s2 = unify(args[1], parse_term(c), s)
+            if s2 is not None:
+                yield s2
+
+    return pick
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_woken_goal_with_two_answers_keeps_the_blind_order(n):
+    """pick waits in the probe and choice's two clauses split its leaf; once
+    the first Out cell is bound, pick gives two answers in each leaf, so the
+    leaves are choice-major where the run is pick-major: the ranking's
+    continuation is run again, and gives a x, a y, b x, b y."""
+    kb = standard_kb("choice(x).\nchoice(y).\ng_pick(A, B, X, Y) :- permute(A, B, C), pick(C, X), choice(Y).")
+    kb.add_builtin("pick", 2, _pick(False), _pick(True))
+    items, order, x, y = [Int(i) for i in range(n)], Var("O"), Var("X"), Var("Y")
+
+    def shown(stream, *ts):
+        return [" ".join(print_term(s.apply(t)) for t in ts) for s in stream]
+
+    got = shown(deduce(Atom("g_pick", (mk_list(items), order, x, y)), kb), order, x, y)
+    want = []
+    for perm in itertools.permutations(range(n)):
+        placed = [None] * n
+        for item, p in zip(items, perm):
+            placed[p] = item
+        ranking = print_term(mk_list([Int(p + 1) for p in perm]))
+        cont = [Atom("pick", (mk_list(placed), x)), Atom("choice", (y,))]
+        want += [f"{ranking} {a}" for a in shown(deduce(cont, kb), x, y)]
+    first = print_term(mk_list([Int(p) for p in range(1, n + 1)]))
+    assert got == want and got[:4] == [f"{first} {a}" for a in ("a x", "a y", "b x", "b y")]
+
+
+@pytest.mark.parametrize("last, error", [(Struct("h", (Int(1),)), SettingError), (item_term(2), KeyError)])
+@given(st.lists(st.booleans(), min_size=2, max_size=2))
+@settings(max_examples=10, deadline=None)
+def test_a_pair_the_lazy_reading_cannot_read_raises_as_the_blind_stream(last, error, held):
+    """Every sorted ranking of item(0), item(1) and last reads a pair with
+    last: a non-item (SettingError) or an item no pair is given for
+    (KeyError).  The lazy reading waits there on a variable nothing binds,
+    so no leaf answers for a ranking, and the first ranking whose run
+    reads such a pair raises, after the same answers as the blind stream."""
+    pairs = {(0, 1): float(held[0]), (1, 0): float(held[1])}
+    kb = ground_kb(make_task("bogosort"), SORT_PROGRAM, facts=TableFacts({}, pairs=pairs))
+    items = [item_term(0), item_term(1), last]
+
+    def until_raised(stream, show) -> list:
+        out = []
+        with pytest.raises(error):
+            for s in stream:
+                out.append(show(s))
+        return out
+
+    order = Var("O")
+    got = until_raised(deduce(Atom("f", (mk_list(items), order)), kb), lambda s: print_term(s.apply(order)))
+
+    def blind():
+        for perm in itertools.permutations(range(3)):
+            placed = [None] * 3
+            for item, p in zip(items, perm):
+                placed[p] = item
+            for _ in deduce(Atom("s", (mk_list(placed),)), kb):
+                yield perm
+
+    want = until_raised(blind(), lambda perm: print_term(mk_list([Int(p + 1) for p in perm])))
+    assert got == want
+
+
 def test_sorted_rankings_answer_within_a_node_bound(monkeypatch):
     """Under true pairs the sort program answers every 7-item ranking
-    within 4,000 nodes and every 9-item one within 40,000 (at most 1,651
-    and 22,393 on these lists).  nodes is deterministic, so this gates the
+    within 4,000 nodes and every 9-item one within 40,000 (at most 253
+    and 1,204 on these lists).  nodes is deterministic, so this gates the
     search, not a clock, and each length's total is pinned: how a step
     binds its cells, how waiting goals wake and how solve dispatches a goal
-    move no node.  A permute that tried every ranking in turn took
-    10,656 to 40,728 nodes on the 7-item lists, and all 6 of the 9-item
-    ones ran out of evaluate's 500,000-node cap without an answer."""
+    move no node.  Before forward checking and the leaf answers the totals
+    were 827, 6,078 and 91,610 (at most 1,651 and 22,393).  A permute that
+    tried every ranking in turn took 10,656 to 40,728 nodes on the 7-item
+    lists, and all 6 of the 9-item ones ran out of evaluate's
+    500,000-node cap without an answer."""
     budgets = []
 
     class Recorded(Budget):
@@ -379,7 +496,7 @@ def test_sorted_rankings_answer_within_a_node_bound(monkeypatch):
 
     monkeypatch.setattr("abdlearn.tasks.Budget", Recorded)
     task = make_task("bogosort")
-    for length, cap, total in ((5, 4_000, 827), (7, 4_000, 6_078), (9, 40_000, 91_610)):
+    for length, cap, total in ((5, 4_000, 323), (7, 4_000, 834), (9, 40_000, 4_646)):
         examples = gen_sequences(task, 6, lengths=(length, length), seed=0)
         budgets.clear()
         m = evaluate(SORT_PROGRAM, task, examples, use_truth=True, max_nodes=cap)

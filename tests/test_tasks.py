@@ -486,13 +486,15 @@ def test_lazy_reading_answers_as_the_ground_one_when_nothing_it_reads_is_unbound
 
 def test_lazy_fact_reading_keeps_what_the_ground_one_raises_on():
     """A probe leaf may pair a non-item, or two items facts holds no pair
-    for: the lazy reading holds, and the run on a ranking decides."""
+    for: the lazy reading waits on a variable nothing binds, so the leaf
+    neither fails nor answers, and the run on a ranking decides."""
     facts = TableFacts({}, pairs={(0, 1): 0.0})
     spec = Abducible("nn", ABD_FACT)
     s = Subst()
     for src, error in (("[1,2]", SettingError), ("[item(1),item(0)]", KeyError)):
         lst = parse_term(src)
-        assert list(spec.ground(facts, lazy=True)((lst,), s)) == [s]
+        (wait,) = spec.ground(facts, lazy=True)((lst,), s)
+        assert wait.__class__ is Var and wait.name not in s and wait.name not in term_vars(lst)
         with pytest.raises(error):
             list(spec.ground(facts)((lst,), s))
     lst = parse_term("[item(0),item(1)]")
@@ -516,7 +518,7 @@ def _reference_fact_reading(facts, lazy):
             if unbound:
                 yield Var(unbound[0])
             elif lazy:
-                yield s
+                yield Var("fresh")
             else:
                 raise SettingError("non-item")
             return
@@ -525,7 +527,8 @@ def _reference_fact_reading(facts, lazy):
         except KeyError:
             if not lazy:
                 raise
-            p = 1.0
+            yield Var("fresh")
+            return
         if p >= 0.5:
             yield s
 
@@ -569,9 +572,13 @@ def _fact_reading_cases(draw):
 
 
 def _outcome(reading, args, s):
-    """What a reading gives: its waits by name and its holds, or the error it raises."""
+    """What a reading gives: its waits by name (a variable that no cell can
+    hold named fresh) and its holds, or the error it raises."""
     try:
-        return [("waits", r.name) if r.__class__ is Var else ("holds", r is s) for r in reading(args, s)]
+        return [
+            ("waits", r.name if r.name in _NAMES else "fresh") if r.__class__ is Var else ("holds", r is s)
+            for r in reading(args, s)
+        ]
     except (KeyError, SettingError) as e:
         return type(e).__name__
 
