@@ -57,7 +57,20 @@ De Schreye & Krekels, JLP 1989):
     (c) a goal woken so far in the enumeration gave more than one answer,
     or an item is not ground or s0 binds a cell to a term that is not.
     Then the ranking is yielded as before, from the substitution permute
-    was called in, and the continuation runs on it.
+    was called in, and the continuation runs on it;
+  * stored probes (variant tabling, Tamaki & Sato, ICLP 1986): a kb that
+    tasks.ground_kb builds shares its clause table, and a store of
+    finished probes, with every ground kb of the same background,
+    abducibles and program (KnowledgeBase.share).  A probe is looked up by
+    its room and its goals in canonical form: variables numbered by first
+    occurrence, every other term as it stands.  One that finished uncut,
+    KnowledgeBase.reads not moved (no lazy reading read the fact oracle),
+    is stored: its nodes, and its leaves compiled to one frame of slots
+    (_Stored).  Met again, it is replayed when the budget admits its nodes
+    (Budget.admits): they are charged, and the leaves are rebuilt over the
+    goals' variables, every other variable fresh, each term the leaves
+    share built once, each waiting goal with this kb's lazy reading of its
+    key.  Otherwise the probe runs.
 
 Why the answers cannot change.  The stream is the blind one less rankings
 on which the continuation has no refutation, which yield nothing.  A
@@ -93,6 +106,22 @@ not.  Only nodes move: the probe and the steps are charged, dropped
 prefixes are not extended, a ranking its leaves answer for runs no
 continuation, and once the node cap stops the probe no ranking is tried,
 as none could answer.
+A replay gives the leaves, in order, and the nodes of the probe it stands
+for.  The probe is a function of its goals, its room and the kb: solve
+starts from no bindings, and the hook and the clause steps pass the scope
+on unread.  Goals of one canonical form are variants, and the probe is
+blind to variable names: unification and the clause steps bind and build
+the same terms up to renaming, nothing tells a fresh variable apart but its
+name, and a lazy reading that left the reads count as it was read only its
+goal's terms, by their structure.  The kbs that share a store have the same
+clauses and builtins, each lazy reading built alike over its own oracle
+(add_clause copies the table, add_builtin drops the store).  So the stored
+leaves, renamed to this call's variables, are the leaves the probe would
+find, with the stored nodes; as the budget admits them, no tick of the run
+would fail, and neither counts a depth hit, a stored probe being uncut.
+Only the clock can tell the two apart: the run reads the deadline every
+256th tick, the replay once.  A probe that was cut, met a goal it cannot
+run or read the oracle is not stored, and runs each time.
 """
 
 from __future__ import annotations
@@ -100,7 +129,7 @@ from __future__ import annotations
 import itertools
 import time
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .parser import parse_program
 from .terms import (
@@ -205,12 +234,23 @@ class Budget:
             return False
         return True
 
+    def admits(self, nodes: int) -> bool:
+        """Whether nodes more ticks would all pass: the budget is not out,
+        they stay within max_nodes, and the deadline, read now but not
+        recorded, has not passed."""
+        return (
+            not self.exhausted
+            and (self.max_nodes is None or self.nodes + nodes <= self.max_nodes)
+            and (self.deadline is None or time.monotonic() <= self.deadline)
+        )
+
 
 class KnowledgeBase:
     """Clauses indexed by (predicate, arity) plus native builtins, some with
     the lazy reading that permute's probe runs (see the module docstring).
     builtins holds them all; plain holds those a solve without a hook runs
-    as they stand, every builtin but permute, which coroutines there."""
+    as they stand, every builtin but permute, which coroutines there.
+    probes, when not None, is the store of finished probes (share)."""
 
     def __init__(self):
         # stored as parsed: resolve() matches them without renaming
@@ -219,11 +259,29 @@ class KnowledgeBase:
         self.lazy: dict[tuple[str, int], LazyFn] = {}
         # decided once per key, so that no other goal pays for permute's test
         self.plain: dict[tuple[str, int], BuiltinFn] = {}
+        self.probes: Optional[dict] = None
+        self.reads: Optional[Callable[[], int]] = None
+        self._shared = False  # clauses is another kb's table too
+
+    def share(self, probes: dict, reads: Callable[[], int]) -> "KnowledgeBase":
+        """This kb, its clause table marked as shared with other kbs, with
+        probes, the store of finished probes they share, and reads, which
+        counts what its lazy readings read besides their goals' terms (a
+        probe during which it moved is not stored).  The first add_clause
+        copies the table and starts an empty store, so no other kb sees the
+        clause; add_builtin drops the store, as nothing counts what a new
+        reading reads."""
+        self.probes, self.reads, self._shared = probes, reads, True
+        return self
 
     def add_clause(self, c: Clause) -> None:
         key = c.head.key()
         if key in self.builtins:
             raise KBError(f"clause for {key[0]}/{key[1]} would override a builtin")
+        if self._shared:
+            self.clauses = {k: list(cs) for k, cs in self.clauses.items()}
+            self.probes = None if self.probes is None else {}
+            self._shared = False
         self.clauses.setdefault(key, []).append(c)
 
     def add_text(self, text: str) -> None:
@@ -240,6 +298,7 @@ class KnowledgeBase:
         if key in self.clauses:
             raise KBError(f"builtin {name}/{arity} would shadow existing clauses")
         self.builtins[key] = fn
+        self.probes = None
         if fn is not _bi_permute:
             self.plain[key] = fn
         if lazy is not None:
@@ -451,13 +510,47 @@ def _checked(s: Subst, waiting: tuple, out_names: "set[str]", items: list, i: in
     return waiting if new is None else tuple(new)
 
 
+class _Stored(NamedTuple):
+    """A finished probe in kb.probes, compiled to one frame of slots: one
+    per variable, the goals' first, and one per other term object the
+    leaves hold, so a term they share is built once.  frame holds each
+    ground term in its slot; fresh lists the slots of the probe's own
+    variables; code builds each other compound after its arguments, as
+    (slot, functor, argument slots).  A leaf is the (name slot, term slot)
+    of each binding and each waiting goal's (lazy reading's key, argument
+    slots, the slot it waits on)."""
+
+    nodes: int
+    frame: tuple
+    fresh: tuple
+    code: tuple
+    leaves: tuple
+
+
 def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Optional[list[tuple[Subst, tuple]]]":
     """The success leaves (subst, waiting goals) of the goal stack rest run
-    from s0 within room steps, or None when the probe could not finish."""
+    from s0 within room steps, or None when the probe could not finish.
+    With a store (kb.probes), the probe stored under room and the goals in
+    canonical form is replayed when budget admits its nodes; a probe run is
+    stored when it finished and kb.reads() did not move (see the module
+    docstring)."""
     goals = []  # solve starts from no bindings: the goals carry s0's
     while rest is not None:
         goal, scope, rest = rest
         goals.append((s0.apply_atom(goal), scope))
+    store = kb.probes
+    if store is not None:
+        slots: dict = {}  # the goals' variables by first occurrence
+        key = [room]
+        for g, _ in goals:  # the scopes are not read: the hook ignores them, clause bodies inherit them
+            key.append((g.pred, len(g.args)))
+            _preorder(g.args, slots, key)
+        key = tuple(key)
+        stored = store.get(key)
+        if stored is not None and budget.admits(stored.nodes):
+            budget.nodes += stored.nodes
+            return _replayed(stored, list(slots), kb)
+        nodes, reads = budget.nodes, kb.reads()
     clauses_only = KnowledgeBase()
     clauses_only.clauses = kb.clauses  # so that every builtin goal reaches the hook
     hits = budget.depth_hits
@@ -468,7 +561,86 @@ def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Op
     if budget.depth_hits != hits or budget.exhausted:
         leaves = None
     budget.depth_hits = hits
+    if store is not None and leaves is not None and kb.reads() == reads:
+        store[key] = _compiled(leaves, slots, budget.nodes - nodes, kb)
     return leaves
+
+
+def _preorder(terms: Iterable[Term], slots: dict, out: list) -> None:
+    """Appends to out the preorder of terms, without recursion: a variable
+    as its slot (slots numbers names by first occurrence), a compound as
+    (functor, arity) before its arguments, any other term as it stands."""
+    todo = list(terms)
+    todo.reverse()
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Var:
+            out.append(slots.setdefault(t.name, len(slots)))
+        elif t.__class__ is Struct and t.args:
+            out.append((t.functor, len(t.args)))
+            todo += reversed(t.args)
+        else:
+            out.append(t)
+
+
+def _compiled(leaves: list, slots: dict, nodes: int, kb: KnowledgeBase) -> _Stored:
+    """The probe's leaves as _Stored keeps them, slots holding the goals'
+    variables; one frame covers every leaf, as one run made them."""
+    goals = len(slots)
+    ground: dict = {}  # slot -> ground term
+    code: list = []
+
+    def slot(t: Term) -> int:
+        """t's slot, a compound's set after its arguments', without recursion."""
+        todo = [t]
+        while todo:
+            u = todo[-1]
+            k = u.name if u.__class__ is Var else id(u)
+            if k in slots:
+                todo.pop()
+            elif u.__class__ is not Struct or u.ground:
+                todo.pop()
+                if u.__class__ is not Var:
+                    ground[len(slots)] = u
+                slots[k] = len(slots)
+            else:
+                args = [a.name if a.__class__ is Var else id(a) for a in u.args]
+                todo += [a for a, k_a in zip(u.args, args) if k_a not in slots]
+                if todo[-1] is u:
+                    todo.pop()
+                    slots[k] = len(slots)
+                    code.append((slots[k], u.functor, tuple([slots[k_a] for k_a in args])))
+        return slots[t.name if t.__class__ is Var else id(t)]
+
+    keys = {fn: key for key, fn in kb.lazy.items()}
+    out = []
+    for s, waiting in leaves:  # a probe's waiting goals have no support yet
+        out.append((
+            tuple([(slot(Var(name)), slot(t)) for name, t in s.items()]),
+            tuple([(keys[lazy], tuple([slot(a) for a in args]), slot(var)) for args, lazy, var, _ in waiting]),
+        ))
+    frame = [ground.get(i) for i in range(len(slots))]
+    fresh = tuple([i for k, i in slots.items() if k.__class__ is str and i >= goals])
+    return _Stored(nodes, tuple(frame), fresh, tuple(code), tuple(out))
+
+
+def _replayed(stored: _Stored, names: "list[str]", kb: KnowledgeBase) -> "list[tuple[Subst, tuple]]":
+    """stored's leaves over the goals' variables names, every other
+    variable fresh, each waiting goal with kb's lazy reading of its key."""
+    frame = list(stored.frame)
+    frame[: len(names)] = [Var(n) for n in names]
+    for i in stored.fresh:
+        frame[i] = Var(fresh_name())
+    for i, functor, args in stored.code:
+        frame[i] = Struct(functor, tuple([frame[a] for a in args]))
+    lazy = kb.lazy
+    return [
+        (
+            Subst({frame[v].name: frame[t] for v, t in bound}),
+            tuple([(tuple([frame[a] for a in args]), lazy[key], frame[w], None) for key, args, w in waits]),
+        )
+        for bound, waits in stored.leaves
+    ]
 
 
 def _lazy_step(kb: KnowledgeBase, goal: Atom, scope, s: Subst, waiting: tuple):

@@ -340,7 +340,8 @@ class TableFacts:
     weight table, and only then: it is kept as the WeightTable the check
     builds, and every later read returns that.  The constructor takes
     explicit probabilities (handy in tests); exact builds the oracle from
-    known labels, from_model from perception.
+    known labels, from_model from perception.  pair_reads counts the pair
+    reads: a ground kb stores no probe of permute that read one.
     """
 
     def __init__(self, tables: dict, value_base: int = 0, pairs=None):
@@ -351,6 +352,7 @@ class TableFacts:
             for k, tbl in tables.items()
         }
         self.value_base = value_base
+        self.pair_reads = 0  # pair_prob calls
         self._read = pairs if callable(pairs) else _no_pair
         self._pair_p: "dict[tuple[int, int], float]" = {} if callable(pairs) else dict(pairs or {})
 
@@ -401,6 +403,7 @@ class TableFacts:
 
     def pair_prob(self, a: int, b: int) -> float:
         """Probability that the dyadic relation holds of (a, b)."""
+        self.pair_reads += 1
         p = self._pair_p.get((a, b))
         if p is None:
             p = self._pair_p[a, b] = self._read(a, b)

@@ -22,6 +22,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -501,16 +502,29 @@ def ground_kb(task: Task, program: Program, facts: Optional[TableFacts] = None) 
     """Executable kb: background + induced clauses, read through the
     default metarule library, + each abducible's ground reading
     (mil.Abducible.ground) with its lazy one, which on a dyadic task read
-    the pair relation from facts.
+    the pair relation from facts.  The clause table is built once per
+    (background, abducibles, program), and every kb of it shares the table
+    and its store of permute's probes (KnowledgeBase.share); a probe that
+    read a pair (facts.pair_reads) is not stored.
     """
     if task.dyadic and facts is None:
         raise TaskError(f"task {task.id} needs a pairwise relation to execute")
-    kb = standard_kb(task.bk_text)
-    for clause in program_clauses(program, DEFAULT_LIBRARY):
-        kb.add_clause(clause)
+    clauses, probes = _clause_table(task.bk_text, task.abducibles, program)
+    kb = standard_kb()
+    kb.clauses = clauses
     for a in task.abducibles:
         kb.add_builtin(a.name, a.arity, a.ground(facts), a.ground(facts, lazy=True))
-    return kb
+    return kb.share(probes, (lambda: 0) if facts is None else (lambda: facts.pair_reads))
+
+
+@lru_cache(maxsize=64)
+def _clause_table(bk_text: str, abducibles: "tuple[Abducible, ...]", program: Program) -> "tuple[dict, dict]":
+    """ground_kb's clause table and probe store, for the 64 keys last met;
+    the abducibles key the store, as the probes run their lazy readings."""
+    kb = standard_kb(bk_text)
+    for clause in program_clauses(program, DEFAULT_LIBRARY):
+        kb.add_clause(clause)
+    return kb.clauses, {}
 
 
 @dataclass

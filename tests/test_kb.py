@@ -1,4 +1,5 @@
 
+import dataclasses
 import itertools
 import sys
 from unittest import mock
@@ -550,3 +551,196 @@ def test_passed_deadline_stops_the_search_within_256_nodes(monkeypatch):
 
     assert list(deduce(EIGHT, _blind_permute_kb(no), budget=b)) == []
     assert b.exhausted and 0 < b.nodes - at[0] <= 256
+
+
+# ---------------------------------------------------------------------------
+# stored probes: one store per (background, abducibles, program), replayed
+# ---------------------------------------------------------------------------
+
+# Two sorts of one list in one derivation.  The first permute's probe meets
+# the second permute, whose order is open, so the first enumerates blind; the
+# second coroutines on each ranking the first sorts, on new cells each time,
+# its probe run once and then replayed.
+TWO_SORTS = "g2(A, B, D) :- f(A, B), f(A, D).\n"
+# nn(A) reads the pair of A's first two items, item handles: a probe that
+# runs it reads the fact oracle
+READS_PAIR = "g_nn(A, B) :- permute(A, B, C), nn(A), s(C).\n"
+
+
+def _task_with(bk: str):
+    """bogosort with bk added to its background: a clause table, and so a
+    probe store, that no other test's ground kbs share."""
+    task = make_task("bogosort")
+    return dataclasses.replace(task, bk_text=task.bk_text + bk)
+
+
+def _fresh(kb):
+    """kb with no store: each of its probes runs."""
+    kb.probes = None
+    return kb
+
+
+def _run(kb, goal: Atom, out: tuple, budget=None):
+    """Every answer of goal on kb as out's terms printed, and the search's
+    nodes, depth_hits and exhausted."""
+    b = budget or Budget()
+    got = [" ".join(print_term(s.apply(t)) for t in out) for s in deduce(goal, kb, budget=b)]
+    return got, b.nodes, b.depth_hits, b.exhausted
+
+
+def _facts(n: int, held) -> TableFacts:
+    """The pair table over n items that held(a, b) gives."""
+    return TableFacts({}, pairs={(a, b): float(held(a, b)) for a in range(n) for b in range(n) if a != b})
+
+
+@st.composite
+def _queries(draw):
+    """One to five queries in turn: f or g2 on 2-6 items, each under its own
+    pair relation."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, 6))
+        table = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        out.append((draw(st.sampled_from(["f", "g2"])), n, table))
+    return out
+
+
+@given(_queries())
+@settings(max_examples=20, deadline=None)
+def test_stored_probes_answer_as_fresh_ones(queries):
+    """Each query runs on a new ground kb of one program, so a probe that
+    an earlier query (or g2's first sorted ranking) stored is replayed: the
+    answers, nodes, depth_hits and exhausted are those of a kb without a
+    store.  An f query on a length met before replays."""
+    task = _task_with(TWO_SORTS)
+    seen, replays, real = set(), [], kb_module._replayed
+
+    def replayed(*args):
+        replays.append(None)
+        return real(*args)
+
+    for top, n, table in queries:
+        out = (Var("B"),) if top == "f" else (Var("B"), Var("D"))
+        goal = Atom(top, (mk_list([item_term(i) for i in range(n)]), *out))
+        facts = _facts(n, lambda a, b: table[a * n + b])
+        want = _run(_fresh(ground_kb(task, SORT_PROGRAM, facts)), goal, out)
+        replays.clear()
+        with mock.patch.object(kb_module, "_replayed", replayed):
+            assert _run(ground_kb(task, SORT_PROGRAM, facts), goal, out) == want
+        if top == "f" and (top, n) in seen:
+            assert replays
+        seen.add((top, n))
+
+
+def test_a_probe_that_read_a_pair_is_never_stored():
+    """g_nn's probe reads the pair (0, 1), which holds under one table and
+    not the other: run in turn under both, each gives its own blind stream,
+    and the store stays empty."""
+    task, n = _task_with(READS_PAIR), 3
+    items, order = [item_term(i) for i in range(n)], Var("B")
+    goal = Atom("g_nn", (mk_list(items), order))
+    tables = (_facts(n, lambda a, b: a > b), _facts(n, lambda a, b: a < b))
+    streams = []
+    for facts in tables + tables:
+        kb = ground_kb(task, SORT_PROGRAM, facts)
+        want = []
+        for perm in itertools.permutations(range(n)):
+            placed = [None] * n
+            for item, p in zip(items, perm):
+                placed[p] = item
+            cont = [Atom("nn", (mk_list(items),)), Atom("s", (mk_list(placed),))]
+            want += [print_term(mk_list([Int(p + 1) for p in perm])) for _ in deduce(cont, kb)]
+        streams.append(_run(kb, goal, (order,))[0])
+        assert streams[-1] == want
+    assert streams[:2] == [[], ["[1,2,3]"]] and streams[2:] == streams[:2]
+    assert ground_kb(task, SORT_PROGRAM, tables[0]).probes == {}
+
+
+def test_a_replay_the_budget_cannot_admit_runs_the_probe(monkeypatch):
+    """With the probe stored, every node cap up to past the whole search,
+    and a deadline already passed, give the answers, nodes and exhausted of
+    a kb without a store: a replay whose nodes would cross the cap runs the
+    probe instead, which the cap stops.  The passed deadline is never read
+    (the search is under 256 nodes), so the probe runs and answers; a
+    replay that recorded it would answer nothing."""
+    task, n = _task_with("budgets.\n"), 4
+    facts = _facts(n, lambda a, b: (a * 3) % n >= (b * 3) % n)
+    order = Var("B")
+    goal = Atom("f", (mk_list([item_term(i) for i in range(n)]), order))
+    whole = _run(ground_kb(task, SORT_PROGRAM, facts), goal, (order,))  # stores the probe
+    assert whole[0] == ["[4,1,2,3]"]
+    replays, real = [], kb_module._replayed
+
+    def replayed(*args):
+        replays.append(None)
+        return real(*args)
+
+    with mock.patch.object(kb_module, "_replayed", replayed):
+        for cap in range(whole[1] + 2):
+            want = _run(_fresh(ground_kb(task, SORT_PROGRAM, facts)), goal, (order,), Budget(max_nodes=cap))
+            assert _run(ground_kb(task, SORT_PROGRAM, facts), goal, (order,), Budget(max_nodes=cap)) == want
+        # the probe starts at node 3: the caps from there to the node before the
+        # stored probe's last ran it, and those past it replayed
+        (stored,) = ground_kb(task, SORT_PROGRAM, facts).probes.values()
+        assert len(replays) == whole[1] + 2 - (2 + stored.nodes)
+        now = [0.0]
+        monkeypatch.setattr(kb_module.time, "monotonic", lambda: now[0])
+        runs = []
+        for kb in (_fresh(ground_kb(task, SORT_PROGRAM, facts)), ground_kb(task, SORT_PROGRAM, facts)):
+            now[0] = 0.0
+            b = Budget(wall_ms=5)
+            now[0] = 1.0
+            runs.append(_run(kb, goal, (order,), b))
+        assert runs[1] == runs[0] == whole
+    assert len(replays) == whole[1] + 2 - (2 + stored.nodes)
+
+
+# burn(N, A, B) resolves once per succ/1 in N before it calls f(A, B), so
+# the probe under it has that much less room; the numeral adds nothing to
+# the depth bound, which counts list items
+BURN = "burn(0, A, B) :- f(A, B).\nburn(succ(N), A, B) :- burn(N, A, B).\n"
+
+
+def test_a_probe_is_stored_under_its_room():
+    """f stores its probe with the most room; under burn, at every depth
+    down to where the bound cuts the probe, and past it, each query run
+    twice gives what a kb without a store gives."""
+    task, n = _task_with(BURN), 3
+    facts = _facts(n, lambda a, b: a >= b)
+    items, order = mk_list([item_term(i) for i in range(n)]), Var("B")
+    _run(ground_kb(task, SORT_PROGRAM, facts), Atom("f", (items, order)), (order,))
+    numeral, cut = parse_term("0"), 0
+    for _ in range(kb_module.DEPTH_BASE + kb_module.DEPTH_PER_ITEM * n):
+        goal = Atom("burn", (numeral, items, order))
+        want = _run(_fresh(ground_kb(task, SORT_PROGRAM, facts)), goal, (order,))
+        for _ in range(2):
+            assert _run(ground_kb(task, SORT_PROGRAM, facts), goal, (order,)) == want
+        cut += want[2] > 0
+        numeral = Struct("succ", (numeral,))
+    assert cut
+
+
+def test_add_text_on_a_ground_kb_reaches_no_later_one():
+    """Ground kbs of one program share one clause table and one store.  A
+    clause added to one copies its table and starts its own store: the
+    probe it stores there, with one more leaf, reaches no later ground kb,
+    nor does the clause.  add_builtin drops a kb's store."""
+    task, n = _task_with("copy_on_write.\n"), 3
+    facts = _facts(n, lambda a, b: a >= b)
+    items, order = [item_term(i) for i in range(n)], Var("B")
+    goal = Atom("f", (mk_list(items), order))
+    want = _run(_fresh(ground_kb(task, SORT_PROGRAM, facts)), goal, (order,))
+    first, other = ground_kb(task, SORT_PROGRAM, facts), ground_kb(task, SORT_PROGRAM, facts)
+    assert first.clauses is other.clauses and first.probes is other.probes
+    table = {k: list(cs) for k, cs in first.clauses.items()}
+    first.add_text("s([_|_]).")  # every nonempty list sorted
+    assert first.clauses is not other.clauses and first.probes == {} and first.probes is not other.probes
+    got = _run(first, goal, (order,))
+    assert got[0] == _blind(first, "s", items) and len(got[0]) > len(want[0])
+    assert len(first.probes) == 1 and other.probes == {}
+    for _ in range(2):  # the first runs the probe and stores it, the second replays it
+        later = ground_kb(task, SORT_PROGRAM, facts)
+        assert later.clauses == table
+        assert _run(later, goal, (order,)) == want
+    later.add_builtin("extra", 1, lambda args, s: iter(()))
+    assert later.probes is None and other.probes is not None
