@@ -19,6 +19,22 @@ every variable is a frame index and every ground subterm is kept as it is
 the binding trail), so the frame is a list indexed by slot and a step
 matches the head and builds the body without looking up a name.
 
+Shared clause prefixes.  A run is two or more adjacent clauses of one
+predicate with equal head plans and equal first body goals (_Run).
+add_clause finds the runs when it builds a predicate's entry, so each
+clause table, tasks.ground_kb's shared one included, finds them once.  A
+predicate with a run is held as a _Grouped list, and any other pays
+nothing.  When the run's first goal is a builtin of the solve
+(KnowledgeBase.plain without a hook, builtins with one), solve matches the
+head once and builds that goal once, from the first clause's frame.  Each
+clause's child node is then headed by one shared node (_Shared) in place
+of the goal: its first expansion runs the builtin, and each later one
+reads the same answers in the same order.  A later clause builds the rest
+of its body over the frame's slots of the head and first goal, with fresh
+slots after them.  The program sum learns, f(A,B) :- add(A,C), eq(C,B).
+f(A,B) :- add(A,C), f(C,B)., so runs each item's add once, not once per
+clause.
+
 Rankings are generated and tested (f(A,B) :- permute(A,B,C), s(C)), so a
 blind permute runs its continuation on up to n! rankings.  When permute
 meets an Order that is not a ground ranking, with goals open after it and no
@@ -122,6 +138,21 @@ would fail, and neither counts a depth hit, a stored probe being uncut.
 Only the clock can tell the two apart: the run reads the deadline every
 256th tick, the replay once.  A probe that was cut, met a goal it cannot
 run or read the oracle is not stored, and runs each time.
+
+A shared clause prefix changes no answer and no counter either.  The
+clauses of a run match the same goal under the same substitution by equal
+head plans, so the one match stands for each of theirs, up to the names of
+the variables it builds; the first goal's slots are numbered alike in
+each, so each clause's first goal is the same term, and a builtin's
+answers are a function of its arguments under the substitution.  Each
+clause's child node stands where its builtin goal stood, at the same
+depth, costing the same tick or depth hit.  Depth-first, the second
+clause's node is drawn only once the first's is exhausted, so the answers
+recorded then are all of them, and the stream is still the first clause's
+continuation over every answer, then the second's.  A builtin that raises
+does so on the same pull, in the first clause's turn.
+A clause-defined first goal is not shared: skipping its subtree would skip
+its ticks.
 """
 
 from __future__ import annotations
@@ -278,11 +309,11 @@ class KnowledgeBase:
         key = c.head.key()
         if key in self.builtins:
             raise KBError(f"clause for {key[0]}/{key[1]} would override a builtin")
-        if self._shared:
-            self.clauses = {k: list(cs) for k, cs in self.clauses.items()}
+        if self._shared:  # entries are replaced, never changed: the dict is all there is to copy
+            self.clauses = dict(self.clauses)
             self.probes = None if self.probes is None else {}
             self._shared = False
-        self.clauses.setdefault(key, []).append(c)
+        self.clauses[key] = _grouped([*self.clauses.get(key, ()), c])
 
     def add_text(self, text: str) -> None:
         for c in parse_program(text):
@@ -309,6 +340,48 @@ class KnowledgeBase:
 
     def predicates(self) -> "set[tuple[str, int]]":
         return set(self.clauses) | set(self.builtins)
+
+
+class _Run(NamedTuple):
+    """Adjacent clauses of one predicate with equal head plans and first
+    body goals: solve matches their head once and shares the first goal's
+    answers when it is a builtin of the solve (see the module docstring).
+    first is that goal's key, and width the slots the head and first goal
+    use, 0 to width - 1, as the slot form numbers by first occurrence.  A
+    clause in no run stands alone, first None."""
+
+    clauses: tuple
+    first: Optional[tuple]
+    width: int
+
+
+class _Grouped(list):
+    """A predicate's clauses, in order, when some of them form a _Run:
+    groups holds the runs, every other clause alone.  It reads as the
+    plain list of clauses that kb.clauses holds for every other
+    predicate."""
+
+    __slots__ = ("groups",)
+
+
+def _grouped(cs: "list[Clause]") -> "list[Clause]":
+    """cs as kb.clauses holds it: a _Grouped when adjacent clauses form a
+    run, else the plain list, so a predicate with no run pays nothing."""
+    groups: list = []
+    for _, run in itertools.groupby(cs, lambda c: (c.head_plan, c.body_plan[0]) if c.body else c):
+        run = tuple(run)
+        if len(run) == 1 or not run[0].body:
+            groups += [_Run((c,), None, 0) for c in run]
+        else:
+            names: list = []
+            for t in run[0].head.args + run[0].body[0].args:
+                term_vars(t, names)
+            groups.append(_Run(run, run[0].body[0].key(), len(names)))
+    if all(run.first is None for run in groups):
+        return list(cs)
+    out = _Grouped(cs)
+    out.groups = tuple(groups)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +607,25 @@ def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Op
     canonical form is replayed when budget admits its nodes; a probe run is
     stored when it finished and kb.reads() did not move (see the module
     docstring)."""
-    goals = []  # solve starts from no bindings: the goals carry s0's
-    while rest is not None:
-        goal, scope, rest = rest
-        goals.append((s0.apply_atom(goal), scope))
     store = kb.probes
     if store is not None:
-        slots: dict = {}  # the goals' variables by first occurrence
+        slots: dict = {}  # the goals' variables under s0 by first occurrence
         key = [room]
-        for g, _ in goals:  # the scopes are not read: the hook ignores them, clause bodies inherit them
-            key.append((g.pred, len(g.args)))
-            _preorder(g.args, slots, key)
+        g = rest
+        while g is not None:  # the scopes are not read: the hook ignores them, clause bodies inherit them
+            goal, _, g = g
+            key.append((goal.pred, len(goal.args)))
+            _preorder(goal.args, s0, slots, key)
         key = tuple(key)
         stored = store.get(key)
         if stored is not None and budget.admits(stored.nodes):
             budget.nodes += stored.nodes
             return _replayed(stored, list(slots), kb)
         nodes, reads = budget.nodes, kb.reads()
+    goals = []  # solve starts from no bindings: the goals carry s0's
+    while rest is not None:
+        goal, scope, rest = rest
+        goals.append((s0.apply_atom(goal), scope))
     clauses_only = KnowledgeBase()
     clauses_only.clauses = kb.clauses  # so that every builtin goal reaches the hook
     hits = budget.depth_hits
@@ -566,17 +641,23 @@ def _probe(rest, s0: Subst, kb: KnowledgeBase, budget: Budget, room: int) -> "Op
     return leaves
 
 
-def _preorder(terms: Iterable[Term], slots: dict, out: list) -> None:
-    """Appends to out the preorder of terms, without recursion: a variable
-    as its slot (slots numbers names by first occurrence), a compound as
-    (functor, arity) before its arguments, any other term as it stands."""
+def _preorder(terms: Iterable[Term], s: Subst, slots: dict, out: list) -> None:
+    """Appends to out the preorder of terms as s applies them, walking
+    their variables without building a term or recursing: an unbound
+    variable as its slot (slots numbers names by first occurrence), a
+    compound as (functor, arity) before its arguments, any other term as it
+    stands."""
+    walk = s.walk
     todo = list(terms)
     todo.reverse()
     while todo:
         t = todo.pop()
         if t.__class__ is Var:
-            out.append(slots.setdefault(t.name, len(slots)))
-        elif t.__class__ is Struct and t.args:
+            t = walk(t)
+            if t.__class__ is Var:
+                out.append(slots.setdefault(t.name, len(slots)))
+                continue
+        if t.__class__ is Struct and t.args:
             out.append((t.functor, len(t.args)))
             todo += reversed(t.args)
         else:
@@ -767,7 +848,8 @@ def solve(
     goal's scope; without a hook, a permute with goals after it
     coroutines with them (KnowledgeBase.plain leaves it out), and its
     child nodes on a ranking its probe's leaves answer for are success
-    nodes, with no goal left.
+    nodes, with no goal left.  The clauses of a run whose first goal is a
+    builtin here share the head match and that goal's answers (_Run).
     Any other goal goes to hook(goal, scope, subst, state) as the goal
     stack holds it, to be read under subst, and the hook yields the
     alternatives as (body atoms, body scope, subst, state); without a hook
@@ -775,6 +857,11 @@ def solve(
     stack, innermost last (Ait-Kaci, 1991), so the interpreter's recursion
     limit bounds no proof.  limit, given, is the depth bound in place of
     the goals' own: a node limit or more steps down its branch is cut.
+    Each open iterator's frame holds the Subst its node started from, a
+    dict of every binding on the branch, so a cyclic-GC pass during a
+    proof on an L-item list walks O(L^2) entries.  Without a hook a solve
+    makes no reference cycle, so refcounting frees all of it and a caller
+    may pause the collector around a query (tasks.answer_each does).
     """
     stack = None
     for goal, scope in reversed(goals):
@@ -796,11 +883,48 @@ def solve(
         key = goal.key()
         bi = builtins.get(key)
         if bi is not None:
-            for s2 in bi(goal.args, s):
-                yield rest, s2, state
+            if goal.__class__ is not _Shared:
+                for s2 in bi(goal.args, s):
+                    yield rest, s2, state
+            elif goal.seen is None:  # the first clause's turn: run the builtin, recording its answers
+                goal.seen = seen = []
+                for s2 in bi(goal.args, s):
+                    seen.append(s2)
+                    yield rest, s2, state
+            else:  # a later clause's turn, the first's node exhausted: seen holds every answer
+                for s2 in goal.seen:
+                    yield rest, s2, state
             return
         defined = clauses.get(key)
         if defined is not None:
+            if defined.__class__ is _Grouped:
+                for run in defined.groups:
+                    if run.first not in builtins:
+                        for clause in run.clauses:
+                            step = resolve(goal, clause, s)
+                            if step is not None:
+                                stack2 = rest
+                                for b in reversed(step[0]):
+                                    stack2 = (b, scope, stack2)
+                                yield stack2, step[1], state
+                        continue
+                    # the head matched once, in the first clause's frame, stands for every clause's
+                    first = run.clauses[0]
+                    frame = [None] * first.frame_size
+                    s2 = _match_plans(first.head_plan, goal.args, frame, s)
+                    if s2 is None:
+                        continue
+                    pred, plans = first.body_plan[0]
+                    shared = _Shared(pred, tuple([_build_plan(t, frame) for t in plans]))
+                    for clause in run.clauses:
+                        if clause is not first:  # the head's and first goal's slots, fresh ones after them
+                            frame = frame[: run.width] + [None] * (clause.frame_size - run.width)
+                        body = [Atom(p, tuple([_build_plan(t, frame) for t in args])) for p, args in clause.body_plan[1:]]
+                        stack2 = rest
+                        for b in reversed(body):
+                            stack2 = (b, scope, stack2)
+                        yield (shared, scope, stack2), s2, state
+                return
             for clause in defined:
                 step = resolve(goal, clause, s)
                 if step is not None:
@@ -834,6 +958,23 @@ def solve(
                 budget.depth_hits += 1
         else:
             pop()
+
+
+class _Shared:
+    """The first goal of a run's clauses (_Run), as the child node of each
+    of them holds it, resolved by builtin under one substitution.  Its
+    first expansion runs the builtin and records the answers in seen as it
+    yields them; each later one, a later clause's, reads the record.
+    Depth-first, a clause's node is drawn only once the one before it is
+    exhausted, so the record then holds every answer."""
+
+    __slots__ = ("pred", "args", "seen")
+
+    def __init__(self, pred: str, args: tuple):
+        self.pred, self.args, self.seen = pred, args, None
+
+    def key(self) -> "tuple[str, int]":
+        return (self.pred, len(self.args))
 
 
 def resolve(goal: Atom, clause: Clause, s: Subst) -> "Optional[tuple[tuple[Atom, ...], Subst]]":

@@ -744,3 +744,164 @@ def test_add_text_on_a_ground_kb_reaches_no_later_one():
         assert _run(later, goal, (order,)) == want
     later.add_builtin("extra", 1, lambda args, s: iter(()))
     assert later.probes is None and other.probes is not None
+
+
+# ---------------------------------------------------------------------------
+# shared clause prefixes: a run's head matched once, its first goal run once
+# ---------------------------------------------------------------------------
+
+
+def _solved(kb, goal: Atom, out: Var, budget: Budget, limit=None):
+    """Every answer of goal by kb.solve, out printed, as far as the stream
+    goes, the error that ended it (None if none), and the budget's nodes,
+    depth_hits and exhausted."""
+    got, error = [], None
+    try:
+        for s, _ in kb_module.solve([(goal, None)], kb, budget, limit=limit):
+            got.append(print_term(s.apply(out)))
+    except ValueError as e:
+        error = str(e)
+    return got, error, budget.nodes, budget.depth_hits, budget.exhausted
+
+
+def _aliased(text: str, pred: str) -> str:
+    """text with the first goal of each clause after the first that starts
+    with pred renamed to pred_alias, so no two clauses share it."""
+    clauses, seen = [], False
+    for line in text.splitlines():
+        if f":- {pred}(" in line:
+            if seen:
+                line = line.replace(f":- {pred}(", f":- {pred}_alias(")
+            seen = True
+        clauses.append(line)
+    return "\n".join(clauses) + "\n"
+
+
+@st.composite
+def _run_programs(draw):
+    """A sum or product program whose two chain clauses share their head
+    and first goal, in either order, with the one-item base case
+    f(A,B) :- eq(A,B) before, between or after them or left out; a list of
+    1-12 digits, and a node cap and a depth limit, each small or none."""
+    op = draw(st.sampled_from(["add", "mult"]))
+    clauses = [f"f(A,B) :- {op}(A,C), eq(C,B).", f"f(A,B) :- {op}(A,C), f(C,B)."]
+    if draw(st.booleans()):
+        clauses.reverse()
+    ident = draw(st.sampled_from([None, 0, 1, 2]))
+    if ident is not None:
+        clauses.insert(ident, "f(A,B) :- eq(A,B).")
+    digits = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    max_nodes = draw(st.one_of(st.none(), st.integers(1, 60)))
+    limit = draw(st.one_of(st.none(), st.integers(0, 30)))
+    return op, "\n".join(clauses), ident != 1, digits, max_nodes, limit
+
+
+def _arith_kb(op: str, text: str):
+    kb = KnowledgeBase()
+    for a in make_task("sum" if op == "add" else "product").abducibles:
+        kb.add_builtin(a.name, a.arity, a.ground())
+    kb.add_builtin(f"{op}_alias", 2, kb.builtins[(op, 2)])
+    kb.add_text(text)
+    return kb
+
+
+@given(_run_programs())
+@settings(max_examples=200, deadline=None)
+def test_shared_runs_answer_as_unshared_clauses(case):
+    """A run's clauses give every answer, nodes, depth_hits and exhausted
+    that the same clauses give with the later one's first goal an alias of
+    the builtin, which forms no run."""
+    op, text, forms_run, digits, max_nodes, limit = case
+    shared, unshared = _arith_kb(op, text), _arith_kb(op, _aliased(text, op))
+    assert (shared.clauses[("f", 2)].__class__ is kb_module._Grouped) == forms_run
+    assert unshared.clauses[("f", 2)].__class__ is list
+    goal, out = Atom("f", (mk_list([Int(d) for d in digits]), Var("Y"))), Var("Y")
+    got = _solved(shared, goal, out, Budget(max_nodes=max_nodes), limit)
+    assert got == _solved(unshared, goal, out, Budget(max_nodes=max_nodes), limit)
+
+
+FIRST_SECOND = "first(X, a(X)).\nsecond(X, b(X)).\nother(0).\n"
+
+
+def _pick_kb(text: str, answers: int, raise_after=None):
+    """A kb of FIRST_SECOND and text with pick(X), a builtin that binds X
+    to 1, 2, ... answers, or raises ValueError after raise_after of them,
+    and pick_alias, the same builtin; calls lists each run of either."""
+    calls = []
+
+    def pick(args, s):
+        calls.append(None)
+        for k in range(1, answers + 1):
+            if k - 1 == raise_after:
+                raise ValueError(f"pick raised after {raise_after}")
+            s2 = unify(args[0], Int(k), s)
+            if s2 is not None:
+                yield s2
+
+    kb = KnowledgeBase()
+    kb.add_builtin("pick", 1, pick)
+    kb.add_builtin("pick_alias", 1, pick)
+    kb.add_text(FIRST_SECOND + text)
+    return kb, calls
+
+
+PICKS = "g(Y) :- pick(X), first(X, Y).\ng(Y) :- pick(X), second(X, Y).\n"
+
+
+@pytest.mark.parametrize("answers", [2, 3])
+def test_a_shared_builtin_gives_each_clause_every_answer_in_turn(answers):
+    """pick runs once: the first clause's continuation over each of its
+    answers, then the second clause's, as two runs of it give them."""
+    (kb, calls), (alias, alias_calls) = _pick_kb(PICKS, answers), _pick_kb(_aliased(PICKS, "pick"), answers)
+    goal, out = parse_atom("g(Y)"), Var("Y")
+    got = _solved(kb, goal, out, Budget())
+    assert got[0] == [f"a({k})" for k in range(1, answers + 1)] + [f"b({k})" for k in range(1, answers + 1)]
+    assert got == _solved(alias, goal, out, Budget())
+    assert (len(calls), len(alias_calls)) == (1, 2)
+
+
+@pytest.mark.parametrize("raise_after", [0, 1, 2])
+def test_a_shared_builtin_that_raises_does_so_where_unshared_clauses_do(raise_after):
+    """The error ends the stream after the same answers and nodes."""
+    kb, _ = _pick_kb(PICKS, 3, raise_after)
+    alias, _ = _pick_kb(_aliased(PICKS, "pick"), 3, raise_after)
+    goal, out = parse_atom("g(Y)"), Var("Y")
+    got = _solved(kb, goal, out, Budget())
+    assert got[1] == f"pick raised after {raise_after}" and len(got[0]) == raise_after
+    assert got == _solved(alias, goal, out, Budget())
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3])
+def test_a_shared_node_at_the_depth_bound_counts_a_hit_per_clause(limit):
+    """Under limit 1 both clauses' shared nodes are cut, two depth hits and
+    pick never run; under 2 pick's answers are cut in each clause's turn."""
+    kb, calls = _pick_kb(PICKS, 2)
+    alias, alias_calls = _pick_kb(_aliased(PICKS, "pick"), 2)
+    goal, out = parse_atom("g(Y)"), Var("Y")
+    got = _solved(kb, goal, out, Budget(), limit)
+    assert got == _solved(alias, goal, out, Budget(), limit)
+    assert got[3] == {0: 1, 1: 2, 2: 4, 3: 0}[limit]
+    assert (len(calls), len(alias_calls)) == ((0, 0) if limit < 2 else (1, 2))
+
+
+def test_only_adjacent_clauses_form_a_run():
+    """c1, c3, c2 with only c1 and c2 alike: no run, and pick runs twice;
+    c1, c2, c3: c1 and c2 form one.  Equal first goals under different
+    heads form none."""
+    c1, c2 = PICKS.splitlines()
+    c3 = "g(Y) :- other(X), first(X, Y)."
+    for text, run, want in [
+        (f"{c1}\n{c3}\n{c2}\n", False, ["a(1)", "a(2)", "a(0)", "b(1)", "b(2)"]),
+        (f"{c1}\n{c2}\n{c3}\n", True, ["a(1)", "a(2)", "b(1)", "b(2)", "a(0)"]),
+    ]:
+        kb, calls = _pick_kb(text, 2)
+        table = kb.clauses[("g", 1)]
+        assert table == [parse_clause(c) for c in text.splitlines()]
+        assert (table.__class__ is kb_module._Grouped) == run
+        if run:
+            assert [len(r.clauses) for r in table.groups] == [2, 1] and table.groups[1].first is None
+            assert table.groups[0].clauses == tuple(table[:2]) and table.groups[0].width == 2
+        assert _solved(kb, parse_atom("g(Y)"), Var("Y"), Budget())[0] == want
+        assert len(calls) == (1 if run else 2)
+    kb, _ = _pick_kb("g(a) :- pick(X), first(X, Y).\ng(Y) :- pick(X), second(X, Y).\n", 2)
+    assert kb.clauses[("g", 1)].__class__ is list

@@ -1,6 +1,7 @@
 """Task wiring, generators, file formats, and the evaluator."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from abdlearn.perception import MLP, PairModel
 from abdlearn.tasks import (
     SyntheticDigitGen,
     TaskError,
+    answer_each,
     evaluate,
     gen_sequences,
     ground_kb,
@@ -665,6 +667,64 @@ def test_evaluate_sorted_and_bogosort_truth():
     merged = merge_programs(BOGO_PROG, SORT_PROG)
     mb = evaluate(merged, bt, gen_sequences(bt, 15, lengths=(2, 5), seed=7), use_truth=True)
     assert mb.perm_acc == 1.0 and mb.elem_acc == 1.0 and mb.failures == 0
+
+
+# the program sum learns from raw digits: its clauses share head and first goal
+SUM_RUN_PROG = Program(
+    (
+        MetaSub("chain", (("P", "f"), ("Q", "add"), ("R", "eq"))),
+        MetaSub("chain", (("P", "f"), ("Q", "add"), ("R", "f"))),
+    )
+)
+
+
+def test_eval_queries_make_no_reference_cycles():
+    """With the collector off, 260-item sums and 5-item rankings answered
+    on true digits leave nothing that only a collection frees."""
+    st, bt = make_task("sum"), make_task("bogosort")
+    sums = gen_sequences(st, 2, lengths=(260, 260), seed=5)
+    sorts = gen_sequences(bt, 4, lengths=(5, 5), seed=5)
+    merged = merge_programs(BOGO_PROG, SORT_PROG)
+    gc.collect()
+    gc.disable()
+    try:
+        answers = answer_each(SUM_RUN_PROG, st, sums, use_truth=True)
+        answers += answer_each(merged, bt, sorts, use_truth=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [a.value for a in answers] == [ex.y for ex in sums + sorts]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_answer_each_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    """Each query runs with the collector off; after it, returned or
+    raised, the collector is on again only if it was before."""
+    t = make_task("sum")
+    exs = gen_sequences(t, 3, lengths=(2, 4), seed=1)
+    seen = []
+
+    def spying(goal, kb, budget):
+        seen.append(gc.isenabled())
+        yield from deduce(goal, kb, budget=budget)
+
+    def raising(goal, kb, budget):
+        seen.append(gc.isenabled())
+        raise RuntimeError("query failed")
+        yield
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(tasks, "deduce", spying)
+        assert [a.value for a in answer_each(SUM_RUN_PROG, t, exs, use_truth=True)] == [ex.y for ex in exs]
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(tasks, "deduce", raising)
+        with pytest.raises(RuntimeError, match="query failed"):
+            answer_each(SUM_RUN_PROG, t, exs, use_truth=True)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
 
 
 class _FirstFeatureOrder:
