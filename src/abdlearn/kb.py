@@ -22,11 +22,12 @@ matches the head and builds the body without looking up a name.
 Shared clause prefixes.  A run is two or more adjacent clauses of one
 predicate with equal head plans and equal first body goals (_Run).
 add_clause finds the runs when it builds a predicate's entry, so each
-clause table, tasks.ground_kb's shared one included, finds them once.  A
-predicate with a run is held as a _Grouped list, and any other pays
-nothing.  When the run's first goal is a builtin of the solve
-(KnowledgeBase.plain without a hook, builtins with one), solve matches the
-head once and builds that goal once, from the first clause's frame.  Each
+clause table, tasks.ground_kb's shared one included, finds them once.
+Every entry has one shape (_Clauses): the clauses, cut into groups, each
+run one and each stretch of clauses between runs one.  When a run's first
+goal is a builtin the solve runs as it stands (every builtin with a hook,
+every one but the coroutining permute without), solve matches the head
+once and builds that goal once, from the first clause's frame.  Each
 clause's child node is then headed by one shared node (_Shared) in place
 of the goal: its first expansion runs the builtin, and each later one
 reads the same answers in the same order.  A later clause builds the rest
@@ -277,19 +278,16 @@ class Budget:
 
 
 class KnowledgeBase:
-    """Clauses indexed by (predicate, arity) plus native builtins, some with
-    the lazy reading that permute's probe runs (see the module docstring).
-    builtins holds them all; plain holds those a solve without a hook runs
-    as they stand, every builtin but permute, which coroutines there.
-    probes, when not None, is the store of finished probes (share)."""
+    """Clauses indexed by (predicate, arity), each entry a _Clauses, plus
+    native builtins, some with the lazy reading that permute's probe runs
+    (see the module docstring).  probes, when not None, is the store of
+    finished probes (share)."""
 
     def __init__(self):
         # stored as parsed: resolve() matches them without renaming
         self.clauses: dict[tuple[str, int], list[Clause]] = {}
         self.builtins: dict[tuple[str, int], BuiltinFn] = {}
         self.lazy: dict[tuple[str, int], LazyFn] = {}
-        # decided once per key, so that no other goal pays for permute's test
-        self.plain: dict[tuple[str, int], BuiltinFn] = {}
         self.probes: Optional[dict] = None
         self.reads: Optional[Callable[[], int]] = None
         self._shared = False  # clauses is another kb's table too
@@ -330,8 +328,6 @@ class KnowledgeBase:
             raise KBError(f"builtin {name}/{arity} would shadow existing clauses")
         self.builtins[key] = fn
         self.probes = None
-        if fn is not _bi_permute:
-            self.plain[key] = fn
         if lazy is not None:
             self.lazy[key] = lazy
 
@@ -343,43 +339,43 @@ class KnowledgeBase:
 
 
 class _Run(NamedTuple):
-    """Adjacent clauses of one predicate with equal head plans and first
-    body goals: solve matches their head once and shares the first goal's
-    answers when it is a builtin of the solve (see the module docstring).
-    first is that goal's key, and width the slots the head and first goal
-    use, 0 to width - 1, as the slot form numbers by first occurrence.  A
-    clause in no run stands alone, first None."""
+    """A group of a predicate's clauses (_Clauses).  A run, first not None,
+    is two or more adjacent clauses with equal head plans and first body
+    goals: solve matches their head once and shares the first goal's
+    answers when it is a builtin the solve runs as it stands (see the
+    module docstring).  first is that goal's key, and width the slots the
+    head and first goal use, 0 to width - 1, as the slot form numbers by
+    first occurrence.  Any other group, first None, is a stretch of
+    clauses in no run, each resolved alone."""
 
     clauses: tuple
     first: Optional[tuple]
     width: int
 
 
-class _Grouped(list):
-    """A predicate's clauses, in order, when some of them form a _Run:
-    groups holds the runs, every other clause alone.  It reads as the
-    plain list of clauses that kb.clauses holds for every other
-    predicate."""
+class _Clauses(list):
+    """A predicate's clauses, in order, as kb.clauses holds them: groups
+    holds them again, cut into _Runs."""
 
     __slots__ = ("groups",)
 
 
-def _grouped(cs: "list[Clause]") -> "list[Clause]":
-    """cs as kb.clauses holds it: a _Grouped when adjacent clauses form a
-    run, else the plain list, so a predicate with no run pays nothing."""
+def _grouped(cs: "list[Clause]") -> _Clauses:
+    """cs with its groups: each run of adjacent clauses, and each stretch
+    of clauses between runs."""
     groups: list = []
     for _, run in itertools.groupby(cs, lambda c: (c.head_plan, c.body_plan[0]) if c.body else c):
         run = tuple(run)
-        if len(run) == 1 or not run[0].body:
-            groups += [_Run((c,), None, 0) for c in run]
-        else:
+        if len(run) > 1 and run[0].body:
             names: list = []
             for t in run[0].head.args + run[0].body[0].args:
                 term_vars(t, names)
             groups.append(_Run(run, run[0].body[0].key(), len(names)))
-    if all(run.first is None for run in groups):
-        return list(cs)
-    out = _Grouped(cs)
+        elif groups and groups[-1].first is None:
+            groups[-1] = _Run(groups[-1].clauses + run, None, 0)
+        else:
+            groups.append(_Run(run, None, 0))
+    out = _Clauses(cs)
     out.groups = tuple(groups)
     return out
 
@@ -778,16 +774,9 @@ def _wake(s: Subst, waiting: tuple, out: list) -> bool:
     return split
 
 
-def standard_builtins() -> "dict[tuple[str, int], BuiltinFn]":
-    return {
-        ("permute", 3): _bi_permute,
-    }
-
-
 def standard_kb(text: str = "") -> KnowledgeBase:
     kb = KnowledgeBase()
-    for (name, arity), fn in standard_builtins().items():
-        kb.add_builtin(name, arity, fn)
+    kb.add_builtin("permute", 3, _bi_permute)
     if text:
         kb.add_text(text)
     return kb
@@ -846,10 +835,12 @@ def solve(
     goal the kb defines is resolved by its builtin or clauses (through
     resolve(), which builds only the body), a clause body inheriting the
     goal's scope; without a hook, a permute with goals after it
-    coroutines with them (KnowledgeBase.plain leaves it out), and its
-    child nodes on a ranking its probe's leaves answer for are success
-    nodes, with no goal left.  The clauses of a run whose first goal is a
-    builtin here share the head match and that goal's answers (_Run).
+    coroutines with them, and its child nodes on a ranking its probe's
+    leaves answer for are success nodes, with no goal left.  The builtins
+    this solve runs as they stand, its native table, are worked out once
+    per call: all of them with a hook, every one but permute without.  The
+    clauses of a run whose first goal is native share the head match and
+    that goal's answers (_Run).
     Any other goal goes to hook(goal, scope, subst, state) as the goal
     stack holds it, to be read under subst, and the hook yields the
     alternatives as (body atoms, body scope, subst, state); without a hook
@@ -871,7 +862,7 @@ def solve(
         limit = DEPTH_BASE + DEPTH_PER_ITEM * sum(len(list_parts(t)[0]) for g, _ in goals for t in g.args)
     tick = budget.tick
     clauses = kb.clauses
-    builtins = kb.builtins if hook is not None else kb.plain
+    native = kb.builtins if hook is not None else {k: f for k, f in kb.builtins.items() if f is not _bi_permute}
     open_ = [iter(((stack, Subst(), state),))]
     push, pop = open_.append, open_.pop
 
@@ -881,7 +872,7 @@ def solve(
         # stack is a linked list of goals: (atom, scope, rest) or None
         goal, scope, rest = stack
         key = goal.key()
-        bi = builtins.get(key)
+        bi = native.get(key)
         if bi is not None:
             if goal.__class__ is not _Shared:
                 for s2 in bi(goal.args, s):
@@ -897,41 +888,32 @@ def solve(
             return
         defined = clauses.get(key)
         if defined is not None:
-            if defined.__class__ is _Grouped:
-                for run in defined.groups:
-                    if run.first not in builtins:
-                        for clause in run.clauses:
-                            step = resolve(goal, clause, s)
-                            if step is not None:
-                                stack2 = rest
-                                for b in reversed(step[0]):
-                                    stack2 = (b, scope, stack2)
-                                yield stack2, step[1], state
-                        continue
-                    # the head matched once, in the first clause's frame, stands for every clause's
-                    first = run.clauses[0]
-                    frame = [None] * first.frame_size
-                    s2 = _match_plans(first.head_plan, goal.args, frame, s)
-                    if s2 is None:
-                        continue
-                    pred, plans = first.body_plan[0]
-                    shared = _Shared(pred, tuple([_build_plan(t, frame) for t in plans]))
+            for run in defined.groups:
+                if run.first not in native:
                     for clause in run.clauses:
-                        if clause is not first:  # the head's and first goal's slots, fresh ones after them
-                            frame = frame[: run.width] + [None] * (clause.frame_size - run.width)
-                        body = [Atom(p, tuple([_build_plan(t, frame) for t in args])) for p, args in clause.body_plan[1:]]
-                        stack2 = rest
-                        for b in reversed(body):
-                            stack2 = (b, scope, stack2)
-                        yield (shared, scope, stack2), s2, state
-                return
-            for clause in defined:
-                step = resolve(goal, clause, s)
-                if step is not None:
+                        step = resolve(goal, clause, s)
+                        if step is not None:
+                            stack2 = rest
+                            for b in reversed(step[0]):
+                                stack2 = (b, scope, stack2)
+                            yield stack2, step[1], state
+                    continue
+                # the head matched once, in the first clause's frame, stands for every clause's
+                first = run.clauses[0]
+                frame = [None] * first.frame_size
+                s2 = _match_plans(first.head_plan, goal.args, frame, s)
+                if s2 is None:
+                    continue
+                pred, plans = first.body_plan[0]
+                shared = _Shared(pred, tuple([_build_plan(t, frame) for t in plans]))
+                for clause in run.clauses:
+                    if clause is not first:  # the head's and first goal's slots, fresh ones after them
+                        frame = frame[: run.width] + [None] * (clause.frame_size - run.width)
+                    body = [Atom(p, tuple([_build_plan(t, frame) for t in args])) for p, args in clause.body_plan[1:]]
                     stack2 = rest
-                    for b in reversed(step[0]):
+                    for b in reversed(body):
                         stack2 = (b, scope, stack2)
-                    yield stack2, step[1], state
+                    yield (shared, scope, stack2), s2, state
             return
         if hook is not None:
             for body, body_scope, s2, state2 in hook(goal, scope, s, state):
@@ -940,7 +922,7 @@ def solve(
                     stack2 = (b, body_scope, stack2)
                 yield stack2, s2, state2
             return
-        if key in kb.builtins:  # permute, which plain leaves out
+        if key in kb.builtins:  # permute, which native leaves out
             for stack2, s2 in _coroutined_permute(goal.args, rest, s, kb, budget, room):
                 yield stack2, s2, state
 

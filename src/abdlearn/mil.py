@@ -1536,20 +1536,18 @@ def _shared_leaves(goals: "Sequence[Atom]", program: Program, ctx: _Ctx, runtime
     """The goals' proof leaves, each through _emitted, from the setting's
     stored proofs (see the module docstring): the stored proof of the
     goals' shape, found by _proof_key with the parameter's value y, is
-    replayed when runtime could run it whole and no pair it read now has
-    probability 0, its leaves under y taken from the proof or pinned once
-    and kept there; otherwise the goals are proved (_leaves), their pins
-    posted, and the proof is stored unless runtime ran out or it read a
-    pair of probability 0.  Under generation the proof runs whole, and is
+    replayed when runtime admits its nodes (Budget.admits) and no pair it
+    read now has probability 0, its leaves under y taken from the proof or
+    pinned once and kept there; otherwise the goals are proved (_leaves),
+    their pins posted, and the proof is stored unless runtime ran out or it
+    read a pair of probability 0.  Under generation the proof runs whole, and is
     stored, before its first leaf goes out.  runtime counts either in
     proofs_replayed or proofs_run."""
     facts, budget = ctx.facts, ctx.budget.max_clauses if ctx.allow_new else None
     key, ids, y, goals = _proof_key(goals, program, ctx.setting, facts, budget)
     proofs = ctx.setting._proofs
     proof = proofs.get(key)
-    cap = runtime.max_nodes
-    whole = proof is not None and runtime.ok() and (cap is None or runtime.nodes + proof.nodes <= cap)
-    pairs = _reread(proof.read, ids, facts) if whole else None
+    pairs = _reread(proof.read, ids, facts) if proof is not None and runtime.admits(proof.nodes) else None
     if pairs is not None:
         leaves = proof.by_values.get(y)
         if leaves is None:

@@ -12,7 +12,7 @@ from abdlearn.kb import Budget, KBError, KnowledgeBase, deduce, resolve, standar
 from abdlearn.metarules import MetaSub, Program
 from abdlearn.mil import SettingError, TableFacts, item_term
 from abdlearn.parser import parse_atom, parse_clause, parse_term
-from abdlearn.tasks import evaluate, gen_sequences, ground_kb, make_task
+from abdlearn.tasks import TASK_IDS, evaluate, gen_sequences, ground_kb, make_task
 from abdlearn.terms import (
     Atom,
     Clause,
@@ -361,6 +361,40 @@ def test_pruned_permute_gives_the_blind_answer_stream(top, cont, order, relation
         # it to a term that holds it: the step's occurs check drops that
         # prefix, and no ranking that ranks h(V) first is placed
         assert all(perm[0] != 0 for perm in placed if perm)
+
+
+# Two clauses that share their head and first goal, permute: a run, and the
+# same clauses with the second's permute an alias, which forms none
+PERMUTE_RUN = """
+g_run(A, B) :- permute(A, B, C), s(C).
+g_run(A, B) :- permute(A, B, C), pin(C).
+"""
+
+
+@pytest.mark.parametrize(
+    "n, relation, want, nodes",
+    [(3, "up", 1, 48), (3, "down", 2, 51), (4, "down", 1, 71), (4, "cycle", 5, 92)],
+)
+def test_a_permute_run_is_not_shared_without_a_hook(n, relation, want, nodes):
+    """Without a hook permute coroutines with each clause's rest, so the
+    run is not shared: the stream is s's blind one, then pin's, want
+    answers in all, with the nodes the unshared clauses take, pinned here.
+    up and down sort one ranking, cycle each rotation of one; pin's has
+    item(2) first."""
+    before = {"up": lambda a, b: a < b, "down": lambda a, b: a > b, "cycle": lambda a, b: b == (a + 1) % n}
+    pairs = {(a, b): float(before[relation](a, b)) for a in range(n) for b in range(n) if a != b}
+    facts = TableFacts({}, pairs=pairs)
+    kb, alias = (ground_kb(make_task("bogosort"), SORT_PROGRAM, facts=facts) for _ in range(2))
+    kb.add_text(CONTINUATIONS + PERMUTE_RUN)
+    alias.add_builtin("permute_alias", 3, kb_module._bi_permute)
+    alias.add_text(CONTINUATIONS + _aliased(PERMUTE_RUN, "permute"))
+    assert [r.first for r in kb.clauses[("g_run", 2)].groups] == [("permute", 3)]
+    assert [r.first for r in alias.clauses[("g_run", 2)].groups] == [None]
+    items, order = [item_term(i) for i in range(n)], Var("R")
+    got = _run(kb, Atom("g_run", (mk_list(items), order)), (order,))
+    assert got[0] == _blind(kb, "s", items) + _blind(kb, "pin", items) and len(got[0]) == want
+    assert got == _run(alias, Atom("g_run", (mk_list(items), order)), (order,))
+    assert got[1:] == (nodes, 0, False)
 
 
 # mem gives one answer per Out cell, each binding X: a ranking the probe's
@@ -813,8 +847,9 @@ def test_shared_runs_answer_as_unshared_clauses(case):
     the builtin, which forms no run."""
     op, text, forms_run, digits, max_nodes, limit = case
     shared, unshared = _arith_kb(op, text), _arith_kb(op, _aliased(text, op))
-    assert (shared.clauses[("f", 2)].__class__ is kb_module._Grouped) == forms_run
-    assert unshared.clauses[("f", 2)].__class__ is list
+    runs = [(r.first, r.width) for r in shared.clauses[("f", 2)].groups if r.first is not None]
+    assert runs == ([((op, 2), 3)] if forms_run else [])
+    assert all(r.first is None for r in unshared.clauses[("f", 2)].groups)
     goal, out = Atom("f", (mk_list([Int(d) for d in digits]), Var("Y"))), Var("Y")
     got = _solved(shared, goal, out, Budget(max_nodes=max_nodes), limit)
     assert got == _solved(unshared, goal, out, Budget(max_nodes=max_nodes), limit)
@@ -897,11 +932,31 @@ def test_only_adjacent_clauses_form_a_run():
         kb, calls = _pick_kb(text, 2)
         table = kb.clauses[("g", 1)]
         assert table == [parse_clause(c) for c in text.splitlines()]
-        assert (table.__class__ is kb_module._Grouped) == run
-        if run:
-            assert [len(r.clauses) for r in table.groups] == [2, 1] and table.groups[1].first is None
-            assert table.groups[0].clauses == tuple(table[:2]) and table.groups[0].width == 2
+        groups = [(len(r.clauses), r.first, r.width) for r in table.groups]
+        assert groups == ([(2, ("pick", 1), 2), (1, None, 0)] if run else [(3, None, 0)])
         assert _solved(kb, parse_atom("g(Y)"), Var("Y"), Budget())[0] == want
         assert len(calls) == (1 if run else 2)
     kb, _ = _pick_kb("g(a) :- pick(X), first(X, Y).\ng(Y) :- pick(X), second(X, Y).\n", 2)
-    assert kb.clauses[("g", 1)].__class__ is list
+    assert [(len(r.clauses), r.first) for r in kb.clauses[("g", 1)].groups] == [(2, None)]
+
+
+def test_the_groups_of_an_entry_are_its_clauses_in_order():
+    """Every entry of the clause tables the system builds, its groups
+    concatenated, gives the entry's clauses in order.  bogosort's setting
+    calls the s/1 of a curriculum's first stage: SORT_PROGRAM's.  The sum
+    program with the last pair as its base case forms a run."""
+    pairs = {(a, b): float(a < b) for a in range(3) for b in range(3) if a != b}
+    sorted_concept = Program(SORT_PROGRAM.metasubs[1:], invented=SORT_PROGRAM.invented)
+    last_pair = Program((SUM_PROGRAM.metasubs[0], MetaSub("chain", (("P", "f"), ("Q", "add"), ("R", "eq")))))
+    kbs = [
+        standard_kb(LIST_BK),
+        *[make_task(t).setting(extra_program=sorted_concept if t == "bogosort" else None).kb for t in TASK_IDS],
+        ground_kb(make_task("sum"), SUM_PROGRAM),
+        ground_kb(make_task("sum"), last_pair),
+        ground_kb(make_task("bogosort"), SORT_PROGRAM, facts=TableFacts({}, pairs=pairs)),
+    ]
+    tables = [table for kb in kbs for table in kb.clauses.values()]
+    for table in tables:
+        assert [c for r in table.groups for c in r.clauses] == table
+    groups = [r for table in tables for r in table.groups]
+    assert any(r.first is not None for r in groups) and any(r.first is None and len(r.clauses) > 1 for r in groups)

@@ -1742,6 +1742,26 @@ def test_replay_hands_the_stored_stores_to_the_solver_as_they_are(monkeypatch):
     assert values[0] != values[1]
 
 
+def test_a_passed_deadline_proves_a_stored_proof_from_scratch():
+    """A stored proof is replayed only when the runtime admits its nodes
+    (Budget.admits): under a deadline already passed, the goal of its
+    shape is proved from scratch, and the runtime reads out after it."""
+    setting = sum_setting()
+    facts = TableFacts({i: digit_table(d) for i, d in enumerate([3, 1, 4])})
+    goal = item_goal([0, 1, 2], 8)
+
+    def counts(rt):
+        list(prove(goal, SUM_PROG, setting, facts, runtime=rt, allow_new_clauses=False))
+        return rt.proofs_run, rt.proofs_replayed
+
+    assert counts(Budget()) == (1, 0) and len(setting._proofs) == 1
+    assert counts(Budget()) == (0, 1)
+    late = Budget(wall_ms=60_000)
+    late.deadline = time.monotonic() - 1.0
+    assert counts(late) == (1, 0)
+    assert not late.ok()
+
+
 def test_replay_under_another_y_pins_a_clone_of_each_stored_leaf(monkeypatch):
     """An example of the stored proof's shape under another y replays it:
     each stored leaf store that waits for y is cloned once and gets one EQC
